@@ -331,7 +331,7 @@ fn serve_line(
     // Write-through, and strictly *before* the response lines go out: once
     // the client has seen this request's `done` line, its solves are
     // already durable. Concurrent connections' flushes are serialized by
-    // the store itself.
+    // the store itself, and a replay that inserted nothing writes nothing.
     if let Some(store) = &daemon.store {
         if let Err(e) = store.flush() {
             eprintln!("cinderella: serve: store flush failed ({e}); continuing in memory");

@@ -53,7 +53,13 @@
 //! The store is flushed write-through for every request — before its
 //! response lines are written, so acknowledgment implies durability — and
 //! each flush is an atomic whole-file replacement, serialized across
-//! connections by the store itself. Killing the daemon at any moment —
+//! connections by the store itself. A flush rewrites the file only when
+//! the store is dirty (an insert or an invalidation since the last good
+//! write); a replay that added nothing still waits for any flush in
+//! flight, then returns without writing. Injected write faults
+//! (`--inject-fail-write N`, `--inject-torn-write N`) count writing
+//! flushes only, and a failed or torn write leaves the store dirty so the
+//! next flush repairs the file. Killing the daemon at any moment —
 //! including SIGKILL, which cannot be handled — therefore loses at most
 //! the in-flight requests' solves; everything acknowledged by a `done`
 //! line is already on disk. Solves cancelled by a watchdog or a vanished

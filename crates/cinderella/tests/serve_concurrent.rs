@@ -91,9 +91,29 @@ fn counter(stats: &Json, group: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {group}.{name} in {stats:?}"))
 }
 
-/// dhry takes seconds to solve cold in a debug build — the reliable way to
-/// hold an in-flight slot while the test pokes the daemon from the side.
-const SLOW_TARGET: &str = "dhry";
+/// A request that is slow by construction: `fullsearch` plus `log2_sets`
+/// disjunctive annotation statements, each `x1 <= a | x1 <= b` with fresh
+/// constants, which expand to `2^log2_sets` distinct constraint sets. Every
+/// set is its own ILP solve and a cancellation checkpoint, so the work
+/// doubles per statement however fast the solver gets, and a cancelled
+/// request still unwinds within one set. The alternatives never bind
+/// (`x1` is the entry block, executed once), so the bound stays exact.
+fn slow_request(id: u64, log2_sets: u64) -> String {
+    let statements: String =
+        (1..=log2_sets).map(|i| format!(" x1 <= {} | x1 <= {};", 100 + i, 200 + i)).collect();
+    format!(
+        r#"{{"id": {id}, "target": "fullsearch", "annotations": "fn fullsearch {{{statements} }}"}}"#
+    )
+}
+
+/// 256 sets: seconds in a debug build, long enough to hold an in-flight
+/// slot while the test pokes the daemon from the side, for requests that
+/// must also run to an exact finish.
+const SLOW_SETS: u64 = 8;
+
+/// 4096 sets: far beyond any timeout the tests use, for requests that are
+/// meant to be cancelled (over a second even in a release build).
+const ENDLESS_SETS: u64 = 12;
 
 #[test]
 fn overload_sheds_with_a_typed_response_and_ops_bypass_admission() {
@@ -111,7 +131,7 @@ fn overload_sheds_with_a_typed_response_and_ops_bypass_admission() {
 
     // Connection A occupies the single in-flight slot with a slow solve.
     let (mut slow_conn, mut slow_reader) = connect(&sock);
-    writeln!(slow_conn, r#"{{"id": 1, "target": "{SLOW_TARGET}"}}"#).unwrap();
+    writeln!(slow_conn, "{}", slow_request(1, SLOW_SETS)).unwrap();
     wait_for_stats(&sock, "an in-flight request", |s| counter(s, "admission", "in_flight") >= 1);
 
     // Health answers while the daemon is saturated: ops bypass admission.
@@ -183,9 +203,9 @@ fn watchdog_timeout_degrades_to_a_safe_bound_and_keeps_serving() {
     let mut stdin = child.stdin.take().unwrap();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
 
-    // The slow target cannot finish in 500ms cold: the watchdog cancels it
-    // and the request answers with a certified-safe degraded bound.
-    writeln!(stdin, r#"{{"id": 1, "target": "{SLOW_TARGET}"}}"#).unwrap();
+    // The slow request cannot finish in 500ms: the watchdog cancels it and
+    // the request answers with a certified-safe degraded bound.
+    writeln!(stdin, "{}", slow_request(1, ENDLESS_SETS)).unwrap();
     let (_, done) = read_response(&mut reader);
     assert_eq!(status_of(&done), 2, "{done:?}");
     assert_eq!(done.get("cancelled"), Some(&Json::Bool(true)), "{done:?}");
@@ -216,7 +236,7 @@ fn client_disconnect_cancels_the_inflight_solve() {
     // request instead of computing into a dead pipe, and keep serving.
     {
         let (mut conn, _reader) = connect(&sock);
-        writeln!(conn, r#"{{"id": 1, "target": "{SLOW_TARGET}"}}"#).unwrap();
+        writeln!(conn, "{}", slow_request(1, ENDLESS_SETS)).unwrap();
         wait_for_stats(&sock, "the in-flight request", |s| {
             counter(s, "admission", "in_flight") >= 1
         });
@@ -298,7 +318,7 @@ fn requests_queue_behind_the_inflight_ceiling_and_run_in_turn() {
     // One slow request holds the slot; several fast ones queue behind it
     // and must all be answered (not shed — the queue has room).
     let (mut slow_conn, mut slow_reader) = connect(&sock);
-    writeln!(slow_conn, r#"{{"id": 0, "target": "{SLOW_TARGET}"}}"#).unwrap();
+    writeln!(slow_conn, "{}", slow_request(0, SLOW_SETS)).unwrap();
     wait_for_stats(&sock, "an in-flight request", |s| counter(s, "admission", "in_flight") >= 1);
 
     let waiters: Vec<_> = (1..=3)

@@ -280,10 +280,10 @@ impl Clone for BudgetMeter {
 /// A second family of faults targets the persistent result store's IO
 /// path (`ipet-store` consumes them; the solver itself never looks):
 ///
-/// * [`fail_write_at`](SolverFaults::fail_write_at) — the N-th store flush
-///   fails outright, as if the disk were full;
-/// * [`torn_write_at`](SolverFaults::torn_write_at) — the N-th store flush
-///   persists only a prefix of its bytes, modelling a crash mid-write;
+/// * [`fail_write_at`](SolverFaults::fail_write_at) — the N-th writing store
+///   flush fails outright, as if the disk were full;
+/// * [`torn_write_at`](SolverFaults::torn_write_at) — the N-th writing store
+///   flush persists only a prefix of its bytes, modelling a crash mid-write;
 /// * [`corrupt_record_at`](SolverFaults::corrupt_record_at) — the N-th
 ///   record serialized flips one payload bit, modelling silent bit rot;
 /// * [`fail_open`](SolverFaults::fail_open) — opening the store file fails,
@@ -367,15 +367,16 @@ impl SolverFaults {
         SolverFaults { force_corrupt_bound_at: Some(index), ..SolverFaults::default() }
     }
 
-    /// Forces the `index`-th store flush to fail outright (disk-full
-    /// model): no bytes reach the file and the flush reports an error.
+    /// Forces the `index`-th writing store flush (clean flushes write
+    /// nothing and do not count) to fail outright (disk-full model): no
+    /// bytes reach the file and the flush reports an error.
     pub fn fail_write_at(index: u64) -> SolverFaults {
         SolverFaults { force_fail_write_at: Some(index), ..SolverFaults::default() }
     }
 
-    /// Forces the `index`-th store flush to persist only a prefix of its
-    /// bytes (crash-mid-write model): the truncated tail must quarantine on
-    /// the next open instead of replaying.
+    /// Forces the `index`-th writing store flush to persist only a prefix
+    /// of its bytes (crash-mid-write model): the truncated tail must
+    /// quarantine on the next open instead of replaying.
     pub fn torn_write_at(index: u64) -> SolverFaults {
         SolverFaults { force_torn_write_at: Some(index), ..SolverFaults::default() }
     }

@@ -179,14 +179,14 @@ pub fn solve_ilp_budgeted(
     ipet_trace::counter("lp.bb_nodes", stats.nodes as u64);
     ipet_trace::counter("lp.ticks", meter.ticks().saturating_sub(ticks_before));
     let outcome = match &resolution {
-        IlpResolution::Exact { .. } => "exact",
-        IlpResolution::Relaxed { .. } => "relaxed",
-        IlpResolution::Infeasible => "infeasible",
-        IlpResolution::Unbounded => "unbounded",
-        IlpResolution::Numerical => "numerical",
-        IlpResolution::Exhausted => "exhausted",
+        IlpResolution::Exact { .. } => "lp.outcome.exact",
+        IlpResolution::Relaxed { .. } => "lp.outcome.relaxed",
+        IlpResolution::Infeasible => "lp.outcome.infeasible",
+        IlpResolution::Unbounded => "lp.outcome.unbounded",
+        IlpResolution::Numerical => "lp.outcome.numerical",
+        IlpResolution::Exhausted => "lp.outcome.exhausted",
     };
-    ipet_trace::counter(&format!("lp.outcome.{outcome}"), 1);
+    ipet_trace::counter(outcome, 1);
     ipet_trace::gauge_max("lp.problem.vars.peak", problem.num_vars() as u64);
     ipet_trace::gauge_max("lp.problem.rows.peak", problem.constraints.len() as u64);
     (resolution, stats)

@@ -2,7 +2,11 @@
 //! re-optimization used by warm starts.
 //!
 //! The problems produced by IPET are small (tens to a few hundred rows), so
-//! a dense textbook implementation is both fast enough and easy to audit.
+//! a dense textbook tableau keeps the solver easy to audit. Its cost is in
+//! pricing, which runs every primal and dual iteration: the reduced-cost
+//! row is accumulated row by row over the tableau (contiguous reads,
+//! zero-cost basic rows skipped whole) in an order that makes it
+//! bit-identical to the column-by-column textbook sum.
 //!
 //! ## Pivot rule
 //!
@@ -126,17 +130,22 @@ impl Tableau {
     /// Reduced-cost row for the maximization objective `obj`:
     /// `z_j = c_B^T B^{-1} A_j - c_j`. Entering columns are those with
     /// `z_j < -tol` (can improve a maximum).
+    ///
+    /// Accumulated row by row: every `z_j` starts at `-c_j` and receives
+    /// `c_B[i]·a[i][j]` for each row `i` with `c_B[i] ≠ 0` in ascending
+    /// order — the same operations in the same order as a column-by-column
+    /// sum, so the result is bit-identical to it, but each tableau row is
+    /// read contiguously and rows with a zero basic cost are skipped whole.
     fn reduced_costs(&self, obj: &[f64]) -> Vec<f64> {
-        let mut zrow = vec![0.0; self.cols - 1];
-        for (j, z) in zrow.iter_mut().enumerate() {
-            let mut acc = -obj[j];
-            for i in 0..self.rows {
-                let cb = obj[self.basis[i]];
-                if cb != 0.0 {
-                    acc += cb * self.a[i][j];
+        let n = self.cols - 1;
+        let mut zrow: Vec<f64> = obj[..n].iter().map(|&c| -c).collect();
+        for (row, &b) in self.a.iter().zip(&self.basis) {
+            let cb = obj[b];
+            if cb != 0.0 {
+                for (z, &a) in zrow.iter_mut().zip(&row[..n]) {
+                    *z += cb * a;
                 }
             }
-            *z = acc;
         }
         zrow
     }
@@ -945,6 +954,102 @@ mod tests {
         // x >= 7 as -x <= -7 contradicts x <= 4.
         inst.append_le_rows(&[(vec![-1.0], -7.0)]);
         assert_eq!(inst.dual_reoptimize(inst.default_iter_cap(), &mut pivots), DualEnd::Infeasible);
+    }
+
+    // -- kernel equivalence ----------------------------------------------------
+
+    /// The column-by-column reduced-cost sum the row-major kernel replaces.
+    fn reduced_costs_by_column(tab: &Tableau, obj: &[f64]) -> Vec<f64> {
+        (0..tab.cols - 1)
+            .map(|j| {
+                let mut acc = -obj[j];
+                for i in 0..tab.rows {
+                    let cb = obj[tab.basis[i]];
+                    if cb != 0.0 {
+                        acc += cb * tab.a[i][j];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn assert_reduced_costs_bit_identical(tab: &Tableau, obj: &[f64], what: &str) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(tab.reduced_costs(obj)),
+            bits(reduced_costs_by_column(tab, obj)),
+            "{what}: row-major reduced costs differ from the column-order sum"
+        );
+    }
+
+    /// A value with an inexact binary expansion (so summation order shows
+    /// in the last bits), or an exact zero with probability `zero_p`.
+    fn random_coeff(rng: &mut rand::rngs::StdRng, zero_p: f64) -> f64 {
+        use rand::Rng as _;
+        if rng.gen_bool(zero_p) {
+            0.0
+        } else {
+            rng.gen_range(-1000i64..=1000) as f64 / 7.0
+        }
+    }
+
+    #[test]
+    fn row_major_reduced_costs_match_the_column_order_sum_bit_for_bit() {
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for case in 0..200 {
+            // Raw random tableaux: any basis, any objective, some basic
+            // costs exactly zero.
+            let rows = rng.gen_range(1usize..=12);
+            let cols = rng.gen_range(rows + 1..=rows + 15);
+            let a: Vec<Vec<f64>> = (0..rows)
+                .map(|_| (0..cols).map(|_| random_coeff(&mut rng, 0.3)).collect())
+                .collect();
+            let basis: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols - 1)).collect();
+            let obj: Vec<f64> = (0..cols - 1).map(|_| random_coeff(&mut rng, 0.4)).collect();
+            let tab = Tableau { a, rows, cols, basis, banned: vec![false; cols - 1] };
+            assert_reduced_costs_bit_identical(&tab, &obj, &format!("raw case {case}"));
+        }
+        for case in 0..60 {
+            // Tableaux the solver actually produces: after phase 2, after
+            // appended rows, and after the dual re-optimization.
+            let n = rng.gen_range(2usize..=8);
+            let m = rng.gen_range(1usize..=8);
+            let obj: Vec<f64> = (0..n).map(|_| random_coeff(&mut rng, 0.2)).collect();
+            let rows: Vec<(Vec<f64>, Relation, f64)> = (0..m)
+                .map(|_| {
+                    let coeffs = (0..n).map(|_| random_coeff(&mut rng, 0.3).abs()).collect();
+                    let rel = match rng.gen_range(0..3) {
+                        0 => Relation::Le,
+                        1 => Relation::Ge,
+                        _ => Relation::Eq,
+                    };
+                    (coeffs, rel, rng.gen_range(0i64..=50) as f64)
+                })
+                .collect();
+            let refs: Vec<(&[f64], Relation, f64)> =
+                rows.iter().map(|(c, r, b)| (c.as_slice(), *r, *b)).collect();
+            let p = build(Sense::Maximize, &obj, &refs);
+            let mut inst = build_instance(&p);
+            let what = format!("solver case {case}");
+            assert_reduced_costs_bit_identical(&inst.tab, &inst.obj, &what);
+            let mut pivots = 0u64;
+            if inst.solve_primal(inst.default_iter_cap(), &mut pivots) != PrimalEnd::Optimal {
+                continue;
+            }
+            assert_reduced_costs_bit_identical(&inst.tab, &inst.obj, &what);
+            let cuts: Vec<(Vec<f64>, f64)> = (0..rng.gen_range(1usize..=3))
+                .map(|_| {
+                    let coeffs = (0..n).map(|_| random_coeff(&mut rng, 0.3)).collect();
+                    (coeffs, rng.gen_range(-5i64..=40) as f64)
+                })
+                .collect();
+            inst.append_le_rows(&cuts);
+            assert_reduced_costs_bit_identical(&inst.tab, &inst.obj, &what);
+            inst.dual_reoptimize(inst.default_iter_cap(), &mut pivots);
+            assert_reduced_costs_bit_identical(&inst.tab, &inst.obj, &what);
+        }
     }
 
     #[test]

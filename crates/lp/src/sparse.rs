@@ -2,10 +2,11 @@
 //!
 //! The dense tableau in `simplex.rs` carries the full `m × (n+m)` matrix
 //! through every pivot. This module keeps the constraint matrix as immutable
-//! CSC columns and represents the basis inverse implicitly: a dense LU
+//! CSC columns and represents the basis inverse implicitly: an LU
 //! factorization (partial pivoting) of the basis taken at the last
-//! refactorization point, composed with an eta file of product-form updates,
-//! one eta per pivot. FTRAN/BTRAN apply the factors; every
+//! refactorization point, stored as sparse per-row and per-column lists of
+//! its nonzeros, composed with an eta file of product-form updates, one eta
+//! per pivot. FTRAN/BTRAN apply the factors; every
 //! [`REFACTOR_INTERVAL`] pivots the LU is rebuilt from the current basis and
 //! the eta file is discarded, which also re-syncs the basic values against
 //! the right-hand side to keep drift bounded.
@@ -62,12 +63,60 @@ struct Eta {
     others: Vec<(usize, f64)>,
 }
 
-/// Dense LU factors of the basis at the last refactorization point.
+/// Nonzeros of one triangle of the LU factors, grouped into lines (rows or
+/// columns, by factored position) in ascending index order.
+#[derive(Debug, Clone, Default)]
+struct Lines {
+    /// Line `i` is `entries[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    /// `(index, value)` pairs; every value is finite and nonzero.
+    entries: Vec<(usize, f64)>,
+}
+
+impl Lines {
+    fn line(&self, i: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
+    }
+
+    /// Groups `(line, index, value)` triples, given in ascending `index`
+    /// order, by `line` — a stable counting sort, so each line keeps
+    /// ascending index order.
+    fn grouped(m: usize, triples: &[(usize, usize, f64)]) -> Lines {
+        let mut start = vec![0usize; m + 1];
+        for &(line, _, _) in triples {
+            start[line + 1] += 1;
+        }
+        for i in 0..m {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut entries = vec![(0usize, 0.0f64); triples.len()];
+        for &(line, index, value) in triples {
+            entries[next[line]] = (index, value);
+            next[line] += 1;
+        }
+        Lines { start, entries }
+    }
+}
+
+/// Sparse LU factors of the basis at the last refactorization point,
+/// indexed by factored position: `P B = L U` with unit-diagonal `L`.
+///
+/// Each strict triangle is stored twice — by row for FTRAN, by column for
+/// BTRAN — so both solves walk their factor entries contiguously, in the
+/// same ascending order as a dense row-major solve would.
 #[derive(Debug, Clone, Default)]
 struct Factor {
-    /// Row-major `m × m`; strict lower part holds L (unit diagonal implied),
-    /// the rest holds U.
-    lu: Vec<f64>,
+    /// `L[i][j]` for `j < i`, by row `i`.
+    l_rows: Lines,
+    /// `L[i][j]` for `i > j`, by column `j`.
+    l_cols: Lines,
+    /// `U[i][j]` for `j > i`, by row `i`.
+    u_rows: Lines,
+    /// `U[i][j]` for `i < j`, by column `j`.
+    u_cols: Lines,
+    /// `U[i][i]`.
+    u_diag: Vec<f64>,
     /// `perm[i]` = original row occupying factored position `i`.
     perm: Vec<usize>,
     etas: Vec<Eta>,
@@ -199,8 +248,11 @@ impl SparseInstance {
         self.refactors
     }
 
-    /// Rebuild the LU factors from the current basis and re-sync `xb`.
-    fn refactorize(&mut self) -> bool {
+    /// Dense Gaussian elimination with partial pivoting of the current
+    /// basis in an `m × m` scratch buffer, row-major by original row: the
+    /// strict lower part of row `perm[i]` holds `L[i]`, the rest `U[i]`.
+    /// `None` for a singular or non-finite pivot.
+    fn eliminate(&self) -> Option<(Vec<f64>, Vec<usize>)> {
         let m = self.m;
         let mut lu = vec![0.0f64; m * m];
         for (j, &col) in self.basis.iter().enumerate() {
@@ -220,7 +272,7 @@ impl SparseInstance {
                 }
             }
             if !(best > FEAS_TOL) || !best.is_finite() {
-                return false; // singular or non-finite basis
+                return None; // singular or non-finite basis
             }
             perm.swap(k, p);
             let pk = perm[k];
@@ -236,38 +288,85 @@ impl SparseInstance {
                 }
             }
         }
-        self.factor = Factor { lu, perm, etas: Vec::new() };
+        Some((lu, perm))
+    }
+
+    /// Rebuild the LU factors from the current basis and re-sync `xb`.
+    ///
+    /// Declines (returns `false`) a singular basis and any factorization
+    /// with a non-finite entry. The latter is what lets the sparse solves
+    /// skip exact-zero factor entries without changing a result: a skipped
+    /// term is `0·finite`, which can at most flip the sign of a zero.
+    fn refactorize(&mut self) -> bool {
+        let m = self.m;
+        let Some((lu, perm)) = self.eliminate() else {
+            return false;
+        };
+        // Keep only the nonzeros, in ascending index order per line.
+        let mut lower = Vec::new();
+        let mut upper = Vec::new();
+        let mut u_diag = Vec::with_capacity(m);
+        for (i, &pi) in perm.iter().enumerate() {
+            for (j, &v) in lu[pi * m..(pi + 1) * m].iter().enumerate() {
+                if !v.is_finite() {
+                    return false;
+                }
+                if j == i {
+                    u_diag.push(v);
+                } else if v != 0.0 {
+                    if j < i {
+                        lower.push((i, j, v))
+                    } else {
+                        upper.push((i, j, v))
+                    }
+                }
+            }
+        }
+        // Column grouping: the triples are in ascending row order, which
+        // becomes the ascending index order within each column.
+        let transposed = |t: &[(usize, usize, f64)]| -> Vec<(usize, usize, f64)> {
+            t.iter().map(|&(i, j, v)| (j, i, v)).collect()
+        };
+        self.factor = Factor {
+            l_rows: Lines::grouped(m, &lower),
+            l_cols: Lines::grouped(m, &transposed(&lower)),
+            u_rows: Lines::grouped(m, &upper),
+            u_cols: Lines::grouped(m, &transposed(&upper)),
+            u_diag,
+            perm,
+            etas: Vec::new(),
+        };
         self.refactors += 1;
         self.xb = self.ftran_dense(&self.b.clone());
         self.xb.iter().all(|v| v.is_finite())
     }
 
     /// Solve `B x = d` through the LU factors and the eta file.
+    ///
+    /// Each `x[i]` receives the same subtractions in the same ascending
+    /// order as a dense triangular solve, minus the terms whose factor
+    /// entry is exactly zero.
     fn ftran_dense(&self, d: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let lu = &self.factor.lu;
-        let perm = &self.factor.perm;
+        let f = &self.factor;
         // L z = P d  (forward, unit diagonal)
-        let mut x = vec![0.0f64; m];
-        for i in 0..m {
-            let pi = perm[i];
-            let mut v = d[pi];
-            for j in 0..i {
-                v -= lu[pi * m + j] * x[j];
+        let mut x: Vec<f64> = f.perm.iter().map(|&pi| d[pi]).collect();
+        for i in 0..self.m {
+            let mut v = x[i];
+            for &(j, l) in f.l_rows.line(i) {
+                v -= l * x[j];
             }
             x[i] = v;
         }
         // U y = z  (backward)
-        for i in (0..m).rev() {
-            let pi = perm[i];
+        for i in (0..self.m).rev() {
             let mut v = x[i];
-            for j in (i + 1)..m {
-                v -= lu[pi * m + j] * x[j];
+            for &(j, u) in f.u_rows.line(i) {
+                v -= u * x[j];
             }
-            x[i] = v / lu[pi * m + i];
+            x[i] = v / f.u_diag[i];
         }
         // Product-form updates in application order.
-        for eta in &self.factor.etas {
+        for eta in &f.etas {
             let xr = x[eta.r] / eta.pivot;
             for &(i, w) in &eta.others {
                 x[i] -= w * xr;
@@ -286,41 +385,39 @@ impl SparseInstance {
         self.ftran_dense(&d)
     }
 
-    /// Solve `B^T y = c` (c indexed by basis position).
+    /// Solve `B^T y = c` (c indexed by basis position), with the same
+    /// operation order as [`ftran_dense`](Self::ftran_dense) guarantees.
     fn btran(&self, c: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let mut v = c.to_vec();
+        let f = &self.factor;
+        let mut w = c.to_vec();
         // Undo the eta file, newest first.
-        for eta in self.factor.etas.iter().rev() {
-            let mut acc = v[eta.r];
-            for &(i, w) in &eta.others {
-                acc -= w * v[i];
+        for eta in f.etas.iter().rev() {
+            let mut acc = w[eta.r];
+            for &(i, v) in &eta.others {
+                acc -= v * w[i];
             }
-            v[eta.r] = acc / eta.pivot;
+            w[eta.r] = acc / eta.pivot;
         }
-        let lu = &self.factor.lu;
-        let perm = &self.factor.perm;
         // U^T w = v  (forward; U^T is lower triangular)
-        let mut w = vec![0.0f64; m];
-        for i in 0..m {
-            let mut acc = v[i];
-            for j in 0..i {
-                acc -= lu[perm[j] * m + i] * w[j];
+        for i in 0..self.m {
+            let mut acc = w[i];
+            for &(j, u) in f.u_cols.line(i) {
+                acc -= u * w[j];
             }
-            w[i] = acc / lu[perm[i] * m + i];
+            w[i] = acc / f.u_diag[i];
         }
         // L^T z = w  (backward; unit diagonal)
-        for i in (0..m).rev() {
+        for i in (0..self.m).rev() {
             let mut acc = w[i];
-            for j in (i + 1)..m {
-                acc -= lu[perm[j] * m + i] * w[j];
+            for &(j, l) in f.l_cols.line(i) {
+                acc -= l * w[j];
             }
             w[i] = acc;
         }
         // y = P^T z
-        let mut y = vec![0.0f64; m];
-        for i in 0..m {
-            y[perm[i]] = w[i];
+        let mut y = vec![0.0f64; self.m];
+        for (i, &pi) in f.perm.iter().enumerate() {
+            y[pi] = w[i];
         }
         y
     }
@@ -474,6 +571,9 @@ impl SparseInstance {
                 let mut unit = vec![0.0f64; self.m];
                 unit[r] = 1.0;
                 let rho = self.btran(&unit);
+                if rho.iter().any(|v| !v.is_finite()) {
+                    return SparseEnd::Numerical;
+                }
                 let mut replacement = None;
                 for j in 0..self.cols.len() {
                     if self.in_basis[j] || self.artificial[j] || self.banned[j] {
@@ -486,6 +586,9 @@ impl SparseInstance {
                 }
                 if let Some(j) = replacement {
                     let w = self.ftran_col(j);
+                    if w.iter().any(|v| !v.is_finite()) {
+                        return SparseEnd::Numerical;
+                    }
                     if w[r].abs() > FEAS_TOL {
                         let theta = self.xb[r] / w[r];
                         for i in 0..self.m {
@@ -666,6 +769,8 @@ mod tests {
     use super::*;
     use crate::model::{ProblemBuilder, Relation, Sense};
     use crate::simplex::{solve_lp, LpOutcome};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn flow_problem() -> Problem {
         // Small IPET-shaped program: entry fixed, a loop bounded by 10.
@@ -767,6 +872,199 @@ mod tests {
             }
             other => panic!("dense disagreed: {other:?}"),
         }
+    }
+
+    // -- kernel equivalence ----------------------------------------------------
+
+    /// The dense row-major LU and the dense triangular solves the sparse
+    /// factors replace, sharing the instance's eta file.
+    struct DenseLu {
+        m: usize,
+        lu: Vec<f64>,
+        perm: Vec<usize>,
+    }
+
+    impl DenseLu {
+        fn factor(inst: &SparseInstance) -> DenseLu {
+            let (lu, perm) = inst.eliminate().expect("the instance's basis factors");
+            DenseLu { m: inst.m, lu, perm }
+        }
+
+        fn ftran(&self, etas: &[Eta], d: &[f64]) -> Vec<f64> {
+            let (m, lu, perm) = (self.m, &self.lu, &self.perm);
+            let mut x = vec![0.0f64; m];
+            for i in 0..m {
+                let pi = perm[i];
+                let mut v = d[pi];
+                for j in 0..i {
+                    v -= lu[pi * m + j] * x[j];
+                }
+                x[i] = v;
+            }
+            for i in (0..m).rev() {
+                let pi = perm[i];
+                let mut v = x[i];
+                for j in (i + 1)..m {
+                    v -= lu[pi * m + j] * x[j];
+                }
+                x[i] = v / lu[pi * m + i];
+            }
+            for eta in etas {
+                let xr = x[eta.r] / eta.pivot;
+                for &(i, w) in &eta.others {
+                    x[i] -= w * xr;
+                }
+                x[eta.r] = xr;
+            }
+            x
+        }
+
+        fn btran(&self, etas: &[Eta], c: &[f64]) -> Vec<f64> {
+            let (m, lu, perm) = (self.m, &self.lu, &self.perm);
+            let mut v = c.to_vec();
+            for eta in etas.iter().rev() {
+                let mut acc = v[eta.r];
+                for &(i, w) in &eta.others {
+                    acc -= w * v[i];
+                }
+                v[eta.r] = acc / eta.pivot;
+            }
+            let mut w = vec![0.0f64; m];
+            for i in 0..m {
+                let mut acc = v[i];
+                for j in 0..i {
+                    acc -= lu[perm[j] * m + i] * w[j];
+                }
+                w[i] = acc / lu[perm[i] * m + i];
+            }
+            for i in (0..m).rev() {
+                let mut acc = w[i];
+                for j in (i + 1)..m {
+                    acc -= lu[perm[j] * m + i] * w[j];
+                }
+                w[i] = acc;
+            }
+            let mut y = vec![0.0f64; m];
+            for i in 0..m {
+                y[perm[i]] = w[i];
+            }
+            y
+        }
+    }
+
+    /// Checks FTRAN (of every column and of random dense vectors) and BTRAN
+    /// against the dense reference. `==` rather than `to_bits`: a skipped
+    /// term is `0·finite`, which can flip the sign of a zero result and
+    /// nothing else, and no caller can observe a zero's sign (no division
+    /// by a solve result, no sign-sensitive comparison).
+    fn assert_solves_match(inst: &SparseInstance, reference: &DenseLu, rng: &mut StdRng) {
+        let etas = &inst.factor.etas;
+        for col in 0..inst.cols.len() {
+            let want = {
+                let mut d = vec![0.0f64; inst.m];
+                for &(row, val) in &inst.cols[col] {
+                    d[row] = val;
+                }
+                reference.ftran(etas, &d)
+            };
+            assert_eq!(inst.ftran_col(col), want, "ftran of column {col}");
+        }
+        for _ in 0..4 {
+            let v: Vec<f64> = (0..inst.m).map(|_| random_value(rng)).collect();
+            assert_eq!(inst.ftran_dense(&v), reference.ftran(etas, &v), "ftran of {v:?}");
+            assert_eq!(inst.btran(&v), reference.btran(etas, &v), "btran of {v:?}");
+        }
+    }
+
+    fn random_value(rng: &mut StdRng) -> f64 {
+        if rng.gen_bool(0.3) {
+            0.0
+        } else {
+            rng.gen_range(-999i64..=999) as f64 / 7.0
+        }
+    }
+
+    /// A random feasible-by-construction LP: `<=` rows with non-negative
+    /// right-hand sides over a few structural variables.
+    fn random_problem(rng: &mut StdRng, n: usize, m: usize) -> Problem {
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        for &v in &vars {
+            b.objective(v, rng.gen_range(1i64..=9) as f64);
+        }
+        for _ in 0..m {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if rng.gen_bool(0.4) {
+                    terms.push((v, rng.gen_range(1i64..=40) as f64 / 3.0));
+                }
+            }
+            b.constraint(terms, Relation::Le, rng.gen_range(1i64..=60) as f64);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn sparse_solves_match_the_dense_lu_across_refactorizations_and_etas() {
+        let mut rng = StdRng::seed_from_u64(0x1u64 << 40 | 13);
+        let mut refactorizations = 0u64;
+        let mut checked_with_etas = 0usize;
+        for _ in 0..12 {
+            let n = rng.gen_range(4usize..=12);
+            let m = rng.gen_range(4usize..=14);
+            let mut inst = SparseInstance::build(&random_problem(&mut rng, n, m)).expect("builds");
+            let mut reference = DenseLu::factor(&inst);
+            assert_solves_match(&inst, &reference, &mut rng);
+            // Random basis exchanges: enough eta updates to cross several
+            // refactorization points, each checked against a reference
+            // factored from the basis the instance last refactorized.
+            for _ in 0..3 * REFACTOR_INTERVAL {
+                let nonbasic: Vec<usize> =
+                    (0..inst.cols.len()).filter(|&j| !inst.in_basis[j]).collect();
+                let entering = nonbasic[rng.gen_range(0..nonbasic.len())];
+                let w = inst.ftran_col(entering);
+                // The largest entry as pivot keeps the basis well conditioned.
+                let r = (0..inst.m).fold(0, |r, i| if w[i].abs() > w[r].abs() { i } else { r });
+                let refactors = inst.refactors();
+                if !inst.apply_pivot(r, entering, &w) {
+                    break;
+                }
+                if inst.refactors() != refactors {
+                    refactorizations += 1;
+                    reference = DenseLu::factor(&inst);
+                }
+                checked_with_etas += usize::from(!inst.factor.etas.is_empty());
+                assert_solves_match(&inst, &reference, &mut rng);
+            }
+            // Appending rows refactorizes the enlarged basis.
+            let cut: Vec<f64> = (0..n).map(|_| random_value(&mut rng)).collect();
+            if inst.append_le_rows(&[(cut, 5.0)]) {
+                assert_solves_match(&inst, &DenseLu::factor(&inst), &mut rng);
+            }
+        }
+        assert!(refactorizations >= 12, "only {refactorizations} refactorizations exercised");
+        assert!(checked_with_etas >= 100, "only {checked_with_etas} checks with etas");
+    }
+
+    #[test]
+    fn refactorize_declines_a_non_finite_factor() {
+        // B = [[1, 0, 1e308], [-1, 1, 1e308], [0, 0, 1]]: every pivot is 1,
+        // but eliminating row 1 overflows U[1][2] to +inf.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x: Vec<_> = (0..3).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        b.constraint(vec![(x[0], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
+        b.constraint(vec![(x[0], -1.0), (x[1], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
+        b.constraint(vec![(x[2], 1.0)], Relation::Eq, 1.0);
+        let mut inst = SparseInstance::build(&b.build()).expect("artificial basis factors");
+        // Move the structural columns into the basis.
+        inst.basis = vec![0, 1, 2];
+        for (j, in_basis) in inst.in_basis.iter_mut().enumerate() {
+            *in_basis = j < 3;
+        }
+        assert!(!inst.refactorize(), "a factor with an infinite entry must be declined");
+        // The same basis without the overflow factors fine.
+        inst.cols[2] = vec![(0, 1.0), (1, 1.0), (2, 1.0)];
+        assert!(inst.refactorize());
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! function of the entry set — two runs that solved the same problems
 //! produce byte-identical store files.
 //!
+//! A flush writes only when the store is *dirty*: it starts dirty (so the
+//! first flush rewrites the file and drops any quarantined records), and an
+//! insert or an invalidating [`Store::note_context`] makes it dirty again.
+//! A failed or damaged write leaves it dirty, so the next flush repairs
+//! the file. A clean flush still waits for any flush in progress, so its
+//! `Ok` keeps meaning "everything inserted so far is on disk".
+//!
 //! ## Degraded modes, never errors
 //!
 //! [`Store::open`] is infallible by design. Whatever goes wrong — another
@@ -135,6 +142,8 @@ struct StoreEntry {
 struct Inner {
     entries: HashMap<u128, Vec<StoreEntry>>,
     faults: SolverFaults,
+    /// True when the file on disk may not hold exactly `entries`.
+    dirty: bool,
 }
 
 /// A thread-safe persistent solve store. See the crate docs for the trust
@@ -226,7 +235,7 @@ impl Store {
             path: None,
             lock_path: None,
             mode: StoreMode::InMemory,
-            inner: Mutex::new(Inner { entries: HashMap::new(), faults }),
+            inner: Mutex::new(Inner { entries: HashMap::new(), faults, dirty: true }),
             flush_lock: Mutex::new(()),
             loaded: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -297,6 +306,7 @@ impl Store {
         }
         inner.entries.retain(|_, b| !b.is_empty());
         if dropped > 0 {
+            inner.dirty = true;
             self.invalidated.fetch_add(dropped, Ordering::Relaxed);
             ipet_trace::counter("store.invalidated", dropped);
         }
@@ -382,19 +392,23 @@ impl Store {
             value: *value,
             stats,
         });
+        inner.dirty = true;
     }
 
     /// Persists every live entry with a whole-file atomic rewrite: encode,
     /// write `<path>.tmp`, fsync, rename. No-op outside
-    /// [`StoreMode::ReadWrite`]. Injected IO faults fire here and are
-    /// reported as errors (fail) or silently persisted damage (torn /
-    /// corrupt) for recovery tests.
+    /// [`StoreMode::ReadWrite`], and writes nothing when the store is clean
+    /// (see the crate docs). Injected IO faults fire here — the N-th
+    /// *writing* flush — and are reported as errors (fail) or silently
+    /// persisted damage (torn / corrupt) for recovery tests.
     ///
     /// Concurrent flushes are serialized end to end (`flush_lock`): each
     /// snapshot reaches disk in the order it was taken, so a flush that
     /// returned `Ok` can never be overwritten by an older image racing
-    /// through the rename. Inserts stay concurrent — only the
-    /// snapshot-encode step briefly holds the entry lock.
+    /// through the rename. The clean check happens under the same lock, so
+    /// a clean flush returns only after any in-flight write has finished.
+    /// Inserts stay concurrent — only the snapshot-encode step briefly
+    /// holds the entry lock.
     pub fn flush(&self) -> Result<(), String> {
         if self.mode != StoreMode::ReadWrite {
             return Ok(());
@@ -402,6 +416,12 @@ impl Store {
         let path = self.path.clone().expect("ReadWrite store has a path");
         let _serialize = self.flush_lock.lock().expect("flush lock");
         let mut inner = self.inner.lock().expect("store lock");
+        if !inner.dirty {
+            return Ok(());
+        }
+        // Cleared at snapshot time: an insert racing the write below makes
+        // the store dirty again, and so does any failure or damage.
+        inner.dirty = false;
         let mut payloads: Vec<Vec<u8>> =
             inner.entries.values().flat_map(|b| b.iter().map(encode_entry)).collect();
         // Deterministic bytes: the file is a pure function of the entry
@@ -409,6 +429,7 @@ impl Store {
         payloads.sort_unstable();
         let fault = inner.faults.write_fault();
         if matches!(fault, Some(IoFault::FailWrite)) {
+            inner.dirty = true;
             self.write_failed.fetch_add(1, Ordering::Relaxed);
             ipet_trace::counter("store.write_failed", 1);
             return Err(format!("{}: injected write fault", path.display()));
@@ -418,6 +439,7 @@ impl Store {
         let mut last_record_start = None;
         for mut payload in payloads {
             if inner.faults.record_fault() {
+                inner.dirty = true;
                 // Flip one payload bit *after* the checksum is computed so
                 // the damage is latent until the next open.
                 let crc = crc32(&payload);
@@ -433,6 +455,7 @@ impl Store {
         if matches!(fault, Some(IoFault::TornWrite)) {
             // Persist only a prefix: the final record is cut mid-payload,
             // exactly what a crash between write() calls can leave behind.
+            inner.dirty = true;
             if let Some(start) = last_record_start {
                 let torn = start + (bytes.len() - start) / 2;
                 bytes.truncate(torn.max(start + 1));
@@ -446,6 +469,7 @@ impl Store {
                 Ok(())
             }
             Err(e) => {
+                self.inner.lock().expect("store lock").dirty = true;
                 self.write_failed.fetch_add(1, Ordering::Relaxed);
                 ipet_trace::counter("store.write_failed", 1);
                 Err(format!("{}: {e}", path.display()))
@@ -909,6 +933,13 @@ mod tests {
         ipet_lp::fingerprint(p)
     }
 
+    /// The inode behind `path`: a rename-over replaces it.
+    #[cfg(unix)]
+    fn inode(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt as _;
+        fs::metadata(path).expect("stat").ino()
+    }
+
     #[test]
     fn round_trip_replays_bit_identical() {
         let dir = scratch("roundtrip");
@@ -1199,6 +1230,95 @@ mod tests {
         // The fault fires once; the retry (next flush index) succeeds.
         store.flush().expect("second flush");
         assert!(path.exists());
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn clean_flush_writes_nothing() {
+        let dir = scratch("clean");
+        let path = dir.join("s.store");
+        let store = Store::open(&path);
+        let p = toy();
+        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        store.flush().expect("first flush");
+        let bytes = fs::read(&path).expect("read");
+        let ino = inode(&path);
+        assert_eq!(store.stats().flushes, 1);
+
+        // Nothing changed: no rewrite, not even of identical bytes.
+        store.flush().expect("clean flush");
+        store.note_context(1, 2);
+        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        store.flush().expect("still clean after a no-op context and a duplicate");
+        assert_eq!(store.stats().flushes, 1);
+        assert_eq!(inode(&path), ino, "a clean flush must not replace the file");
+        assert_eq!(fs::read(&path).expect("read"), bytes);
+
+        // An invalidating context change makes it dirty again.
+        store.note_context(1, 3);
+        store.flush().expect("dirty flush");
+        assert_eq!(store.stats().flushes, 2);
+        drop(store);
+        assert_eq!(Store::open(&path).stats().loaded, 0, "the drop reached disk");
+    }
+
+    #[test]
+    fn first_flush_rewrites_a_quarantined_file() {
+        let dir = scratch("selfrepair");
+        let path = dir.join("s.store");
+        fs::write(&path, b"ipet-store-v9\0\0\0junk").expect("write");
+        {
+            let store = Store::open(&path);
+            assert_eq!(store.stats().quarantined, 1);
+            store.flush().expect("flush");
+            assert_eq!(store.stats().flushes, 1, "a fresh store starts dirty");
+        }
+        let store = Store::open(&path);
+        assert_eq!(store.stats().quarantined, 0, "the bad file was replaced");
+    }
+
+    #[test]
+    fn failed_write_leaves_the_store_dirty() {
+        let dir = scratch("failrepair");
+        let path = dir.join("s.store");
+        let p = toy();
+        let q = {
+            let mut b = ProblemBuilder::new(Sense::Minimize);
+            let x = b.add_var("x", true);
+            b.objective(x, 1.0);
+            b.constraint(vec![(x, 1.0)], Relation::Ge, 3.0);
+            b.build()
+        };
+        {
+            let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
+            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.flush().expect("writing flush 0");
+            let qres = IlpResolution::Exact { x: vec![3.0], value: 3.0 };
+            store.insert(key_of(&q), 1, 2, &q, &qres, IlpStats::default());
+            assert!(store.flush().is_err(), "writing flush 1 fails");
+            // No new insert: the retry must still write.
+            store.flush().expect("retry");
+            assert_eq!(store.stats().flushes, 2);
+        }
+        let store = Store::open(&path);
+        assert_eq!(store.stats().loaded, 2, "the retry wrote both entries");
+    }
+
+    #[test]
+    fn torn_write_is_repaired_by_the_next_flush() {
+        let dir = scratch("tornrepair");
+        let path = dir.join("s.store");
+        let p = toy();
+        {
+            let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(0));
+            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.flush().expect("torn flush still renames");
+            store.flush().expect("repairing flush");
+            assert_eq!(store.stats().flushes, 2);
+        }
+        let store = Store::open(&path);
+        assert_eq!(store.stats().loaded, 1);
+        assert_eq!(store.stats().quarantined, 0);
     }
 
     #[test]

@@ -43,6 +43,16 @@ pub fn merge_counters(dst: &mut CounterMap, src: &CounterMap) {
     }
 }
 
+/// The value stored under `name`, inserted as the default on first use.
+/// Looks the name up by `&str` first, so only the first use of a name
+/// allocates its key.
+fn value_for<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: CounterMap,
@@ -71,10 +81,10 @@ impl Recorder {
     /// set, the delta is also tallied under that worker id.
     pub fn add_counter(&self, name: &str, delta: u64, worker: Option<u64>) {
         let mut inner = self.inner.lock().unwrap();
-        let slot = inner.counters.entry(name.to_string()).or_insert(0);
+        let slot = value_for(&mut inner.counters, name);
         *slot = slot.saturating_add(delta);
         if let Some(w) = worker {
-            let per = inner.workers.entry(w).or_default().entry(name.to_string()).or_insert(0);
+            let per = value_for(inner.workers.entry(w).or_default(), name);
             *per = per.saturating_add(delta);
         }
     }
@@ -82,14 +92,14 @@ impl Recorder {
     /// Raises the named gauge to `value` if it is below it.
     pub fn gauge_max(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let slot = inner.gauges.entry(name.to_string()).or_insert(0);
+        let slot = value_for(&mut inner.gauges, name);
         *slot = (*slot).max(value);
     }
 
     /// Records one completed run of the named span.
     pub fn add_span(&self, name: &str, wall_ns: u64) {
         let mut inner = self.inner.lock().unwrap();
-        let slot = inner.spans.entry(name.to_string()).or_default();
+        let slot = value_for(&mut inner.spans, name);
         slot.count = slot.count.saturating_add(1);
         slot.wall_ns = slot.wall_ns.saturating_add(wall_ns);
     }
