@@ -94,9 +94,9 @@ fn usage() -> String {
      \x20        --jobs N (parallel ILP workers; output identical for any N)\n\
      \x20        --no-warm-start (solve every ILP cold; bounds are identical,\n\
      \x20         only solver effort counters change)\n\
-     \x20        --solver dense|sparse|auto (LP backend; default auto routes pure\n\
-     \x20         flow problems to a network simplex, the rest to a presolved\n\
-     \x20         sparse revised simplex; bounds are bit-identical for any choice)\n\
+     \x20        --solver dense|auto (LP backend for warm-start bases; default\n\
+     \x20         auto, alias sparse, presolves them for a sparse revised simplex;\n\
+     \x20         cold solves are dense; bounds are bit-identical for any choice)\n\
      \x20        --trace-json FILE (write the ipet-trace document of the run)\n\
      \x20        --audit (re-certify every bound in exact integer arithmetic)\n\
      store:   --store FILE (crash-safe persistent solve store: certified replays\n\

@@ -1,26 +1,27 @@
 //! Process-wide solver backend selection.
 //!
-//! The backend controls *how* an ILP relaxation is solved, never *what* the
-//! answer is: every backend feeds the same rounding ([`crate::round`]) and the
-//! same acceptance gate (integral witness, unique optimum, exact
-//! certification), and any solve the fast backends cannot prove bit-identical
-//! to the dense tableau falls back to the dense path. Backend choice is
-//! therefore deliberately excluded from problem fingerprints and cache keys.
+//! The backend controls *how* a warm-start base is solved, never *what* the
+//! answer is. Cold solves always run the dense tableau. Under
+//! [`SolverBackend::Auto`] a routine's warm-start base is presolved and
+//! solved with the sparse revised simplex, and deltas re-optimize from that
+//! sparse basis; a base that presolve or the sparse solve declines keeps the
+//! dense snapshot. Every warm result passes the same acceptance gate
+//! (integral witness, unique optimum, exact certification), so backend
+//! choice is deliberately excluded from problem fingerprints and cache keys.
 //!
 //! The selection is a process-wide atomic set once at startup from the
 //! `--solver` CLI flag; the default is [`SolverBackend::Auto`].
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Which solver implementation the hot path should prefer.
+/// Which solver implementation warm-start bases use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverBackend {
     /// Dense two-phase tableau simplex only (the historical hot path).
     Dense,
-    /// Presolve + sparse revised simplex; never routes to the network solver.
-    Sparse,
-    /// Presolve, then network simplex when the reduced matrix is pure flow
-    /// conservation, sparse revised simplex otherwise. The default.
+    /// Presolve + sparse revised simplex for warm-start bases, dense
+    /// tableau for everything else. The default; `sparse` is an accepted
+    /// spelling of it.
     Auto,
 }
 
@@ -29,8 +30,7 @@ impl SolverBackend {
     pub fn parse(s: &str) -> Option<SolverBackend> {
         match s {
             "dense" => Some(SolverBackend::Dense),
-            "sparse" => Some(SolverBackend::Sparse),
-            "auto" => Some(SolverBackend::Auto),
+            "auto" | "sparse" => Some(SolverBackend::Auto),
             _ => None,
         }
     }
@@ -39,35 +39,25 @@ impl SolverBackend {
     pub fn as_str(self) -> &'static str {
         match self {
             SolverBackend::Dense => "dense",
-            SolverBackend::Sparse => "sparse",
             SolverBackend::Auto => "auto",
         }
     }
 }
 
-const BACKEND_DENSE: u8 = 0;
-const BACKEND_SPARSE: u8 = 1;
-const BACKEND_AUTO: u8 = 2;
-
-static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_AUTO);
+static DENSE: AtomicBool = AtomicBool::new(false);
 
 /// Install the process-wide backend. Intended to be called once at startup
 /// from CLI flag parsing; later calls win (useful for tests).
 pub fn set_solver_backend(backend: SolverBackend) {
-    let raw = match backend {
-        SolverBackend::Dense => BACKEND_DENSE,
-        SolverBackend::Sparse => BACKEND_SPARSE,
-        SolverBackend::Auto => BACKEND_AUTO,
-    };
-    BACKEND.store(raw, Ordering::Relaxed);
+    DENSE.store(backend == SolverBackend::Dense, Ordering::Relaxed);
 }
 
 /// The currently selected backend.
 pub fn solver_backend() -> SolverBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        BACKEND_DENSE => SolverBackend::Dense,
-        BACKEND_SPARSE => SolverBackend::Sparse,
-        _ => SolverBackend::Auto,
+    if DENSE.load(Ordering::Relaxed) {
+        SolverBackend::Dense
+    } else {
+        SolverBackend::Auto
     }
 }
 
@@ -77,9 +67,10 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for b in [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto] {
+        for b in [SolverBackend::Dense, SolverBackend::Auto] {
             assert_eq!(SolverBackend::parse(b.as_str()), Some(b));
         }
+        assert_eq!(SolverBackend::parse("sparse"), Some(SolverBackend::Auto));
         assert_eq!(SolverBackend::parse("fancy"), None);
     }
 }

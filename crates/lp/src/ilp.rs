@@ -162,17 +162,13 @@ pub fn solve_ilp_budgeted(
     if solve_fault == Some(SolveFault::Panic) {
         panic!("injected solver panic (SolverFaults)");
     }
-    if !ipet_trace::enabled() {
-        let (mut resolution, stats) = solve_ilp_routed(problem, budget, meter, faults);
-        if let Some(fault) = solve_fault {
-            corrupt_resolution(&mut resolution, fault, problem.sense);
-        }
-        return (resolution, stats);
-    }
     let ticks_before = meter.ticks();
-    let (mut resolution, stats) = solve_ilp_routed(problem, budget, meter, faults);
+    let (mut resolution, stats) = branch_and_bound(problem, budget, meter, faults);
     if let Some(fault) = solve_fault {
         corrupt_resolution(&mut resolution, fault, problem.sense);
+    }
+    if !ipet_trace::enabled() {
+        return (resolution, stats);
     }
     ipet_trace::counter("lp.ilp.solves", 1);
     ipet_trace::counter("lp.lp_calls", stats.lp_calls as u64);
@@ -227,84 +223,10 @@ fn corrupt_resolution(resolution: &mut IlpResolution, fault: SolveFault, sense: 
     }
 }
 
-/// Routes a solve through the presolve/sparse/network fast path when the
-/// backend and budget allow it, falling back to the dense branch & bound.
-///
-/// The fast path only fires for warm-eligible budgets (no deadline, no LP
-/// iteration cap): like warm starts it is a pure optimization and must never
-/// change which results degrade under a budget. Fault injection also routes
-/// dense — injected fault indices count dense-path LP calls and the fast
-/// path must not shift them. An accepted fast solve is provably the dense
-/// cold answer (unique integral optimum, exactly certified), so it returns
-/// the same canonical `Exact` resolution and `{1 LP call, 1 node, integral
-/// root}` statistics the dense path would report; debug builds shadow-solve
-/// dense and assert exactly that.
-fn solve_ilp_routed(
-    problem: &Problem,
-    budget: &SolveBudget,
-    meter: &BudgetMeter,
-    faults: &mut SolverFaults,
-) -> (IlpResolution, IlpStats) {
-    // A cancelled meter routes dense, where the budget checkpoints degrade
-    // the solve promptly — fast-path work is work too.
-    if !faults.armed()
-        && crate::incremental::warm_eligible(budget)
-        && !meter.cancel_token().is_cancelled()
-    {
-        let backend = crate::backend::solver_backend();
-        let mut pivots = 0u64;
-        let fast = crate::fastpath::try_fast_solve(problem, backend, &mut pivots);
-        meter.charge_ticks(pivots);
-        if let Some(fast) = fast {
-            let resolution = IlpResolution::Exact {
-                x: fast.x.iter().map(|&v| v as f64).collect(),
-                value: fast.claimed as f64,
-            };
-            let stats = IlpStats { lp_calls: 1, nodes: 1, first_relaxation_integral: true };
-            meter.add_lp_call();
-            meter.add_node();
-            debug_shadow_check_fast(problem, &resolution, stats);
-            return (resolution, stats);
-        }
-    }
-    solve_ilp_budgeted_inner(problem, budget, meter, faults)
-}
-
-/// A dense-only cold reference solve: unlimited budget, fresh meter, no
-/// faults, and — crucially — no fast-path routing. This is the oracle the
-/// debug shadow checks compare against; routing the shadow through
-/// [`solve_ilp_budgeted`] would re-enter the fast path (infinite recursion on
-/// an accepted fast solve) and would not be a dense check at all.
-#[cfg_attr(not(debug_assertions), allow(dead_code))]
-pub(crate) fn solve_ilp_cold_dense(problem: &Problem) -> (IlpResolution, IlpStats) {
-    solve_ilp_budgeted_inner(
-        problem,
-        &SolveBudget::unlimited(),
-        &BudgetMeter::new(),
-        &mut SolverFaults::none(),
-    )
-}
-
-/// Debug builds shadow-solve every accepted fast-path result on the dense
-/// tableau and assert bit-identical resolutions and statistics. Release
-/// builds skip this; CI's solver-backend matrix covers them byte-for-byte.
-#[cfg(debug_assertions)]
-fn debug_shadow_check_fast(problem: &Problem, fast: &IlpResolution, fast_stats: IlpStats) {
-    let (cold, cold_stats) = solve_ilp_cold_dense(problem);
-    assert_eq!(
-        *fast, cold,
-        "fast-path resolution diverged from the dense cold solve (solver-backend soundness bug)"
-    );
-    assert_eq!(
-        fast_stats, cold_stats,
-        "fast-path statistics diverged from the dense cold solve (solver-backend soundness bug)"
-    );
-}
-
-#[cfg(not(debug_assertions))]
-fn debug_shadow_check_fast(_problem: &Problem, _fast: &IlpResolution, _fast_stats: IlpStats) {}
-
-fn solve_ilp_budgeted_inner(
+/// The branch & bound proper, without fault corruption or telemetry. Debug
+/// builds also use it as the cold reference that accepted warm starts are
+/// shadow-checked against.
+pub(crate) fn branch_and_bound(
     problem: &Problem,
     budget: &SolveBudget,
     meter: &BudgetMeter,

@@ -31,10 +31,12 @@
 //!
 //! Everything else — dual infeasibility, iteration limits, fractional or
 //! tied optima, certification failures — falls back to the ordinary cold
-//! branch-and-bound solve and counts `lp.warm.misses`. Witness vectors and
-//! objective values of accepted results are canonicalized to their rounded
-//! integer form (the cold path applies the same canonicalization), which
-//! makes the equality hold bit for bit rather than merely within tolerance.
+//! branch-and-bound solve and counts `lp.warm.misses`, plus the first gate
+//! it failed as `lp.warm.miss.{dual,fractional,tied,uncertified,unmapped}`.
+//! Witness vectors and objective values of accepted results are
+//! canonicalized to their rounded integer form (the cold path applies the
+//! same canonicalization), which makes the equality hold bit for bit rather
+//! than merely within tolerance.
 //! Under `debug_assertions` every accepted warm result is additionally
 //! shadow-solved cold and asserted identical.
 //!
@@ -47,10 +49,10 @@ use crate::backend::{solver_backend, SolverBackend};
 use crate::budget::{BudgetMeter, SolveBudget, SolverFaults};
 use crate::fingerprint::{delta_rows_fingerprint, fingerprint, Fingerprint};
 use crate::ilp::{solve_ilp_budgeted, IlpResolution, IlpStats};
-use crate::model::{Constraint, Problem, Relation};
+use crate::model::{Constraint, Problem, VarId};
 use crate::presolve::{presolve, IntProblem, IntRow, MappedRow, Reduced};
 use crate::round::{round_claimed, round_witness};
-use crate::simplex::{build_instance, DualEnd, PrimalEnd, SimplexInstance};
+use crate::simplex::{build_instance, le_form, DualEnd, PrimalEnd, SimplexInstance};
 use crate::sparse::{SparseDualEnd, SparseEnd, SparseInstance};
 
 /// Exact-certification callback: `(composed problem, rounded witness,
@@ -183,8 +185,8 @@ impl BaseProblem {
         let ip = IntProblem::from_problem(&self.problem)?;
         let red = presolve(&ip)?;
         if red.n_free == 0 {
-            // Fully forced base: deltas degenerate; let the per-solve fast
-            // path (or the dense snapshot) handle it.
+            // Fully forced base: deltas degenerate; the dense snapshot
+            // handles it.
             return None;
         }
         let rp = red.to_shifted_problem()?;
@@ -244,6 +246,40 @@ pub fn debug_force_warm_mismatch(on: bool) {
     FORCE_SHADOW_MISMATCH.with(|f| f.set(on));
 }
 
+/// Why a warm attempt missed: the first acceptance gate it failed. Each
+/// miss inside a warm arm counts `lp.warm.miss.<reason>` next to the
+/// aggregate `lp.warm.misses`; a miss before either arm (no base snapshot,
+/// not a pure finite ILP) counts only in the aggregate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarmMiss {
+    /// The dual re-optimization ended without a finite optimum.
+    Dual,
+    /// The re-optimized witness does not round to integer counts.
+    Fractional,
+    /// The optimum is not provably unique: a non-basic column prices out
+    /// at zero, so the cold path may land on another optimal vertex.
+    Tied,
+    /// Postsolve, claim rounding or exact certification rejected the
+    /// witness.
+    Uncertified,
+    /// A delta row has no exact image in the presolved base's space.
+    Unmapped,
+}
+
+impl WarmMiss {
+    fn counter(self) -> &'static str {
+        match self {
+            WarmMiss::Dual => "lp.warm.miss.dual",
+            WarmMiss::Fractional => "lp.warm.miss.fractional",
+            WarmMiss::Tied => "lp.warm.miss.tied",
+            WarmMiss::Uncertified => "lp.warm.miss.uncertified",
+            WarmMiss::Unmapped => "lp.warm.miss.unmapped",
+        }
+    }
+}
+
+type WarmResult = Result<(IlpResolution, IlpStats), WarmMiss>;
+
 /// Solves `base + delta`, warm-starting from `solution` when possible and
 /// falling back to a cold [`solve_ilp_budgeted`] on the composed problem
 /// otherwise. This is the one solve entry point shared by the serial
@@ -267,39 +303,29 @@ pub fn solve_delta_warm(
     // the cold path below degrades at its first budget checkpoint.
     let cancelled = meter.cancel_token().is_cancelled();
     if warm_eligible(budget) && !faults.armed() && !cancelled {
-        match solution.and_then(|sol| warm_attempt(sol, delta, &full, meter, certify)) {
-            Some(hit) => return hit,
-            None => ipet_trace::counter("lp.warm.misses", 1),
+        // The acceptance argument needs a pure ILP: every variable integral.
+        let pure = !full.has_non_finite() && full.integer.iter().all(|&b| b);
+        if let Some(sol) = solution.filter(|_| pure) {
+            let attempt = match &sol.kind {
+                BaseKind::Dense(inst) => {
+                    warm_attempt_dense(inst, sol.pivots, delta, &full, meter, certify)
+                }
+                BaseKind::Sparse { red, inst } => {
+                    warm_attempt_sparse(red, inst, sol.pivots, delta, &full, meter, certify)
+                }
+            };
+            match attempt {
+                Ok(hit) => return hit,
+                Err(miss) => ipet_trace::counter(miss.counter(), 1),
+            }
         }
+        ipet_trace::counter("lp.warm.misses", 1);
     }
     solve_ilp_budgeted(&full, budget, meter, faults)
 }
 
-/// The warm path proper. Returns `None` (a miss) whenever the result is not
-/// provably identical to the cold solve's.
-fn warm_attempt(
-    solution: &BaseSolution,
-    delta: &DeltaSet,
-    full: &Problem,
-    meter: &BudgetMeter,
-    certify: CertifyFn,
-) -> Option<(IlpResolution, IlpStats)> {
-    // The acceptance argument needs a pure ILP: every variable integral.
-    if full.has_non_finite() || !full.integer.iter().all(|&b| b) {
-        return None;
-    }
-    match &solution.kind {
-        BaseKind::Dense(inst) => {
-            warm_attempt_dense(inst, solution.pivots, delta, full, meter, certify)
-        }
-        BaseKind::Sparse { red, inst } => {
-            warm_attempt_sparse(red, inst, solution.pivots, delta, full, meter, certify)
-        }
-    }
-}
-
 /// Dense warm arm: append delta rows to the snapshot tableau and dual
-/// re-optimize, exactly as before the sparse backend existed.
+/// re-optimize.
 fn warm_attempt_dense(
     base_inst: &SimplexInstance,
     base_pivots: u64,
@@ -307,84 +333,37 @@ fn warm_attempt_dense(
     full: &Problem,
     meter: &BudgetMeter,
     certify: CertifyFn,
-) -> Option<(IlpResolution, IlpStats)> {
-    let n = full.num_vars();
-
-    // Delta rows in `<=` form over the structural variables: `>=` rows are
-    // negated, `=` rows split into a `<=`/`>=` pair.
-    let mut le_rows: Vec<(Vec<f64>, f64)> = Vec::with_capacity(delta.rows.len());
-    for row in &delta.rows {
-        let dense = row.dense(n);
-        match row.relation {
-            Relation::Le => le_rows.push((dense, row.rhs)),
-            Relation::Ge => le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs)),
-            Relation::Eq => {
-                le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs));
-                le_rows.push((dense, row.rhs));
-            }
-        }
-    }
-
+) -> WarmResult {
+    let le_rows = le_form(&delta.rows, full.num_vars());
     let mut inst = base_inst.clone();
     inst.append_le_rows(&le_rows);
     let cap = inst.default_iter_cap();
     let mut warm_pivots = 0u64;
-    match inst.dual_reoptimize(cap, &mut warm_pivots) {
-        DualEnd::Optimal => {}
-        // Dual infeasibility proves LP infeasibility, but only in floating
-        // point: there is no witness to certify exactly, so the verdict is
-        // not accepted — the cold path re-derives it from phase 1.
-        DualEnd::Infeasible | DualEnd::IterLimit | DualEnd::Numerical => {
-            meter.charge_ticks(warm_pivots);
-            return None;
-        }
+    let end = inst.dual_reoptimize(cap, &mut warm_pivots);
+    meter.charge_ticks(warm_pivots);
+    ipet_trace::counter("lp.ticks", warm_pivots);
+    // Dual infeasibility proves LP infeasibility, but only in floating
+    // point: there is no witness to certify exactly, so the verdict is not
+    // accepted — the cold path re-derives it from phase 1.
+    if end != DualEnd::Optimal {
+        return Err(WarmMiss::Dual);
     }
-
     let x = inst.extract_x();
     let value = full.objective_value(&x);
     if !value.is_finite() || x.iter().any(|v| !v.is_finite()) {
-        meter.charge_ticks(warm_pivots);
-        return None;
+        return Err(WarmMiss::Dual);
     }
     // Integral, unique, exactly certified — or no deal.
-    let accepted = (|| {
-        let ints = round_witness(&x).ok()?;
-        if !inst.optimum_is_unique() {
-            return None;
-        }
-        let claimed = round_claimed(value).ok()?;
-        let snapped: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
-        if !certify(full, &snapped, claimed) {
-            return None;
-        }
-        Some((snapped, claimed))
-    })();
-    meter.charge_ticks(warm_pivots);
-    let (snapped, claimed) = accepted?;
-
-    // The canonical result the cold path would produce: the unique optimum
-    // is integral, so cold's root relaxation is already integral and it
-    // returns after one LP call and one node.
-    let resolution = IlpResolution::Exact { x: snapped, value: claimed as f64 };
-    let stats = IlpStats { lp_calls: 1, nodes: 1, first_relaxation_integral: true };
-    meter.add_lp_call();
-    meter.add_node();
-
-    debug_shadow_check(full, &resolution, stats);
-
-    ipet_trace::counter("lp.warm.hits", 1);
-    ipet_trace::counter("lp.warm.pivots_saved", base_pivots.saturating_sub(warm_pivots));
-    // Mirror the cold path's per-solve telemetry so warm and cold runs
-    // differ only in the `lp.warm.*` and tick counters.
-    ipet_trace::counter("lp.ilp.solves", 1);
-    ipet_trace::counter("lp.lp_calls", stats.lp_calls as u64);
-    ipet_trace::counter("lp.bb_nodes", stats.nodes as u64);
-    ipet_trace::counter("lp.ticks", warm_pivots);
-    ipet_trace::counter("lp.outcome.exact", 1);
-    ipet_trace::gauge_max("lp.problem.vars.peak", full.num_vars() as u64);
-    ipet_trace::gauge_max("lp.problem.rows.peak", full.constraints.len() as u64);
-
-    Some((resolution, stats))
+    let ints = round_witness(&x).map_err(|_| WarmMiss::Fractional)?;
+    if !inst.optimum_is_unique() {
+        return Err(WarmMiss::Tied);
+    }
+    let claimed = round_claimed(value).map_err(|_| WarmMiss::Uncertified)?;
+    let snapped: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
+    if !certify(full, &snapped, claimed) {
+        return Err(WarmMiss::Uncertified);
+    }
+    Ok(accept(full, snapped, claimed, base_pivots, warm_pivots, meter))
 }
 
 /// Sparse warm arm: map each delta row through the base's presolve
@@ -403,76 +382,78 @@ fn warm_attempt_sparse(
     full: &Problem,
     meter: &BudgetMeter,
     certify: CertifyFn,
-) -> Option<(IlpResolution, IlpStats)> {
+) -> WarmResult {
     // Delta rows in exact integer form, mapped into the reduced space, then
-    // `<=` form over the free variables (`>=` negated, `=` split in the same
-    // order as the dense arm).
-    let mut le_rows: Vec<(Vec<f64>, f64)> = Vec::with_capacity(delta.rows.len());
+    // `<=` form over the free variables.
+    let mut mapped_rows: Vec<Constraint> = Vec::with_capacity(delta.rows.len());
     for row in &delta.rows {
-        let int_row = IntRow::from_constraint(row)?;
-        let mapped = match red.map_row(&int_row)? {
+        let int_row = IntRow::from_constraint(row).ok_or(WarmMiss::Unmapped)?;
+        let mapped = match red.map_row(&int_row).ok_or(WarmMiss::Unmapped)? {
             MappedRow::Satisfied => continue,
             // A delta row contradicting the presolved fixings proves the
             // composed problem infeasible — but only in the reduction's
             // algebra, with no witness to certify, so the verdict belongs
             // to the cold path.
-            MappedRow::Violated => return None,
+            MappedRow::Violated => return Err(WarmMiss::Unmapped),
             MappedRow::Row(r) => r,
         };
-        let mut dense = vec![0.0; red.n_free];
-        for &(j, a) in &mapped.terms {
-            dense[j] = a as f64;
-        }
         // The base instance lives in the shifted space (`x = lo + x'`), so
         // the mapped row's right-hand side shifts with it.
-        let rhs = red.shift_rhs(&mapped.terms, mapped.rhs)? as f64;
-        match mapped.rel {
-            Relation::Le => le_rows.push((dense, rhs)),
-            Relation::Ge => le_rows.push((dense.iter().map(|&c| -c).collect(), -rhs)),
-            Relation::Eq => {
-                le_rows.push((dense.iter().map(|&c| -c).collect(), -rhs));
-                le_rows.push((dense, rhs));
-            }
-        }
+        let rhs = red.shift_rhs(&mapped.terms, mapped.rhs).ok_or(WarmMiss::Unmapped)? as f64;
+        let terms = mapped.terms.iter().map(|&(j, a)| (VarId(j), a as f64)).collect();
+        mapped_rows.push(Constraint { terms, relation: mapped.rel, rhs });
     }
+    let le_rows = le_form(&mapped_rows, red.n_free);
 
     let mut inst = base_inst.clone();
     if !inst.append_le_rows(&le_rows) {
-        return None;
+        return Err(WarmMiss::Dual);
     }
     let cap = inst.default_iter_cap();
     let mut warm_pivots = 0u64;
-    match inst.dual_reoptimize(cap, &mut warm_pivots) {
-        SparseDualEnd::Optimal => {}
-        SparseDualEnd::Infeasible | SparseDualEnd::IterLimit | SparseDualEnd::Numerical => {
-            meter.charge_ticks(warm_pivots);
-            return None;
-        }
+    let end = inst.dual_reoptimize(cap, &mut warm_pivots);
+    meter.charge_ticks(warm_pivots);
+    ipet_trace::counter("lp.ticks", warm_pivots);
+    if end != SparseDualEnd::Optimal {
+        return Err(WarmMiss::Dual);
     }
 
     // Integral, unique, postsolved, exactly certified — or no deal.
-    let x = inst.extract_x();
-    let accepted = (|| {
-        let ints = round_witness(&x).ok()?;
-        if !inst.optimum_is_unique() {
-            return None;
-        }
-        let ints = red.unshift_witness(&ints)?;
-        let full_ints = red.postsolve_witness(&ints)?;
-        let snapped: Vec<f64> = full_ints.iter().map(|&v| v as f64).collect();
-        let value = full.objective_value(&snapped);
-        let claimed = round_claimed(value).ok()?;
-        if !certify(full, &snapped, claimed) {
-            return None;
-        }
-        Some((snapped, claimed))
-    })();
-    meter.charge_ticks(warm_pivots);
-    let (snapped, claimed) = accepted?;
-
+    let ints = round_witness(&inst.extract_x()).map_err(|_| WarmMiss::Fractional)?;
+    if !inst.optimum_is_unique() {
+        return Err(WarmMiss::Tied);
+    }
+    let full_ints = red
+        .unshift_witness(&ints)
+        .and_then(|ints| red.postsolve_witness(&ints))
+        .ok_or(WarmMiss::Uncertified)?;
+    let snapped: Vec<f64> = full_ints.iter().map(|&v| v as f64).collect();
+    let claimed =
+        round_claimed(full.objective_value(&snapped)).map_err(|_| WarmMiss::Uncertified)?;
+    if !certify(full, &snapped, claimed) {
+        return Err(WarmMiss::Uncertified);
+    }
     // Canonical cold result, by the same uniqueness argument as the dense
     // arm — presolve reductions preserve the LP feasible set, so a unique
     // integral reduced optimum is *the* composed optimum.
+    ipet_trace::counter("lp.sparse.warm_reopts", 1);
+    Ok(accept(full, snapped, claimed, base_pivots, warm_pivots, meter))
+}
+
+/// Builds the accepted warm result: the canonical resolution the cold path
+/// would produce. The unique optimum is integral, so cold's root relaxation
+/// is already integral and it returns after one LP call and one node.
+/// Mirrors the cold path's per-solve telemetry, so warm and cold runs
+/// differ only in the `lp.warm.*`/`lp.sparse.*` and tick counters. The arms
+/// count their pivots in `lp.ticks` themselves, hit or miss.
+fn accept(
+    full: &Problem,
+    snapped: Vec<f64>,
+    claimed: i64,
+    base_pivots: u64,
+    warm_pivots: u64,
+    meter: &BudgetMeter,
+) -> (IlpResolution, IlpStats) {
     let resolution = IlpResolution::Exact { x: snapped, value: claimed as f64 };
     let stats = IlpStats { lp_calls: 1, nodes: 1, first_relaxation_integral: true };
     meter.add_lp_call();
@@ -482,25 +463,19 @@ fn warm_attempt_sparse(
 
     ipet_trace::counter("lp.warm.hits", 1);
     ipet_trace::counter("lp.warm.pivots_saved", base_pivots.saturating_sub(warm_pivots));
-    ipet_trace::counter("lp.sparse.warm_reopts", 1);
-    // Mirror the cold path's per-solve telemetry so warm and cold runs
-    // differ only in the `lp.warm.*`/`lp.sparse.*` and tick counters.
     ipet_trace::counter("lp.ilp.solves", 1);
     ipet_trace::counter("lp.lp_calls", stats.lp_calls as u64);
     ipet_trace::counter("lp.bb_nodes", stats.nodes as u64);
-    ipet_trace::counter("lp.ticks", warm_pivots);
     ipet_trace::counter("lp.outcome.exact", 1);
     ipet_trace::gauge_max("lp.problem.vars.peak", full.num_vars() as u64);
     ipet_trace::gauge_max("lp.problem.rows.peak", full.constraints.len() as u64);
-
-    Some((resolution, stats))
+    (resolution, stats)
 }
 
 /// Debug builds shadow-solve every accepted warm result cold (fresh meter,
-/// no faults, dense-only — routing the shadow through the fast path would
-/// recurse and would not be an independent check) and assert bit-identical
-/// resolutions and statistics. Release builds skip this; CI's warm-vs-cold
-/// counter diff covers them.
+/// no faults, no telemetry) and assert bit-identical resolutions and
+/// statistics. Release builds skip this; CI's warm-vs-cold counter diff
+/// covers them.
 #[cfg(debug_assertions)]
 fn debug_shadow_check(full: &Problem, warm: &IlpResolution, warm_stats: IlpStats) {
     let mut warm = warm.clone();
@@ -509,7 +484,12 @@ fn debug_shadow_check(full: &Problem, warm: &IlpResolution, warm_stats: IlpStats
             *value += 1.0;
         }
     }
-    let (cold, cold_stats) = crate::ilp::solve_ilp_cold_dense(full);
+    let (cold, cold_stats) = crate::ilp::branch_and_bound(
+        full,
+        &SolveBudget::unlimited(),
+        &BudgetMeter::new(),
+        &mut SolverFaults::none(),
+    );
     assert_eq!(
         warm, cold,
         "warm-started resolution diverged from the cold solve (warm-start soundness bug)"

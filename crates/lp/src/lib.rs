@@ -63,18 +63,15 @@
 
 mod backend;
 mod budget;
-mod fastpath;
 mod fingerprint;
 mod ilp;
 mod incremental;
 mod model;
-mod network;
 pub mod parametric;
 mod presolve;
 mod round;
 mod simplex;
 mod sparse;
-mod structure;
 
 pub use backend::{set_solver_backend, solver_backend, SolverBackend};
 pub use budget::{
@@ -94,5 +91,7 @@ pub use incremental::{
 pub use model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
 pub use parametric::{BoundFormula, GridSweep, Probe};
 pub use round::{round_claimed, round_witness, RoundError, WITNESS_TOL};
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub use simplex::{debug_kernel_trace, KernelTrace};
 pub use simplex::{solve_lp, solve_lp_metered, LpOutcome, FEAS_TOL, INT_TOL};
-pub use structure::is_network_matrix;

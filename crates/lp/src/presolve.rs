@@ -1,7 +1,8 @@
 //! Exact-arithmetic presolve with a postsolve witness map.
 //!
-//! The fast solver backends (sparse revised simplex, network simplex) only
-//! ever *accept* a solve when it is provably identical to what the dense cold
+//! Presolve shrinks a routine's warm-start base before the sparse revised
+//! simplex solves it ([`crate::BaseProblem::solve_base`]). A warm result is
+//! only *accepted* when it is provably identical to what the dense cold
 //! path would produce. That proof leans on a bijection between the feasible
 //! set of the original problem and the feasible set of the presolved problem,
 //! so every reduction here must preserve the **LP relaxation's** feasible set
@@ -9,7 +10,7 @@
 //!
 //! - all arithmetic is exact (`i64` terms with checked ops, `i128`
 //!   accumulation); any value that is not an exactly-representable integer
-//!   aborts presolve and the solve falls back to the dense path,
+//!   aborts presolve and the base falls back to the dense snapshot,
 //! - empty rows are dropped only when trivially satisfied,
 //! - a singleton row `a·x ⋈ b` is absorbed into a variable bound only when
 //!   `a | b`, so the induced bound `b/a` is the row's exact LP shadow
@@ -20,8 +21,8 @@
 //!   dominating one; contradictory duplicates abort.
 //!
 //! Anything surprising — overflow, non-integral data, detected infeasibility
-//! — returns `None` and the caller runs the ordinary dense solve, which
-//! remains the single source of truth for hard cases.
+//! — returns `None` and the caller keeps the dense tableau, which remains
+//! the single source of truth for hard cases.
 
 use crate::model::{Constraint, Problem, Relation, Sense};
 use std::collections::HashMap;
@@ -92,35 +93,6 @@ impl IntProblem {
     }
 }
 
-/// Check `x` (non-negative integers) against every row of `problem` in exact
-/// arithmetic and return the exact objective value. `None` means infeasible
-/// (or dimensions mismatch) — the caller must then treat the candidate solve
-/// as a miss.
-pub(crate) fn certify_exact(problem: &IntProblem, x: &[i64]) -> Option<i128> {
-    if x.len() != problem.n || x.iter().any(|&v| v < 0) {
-        return None;
-    }
-    for row in &problem.rows {
-        let mut lhs: i128 = 0;
-        for &(var, coeff) in &row.terms {
-            lhs += coeff as i128 * x[var] as i128;
-        }
-        let ok = match row.rel {
-            Relation::Le => lhs <= row.rhs as i128,
-            Relation::Ge => lhs >= row.rhs as i128,
-            Relation::Eq => lhs == row.rhs as i128,
-        };
-        if !ok {
-            return None;
-        }
-    }
-    let mut value: i128 = 0;
-    for (i, &c) in problem.obj.iter().enumerate() {
-        value += c as i128 * x[i] as i128;
-    }
-    Some(value)
-}
-
 /// Where each original variable went.
 #[derive(Debug, Clone)]
 enum VarState {
@@ -128,14 +100,6 @@ enum VarState {
     Fixed(i64),
     /// Survives as reduced-problem variable with this index.
     Free(usize),
-}
-
-/// Reduction counters, reported as `lp.presolve.*` trace counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PresolveStats {
-    pub rows_removed: u64,
-    pub cols_fixed: u64,
-    pub dup_rows: u64,
 }
 
 /// Output of [`presolve`]: a smaller problem over the free variables plus the
@@ -151,7 +115,6 @@ pub(crate) struct Reduced {
     pub ub: Vec<Option<i64>>,
     pub obj: Vec<i64>,
     pub sense: Sense,
-    pub stats: PresolveStats,
     map: Vec<VarState>,
 }
 
@@ -289,7 +252,6 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
     let mut lo: Vec<i64> = vec![0; n];
     let mut ub: Vec<Option<i64>> = vec![None; n];
     let mut fixed: Vec<Option<i64>> = vec![None; n];
-    let mut stats = PresolveStats::default();
 
     // Fixpoint: substitution of a fixed variable can create new empty or
     // singleton rows, which can fix more variables.
@@ -316,7 +278,6 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
                 continue;
             }
             fixed[v] = Some(val);
-            stats.cols_fixed += 1;
             changed = true;
             for row in rows.iter_mut().flatten() {
                 if let Some(pos) = row.terms.iter().position(|&(var, _)| var == v) {
@@ -347,7 +308,6 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
                         break;
                     }
                     *slot = None;
-                    stats.rows_removed += 1;
                     changed = true;
                 }
                 1 => {
@@ -392,7 +352,6 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
                         }
                     }
                     *slot = None;
-                    stats.rows_removed += 1;
                     changed = true;
                 }
                 _ => {}
@@ -421,7 +380,6 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
                         }
                     }
                 }
-                stats.dup_rows += 1;
             }
             None => {
                 seen.insert(key, folded.len());
@@ -465,7 +423,7 @@ pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
             r_obj.push(problem.obj[v]);
         }
     }
-    Some(Reduced { n_free, rows, lo: r_lo, ub: r_ub, obj: r_obj, sense: problem.sense, stats, map })
+    Some(Reduced { n_free, rows, lo: r_lo, ub: r_ub, obj: r_obj, sense: problem.sense, map })
 }
 
 #[cfg(test)]
@@ -496,11 +454,7 @@ mod tests {
         assert_eq!(red.lo, vec![0]);
         assert_eq!(red.ub, vec![Some(10)]);
         assert!(red.rows.is_empty());
-        assert_eq!(red.stats.cols_fixed, 2);
-        let full = red.postsolve_witness(&[10]).unwrap();
-        assert_eq!(full, vec![1, 1, 10]);
-        let ip = int_problem(&p);
-        assert_eq!(certify_exact(&ip, &full), Some(5 + 70));
+        assert_eq!(red.postsolve_witness(&[10]).unwrap(), vec![1, 1, 10]);
     }
 
     #[test]
@@ -530,7 +484,6 @@ mod tests {
         let red = presolve(&int_problem(&p)).expect("reduces");
         assert_eq!(red.rows.len(), 1);
         assert_eq!(red.rows[0].rhs, 5);
-        assert_eq!(red.stats.dup_rows, 1);
     }
 
     #[test]

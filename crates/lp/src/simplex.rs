@@ -2,11 +2,13 @@
 //! re-optimization used by warm starts.
 //!
 //! The problems produced by IPET are small (tens to a few hundred rows), so
-//! a dense textbook tableau keeps the solver easy to audit. Its cost is in
-//! pricing, which runs every primal and dual iteration: the reduced-cost
-//! row is accumulated row by row over the tableau (contiguous reads,
-//! zero-cost basic rows skipped whole) in an order that makes it
-//! bit-identical to the column-by-column textbook sum.
+//! a dense textbook tableau keeps the solver easy to audit. It is also
+//! mostly zeros, so each row keeps a support list of its nonzero columns:
+//! pivots scale and eliminate, and pricing accumulates, only over those
+//! lists. Every term skipped is `finite·0 = ±0`, so results match the
+//! full-row textbook loops exactly, up to the sign of a zero that no
+//! comparison or output sees. Cold solves always run here, under every
+//! solver backend ([`crate::SolverBackend`]).
 //!
 //! ## Pivot rule
 //!
@@ -20,7 +22,7 @@
 //! an iteration budget, so a warm start can never spin.
 
 use crate::budget::{BudgetMeter, LpFault, SolveBudget, SolverFaults};
-use crate::model::{Problem, Relation, Sense};
+use crate::model::{Constraint, Problem, Relation, Sense};
 
 /// Feasibility tolerance used throughout the solver.
 pub const FEAS_TOL: f64 = 1e-7;
@@ -86,12 +88,56 @@ pub(crate) enum DualEnd {
 pub(crate) struct Tableau {
     /// `rows x cols` coefficient matrix; the last column is the RHS.
     a: Vec<Vec<f64>>,
+    /// Per row, the ascending column indices (RHS included) of every entry
+    /// of `a` that is not exactly `0.0`. A list may also name zeros.
+    support: Vec<Vec<usize>>,
     rows: usize,
     cols: usize, // includes rhs column
     /// Basic variable of each row.
     basis: Vec<usize>,
     /// Columns barred from entering the basis (artificials in phase 2).
     banned: Vec<bool>,
+}
+
+/// Ascending indices of the entries of `row` that are not exactly `0.0`.
+fn nonzeros(row: &[f64]) -> Vec<usize> {
+    row.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(j, _)| j).collect()
+}
+
+/// `dst -= f·src` over the entries `src_support` lists. An unlisted entry of
+/// `src` is zero, and for finite `f` the skipped term `f·0 = ±0` could only
+/// flip the sign of a zero in `dst`. A non-finite `f` makes that term NaN,
+/// so then the whole row is updated. Returns whether the listed form ran.
+fn sub_scaled(dst: &mut [f64], f: f64, src: &[f64], src_support: &[usize]) -> bool {
+    if !f.is_finite() {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d -= f * v;
+        }
+        return false;
+    }
+    for &j in src_support {
+        dst[j] -= f * src[j];
+    }
+    true
+}
+
+/// Replaces `support` with the ascending union of `support` and `added`,
+/// keeping only the indices whose entry in `row` is not exactly `0.0`.
+/// `scratch` is reused storage; it takes the old list.
+fn merge_support(support: &mut Vec<usize>, added: &[usize], row: &[f64], scratch: &mut Vec<usize>) {
+    scratch.clear();
+    let (mut p, mut q) = (0, 0);
+    while p < support.len() || q < added.len() {
+        let a = support.get(p).copied().unwrap_or(usize::MAX);
+        let b = added.get(q).copied().unwrap_or(usize::MAX);
+        let j = a.min(b);
+        p += usize::from(a == j);
+        q += usize::from(b == j);
+        if row[j] != 0.0 {
+            scratch.push(j);
+        }
+    }
+    std::mem::swap(support, scratch);
 }
 
 impl Tableau {
@@ -101,28 +147,48 @@ impl Tableau {
 
     /// Performs one pivot on (`row`, `col`), updating the basis.
     ///
+    /// Scaling and elimination run over the pivot row's support list only,
+    /// and each eliminated row's list absorbs it. Every skipped term is
+    /// `finite·0 = ±0`, so the tableau differs from the full-row loops at
+    /// most in the sign of a zero entry (see [`sub_scaled`]).
+    ///
     /// Returns `false` without touching the tableau when the pivot element
     /// is non-finite or too close to zero to divide by safely.
     #[must_use]
     fn pivot(&mut self, row: usize, col: usize) -> bool {
+        #[cfg(debug_assertions)]
+        if reference::log_pivot(row, col) {
+            return reference::pivot(self, row, col);
+        }
         let piv = self.a[row][col];
         if !piv.is_finite() || piv.abs() <= FEAS_TOL {
             return false;
         }
         let inv = 1.0 / piv;
-        for j in 0..self.cols {
-            self.a[row][j] *= inv;
+        // Move the pivot row out while the other rows are eliminated
+        // against it.
+        let mut prow = std::mem::take(&mut self.a[row]);
+        let mut psupport = std::mem::take(&mut self.support[row]);
+        for &j in &psupport {
+            prow[j] *= inv;
         }
+        psupport.retain(|&j| prow[j] != 0.0);
+        let mut scratch = Vec::new();
         for i in 0..self.rows {
-            if i != row {
-                let factor = self.a[i][col];
-                if factor != 0.0 {
-                    for j in 0..self.cols {
-                        self.a[i][j] -= factor * self.a[row][j];
-                    }
+            if i == row {
+                continue;
+            }
+            let factor = self.a[i][col];
+            if factor != 0.0 {
+                if sub_scaled(&mut self.a[i], factor, &prow, &psupport) {
+                    merge_support(&mut self.support[i], &psupport, &self.a[i], &mut scratch);
+                } else {
+                    self.support[i] = nonzeros(&self.a[i]);
                 }
             }
         }
+        self.a[row] = prow;
+        self.support[row] = psupport;
         self.basis[row] = col;
         true
     }
@@ -133,15 +199,27 @@ impl Tableau {
     ///
     /// Accumulated row by row: every `z_j` starts at `-c_j` and receives
     /// `c_B[i]·a[i][j]` for each row `i` with `c_B[i] ≠ 0` in ascending
-    /// order — the same operations in the same order as a column-by-column
-    /// sum, so the result is bit-identical to it, but each tableau row is
-    /// read contiguously and rows with a zero basic cost are skipped whole.
+    /// order — the order of a column-by-column sum. Only the entries a row's
+    /// support list names are added; a skipped term is `finite·0 = ±0`, so
+    /// the result equals the column sum bit for bit except that a zero
+    /// `z_j` may differ in sign. A non-finite `c_B[i]` adds its whole row.
     fn reduced_costs(&self, obj: &[f64]) -> Vec<f64> {
+        #[cfg(debug_assertions)]
+        if reference::full_rows() {
+            return reference::reduced_costs(self, obj);
+        }
         let n = self.cols - 1;
         let mut zrow: Vec<f64> = obj[..n].iter().map(|&c| -c).collect();
-        for (row, &b) in self.a.iter().zip(&self.basis) {
+        for ((row, support), &b) in self.a.iter().zip(&self.support).zip(&self.basis) {
             let cb = obj[b];
-            if cb != 0.0 {
+            if cb == 0.0 {
+                continue;
+            }
+            if cb.is_finite() {
+                for &j in support.strip_suffix(&[n]).unwrap_or(support) {
+                    zrow[j] += cb * row[j];
+                }
+            } else {
                 for (z, &a) in zrow.iter_mut().zip(&row[..n]) {
                     *z += cb * a;
                 }
@@ -407,11 +485,14 @@ impl SimplexInstance {
         let old_rows = self.tab.rows;
         let new_cols = old_cols + k;
         // Widen existing rows: k fresh slack columns before the RHS.
-        for row in &mut self.tab.a {
+        for (row, support) in self.tab.a.iter_mut().zip(&mut self.tab.support) {
             let rhs = row[old_cols - 1];
             row[old_cols - 1] = 0.0;
             row.extend(std::iter::repeat_n(0.0, k - 1));
             row.push(rhs);
+            if let Some(last) = support.last_mut().filter(|j| **j == old_cols - 1) {
+                *last = new_cols - 1;
+            }
         }
         self.obj.extend(std::iter::repeat_n(0.0, k));
         self.tab.banned.extend(std::iter::repeat_n(false, k));
@@ -428,11 +509,10 @@ impl SimplexInstance {
             for i in 0..old_rows {
                 let f = row[self.tab.basis[i]];
                 if f != 0.0 {
-                    for (rj, aj) in row.iter_mut().zip(&self.tab.a[i]) {
-                        *rj -= f * aj;
-                    }
+                    sub_scaled(&mut row, f, &self.tab.a[i], &self.tab.support[i]);
                 }
             }
+            self.tab.support.push(nonzeros(&row));
             self.tab.a.push(row);
             self.tab.basis.push(slack_col);
         }
@@ -474,6 +554,25 @@ impl SimplexInstance {
         }
         (0..self.tab.cols - 1).all(|j| is_basic[j] || self.tab.banned[j] || zrow[j] > FEAS_TOL)
     }
+}
+
+/// Constraint rows in `<=` form over the first `n` structural variables, for
+/// [`SimplexInstance::append_le_rows`]: `>=` rows are negated, `=` rows
+/// split into a `>=`/`<=` pair.
+pub(crate) fn le_form(rows: &[Constraint], n: usize) -> Vec<(Vec<f64>, f64)> {
+    let mut le_rows = Vec::with_capacity(rows.len());
+    for row in rows {
+        let dense = row.dense(n);
+        match row.relation {
+            Relation::Le => le_rows.push((dense, row.rhs)),
+            Relation::Ge => le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs)),
+            Relation::Eq => {
+                le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs));
+                le_rows.push((dense, row.rhs));
+            }
+        }
+    }
+    le_rows
 }
 
 /// Builds the standard-form instance for `problem`: slack/surplus columns
@@ -560,8 +659,9 @@ pub(crate) fn build_instance(problem: &Problem) -> SimplexInstance {
         *slot = true;
     }
 
+    let support = a.iter().map(|row| nonzeros(row)).collect();
     SimplexInstance {
-        tab: Tableau { a, rows: m, cols, basis, banned },
+        tab: Tableau { a, support, rows: m, cols, basis, banned },
         obj,
         n,
         num_slack,
@@ -643,10 +743,143 @@ pub fn solve_lp_metered(
     LpOutcome::Optimal { x, value }
 }
 
+/// Debug-build reference for the support-list kernels: the full-row `pivot`
+/// and `reduced_costs` they replaced, kept verbatim, plus a probe that logs
+/// every pivot. [`debug_kernel_trace`] runs one solve under either kernel so
+/// tests can require the same pivot sequence and end state from both.
+#[cfg(debug_assertions)]
+mod reference {
+    use super::{build_instance, le_form, nonzeros, Tableau, FEAS_TOL};
+    use crate::model::{Constraint, Problem};
+    use std::cell::RefCell;
+
+    struct Probe {
+        full_rows: bool,
+        pivots: Vec<(usize, usize)>,
+    }
+
+    thread_local! {
+        static PROBE: RefCell<Option<Probe>> = const { RefCell::new(None) };
+    }
+
+    /// Logs a pivot when a probe is installed; true when the probe selects
+    /// the full-row kernels.
+    pub(super) fn log_pivot(row: usize, col: usize) -> bool {
+        PROBE.with(|p| match p.borrow_mut().as_mut() {
+            Some(probe) => {
+                probe.pivots.push((row, col));
+                probe.full_rows
+            }
+            None => false,
+        })
+    }
+
+    pub(super) fn full_rows() -> bool {
+        PROBE.with(|p| p.borrow().as_ref().is_some_and(|probe| probe.full_rows))
+    }
+
+    /// The full-row pivot. Support lists are rebuilt afterwards (outside
+    /// the arithmetic) because `append_le_rows` reads them.
+    pub(super) fn pivot(tab: &mut Tableau, row: usize, col: usize) -> bool {
+        let piv = tab.a[row][col];
+        if !piv.is_finite() || piv.abs() <= FEAS_TOL {
+            return false;
+        }
+        let inv = 1.0 / piv;
+        for j in 0..tab.cols {
+            tab.a[row][j] *= inv;
+        }
+        for i in 0..tab.rows {
+            if i != row {
+                let factor = tab.a[i][col];
+                if factor != 0.0 {
+                    for j in 0..tab.cols {
+                        tab.a[i][j] -= factor * tab.a[row][j];
+                    }
+                }
+            }
+        }
+        tab.basis[row] = col;
+        tab.support = tab.a.iter().map(|r| nonzeros(r)).collect();
+        true
+    }
+
+    /// The full-row reduced costs, accumulated row by row.
+    pub(super) fn reduced_costs(tab: &Tableau, obj: &[f64]) -> Vec<f64> {
+        let n = tab.cols - 1;
+        let mut zrow: Vec<f64> = obj[..n].iter().map(|&c| -c).collect();
+        for (row, &b) in tab.a.iter().zip(&tab.basis) {
+            let cb = obj[b];
+            if cb != 0.0 {
+                for (z, &a) in zrow.iter_mut().zip(&row[..n]) {
+                    *z += cb * a;
+                }
+            }
+        }
+        zrow
+    }
+
+    /// What one solve did at kernel level.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct KernelTrace {
+        /// Every pivot as `(leaving row, entering column)`, in order.
+        pub pivots: Vec<(usize, usize)>,
+        /// How the primal solve ended, then the dual re-optimization if
+        /// it ran.
+        pub ends: String,
+        /// Final basic variable of each row.
+        pub basis: Vec<usize>,
+        /// Final tableau, RHS column included.
+        pub tableau: Vec<Vec<f64>>,
+        /// Structural solution.
+        pub x: Vec<f64>,
+        /// Objective value of `x`.
+        pub value: f64,
+    }
+
+    /// Solves `base` from scratch, then (when optimal and `delta` is not
+    /// empty) appends `delta` and dual re-optimizes, with the support-list
+    /// kernels or, under `full_rows`, the full-row reference. Asserts that
+    /// every nonzero entry of the final tableau is in its row's list.
+    pub fn debug_kernel_trace(
+        base: &Problem,
+        delta: &[Constraint],
+        full_rows: bool,
+    ) -> KernelTrace {
+        let mut inst = build_instance(base);
+        PROBE.with(|p| *p.borrow_mut() = Some(Probe { full_rows, pivots: Vec::new() }));
+        let mut pivots = 0u64;
+        let primal = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
+        let mut ends = format!("{primal:?}");
+        if primal == super::PrimalEnd::Optimal && !delta.is_empty() {
+            inst.append_le_rows(&le_form(delta, base.num_vars()));
+            let dual = inst.dual_reoptimize(inst.default_iter_cap(), &mut pivots);
+            ends = format!("{ends}, {dual:?}");
+        }
+        let probe = PROBE.with(|p| p.borrow_mut().take()).expect("probe installed");
+        for (row, support) in inst.tab.a.iter().zip(&inst.tab.support) {
+            let listed = nonzeros(row).iter().all(|j| support.binary_search(j).is_ok());
+            assert!(listed, "a nonzero tableau entry is missing from its support list");
+        }
+        let x = inst.extract_x();
+        KernelTrace {
+            pivots: probe.pivots,
+            ends,
+            value: base.objective_value(&x),
+            x,
+            basis: inst.tab.basis,
+            tableau: inst.tab.a,
+        }
+    }
+}
+
+#[cfg(debug_assertions)]
+pub use reference::{debug_kernel_trace, KernelTrace};
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ProblemBuilder, Relation, Sense};
+    use crate::model::{ProblemBuilder, Relation, Sense, VarId};
 
     fn build(sense: Sense, obj: &[f64], rows: &[(&[f64], Relation, f64)]) -> Problem {
         let mut b = ProblemBuilder::new(sense);
@@ -974,13 +1207,23 @@ mod tests {
             .collect()
     }
 
+    /// Bit-identical wherever the column sum is nonzero, and `==` where it
+    /// is zero: a term the support lists skip is `finite·0 = ±0`, which can
+    /// only flip the sign of a zero sum (random raw tableaux show it).
     fn assert_reduced_costs_bit_identical(tab: &Tableau, obj: &[f64], what: &str) {
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        assert_eq!(
-            bits(tab.reduced_costs(obj)),
-            bits(reduced_costs_by_column(tab, obj)),
-            "{what}: row-major reduced costs differ from the column-order sum"
-        );
+        let listed = tab.reduced_costs(obj);
+        let reference = reduced_costs_by_column(tab, obj);
+        for (j, (&z, &r)) in listed.iter().zip(&reference).enumerate() {
+            if r == 0.0 {
+                assert_eq!(z, 0.0, "{what}: z[{j}] = {z}, column-order sum is zero");
+            } else {
+                assert_eq!(
+                    z.to_bits(),
+                    r.to_bits(),
+                    "{what}: z[{j}] = {z} differs from the column-order sum {r}"
+                );
+            }
+        }
     }
 
     /// A value with an inexact binary expansion (so summation order shows
@@ -1008,7 +1251,8 @@ mod tests {
                 .collect();
             let basis: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols - 1)).collect();
             let obj: Vec<f64> = (0..cols - 1).map(|_| random_coeff(&mut rng, 0.4)).collect();
-            let tab = Tableau { a, rows, cols, basis, banned: vec![false; cols - 1] };
+            let support = a.iter().map(|row| nonzeros(row)).collect();
+            let tab = Tableau { a, support, rows, cols, basis, banned: vec![false; cols - 1] };
             assert_reduced_costs_bit_identical(&tab, &obj, &format!("raw case {case}"));
         }
         for case in 0..60 {
@@ -1050,6 +1294,48 @@ mod tests {
             inst.dual_reoptimize(inst.default_iter_cap(), &mut pivots);
             assert_reduced_costs_bit_identical(&inst.tab, &inst.obj, &what);
         }
+    }
+
+    /// Random LPs with appended cut rows, solved once with the support-list
+    /// kernels and once with the full-row reference (debug builds only).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn support_list_kernels_follow_the_full_row_reference_pivot_for_pivot() {
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed2);
+        let mut dual_runs = 0;
+        for case in 0..400 {
+            let n = rng.gen_range(2usize..=10);
+            let m = rng.gen_range(1usize..=10);
+            let obj: Vec<f64> = (0..n).map(|_| random_coeff(&mut rng, 0.3)).collect();
+            let rows: Vec<(Vec<f64>, Relation, f64)> = (0..m)
+                .map(|_| {
+                    let coeffs = (0..n).map(|_| random_coeff(&mut rng, 0.5).abs()).collect();
+                    let rel = match rng.gen_range(0..3) {
+                        0 => Relation::Le,
+                        1 => Relation::Ge,
+                        _ => Relation::Eq,
+                    };
+                    (coeffs, rel, rng.gen_range(0i64..=50) as f64)
+                })
+                .collect();
+            let refs: Vec<(&[f64], Relation, f64)> =
+                rows.iter().map(|(c, r, b)| (c.as_slice(), *r, *b)).collect();
+            let sense = if rng.gen_bool(0.5) { Sense::Maximize } else { Sense::Minimize };
+            let p = build(sense, &obj, &refs);
+            let cuts: Vec<Constraint> = (0..rng.gen_range(1usize..=3))
+                .map(|_| Constraint {
+                    terms: (0..n).map(|i| (VarId(i), random_coeff(&mut rng, 0.5))).collect(),
+                    relation: if rng.gen_bool(0.7) { Relation::Le } else { Relation::Ge },
+                    rhs: rng.gen_range(-5i64..=40) as f64,
+                })
+                .collect();
+            let listed = debug_kernel_trace(&p, &cuts, false);
+            let reference = debug_kernel_trace(&p, &cuts, true);
+            dual_runs += usize::from(listed.ends.contains(", "));
+            assert_eq!(listed, reference, "case {case}");
+        }
+        assert!(dual_runs >= 80, "only {dual_runs} cases re-optimized appended rows");
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! Pricing mirrors the dense path's discipline: Dantzig (most negative
 //! reduced cost, smallest column index on ties) switching to Bland's rule
 //! after [`crate::simplex`]'s stall threshold, with the same `FEAS_TOL`.
-//! Results from this module are only ever *accepted* upstream when the
-//! witness rounds integral, the optimum is provably unique, and the exact
-//! integer certification passes — so the sparse path can never change a
-//! bound, only the work done to reach it.
+//! It solves presolved warm-start bases and re-optimizes their deltas
+//! ([`crate::BaseProblem::solve_base`]). Its results are only ever
+//! *accepted* upstream when the witness rounds integral, the optimum is
+//! provably unique, and the exact integer certification passes — so the
+//! sparse path can never change a bound, only the work done to reach it.
 
 // NaN-aware guards (`!(x > tol)` also rejects NaN, `x <= tol` would not) and
 // index-based kernel loops are deliberate: the forms clippy suggests either
@@ -140,7 +141,6 @@ pub(crate) struct SparseInstance {
     factor: Factor,
     /// Current basic values `B^{-1} b`, indexed by row.
     xb: Vec<f64>,
-    refactors: u64,
 }
 
 impl SparseInstance {
@@ -235,17 +235,11 @@ impl SparseInstance {
             artificial,
             factor: Factor::default(),
             xb: Vec::new(),
-            refactors: 0,
         };
         if !inst.refactorize() {
             return None;
         }
         Some(inst)
-    }
-
-    /// Number of refactorizations performed so far.
-    pub(crate) fn refactors(&self) -> u64 {
-        self.refactors
     }
 
     /// Dense Gaussian elimination with partial pivoting of the current
@@ -336,7 +330,6 @@ impl SparseInstance {
             perm,
             etas: Vec::new(),
         };
-        self.refactors += 1;
         self.xb = self.ftran_dense(&self.b.clone());
         self.xb.iter().all(|v| v.is_finite())
     }
@@ -1025,11 +1018,11 @@ mod tests {
                 let w = inst.ftran_col(entering);
                 // The largest entry as pivot keeps the basis well conditioned.
                 let r = (0..inst.m).fold(0, |r, i| if w[i].abs() > w[r].abs() { i } else { r });
-                let refactors = inst.refactors();
                 if !inst.apply_pivot(r, entering, &w) {
                     break;
                 }
-                if inst.refactors() != refactors {
+                // A refactorization discards the eta file.
+                if inst.factor.etas.is_empty() {
                     refactorizations += 1;
                     reference = DenseLu::factor(&inst);
                 }

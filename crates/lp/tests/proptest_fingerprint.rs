@@ -154,13 +154,12 @@ proptest! {
         let delta = DeltaSet::new(base_p.constraints.split_off(cut));
 
         let mut keys = Vec::new();
-        for backend in [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto] {
+        for backend in [SolverBackend::Dense, SolverBackend::Auto] {
             set_solver_backend(backend);
             let base = BaseProblem::new(base_p.clone());
             keys.push((base.fingerprint(), base.delta_fingerprint(&delta)));
         }
         set_solver_backend(SolverBackend::Auto);
         prop_assert_eq!(keys[0], keys[1]);
-        prop_assert_eq!(keys[0], keys[2]);
     }
 }

@@ -128,24 +128,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Heller–Tompkins soundness: when the matrix passes the network test
-    /// and the right-hand sides are integers, the LP relaxation's optimum
-    /// is integral — the §III-D mechanism behind "first LP call integral".
-    #[test]
-    fn network_matrices_have_integral_relaxations((p, _ub) in arb_problem()) {
-        use ipet_lp::{is_network_matrix, INT_TOL};
-        prop_assume!(is_network_matrix(&p));
-        if let LpOutcome::Optimal { x, .. } = solve_lp(&p) {
-            for (i, v) in x.iter().enumerate() {
-                prop_assert!(
-                    (v - v.round()).abs() < INT_TOL,
-                    "variable {i} fractional at {v} in a network matrix"
-                );
-            }
-        }
-    }
-}

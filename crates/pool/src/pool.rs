@@ -42,7 +42,11 @@ pub struct BatchReport {
     pub misses: u64,
     /// Ticks spent by each worker (length = configured worker count).
     pub worker_ticks: Vec<u64>,
-    /// Total ticks committed by the batch (sum of `worker_ticks`).
+    /// Ticks spent solving warm-start base LPs, serially before dispatch
+    /// (zero when every base replays from the pool's snapshot cache).
+    pub base_ticks: u64,
+    /// Total ticks committed by the batch: the sum of `worker_ticks` plus
+    /// `base_ticks`.
     pub total_ticks: u64,
     /// Wall-clock time of the parallel solve phase (excludes dedup,
     /// cache probing, base solving and result fan-out, which are serial
@@ -59,6 +63,7 @@ impl BatchReport {
             hits: 0,
             misses: 0,
             worker_ticks: Vec::new(),
+            base_ticks: 0,
             total_ticks: 0,
             wall: std::time::Duration::ZERO,
         }
@@ -79,6 +84,7 @@ impl BatchReport {
         for (mine, theirs) in self.worker_ticks.iter_mut().zip(other.worker_ticks) {
             *mine += theirs;
         }
+        self.base_ticks += other.base_ticks;
         self.total_ticks += other.total_ticks;
         self.wall += other.wall;
     }
@@ -253,7 +259,7 @@ impl SolvePool {
             .iter()
             .map(|p| PoolJob { problem: p, key: SolveCache::key(p), warm: None, ctx: None })
             .collect();
-        self.solve_jobs(&jobs, &[], budget, &CancelToken::new())
+        self.solve_jobs(&jobs, &[], 0, budget, &CancelToken::new())
     }
 
     /// Builds the batch's job list and warm-start base table for `plans`.
@@ -263,14 +269,16 @@ impl SolvePool {
     /// `pool.cache.base_hits`), before any worker dispatch. Plans that
     /// opted out ([`warm_start()`](AnalysisPlan::warm_start) is false),
     /// budgets that forbid warm starts, armed fault templates, and bases
-    /// whose LP is not warm-startable all yield cold jobs.
+    /// whose LP is not warm-startable all yield cold jobs. Also returns the
+    /// ticks the base solves spent.
     fn prepare_jobs<'a>(
         &self,
         plans: &'a [AnalysisPlan],
         budget: &SolveBudget,
         cancel: &CancelToken,
-    ) -> (Vec<PoolJob<'a>>, Vec<(&'a BaseProblem, BaseSolution)>) {
+    ) -> (Vec<PoolJob<'a>>, Vec<(&'a BaseProblem, BaseSolution)>, u64) {
         let warm_batch = warm_eligible(budget) && !self.faults.armed();
+        let base_meter = BudgetMeter::with_cancel(cancel.clone());
         let mut table: Vec<(&'a BaseProblem, BaseSolution)> = Vec::new();
         let mut jobs: Vec<PoolJob<'a>> = Vec::new();
         for plan in plans {
@@ -281,7 +289,10 @@ impl SolvePool {
                 store.note_context(ctx.0, ctx.1);
             }
             let slots: Vec<Option<usize>> = if warm_batch && plan.warm_start() {
-                plan.bases().iter().map(|base| self.base_slot(base, &mut table, cancel)).collect()
+                plan.bases()
+                    .iter()
+                    .map(|base| self.base_slot(base, &mut table, &base_meter))
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -292,18 +303,18 @@ impl SolvePool {
                 jobs.push(PoolJob { problem: &job.problem, key, warm, ctx: Some(ctx) });
             }
         }
-        (jobs, table)
+        (jobs, table, base_meter.ticks())
     }
 
     /// Resolves `base` to a slot in the batch's snapshot table, solving its
     /// LP once and caching the snapshot in the pool on first sight.
     /// Returns `None` when the base is not warm-startable (its jobs then
-    /// solve cold).
+    /// solve cold). Base-solve pivots are charged to `meter`.
     fn base_slot<'a>(
         &self,
         base: &'a BaseProblem,
         table: &mut Vec<(&'a BaseProblem, BaseSolution)>,
-        cancel: &CancelToken,
+        meter: &BudgetMeter,
     ) -> Option<usize> {
         let mut cache = self.bases.lock().expect("base cache lock");
         let cached = cache
@@ -315,8 +326,7 @@ impl SolvePool {
                 entry.solution.clone()
             }
             None => {
-                let meter = BudgetMeter::with_cancel(cancel.clone());
-                let solution = base.solve_base(&meter)?;
+                let solution = base.solve_base(meter)?;
                 cache.push(BaseEntry {
                     fingerprint: base.fingerprint(),
                     problem: base.problem().clone(),
@@ -337,6 +347,7 @@ impl SolvePool {
         &self,
         jobs: &[PoolJob<'_>],
         bases: &[(&BaseProblem, BaseSolution)],
+        base_ticks: u64,
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> BatchReport {
@@ -568,8 +579,8 @@ impl SolvePool {
             group_rejected.iter().filter(|&&r| r).count() as u64,
         );
 
-        let total_ticks = worker_ticks.iter().sum();
-        BatchReport { outcomes, hits, misses, worker_ticks, total_ticks, wall }
+        let total_ticks = worker_ticks.iter().sum::<u64>() + base_ticks;
+        BatchReport { outcomes, hits, misses, worker_ticks, base_ticks, total_ticks, wall }
     }
 
     /// Runs every job of every plan through the pool as one batch and folds
@@ -601,8 +612,8 @@ impl SolvePool {
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> PlanBatch {
-        let (jobs, bases) = self.prepare_jobs(plans, budget, cancel);
-        let report = self.solve_jobs(&jobs, &bases, budget, cancel);
+        let (jobs, bases, base_ticks) = self.prepare_jobs(plans, budget, cancel);
+        let report = self.solve_jobs(&jobs, &bases, base_ticks, budget, cancel);
         let mut offset = 0usize;
         let estimates = plans
             .iter()
@@ -642,8 +653,8 @@ impl SolvePool {
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> AuditedPlanBatch {
-        let (jobs, bases) = self.prepare_jobs(plans, budget, cancel);
-        let report = self.solve_jobs(&jobs, &bases, budget, cancel);
+        let (jobs, bases, base_ticks) = self.prepare_jobs(plans, budget, cancel);
+        let report = self.solve_jobs(&jobs, &bases, base_ticks, budget, cancel);
         let mut offset = 0usize;
         let results = plans
             .iter()

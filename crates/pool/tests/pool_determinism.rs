@@ -103,8 +103,10 @@ fn worker_tick_tallies_sum_to_total() {
     let pool = SolvePool::new(3);
     let batch = pool.run_plans(&plans, &budget.solve);
     assert_eq!(batch.report.worker_ticks.len(), 3);
-    assert_eq!(batch.report.worker_ticks.iter().sum::<u64>(), batch.report.total_ticks);
-    assert!(batch.report.total_ticks > 0, "real solves must spend pivot ticks");
+    let workers: u64 = batch.report.worker_ticks.iter().sum();
+    assert_eq!(workers + batch.report.base_ticks, batch.report.total_ticks);
+    assert!(workers > 0, "real solves must spend pivot ticks");
+    assert!(batch.report.base_ticks > 0, "warm-start bases must spend pivot ticks");
 }
 
 #[test]

@@ -1,0 +1,31 @@
+//! A batch's tick total accounts for all of its solver work: over one
+//! `run_plans` on the suite, the recorder's `lp.ticks` grows by exactly
+//! `BatchReport.total_ticks`, base solves included. Kept in its own
+//! integration binary (single test) because the trace recorder is
+//! process-global: counters from concurrently running tests would bleed
+//! into the assertion.
+
+use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
+use ipet_hw::Machine;
+use ipet_pool::SolvePool;
+
+#[test]
+fn lp_ticks_growth_equals_batch_total_ticks() {
+    let budget = AnalysisBudget::default();
+    let plans: Vec<_> = ipet_suite::all()
+        .iter()
+        .map(|bench| {
+            let program = bench.program().expect("compiles");
+            let analyzer = Analyzer::new(&program, Machine::i960kb()).expect("analyzer");
+            let anns = parse_annotations(&bench.annotations(&program)).expect("annotations");
+            analyzer.plan(&anns, &budget).expect("plan")
+        })
+        .collect();
+    let recorder = ipet_trace::install();
+    recorder.reset();
+    let batch = SolvePool::new(4).run_plans(&plans, &budget.solve);
+    let doc = ipet_trace::snapshot().expect("recorder installed");
+    let lp_ticks = doc.counters.get("lp.ticks").copied().unwrap_or(0);
+    assert!(batch.report.base_ticks > 0, "the suite solves warm-start bases");
+    assert_eq!(lp_ticks, batch.report.total_ticks);
+}
