@@ -1,13 +1,17 @@
 //! Property tests: warm-started delta re-solving is bit-identical to cold
-//! monolithic solving over the synthetic workload generator. `Estimate`
-//! equality covers the WCET and BCET bounds, the per-set solver stats and
-//! both witness count maps; the audited variant additionally pins the
+//! monolithic solving over the synthetic workload generator and over a
+//! family of routines whose branch arms cost the same. `Estimate` equality
+//! covers the WCET and BCET bounds, the per-set solver stats and both
+//! witness count maps; the audited variant additionally pins the
 //! certificate tallies.
 
+use ipet_arch::Program;
 use ipet_bench::synth;
 use ipet_core::{infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, SolverFaults};
 use ipet_hw::Machine;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Inferred loop bounds plus (when the CFG has at least two blocks) a
 /// tautological disjunctive path fact. The disjunction never cuts a
@@ -23,6 +27,53 @@ fn annotations_for(analyzer: &Analyzer) -> String {
     text
 }
 
+/// A routine of one to four `if`s, some inside counted loops, whose `then`
+/// and `else` arms are the same statement list. The taken arm skips the
+/// `else` block and jumps over it, the other arm pays a jump block, so the
+/// two paths often cost the same and the WCET and BCET optima tie between
+/// them.
+fn equal_arms_program(seed: u64) -> Program {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut body = String::from("int t; int i; t = 1;");
+    for _ in 0..rng.gen_range(1..=4) {
+        let arm: String = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let op = ["+", "-", "*", "^"][rng.gen_range(0..4usize)];
+                format!(" t = t {op} {};", rng.gen_range(1..30))
+            })
+            .collect();
+        let branch = format!("if (a < {}) {{{arm} }} else {{{arm} }}", rng.gen_range(-8..8));
+        if rng.gen_bool(0.4) {
+            let trips = rng.gen_range(1..=6);
+            body.push_str(&format!(" for (i = 0; i < {trips}; i = i + 1) {{ {branch} }}"));
+        } else {
+            body.push(' ');
+            body.push_str(&branch);
+        }
+    }
+    let source = format!("int f(int a) {{ {body} return t; }}");
+    ipet_lang::compile(&source, "f").expect("generated program compiles")
+}
+
+/// Analyzes `program` warm and cold and requires bit-identical estimates,
+/// witnesses included.
+fn assert_warm_matches_cold(program: &Program, seed: u64) {
+    let machine = Machine::i960kb();
+    let warm = Analyzer::new(program, machine).expect("analyzer");
+    let cold = Analyzer::new(program, machine).expect("analyzer").with_warm_start(false);
+    let anns = ipet_core::parse_annotations(&annotations_for(&warm)).expect("parse");
+    let budget = AnalysisBudget::default();
+    let w = warm
+        .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
+        .expect("warm analysis");
+    let c = cold
+        .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
+        .expect("cold analysis");
+    assert_eq!(&w.wcet_counts, &c.wcet_counts, "seed {seed}: WCET witnesses differ");
+    assert_eq!(&w.bcet_counts, &c.bcet_counts, "seed {seed}: BCET witnesses differ");
+    assert_eq!(w, c, "seed {seed}: estimates differ");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -30,21 +81,13 @@ proptest! {
     /// bit-identical with warm starting on (the default) and off.
     #[test]
     fn warm_estimates_and_witnesses_match_cold(seed in 0u64..500) {
-        let s = synth::generate(seed, synth::SynthConfig::default());
-        let machine = Machine::i960kb();
-        let warm = Analyzer::new(&s.program, machine).expect("analyzer");
-        let cold = Analyzer::new(&s.program, machine).expect("analyzer").with_warm_start(false);
-        let anns = ipet_core::parse_annotations(&annotations_for(&warm)).expect("parse");
-        let budget = AnalysisBudget::default();
-        let w = warm
-            .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("warm analysis");
-        let c = cold
-            .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("cold analysis");
-        prop_assert_eq!(&w.wcet_counts, &c.wcet_counts, "seed {}: WCET witnesses differ", seed);
-        prop_assert_eq!(&w.bcet_counts, &c.bcet_counts, "seed {}: BCET witnesses differ", seed);
-        prop_assert_eq!(w, c, "seed {}: estimates differ", seed);
+        assert_warm_matches_cold(&synth::generate(seed, synth::SynthConfig::default()).program, seed);
+    }
+
+    /// The same over equal-cost branch arms, where the optima tie.
+    #[test]
+    fn warm_matches_cold_on_equal_cost_arms(seed in 0u64..500) {
+        assert_warm_matches_cold(&equal_arms_program(seed), seed);
     }
 
     /// Auditing the warm path certifies exactly what the cold path

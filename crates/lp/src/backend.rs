@@ -6,7 +6,7 @@
 //! solved with the sparse revised simplex, and deltas re-optimize from that
 //! sparse basis; a base that presolve or the sparse solve declines keeps the
 //! dense snapshot. Every warm result passes the same acceptance gate
-//! (integral witness, unique optimum, exact certification), so backend
+//! (canonical optimum, integral witness, exact certification), so backend
 //! choice is deliberately excluded from problem fingerprints and cache keys.
 //!
 //! The selection is a process-wide atomic set once at startup from the

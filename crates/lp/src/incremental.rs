@@ -12,27 +12,29 @@
 //!
 //! Warm-started results are required to be **bit-identical** to cold
 //! solves — same resolution, same witness, same statistics — at any job
-//! order and any worker count. A dual-simplex re-optimization cannot
-//! guarantee that unconditionally (different pivot paths reach different
-//! floating-point representations, and ties can pick different optimal
-//! vertices), so a warm result is *accepted* only when it is provably the
-//! one the cold path returns:
+//! order and any worker count. A dual-simplex re-optimization reaches its
+//! optimum by a different pivot path than the cold solve, so a warm result
+//! is *accepted* only when it is provably the one the cold path returns:
 //!
-//! 1. the re-optimized LP is **optimal** and its witness rounds to integer
-//!    counts ([`round_witness`]) with every variable integer-typed;
-//! 2. the optimum is **unique** (every non-basic column prices out strictly
-//!    positive), so the cold root relaxation must land on the same vertex
-//!    and return immediately with `{lp_calls: 1, nodes: 1,
+//! 1. the re-optimized LP is **optimal**, and its basis walks on to the
+//!    **canonical** optimum: the lexicographic minimum of the structural
+//!    variables over the optimal face ([`crate::canonical`]). The face is
+//!    the composed LP's, whichever basis reaches it, and its lexicographic
+//!    minimum is one point — the point the cold root relaxation returns
+//!    too;
+//! 2. that point rounds to integer counts ([`round_witness`]) with every
+//!    variable integer-typed, so the cold root relaxation is integral and
+//!    returns immediately with `{lp_calls: 1, nodes: 1,
 //!    first_relaxation_integral: true}`;
 //! 3. the rounded witness **exactly certifies** against the composed
 //!    problem via the injected `certify` callback (the caller supplies
 //!    `ipet-audit`'s integer-arithmetic check, which keeps this crate free
 //!    of a dependency cycle).
 //!
-//! Everything else — dual infeasibility, iteration limits, fractional or
-//! tied optima, certification failures — falls back to the ordinary cold
-//! branch-and-bound solve and counts `lp.warm.misses`, plus the first gate
-//! it failed as `lp.warm.miss.{dual,fractional,tied,uncertified,unmapped}`.
+//! Everything else — dual infeasibility, iteration limits, a fractional
+//! canonical optimum, certification failures — falls back to the ordinary
+//! cold branch-and-bound solve and counts `lp.warm.misses`, plus the first
+//! gate it failed as `lp.warm.miss.{dual,fractional,uncertified,unmapped}`.
 //! Witness vectors and objective values of accepted results are
 //! canonicalized to their rounded integer form (the cold path applies the
 //! same canonicalization), which makes the equality hold bit for bit rather
@@ -47,6 +49,7 @@
 
 use crate::backend::{solver_backend, SolverBackend};
 use crate::budget::{BudgetMeter, SolveBudget, SolverFaults};
+use crate::canonical::{canonicalize, LexEnd};
 use crate::fingerprint::{delta_rows_fingerprint, fingerprint, Fingerprint};
 use crate::ilp::{solve_ilp_budgeted, IlpResolution, IlpStats};
 use crate::model::{Constraint, Problem, VarId};
@@ -252,13 +255,11 @@ pub fn debug_force_warm_mismatch(on: bool) {
 /// not a pure finite ILP) counts only in the aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WarmMiss {
-    /// The dual re-optimization ended without a finite optimum.
+    /// The dual re-optimization, or the walk on to the canonical optimum,
+    /// ended without a finite optimum.
     Dual,
-    /// The re-optimized witness does not round to integer counts.
+    /// The canonical optimum does not round to integer counts.
     Fractional,
-    /// The optimum is not provably unique: a non-basic column prices out
-    /// at zero, so the cold path may land on another optimal vertex.
-    Tied,
     /// Postsolve, claim rounding or exact certification rejected the
     /// witness.
     Uncertified,
@@ -271,7 +272,6 @@ impl WarmMiss {
         match self {
             WarmMiss::Dual => "lp.warm.miss.dual",
             WarmMiss::Fractional => "lp.warm.miss.fractional",
-            WarmMiss::Tied => "lp.warm.miss.tied",
             WarmMiss::Uncertified => "lp.warm.miss.uncertified",
             WarmMiss::Unmapped => "lp.warm.miss.unmapped",
         }
@@ -340,12 +340,14 @@ fn warm_attempt_dense(
     let cap = inst.default_iter_cap();
     let mut warm_pivots = 0u64;
     let end = inst.dual_reoptimize(cap, &mut warm_pivots);
-    meter.charge_ticks(warm_pivots);
-    ipet_trace::counter("lp.ticks", warm_pivots);
     // Dual infeasibility proves LP infeasibility, but only in floating
     // point: there is no witness to certify exactly, so the verdict is not
     // accepted — the cold path re-derives it from phase 1.
-    if end != DualEnd::Optimal {
+    let lex =
+        (end == DualEnd::Optimal).then(|| canonicalize(&mut inst, cap as u64, &mut warm_pivots));
+    meter.charge_ticks(warm_pivots);
+    ipet_trace::counter("lp.ticks", warm_pivots);
+    if lex != Some(LexEnd::Canonical) {
         return Err(WarmMiss::Dual);
     }
     let x = inst.extract_x();
@@ -353,11 +355,8 @@ fn warm_attempt_dense(
     if !value.is_finite() || x.iter().any(|v| !v.is_finite()) {
         return Err(WarmMiss::Dual);
     }
-    // Integral, unique, exactly certified — or no deal.
+    // Canonical, integral, exactly certified — or no deal.
     let ints = round_witness(&x).map_err(|_| WarmMiss::Fractional)?;
-    if !inst.optimum_is_unique() {
-        return Err(WarmMiss::Tied);
-    }
     let claimed = round_claimed(value).map_err(|_| WarmMiss::Uncertified)?;
     let snapped: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
     if !certify(full, &snapped, claimed) {
@@ -412,17 +411,21 @@ fn warm_attempt_sparse(
     let cap = inst.default_iter_cap();
     let mut warm_pivots = 0u64;
     let end = inst.dual_reoptimize(cap, &mut warm_pivots);
+    // The walk runs in the presolved, shifted space. Presolve only fixes
+    // variables and absorbs bounds, the survivors keep their relative
+    // order, and the shift `x = lo + x'` is monotone, so the reduced lex
+    // minimum is the composed problem's.
+    debug_assert!(red.keeps_var_order(), "presolve reordered the free variables");
+    let lex =
+        (end == SparseDualEnd::Optimal).then(|| canonicalize(&mut inst, cap, &mut warm_pivots));
     meter.charge_ticks(warm_pivots);
     ipet_trace::counter("lp.ticks", warm_pivots);
-    if end != SparseDualEnd::Optimal {
+    if lex != Some(LexEnd::Canonical) {
         return Err(WarmMiss::Dual);
     }
 
-    // Integral, unique, postsolved, exactly certified — or no deal.
+    // Canonical, integral, postsolved, exactly certified — or no deal.
     let ints = round_witness(&inst.extract_x()).map_err(|_| WarmMiss::Fractional)?;
-    if !inst.optimum_is_unique() {
-        return Err(WarmMiss::Tied);
-    }
     let full_ints = red
         .unshift_witness(&ints)
         .and_then(|ints| red.postsolve_witness(&ints))
@@ -433,16 +436,16 @@ fn warm_attempt_sparse(
     if !certify(full, &snapped, claimed) {
         return Err(WarmMiss::Uncertified);
     }
-    // Canonical cold result, by the same uniqueness argument as the dense
-    // arm — presolve reductions preserve the LP feasible set, so a unique
-    // integral reduced optimum is *the* composed optimum.
+    // The cold result, by the dense arm's argument: presolve preserves the
+    // LP feasible set, so the canonical reduced optimum is the composed
+    // problem's canonical optimum.
     ipet_trace::counter("lp.sparse.warm_reopts", 1);
     Ok(accept(full, snapped, claimed, base_pivots, warm_pivots, meter))
 }
 
-/// Builds the accepted warm result: the canonical resolution the cold path
-/// would produce. The unique optimum is integral, so cold's root relaxation
-/// is already integral and it returns after one LP call and one node.
+/// Builds the accepted warm result: the resolution the cold path would
+/// produce. The canonical optimum is integral, so cold's root relaxation
+/// returns it and the search ends after one LP call and one node.
 /// Mirrors the cold path's per-solve telemetry, so warm and cold runs
 /// differ only in the `lp.warm.*`/`lp.sparse.*` and tick counters. The arms
 /// count their pivots in `lp.ticks` themselves, hit or miss.
@@ -543,7 +546,7 @@ mod tests {
     use super::*;
     use crate::model::{ProblemBuilder, Relation, Sense, VarId};
 
-    /// A base with an all-integer unique optimum: max 3x + 2y
+    /// A base with an all-integer optimum: max 3x + 2y
     /// st x <= 4, y <= 6, x + y <= 8.
     fn toy_base() -> BaseProblem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
@@ -599,7 +602,7 @@ mod tests {
 
     #[test]
     fn warm_hit_is_bit_identical_to_cold() {
-        // Delta x <= 2 moves the optimum to (2, 6): unique and integral.
+        // Delta x <= 2 moves the optimum to (2, 6), which is integral.
         let (warm, cold) = solve_both(delta(vec![(vec![(0, 1.0)], Relation::Le, 2.0)]));
         assert_eq!(warm, cold);
         assert_eq!(warm.1, IlpStats { lp_calls: 1, nodes: 1, first_relaxation_integral: true });

@@ -13,7 +13,9 @@
 //!
 //! * [`Problem`] / [`ProblemBuilder`] — dense LP/ILP model with named
 //!   variables, `≤ / ≥ / =` rows and non-negative variables.
-//! * [`solve_lp`] — two-phase primal simplex with Bland's anti-cycling rule.
+//! * [`solve_lp`] — two-phase primal simplex with Bland's anti-cycling rule;
+//!   a tied optimum resolves to its canonical (lexicographically smallest)
+//!   point.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
 //!
 //! ## Example
@@ -63,6 +65,7 @@
 
 mod backend;
 mod budget;
+mod canonical;
 mod fingerprint;
 mod ilp;
 mod incremental;

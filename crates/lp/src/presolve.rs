@@ -145,6 +145,16 @@ impl Reduced {
         Some(full)
     }
 
+    /// True when the free variables keep their original relative order,
+    /// which makes lexicographic order in the reduced space the original's.
+    pub(crate) fn keeps_var_order(&self) -> bool {
+        let free = self.map.iter().filter_map(|s| match *s {
+            VarState::Free(idx) => Some(idx),
+            VarState::Fixed(_) => None,
+        });
+        free.eq(0..self.n_free)
+    }
+
     /// Map a row stated over *original* variables into the reduced space:
     /// fixed variables are substituted exactly, free ones reindexed.
     pub(crate) fn map_row(&self, row: &IntRow) -> Option<MappedRow> {

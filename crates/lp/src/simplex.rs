@@ -8,7 +8,8 @@
 //! lists. Every term skipped is `finite·0 = ±0`, so results match the
 //! full-row textbook loops exactly, up to the sign of a zero that no
 //! comparison or output sees. Cold solves always run here, under every
-//! solver backend ([`crate::SolverBackend`]).
+//! solver backend ([`crate::SolverBackend`]), and end with the walk to the
+//! canonical optimum ([`crate::canonical`]).
 //!
 //! ## Pivot rule
 //!
@@ -22,6 +23,7 @@
 //! an iteration budget, so a warm start can never spin.
 
 use crate::budget::{BudgetMeter, LpFault, SolveBudget, SolverFaults};
+use crate::canonical::{canonicalize, LexEnd, LexKernel};
 use crate::model::{Constraint, Problem, Relation, Sense};
 
 /// Feasibility tolerance used throughout the solver.
@@ -34,10 +36,12 @@ pub const INT_TOL: f64 = 1e-6;
 /// back from Dantzig to Bland (anti-cycling).
 const STALL_THRESHOLD: u32 = 12;
 
-/// Result of an LP solve (integrality flags are ignored).
+/// Result of an LP solve (integrality flags only steer the tie-break; see
+/// [`solve_lp`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpOutcome {
-    /// An optimal vertex was found.
+    /// An optimal vertex was found: the canonical one when the optimum is
+    /// tied (see [`solve_lp`]).
     Optimal {
         /// Primal solution, one entry per problem variable.
         x: Vec<f64>,
@@ -537,22 +541,39 @@ impl SimplexInstance {
         }
         x
     }
+}
 
-    /// True when the current optimal basis provably identifies a *unique*
-    /// optimum: every non-basic, non-banned column has a strictly positive
-    /// reduced cost, so moving along any of them strictly worsens the
-    /// objective. Primal degeneracy (duplicate bases for one vertex) does
-    /// not matter — the criterion is about the solution point, not the
-    /// basis.
-    pub(crate) fn optimum_is_unique(&self) -> bool {
-        let zrow = self.tab.reduced_costs(&self.obj);
-        let mut is_basic = vec![false; self.tab.cols - 1];
-        for &b in &self.tab.basis {
-            if b < is_basic.len() {
-                is_basic[b] = true;
-            }
-        }
-        (0..self.tab.cols - 1).all(|j| is_basic[j] || self.tab.banned[j] || zrow[j] > FEAS_TOL)
+impl LexKernel for SimplexInstance {
+    fn structural(&self) -> usize {
+        self.n
+    }
+
+    fn num_cols(&self) -> usize {
+        self.tab.cols - 1
+    }
+
+    fn basis(&self) -> &[usize] {
+        &self.tab.basis
+    }
+
+    fn barred(&self, col: usize) -> bool {
+        self.tab.banned[col]
+    }
+
+    fn reduced_costs(&self) -> Vec<f64> {
+        self.tab.reduced_costs(&self.obj)
+    }
+
+    fn column(&self, col: usize) -> Vec<f64> {
+        self.tab.a.iter().map(|row| row[col]).collect()
+    }
+
+    fn basic_value(&self, row: usize) -> f64 {
+        self.tab.rhs(row)
+    }
+
+    fn exchange(&mut self, row: usize, col: usize, _w: &[f64]) -> bool {
+        self.tab.pivot(row, col)
     }
 }
 
@@ -653,7 +674,7 @@ pub(crate) fn build_instance(problem: &Problem) -> SimplexInstance {
 
     // One artificial slot was reserved per row but only `>=`/`=` rows used
     // theirs; the leftover all-zero columns are dead and banned outright so
-    // pricing (and the uniqueness test) never looks at them.
+    // pricing (and the canonical walk) never looks at them.
     let mut banned = vec![false; cols - 1];
     for slot in banned.iter_mut().take(cols - 1).skip(next_artificial) {
         *slot = true;
@@ -669,11 +690,19 @@ pub(crate) fn build_instance(problem: &Problem) -> SimplexInstance {
     }
 }
 
-/// Solves the LP relaxation of `problem` (ignores integrality flags).
+/// Solves the LP relaxation of `problem`.
 ///
 /// Variables are non-negative; rows may be `<=`, `>=` or `=`. The returned
 /// objective value is in the problem's own sense (a `Minimize` problem
 /// reports the minimum).
+///
+/// When the optimum is tied, the vertex returned is the canonical one: the
+/// lexicographic minimum of the variables, in `VarId` order, over the
+/// optimal face. That point does not depend on the pivot path, so warm
+/// re-optimizations reproduce it. The one exception keeps branch and bound
+/// from ever branching more: when the canonical point is fractional in an
+/// integer-typed variable, the vertex the simplex reached first is returned
+/// instead.
 pub fn solve_lp(problem: &Problem) -> LpOutcome {
     solve_lp_metered(
         problem,
@@ -735,12 +764,29 @@ pub fn solve_lp_metered(
         PrimalEnd::Numerical => return LpOutcome::Numerical,
     }
 
-    let x = inst.extract_x();
+    // The tie-break is a refinement of an optimum already in hand: should
+    // it run out of iterations or break down, the first vertex stands.
+    let first = inst.extract_x();
+    let cap = (max_iters as u64).saturating_sub(pivots);
+    let mut lex_pivots = 0u64;
+    let lex = canonicalize(&mut inst, cap, &mut lex_pivots);
+    meter.charge_ticks(lex_pivots);
+    let x = match lex {
+        LexEnd::Canonical => Some(inst.extract_x()).filter(|x| integral_where_typed(problem, x)),
+        LexEnd::IterLimit | LexEnd::Numerical => None,
+    }
+    .unwrap_or(first);
     let value = problem.objective_value(&x);
     if !value.is_finite() || x.iter().any(|v| !v.is_finite()) {
         return LpOutcome::Numerical;
     }
     LpOutcome::Optimal { x, value }
+}
+
+/// True when every integer-typed variable of `problem` is integral in `x`
+/// within [`INT_TOL`].
+fn integral_where_typed(problem: &Problem, x: &[f64]) -> bool {
+    x.iter().zip(&problem.integer).all(|(&v, &int)| !int || (v - v.round()).abs() <= INT_TOL)
 }
 
 /// Debug-build reference for the support-list kernels: the full-row `pivot`
@@ -749,7 +795,7 @@ pub fn solve_lp_metered(
 /// tests can require the same pivot sequence and end state from both.
 #[cfg(debug_assertions)]
 mod reference {
-    use super::{build_instance, le_form, nonzeros, Tableau, FEAS_TOL};
+    use super::{build_instance, canonicalize, le_form, nonzeros, Tableau, FEAS_TOL};
     use crate::model::{Constraint, Problem};
     use std::cell::RefCell;
 
@@ -825,7 +871,7 @@ mod reference {
         /// Every pivot as `(leaving row, entering column)`, in order.
         pub pivots: Vec<(usize, usize)>,
         /// How the primal solve ended, then the dual re-optimization if
-        /// it ran.
+        /// it ran, then the canonical walk if the LP was optimal.
         pub ends: String,
         /// Final basic variable of each row.
         pub basis: Vec<usize>,
@@ -838,9 +884,10 @@ mod reference {
     }
 
     /// Solves `base` from scratch, then (when optimal and `delta` is not
-    /// empty) appends `delta` and dual re-optimizes, with the support-list
-    /// kernels or, under `full_rows`, the full-row reference. Asserts that
-    /// every nonzero entry of the final tableau is in its row's list.
+    /// empty) appends `delta` and dual re-optimizes, then walks an optimal
+    /// basis to the canonical optimum, all with the support-list kernels or,
+    /// under `full_rows`, the full-row reference. Asserts that every nonzero
+    /// entry of the final tableau is in its row's list.
     pub fn debug_kernel_trace(
         base: &Problem,
         delta: &[Constraint],
@@ -851,10 +898,17 @@ mod reference {
         let mut pivots = 0u64;
         let primal = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
         let mut ends = format!("{primal:?}");
-        if primal == super::PrimalEnd::Optimal && !delta.is_empty() {
+        let mut optimal = primal == super::PrimalEnd::Optimal;
+        if optimal && !delta.is_empty() {
             inst.append_le_rows(&le_form(delta, base.num_vars()));
             let dual = inst.dual_reoptimize(inst.default_iter_cap(), &mut pivots);
             ends = format!("{ends}, {dual:?}");
+            optimal = dual == super::DualEnd::Optimal;
+        }
+        if optimal {
+            let cap = inst.default_iter_cap() as u64;
+            let lex = canonicalize(&mut inst, cap, &mut pivots);
+            ends = format!("{ends}; {lex:?}");
         }
         let probe = PROBE.with(|p| p.borrow_mut().take()).expect("probe installed");
         for (row, support) in inst.tab.a.iter().zip(&inst.tab.support) {
@@ -1336,26 +1390,5 @@ mod tests {
             assert_eq!(listed, reference, "case {case}");
         }
         assert!(dual_runs >= 80, "only {dual_runs} cases re-optimized appended rows");
-    }
-
-    #[test]
-    fn unique_optimum_detection() {
-        // max x+y st x<=2, y<=3: unique vertex (2,3).
-        let unique = build(
-            Sense::Maximize,
-            &[1.0, 1.0],
-            &[(&[1.0, 0.0], Relation::Le, 2.0), (&[0.0, 1.0], Relation::Le, 3.0)],
-        );
-        let mut inst = build_instance(&unique);
-        let mut pivots = 0u64;
-        assert_eq!(inst.solve_primal(inst.default_iter_cap(), &mut pivots), PrimalEnd::Optimal);
-        assert!(inst.optimum_is_unique());
-
-        // max x+y st x+y<=5: a whole edge of optima.
-        let tied = build(Sense::Maximize, &[1.0, 1.0], &[(&[1.0, 1.0], Relation::Le, 5.0)]);
-        let mut inst = build_instance(&tied);
-        let mut pivots = 0u64;
-        assert_eq!(inst.solve_primal(inst.default_iter_cap(), &mut pivots), PrimalEnd::Optimal);
-        assert!(!inst.optimum_is_unique());
     }
 }

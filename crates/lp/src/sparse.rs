@@ -16,9 +16,10 @@
 //! after [`crate::simplex`]'s stall threshold, with the same `FEAS_TOL`.
 //! It solves presolved warm-start bases and re-optimizes their deltas
 //! ([`crate::BaseProblem::solve_base`]). Its results are only ever
-//! *accepted* upstream when the witness rounds integral, the optimum is
-//! provably unique, and the exact integer certification passes — so the
-//! sparse path can never change a bound, only the work done to reach it.
+//! *accepted* upstream after the walk to the canonical optimum
+//! ([`crate::canonical`]), when the witness rounds integral and the exact
+//! integer certification passes — so the sparse path can never change a
+//! bound, only the work done to reach it.
 
 // NaN-aware guards (`!(x > tol)` also rejects NaN, `x <= tol` would not) and
 // index-based kernel loops are deliberate: the forms clippy suggests either
@@ -26,6 +27,7 @@
 // pricing kernels.
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
+use crate::canonical::LexKernel;
 use crate::model::{Problem, Relation, Sense};
 use crate::simplex::FEAS_TOL;
 
@@ -450,6 +452,23 @@ impl SparseInstance {
         true
     }
 
+    /// Moves the basic values along entering column `e` (FTRAN image `w`)
+    /// until row `r`'s basic variable reaches zero, then installs `e` in
+    /// row `r`. False on a degenerate pivot element or non-finite values.
+    fn exchange(&mut self, r: usize, e: usize, w: &[f64]) -> bool {
+        let theta = self.xb[r] / w[r];
+        if !theta.is_finite() {
+            return false;
+        }
+        for i in 0..self.m {
+            if i != r {
+                self.xb[i] -= theta * w[i];
+            }
+        }
+        self.xb[r] = theta;
+        self.apply_pivot(r, e, w) && self.xb.iter().all(|v| v.is_finite())
+    }
+
     /// Primal simplex on the given cost vector (maximization).
     fn optimize(&mut self, cost: &[f64], max_iters: u64, pivots: &mut u64) -> SparseEnd {
         let mut iters: u64 = 0;
@@ -521,19 +540,10 @@ impl SparseInstance {
             } else {
                 stalled = 0;
             }
-            for i in 0..self.m {
-                if i != r {
-                    self.xb[i] -= theta * w[i];
-                }
-            }
-            self.xb[r] = theta;
-            if !self.apply_pivot(r, e, &w) {
+            if !self.exchange(r, e, &w) {
                 return SparseEnd::Numerical;
             }
             *pivots += 1;
-            if self.xb.iter().any(|v| !v.is_finite()) {
-                return SparseEnd::Numerical;
-            }
         }
     }
 
@@ -582,17 +592,8 @@ impl SparseInstance {
                     if w.iter().any(|v| !v.is_finite()) {
                         return SparseEnd::Numerical;
                     }
-                    if w[r].abs() > FEAS_TOL {
-                        let theta = self.xb[r] / w[r];
-                        for i in 0..self.m {
-                            if i != r {
-                                self.xb[i] -= theta * w[i];
-                            }
-                        }
-                        self.xb[r] = theta;
-                        if !self.apply_pivot(r, j, &w) {
-                            return SparseEnd::Numerical;
-                        }
+                    if w[r].abs() > FEAS_TOL && !self.exchange(r, j, &w) {
+                        return SparseEnd::Numerical;
                     }
                 }
             }
@@ -705,19 +706,10 @@ impl SparseInstance {
             } else {
                 stalled = 0;
             }
-            for i in 0..self.m {
-                if i != r {
-                    self.xb[i] -= theta * w[i];
-                }
-            }
-            self.xb[r] = theta;
-            if !self.apply_pivot(r, e, &w) {
+            if !self.exchange(r, e, &w) {
                 return SparseDualEnd::Numerical;
             }
             *pivots += 1;
-            if self.xb.iter().any(|v| !v.is_finite()) {
-                return SparseDualEnd::Numerical;
-            }
         }
     }
 
@@ -732,28 +724,44 @@ impl SparseInstance {
         x
     }
 
-    /// True when every non-basic, non-banned column has a strictly positive
-    /// reduced cost — i.e. the optimal *point* is unique.
-    pub(crate) fn optimum_is_unique(&self) -> bool {
-        let y = self.btran(&self.basis_cost(&self.cost));
-        if y.iter().any(|v| !v.is_finite()) {
-            return false;
-        }
-        for j in 0..self.cols.len() {
-            if self.in_basis[j] || self.banned[j] {
-                continue;
-            }
-            let z = self.col_dot(&y, j) - self.cost[j];
-            if !(z > FEAS_TOL) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Default iteration cap, matching the dense instance's formula.
     pub(crate) fn default_iter_cap(&self) -> u64 {
         50_000 + 200 * (self.m as u64 + self.cols.len() as u64)
+    }
+}
+
+impl LexKernel for SparseInstance {
+    fn structural(&self) -> usize {
+        self.n
+    }
+
+    fn num_cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    fn basis(&self) -> &[usize] {
+        &self.basis
+    }
+
+    fn barred(&self, col: usize) -> bool {
+        self.banned[col] || self.artificial[col]
+    }
+
+    fn reduced_costs(&self) -> Vec<f64> {
+        let y = self.btran(&self.basis_cost(&self.cost));
+        (0..self.cols.len()).map(|j| self.col_dot(&y, j) - self.cost[j]).collect()
+    }
+
+    fn column(&self, col: usize) -> Vec<f64> {
+        self.ftran_col(col)
+    }
+
+    fn basic_value(&self, row: usize) -> f64 {
+        self.xb[row]
+    }
+
+    fn exchange(&mut self, row: usize, col: usize, w: &[f64]) -> bool {
+        SparseInstance::exchange(self, row, col, w)
     }
 }
 
@@ -798,7 +806,6 @@ mod tests {
             }
             other => panic!("dense disagreed: {other:?}"),
         }
-        assert!(inst.optimum_is_unique());
     }
 
     #[test]

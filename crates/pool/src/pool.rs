@@ -174,8 +174,8 @@ struct BaseEntry {
 ///   `pool.cache.base_hits`), so whether a job warm-starts is a pure
 ///   function of the plans and the budget — never of scheduling. The warm
 ///   path itself only accepts results that are bit-identical to a cold
-///   solve (integral, unique, exactly certified), so warm execution cannot
-///   perturb any outcome.
+///   solve (canonical, integral, exactly certified), so warm execution
+///   cannot perturb any outcome.
 /// * **Order-independent folding** — callers fold outcomes by job index
 ///   ([`AnalysisPlan::complete`] accepts verdicts in canonical job order
 ///   regardless of completion order), so work stealing cannot reorder

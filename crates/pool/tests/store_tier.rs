@@ -112,6 +112,37 @@ fn corrupted_store_degrades_to_cold_solves_with_identical_bounds() {
 }
 
 #[test]
+fn a_v1_store_file_is_quarantined_and_the_pool_re_solves_canonically() {
+    let dir = scratch("v1");
+    let path = dir.join("solves.store");
+    let budget = AnalysisBudget::default();
+    let plans = plans_for(BENCHES, &budget);
+    let fresh = SolvePool::new(2).run_plans(&plans, &budget.solve);
+    {
+        let store = Arc::new(Store::open(&path));
+        SolvePool::new(2).with_store(Arc::clone(&store)).run_plans(&plans, &budget.solve);
+        store.flush().expect("flush");
+    }
+    // The same records under the version-1 header: a file written before
+    // witnesses of tied optima were canonical.
+    let mut bytes = std::fs::read(&path).expect("read store");
+    bytes[..ipet_store::STORE_MAGIC.len()].copy_from_slice(b"ipet-store-v1\0\0\0");
+    std::fs::write(&path, &bytes).expect("write v1 header");
+
+    let store = Arc::new(Store::open(&path));
+    assert_eq!(store.stats().loaded, 0);
+    assert_eq!(store.stats().quarantined, 1, "the whole file is one quarantine");
+    let pool = SolvePool::new(2).with_store(Arc::clone(&store));
+    let resolved = pool.run_plans(&plans, &budget.solve);
+    assert_eq!(store.stats().hits, 0, "nothing replays from a v1 file");
+    assert_eq!(resolved.report.misses, fresh.report.misses, "every job is solved again");
+    for ((a, b), name) in fresh.estimates.iter().zip(&resolved.estimates).zip(BENCHES) {
+        let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+        assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
+    }
+}
+
+#[test]
 fn changed_annotations_invalidate_stale_entries() {
     let dir = scratch("invalidate");
     let path = dir.join("solves.store");

@@ -65,9 +65,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Magic + version header; changing the record format bumps the version
-/// and quarantines every older file wholesale.
-pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v1\0\0\0";
+/// Magic + version header; changing the record format — or what a
+/// record's witness means — bumps the version and quarantines every older
+/// file wholesale. Version 2: the witness of a tied optimum is the
+/// canonical one (the lexicographic minimum over the optimal face); a
+/// version-1 file may hold another optimal witness, which would certify
+/// and replay, making an answer depend on store history.
+pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v2\0\0\0";
 
 /// Upper bound on a single record's payload length; anything larger is
 /// treated as lost framing (the rest of the file is quarantined).
@@ -1082,6 +1086,48 @@ mod tests {
         assert_eq!(store.stats().loaded, 0);
         assert_eq!(store.stats().quarantined, 1);
         assert_eq!(store.mode(), StoreMode::ReadWrite, "still usable fresh");
+    }
+
+    #[test]
+    fn a_v1_file_is_quarantined_wholesale_so_a_stale_tie_never_replays() {
+        // max x + y st x + y <= 5, x <= 4: the whole edge from (0, 5) to
+        // (4, 1) is optimal, and (0, 5) is the canonical witness. A file
+        // written before canonical optima may hold (4, 1), which certifies.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x = b.add_var("x", true);
+        let y = b.add_var("y", true);
+        b.objective(x, 1.0);
+        b.objective(y, 1.0);
+        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
+        b.constraint(vec![(x, 1.0)], Relation::Le, 4.0);
+        let p = b.build();
+        let key = key_of(&p);
+        let stale = IlpResolution::Exact { x: vec![4.0, 1.0], value: 5.0 };
+        let dir = scratch("v1");
+        let path = dir.join("s.store");
+        {
+            let store = Store::open(&path);
+            store.insert(key, 1, 2, &p, &stale, IlpStats::default());
+            store.flush().expect("flush");
+        }
+        // Under the current header the stale witness would replay.
+        let replayed = Store::open(&path).probe(key, 1, 2, &p).map(|(res, _)| res);
+        assert_eq!(replayed, Some(stale));
+
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[..STORE_MAGIC.len()].copy_from_slice(b"ipet-store-v1\0\0\0");
+        fs::write(&path, &bytes).expect("write v1 header");
+        let store = Store::open(&path);
+        assert_eq!(store.stats().loaded, 0);
+        assert_eq!(store.stats().quarantined, 1, "one quarantine for the whole file");
+        assert!(store.probe(key, 1, 2, &p).is_none());
+        let (solved, _) = ipet_lp::solve_ilp_budgeted(
+            &p,
+            &ipet_lp::SolveBudget::unlimited(),
+            &ipet_lp::BudgetMeter::new(),
+            &mut SolverFaults::none(),
+        );
+        assert_eq!(solved, IlpResolution::Exact { x: vec![0.0, 5.0], value: 5.0 });
     }
 
     #[test]
