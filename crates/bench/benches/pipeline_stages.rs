@@ -1,10 +1,13 @@
 //! Times each stage of the toolchain separately on the largest routine —
-//! compile, CFG + instance expansion, block costing, simulation — to show
-//! where the milliseconds go (the paper's "insignificant" claim covers
-//! only the ILP; this bench covers the substrates).
+//! compile, CFG + instance expansion, block costing, simulation, and the
+//! steps around the simplex: planning, content fingerprinting and the base
+//! LP snapshot — to show where the milliseconds go (the paper's
+//! "insignificant" claim covers only the ILP; this bench covers the
+//! substrates).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipet_cfg::Instances;
+use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
 use ipet_hw::{block_cost, Machine};
 use ipet_sim::measure;
 use std::hint::black_box;
@@ -42,6 +45,26 @@ fn bench_stages(c: &mut Criterion) {
         bench.iter(|| {
             let r = measure(&program, machine, &(b.worst_seeds)(), b.args_worst, true).unwrap();
             black_box(r.cycles)
+        })
+    });
+
+    let analyzer = Analyzer::new(&program, machine).unwrap();
+    let anns = parse_annotations(&b.annotations(&program)).unwrap();
+    let budget = AnalysisBudget::default();
+    group.bench_function("plan", |bench| {
+        bench.iter(|| black_box(analyzer.plan(black_box(&anns), &budget).unwrap().jobs().len()))
+    });
+
+    let plan = analyzer.plan(&anns, &budget).unwrap();
+    let base = &plan.bases()[0];
+    group.bench_function("fingerprint", |bench| {
+        bench.iter(|| black_box(ipet_lp::fingerprint(black_box(base.problem()))))
+    });
+
+    group.bench_function("base_solve", |bench| {
+        bench.iter(|| {
+            let snapshot = base.solve_base(&ipet_lp::BudgetMeter::new()).unwrap();
+            black_box(snapshot.pivots())
         })
     });
 

@@ -37,9 +37,11 @@
 //! and the connection survives. `--timeout-ms` arms a per-request
 //! wall-clock watchdog whose expiry cancels the solve through the budget
 //! machinery: the request still answers, with a certified-safe relaxed
-//! bound marked `"cancelled": true`. A client that disconnects mid-solve
-//! cancels its request the same way instead of computing into a dead
-//! pipe.
+//! bound marked `"cancelled": true`. The mark follows the bound: a solve
+//! that finished exact before the watchdog fired answers status 0 without
+//! it, though the `stats` op's `cancelled` tally still counts the timeout.
+//! A client that disconnects mid-solve cancels its request the same way
+//! instead of computing into a dead pipe.
 //!
 //! ## Drain
 //!
@@ -466,6 +468,22 @@ pub(crate) fn run_request(
             ])
         })
         .collect();
+    responses.push(done_line(id, target, &est, audit_failed, cancel, infer_counts));
+    Ok(responses)
+}
+
+/// The request's final line. `"cancelled": true` marks a bound the
+/// cancellation degraded: the token fired and the estimate is not exact. A
+/// solve that finished exact before the watchdog fired is reported like
+/// any other exact result.
+fn done_line(
+    id: Json,
+    target: &str,
+    est: &Estimate,
+    audit_failed: bool,
+    cancel: &CancelToken,
+    infer_counts: Option<ipet_infer::InferCounts>,
+) -> Json {
     let status = if audit_failed {
         3
     } else if est.quality.is_exact() {
@@ -486,7 +504,7 @@ pub(crate) fn run_request(
         ("sets_total".into(), Json::Num(est.sets_total as f64)),
         ("sets_skipped".into(), Json::Num(est.sets_skipped as f64)),
     ];
-    if cancel.is_cancelled() {
+    if cancel.is_cancelled() && !est.quality.is_exact() {
         done.push(("cancelled".into(), Json::Bool(true)));
     }
     if let Some(c) = infer_counts {
@@ -501,6 +519,32 @@ pub(crate) fn run_request(
             ]),
         ));
     }
-    responses.push(Json::Obj(done));
-    Ok(responses)
+    Json::Obj(done)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_exact_bound_is_not_labelled_cancelled_even_if_the_token_fired() {
+        let bench = ipet_suite::by_name("check_data").expect("bundled benchmark");
+        let program = bench.program().expect("compiles");
+        let analyzer =
+            ipet_core::Analyzer::new(&program, ipet_hw::Machine::i960kb()).expect("analyzer");
+        let est = analyzer.analyze(&bench.annotations(&program)).expect("analysis");
+        assert!(est.quality.is_exact(), "test premise: the solve finished exact");
+        let fired = CancelToken::new();
+        fired.cancel();
+        let line = done_line(Json::Num(7.0), "check_data", &est, false, &fired, None);
+        assert_eq!(line.get("status").and_then(Json::as_u64), Some(0));
+        assert_eq!(line.get("cancelled"), None, "an exact bound carries no cancelled mark");
+
+        // A degraded bound under a fired token keeps the mark.
+        let mut degraded = est;
+        degraded.quality = ipet_lp::BoundQuality::Partial;
+        let line = done_line(Json::Num(7.0), "check_data", &degraded, false, &fired, None);
+        assert_eq!(line.get("status").and_then(Json::as_u64), Some(2));
+        assert_eq!(line.get("cancelled"), Some(&Json::Bool(true)));
+    }
 }

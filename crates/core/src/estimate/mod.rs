@@ -811,7 +811,14 @@ impl<'p> Analyzer<'p> {
                 break;
             }
             let (res, stats) = if plan.warm_start {
-                solvers[job.base].solve(&job.delta, &budget.solve, &meter, faults, &certify)
+                solvers[job.base].solve(
+                    &job.delta,
+                    &job.problem,
+                    &budget.solve,
+                    &meter,
+                    faults,
+                    &certify,
+                )
             } else {
                 solve_ilp_budgeted(&job.problem, &budget.solve, &meter, faults)
             };

@@ -13,6 +13,7 @@ use ipet_lp::{
     BaseProblem, BoundQuality, Constraint, DeltaSet, Problem, ProblemBuilder, Sense, VarId,
 };
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 impl<'p> Analyzer<'p> {
     /// Builds the analysis **job graph**: resolves annotations, expands the
@@ -191,22 +192,22 @@ impl<'p> Analyzer<'p> {
         // The two shared bases. Row order: structural, common
         // functionality, then (worst case only) the split rows — identical
         // to the monolithic assembly when no statement is disjunctive.
-        let base_worst = BaseProblem::new(self.assemble(
+        let worst = self.assemble(
             &space,
             Sense::Maximize,
             &structural,
             &common,
             &split_rows,
             &split_objective,
-        ));
-        let base_best = BaseProblem::new(self.assemble(
-            &space,
-            Sense::Minimize,
-            &structural,
-            &common,
-            &[],
-            &HashMap::new(),
-        ));
+        );
+        let best =
+            self.assemble(&space, Sense::Minimize, &structural, &common, &[], &HashMap::new());
+        // Every hash the plan carries: the two base fingerprints (cache and
+        // base-table keys) and the persistent store's pair.
+        let (base_worst, base_best, (identity_hash, invalidation_hash)) = {
+            let _span = ipet_trace::span("core.plan.hash");
+            (BaseProblem::new(worst), BaseProblem::new(best), self.store_hashes(anns))
+        };
 
         let mut jobs = Vec::with_capacity(deltas.len() * 2);
         for (idx, rows) in deltas.iter().enumerate() {
@@ -280,7 +281,6 @@ impl<'p> Analyzer<'p> {
             deltas.iter().map(|d| d.len() as u64).sum::<u64>(),
         );
         ipet_trace::gauge_max("core.sets.peak", sets_total as u64);
-        let (identity_hash, invalidation_hash) = self.store_hashes(anns);
         Ok(AnalysisPlan {
             num_sets: deltas.len(),
             jobs,
@@ -304,7 +304,8 @@ impl<'p> Analyzer<'p> {
     /// The persistent store's function-level invalidation pair: a stable
     /// routine identity (entry + function names — survives edits) and a
     /// content hash over everything a cached solve depends on (the
-    /// disassembled instruction stream, the machine timing model, the
+    /// program's fields — entry, globals, and each function's frame, text
+    /// address and instruction encodings — the machine timing model, the
     /// cache/context configuration and the annotations — changes whenever
     /// the routine is edited in any way that could move a bound).
     fn store_hashes(&self, anns: &Annotations) -> (u128, u128) {
@@ -314,8 +315,17 @@ impl<'p> Analyzer<'p> {
         for f in &program.functions {
             identity = fold_str(identity, &f.name);
         }
-        let mut content = fold_str(STORE_HASH_SEED, "ipet-plan-content");
-        content = fold_str(content, &ipet_arch::disassemble_program(program));
+        let mut content = StoreHasher(fold_str(STORE_HASH_SEED, "ipet-plan-content"));
+        program.entry.0.hash(&mut content);
+        program.globals.len().hash(&mut content);
+        for g in &program.globals {
+            (&g.name, g.addr, g.words, &g.init).hash(&mut content);
+        }
+        program.functions.len().hash(&mut content);
+        for f in &program.functions {
+            (&f.name, f.frame_words, f.num_params, f.base_addr, &f.instrs).hash(&mut content);
+        }
+        let mut content = content.0;
         content = fold_str(content, &format!("{:?}", self.machine));
         content = fold_str(content, &format!("{:?}", self.cache_mode));
         content = fold_str(content, &format!("{}", self.instances.len()));
@@ -505,23 +515,64 @@ fn store_mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Folds a string into a 128-bit store hash, 8 bytes at a time through two
-/// independently-seeded splitmix lanes. Not cryptographic — collisions only
+/// A 128-bit store hash as a [`Hasher`]: every integer a program's
+/// fields write is one word, and a byte string is its length followed by
+/// its bytes in 8-byte words, each folded through two independently-seeded
+/// splitmix lanes.
+/// Unlike std's `DefaultHasher` its output is fixed by this code, so it
+/// is stable within a store schema. Not cryptographic — collisions only
 /// cost an unnecessary invalidation or a doomed probe that the replay gate
 /// rejects anyway.
-fn fold_str(h: u128, s: &str) -> u128 {
-    let mut h = h;
-    // Fold the length first so "ab" + "c" and "a" + "bc" differ.
-    let mut words: Vec<u64> = vec![s.len() as u64];
-    for chunk in s.as_bytes().chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(w));
-    }
-    for x in words {
+struct StoreHasher(u128);
+
+impl StoreHasher {
+    fn word(&mut self, x: u64) {
+        let h = self.0;
         let lo = store_mix64((h as u64) ^ x);
         let hi = store_mix64(((h >> 64) as u64) ^ x.rotate_left(32) ^ 0xA076_1D64_78BD_642F);
-        h = ((hi as u128) << 64) | (lo as u128);
+        self.0 = ((hi as u128) << 64) | (lo as u128);
     }
-    h
+}
+
+impl Hasher for StoreHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // The length first, so "ab" + "c" and "a" + "bc" differ.
+        self.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.word(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    fn write_i32(&mut self, x: i32) {
+        self.word(x as u32 as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        self.word(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 as u64
+    }
+}
+
+/// Folds a string into a 128-bit store hash (see [`StoreHasher`]).
+fn fold_str(h: u128, s: &str) -> u128 {
+    let mut hasher = StoreHasher(h);
+    hasher.write(s.as_bytes());
+    hasher.0
 }

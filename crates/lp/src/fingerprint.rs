@@ -33,7 +33,7 @@
 //! [`same_structure`] provides the exact structural-equality check used to
 //! gate verdicts that cannot be re-validated from a witness point.
 
-use crate::model::{Problem, Relation, Sense};
+use crate::model::{Constraint, Problem, Relation, Sense};
 
 /// A 128-bit content hash of a normalized problem.
 ///
@@ -96,6 +96,7 @@ fn sense_tag(s: Sense) -> u64 {
 }
 
 /// One normalized row: summed, zero-dropped, sorted sparse terms.
+#[derive(PartialEq)]
 struct NormRow {
     /// `(var, coeff_bits)` sorted by variable index.
     terms: Vec<(usize, u64)>,
@@ -103,24 +104,12 @@ struct NormRow {
     rhs_bits: u64,
 }
 
-fn normalize_rows(problem: &Problem) -> Vec<NormRow> {
-    let n = problem.num_vars();
-    problem
-        .constraints
-        .iter()
-        .map(|con| {
-            // Sum repeated terms via the dense form (constant folding), then
-            // re-sparsify dropping exact zeros.
-            let dense = con.dense(n);
-            let terms: Vec<(usize, u64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0.0)
-                .map(|(v, &c)| (v, coeff_bits(c)))
-                .collect();
-            NormRow { terms, relation: con.relation, rhs_bits: coeff_bits(con.rhs) }
-        })
-        .collect()
+/// Normalizes one row in O(terms): repeats summed exactly as the dense form
+/// sums them (see [`Constraint::merged_terms`]), so the keys are those of a
+/// dense normalization.
+fn normalize_row(con: &Constraint) -> NormRow {
+    let terms = con.merged_terms().into_iter().map(|(v, c)| (v, coeff_bits(c))).collect();
+    NormRow { terms, relation: con.relation, rhs_bits: coeff_bits(con.rhs) }
 }
 
 /// Computes the content fingerprint of `problem`.
@@ -130,7 +119,28 @@ fn normalize_rows(problem: &Problem) -> Vec<NormRow> {
 /// coefficient, every relation and right-hand side, and integrality flags.
 pub fn fingerprint(problem: &Problem) -> Fingerprint {
     let n = problem.num_vars();
-    let rows = normalize_rows(problem);
+    let rows: Vec<NormRow> = problem.constraints.iter().map(normalize_row).collect();
+
+    // Variable -> row incidence in CSR form, built once for every round:
+    // variable `v`'s `(row, coeff_bits)` pairs are
+    // `incidence[start[v]..start[v + 1]]`.
+    let mut start = vec![0usize; n + 1];
+    for row in &rows {
+        for &(v, _) in &row.terms {
+            start[v + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut incidence = vec![(0usize, 0u64); start[n]];
+    let mut next = start.clone();
+    for (i, row) in rows.iter().enumerate() {
+        for &(v, cb) in &row.terms {
+            incidence[next[v]] = (i, cb);
+            next[v] += 1;
+        }
+    }
 
     // Initial variable colors: objective coefficient + integrality.
     let mut var_color: Vec<u64> = (0..n)
@@ -142,35 +152,33 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
         })
         .collect();
     let mut row_color: Vec<u64> = vec![0; rows.len()];
+    let mut sig: Vec<u64> = Vec::new();
 
     for round in 0..ROUNDS {
         // Rows from variables.
         for (i, row) in rows.iter().enumerate() {
-            let mut sig: Vec<u64> = row
-                .terms
-                .iter()
-                .map(|&(v, cb)| fold(fold(0xb6b6_0002, cb), var_color[v]))
-                .collect();
+            sig.clear();
+            sig.extend(row.terms.iter().map(|&(v, cb)| fold(fold(0xb6b6_0002, cb), var_color[v])));
             sig.sort_unstable();
             let mut h = fold(0xc7c7_0003, round as u64);
             h = fold(h, relation_tag(row.relation));
             h = fold(h, row.rhs_bits);
-            for s in sig {
+            for &s in &sig {
                 h = fold(h, s);
             }
             row_color[i] = h;
         }
         // Variables from rows.
-        let mut var_sigs: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, row) in rows.iter().enumerate() {
-            for &(v, cb) in &row.terms {
-                var_sigs[v].push(fold(fold(0xd8d8_0004, cb), row_color[i]));
-            }
-        }
-        for (v, mut sig) in var_sigs.into_iter().enumerate() {
+        for v in 0..n {
+            sig.clear();
+            sig.extend(
+                incidence[start[v]..start[v + 1]]
+                    .iter()
+                    .map(|&(i, cb)| fold(fold(0xd8d8_0004, cb), row_color[i])),
+            );
             sig.sort_unstable();
             let mut h = fold(var_color[v], 0xe9e9_0005);
-            for s in sig {
+            for &s in &sig {
                 h = fold(h, s);
             }
             var_color[v] = h;
@@ -210,20 +218,18 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
 /// constrain the same base columns the same way. Row order and syntactic
 /// term noise (repeats, zeros, `-0.0`) do not affect the key; the empty
 /// delta maps to `Fingerprint(0)` so "no delta" is recognizable in logs.
-pub fn delta_rows_fingerprint(rows: &[crate::model::Constraint], num_vars: usize) -> Fingerprint {
+pub fn delta_rows_fingerprint(rows: &[Constraint], num_vars: usize) -> Fingerprint {
     if rows.is_empty() {
         return Fingerprint(0);
     }
     let mut row_hashes: Vec<u64> = rows
         .iter()
         .map(|con| {
-            let dense = con.dense(num_vars);
             let mut h = fold(0xf1f1_0006, relation_tag(con.relation));
             h = fold(h, coeff_bits(con.rhs));
-            for (v, &c) in dense.iter().enumerate() {
-                if c != 0.0 {
-                    h = fold(fold(h, v as u64), coeff_bits(c));
-                }
+            for (v, c) in con.merged_terms() {
+                debug_assert!(v < num_vars, "delta row names variable {v} of {num_vars}");
+                h = fold(fold(h, v as u64), coeff_bits(c));
             }
             h
         })
@@ -261,11 +267,21 @@ pub fn same_structure(a: &Problem, b: &Problem) -> bool {
     if bits(&a.objective) != bits(&b.objective) {
         return false;
     }
-    let ra = normalize_rows(a);
-    let rb = normalize_rows(b);
-    ra.iter()
-        .zip(&rb)
-        .all(|(x, y)| x.relation == y.relation && x.rhs_bits == y.rhs_bits && x.terms == y.terms)
+    // Bitwise-identical rows normalize identically; only rows that differ
+    // in how they were written need normalizing.
+    let identical = |x: &Constraint, y: &Constraint| {
+        x.relation == y.relation
+            && x.rhs.to_bits() == y.rhs.to_bits()
+            && x.terms.len() == y.terms.len()
+            && x.terms
+                .iter()
+                .zip(&y.terms)
+                .all(|(s, t)| s.0 == t.0 && s.1.to_bits() == t.1.to_bits())
+    };
+    a.constraints
+        .iter()
+        .zip(&b.constraints)
+        .all(|(x, y)| identical(x, y) || normalize_row(x) == normalize_row(y))
 }
 
 #[cfg(test)]

@@ -150,6 +150,7 @@ impl BaseProblem {
         if meter.cancel_token().is_cancelled() {
             return None;
         }
+        let _span = ipet_trace::span("lp.base_solve");
         if solver_backend() != SolverBackend::Dense {
             if let Some((red, mut inst)) = self.presolve_sparse_base() {
                 let cap = inst.default_iter_cap();
@@ -280,25 +281,31 @@ impl WarmMiss {
 
 type WarmResult = Result<(IlpResolution, IlpStats), WarmMiss>;
 
-/// Solves `base + delta`, warm-starting from `solution` when possible and
-/// falling back to a cold [`solve_ilp_budgeted`] on the composed problem
+/// Solves `full` = `base + delta`, warm-starting from `solution` when
+/// possible and falling back to a cold [`solve_ilp_budgeted`] on `full`
 /// otherwise. This is the one solve entry point shared by the serial
 /// executor and the pool workers, so both produce identical results by
 /// construction.
 ///
+/// `full` must be `base.compose(delta)`; callers pass the composed problem
+/// they already hold (a plan job's `problem`) so it is built once per job.
+///
 /// Fault injection (`faults.armed()`) always routes cold: injected fault
 /// indices count cold-path LP calls and node expansions, and the warm path
 /// must not shift them.
+// The composed problem travels next to its parts so no caller rebuilds it.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_delta_warm(
     base: &BaseProblem,
     solution: Option<&BaseSolution>,
     delta: &DeltaSet,
+    full: &Problem,
     budget: &SolveBudget,
     meter: &BudgetMeter,
     faults: &mut SolverFaults,
     certify: CertifyFn,
 ) -> (IlpResolution, IlpStats) {
-    let full = base.compose(delta);
+    debug_assert_eq!(*full, base.compose(delta), "`full` is not `base + delta`");
     // A cancelled meter skips the warm attempt: warm work is work too, and
     // the cold path below degrades at its first budget checkpoint.
     let cancelled = meter.cancel_token().is_cancelled();
@@ -308,10 +315,10 @@ pub fn solve_delta_warm(
         if let Some(sol) = solution.filter(|_| pure) {
             let attempt = match &sol.kind {
                 BaseKind::Dense(inst) => {
-                    warm_attempt_dense(inst, sol.pivots, delta, &full, meter, certify)
+                    warm_attempt_dense(inst, sol.pivots, delta, full, meter, certify)
                 }
                 BaseKind::Sparse { red, inst } => {
-                    warm_attempt_sparse(red, inst, sol.pivots, delta, &full, meter, certify)
+                    warm_attempt_sparse(red, inst, sol.pivots, delta, full, meter, certify)
                 }
             };
             match attempt {
@@ -321,7 +328,7 @@ pub fn solve_delta_warm(
         }
         ipet_trace::counter("lp.warm.misses", 1);
     }
-    solve_ilp_budgeted(&full, budget, meter, faults)
+    solve_ilp_budgeted(full, budget, meter, faults)
 }
 
 /// Dense warm arm: append delta rows to the snapshot tableau and dual
@@ -522,11 +529,12 @@ impl<'a> IncrementalSolver<'a> {
         IncrementalSolver { base, solution: None }
     }
 
-    /// Solves `base + delta`: warm when possible, cold otherwise. See
-    /// [`solve_delta_warm`].
+    /// Solves `full` = `base + delta`: warm when possible, cold otherwise.
+    /// See [`solve_delta_warm`].
     pub fn solve(
         &mut self,
         delta: &DeltaSet,
+        full: &Problem,
         budget: &SolveBudget,
         meter: &BudgetMeter,
         faults: &mut SolverFaults,
@@ -537,7 +545,7 @@ impl<'a> IncrementalSolver<'a> {
         } else {
             None
         };
-        solve_delta_warm(self.base, solution, delta, budget, meter, faults, certify)
+        solve_delta_warm(self.base, solution, delta, full, budget, meter, faults, certify)
     }
 }
 
@@ -572,6 +580,7 @@ mod tests {
             &base,
             Some(&sol),
             &delta,
+            &base.compose(&delta),
             &SolveBudget::unlimited(),
             &meter,
             &mut SolverFaults::none(),
@@ -658,6 +667,7 @@ mod tests {
             &base,
             Some(&sol),
             &d,
+            &base.compose(&d),
             &SolveBudget::unlimited(),
             &meter,
             &mut SolverFaults::none(),
@@ -695,10 +705,17 @@ mod tests {
             delta(vec![(vec![(1, 1.0)], Relation::Le, 1.0)]),
         ];
         for d in &deltas {
-            let (warm, _) =
-                solver.solve(d, &budget, &meter, &mut SolverFaults::none(), &feasibility_certify);
+            let full = base.compose(d);
+            let (warm, _) = solver.solve(
+                d,
+                &full,
+                &budget,
+                &meter,
+                &mut SolverFaults::none(),
+                &feasibility_certify,
+            );
             let (cold, _) = solve_ilp_budgeted(
-                &base.compose(d),
+                &full,
                 &SolveBudget::unlimited(),
                 &BudgetMeter::new(),
                 &mut SolverFaults::none(),
@@ -720,6 +737,7 @@ mod tests {
             &base,
             sol.as_ref(),
             &d,
+            &base.compose(&d),
             &SolveBudget::unlimited(),
             &meter,
             &mut faults,

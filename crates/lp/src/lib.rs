@@ -98,3 +98,6 @@ pub use round::{round_claimed, round_witness, RoundError, WITNESS_TOL};
 #[doc(hidden)]
 pub use simplex::{debug_kernel_trace, KernelTrace};
 pub use simplex::{solve_lp, solve_lp_metered, LpOutcome, FEAS_TOL, INT_TOL};
+#[cfg(debug_assertions)]
+#[doc(hidden)]
+pub use sparse::debug_lu_checks;

@@ -59,6 +59,25 @@ impl Constraint {
         }
         row
     }
+
+    /// The nonzeros of [`Constraint::dense`] as `(variable, coefficient)`
+    /// pairs sorted by variable, in O(terms log terms) rather than O(vars).
+    /// Repeats sum in term order starting from `0.0`, exactly as the dense
+    /// form accumulates them, so every value is bit-identical to its dense
+    /// entry; exact zeros (and with them `-0.0`) are dropped.
+    pub(crate) fn merged_terms(&self) -> Vec<(usize, f64)> {
+        let mut terms: Vec<(usize, f64)> = self.terms.iter().map(|&(v, c)| (v.0, c)).collect();
+        // Stable, so repeats keep their term order.
+        terms.sort_by_key(|&(v, _)| v);
+        let mut merged = Vec::with_capacity(terms.len());
+        for run in terms.chunk_by(|a, b| a.0 == b.0) {
+            let sum = run.iter().fold(0.0, |acc, &(_, c)| acc + c);
+            if sum != 0.0 {
+                merged.push((run[0].0, sum));
+            }
+        }
+        merged
+    }
 }
 
 /// A complete LP/ILP: all variables are implicitly `>= 0`.
@@ -281,6 +300,38 @@ mod tests {
             rhs: 0.0,
         };
         assert_eq!(c.dense(3), vec![3.0, 0.0, -1.0]);
+    }
+
+    #[test]
+    fn merged_terms_are_the_dense_nonzeros_bit_for_bit() {
+        // Repeats in scattered order, a cancelling pair, a lone -0.0, and a
+        // sum whose value depends on the order of its additions.
+        let c = Constraint {
+            terms: vec![
+                (VarId(3), 0.1),
+                (VarId(1), 2.0),
+                (VarId(3), 0.2),
+                (VarId(0), -0.0),
+                (VarId(1), -2.0),
+                (VarId(3), 0.3),
+                (VarId(4), 1e16),
+                (VarId(4), 1.0),
+                (VarId(4), -1e16),
+            ],
+            relation: Relation::Le,
+            rhs: 1.0,
+        };
+        let dense = c.dense(5);
+        let want: Vec<(usize, u64)> = dense
+            .iter()
+            .enumerate()
+            .filter(|(_, &v)| v != 0.0)
+            .map(|(j, &v)| (j, v.to_bits()))
+            .collect();
+        let got: Vec<(usize, u64)> =
+            c.merged_terms().into_iter().map(|(j, v)| (j, v.to_bits())).collect();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 1, "only x3 survives; x4's 1.0 is absorbed: {got:?}");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub(crate) enum SparseDualEnd {
 }
 
 /// One product-form update: entering column's FTRAN image `w`, pivot row `r`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Eta {
     r: usize,
     pivot: f64,
@@ -68,7 +68,7 @@ struct Eta {
 
 /// Nonzeros of one triangle of the LU factors, grouped into lines (rows or
 /// columns, by factored position) in ascending index order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Lines {
     /// Line `i` is `entries[start[i]..start[i + 1]]`.
     start: Vec<usize>,
@@ -108,7 +108,7 @@ impl Lines {
 /// Each strict triangle is stored twice — by row for FTRAN, by column for
 /// BTRAN — so both solves walk their factor entries contiguously, in the
 /// same ascending order as a dense row-major solve would.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Factor {
     /// `L[i][j]` for `j < i`, by row `i`.
     l_rows: Lines,
@@ -123,6 +123,34 @@ struct Factor {
     /// `perm[i]` = original row occupying factored position `i`.
     perm: Vec<usize>,
     etas: Vec<Eta>,
+}
+
+impl Factor {
+    /// A fresh factor (empty eta file) from the nonzero strict-triangle
+    /// entries `(row, column, value)` of `L` and `U`, each sorted by row
+    /// then column.
+    fn from_triangles(
+        m: usize,
+        lower: &[(usize, usize, f64)],
+        upper: &[(usize, usize, f64)],
+        u_diag: Vec<f64>,
+        perm: Vec<usize>,
+    ) -> Factor {
+        // Column grouping: the triples are in ascending row order, which
+        // becomes the ascending index order within each column.
+        let transposed = |t: &[(usize, usize, f64)]| -> Vec<(usize, usize, f64)> {
+            t.iter().map(|&(i, j, v)| (j, i, v)).collect()
+        };
+        Factor {
+            l_rows: Lines::grouped(m, lower),
+            l_cols: Lines::grouped(m, &transposed(lower)),
+            u_rows: Lines::grouped(m, upper),
+            u_cols: Lines::grouped(m, &transposed(upper)),
+            u_diag,
+            perm,
+            etas: Vec::new(),
+        }
+    }
 }
 
 /// A standard-form LP with sparse columns and a factorized basis.
@@ -167,7 +195,6 @@ impl SparseInstance {
         // First pass: structural entries plus slack/surplus bookkeeping.
         let mut extra_cols: Vec<(usize, f64)> = Vec::new(); // (row, sign) per slack col
         for (i, con) in problem.constraints.iter().enumerate() {
-            let dense = con.dense(n);
             let flip = con.rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
             let rel = if flip {
@@ -179,10 +206,8 @@ impl SparseInstance {
             } else {
                 con.relation
             };
-            for (j, &a) in dense.iter().enumerate() {
-                if a != 0.0 {
-                    cols[j].push((i, sign * a));
-                }
+            for (j, a) in con.merged_terms() {
+                cols[j].push((i, sign * a));
             }
             b.push(sign * con.rhs);
             match rel {
@@ -244,47 +269,121 @@ impl SparseInstance {
         Some(inst)
     }
 
-    /// Dense Gaussian elimination with partial pivoting of the current
-    /// basis in an `m × m` scratch buffer, row-major by original row: the
-    /// strict lower part of row `perm[i]` holds `L[i]`, the rest `U[i]`.
-    /// `None` for a singular or non-finite pivot.
-    fn eliminate(&self) -> Option<(Vec<f64>, Vec<usize>)> {
+    /// Sparse right-looking Gaussian elimination of the current basis with
+    /// the dense partial-pivoting rule: at step `k` the pivot is the largest
+    /// `|v|` in column `k` among the rows not yet pivoted, ties to the
+    /// smallest current position, and `perm` records the same swaps. Rows
+    /// are kept as `(column, value)` lists, so a step touches only the rows
+    /// with an entry in column `k` and, in each, only the columns where the
+    /// pivot row is nonzero.
+    ///
+    /// Every surviving entry receives the dense routine's subtractions in
+    /// the same order, and a fill-in entry is computed as `0.0 - f·u` from
+    /// the dense buffer's zero; a skipped update subtracts `f·0`, so only
+    /// the sign of a zero can differ, and zeros are not kept in the factor.
+    /// `None` for a singular basis or any non-finite value: the dense
+    /// routine would keep such a value in its buffer (nothing turns a
+    /// non-finite entry finite again) and decline the factor on extraction.
+    fn factorize(&self) -> Option<Factor> {
         let m = self.m;
-        let mut lu = vec![0.0f64; m * m];
+        // Entries not yet eliminated, by original row, in no fixed order.
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        // Per column, every row that has held an entry in it; rows that
+        // have pivoted since are skipped by position.
+        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); m];
         for (j, &col) in self.basis.iter().enumerate() {
             for &(row, val) in &self.cols[col] {
-                lu[row * m + j] = val;
+                if !val.is_finite() {
+                    return None;
+                }
+                rows[row].push((j, val));
+                col_rows[j].push(row);
             }
         }
         let mut perm: Vec<usize> = (0..m).collect();
+        let mut pos: Vec<usize> = (0..m).collect();
+        // Column -> index of its entry in the row being updated.
+        let mut slot = vec![usize::MAX; m];
+        // Rows with an entry in the current column: `(row, index of it)`.
+        let mut hits: Vec<(usize, usize)> = Vec::new();
+        let mut pivot_row: Vec<(usize, f64)> = Vec::new();
+        let mut lower: Vec<(usize, usize, f64)> = Vec::new();
+        let mut upper: Vec<(usize, usize, f64)> = Vec::new();
+        let mut u_diag = Vec::with_capacity(m);
         for k in 0..m {
-            let mut p = k;
-            let mut best = lu[perm[k] * m + k].abs();
-            for i in (k + 1)..m {
-                let mag = lu[perm[i] * m + k].abs();
-                if mag > best {
+            hits.clear();
+            let (mut p, mut best) = (k, 0.0f64);
+            for &r in &col_rows[k] {
+                if pos[r] < k {
+                    continue;
+                }
+                let idx = rows[r].iter().position(|&(j, _)| j == k).expect("listed entry");
+                hits.push((r, idx));
+                let mag = rows[r][idx].1.abs();
+                if mag > best || (mag == best && pos[r] < p) {
                     best = mag;
-                    p = i;
+                    p = pos[r];
                 }
             }
-            if !(best > FEAS_TOL) || !best.is_finite() {
-                return None; // singular or non-finite basis
+            if !(best > FEAS_TOL) {
+                return None; // singular basis
             }
             perm.swap(k, p);
+            pos[perm[k]] = k;
+            pos[perm[p]] = p;
             let pk = perm[k];
-            let diag = lu[pk * m + k];
-            for i in (k + 1)..m {
-                let pi = perm[i];
-                let f = lu[pi * m + k] / diag;
-                lu[pi * m + k] = f;
-                if f != 0.0 {
-                    for j in (k + 1)..m {
-                        lu[pi * m + j] -= f * lu[pk * m + j];
+            let diag_idx = hits.iter().find(|&&(r, _)| r == pk).expect("pivot row listed").1;
+            let diag = rows[pk].swap_remove(diag_idx).1;
+            u_diag.push(diag);
+            pivot_row.clear();
+            pivot_row.extend(rows[pk].drain(..).filter(|&(_, v)| v != 0.0));
+            pivot_row.sort_unstable_by_key(|&(j, _)| j);
+            upper.extend(pivot_row.iter().map(|&(j, v)| (k, j, v)));
+            for &(r, idx) in &hits {
+                if r == pk {
+                    continue;
+                }
+                let row = &mut rows[r];
+                // Finite: the pivot choice makes `|f| <= 1`.
+                let f = row.swap_remove(idx).1 / diag;
+                if f == 0.0 {
+                    continue;
+                }
+                lower.push((r, k, f));
+                for (i, &(j, _)) in row.iter().enumerate() {
+                    slot[j] = i;
+                }
+                for &(j, u) in &pivot_row {
+                    let fu = f * u;
+                    let v = match slot[j] {
+                        usize::MAX => {
+                            let v = 0.0 - fu;
+                            slot[j] = row.len();
+                            row.push((j, v));
+                            col_rows[j].push(r);
+                            v
+                        }
+                        i => {
+                            row[i].1 -= fu;
+                            row[i].1
+                        }
+                    };
+                    if !v.is_finite() {
+                        return None;
                     }
+                }
+                for &(j, _) in row.iter() {
+                    slot[j] = usize::MAX;
                 }
             }
         }
-        Some((lu, perm))
+        // L rows move with their original rows: re-index them by final
+        // position, ascending index within each line.
+        for t in &mut lower {
+            t.0 = pos[t.0];
+        }
+        lower.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        Some(Factor::from_triangles(m, &lower, &upper, u_diag, perm))
     }
 
     /// Rebuild the LU factors from the current basis and re-sync `xb`.
@@ -294,44 +393,13 @@ impl SparseInstance {
     /// skip exact-zero factor entries without changing a result: a skipped
     /// term is `0·finite`, which can at most flip the sign of a zero.
     fn refactorize(&mut self) -> bool {
-        let m = self.m;
-        let Some((lu, perm)) = self.eliminate() else {
+        let factor = self.factorize();
+        #[cfg(debug_assertions)]
+        reference::check_factor(self, factor.as_ref());
+        let Some(factor) = factor else {
             return false;
         };
-        // Keep only the nonzeros, in ascending index order per line.
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
-        let mut u_diag = Vec::with_capacity(m);
-        for (i, &pi) in perm.iter().enumerate() {
-            for (j, &v) in lu[pi * m..(pi + 1) * m].iter().enumerate() {
-                if !v.is_finite() {
-                    return false;
-                }
-                if j == i {
-                    u_diag.push(v);
-                } else if v != 0.0 {
-                    if j < i {
-                        lower.push((i, j, v))
-                    } else {
-                        upper.push((i, j, v))
-                    }
-                }
-            }
-        }
-        // Column grouping: the triples are in ascending row order, which
-        // becomes the ascending index order within each column.
-        let transposed = |t: &[(usize, usize, f64)]| -> Vec<(usize, usize, f64)> {
-            t.iter().map(|&(i, j, v)| (j, i, v)).collect()
-        };
-        self.factor = Factor {
-            l_rows: Lines::grouped(m, &lower),
-            l_cols: Lines::grouped(m, &transposed(&lower)),
-            u_rows: Lines::grouped(m, &upper),
-            u_cols: Lines::grouped(m, &transposed(&upper)),
-            u_diag,
-            perm,
-            etas: Vec::new(),
-        };
+        self.factor = factor;
         self.xb = self.ftran_dense(&self.b.clone());
         self.xb.iter().all(|v| v.is_finite())
     }
@@ -765,6 +833,114 @@ impl LexKernel for SparseInstance {
     }
 }
 
+/// The dense `m × m` elimination that [`SparseInstance::factorize`]
+/// replaced, kept as its reference: debug builds cross-check every
+/// factorization against it, and the unit tests solve through it.
+#[cfg(any(test, debug_assertions))]
+mod reference {
+    use super::{Factor, SparseInstance, FEAS_TOL};
+
+    impl SparseInstance {
+        /// Dense Gaussian elimination with partial pivoting of the current
+        /// basis in an `m × m` scratch buffer, row-major by original row:
+        /// the strict lower part of row `perm[i]` holds `L[i]`, the rest
+        /// `U[i]`. `None` for a singular or non-finite pivot.
+        pub(super) fn eliminate(&self) -> Option<(Vec<f64>, Vec<usize>)> {
+            let m = self.m;
+            let mut lu = vec![0.0f64; m * m];
+            for (j, &col) in self.basis.iter().enumerate() {
+                for &(row, val) in &self.cols[col] {
+                    lu[row * m + j] = val;
+                }
+            }
+            let mut perm: Vec<usize> = (0..m).collect();
+            for k in 0..m {
+                let mut p = k;
+                let mut best = lu[perm[k] * m + k].abs();
+                for i in (k + 1)..m {
+                    let mag = lu[perm[i] * m + k].abs();
+                    if mag > best {
+                        best = mag;
+                        p = i;
+                    }
+                }
+                if !(best > FEAS_TOL) || !best.is_finite() {
+                    return None; // singular or non-finite basis
+                }
+                perm.swap(k, p);
+                let pk = perm[k];
+                let diag = lu[pk * m + k];
+                for i in (k + 1)..m {
+                    let pi = perm[i];
+                    let f = lu[pi * m + k] / diag;
+                    lu[pi * m + k] = f;
+                    if f != 0.0 {
+                        for j in (k + 1)..m {
+                            lu[pi * m + j] -= f * lu[pk * m + j];
+                        }
+                    }
+                }
+            }
+            Some((lu, perm))
+        }
+
+        /// The factor the dense elimination yields: its nonzeros, or `None`
+        /// when the elimination declines or leaves a non-finite entry.
+        pub(super) fn dense_factor(&self) -> Option<Factor> {
+            let m = self.m;
+            let (lu, perm) = self.eliminate()?;
+            let mut lower = Vec::new();
+            let mut upper = Vec::new();
+            let mut u_diag = Vec::with_capacity(m);
+            for (i, &pi) in perm.iter().enumerate() {
+                for (j, &v) in lu[pi * m..(pi + 1) * m].iter().enumerate() {
+                    if !v.is_finite() {
+                        return None;
+                    }
+                    if j == i {
+                        u_diag.push(v);
+                    } else if v != 0.0 {
+                        if j < i {
+                            lower.push((i, j, v))
+                        } else {
+                            upper.push((i, j, v))
+                        }
+                    }
+                }
+            }
+            Some(Factor::from_triangles(m, &lower, &upper, u_diag, perm))
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    thread_local! {
+        static CHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Asserts that the sparse elimination accepted exactly when the dense
+    /// one does, with identical factors. Factors hold no zeros, so `==`
+    /// on their entries is bit identity.
+    #[cfg(debug_assertions)]
+    pub(super) fn check_factor(inst: &SparseInstance, sparse: Option<&Factor>) {
+        assert_eq!(
+            sparse,
+            inst.dense_factor().as_ref(),
+            "sparse LU diverged from the dense reference elimination"
+        );
+        CHECKS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Sparse factorizations this thread has cross-checked against the
+    /// dense reference. Debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn debug_lu_checks() -> u64 {
+        CHECKS.with(|c| c.get())
+    }
+}
+
+#[cfg(debug_assertions)]
+pub use reference::debug_lu_checks;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1044,6 +1220,69 @@ mod tests {
         }
         assert!(refactorizations >= 12, "only {refactorizations} refactorizations exercised");
         assert!(checked_with_etas >= 100, "only {checked_with_etas} checks with etas");
+    }
+
+    /// An instance whose basis is `m` of `n` random sparse structural
+    /// columns. `kind` picks the entries: 0 = `±1` (magnitude ties
+    /// everywhere), 1 = small integers (ties and exact cancellations),
+    /// 2 = sevenths, 3 = `±1` mixed with `±1e308` (overflowing updates).
+    fn random_basis(rng: &mut StdRng, kind: u32) -> SparseInstance {
+        let m = rng.gen_range(1usize..=14);
+        let n = m + rng.gen_range(0usize..=4);
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        let density = rng.gen_range(15u32..60) as f64 / 100.0;
+        for _ in 0..m {
+            let mut terms = Vec::new();
+            for &v in &x {
+                if rng.gen_bool(density) {
+                    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    let c = match kind {
+                        0 => sign,
+                        1 => rng.gen_range(-3i64..=3) as f64,
+                        2 => rng.gen_range(-999i64..=999) as f64 / 7.0,
+                        _ if rng.gen_bool(0.3) => sign * 1e308,
+                        _ => sign,
+                    };
+                    terms.push((v, c));
+                }
+            }
+            b.constraint(terms, Relation::Eq, 1.0);
+        }
+        let mut inst = SparseInstance::build(&b.build()).expect("the artificial basis factors");
+        let mut cols: Vec<usize> = (0..n).collect();
+        for i in 0..m {
+            let j = rng.gen_range(i..n);
+            cols.swap(i, j);
+        }
+        inst.basis = cols[..m].to_vec();
+        inst
+    }
+
+    #[test]
+    fn sparse_elimination_matches_the_dense_reference_on_seeded_bases() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0016);
+        let (mut accepted, mut declined, mut swapped) = ([0u32; 4], [0u32; 4], 0u32);
+        for trial in 0..2000 {
+            let kind = trial % 4;
+            let inst = random_basis(&mut rng, kind);
+            let sparse = inst.factorize();
+            assert_eq!(sparse, inst.dense_factor(), "trial {trial}, basis {:?}", inst.basis);
+            match sparse {
+                Some(f) => {
+                    accepted[kind as usize] += 1;
+                    swapped += u32::from(f.perm.iter().enumerate().any(|(i, &r)| i != r));
+                }
+                None => declined[kind as usize] += 1,
+            }
+        }
+        // Every entry kind both factors and declines, and pivoting moves
+        // rows often.
+        for kind in 0..4 {
+            assert!(accepted[kind] >= 50, "kind {kind}: only {} accepted", accepted[kind]);
+            assert!(declined[kind] >= 50, "kind {kind}: only {} declined", declined[kind]);
+        }
+        assert!(swapped >= 200, "only {swapped} factorizations swapped rows");
     }
 
     #[test]

@@ -103,6 +103,7 @@ fn warm(backend: SolverBackend, base: &BaseProblem, delta: &DeltaSet) -> (IlpRes
         base,
         solution.as_ref(),
         delta,
+        &base.compose(delta),
         &SolveBudget::unlimited(),
         &meter,
         &mut SolverFaults::none(),

@@ -53,6 +53,7 @@ fn a_tied_delta_hits_and_a_fractional_one_counts_its_miss() {
             &base,
             Some(&solution),
             d,
+            &base.compose(d),
             &SolveBudget::unlimited(),
             &meter,
             &mut SolverFaults::none(),

@@ -464,6 +464,7 @@ impl SolvePool {
                                     base,
                                     Some(solution),
                                     delta,
+                                    jobs[rep].problem,
                                     &job_budget,
                                     &meter,
                                     &mut faults,

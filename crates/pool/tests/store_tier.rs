@@ -177,3 +177,62 @@ fn changed_annotations_invalidate_stale_entries() {
     assert_eq!(store.stats().hits, 0, "stale entries must not replay");
     assert!(store.stats().invalidated > 0, "stale entries must be dropped");
 }
+
+/// The pool's `(base, delta)` cache key mix. The control run below fails
+/// if this copy ever drifts from the pool's.
+fn job_key(plan: &AnalysisPlan, job: &ipet_core::IlpJob) -> ipet_lp::Fingerprint {
+    let base = &plan.bases()[job.base];
+    let (b, d) = (base.fingerprint(), base.delta_fingerprint(&job.delta));
+    ipet_lp::Fingerprint(
+        b.0.rotate_left(1) ^ d.0.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835),
+    )
+}
+
+#[test]
+fn entries_under_another_content_hash_retire_and_re_solve_cold() {
+    // A store written by a build whose content hash differs (the hash once
+    // covered the program's disassembly, not its fields): same routine
+    // identity, same keys and problems, another invalidation hash. Such
+    // entries must retire on first contact, never replay, and cost one
+    // cold solve per job.
+    let budget = AnalysisBudget::default();
+    let plans = plans_for(BENCHES, &budget);
+    let fresh = SolvePool::new(2).run_plans(&plans, &budget.solve);
+    let seeded = |skew: u128| {
+        let store = Arc::new(Store::in_memory());
+        let mut outcomes = fresh.report.outcomes.iter();
+        for plan in &plans {
+            for job in plan.jobs() {
+                let o = outcomes.next().expect("one outcome per job");
+                let ctx = (plan.identity_hash(), plan.invalidation_hash() ^ skew);
+                store.insert(
+                    job_key(plan, job),
+                    ctx.0,
+                    ctx.1,
+                    &job.problem,
+                    &o.resolution,
+                    o.stats,
+                );
+            }
+        }
+        assert!(!store.is_empty());
+        store
+    };
+
+    // Control: under the current hash the seeded entries replay.
+    let current = seeded(0);
+    SolvePool::new(2).with_store(Arc::clone(&current)).run_plans(&plans, &budget.solve);
+    assert!(current.stats().hits > 0, "seeded keys must match the pool's");
+    assert_eq!(current.stats().invalidated, 0);
+
+    let stale = seeded(1);
+    let seeded_entries = stale.len() as u64;
+    let batch = SolvePool::new(2).with_store(Arc::clone(&stale)).run_plans(&plans, &budget.solve);
+    assert_eq!(stale.stats().hits, 0, "an entry under another content hash must not replay");
+    assert_eq!(stale.stats().invalidated, seeded_entries, "every stale entry retires");
+    assert_eq!(batch.report.misses, fresh.report.misses, "every job is solved again");
+    for ((a, b), name) in fresh.estimates.iter().zip(&batch.estimates).zip(BENCHES) {
+        let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+        assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
+    }
+}
