@@ -2,7 +2,10 @@
 //! synthetic workload generator. For arbitrary programs, a
 //! write → reopen → replay cycle is bit-identical to a cold solve, and
 //! arbitrary damage to the file (truncation, bit flips) quarantines
-//! records and falls back to cold solving — it never alters a bound.
+//! records and falls back to cold solving — it never alters a bound. And
+//! for arbitrary interleavings of inserts, context changes, flushes and
+//! kills, reopening the journal yields exactly the entry set of the last
+//! flush, every entry replaying bit-identically.
 
 use ipet_bench::synth;
 use ipet_core::{
@@ -10,6 +13,7 @@ use ipet_core::{
     Analyzer,
 };
 use ipet_hw::Machine;
+use ipet_lp::{same_structure, IlpResolution, IlpStats, Problem};
 use ipet_pool::{PlanBatch, SolvePool};
 use ipet_store::{Store, StoreMode};
 use proptest::prelude::*;
@@ -48,8 +52,129 @@ fn run_with_store(plan: &AnalysisPlan, budget: &AnalysisBudget, store: &Arc<Stor
     pool.run_plans(std::slice::from_ref(plan), &budget.solve)
 }
 
+/// The `Exact` solves of `plan`'s jobs, one per distinct problem: the
+/// entries a journal test inserts.
+fn solved_entries(plan: &AnalysisPlan, budget: &AnalysisBudget) -> Vec<(Problem, IlpResolution)> {
+    let batch = SolvePool::new(1).run_plans(std::slice::from_ref(plan), &budget.solve);
+    let mut out: Vec<(Problem, IlpResolution)> = Vec::new();
+    for (job, outcome) in plan.jobs().iter().zip(&batch.report.outcomes) {
+        let exact = matches!(outcome.resolution, IlpResolution::Exact { .. });
+        if exact && !out.iter().any(|(p, _)| same_structure(p, &job.problem)) {
+            out.push((job.problem.clone(), outcome.resolution.clone()));
+        }
+    }
+    out
+}
+
+/// One step of a journal history. Identities and invalidation hashes come
+/// from small ranges so that contexts collide with inserted entries.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert {
+        entry: usize,
+        identity: u128,
+        invalidation: u128,
+    },
+    Context {
+        identity: u128,
+        invalidation: u128,
+    },
+    Flush,
+    /// Drop the store without flushing, as SIGKILL would, and reopen.
+    Kill,
+}
+
+/// Decodes a generated `(kind, entry, identity, invalidation)` tuple:
+/// inserts 4 in 9, contexts and flushes 2 in 9 each, kills 1 in 9.
+fn op((kind, entry, identity, invalidation): (u8, usize, u64, u64)) -> Op {
+    let (identity, invalidation) = (u128::from(identity), u128::from(invalidation));
+    match kind {
+        0..=3 => Op::Insert { entry, identity, invalidation },
+        4 | 5 => Op::Context { identity, invalidation },
+        6 | 7 => Op::Flush,
+        _ => Op::Kill,
+    }
+}
+
+/// The store's entry set, modelled: `(entry, identity, invalidation)`.
+type Model = Vec<(usize, u128, u128)>;
+
+/// Reopens `path` and checks it holds exactly `flushed`: the count, a
+/// bit-identical replay of every member, and no replay of anything else.
+fn check_reopened(
+    path: &std::path::Path,
+    entries: &[(Problem, IlpResolution)],
+    flushed: &Model,
+) -> Store {
+    let store = Store::open(path);
+    assert_eq!(store.stats().quarantined, 0);
+    assert_eq!(store.len(), flushed.len(), "reopen must yield the last flushed set");
+    for (e, (problem, res)) in entries.iter().enumerate() {
+        let key = ipet_lp::fingerprint(problem);
+        for identity in 1..3u128 {
+            for invalidation in 1..4u128 {
+                let replay = store.probe(key, identity, invalidation, problem);
+                if flushed.contains(&(e, identity, invalidation)) {
+                    let (got, _) = replay
+                        .unwrap_or_else(|| panic!("entry {e} ({identity}, {invalidation}) lost"));
+                    assert_eq!(format!("{got:?}"), format!("{res:?}"), "replay not bit-identical");
+                } else {
+                    assert!(replay.is_none(), "entry {e} ({identity}, {invalidation}) resurrected");
+                }
+            }
+        }
+    }
+    store
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random histories of inserts, context changes, flushes and kills:
+    /// every reopen yields exactly the entry set of the last flush.
+    #[test]
+    fn journal_reopens_to_the_last_flushed_entry_set(
+        seed in 0u64..500,
+        ops in prop::collection::vec((0u8..9, 0usize..64, 1u64..3, 1u64..4), 1..48),
+    ) {
+        let dir = scratch("journal");
+        let path = dir.join("solves.store");
+        let (plan, budget) = plan_for(seed);
+        let entries = solved_entries(&plan, &budget);
+        prop_assume!(!entries.is_empty());
+        let mut store = Store::open(&path);
+        let mut live: Model = Vec::new();
+        let mut flushed: Model = Vec::new();
+        for step in ops.into_iter().map(op) {
+            match step {
+                Op::Insert { entry, identity, invalidation } => {
+                    let e = entry % entries.len();
+                    let (problem, res) = &entries[e];
+                    let key = ipet_lp::fingerprint(problem);
+                    store.insert(key, identity, invalidation, problem, res, IlpStats::default());
+                    if !live.contains(&(e, identity, invalidation)) {
+                        live.push((e, identity, invalidation));
+                    }
+                }
+                Op::Context { identity, invalidation } => {
+                    store.note_context(identity, invalidation);
+                    live.retain(|&(_, id, inv)| id != identity || inv == invalidation);
+                }
+                Op::Flush => {
+                    store.flush().expect("flush");
+                    flushed = live.clone();
+                }
+                Op::Kill => {
+                    drop(store);
+                    store = check_reopened(&path, &entries, &flushed);
+                    live = flushed.clone();
+                }
+            }
+        }
+        store.flush().expect("final flush");
+        drop(store);
+        check_reopened(&path, &entries, &live);
+    }
 
     /// write → reopen → replay is bit-identical to the cold solve, with
     /// every answer actually coming from disk.

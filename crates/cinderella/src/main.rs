@@ -549,7 +549,7 @@ pub(crate) fn store_summary(store: &Store) -> String {
     let s = store.stats();
     format!(
         "store: mode={} loaded={} quarantined={} hits={} misses={} rejected={} \
-         invalidated={} flushes={} write_failed={}",
+         invalidated={} flushes={} appends={} compactions={} write_failed={}",
         store.mode().label(),
         s.loaded,
         s.quarantined,
@@ -558,6 +558,8 @@ pub(crate) fn store_summary(store: &Store) -> String {
         s.rejected,
         s.invalidated,
         s.flushes,
+        s.appends,
+        s.compactions,
         s.write_failed
     )
 }

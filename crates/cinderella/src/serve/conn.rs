@@ -331,7 +331,9 @@ fn serve_line(
     // Write-through, and strictly *before* the response lines go out: once
     // the client has seen this request's `done` line, its solves are
     // already durable. Concurrent connections' flushes are serialized by
-    // the store itself, and a replay that inserted nothing writes nothing.
+    // the store itself. A request that inserted or retired entries appends
+    // just those records to the journal (one `fdatasync`); a replay that
+    // changed nothing writes nothing.
     if let Some(store) = &daemon.store {
         if let Err(e) = store.flush() {
             eprintln!("cinderella: serve: store flush failed ({e}); continuing in memory");

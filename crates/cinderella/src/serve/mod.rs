@@ -54,19 +54,31 @@
 //!
 //! The store is flushed write-through for every request — before its
 //! response lines are written, so acknowledgment implies durability — and
-//! each flush is an atomic whole-file replacement, serialized across
-//! connections by the store itself. A flush rewrites the file only when
-//! the store is dirty (an insert or an invalidation since the last good
-//! write); a replay that added nothing still waits for any flush in
-//! flight, then returns without writing. Injected write faults
-//! (`--inject-fail-write N`, `--inject-torn-write N`) count writing
-//! flushes only, and a failed or torn write leaves the store dirty so the
-//! next flush repairs the file. Killing the daemon at any moment —
-//! including SIGKILL, which cannot be handled — therefore loses at most
-//! the in-flight requests' solves; everything acknowledged by a `done`
-//! line is already on disk. Solves cancelled by a watchdog or a vanished
-//! client are never persisted: their degradation is wall-clock
-//! nondeterminism, and the cache must stay deterministic.
+//! flushes are serialized across connections by the store itself. The
+//! store is an append-only journal: a flush that has something to write
+//! appends the request's new records (its fresh solves, and tombstones
+//! for entries its plan retired) with one `fdatasync`, and only an
+//! occasional compaction rewrites the file atomically. A replay that added
+//! nothing finds the store clean, waits for any flush in flight, and
+//! returns without writing. Injected write faults (`--inject-fail-write
+//! N`, `--inject-torn-write N`) count writing flushes only, and a failed or
+//! torn write schedules a compaction, so the next flush repairs the file.
+//! Killing the daemon at any moment — including SIGKILL, which cannot be
+//! handled — therefore loses at most the in-flight requests' solves;
+//! everything acknowledged by a `done` line is already on disk, and a torn
+//! final append is quarantined on the next open. Solves cancelled by a
+//! watchdog or a vanished client are never persisted: their degradation is
+//! wall-clock nondeterminism, and the cache must stay deterministic.
+//!
+//! ## Bounded memory
+//!
+//! The shared pool's solve cache and base-snapshot cache are LRU-bounded
+//! (`ipet_pool::SOLVE_CACHE_CAPACITY`, `ipet_pool::BASE_CACHE_CAPACITY`),
+//! so a daemon that serves edits forever holds its replay working set
+//! plus the most recent edits, and its memory stops growing once the
+//! caches are full. The `stats` op's `pool` object reports `evicted` and
+//! `bases_evicted`; its `store` object reports `appends` and
+//! `compactions`.
 
 mod admission;
 mod conn;
@@ -208,7 +220,8 @@ impl Daemon {
     }
 
     /// `{"op": "stats"}` response: serve counters, admission state, pool
-    /// cache tallies and the store summary.
+    /// cache tallies (with LRU evictions) and the store summary (with the
+    /// journal's appends and compactions).
     pub(crate) fn stats_line(&self) -> Json {
         let c = self.counters.snapshot();
         let cache = self.pool.cache_stats();
@@ -238,6 +251,8 @@ impl Daemon {
                     ("rejected".into(), Json::Num(s.rejected as f64)),
                     ("invalidated".into(), Json::Num(s.invalidated as f64)),
                     ("flushes".into(), Json::Num(s.flushes as f64)),
+                    ("appends".into(), Json::Num(s.appends as f64)),
+                    ("compactions".into(), Json::Num(s.compactions as f64)),
                     ("write_failed".into(), Json::Num(s.write_failed as f64)),
                 ])
             }
@@ -280,6 +295,8 @@ impl Daemon {
                             ("hits".into(), Json::Num(cache.hits as f64)),
                             ("misses".into(), Json::Num(cache.misses as f64)),
                             ("rejected".into(), Json::Num(cache.rejected as f64)),
+                            ("evicted".into(), Json::Num(cache.evicted as f64)),
+                            ("bases_evicted".into(), Json::Num(self.pool.bases_evicted() as f64)),
                         ]),
                     ),
                     ("solver".into(), solver_json),

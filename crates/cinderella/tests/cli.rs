@@ -265,8 +265,11 @@ fn cinderella_code(args: &[&str]) -> (i32, String, String) {
 /// Writes a fixture whose WCET ILP has a *fractional* LP root
 /// (`2*x4 <= 7` caps the loop body at 3.5 executions), so branch-and-bound
 /// genuinely has to branch — the lever the budget flags then squeeze.
-fn fractional_fixture() -> (String, String) {
-    let dir = std::env::temp_dir().join("cinderella-budget-test");
+/// Each caller names its own directory: tests run in parallel, and one
+/// rewriting a shared file could let another read it half-written.
+fn fractional_fixture(tag: &str) -> (String, String) {
+    let dir =
+        std::env::temp_dir().join(format!("cinderella-budget-test-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let src = dir.join("frac.mc");
     std::fs::write(
@@ -287,7 +290,7 @@ fn bound_upper(stdout: &str) -> u64 {
 
 #[test]
 fn node_budget_degrades_to_relaxed_bound_with_exit_code_2() {
-    let (src, ann) = fractional_fixture();
+    let (src, ann) = fractional_fixture("nodes");
     let (code, exact_out, stderr) = cinderella_code(&["analyze", &src, "--annotations", &ann]);
     assert_eq!(code, 0, "{stderr}");
     assert!(exact_out.contains("bound quality: exact"));
@@ -304,7 +307,7 @@ fn node_budget_degrades_to_relaxed_bound_with_exit_code_2() {
 
 #[test]
 fn zero_deadline_reports_partial_bound_with_exit_code_2() {
-    let (src, ann) = fractional_fixture();
+    let (src, ann) = fractional_fixture("deadline");
     let (code, stdout, stderr) =
         cinderella_code(&["analyze", &src, "--annotations", &ann, "--deadline", "0"]);
     assert_eq!(code, 2, "{stderr}");
@@ -315,7 +318,7 @@ fn zero_deadline_reports_partial_bound_with_exit_code_2() {
 
 #[test]
 fn no_degrade_turns_budget_exhaustion_into_a_hard_error() {
-    let (src, ann) = fractional_fixture();
+    let (src, ann) = fractional_fixture("no-degrade");
     let (code, _, stderr) = cinderella_code(&[
         "analyze",
         &src,

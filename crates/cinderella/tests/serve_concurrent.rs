@@ -8,6 +8,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ipet_trace::Json;
@@ -106,14 +107,53 @@ fn slow_request(id: u64, log2_sets: u64) -> String {
     )
 }
 
-/// 256 sets: seconds in a debug build, long enough to hold an in-flight
-/// slot while the test pokes the daemon from the side, for requests that
-/// must also run to an exact finish.
-const SLOW_SETS: u64 = 8;
+/// Daemon flags for every test that sends a slow request: one worker and
+/// no warm starts, so each constraint set costs a full cold solve on one
+/// core. That is the most wall time per byte of plan a request can buy
+/// (every set's problem is built before the first solve).
+const SLOW_FLAGS: [&str; 3] = ["--jobs", "1", "--no-warm-start"];
 
-/// 4096 sets: far beyond any timeout the tests use, for requests that are
-/// meant to be cancelled (over a second even in a release build).
-const ENDLESS_SETS: u64 = 12;
+/// Constraint sets per second a [`SLOW_FLAGS`] daemon gets through for
+/// [`slow_request`], planning included, measured once per test binary on
+/// a 256-set request. Release builds are an order of magnitude faster than
+/// debug builds, so a fixed set count is either too slow for one or too
+/// fast for the other.
+fn sets_per_second() -> f64 {
+    static RATE: OnceLock<f64> = OnceLock::new();
+    *RATE.get_or_init(|| {
+        let mut child = spawn_serve(&SLOW_FLAGS);
+        let mut stdin = child.stdin.take().unwrap();
+        let mut reader = BufReader::new(child.stdout.take().unwrap());
+        let t0 = Instant::now();
+        writeln!(stdin, "{}", slow_request(0, 8)).unwrap();
+        let (_, done) = read_response(&mut reader);
+        let elapsed = t0.elapsed().as_secs_f64();
+        assert_eq!(status_of(&done), 0, "the calibration request solves exactly: {done:?}");
+        drop(stdin);
+        assert_eq!(child.wait().unwrap().code(), Some(0));
+        256.0 / elapsed
+    })
+}
+
+/// `log2_sets` for a slow request expected to take `seconds` on a
+/// [`SLOW_FLAGS`] daemon. Capped at 4096 sets, whose plan alone takes
+/// over 100 MB.
+fn log2_sets_for(seconds: f64) -> u64 {
+    let sets = seconds * sets_per_second();
+    (sets.log2().ceil().max(4.0) as u64).min(12)
+}
+
+/// A request that holds an in-flight slot for about 1.5 s while the test
+/// pokes the daemon from the side, and still runs to an exact finish.
+fn slow_sets() -> u64 {
+    log2_sets_for(1.5)
+}
+
+/// A request meant to be cancelled: about 3 s, six times the watchdog
+/// timeout the tests use.
+fn endless_sets() -> u64 {
+    log2_sets_for(3.0)
+}
 
 #[test]
 fn overload_sheds_with_a_typed_response_and_ops_bypass_admission() {
@@ -126,12 +166,15 @@ fn overload_sheds_with_a_typed_response_and_ops_bypass_admission() {
         "1",
         "--max-queue",
         "0",
+        SLOW_FLAGS[0],
+        SLOW_FLAGS[1],
+        SLOW_FLAGS[2],
     ]);
     wait_for_socket(&sock);
 
     // Connection A occupies the single in-flight slot with a slow solve.
     let (mut slow_conn, mut slow_reader) = connect(&sock);
-    writeln!(slow_conn, "{}", slow_request(1, SLOW_SETS)).unwrap();
+    writeln!(slow_conn, "{}", slow_request(1, slow_sets())).unwrap();
     wait_for_stats(&sock, "an in-flight request", |s| counter(s, "admission", "in_flight") >= 1);
 
     // Health answers while the daemon is saturated: ops bypass admission.
@@ -199,13 +242,14 @@ fn oversized_request_line_is_refused_and_the_connection_survives() {
 
 #[test]
 fn watchdog_timeout_degrades_to_a_safe_bound_and_keeps_serving() {
-    let mut child = spawn_serve(&["--timeout-ms", "500"]);
+    let mut child =
+        spawn_serve(&["--timeout-ms", "500", SLOW_FLAGS[0], SLOW_FLAGS[1], SLOW_FLAGS[2]]);
     let mut stdin = child.stdin.take().unwrap();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
 
-    // The slow request cannot finish in 500ms: the watchdog cancels it and
+    // The slow request cannot finish in 500 ms: the watchdog cancels it and
     // the request answers with a certified-safe degraded bound.
-    writeln!(stdin, "{}", slow_request(1, ENDLESS_SETS)).unwrap();
+    writeln!(stdin, "{}", slow_request(1, endless_sets())).unwrap();
     let (_, done) = read_response(&mut reader);
     assert_eq!(status_of(&done), 2, "{done:?}");
     assert_eq!(done.get("cancelled"), Some(&Json::Bool(true)), "{done:?}");
@@ -229,14 +273,20 @@ fn watchdog_timeout_degrades_to_a_safe_bound_and_keeps_serving() {
 fn client_disconnect_cancels_the_inflight_solve() {
     let dir = scratch("gone");
     let sock = dir.join("serve.sock");
-    let mut child = spawn_serve(&["--socket", sock.to_str().unwrap()]);
+    let mut child = spawn_serve(&[
+        "--socket",
+        sock.to_str().unwrap(),
+        SLOW_FLAGS[0],
+        SLOW_FLAGS[1],
+        SLOW_FLAGS[2],
+    ]);
     wait_for_socket(&sock);
 
     // Start a slow solve, then vanish: the daemon must notice, cancel the
     // request instead of computing into a dead pipe, and keep serving.
     {
         let (mut conn, _reader) = connect(&sock);
-        writeln!(conn, "{}", slow_request(1, ENDLESS_SETS)).unwrap();
+        writeln!(conn, "{}", slow_request(1, endless_sets())).unwrap();
         wait_for_stats(&sock, "the in-flight request", |s| {
             counter(s, "admission", "in_flight") >= 1
         });
@@ -312,13 +362,16 @@ fn requests_queue_behind_the_inflight_ceiling_and_run_in_turn() {
         "1",
         "--max-queue",
         "8",
+        SLOW_FLAGS[0],
+        SLOW_FLAGS[1],
+        SLOW_FLAGS[2],
     ]);
     wait_for_socket(&sock);
 
     // One slow request holds the slot; several fast ones queue behind it
     // and must all be answered (not shed — the queue has room).
     let (mut slow_conn, mut slow_reader) = connect(&sock);
-    writeln!(slow_conn, "{}", slow_request(0, SLOW_SETS)).unwrap();
+    writeln!(slow_conn, "{}", slow_request(0, slow_sets())).unwrap();
     wait_for_stats(&sock, "an in-flight request", |s| counter(s, "admission", "in_flight") >= 1);
 
     let waiters: Vec<_> = (1..=3)

@@ -27,12 +27,22 @@
 //!    solved fresh, so a cache defect can cost time but never an unsound
 //!    bound. Successful re-certifications count `audit.cache.recertified`;
 //!    failures count `audit.cache.rejected`.
+//!
+//! ## Bounded: LRU by last use
+//!
+//! The cache holds at most a fixed number of entries
+//! ([`SOLVE_CACHE_CAPACITY`]). An insert beyond it evicts the entry whose
+//! last insert or hit is oldest (`pool.cache.evicted`). Eviction can cost
+//! a re-solve, never an answer: every replay is re-certified above, and
+//! optima are canonical, so a re-solve returns the evicted answer bit for
+//! bit. Probes and inserts run serially in the pool's batch driver, so
+//! which entry goes is as deterministic as the hit/miss counts.
 
 use ipet_audit::{certify_witness, ClaimKind};
 use ipet_lp::{
     fingerprint, round_claimed, same_structure, Fingerprint, IlpResolution, IlpStats, Problem,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -58,27 +68,90 @@ pub struct CacheStats {
     pub misses: u64,
     /// Fingerprint matches refused by the structural/witness gates.
     pub rejected: u64,
+    /// Entries dropped to stay within capacity (least recently used first).
+    pub evicted: u64,
 }
+
+/// Entries a [`SolveCache`] keeps. Sized from measured entry sizes (about
+/// 13 KB on average over serve-style suite edits): a `--infer` pass over
+/// the 13 suite routines leaves 45 entries, the largest in-repo batch
+/// run, and an edit adds 2.6 on average, so a serve daemon keeps its
+/// replay working set plus roughly the last 180 edits, in about 7 MB.
+pub const SOLVE_CACHE_CAPACITY: usize = 512;
 
 struct CacheEntry {
     problem: Problem,
     resolution: IlpResolution,
     stats: IlpStats,
+    /// Recency stamp: the key of this entry in `Lru::recency`.
+    stamp: u64,
 }
 
-/// A thread-safe map from problem fingerprints to validated solve results.
+/// The buckets plus a recency index. Stamps are unique and increase with
+/// every insert and hit, so the first entry of `recency` is the least
+/// recently used.
 #[derive(Default)]
+struct Lru {
+    buckets: HashMap<u128, Vec<CacheEntry>>,
+    recency: BTreeMap<u64, u128>,
+    next_stamp: u64,
+}
+
+/// Takes the next recency stamp and records that it belongs to `key`.
+fn take_stamp(recency: &mut BTreeMap<u64, u128>, next_stamp: &mut u64, key: u128) -> u64 {
+    let stamp = *next_stamp;
+    *next_stamp += 1;
+    recency.insert(stamp, key);
+    stamp
+}
+
+impl Lru {
+    /// Drops the least recently used entry.
+    fn evict_oldest(&mut self) {
+        let Some((stamp, key)) = self.recency.pop_first() else {
+            return;
+        };
+        let bucket = self.buckets.get_mut(&key).expect("recency names a live bucket");
+        bucket.retain(|e| e.stamp != stamp);
+        if bucket.is_empty() {
+            self.buckets.remove(&key);
+        }
+    }
+}
+
+/// A thread-safe, LRU-bounded map from problem fingerprints to validated
+/// solve results.
 pub struct SolveCache {
-    buckets: Mutex<HashMap<u128, Vec<CacheEntry>>>,
+    lru: Mutex<Lru>,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
+    evicted: AtomicU64,
+}
+
+impl Default for SolveCache {
+    fn default() -> SolveCache {
+        SolveCache::with_capacity(SOLVE_CACHE_CAPACITY)
+    }
 }
 
 impl SolveCache {
-    /// An empty cache.
+    /// An empty cache of [`SOLVE_CACHE_CAPACITY`] entries.
     pub fn new() -> SolveCache {
         SolveCache::default()
+    }
+
+    /// An empty cache that keeps at most `capacity` entries (at least 1).
+    fn with_capacity(capacity: usize) -> SolveCache {
+        SolveCache {
+            lru: Mutex::new(Lru::default()),
+            capacity: capacity.max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+        }
     }
 
     /// Cumulative statistics over the cache's lifetime.
@@ -87,7 +160,13 @@ impl SolveCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
         }
+    }
+
+    /// Entries held now (at most the capacity).
+    pub(crate) fn len(&self) -> usize {
+        self.lru.lock().expect("cache lock").recency.len()
     }
 
     /// Computes the cache key of `problem`.
@@ -98,11 +177,13 @@ impl SolveCache {
     /// Looks up a validated replay for `problem`, updating hit/reject
     /// telemetry. Returns `None` (counting nothing — the caller records the
     /// miss on insert) when no entry passes both gates.
+    /// A hit makes the entry the most recently used.
     pub fn probe(&self, key: Fingerprint, problem: &Problem) -> Option<(IlpResolution, IlpStats)> {
-        let buckets = self.buckets.lock().expect("cache lock");
-        let bucket = buckets.get(&key.0)?;
+        let mut guard = self.lru.lock().expect("cache lock");
+        let Lru { buckets, recency, next_stamp } = &mut *guard;
+        let bucket = buckets.get_mut(&key.0)?;
         let mut near_hit = false;
-        for entry in bucket {
+        for entry in bucket.iter_mut() {
             if !same_structure(&entry.problem, problem) {
                 near_hit = true;
                 continue;
@@ -124,6 +205,8 @@ impl SolveCache {
                 ipet_trace::counter("audit.cache.recertified", 1);
             }
             self.hits.fetch_add(1, Ordering::Relaxed);
+            recency.remove(&entry.stamp);
+            entry.stamp = take_stamp(recency, next_stamp, key.0);
             return Some((entry.resolution.clone(), entry.stats));
         }
         if near_hit {
@@ -132,7 +215,8 @@ impl SolveCache {
         None
     }
 
-    /// Inserts a fresh solve result and counts the miss that caused it.
+    /// Inserts a fresh solve result and counts the miss that caused it,
+    /// evicting the least recently used entry when the cache is full.
     pub fn insert(
         &self,
         key: Fingerprint,
@@ -141,11 +225,19 @@ impl SolveCache {
         stats: IlpStats,
     ) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut buckets = self.buckets.lock().expect("cache lock");
-        buckets.entry(key.0).or_default().push(CacheEntry {
+        let mut lru = self.lru.lock().expect("cache lock");
+        if lru.recency.len() >= self.capacity {
+            lru.evict_oldest();
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            ipet_trace::counter("pool.cache.evicted", 1);
+        }
+        let lru = &mut *lru;
+        let stamp = take_stamp(&mut lru.recency, &mut lru.next_stamp, key.0);
+        lru.buckets.entry(key.0).or_default().push(CacheEntry {
             problem: problem.clone(),
             resolution: resolution.clone(),
             stats,
+            stamp,
         });
     }
 
@@ -182,7 +274,37 @@ mod tests {
         cache.insert(key, &p, &res, IlpStats::default());
         let (replayed, _) = cache.probe(key, &p).expect("hit");
         assert_eq!(replayed, res);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, rejected: 0 });
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, rejected: 0, evicted: 0 });
+    }
+
+    #[test]
+    fn a_full_cache_evicts_the_least_recently_used_entry() {
+        let cache = SolveCache::with_capacity(2);
+        let problem = |rhs: f64| {
+            let mut b = ProblemBuilder::new(Sense::Maximize);
+            let x = b.add_var("x", true);
+            b.objective(x, 1.0);
+            b.constraint(vec![(x, 1.0)], Relation::Le, rhs);
+            b.build()
+        };
+        let (a, b, c) = (problem(1.0), problem(2.0), problem(3.0));
+        let solve = |p: &Problem, v: f64| {
+            cache.insert(
+                SolveCache::key(p),
+                p,
+                &IlpResolution::Exact { x: vec![v], value: v },
+                IlpStats::default(),
+            )
+        };
+        solve(&a, 1.0);
+        solve(&b, 2.0);
+        // A hit makes `a` the most recently used, so `c` evicts `b`.
+        assert!(cache.probe(SolveCache::key(&a), &a).is_some());
+        solve(&c, 3.0);
+        assert_eq!((cache.len(), cache.stats().evicted), (2, 1));
+        assert!(cache.probe(SolveCache::key(&b), &b).is_none());
+        assert!(cache.probe(SolveCache::key(&a), &a).is_some());
+        assert!(cache.probe(SolveCache::key(&c), &c).is_some());
     }
 
     #[test]

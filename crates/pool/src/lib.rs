@@ -24,7 +24,7 @@
 //! accepted only when provably bit-identical to a cold solve, so none of
 //! the properties below are weakened.
 //!
-//! Three properties are load-bearing and tested:
+//! These properties are load-bearing and tested:
 //!
 //! * **Determinism** — bounds, qualities, report ordering and cache
 //!   hit/miss counts are bit-for-bit identical for any worker count. With
@@ -36,6 +36,10 @@
 //!   equality passes and the cached witness *re-certifies* against the
 //!   probe problem in exact integer arithmetic (the `cache` module docs); a
 //!   cache defect can cost time, never an unsound bound.
+//! * **Bounded memory** — the solve cache and the base-snapshot cache are
+//!   LRU-bounded ([`SOLVE_CACHE_CAPACITY`], [`BASE_CACHE_CAPACITY`]), so a
+//!   long-lived pool (a serve daemon) stops growing once they are full.
+//!   Eviction can cost a re-solve, never an answer.
 //! * **Budget accounting** — per-worker tick spend is reported, and the
 //!   shared [`BudgetMeter`](ipet_lp::BudgetMeter) semantics guarantee at
 //!   most one charge of overshoot per worker.
@@ -60,5 +64,7 @@
 mod cache;
 mod pool;
 
-pub use cache::{CacheOutcome, CacheStats, SolveCache};
-pub use pool::{AuditedPlanBatch, BatchReport, JobOutcome, PlanBatch, SolvePool};
+pub use cache::{CacheOutcome, CacheStats, SolveCache, SOLVE_CACHE_CAPACITY};
+pub use pool::{
+    AuditedPlanBatch, BatchReport, JobOutcome, PlanBatch, SolvePool, BASE_CACHE_CAPACITY,
+};

@@ -12,7 +12,7 @@ use ipet_lp::{
 };
 use ipet_store::Store;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Answer for one job of a batch.
@@ -144,6 +144,14 @@ fn certify_exact(problem: &Problem, x: &[f64], claimed: i64) -> bool {
     certify_witness(problem, x, claimed, ClaimKind::Equal).is_ok()
 }
 
+/// Base snapshots a pool keeps. A snapshot holds the base LP's optimal
+/// factorization and is the pool's largest item (about 34 KB on average
+/// over serve-style suite edits). A `--infer` pass over the 13 suite
+/// routines needs 34, the largest in-repo batch run, and a serve edit adds
+/// two (its constraint lands in the base), so a daemon keeps its replay
+/// working set plus roughly the last 47 edits, in about 4 MB.
+pub const BASE_CACHE_CAPACITY: usize = 128;
+
 /// A base LP solved once, kept for reuse across jobs, plans and batches.
 struct BaseEntry {
     fingerprint: Fingerprint,
@@ -193,8 +201,12 @@ pub struct SolvePool {
     cache: SolveCache,
     /// Base LP snapshots keyed by base fingerprint, validated by exact
     /// problem equality: a snapshot is raw simplex state and only
-    /// transfers between *identical* problems.
+    /// transfers between *identical* problems. Ordered from least to most
+    /// recently used and capped at [`BASE_CACHE_CAPACITY`]; eviction only
+    /// costs the evicted base a re-solve.
     bases: Mutex<Vec<BaseEntry>>,
+    /// Base snapshots evicted to stay within capacity.
+    bases_evicted: AtomicU64,
     /// Fault template for test harnesses: re-armed (cloned) for each
     /// representative solve, so e.g. `panic_at(0)` panics every
     /// representative's first attempt deterministically.
@@ -222,6 +234,7 @@ impl SolvePool {
             workers: workers.max(1),
             cache: SolveCache::new(),
             bases: Mutex::new(Vec::new()),
+            bases_evicted: AtomicU64::new(0),
             faults,
             store: None,
         }
@@ -248,6 +261,18 @@ impl SolvePool {
     /// Cumulative cache statistics across every batch this pool ran.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Base snapshots evicted from the pool's LRU base cache so far.
+    pub fn bases_evicted(&self) -> u64 {
+        self.bases_evicted.load(Ordering::Relaxed)
+    }
+
+    /// Entries held now: `(solve cache entries, base snapshots)`, at most
+    /// [`SOLVE_CACHE_CAPACITY`](crate::SOLVE_CACHE_CAPACITY) and
+    /// [`BASE_CACHE_CAPACITY`].
+    pub fn cache_sizes(&self) -> (usize, usize) {
+        (self.cache.len(), self.bases.lock().expect("base cache lock").len())
     }
 
     /// Solves a batch of bare problems under `budget`, returning per-job
@@ -307,7 +332,8 @@ impl SolvePool {
     }
 
     /// Resolves `base` to a slot in the batch's snapshot table, solving its
-    /// LP once and caching the snapshot in the pool on first sight.
+    /// LP once and caching the snapshot in the pool on first sight (a hit
+    /// makes it the most recently used; a full cache evicts the least).
     /// Returns `None` when the base is not warm-startable (its jobs then
     /// solve cold). Base-solve pivots are charged to `meter`.
     fn base_slot<'a>(
@@ -319,14 +345,22 @@ impl SolvePool {
         let mut cache = self.bases.lock().expect("base cache lock");
         let cached = cache
             .iter()
-            .find(|e| e.fingerprint == base.fingerprint() && e.problem == *base.problem());
+            .position(|e| e.fingerprint == base.fingerprint() && e.problem == *base.problem());
         let solution = match cached {
-            Some(entry) => {
+            Some(i) => {
                 ipet_trace::counter("pool.cache.base_hits", 1);
-                entry.solution.clone()
+                let entry = cache.remove(i);
+                let solution = entry.solution.clone();
+                cache.push(entry);
+                solution
             }
             None => {
                 let solution = base.solve_base(meter)?;
+                if cache.len() >= BASE_CACHE_CAPACITY {
+                    cache.remove(0);
+                    self.bases_evicted.fetch_add(1, Ordering::Relaxed);
+                    ipet_trace::counter("pool.cache.bases_evicted", 1);
+                }
                 cache.push(BaseEntry {
                     fingerprint: base.fingerprint(),
                     problem: base.problem().clone(),

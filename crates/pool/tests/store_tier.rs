@@ -236,3 +236,37 @@ fn entries_under_another_content_hash_retire_and_re_solve_cold() {
         assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
     }
 }
+
+/// A store written by the whole-file format that preceded the journal
+/// (`cinderella analyze check_data piksrt --store`): the header, then
+/// sorted solve records. It must load as it is, replay, and grow by
+/// appends without being rewritten.
+#[test]
+fn a_store_in_the_whole_file_format_replays_and_grows_by_appends() {
+    let fixture = include_bytes!("data/check_data-piksrt.v2.store");
+    let dir = scratch("v2fixture");
+    let path = dir.join("solves.store");
+    std::fs::write(&path, fixture).expect("copy fixture");
+    let budget = AnalysisBudget::default();
+    let store = Arc::new(Store::open(&path));
+    assert_eq!((store.stats().loaded, store.stats().quarantined), (6, 0));
+
+    let pool = SolvePool::new(1).with_store(Arc::clone(&store));
+    let replay = pool.run_plans(&plans_for(&["check_data", "piksrt"], &budget), &budget.solve);
+    assert_eq!(replay.report.misses, 0, "every answer comes from the fixture");
+    assert_eq!(store.stats().hits, 6);
+    store.flush().expect("clean flush");
+    assert_eq!(store.stats().flushes, 0, "replays leave the file alone");
+
+    let fresh = pool.run_plans(&plans_for(&["dhry"], &budget), &budget.solve);
+    assert!(fresh.report.misses > 0);
+    store.flush().expect("append");
+    assert_eq!((store.stats().appends, store.stats().compactions), (1, 0));
+    let grown = std::fs::read(&path).expect("read");
+    assert_eq!(&grown[..fixture.len()], &fixture[..], "the old image is kept byte for byte");
+    let total = store.len() as u64;
+    drop(pool);
+    drop(store);
+    let reopened = Store::open(&path);
+    assert_eq!((reopened.stats().loaded, reopened.stats().quarantined), (total, 0));
+}

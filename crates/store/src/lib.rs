@@ -18,22 +18,39 @@
 //! A flipped bit anywhere can therefore cost a cold solve, never a wrong
 //! bound.
 //!
-//! ## Crash safety: atomic whole-file flushes
+//! ## Crash safety: an append-only journal
 //!
-//! [`Store::flush`] serializes every live entry to `<path>.tmp`, fsyncs,
-//! and atomically renames over `<path>`. Readers therefore observe either
-//! the old complete file or the new complete file; a crash (even SIGKILL)
-//! mid-flush leaves at worst a stale `.tmp` that the next flush overwrites.
-//! Entry payloads are sorted before writing so the bytes are a pure
-//! function of the entry set — two runs that solved the same problems
-//! produce byte-identical store files.
+//! The file is the magic header followed by checksummed records, applied
+//! in file order on open: a *solve* record inserts an entry (with
+//! [`Store::insert`]'s dedup), and a *context* record — a tombstone,
+//! written when [`Store::note_context`] actually drops entries — drops the
+//! named program's entries under any other invalidation hash. Reopening
+//! therefore yields exactly the entry set of the last good flush.
 //!
-//! A flush writes only when the store is *dirty*: it starts dirty (so the
-//! first flush rewrites the file and drops any quarantined records), and an
-//! insert or an invalidating [`Store::note_context`] makes it dirty again.
-//! A failed or damaged write leaves it dirty, so the next flush repairs
-//! the file. A clean flush still waits for any flush in progress, so its
-//! `Ok` keeps meaning "everything inserted so far is on disk".
+//! A writing [`Store::flush`] appends only the records added since the
+//! last good flush, sorted by payload bytes (tombstones first), in one
+//! write followed by one `fdatasync`. A crash mid-append leaves a torn
+//! tail that the next open's checksums catch and quarantine. Appends are
+//! what keep a flush O(edit): on a disk mounted with `discard`, replacing
+//! a file (rename-over or truncate-and-rewrite) costs ~50 ms where an
+//! append plus `fdatasync` costs ~0.06 ms.
+//!
+//! **Compaction** rewrites the sorted live image to `<path>.tmp`, fsyncs
+//! it, renames it over `<path>` and fsyncs the directory, so readers see
+//! either the old complete file or the new one. It runs on the first
+//! writing flush when the file is absent or its open scan quarantined
+//! anything (nothing is ever appended after a torn or unframed tail),
+//! after any failed, torn or corrupted write, and when dead bytes
+//! (superseded, dropped or tombstone records) exceed
+//! `max(live bytes, COMPACT_FLOOR_BYTES)` — which keeps the file within
+//! twice the live bytes plus the floor. A compacted file's bytes are a
+//! pure function of the entry set.
+//!
+//! A flush writes only when the store is *dirty*: records are waiting, or
+//! a compaction is due. A failed or damaged write schedules a compaction,
+//! so the next flush repairs the file. A clean flush still waits for any
+//! flush in progress, so its `Ok` keeps meaning "everything inserted so
+//! far is on disk".
 //!
 //! ## Degraded modes, never errors
 //!
@@ -77,8 +94,21 @@ pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v2\0\0\0";
 /// treated as lost framing (the rest of the file is quarantined).
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-/// Record payload tags.
+/// Record payload tags. A context record's tag sorts before a solve
+/// record's, so an append's tombstones precede its inserts (see
+/// [`Store::flush`]).
+const TAG_CONTEXT: u8 = 0;
 const TAG_SOLVE: u8 = 1;
+
+/// Dead bytes a journal may carry before a flush compacts it, when that
+/// is more than its live bytes. Sized for `cinderella serve`'s edit loop,
+/// where every edit's records die at the next replay: an edit session
+/// appends about 20 KB, so a compaction (~50 ms on a `discard` mount)
+/// comes once per ~200 sessions, well under 1 % of writing flushes.
+pub const COMPACT_FLOOR_BYTES: u64 = 4 << 20;
+
+/// Bytes of a record's frame: `[u32 len][u32 crc]`.
+const FRAME_BYTES: u64 = 8;
 
 /// How the store is operating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +151,12 @@ pub struct StoreStats {
     pub rejected: u64,
     /// Entries dropped because their invalidation hash went stale.
     pub invalidated: u64,
-    /// Successful flushes to disk.
+    /// Successful flushes to disk (appends plus compactions).
     pub flushes: u64,
+    /// Successful flushes that appended to the journal.
+    pub appends: u64,
+    /// Successful flushes that rewrote the whole file (compactions).
+    pub compactions: u64,
     /// Flushes that failed (IO error or injected write fault).
     pub write_failed: u64,
     /// Opens that degraded to [`StoreMode::InMemory`].
@@ -141,13 +175,88 @@ struct StoreEntry {
     x: Vec<f64>,
     value: f64,
     stats: IlpStats,
+    /// Insertion sequence number: names the entry in `Inner::pending`.
+    seq: u64,
+    /// Framed size of the entry's solve record.
+    bytes: u64,
+}
+
+/// A record waiting for the next writing flush.
+enum Pending {
+    /// A solve record; appended only if entry `(key, seq)` is still live.
+    Solve { key: u128, seq: u64, payload: Vec<u8> },
+    /// A context tombstone.
+    Context(Vec<u8>),
 }
 
 struct Inner {
     entries: HashMap<u128, Vec<StoreEntry>>,
     faults: SolverFaults,
-    /// True when the file on disk may not hold exactly `entries`.
-    dirty: bool,
+    /// Records added since the last good flush, oldest first.
+    pending: Vec<Pending>,
+    /// The next writing flush must rewrite the whole file.
+    compact: bool,
+    next_seq: u64,
+    /// Length of the file as the last good flush (or the open scan) left it.
+    file_bytes: u64,
+    /// Framed bytes of the live entries' solve records.
+    live_bytes: u64,
+}
+
+impl Inner {
+    fn live_count(&self) -> usize {
+        self.entries.values().map(Vec::len).sum()
+    }
+
+    fn is_live(&self, key: u128, seq: u64) -> bool {
+        self.entries.get(&key).is_some_and(|b| b.iter().any(|e| e.seq == seq))
+    }
+
+    /// Adds `entry` unless a duplicate is live. Returns whether it was added.
+    fn add(&mut self, entry: StoreEntry) -> bool {
+        let bucket = self.entries.entry(entry.key).or_default();
+        let duplicate = bucket.iter().any(|e| {
+            e.identity == entry.identity
+                && e.invalidation == entry.invalidation
+                && same_structure(&e.problem, &entry.problem)
+        });
+        if duplicate {
+            return false;
+        }
+        self.live_bytes += entry.bytes;
+        bucket.push(entry);
+        true
+    }
+
+    /// Drops the entries of program `identity` under any invalidation hash
+    /// but `invalidation`; returns how many went.
+    fn drop_stale(&mut self, identity: u128, invalidation: u128) -> u64 {
+        let mut dropped = 0u64;
+        let mut freed = 0u64;
+        for bucket in self.entries.values_mut() {
+            bucket.retain(|e| {
+                let stale = e.identity == identity && e.invalidation != invalidation;
+                if stale {
+                    dropped += 1;
+                    freed += e.bytes;
+                }
+                !stale
+            });
+        }
+        if dropped > 0 {
+            self.entries.retain(|_, b| !b.is_empty());
+            self.live_bytes -= freed;
+        }
+        dropped
+    }
+
+    /// Every live entry's solve record, sorted: the compacted image.
+    fn live_image(&self) -> Vec<Vec<u8>> {
+        let mut payloads: Vec<Vec<u8>> =
+            self.entries.values().flat_map(|b| b.iter().map(encode_entry)).collect();
+        payloads.sort_unstable();
+        payloads
+    }
 }
 
 /// A thread-safe persistent solve store. See the crate docs for the trust
@@ -157,11 +266,12 @@ pub struct Store {
     lock_path: Option<PathBuf>,
     mode: StoreMode,
     inner: Mutex<Inner>,
-    /// Serializes whole flushes (snapshot + atomic rewrite) across threads.
-    /// `inner` alone is not enough: two concurrent flushes could encode
-    /// different snapshots and rename them in the *opposite* order, letting
-    /// an older image overwrite a newer one — losing entries whose
-    /// acknowledgment already implied durability.
+    /// Serializes whole flushes (snapshot + append or rewrite) across
+    /// threads. `inner` alone is not enough: two concurrent flushes could
+    /// take different snapshots and write them in the *opposite* order —
+    /// an older image renamed over a newer one, or appends whose tombstones
+    /// and inserts land out of order — losing entries whose acknowledgment
+    /// already implied durability.
     flush_lock: Mutex<()>,
     loaded: AtomicU64,
     quarantined: AtomicU64,
@@ -170,6 +280,8 @@ pub struct Store {
     rejected: AtomicU64,
     invalidated: AtomicU64,
     flushes: AtomicU64,
+    appends: AtomicU64,
+    compactions: AtomicU64,
     write_failed: AtomicU64,
     open_failed: AtomicU64,
     lock_busy: AtomicU64,
@@ -218,6 +330,7 @@ impl Store {
         store.path = Some(path.clone());
         match fs::read(&path) {
             Ok(bytes) => store.load_scan(&bytes),
+            // Absent: the first writing flush creates it by compaction.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(_) => {
                 // Lock taken but the file itself is unreadable: keep the
@@ -239,7 +352,15 @@ impl Store {
             path: None,
             lock_path: None,
             mode: StoreMode::InMemory,
-            inner: Mutex::new(Inner { entries: HashMap::new(), faults, dirty: true }),
+            inner: Mutex::new(Inner {
+                entries: HashMap::new(),
+                faults,
+                pending: Vec::new(),
+                compact: true,
+                next_seq: 0,
+                file_bytes: 0,
+                live_bytes: 0,
+            }),
             flush_lock: Mutex::new(()),
             loaded: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -248,6 +369,8 @@ impl Store {
             rejected: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
+            appends: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
             write_failed: AtomicU64::new(0),
             open_failed: AtomicU64::new(0),
             lock_busy: AtomicU64::new(0),
@@ -275,6 +398,8 @@ impl Store {
             rejected: self.rejected.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
             write_failed: self.write_failed.load(Ordering::Relaxed),
             open_failed: self.open_failed.load(Ordering::Relaxed),
             lock_busy: self.lock_busy.load(Ordering::Relaxed),
@@ -284,8 +409,7 @@ impl Store {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("store lock");
-        inner.entries.values().map(Vec::len).sum()
+        self.inner.lock().expect("store lock").live_count()
     }
 
     /// True when the store holds no entries.
@@ -293,24 +417,24 @@ impl Store {
         self.len() == 0
     }
 
+    /// `(live, file)`: the framed bytes of the live entries' records, and
+    /// the length of the file as the last good flush left it. Their gap
+    /// (less the header) is the journal's dead weight.
+    #[cfg(test)]
+    fn journal_bytes(&self) -> (u64, u64) {
+        let inner = self.inner.lock().expect("store lock");
+        (inner.live_bytes, inner.file_bytes)
+    }
+
     /// Declares the current analysis context: entries for the same program
     /// identity whose invalidation hash no longer matches are dropped (the
-    /// input they were computed from has changed).
+    /// input they were computed from has changed), and a tombstone is
+    /// queued so the drop reaches disk.
     pub fn note_context(&self, identity: u128, invalidation: u128) {
         let mut inner = self.inner.lock().expect("store lock");
-        let mut dropped = 0u64;
-        for bucket in inner.entries.values_mut() {
-            bucket.retain(|e| {
-                let stale = e.identity == identity && e.invalidation != invalidation;
-                if stale {
-                    dropped += 1;
-                }
-                !stale
-            });
-        }
-        inner.entries.retain(|_, b| !b.is_empty());
+        let dropped = inner.drop_stale(identity, invalidation);
         if dropped > 0 {
-            inner.dirty = true;
+            inner.pending.push(Pending::Context(encode_context(identity, invalidation)));
             self.invalidated.fetch_add(dropped, Ordering::Relaxed);
             ipet_trace::counter("store.invalidated", dropped);
         }
@@ -378,16 +502,8 @@ impl Store {
             return;
         };
         let mut inner = self.inner.lock().expect("store lock");
-        let bucket = inner.entries.entry(key.0).or_default();
-        let duplicate = bucket.iter().any(|e| {
-            e.identity == identity
-                && e.invalidation == invalidation
-                && same_structure(&e.problem, problem)
-        });
-        if duplicate {
-            return;
-        }
-        bucket.push(StoreEntry {
+        let seq = inner.next_seq;
+        let mut entry = StoreEntry {
             key: key.0,
             identity,
             invalidation,
@@ -395,24 +511,40 @@ impl Store {
             x: x.clone(),
             value: *value,
             stats,
-        });
-        inner.dirty = true;
+            seq,
+            bytes: 0,
+        };
+        let payload = encode_entry(&entry);
+        entry.bytes = FRAME_BYTES + payload.len() as u64;
+        if inner.add(entry) {
+            inner.next_seq += 1;
+            inner.pending.push(Pending::Solve { key: key.0, seq, payload });
+        }
     }
 
-    /// Persists every live entry with a whole-file atomic rewrite: encode,
-    /// write `<path>.tmp`, fsync, rename. No-op outside
+    /// Makes everything inserted so far durable. No-op outside
     /// [`StoreMode::ReadWrite`], and writes nothing when the store is clean
-    /// (see the crate docs). Injected IO faults fire here — the N-th
-    /// *writing* flush — and are reported as errors (fail) or silently
-    /// persisted damage (torn / corrupt) for recovery tests.
+    /// (see the crate docs). A writing flush appends the waiting records —
+    /// solve records of entries still live, and tombstones — sorted by
+    /// payload bytes in one write plus `fdatasync`, or compacts (atomic
+    /// whole-file rewrite) when one is due. Injected IO faults fire here —
+    /// the N-th *writing* flush — and are reported as errors (fail) or
+    /// silently persisted damage (torn / corrupt) for recovery tests; each
+    /// schedules a compaction.
+    ///
+    /// The sort puts an append's tombstones before its solve records. That
+    /// is sound: tombstones commute with each other (two for one program
+    /// under different hashes drop all of its entries, in either order),
+    /// every appended solve record names an entry live *now*, so no
+    /// tombstone in the batch was meant to drop it, and the entries from
+    /// earlier flushes see the same tombstones in any order.
     ///
     /// Concurrent flushes are serialized end to end (`flush_lock`): each
     /// snapshot reaches disk in the order it was taken, so a flush that
-    /// returned `Ok` can never be overwritten by an older image racing
-    /// through the rename. The clean check happens under the same lock, so
-    /// a clean flush returns only after any in-flight write has finished.
-    /// Inserts stay concurrent — only the snapshot-encode step briefly
-    /// holds the entry lock.
+    /// returned `Ok` can never be undone by an older snapshot. The clean
+    /// check happens under the same lock, so a clean flush returns only
+    /// after any in-flight write has finished. Inserts stay concurrent —
+    /// only the snapshot step briefly holds the entry lock.
     pub fn flush(&self) -> Result<(), String> {
         if self.mode != StoreMode::ReadWrite {
             return Ok(());
@@ -420,60 +552,87 @@ impl Store {
         let path = self.path.clone().expect("ReadWrite store has a path");
         let _serialize = self.flush_lock.lock().expect("flush lock");
         let mut inner = self.inner.lock().expect("store lock");
-        if !inner.dirty {
+        if inner.pending.is_empty() && !inner.compact {
             return Ok(());
         }
-        // Cleared at snapshot time: an insert racing the write below makes
-        // the store dirty again, and so does any failure or damage.
-        inner.dirty = false;
-        let mut payloads: Vec<Vec<u8>> =
-            inner.entries.values().flat_map(|b| b.iter().map(encode_entry)).collect();
-        // Deterministic bytes: the file is a pure function of the entry
-        // set, independent of insertion or hash-map order.
-        payloads.sort_unstable();
+        // Taken at snapshot time: an insert racing the write below queues
+        // for the next flush, and any failure or damage schedules a
+        // compaction, which rewrites everything live.
+        let pending = std::mem::take(&mut inner.pending);
+        let mut records: Vec<Vec<u8>> = pending
+            .into_iter()
+            .filter_map(|p| match p {
+                Pending::Solve { key, seq, payload } => inner.is_live(key, seq).then_some(payload),
+                Pending::Context(payload) => Some(payload),
+            })
+            .collect();
+        records.sort_unstable();
+        let appended: u64 = records.iter().map(|r| FRAME_BYTES + r.len() as u64).sum();
+        let header = STORE_MAGIC.len() as u64;
+        let dead = (inner.file_bytes + appended).saturating_sub(header + inner.live_bytes);
+        let compact = inner.compact || dead > inner.live_bytes.max(COMPACT_FLOOR_BYTES);
+        inner.compact = false;
+        if compact {
+            records = inner.live_image();
+        }
         let fault = inner.faults.write_fault();
         if matches!(fault, Some(IoFault::FailWrite)) {
-            inner.dirty = true;
+            inner.compact = true;
             self.write_failed.fetch_add(1, Ordering::Relaxed);
             ipet_trace::counter("store.write_failed", 1);
             return Err(format!("{}: injected write fault", path.display()));
         }
         let mut bytes = Vec::with_capacity(256);
-        bytes.extend_from_slice(STORE_MAGIC);
+        if compact {
+            bytes.extend_from_slice(STORE_MAGIC);
+        }
         let mut last_record_start = None;
-        for mut payload in payloads {
+        for mut payload in records {
+            last_record_start = Some(bytes.len());
             if inner.faults.record_fault() {
-                inner.dirty = true;
+                inner.compact = true;
                 // Flip one payload bit *after* the checksum is computed so
                 // the damage is latent until the next open.
                 let crc = crc32(&payload);
                 let mid = payload.len() / 2;
                 payload[mid] ^= 0x40;
-                last_record_start = Some(bytes.len());
                 push_record_with_crc(&mut bytes, &payload, crc);
             } else {
-                last_record_start = Some(bytes.len());
                 push_record(&mut bytes, &payload);
             }
         }
         if matches!(fault, Some(IoFault::TornWrite)) {
             // Persist only a prefix: the final record is cut mid-payload,
             // exactly what a crash between write() calls can leave behind.
-            inner.dirty = true;
+            inner.compact = true;
             if let Some(start) = last_record_start {
                 let torn = start + (bytes.len() - start) / 2;
                 bytes.truncate(torn.max(start + 1));
             }
         }
+        let file_bytes = inner.file_bytes;
         drop(inner);
-        match write_atomic(&path, &bytes) {
-            Ok(()) => {
+        let written = if compact {
+            write_atomic(&path, &bytes).map(|()| bytes.len() as u64)
+        } else {
+            append_synced(&path, &bytes, file_bytes).map(|()| file_bytes + bytes.len() as u64)
+        };
+        match written {
+            Ok(len) => {
+                self.inner.lock().expect("store lock").file_bytes = len;
                 self.flushes.fetch_add(1, Ordering::Relaxed);
                 ipet_trace::counter("store.flushes", 1);
+                let (count, name) = if compact {
+                    (&self.compactions, "store.compactions")
+                } else {
+                    (&self.appends, "store.appends")
+                };
+                count.fetch_add(1, Ordering::Relaxed);
+                ipet_trace::counter(name, 1);
                 Ok(())
             }
             Err(e) => {
-                self.inner.lock().expect("store lock").dirty = true;
+                self.inner.lock().expect("store lock").compact = true;
                 self.write_failed.fetch_add(1, Ordering::Relaxed);
                 ipet_trace::counter("store.write_failed", 1);
                 Err(format!("{}: {e}", path.display()))
@@ -481,21 +640,21 @@ impl Store {
         }
     }
 
-    /// Scans `bytes` as a store file, accepting good records and
-    /// quarantining bad ones. Never errors: worst case is an empty store.
+    /// Scans `bytes` as a store file, applying good records in file order
+    /// and quarantining bad ones. Never errors: worst case is an empty
+    /// store. A scan that quarantined anything leaves a compaction due, so
+    /// nothing is ever appended after damage.
     fn load_scan(&mut self, bytes: &[u8]) {
-        let mut loaded = 0u64;
         let mut quarantined = 0u64;
+        let inner = self.inner.get_mut().expect("store lock");
         if bytes.len() < STORE_MAGIC.len() || &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
             // Wrong magic or version: the whole file is one quarantined
             // unit — guessing at record boundaries of an unknown format
             // would be worse than starting cold.
-            quarantined += 1;
-            self.quarantined.fetch_add(quarantined, Ordering::Relaxed);
-            ipet_trace::counter("store.quarantined", quarantined);
+            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            ipet_trace::counter("store.quarantined", 1);
             return;
         }
-        let inner = self.inner.get_mut().expect("store lock");
         let mut pos = STORE_MAGIC.len();
         while pos < bytes.len() {
             let Some(header) = bytes.get(pos..pos + 8) else {
@@ -521,14 +680,27 @@ impl Store {
                 quarantined += 1;
                 continue;
             }
-            match decode_entry(payload) {
-                Some(entry) => {
-                    loaded += 1;
-                    inner.entries.entry(entry.key).or_default().push(entry);
-                }
-                None => quarantined += 1,
+            match payload[0] {
+                TAG_SOLVE => match decode_entry(payload) {
+                    Some(mut entry) => {
+                        entry.seq = inner.next_seq;
+                        inner.next_seq += 1;
+                        inner.add(entry);
+                    }
+                    None => quarantined += 1,
+                },
+                TAG_CONTEXT => match decode_context(payload) {
+                    Some((identity, invalidation)) => {
+                        inner.drop_stale(identity, invalidation);
+                    }
+                    None => quarantined += 1,
+                },
+                _ => quarantined += 1,
             }
         }
+        inner.file_bytes = bytes.len() as u64;
+        inner.compact = quarantined > 0;
+        let loaded = inner.live_count() as u64;
         self.loaded.fetch_add(loaded, Ordering::Relaxed);
         if loaded > 0 {
             ipet_trace::counter("store.loaded", loaded);
@@ -634,7 +806,7 @@ fn take_lock(lock: &Path) -> LockOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Atomic file replacement
+// File writes: atomic replacement (compaction) and synced appends
 // ---------------------------------------------------------------------------
 
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -654,6 +826,21 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Appends `bytes` to the journal at `path` and `fdatasync`s it. The file
+/// must still be `expected_len` long: anything else means the append
+/// position is unknown, which fails the flush (and so compacts next).
+fn append_synced(path: &Path, bytes: &[u8], expected_len: u64) -> std::io::Result<()> {
+    let mut f = fs::OpenOptions::new().append(true).open(path)?;
+    let len = f.metadata()?.len();
+    if len != expected_len {
+        return Err(std::io::Error::other(format!(
+            "journal is {len} bytes, expected {expected_len}"
+        )));
+    }
+    f.write_all(bytes)?;
+    f.sync_data()
 }
 
 // ---------------------------------------------------------------------------
@@ -734,6 +921,23 @@ fn encode_entry(e: &StoreEntry) -> Vec<u8> {
     put_u64(&mut out, e.stats.nodes as u64);
     out.push(e.stats.first_relaxation_integral as u8);
     out
+}
+
+fn encode_context(identity: u128, invalidation: u128) -> Vec<u8> {
+    let mut out = Vec::with_capacity(33);
+    out.push(TAG_CONTEXT);
+    put_u128(&mut out, identity);
+    put_u128(&mut out, invalidation);
+    out
+}
+
+fn decode_context(payload: &[u8]) -> Option<(u128, u128)> {
+    let mut c = Cursor { buf: payload, pos: 0 };
+    if c.u8()? != TAG_CONTEXT {
+        return None;
+    }
+    let context = (c.u128()?, c.u128()?);
+    c.done().then_some(context)
 }
 
 fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
@@ -851,6 +1055,8 @@ fn decode_entry(payload: &[u8]) -> Option<StoreEntry> {
         x,
         value,
         stats: IlpStats { lp_calls, nodes, first_relaxation_integral: first },
+        seq: 0,
+        bytes: FRAME_BYTES + payload.len() as u64,
     })
 }
 
@@ -1440,6 +1646,206 @@ mod tests {
         store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
         store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
         assert_eq!(store.len(), 1);
+    }
+
+    /// A problem of `n` variables whose solve record is several KB, so
+    /// journal sizes reach the compaction floor in a test's run.
+    fn wide(n: usize, rhs: f64) -> Problem {
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            b.objective(v, 1.0);
+            b.constraint(vec![(v, 1.0), (vars[(i + 1) % n], 1.0)], Relation::Le, rhs);
+        }
+        b.build()
+    }
+
+    fn zeros(p: &Problem) -> IlpResolution {
+        IlpResolution::Exact { x: vec![0.0; p.num_vars()], value: 0.0 }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn writing_flushes_append_without_replacing_the_file() {
+        let dir = scratch("append");
+        let path = dir.join("s.store");
+        let (p, q) = (toy(), wide(4, 3.0));
+        let store = Store::open(&path);
+        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        store.flush().expect("first flush creates the file");
+        let before = fs::read(&path).expect("read");
+        let ino = inode(&path);
+        store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+        store.flush().expect("append");
+        let after = fs::read(&path).expect("read");
+        assert_eq!(inode(&path), ino, "an append must not replace the file");
+        assert_eq!(&after[..before.len()], &before[..], "an append keeps every byte before it");
+        let s = store.stats();
+        assert_eq!((s.flushes, s.compactions, s.appends), (2, 1, 1));
+        assert_eq!(store.journal_bytes().1, after.len() as u64);
+        drop(store);
+        assert_eq!(Store::open(&path).stats().loaded, 2);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_v2_image_loads_unchanged_and_grows_by_appends() {
+        // The version-2 whole-file image: the header, then sorted solve
+        // records and nothing else.
+        let dir = scratch("v2image");
+        let path = dir.join("s.store");
+        let (p, q, r) = (toy(), wide(3, 2.0), wide(5, 2.0));
+        let mut payloads: Vec<Vec<u8>> = [(&p, toy_exact()), (&q, zeros(&q))]
+            .into_iter()
+            .map(|(prob, res)| {
+                let IlpResolution::Exact { x, value } = res else { unreachable!() };
+                let e = StoreEntry {
+                    key: key_of(prob).0,
+                    identity: 1,
+                    invalidation: 2,
+                    problem: prob.clone(),
+                    x,
+                    value,
+                    stats: IlpStats::default(),
+                    seq: 0,
+                    bytes: 0,
+                };
+                encode_entry(&e)
+            })
+            .collect();
+        payloads.sort();
+        let mut image = STORE_MAGIC.to_vec();
+        for payload in &payloads {
+            push_record(&mut image, payload);
+        }
+        fs::write(&path, &image).expect("write v2 image");
+        let ino = inode(&path);
+
+        let store = Store::open(&path);
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (2, 0));
+        assert!(store.probe(key_of(&p), 1, 2, &p).is_some(), "its entries replay");
+        store.flush().expect("clean flush");
+        assert_eq!(store.stats().flushes, 0, "a clean image is not rewritten");
+        store.insert(key_of(&r), 1, 2, &r, &zeros(&r), IlpStats::default());
+        store.flush().expect("append");
+        assert_eq!((store.stats().appends, store.stats().compactions), (1, 0));
+        assert_eq!(inode(&path), ino);
+        let grown = fs::read(&path).expect("read");
+        assert_eq!(&grown[..image.len()], &image[..], "the v2 image is left as it was");
+        drop(store);
+        assert_eq!(Store::open(&path).stats().loaded, 3);
+    }
+
+    #[test]
+    fn tombstones_replay_in_file_order() {
+        let dir = scratch("tombstones");
+        let path = dir.join("s.store");
+        let (p, q) = (toy(), wide(3, 2.0));
+        {
+            let store = Store::open(&path);
+            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.insert(key_of(&q), 5, 6, &q, &zeros(&q), IlpStats::default());
+            store.flush().expect("flush");
+            // Drop p, then re-insert it under the new hash in the same
+            // append, and q under the old one (a request still running on
+            // the previous input): the tombstone must take neither.
+            store.note_context(1, 3);
+            store.insert(key_of(&p), 1, 3, &p, &toy_exact(), IlpStats::default());
+            store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+            store.flush().expect("append");
+            assert_eq!(store.stats().appends, 1);
+        }
+        let store = Store::open(&path);
+        assert_eq!(store.stats().loaded, 3);
+        assert!(store.probe(key_of(&q), 1, 2, &q).is_some(), "inserted after the tombstone");
+        assert_eq!(store.stats().invalidated, 0, "a replayed tombstone is not a new invalidation");
+        assert!(store.probe(key_of(&p), 1, 2, &p).is_none(), "the dropped entry stays dropped");
+        assert!(store.probe(key_of(&p), 1, 3, &p).is_some());
+        assert!(store.probe(key_of(&q), 5, 6, &q).is_some(), "other programs are untouched");
+    }
+
+    #[test]
+    fn a_torn_append_is_quarantined_on_reopen_and_the_next_flush_compacts() {
+        let dir = scratch("tornappend");
+        let path = dir.join("s.store");
+        let (p, q) = (toy(), wide(4, 3.0));
+        {
+            // Writing flush 0 creates the file; flush 1, an append, tears.
+            let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(1));
+            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.flush().expect("flush 0");
+            store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+            store.flush().expect("a torn append still reports success");
+            assert_eq!(store.stats().appends, 1);
+        }
+        {
+            let store = Store::open(&path);
+            assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 1));
+            // Nothing new was inserted, yet the flush must write: it never
+            // appends after a torn tail.
+            store.flush().expect("repairing flush");
+            assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
+        }
+        let store = Store::open(&path);
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0));
+    }
+
+    #[test]
+    fn a_failed_append_compacts_on_the_next_flush() {
+        let dir = scratch("failappend");
+        let path = dir.join("s.store");
+        let (p, q) = (toy(), wide(4, 3.0));
+        let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
+        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        store.flush().expect("flush 0");
+        store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+        assert!(store.flush().is_err());
+        store.flush().expect("retry");
+        assert_eq!((store.stats().compactions, store.stats().appends), (2, 0));
+        drop(store);
+        assert_eq!(Store::open(&path).stats().loaded, 2);
+    }
+
+    #[test]
+    fn the_journal_stays_within_twice_live_plus_the_floor_over_1000_edit_cycles() {
+        // A serve daemon's edit loop: each cycle an edit retires the
+        // program's entries and adds its own, then a replay of the
+        // unedited program retires the edit's. A few programs stay live.
+        let dir = scratch("bounded");
+        let path = dir.join("s.store");
+        let store = Store::open(&path);
+        for id in 10..14u128 {
+            let p = wide(8 + id as usize, 1.0);
+            store.insert(key_of(&p), id, 0, &p, &zeros(&p), IlpStats::default());
+        }
+        let edit = wide(200, 9.0);
+        let header = STORE_MAGIC.len() as u64;
+        for cycle in 0..1000u128 {
+            store.note_context(1, 1000 + cycle);
+            let e = wide(200, cycle as f64);
+            store.insert(key_of(&e), 1, 1000 + cycle, &e, &zeros(&e), IlpStats::default());
+            store.insert(key_of(&edit), 1, 1000 + cycle, &edit, &zeros(&edit), IlpStats::default());
+            store.flush().expect("edit flush");
+            store.note_context(1, 0);
+            store.flush().expect("replay flush");
+            let (live, file) = store.journal_bytes();
+            assert_eq!(fs::metadata(&path).expect("stat").len(), file);
+            assert!(
+                file <= header + 2 * live + COMPACT_FLOOR_BYTES,
+                "cycle {cycle}: {file} file bytes for {live} live"
+            );
+        }
+        let s = store.stats();
+        assert!(s.compactions > 1, "the cycles outgrew the floor");
+        assert!(
+            s.compactions * 20 < s.flushes,
+            "compactions are {} of {} writing flushes",
+            s.compactions,
+            s.flushes
+        );
+        let live = store.len();
+        drop(store);
+        assert_eq!(Store::open(&path).stats().loaded, live as u64);
     }
 
     #[test]
