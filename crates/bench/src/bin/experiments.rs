@@ -49,11 +49,15 @@
 //! `--audit` appends an exact-arithmetic certification pass over every
 //! Table I benchmark (`ipet-audit`) and exits 3 if any reported bound
 //! fails to certify.
+//!
+//! `--jobs`, `--no-warm-start`, `--infer` and `--audit` are global; `gate`
+//! also takes `--write` and `--tol-wall`, `parametric` takes `--check`. Any
+//! other option exits 1 before the experiment runs.
 
 use ipet_bench::*;
 
 fn main() {
-    // `--jobs N` and `--audit` may appear anywhere; everything else is
+    // The global options may appear anywhere; everything else is
     // positional.
     let mut jobs = 1usize;
     let mut audit = false;
@@ -66,16 +70,6 @@ fn main() {
             audit = true;
         } else if a == "--no-warm-start" {
             warm = false;
-        } else if a == "--solver" {
-            let v = it.next().unwrap_or_else(|| {
-                eprintln!("--solver needs a value (dense, sparse or auto)");
-                std::process::exit(1);
-            });
-            let backend = ipet_lp::SolverBackend::parse(&v).unwrap_or_else(|| {
-                eprintln!("--solver: `{v}` is not dense, sparse or auto");
-                std::process::exit(1);
-            });
-            ipet_lp::set_solver_backend(backend);
         } else if a == "--infer" {
             infer = Some(ipet_infer::InferMode::Merge);
         } else if let Some(m) = a.strip_prefix("--infer=") {
@@ -98,6 +92,10 @@ fn main() {
         }
     }
     let which = rest.first().cloned().unwrap_or_else(|| "all".to_string());
+    if let Some(opt) = rest.iter().skip(1).find(|a| a.starts_with('-') && !takes(&which, a)) {
+        eprintln!("experiments {which}: unexpected option {opt}");
+        std::process::exit(1);
+    }
     // The Table I-III data now always flows through the solve pool; at the
     // default `--jobs 1` it degenerates to a serial run with identical
     // results (the pool-level tests pin this down).
@@ -190,6 +188,17 @@ fn main() {
             std::process::exit(3);
         }
         println!("audit: all {} benchmark(s) certified", reports.len());
+    }
+}
+
+/// The options `which` takes beyond the global `--jobs`, `--audit`,
+/// `--no-warm-start` and `--infer`; any other option is an error, so a
+/// misspelt or retired flag never runs silently.
+fn takes(which: &str, opt: &str) -> bool {
+    match which {
+        "gate" => opt == "--tol-wall" || opt == "--write",
+        "parametric" => opt == "--check",
+        _ => false,
     }
 }
 

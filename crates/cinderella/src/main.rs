@@ -94,9 +94,6 @@ fn usage() -> String {
      \x20        --jobs N (parallel ILP workers; output identical for any N)\n\
      \x20        --no-warm-start (solve every ILP cold; bounds are identical,\n\
      \x20         only solver effort counters change)\n\
-     \x20        --solver dense|auto (LP backend for warm-start bases; default\n\
-     \x20         auto, alias sparse, presolves them for a sparse revised simplex;\n\
-     \x20         cold solves are dense; bounds are bit-identical for any choice)\n\
      \x20        --trace-json FILE (write the ipet-trace document of the run)\n\
      \x20        --audit (re-certify every bound in exact integer arithmetic)\n\
      store:   --store FILE (crash-safe persistent solve store: certified replays\n\
@@ -245,12 +242,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 jobs = parse_num("--jobs", it.next())?.max(1) as usize;
             }
             "--no-warm-start" => warm = false,
-            "--solver" => {
-                let v = it.next().ok_or("--solver needs a value (dense, sparse or auto)")?;
-                let backend = ipet_lp::SolverBackend::parse(v)
-                    .ok_or_else(|| format!("--solver: `{v}` is not dense, sparse or auto"))?;
-                ipet_lp::set_solver_backend(backend);
-            }
             "--trace-json" => {
                 trace_json = Some(it.next().ok_or("--trace-json needs a value")?.to_string())
             }

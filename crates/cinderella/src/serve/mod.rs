@@ -167,9 +167,9 @@ impl Daemon {
         if let Some(store) = &store {
             pool = pool.with_store(Arc::clone(store));
         }
-        // The stats op reports the solver-effort tallies (`lp.warm.*`,
-        // `lp.sparse.*`) alongside the pool/store sections; they only
-        // accumulate with the process-global trace recorder installed.
+        // The stats op reports the solver-effort tallies (`lp.warm.*`)
+        // alongside the pool/store sections; they only accumulate with the
+        // process-global trace recorder installed.
         ipet_trace::install();
         let admission = Admission::new(cfg.max_inflight, cfg.max_queue);
         Ok(Daemon {
@@ -225,13 +225,13 @@ impl Daemon {
     pub(crate) fn stats_line(&self) -> Json {
         let c = self.counters.snapshot();
         let cache = self.pool.cache_stats();
-        // Warm-start and sparse-backend solver tallies since startup, in
-        // the recorder's (deterministic) name order.
+        // Warm-start solver tallies since startup, in the recorder's
+        // (deterministic) name order.
         let solver_json = {
             let mut kv: Vec<(String, Json)> = Vec::new();
             if let Some(doc) = ipet_trace::snapshot() {
                 for (name, value) in &doc.counters {
-                    if name.starts_with("lp.warm.") || name.starts_with("lp.sparse.") {
+                    if name.starts_with("lp.warm.") {
                         kv.push((name.clone(), Json::Num(*value as f64)));
                     }
                 }

@@ -343,6 +343,14 @@ fn budget_flags_reject_garbage_values() {
 }
 
 #[test]
+fn the_retired_solver_flag_is_an_unexpected_argument() {
+    let (code, stdout, stderr) = cinderella_code(&["analyze", "piksrt", "--solver", "dense"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("unexpected argument --solver"), "{stderr}");
+    assert!(stdout.is_empty(), "no analysis may run: {stdout}");
+}
+
+#[test]
 fn roomy_budget_flags_leave_results_exact() {
     let (code, stdout, stderr) = cinderella_code(&[
         "analyze",

@@ -271,10 +271,10 @@ impl<'p> Analyzer<'p> {
         ipet_trace::counter("core.sets.pruned", sets_pruned as u64);
         ipet_trace::counter("core.sets.dedup_rows", dedup_rows);
         ipet_trace::counter("core.jobs.emitted", jobs.len() as u64);
-        // Row-shape telemetry for the solver backends: how much of each
-        // composed problem is shared base (amortized across sets by the warm
-        // path) versus per-set delta. Pure functions of the plan, so the
-        // values are identical under every `--solver` backend and job count.
+        // Row-shape telemetry for the solver: how much of each composed
+        // problem is shared base (amortized across sets by the warm path)
+        // versus per-set delta. Pure functions of the plan, so the values
+        // are identical at any job count.
         ipet_trace::counter("core.plan.base_rows", base_worst.problem().constraints.len() as u64);
         ipet_trace::counter(
             "core.plan.delta_rows",

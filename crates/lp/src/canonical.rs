@@ -7,9 +7,8 @@
 //! accepted result here is instead the face's **canonical** point: the
 //! lexicographic minimum of the structural variables in `VarId` order. The
 //! optimal face is the same whichever basis reaches it, and its
-//! lexicographic minimum is a single point, so a cold solve, a dense warm
-//! re-optimization and a sparse warm re-optimization all report the same
-//! optimum.
+//! lexicographic minimum is a single point, so a dense cold solve and a
+//! sparse warm re-optimization report the same optimum.
 //!
 //! [`canonicalize`] walks there from any optimal basis. The face's free
 //! directions are the non-basic columns whose phase-2 reduced cost is within
@@ -170,7 +169,7 @@ fn ratio_test<K: LexKernel>(k: &K, w: &[f64]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
-    use crate::simplex::{build_instance, le_form, solve_lp, DualEnd, LpOutcome, PrimalEnd};
+    use crate::simplex::{build_instance, le_form, solve_lp, LpOutcome, PrimalEnd};
     use crate::sparse::{SparseDualEnd, SparseEnd, SparseInstance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -286,26 +285,18 @@ mod tests {
         (problem(sense, &obj, rows), delta)
     }
 
-    /// Dense and sparse, cold and warm: the canonical `x`, or `None` when
-    /// the run did not reach one.
-    fn canonical_points(base: &Problem, delta: &[Constraint]) -> [Option<Vec<f64>>; 4] {
+    /// Dense cold, sparse cold and sparse warm: the canonical `x`, or
+    /// `None` when the run did not reach one.
+    fn canonical_points(base: &Problem, delta: &[Constraint]) -> [Option<Vec<f64>>; 3] {
         let mut composed = base.clone();
         composed.constraints.extend(delta.iter().cloned());
-        let n = base.num_vars();
-        let le = le_form(delta, n);
 
-        let dense = |p: &Problem, rows: &[(Vec<f64>, f64)]| {
+        let dense = |p: &Problem| {
             let mut inst = build_instance(p);
             let cap = inst.default_iter_cap();
             let mut pivots = 0;
             if inst.solve_primal(cap, &mut pivots) != PrimalEnd::Optimal {
                 return None;
-            }
-            if !rows.is_empty() {
-                inst.append_le_rows(rows);
-                if inst.dual_reoptimize(cap, &mut pivots) != DualEnd::Optimal {
-                    return None;
-                }
             }
             let end = canonicalize(&mut inst, cap as u64, &mut pivots);
             (end == LexEnd::Canonical).then(|| inst.extract_x())
@@ -326,7 +317,8 @@ mod tests {
             let end = canonicalize(&mut inst, cap, &mut pivots);
             (end == LexEnd::Canonical).then(|| inst.extract_x())
         };
-        [dense(&composed, &[]), dense(base, &le), sparse(&composed, &[]), sparse(base, &le)]
+        let le = le_form(delta, base.num_vars());
+        [dense(&composed), sparse(&composed, &[]), sparse(base, &le)]
     }
 
     #[test]
@@ -337,7 +329,7 @@ mod tests {
             let (base, delta) = tied_problem(&mut rng);
             let points = canonical_points(&base, &delta);
             let Some(cold) = &points[0] else { continue };
-            for (what, p) in ["dense warm", "sparse cold", "sparse warm"].iter().zip(&points[1..]) {
+            for (what, p) in ["sparse cold", "sparse warm"].iter().zip(&points[1..]) {
                 // The sparse paths may decline a base the dense cold path
                 // solves (a singular factorization, an optimal base whose
                 // delta is infeasible); whatever they reach must agree.

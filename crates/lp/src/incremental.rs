@@ -6,7 +6,9 @@
 //! rows common to every set, plus objective and bounds) and one small
 //! [`DeltaSet`] per constraint set, and re-optimizes each delta from a
 //! snapshot of the base optimum instead of solving each composed problem
-//! from scratch.
+//! from scratch. The snapshot is the presolved base solved by the sparse
+//! revised simplex ([`crate::presolve`], [`crate::sparse`]); cold solves
+//! run on the dense tableau ([`crate::simplex`]).
 //!
 //! ## Bit-identity contract
 //!
@@ -47,7 +49,6 @@
 //! deadline the cold path's tick accounting is what drives degradation, and
 //! the warm path must never change *which* results degrade.
 
-use crate::backend::{solver_backend, SolverBackend};
 use crate::budget::{BudgetMeter, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
 use crate::fingerprint::{delta_rows_fingerprint, fingerprint, Fingerprint};
@@ -55,7 +56,7 @@ use crate::ilp::{solve_ilp_budgeted, IlpResolution, IlpStats};
 use crate::model::{Constraint, Problem, VarId};
 use crate::presolve::{presolve, IntProblem, IntRow, MappedRow, Reduced};
 use crate::round::{round_claimed, round_witness};
-use crate::simplex::{build_instance, le_form, DualEnd, PrimalEnd, SimplexInstance};
+use crate::simplex::le_form;
 use crate::sparse::{SparseDualEnd, SparseEnd, SparseInstance};
 
 /// Exact-certification callback: `(composed problem, rounded witness,
@@ -129,97 +130,61 @@ impl BaseProblem {
     }
 
     /// Solves the base LP relaxation once and snapshots the optimal basis.
-    /// Returns `None` when the base is not warm-startable (not optimal, or
-    /// non-finite data); callers then solve every delta cold.
+    /// Returns `None` when the base is not warm-startable; callers then
+    /// solve every delta cold.
     ///
-    /// Under a non-dense backend the base is presolved and solved with the
-    /// sparse revised simplex; the snapshot then carries the reduction map
-    /// plus the factorized sparse basis, and warm starts re-optimize in the
-    /// reduced space. Any decline (non-integral data, fully-forced base,
-    /// singular basis) or sparse numerical failure falls back to the dense
-    /// tableau snapshot, so `--solver dense` behaviour is a strict subset.
+    /// The base is presolved and solved with the sparse revised simplex; the
+    /// snapshot carries the reduction map plus the factorized sparse basis,
+    /// and warm starts re-optimize in the reduced space. A base that
+    /// presolve fixes completely reduces to zero columns: every delta row
+    /// then maps to satisfied or violated, and postsolve rebuilds the one
+    /// feasible point. A base presolve declines (non-finite, non-integral
+    /// or infeasible data, a continuous variable), or whose sparse solve is
+    /// not optimal, gets no snapshot.
     ///
     /// Pivots are charged to `meter` and reported under `lp.ticks`;
-    /// `lp.warm.base_solves` counts the snapshot.
+    /// `lp.warm.base_solves` counts the sparse solve.
     pub fn solve_base(&self, meter: &BudgetMeter) -> Option<BaseSolution> {
-        if self.problem.has_non_finite() {
-            return None;
-        }
         // A cancelled meter declines the base solve outright: its jobs fall
         // cold, where the budget checkpoints degrade them promptly.
         if meter.cancel_token().is_cancelled() {
             return None;
         }
         let _span = ipet_trace::span("lp.base_solve");
-        if solver_backend() != SolverBackend::Dense {
-            if let Some((red, mut inst)) = self.presolve_sparse_base() {
-                let cap = inst.default_iter_cap();
-                let mut pivots = 0u64;
-                let end = inst.solve_primal(cap, &mut pivots);
-                meter.charge_ticks(pivots);
-                ipet_trace::counter("lp.ticks", pivots);
-                if end == SparseEnd::Optimal {
-                    ipet_trace::counter("lp.warm.base_solves", 1);
-                    ipet_trace::counter("lp.sparse.base_solves", 1);
-                    return Some(BaseSolution { kind: BaseKind::Sparse { red, inst }, pivots });
-                }
-                // Numerical trouble in the sparse solve: fall through to the
-                // dense snapshot rather than condemning every delta to cold.
-            }
-        }
-        let mut inst = build_instance(&self.problem);
+        let (red, mut inst) = self.presolve_sparse_base()?;
         let cap = inst.default_iter_cap();
         let mut pivots = 0u64;
         let end = inst.solve_primal(cap, &mut pivots);
         meter.charge_ticks(pivots);
         ipet_trace::counter("lp.warm.base_solves", 1);
         ipet_trace::counter("lp.ticks", pivots);
-        match end {
-            PrimalEnd::Optimal => Some(BaseSolution { kind: BaseKind::Dense(inst), pivots }),
-            _ => None,
-        }
+        (end == SparseEnd::Optimal).then_some(BaseSolution { red, inst, pivots })
     }
 
-    /// Presolve the base and build the sparse instance of the reduction.
-    /// `None` declines to the dense path.
+    /// Presolve the base and build the sparse instance of the reduction, or
+    /// `None` when the base cannot be presolved.
     fn presolve_sparse_base(&self) -> Option<(Reduced, SparseInstance)> {
         if !self.problem.integer.iter().all(|&b| b) {
             return None;
         }
         let ip = IntProblem::from_problem(&self.problem)?;
         let red = presolve(&ip)?;
-        if red.n_free == 0 {
-            // Fully forced base: deltas degenerate; the dense snapshot
-            // handles it.
-            return None;
-        }
         let rp = red.to_shifted_problem()?;
         let inst = SparseInstance::build(&rp)?;
         Some((red, inst))
     }
 }
 
-/// A snapshot of the base problem's optimal simplex tableau, reusable
-/// across every delta of the base (and across α-identical bases). Opaque;
-/// produced by [`BaseProblem::solve_base`].
+/// A snapshot of the base problem's optimal basis, reusable across every
+/// delta of the base (and across α-identical bases): the presolve reduction
+/// of the base plus the factorized sparse optimum of the reduced problem.
+/// Warm starts map delta rows through the reduction. Opaque; produced by
+/// [`BaseProblem::solve_base`].
 #[derive(Clone)]
 pub struct BaseSolution {
-    kind: BaseKind,
+    red: Reduced,
+    inst: SparseInstance,
     pivots: u64,
-}
-
-/// Which solver produced (and can re-optimize) the base snapshot.
-// The variant sizes differ, but only a handful of snapshots exist per run
-// (one per routine base) while warm re-solves touch them constantly —
-// boxing would buy nothing and cost an indirection on every access.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum BaseKind {
-    /// Dense optimal tableau of the base problem itself.
-    Dense(SimplexInstance),
-    /// Presolve reduction of the base plus the factorized sparse optimum of
-    /// the reduced problem; warm starts map delta rows through `red`.
-    Sparse { red: Reduced, inst: SparseInstance },
 }
 
 impl BaseSolution {
@@ -251,9 +216,9 @@ pub fn debug_force_warm_mismatch(on: bool) {
 }
 
 /// Why a warm attempt missed: the first acceptance gate it failed. Each
-/// miss inside a warm arm counts `lp.warm.miss.<reason>` next to the
-/// aggregate `lp.warm.misses`; a miss before either arm (no base snapshot,
-/// not a pure finite ILP) counts only in the aggregate.
+/// miss inside [`warm_attempt`] counts `lp.warm.miss.<reason>` next to the
+/// aggregate `lp.warm.misses`; a miss before it (no base snapshot, not a
+/// pure finite ILP) counts only in the aggregate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WarmMiss {
     /// The dual re-optimization, or the walk on to the canonical optimum,
@@ -313,15 +278,7 @@ pub fn solve_delta_warm(
         // The acceptance argument needs a pure ILP: every variable integral.
         let pure = !full.has_non_finite() && full.integer.iter().all(|&b| b);
         if let Some(sol) = solution.filter(|_| pure) {
-            let attempt = match &sol.kind {
-                BaseKind::Dense(inst) => {
-                    warm_attempt_dense(inst, sol.pivots, delta, full, meter, certify)
-                }
-                BaseKind::Sparse { red, inst } => {
-                    warm_attempt_sparse(red, inst, sol.pivots, delta, full, meter, certify)
-                }
-            };
-            match attempt {
+            match warm_attempt(sol, delta, full, meter, certify) {
                 Ok(hit) => return hit,
                 Err(miss) => ipet_trace::counter(miss.counter(), 1),
             }
@@ -331,64 +288,21 @@ pub fn solve_delta_warm(
     solve_ilp_budgeted(full, budget, meter, faults)
 }
 
-/// Dense warm arm: append delta rows to the snapshot tableau and dual
-/// re-optimize.
-fn warm_attempt_dense(
-    base_inst: &SimplexInstance,
-    base_pivots: u64,
-    delta: &DeltaSet,
-    full: &Problem,
-    meter: &BudgetMeter,
-    certify: CertifyFn,
-) -> WarmResult {
-    let le_rows = le_form(&delta.rows, full.num_vars());
-    let mut inst = base_inst.clone();
-    inst.append_le_rows(&le_rows);
-    let cap = inst.default_iter_cap();
-    let mut warm_pivots = 0u64;
-    let end = inst.dual_reoptimize(cap, &mut warm_pivots);
-    // Dual infeasibility proves LP infeasibility, but only in floating
-    // point: there is no witness to certify exactly, so the verdict is not
-    // accepted — the cold path re-derives it from phase 1.
-    let lex =
-        (end == DualEnd::Optimal).then(|| canonicalize(&mut inst, cap as u64, &mut warm_pivots));
-    meter.charge_ticks(warm_pivots);
-    ipet_trace::counter("lp.ticks", warm_pivots);
-    if lex != Some(LexEnd::Canonical) {
-        return Err(WarmMiss::Dual);
-    }
-    let x = inst.extract_x();
-    let value = full.objective_value(&x);
-    if !value.is_finite() || x.iter().any(|v| !v.is_finite()) {
-        return Err(WarmMiss::Dual);
-    }
-    // Canonical, integral, exactly certified — or no deal.
-    let ints = round_witness(&x).map_err(|_| WarmMiss::Fractional)?;
-    let claimed = round_claimed(value).map_err(|_| WarmMiss::Uncertified)?;
-    let snapped: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
-    if !certify(full, &snapped, claimed) {
-        return Err(WarmMiss::Uncertified);
-    }
-    Ok(accept(full, snapped, claimed, base_pivots, warm_pivots, meter))
-}
-
-/// Sparse warm arm: map each delta row through the base's presolve
+/// The warm attempt: map each delta row through the base's presolve
 /// reduction (fixed variables substituted in exact arithmetic), append the
 /// mapped rows to the factorized sparse basis — the append refactorizes,
 /// i.e. re-snapshots the basis — and dual re-optimize in the reduced space.
-/// The acceptance gate is the dense arm's, with one extra step: the reduced
-/// witness is postsolved back to a full witness before certification, so the
-/// certificate and the canonical `Exact` resolution are over the composed
-/// problem, never the reduction.
-fn warm_attempt_sparse(
-    red: &Reduced,
-    base_inst: &SparseInstance,
-    base_pivots: u64,
+/// The reduced witness is postsolved back to a full witness before
+/// certification, so the certificate and the canonical `Exact` resolution
+/// are over the composed problem, never the reduction.
+fn warm_attempt(
+    sol: &BaseSolution,
     delta: &DeltaSet,
     full: &Problem,
     meter: &BudgetMeter,
     certify: CertifyFn,
 ) -> WarmResult {
+    let red = &sol.red;
     // Delta rows in exact integer form, mapped into the reduced space, then
     // `<=` form over the free variables.
     let mut mapped_rows: Vec<Constraint> = Vec::with_capacity(delta.rows.len());
@@ -411,13 +325,17 @@ fn warm_attempt_sparse(
     }
     let le_rows = le_form(&mapped_rows, red.n_free);
 
-    let mut inst = base_inst.clone();
+    let mut inst = sol.inst.clone();
     if !inst.append_le_rows(&le_rows) {
         return Err(WarmMiss::Dual);
     }
     let cap = inst.default_iter_cap();
     let mut warm_pivots = 0u64;
     let end = inst.dual_reoptimize(cap, &mut warm_pivots);
+    // Dual infeasibility proves LP infeasibility, but only in floating
+    // point: there is no witness to certify exactly, so the verdict is not
+    // accepted — the cold path re-derives it from phase 1.
+    //
     // The walk runs in the presolved, shifted space. Presolve only fixes
     // variables and absorbs bounds, the survivors keep their relative
     // order, and the shift `x = lo + x'` is monotone, so the reduced lex
@@ -432,6 +350,8 @@ fn warm_attempt_sparse(
     }
 
     // Canonical, integral, postsolved, exactly certified — or no deal.
+    // Presolve preserves the LP feasible set, so the canonical reduced
+    // optimum is the composed problem's canonical optimum: the cold result.
     let ints = round_witness(&inst.extract_x()).map_err(|_| WarmMiss::Fractional)?;
     let full_ints = red
         .unshift_witness(&ints)
@@ -443,19 +363,15 @@ fn warm_attempt_sparse(
     if !certify(full, &snapped, claimed) {
         return Err(WarmMiss::Uncertified);
     }
-    // The cold result, by the dense arm's argument: presolve preserves the
-    // LP feasible set, so the canonical reduced optimum is the composed
-    // problem's canonical optimum.
-    ipet_trace::counter("lp.sparse.warm_reopts", 1);
-    Ok(accept(full, snapped, claimed, base_pivots, warm_pivots, meter))
+    Ok(accept(full, snapped, claimed, sol.pivots, warm_pivots, meter))
 }
 
 /// Builds the accepted warm result: the resolution the cold path would
 /// produce. The canonical optimum is integral, so cold's root relaxation
 /// returns it and the search ends after one LP call and one node.
 /// Mirrors the cold path's per-solve telemetry, so warm and cold runs
-/// differ only in the `lp.warm.*`/`lp.sparse.*` and tick counters. The arms
-/// count their pivots in `lp.ticks` themselves, hit or miss.
+/// differ only in the `lp.warm.*` and tick counters. The warm attempt
+/// counts its pivots in `lp.ticks` itself, hit or miss.
 fn accept(
     full: &Problem,
     snapped: Vec<f64>,
@@ -744,6 +660,70 @@ mod tests {
             &feasibility_certify,
         );
         assert_eq!(res, IlpResolution::Numerical);
+    }
+
+    #[test]
+    fn fully_forced_base_warm_starts_from_zero_columns() {
+        // max 3x + 2y st x = 2, y = 3: presolve fixes both variables, so
+        // the snapshot is a zero-column reduction solved in 0 pivots.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x = b.add_var("x", true);
+        let y = b.add_var("y", true);
+        b.objective(x, 3.0);
+        b.objective(y, 2.0);
+        b.constraint(vec![(x, 1.0)], Relation::Eq, 2.0);
+        b.constraint(vec![(y, 1.0)], Relation::Eq, 3.0);
+        let base = BaseProblem::new(b.build());
+        let meter = BudgetMeter::new();
+        let sol = base.solve_base(&meter).expect("a fully forced base snapshots");
+        assert_eq!((sol.red.n_free, sol.pivots()), (0, 0));
+        let cold = |d: &DeltaSet| {
+            solve_ilp_budgeted(
+                &base.compose(d),
+                &SolveBudget::unlimited(),
+                &BudgetMeter::new(),
+                &mut SolverFaults::none(),
+            )
+        };
+        let warm = |d: &DeltaSet| {
+            solve_delta_warm(
+                &base,
+                Some(&sol),
+                d,
+                &base.compose(d),
+                &SolveBudget::unlimited(),
+                &meter,
+                &mut SolverFaults::none(),
+                &feasibility_certify,
+            )
+        };
+        let counter = |name: &str| {
+            ipet_trace::snapshot().and_then(|doc| doc.counters.get(name).copied()).unwrap_or(0)
+        };
+        ipet_trace::install();
+
+        // x + y <= 6 holds at the fixed point (2, 3): every row maps to
+        // satisfied and postsolve rebuilds the point.
+        let satisfied = delta(vec![(vec![(0, 1.0), (1, 1.0)], Relation::Le, 6.0)]);
+        let full = base.compose(&satisfied);
+        assert!(warm_attempt(&sol, &satisfied, &full, &meter, &feasibility_certify).is_ok());
+        let hits = counter("lp.warm.hits");
+        let hit = warm(&satisfied);
+        assert!(counter("lp.warm.hits") > hits, "the satisfied delta must warm-hit");
+        assert_eq!(hit, cold(&satisfied));
+        assert_eq!(hit.0, IlpResolution::Exact { x: vec![2.0, 3.0], value: 12.0 });
+
+        // x + y >= 6 contradicts the fixings: no warm verdict, the cold
+        // path reports the infeasibility.
+        let violated = delta(vec![(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 6.0)]);
+        let full = base.compose(&violated);
+        let miss = warm_attempt(&sol, &violated, &full, &meter, &feasibility_certify);
+        assert_eq!(miss.err(), Some(WarmMiss::Unmapped));
+        let unmapped = counter("lp.warm.miss.unmapped");
+        let res = warm(&violated);
+        assert!(counter("lp.warm.miss.unmapped") > unmapped, "the miss must count its reason");
+        assert_eq!(res.0, IlpResolution::Infeasible);
+        assert_eq!(res, cold(&violated));
     }
 
     #[test]

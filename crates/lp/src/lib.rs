@@ -63,7 +63,6 @@
 //! `ipet-audit` certifier all round here, so "is this witness integral?"
 //! has exactly one answer everywhere.
 
-mod backend;
 mod budget;
 mod canonical;
 mod fingerprint;
@@ -76,7 +75,6 @@ mod round;
 mod simplex;
 mod sparse;
 
-pub use backend::{set_solver_backend, solver_backend, SolverBackend};
 pub use budget::{
     BoundQuality, BudgetMeter, CancelToken, IoFault, LpFault, SolveBudget, SolveFault, SolverFaults,
 };

@@ -10,7 +10,7 @@
 //!
 //! - all arithmetic is exact (`i64` terms with checked ops, `i128`
 //!   accumulation); any value that is not an exactly-representable integer
-//!   aborts presolve and the base falls back to the dense snapshot,
+//!   aborts presolve and the base gets no warm-start snapshot,
 //! - empty rows are dropped only when trivially satisfied,
 //! - a singleton row `a·x ⋈ b` is absorbed into a variable bound only when
 //!   `a | b`, so the induced bound `b/a` is the row's exact LP shadow
@@ -21,8 +21,12 @@
 //!   dominating one; contradictory duplicates abort.
 //!
 //! Anything surprising — overflow, non-integral data, detected infeasibility
-//! — returns `None` and the caller keeps the dense tableau, which remains
-//! the single source of truth for hard cases.
+//! — returns `None`: every delta of that base then solves cold on the dense
+//! tableau, which remains the single source of truth for hard cases.
+//!
+//! A base whose every variable is forced reduces to zero columns. It still
+//! snapshots: each delta row then maps to satisfied or violated, and
+//! [`Reduced::postsolve_witness`] rebuilds the one feasible point.
 
 use crate::model::{Constraint, Problem, Relation, Sense};
 use std::collections::HashMap;
@@ -253,8 +257,8 @@ fn exact_rhs(v: i128) -> Option<i64> {
 
 /// Run the presolve fixpoint over `problem`. Returns `None` whenever a
 /// reduction cannot be justified exactly (non-integral data, overflow) or the
-/// problem is detected infeasible — the caller then uses the dense path,
-/// which owns all hard-case semantics.
+/// problem is detected infeasible — the caller then solves cold on the dense
+/// tableau, which owns all hard-case semantics.
 pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
     let n = problem.n;
     let mut rows: Vec<Option<IntRow>> = problem.rows.iter().cloned().map(Some).collect();

@@ -1,17 +1,15 @@
-//! Tied optima resolve to one canonical point on every path: the cold
-//! solve, the dense warm arm and the sparse warm arm return the same
-//! witness, bit for bit, over seeded ILPs whose objectives are tied on
-//! purpose (duplicate columns, equal-cost arms). Small integral cases are
-//! also checked by brute force to be the lexicographically smallest optimal
-//! point.
+//! Tied optima resolve to one canonical point on every path: the cold solve
+//! and the warm start return the same witness, bit for bit, over seeded ILPs
+//! whose objectives are tied on purpose (duplicate columns, equal-cost
+//! arms). Small integral cases are also checked by brute force to be the
+//! lexicographically smallest optimal point.
 //!
-//! One test in its own binary: it switches the process-wide solver backend
-//! and reads the process-global trace recorder.
+//! One test in its own binary: it reads the process-global trace recorder.
 
 use ipet_lp::{
-    set_solver_backend, solve_delta_warm, solve_ilp_budgeted, solve_lp, BaseProblem, BudgetMeter,
-    Constraint, DeltaSet, IlpResolution, LpOutcome, Problem, ProblemBuilder, Relation, Sense,
-    SolveBudget, SolverBackend, SolverFaults, VarId,
+    solve_delta_warm, solve_ilp_budgeted, solve_lp, BaseProblem, BudgetMeter, Constraint, DeltaSet,
+    IlpResolution, LpOutcome, Problem, ProblemBuilder, Relation, Sense, SolveBudget, SolverFaults,
+    VarId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,10 +90,9 @@ fn hits() -> u64 {
     doc.counters.get("lp.warm.hits").copied().unwrap_or(0)
 }
 
-/// Solves `base + delta` warm under `backend`; also reports whether the
-/// warm arm accepted its own result.
-fn warm(backend: SolverBackend, base: &BaseProblem, delta: &DeltaSet) -> (IlpResolution, bool) {
-    set_solver_backend(backend);
+/// Solves `base + delta` warm; also reports whether the warm attempt
+/// accepted its own result.
+fn warm(base: &BaseProblem, delta: &DeltaSet) -> (IlpResolution, bool) {
     let meter = BudgetMeter::new();
     let before = hits();
     let solution = base.solve_base(&meter);
@@ -151,7 +148,7 @@ fn bits(res: &IlpResolution) -> Option<Vec<u64>> {
 fn tied_optima_are_one_canonical_point_on_every_path() {
     ipet_trace::install().reset();
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
-    let (mut dense_hits, mut sparse_hits, mut brute) = (0, 0, 0);
+    let (mut sparse_hits, mut brute) = (0, 0);
     for case in 0..250 {
         let (base, delta) = tied_case(&mut rng);
         let base = BaseProblem::new(base);
@@ -162,13 +159,9 @@ fn tied_optima_are_one_canonical_point_on_every_path() {
             &BudgetMeter::new(),
             &mut SolverFaults::none(),
         );
-        let (dense, dense_hit) = warm(SolverBackend::Dense, &base, &delta);
-        let (sparse, sparse_hit) = warm(SolverBackend::Auto, &base, &delta);
-        assert_eq!(bits(&dense), bits(&cold), "case {case}: dense warm vs cold");
+        let (sparse, sparse_hit) = warm(&base, &delta);
         assert_eq!(bits(&sparse), bits(&cold), "case {case}: sparse warm vs cold");
-        assert_eq!(dense, cold, "case {case}");
         assert_eq!(sparse, cold, "case {case}");
-        dense_hits += usize::from(dense_hit);
         sparse_hits += usize::from(sparse_hit);
 
         let IlpResolution::Exact { x, value } = &cold else { continue };
@@ -186,8 +179,6 @@ fn tied_optima_are_one_canonical_point_on_every_path() {
             brute += 1;
         }
     }
-    set_solver_backend(SolverBackend::Auto);
-    assert!(dense_hits >= 60, "only {dense_hits} dense warm hits");
     assert!(sparse_hits >= 60, "only {sparse_hits} sparse warm hits");
     assert!(brute >= 80, "only {brute} brute-force checks");
 }

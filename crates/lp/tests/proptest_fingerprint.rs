@@ -4,8 +4,7 @@
 //! problems that differ semantically.
 
 use ipet_lp::{
-    fingerprint, same_structure, set_solver_backend, BaseProblem, Constraint, DeltaSet, Problem,
-    ProblemBuilder, Relation, Sense, SolverBackend, VarId,
+    fingerprint, same_structure, Constraint, Problem, ProblemBuilder, Relation, Sense, VarId,
 };
 use proptest::prelude::*;
 
@@ -139,27 +138,5 @@ proptest! {
         }
         prop_assert_ne!(fingerprint(&p), fingerprint(&q));
         prop_assert!(!same_structure(&p, &q));
-    }
-
-    /// The pool's `(base, delta)` cache key is a pure function of problem
-    /// content: selecting a solver backend must not perturb either half.
-    /// (A backend-dependent key would silently partition the persistent
-    /// store by solver and break warm reuse across `--solver` runs.)
-    #[test]
-    fn cache_keys_ignore_solver_backend((p, split) in (arb_problem(), 0usize..4)) {
-        // Split the rows into a base and a delta so both fingerprint halves
-        // are exercised on non-trivial content.
-        let cut = split % (p.constraints.len() + 1);
-        let mut base_p = p.clone();
-        let delta = DeltaSet::new(base_p.constraints.split_off(cut));
-
-        let mut keys = Vec::new();
-        for backend in [SolverBackend::Dense, SolverBackend::Auto] {
-            set_solver_backend(backend);
-            let base = BaseProblem::new(base_p.clone());
-            keys.push((base.fingerprint(), base.delta_fingerprint(&delta)));
-        }
-        set_solver_backend(SolverBackend::Auto);
-        prop_assert_eq!(keys[0], keys[1]);
     }
 }
