@@ -28,7 +28,7 @@
 //! let cfg = Cfg::build(program.entry, program.entry_function());
 //! let machine = Machine::i960kb();
 //! let costs: Vec<_> = cfg
-//!     .blocks
+//!     .blocks()
 //!     .iter()
 //!     .map(|b| block_cost(&machine, program.entry_function(), b))
 //!     .collect();
@@ -39,7 +39,7 @@
 //! # Ok::<(), ipet_baseline::EnumError>(())
 //! ```
 
-use ipet_cfg::{BlockId, Cfg, EdgeId, EdgeKind, LoopInfo};
+use ipet_cfg::{BlockId, Cfg, EdgeId, EdgeKind};
 use ipet_hw::BlockCost;
 use std::collections::HashMap;
 use std::fmt;
@@ -92,7 +92,6 @@ pub struct PathEnumerator<'a> {
     costs: &'a [BlockCost],
     /// `header -> max iterations per entry`.
     bounds: HashMap<BlockId, u64>,
-    loops: Vec<LoopInfo>,
     max_paths: u64,
 }
 
@@ -114,13 +113,12 @@ impl<'a> PathEnumerator<'a> {
         if costs.len() != cfg.num_blocks() {
             return Err(EnumError::BadCosts { blocks: cfg.num_blocks(), costs: costs.len() });
         }
-        let loops = cfg.loops();
-        for l in &loops {
+        for l in cfg.loops() {
             if !loop_bounds.contains_key(&l.header) {
                 return Err(EnumError::MissingLoopBound(l.header));
             }
         }
-        Ok(PathEnumerator { cfg, costs, bounds: loop_bounds.clone(), loops, max_paths })
+        Ok(PathEnumerator { cfg, costs, bounds: loop_bounds.clone(), max_paths })
     }
 
     /// Walks every feasible path (within the budget) and returns the
@@ -138,12 +136,12 @@ impl<'a> PathEnumerator<'a> {
             path: Vec::new(),
             back_counts: HashMap::new(),
         };
-        state.visit(self.cfg.entry, 0, 0);
+        state.visit(self.cfg.entry(), 0, 0);
         state.result
     }
 
     fn back_edge_header(&self, edge: EdgeId) -> Option<BlockId> {
-        self.loops.iter().find(|l| l.back_edges.contains(&edge)).map(|l| l.header)
+        self.cfg.loops().iter().find(|l| l.back_edges.contains(&edge)).map(|l| l.header)
     }
 }
 
@@ -166,11 +164,11 @@ impl Walk<'_, '_> {
         let best = best_so_far + c.best;
         let worst = worst_so_far + c.worst_cold;
 
-        for e in self.enumerator.cfg.out_edges(block) {
+        for &e in self.enumerator.cfg.out_edges(block) {
             if self.result.truncated {
                 break;
             }
-            let edge = self.enumerator.cfg.edges[e.0];
+            let edge = self.enumerator.cfg.edges()[e.0];
             match edge.kind {
                 EdgeKind::Exit => {
                     self.result.paths_explored += 1;
@@ -238,7 +236,7 @@ mod tests {
 
     fn costs_of(p: &Program, cfg: &Cfg) -> Vec<BlockCost> {
         let m = Machine::i960kb();
-        cfg.blocks.iter().map(|b| block_cost(&m, &p.functions[cfg.func.0], b)).collect()
+        cfg.blocks().iter().map(|b| block_cost(&m, &p.functions[cfg.func.0], b)).collect()
     }
 
     #[test]
@@ -348,10 +346,10 @@ mod path_tests {
         let cfg = Cfg::build(FuncId(0), p.entry_function());
         let m = Machine::i960kb();
         let costs: Vec<_> =
-            cfg.blocks.iter().map(|b| block_cost(&m, p.entry_function(), b)).collect();
+            cfg.blocks().iter().map(|b| block_cost(&m, p.entry_function(), b)).collect();
         let r = PathEnumerator::new(&cfg, &costs, &HashMap::new(), u64::MAX).unwrap().enumerate();
         let path = &r.worst_path;
-        assert_eq!(path.first(), Some(&cfg.entry));
+        assert_eq!(path.first(), Some(&cfg.entry()));
         for w in path.windows(2) {
             assert!(
                 cfg.successors(w[0]).contains(&w[1]),
@@ -371,7 +369,7 @@ mod path_tests {
         let cfg = Cfg::build(FuncId(0), p.entry_function());
         let m = Machine::i960kb();
         let costs: Vec<_> =
-            cfg.blocks.iter().map(|b| block_cost(&m, p.entry_function(), b)).collect();
+            cfg.blocks().iter().map(|b| block_cost(&m, p.entry_function(), b)).collect();
         let r = PathEnumerator::new(&cfg, &costs, &HashMap::new(), 0).unwrap().enumerate();
         assert!(r.truncated);
         assert_eq!(r.paths_explored, 0);

@@ -17,8 +17,11 @@ fn bench_blowup(c: &mut Criterion) {
     for k in [4usize, 8, 12] {
         let program = diamond_chain_program(k);
         let cfg = Cfg::build(program.entry, program.entry_function());
-        let costs: Vec<_> =
-            cfg.blocks.iter().map(|b| block_cost(&machine, program.entry_function(), b)).collect();
+        let costs: Vec<_> = cfg
+            .blocks()
+            .iter()
+            .map(|b| block_cost(&machine, program.entry_function(), b))
+            .collect();
 
         group.bench_with_input(BenchmarkId::new("explicit", k), &k, |bench, _| {
             bench.iter(|| {

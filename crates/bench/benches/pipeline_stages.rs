@@ -33,7 +33,7 @@ fn bench_stages(c: &mut Criterion) {
             let inst = Instances::expand(&program, program.entry).unwrap();
             let mut total = 0u64;
             for (f, cfg) in inst.cfgs.iter().enumerate() {
-                for blk in &cfg.blocks {
+                for blk in cfg.blocks() {
                     total += block_cost(&machine, &program.functions[f], blk).worst_cold;
                 }
             }

@@ -481,7 +481,7 @@ pub fn blowup_rows(ks: &[usize], budget: u64) -> Vec<BlowupRow> {
             let program = diamond_chain_program(k);
             let cfg = Cfg::build(program.entry, program.entry_function());
             let costs: Vec<_> = cfg
-                .blocks
+                .blocks()
                 .iter()
                 .map(|b| block_cost(&machine, program.entry_function(), b))
                 .collect();

@@ -29,8 +29,8 @@ fn observed_loop_counts(
         .map(|l| {
             let mut entries = 0u64;
             for &e in &l.entry_edges {
-                let from = cfg.edges[e.0].from?;
-                let successors = cfg.edges.iter().filter(|x| x.from == Some(from)).count();
+                let from = cfg.edges()[e.0].from?;
+                let successors = cfg.edges().iter().filter(|x| x.from == Some(from)).count();
                 if successors != 1 {
                     return None;
                 }

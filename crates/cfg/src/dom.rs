@@ -1,66 +1,78 @@
 //! Dominator computation (iterative dataflow, Cooper–Harvey–Kennedy style
 //! simplified to the dense bitset formulation — the CFGs here are small).
 
-use crate::graph::{BlockId, Cfg};
+use crate::graph::{BlockId, Csr};
 
 /// Immediate-dominator-free dominator sets: `dominates(a, b)` answers
 /// whether every path from the entry to `b` passes through `a`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dominators {
-    /// `sets[b]` is the bitset of blocks dominating block `b`.
-    sets: Vec<Vec<bool>>,
+    /// Number of blocks.
+    n: usize,
+    /// `bits[b * words..(b + 1) * words]` is the bitset of blocks
+    /// dominating block `b`, 64 blocks to a word.
+    bits: Vec<u64>,
 }
 
 impl Dominators {
-    /// Computes dominator sets for `cfg` by round-robin iteration to a
-    /// fixed point. Every block in a [`Cfg`] is reachable, so the classic
-    /// initialisation (`dom(entry) = {entry}`, `dom(b) = all`) converges.
-    pub fn compute(cfg: &Cfg) -> Dominators {
+    /// Computes dominator sets from the predecessor lists of a CFG under
+    /// construction, by round-robin iteration to a fixed point. Every block
+    /// in a [`Cfg`](crate::Cfg) is reachable, so the classic initialisation
+    /// (`dom(entry) = {entry}`, `dom(b) = all`) converges. Only
+    /// [`Cfg::build`](crate::Cfg::build) calls this; everyone else borrows
+    /// [`Cfg::dominators`](crate::Cfg::dominators).
+    pub(crate) fn compute(entry: BlockId, preds: &Csr<BlockId>) -> Dominators {
         ipet_trace::counter("cfg.dom.computations", 1);
-        let n = cfg.num_blocks();
-        let mut sets = vec![vec![true; n]; n];
-        sets[cfg.entry.0] = vec![false; n];
-        sets[cfg.entry.0][cfg.entry.0] = true;
+        let n = preds.len();
+        let words = n.div_ceil(64);
+        let mut bits = vec![!0u64; n * words];
+        let only = |set: &mut [u64], b: usize| {
+            set.fill(0);
+            set[b / 64] |= 1 << (b % 64);
+        };
+        only(&mut bits[entry.0 * words..(entry.0 + 1) * words], entry.0);
 
-        let preds: Vec<Vec<BlockId>> = (0..n).map(|b| cfg.predecessors(BlockId(b))).collect();
-
+        let mut new = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
             for b in 0..n {
-                if b == cfg.entry.0 {
+                if b == entry.0 {
                     continue;
                 }
+                let preds = preds.row(BlockId(b));
                 // intersection of predecessors' dominator sets, plus self
-                let mut new = vec![true; n];
-                if preds[b].is_empty() {
+                if preds.is_empty() {
                     // entry-only reachable via entry edge; keep {b}
-                    new = vec![false; n];
+                    only(&mut new, b);
                 } else {
-                    for p in &preds[b] {
-                        for (i, slot) in new.iter_mut().enumerate() {
-                            *slot = *slot && sets[p.0][i];
-                        }
+                    new.fill(!0);
+                    for p in preds {
+                        let set = &bits[p.0 * words..(p.0 + 1) * words];
+                        new.iter_mut().zip(set).for_each(|(w, &d)| *w &= d);
                     }
+                    new[b / 64] |= 1 << (b % 64);
                 }
-                new[b] = true;
-                if new != sets[b] {
-                    sets[b] = new;
+                let set = &mut bits[b * words..(b + 1) * words];
+                if *set != *new {
+                    set.copy_from_slice(&new);
                     changed = true;
                 }
             }
         }
-        Dominators { sets }
+        Dominators { n, bits }
     }
 
     /// True if `a` dominates `b` (reflexive: every block dominates itself).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.sets[b.0][a.0]
+        assert!(a.0 < self.n && b.0 < self.n, "block out of range");
+        let words = self.n.div_ceil(64);
+        self.bits[b.0 * words + a.0 / 64] >> (a.0 % 64) & 1 == 1
     }
 
     /// The set of blocks dominating `b`, in index order.
     pub fn dominators_of(&self, b: BlockId) -> Vec<BlockId> {
-        self.sets[b.0].iter().enumerate().filter(|(_, &d)| d).map(|(i, _)| BlockId(i)).collect()
+        (0..self.n).map(BlockId).filter(|&a| self.dominates(a, b)).collect()
     }
 }
 
@@ -87,16 +99,16 @@ mod tests {
     #[test]
     fn entry_dominates_everything() {
         let cfg = while_loop_cfg();
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         for b in 0..cfg.num_blocks() {
-            assert!(dom.dominates(cfg.entry, BlockId(b)));
+            assert!(dom.dominates(cfg.entry(), BlockId(b)));
         }
     }
 
     #[test]
     fn self_domination_is_reflexive() {
         let cfg = while_loop_cfg();
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         for b in 0..cfg.num_blocks() {
             assert!(dom.dominates(BlockId(b), BlockId(b)));
         }
@@ -105,7 +117,7 @@ mod tests {
     #[test]
     fn loop_header_dominates_body_and_exit() {
         let cfg = while_loop_cfg();
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         // B2 (index 1) is the header; B3 (index 2) the body; B4 (index 3) exit.
         assert!(dom.dominates(BlockId(1), BlockId(2)));
         assert!(dom.dominates(BlockId(1), BlockId(3)));
@@ -125,7 +137,7 @@ mod tests {
         b.bind(join);
         b.ret();
         let cfg = Cfg::build(FuncId(0), &b.finish().unwrap());
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         assert!(!dom.dominates(BlockId(1), BlockId(3)));
         assert!(!dom.dominates(BlockId(2), BlockId(3)));
         assert!(dom.dominates(BlockId(0), BlockId(3)));

@@ -1,5 +1,7 @@
 //! Basic blocks and the control-flow graph of one function.
 
+use crate::dom::Dominators;
+use crate::loops::{self, LoopInfo};
 use ipet_arch::{FuncId, Function, Instr};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -76,19 +78,59 @@ impl BasicBlock {
     }
 }
 
+/// Per-block lists in compressed sparse row form: block `b`'s entries are
+/// `items[start[b]..start[b + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Csr<T> {
+    /// Groups `(block, item)` pairs by block over `n` blocks. The sort is
+    /// stable, so each block's items keep the order they were given in.
+    fn group(n: usize, mut pairs: Vec<(usize, T)>) -> Csr<T> {
+        pairs.sort_by_key(|&(b, _)| b);
+        let mut start = vec![0; n + 1];
+        for &(b, _) in &pairs {
+            start[b + 1] += 1;
+        }
+        for b in 0..n {
+            start[b + 1] += start[b];
+        }
+        Csr { start, items: pairs.into_iter().map(|(_, t)| t).collect() }
+    }
+
+    /// Number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    pub(crate) fn row(&self, b: BlockId) -> &[T] {
+        &self.items[self.start[b.0]..self.start[b.0 + 1]]
+    }
+}
+
 /// The control-flow graph of a single function.
+///
+/// [`Cfg::build`] derives everything the analysis asks of the graph once —
+/// the per-block adjacency, the dominators and the natural-loop forest. The
+/// blocks and edges are private so nothing can change a built `Cfg` and
+/// leave those facts stale; every accessor is a borrow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     /// Which function of the program this CFG describes.
     pub func: FuncId,
     /// Function name (copied for diagnostics).
     pub func_name: String,
-    /// Blocks in instruction order; only blocks reachable from the entry.
-    pub blocks: Vec<BasicBlock>,
-    /// All edges; the entry edge is always `EdgeId(0)`.
-    pub edges: Vec<Edge>,
-    /// Entry block (always `BlockId(0)` after construction).
-    pub entry: BlockId,
+    blocks: Vec<BasicBlock>,
+    edges: Vec<Edge>,
+    in_edges: Csr<EdgeId>,
+    out_edges: Csr<EdgeId>,
+    preds: Csr<BlockId>,
+    succs: Csr<BlockId>,
+    dom: Dominators,
+    loops: Vec<LoopInfo>,
 }
 
 impl Cfg {
@@ -97,7 +139,8 @@ impl Cfg {
     /// Leaders are: instruction 0, every branch target, and every
     /// instruction following a terminator. Unreachable blocks are dropped —
     /// keeping them would let the ILP route spurious circulation through
-    /// dead cycles.
+    /// dead cycles. The adjacency lists, dominators and loops are derived
+    /// here, once.
     ///
     /// # Panics
     ///
@@ -205,7 +248,45 @@ impl Cfg {
         ipet_trace::counter("cfg.build.calls", 1);
         ipet_trace::counter("cfg.blocks", blocks.len() as u64);
         ipet_trace::counter("cfg.edges", edges.len() as u64);
-        Cfg { func, func_name: function.name.clone(), blocks, edges, entry: BlockId(0) }
+
+        // 6. Derived facts. Pairs are listed in edge-index order, which the
+        // stable grouping keeps within each block.
+        let nb = blocks.len();
+        let ends = || edges.iter().enumerate().map(|(i, e)| (EdgeId(i), e.from, e.to));
+        let in_edges = Csr::group(nb, ends().filter_map(|(e, _, to)| Some((to?.0, e))).collect());
+        let out_edges =
+            Csr::group(nb, ends().filter_map(|(e, from, _)| Some((from?.0, e))).collect());
+        let preds = Csr::group(nb, ends().filter_map(|(_, f, t)| Some((t?.0, f?))).collect());
+        let succs = Csr::group(nb, ends().filter_map(|(_, f, t)| Some((f?.0, t?))).collect());
+        let dom = Dominators::compute(BlockId(0), &preds);
+        let loops = loops::detect(&edges, &dom, &preds, &in_edges);
+        Cfg {
+            func,
+            func_name: function.name.clone(),
+            blocks,
+            edges,
+            in_edges,
+            out_edges,
+            preds,
+            succs,
+            dom,
+            loops,
+        }
+    }
+
+    /// Blocks in instruction order; only blocks reachable from the entry.
+    pub fn blocks(&self) -> &[BasicBlock] {
+        &self.blocks
+    }
+
+    /// All edges; the entry edge is always `EdgeId(0)`.
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// Entry block: always `BlockId(0)`, the block of instruction 0.
+    pub fn entry(&self) -> BlockId {
+        BlockId(0)
     }
 
     /// Number of basic blocks.
@@ -218,34 +299,38 @@ impl Cfg {
         self.edges.len()
     }
 
-    /// Edges flowing into `block` (including the entry edge for block 0).
-    pub fn in_edges(&self, block: BlockId) -> Vec<EdgeId> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.to == Some(block))
-            .map(|(i, _)| EdgeId(i))
-            .collect()
+    /// Edges flowing into `block` (including the entry edge for block 0),
+    /// in edge-index order.
+    pub fn in_edges(&self, block: BlockId) -> &[EdgeId] {
+        self.in_edges.row(block)
     }
 
-    /// Edges flowing out of `block` (including exit edges).
-    pub fn out_edges(&self, block: BlockId) -> Vec<EdgeId> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.from == Some(block))
-            .map(|(i, _)| EdgeId(i))
-            .collect()
+    /// Edges flowing out of `block` (including exit edges), in edge-index
+    /// order.
+    pub fn out_edges(&self, block: BlockId) -> &[EdgeId] {
+        self.out_edges.row(block)
     }
 
-    /// Successor blocks of `block` (exit edges excluded).
-    pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
-        self.edges.iter().filter(|e| e.from == Some(block)).filter_map(|e| e.to).collect()
+    /// Successor blocks of `block` (exit edges excluded), in the order of
+    /// its out-edges.
+    pub fn successors(&self, block: BlockId) -> &[BlockId] {
+        self.succs.row(block)
     }
 
-    /// Predecessor blocks of `block` (the entry edge excluded).
-    pub fn predecessors(&self, block: BlockId) -> Vec<BlockId> {
-        self.edges.iter().filter(|e| e.to == Some(block)).filter_map(|e| e.from).collect()
+    /// Predecessor blocks of `block` (the entry edge excluded), in the order
+    /// of its in-edges.
+    pub fn predecessors(&self, block: BlockId) -> &[BlockId] {
+        self.preds.row(block)
+    }
+
+    /// The dominator relation of this CFG.
+    pub fn dominators(&self) -> &Dominators {
+        &self.dom
+    }
+
+    /// The natural loops, one per header, in header order.
+    pub fn loops(&self) -> &[LoopInfo] {
+        &self.loops
     }
 
     /// Blocks ending in `ret`.
@@ -489,8 +574,8 @@ mod tests {
         let f = diamond();
         let cfg = Cfg::build(FuncId(0), &f);
         assert_eq!(cfg.edges[0].kind, EdgeKind::Entry);
-        assert_eq!(cfg.edges[0].to, Some(cfg.entry));
-        assert_eq!(cfg.in_edges(cfg.entry), vec![EdgeId(0)]);
+        assert_eq!(cfg.edges[0].to, Some(cfg.entry()));
+        assert_eq!(cfg.in_edges(cfg.entry()), [EdgeId(0)]);
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //! constraint such as `x12 = x8.f1` can name the `x8` of the callee instance
 //! reached through call site `f1`.
 //!
-//! Natural-loop detection ([`Cfg::loops`]) drives both the "mark the loops
-//! and ask the user for bounds" workflow and the first-iteration cache
-//! splitting ablation.
+//! [`Cfg::build`] derives each CFG's facts once: per-block adjacency
+//! ([`Cfg::in_edges`], [`Cfg::predecessors`], …), [`Dominators`] and the
+//! natural-loop forest ([`Cfg::loops`]). A built `Cfg` never changes, so
+//! every later layer borrows these instead of recomputing them. The loops
+//! drive both the "mark the loops and ask the user for bounds" workflow and
+//! the first-iteration cache splitting ablation.
 //!
 //! ## Example
 //!
 //! ```
 //! use ipet_arch::{AluOp, AsmBuilder, Cond, FuncId, Program, Reg};
-//! use ipet_cfg::Cfg;
+//! use ipet_cfg::{Cfg, LoopInfo};
 //!
 //! // while (t < 10) t++;
 //! let mut b = AsmBuilder::new("loopy");
@@ -39,9 +42,10 @@
 //!
 //! let cfg = Cfg::build(FuncId(0), program.entry_function());
 //! assert_eq!(cfg.num_blocks(), 4);
-//! let loops = cfg.loops();
+//! let loops: &[LoopInfo] = cfg.loops(); // detected once, inside `build`
 //! assert_eq!(loops.len(), 1);
 //! assert_eq!(loops[0].back_edges.len(), 1);
+//! assert!(cfg.dominators().dominates(loops[0].header, loops[0].body[1]));
 //! ```
 
 mod callgraph;

@@ -2,12 +2,14 @@
 //!
 //! The paper's workflow is: "the loops can be detected and marked. After all
 //! the structural constraints have been constructed, the user will be asked
-//! to provide the loop bound information". [`Cfg::loops`] performs the
-//! detection; the bound then relates the loop's *preheader* count to its
-//! *header* count (`1·x_pre ≤ x_head ≤ N·x_pre` for a 1..N-iteration loop).
+//! to provide the loop bound information". [`Cfg::build`](crate::Cfg::build)
+//! performs the detection, once per CFG, and [`Cfg::loops`](crate::Cfg::loops)
+//! hands out the result; the bound then relates the loop's *preheader* count
+//! to its *header* count (`1·x_pre ≤ x_head ≤ N·x_pre` for a 1..N-iteration
+//! loop).
 
 use crate::dom::Dominators;
-use crate::graph::{BlockId, Cfg, EdgeId};
+use crate::graph::{BlockId, Csr, Edge, EdgeId};
 use std::collections::BTreeSet;
 
 /// Index of a loop within a function (ordered by header block).
@@ -35,60 +37,63 @@ impl LoopInfo {
     }
 }
 
-impl Cfg {
-    /// Finds all natural loops: one per header, merging the bodies of all
-    /// back edges that share a header (the classic approach for `while`
-    /// loops with `continue`).
-    pub fn loops(&self) -> Vec<LoopInfo> {
-        let dom = Dominators::compute(self);
-        // back edge: internal edge b -> h with h dominating b
-        let mut headers: BTreeSet<BlockId> = BTreeSet::new();
-        let mut back: Vec<(EdgeId, BlockId, BlockId)> = Vec::new();
-        for (i, e) in self.edges.iter().enumerate() {
-            if let (Some(from), Some(to)) = (e.from, e.to) {
-                if dom.dominates(to, from) {
-                    headers.insert(to);
-                    back.push((EdgeId(i), from, to));
-                }
+/// Finds all natural loops of a CFG under construction: one per header, in
+/// header order, merging the bodies of all back edges that share a header
+/// (the classic approach for `while` loops with `continue`).
+pub(crate) fn detect(
+    edges: &[Edge],
+    dom: &Dominators,
+    preds: &Csr<BlockId>,
+    in_edges: &Csr<EdgeId>,
+) -> Vec<LoopInfo> {
+    // back edge: internal edge b -> h with h dominating b
+    let mut headers: BTreeSet<BlockId> = BTreeSet::new();
+    let mut back: Vec<(EdgeId, BlockId, BlockId)> = Vec::new();
+    for (i, e) in edges.iter().enumerate() {
+        if let (Some(from), Some(to)) = (e.from, e.to) {
+            if dom.dominates(to, from) {
+                headers.insert(to);
+                back.push((EdgeId(i), from, to));
             }
         }
+    }
 
-        let mut loops = Vec::new();
-        for h in headers {
-            // Natural loop body: header + all blocks that reach a latch
-            // without passing through the header.
-            let mut body: BTreeSet<BlockId> = BTreeSet::new();
-            body.insert(h);
-            let mut stack: Vec<BlockId> =
-                back.iter().filter(|&&(_, _, to)| to == h).map(|&(_, from, _)| from).collect();
-            while let Some(b) = stack.pop() {
-                if body.insert(b) {
-                    for p in self.predecessors(b) {
-                        if !body.contains(&p) {
-                            stack.push(p);
-                        }
+    let mut loops = Vec::new();
+    for h in headers {
+        // Natural loop body: header + all blocks that reach a latch
+        // without passing through the header.
+        let mut body: BTreeSet<BlockId> = BTreeSet::new();
+        body.insert(h);
+        let mut stack: Vec<BlockId> =
+            back.iter().filter(|&&(_, _, to)| to == h).map(|&(_, from, _)| from).collect();
+        while let Some(b) = stack.pop() {
+            if body.insert(b) {
+                for &p in preds.row(b) {
+                    if !body.contains(&p) {
+                        stack.push(p);
                     }
                 }
             }
-            let back_edges: Vec<EdgeId> =
-                back.iter().filter(|&&(_, _, to)| to == h).map(|&(e, _, _)| e).collect();
-            let entry_edges: Vec<EdgeId> =
-                self.in_edges(h).into_iter().filter(|e| !back_edges.contains(e)).collect();
-            loops.push(LoopInfo {
-                header: h,
-                body: body.into_iter().collect(),
-                back_edges,
-                entry_edges,
-            });
         }
-        ipet_trace::counter("cfg.loops.detected", loops.len() as u64);
-        loops
+        let back_edges: Vec<EdgeId> =
+            back.iter().filter(|&&(_, _, to)| to == h).map(|&(e, _, _)| e).collect();
+        let entry_edges: Vec<EdgeId> =
+            in_edges.row(h).iter().copied().filter(|e| !back_edges.contains(e)).collect();
+        loops.push(LoopInfo {
+            header: h,
+            body: body.into_iter().collect(),
+            back_edges,
+            entry_edges,
+        });
     }
+    ipet_trace::counter("cfg.loops.detected", loops.len() as u64);
+    loops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Cfg;
     use ipet_arch::{AluOp, AsmBuilder, Cond, FuncId, Reg};
 
     fn build(f: ipet_arch::Function) -> Cfg {

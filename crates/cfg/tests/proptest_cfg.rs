@@ -1,7 +1,7 @@
 //! Property tests on CFG construction over randomly generated structured
 //! code (built with the mini-C compiler so the CFGs are realistic).
 
-use ipet_cfg::{BlockId, Cfg, Dominators, EdgeKind, Instances};
+use ipet_cfg::{BlockId, Cfg, EdgeId, EdgeKind, Instances};
 use ipet_lang::{BinOp, Expr, ExprKind, FuncDecl, Item, Module, Stmt};
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ proptest! {
 
         // Blocks are non-empty, ordered, disjoint.
         let mut prev_end = 0;
-        for b in &cfg.blocks {
+        for b in cfg.blocks() {
             prop_assert!(b.start < b.end);
             prop_assert!(b.start >= prev_end);
             prop_assert!(b.end <= f.instrs.len());
@@ -90,12 +90,12 @@ proptest! {
         }
 
         // Exactly one entry edge, pointing at the entry block.
-        let entries: Vec<_> = cfg.edges.iter().filter(|e| e.kind == EdgeKind::Entry).collect();
+        let entries: Vec<_> = cfg.edges().iter().filter(|e| e.kind == EdgeKind::Entry).collect();
         prop_assert_eq!(entries.len(), 1);
-        prop_assert_eq!(entries[0].to, Some(cfg.entry));
+        prop_assert_eq!(entries[0].to, Some(cfg.entry()));
 
         // Edge endpoints are valid; exit edges come from ret blocks.
-        for e in &cfg.edges {
+        for e in cfg.edges() {
             if let Some(from) = e.from {
                 prop_assert!(from.0 < cfg.num_blocks());
             }
@@ -104,7 +104,7 @@ proptest! {
             }
             if e.kind == EdgeKind::Exit {
                 let from = e.from.unwrap();
-                let last = f.instrs[cfg.blocks[from.0].end - 1];
+                let last = f.instrs[cfg.blocks()[from.0].end - 1];
                 prop_assert!(matches!(last, ipet_arch::Instr::Ret));
             }
         }
@@ -112,7 +112,7 @@ proptest! {
         // Every block is reachable from the entry (construction drops the
         // rest): walk successors.
         let mut seen = vec![false; cfg.num_blocks()];
-        let mut stack = vec![cfg.entry];
+        let mut stack = vec![cfg.entry()];
         while let Some(b) = stack.pop() {
             if std::mem::replace(&mut seen[b.0], true) {
                 continue;
@@ -127,9 +127,9 @@ proptest! {
     #[test]
     fn loops_and_dominators(body in arb_stmts()) {
         let (_p, cfg) = cfg_of(body);
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         for b in 0..cfg.num_blocks() {
-            prop_assert!(dom.dominates(cfg.entry, BlockId(b)));
+            prop_assert!(dom.dominates(cfg.entry(), BlockId(b)));
         }
         for l in cfg.loops() {
             prop_assert!(l.contains(l.header));
@@ -137,16 +137,38 @@ proptest! {
                 prop_assert!(dom.dominates(l.header, b), "header dominates body");
             }
             for e in &l.back_edges {
-                let from = cfg.edges[e.0].from.unwrap();
+                let from = cfg.edges()[e.0].from.unwrap();
                 prop_assert!(l.contains(from), "latches live inside the loop");
-                prop_assert_eq!(cfg.edges[e.0].to, Some(l.header));
+                prop_assert_eq!(cfg.edges()[e.0].to, Some(l.header));
             }
             // Entry edges come from outside the loop (or the entry edge).
             for e in &l.entry_edges {
-                if let Some(from) = cfg.edges[e.0].from {
+                if let Some(from) = cfg.edges()[e.0].from {
                     prop_assert!(!l.contains(from));
                 }
             }
+        }
+    }
+
+    /// The adjacency built once in `Cfg::build` equals a brute-force filter
+    /// over `edges`, in edge-index order. Row term order — and with it every
+    /// pinned ILP fingerprint — depends on that order.
+    #[test]
+    fn adjacency_matches_edge_filter(body in arb_stmts()) {
+        let (_p, cfg) = cfg_of(body);
+        let ids = || cfg.edges().iter().enumerate().map(|(i, e)| (EdgeId(i), e));
+        for b in (0..cfg.num_blocks()).map(BlockId) {
+            let ins: Vec<EdgeId> = ids().filter(|(_, e)| e.to == Some(b)).map(|(i, _)| i).collect();
+            let outs: Vec<EdgeId> =
+                ids().filter(|(_, e)| e.from == Some(b)).map(|(i, _)| i).collect();
+            let preds: Vec<BlockId> =
+                cfg.edges().iter().filter(|e| e.to == Some(b)).filter_map(|e| e.from).collect();
+            let succs: Vec<BlockId> =
+                cfg.edges().iter().filter(|e| e.from == Some(b)).filter_map(|e| e.to).collect();
+            prop_assert_eq!(cfg.in_edges(b), ins.as_slice());
+            prop_assert_eq!(cfg.out_edges(b), outs.as_slice());
+            prop_assert_eq!(cfg.predecessors(b), preds.as_slice());
+            prop_assert_eq!(cfg.successors(b), succs.as_slice());
         }
     }
 
@@ -170,13 +192,13 @@ proptest! {
     #[test]
     fn dominators_match_reachability_definition(body in arb_stmts()) {
         let (_p, cfg) = cfg_of(body);
-        let dom = Dominators::compute(&cfg);
+        let dom = cfg.dominators();
         let reachable_without = |banned: BlockId| -> Vec<bool> {
             let mut seen = vec![false; cfg.num_blocks()];
-            if banned == cfg.entry {
+            if banned == cfg.entry() {
                 return seen;
             }
-            let mut stack = vec![cfg.entry];
+            let mut stack = vec![cfg.entry()];
             while let Some(b) = stack.pop() {
                 if b == banned || std::mem::replace(&mut seen[b.0], true) {
                     continue;

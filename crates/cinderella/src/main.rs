@@ -584,7 +584,7 @@ fn print_cfg(program: &ipet_arch::Program, machine_name: &str) -> Result<(), Str
         println!("  block costs (cycles):");
         for b in 0..cfg.num_blocks() {
             let c = analyzer.block_cost(cfg.func, ipet_cfg::BlockId(b));
-            let blk = &cfg.blocks[b];
+            let blk = &cfg.blocks()[b];
             let line = program.functions[cfg.func.0]
                 .src_line(blk.start)
                 .map(|l| format!(" line {l}"))
@@ -630,7 +630,7 @@ fn listing(t: &Target) -> Result<(), String> {
             continue;
         }
         let function = &t.program.functions[cfg.func.0];
-        for (bi, blk) in cfg.blocks.iter().enumerate() {
+        for (bi, blk) in cfg.blocks().iter().enumerate() {
             if let Some(line) = function.src_line(blk.start) {
                 marks.entry(line).or_default().push(format!("{}:x{}", cfg.func_name, bi + 1));
             }

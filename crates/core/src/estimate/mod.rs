@@ -511,7 +511,10 @@ impl<'p> Analyzer<'p> {
             .iter()
             .enumerate()
             .map(|(f, cfg)| {
-                cfg.blocks.iter().map(|b| block_cost(&machine, &program.functions[f], b)).collect()
+                cfg.blocks()
+                    .iter()
+                    .map(|b| block_cost(&machine, &program.functions[f], b))
+                    .collect()
             })
             .collect();
         let param_costs = instances
@@ -519,7 +522,7 @@ impl<'p> Analyzer<'p> {
             .iter()
             .enumerate()
             .map(|(f, cfg)| {
-                cfg.blocks
+                cfg.blocks()
                     .iter()
                     .map(|b| block_cost_param(&machine, &program.functions[f], b))
                     .collect()

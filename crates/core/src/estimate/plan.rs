@@ -356,10 +356,10 @@ impl<'p> Analyzer<'p> {
             let cfg = self.instances.cfg(inst);
             let func = cfg.func;
             let function = &self.program().functions[func.0];
-            let loops: Vec<LoopInfo> = cfg.loops();
+            let loops = cfg.loops();
             // Innermost qualifying loop per block.
             let mut chosen: HashMap<BlockId, &LoopInfo> = HashMap::new();
-            for l in &loops {
+            for l in loops {
                 if !self.loop_qualifies(func, l) {
                     continue;
                 }
@@ -407,15 +407,15 @@ impl<'p> Analyzer<'p> {
     fn loop_qualifies(&self, func: ipet_arch::FuncId, l: &LoopInfo) -> bool {
         let cfg = &self.instances.cfgs[func.0];
         let function = &self.program().functions[func.0];
-        if l.body.iter().any(|&b| cfg.blocks[b.0].call.is_some()) {
+        if l.body.iter().any(|&b| cfg.blocks()[b.0].call.is_some()) {
             return false;
         }
         let start =
-            l.body.iter().map(|&b| function.instr_addr(cfg.blocks[b.0].start)).min().unwrap_or(0);
+            l.body.iter().map(|&b| function.instr_addr(cfg.blocks()[b.0].start)).min().unwrap_or(0);
         let end = l
             .body
             .iter()
-            .map(|&b| function.instr_addr(cfg.blocks[b.0].end - 1) + ipet_arch::INSTR_BYTES)
+            .map(|&b| function.instr_addr(cfg.blocks()[b.0].end - 1) + ipet_arch::INSTR_BYTES)
             .max()
             .unwrap_or(0);
         self.machine().icache.range_is_conflict_free(start, end)

@@ -116,7 +116,7 @@ impl<'p> Analyzer<'p> {
         let target = self.follow_path(inst, header)?;
         let cfg = self.instances.cfg(target);
         let block = BlockId(header.index - 1);
-        let lp = cfg.loops().into_iter().find(|l| l.header == block).ok_or_else(|| {
+        let lp = cfg.loops().iter().find(|l| l.header == block).ok_or_else(|| {
             AnalysisError::NotALoopHeader { func: cfg.func_name.clone(), block: block.to_string() }
         })?;
         bounded.insert((target, block));
@@ -152,7 +152,7 @@ impl<'p> Analyzer<'p> {
             for l in cfg.loops() {
                 if !bounded.contains(&(inst, l.header)) {
                     let line = self.program().functions[cfg.func.0]
-                        .src_line(cfg.blocks[l.header.0].start)
+                        .src_line(cfg.blocks()[l.header.0].start)
                         .map(|n| format!(" at line {n}"))
                         .unwrap_or_default();
                     out.push(format!("{}({}){line}", cfg.func_name, l.header));

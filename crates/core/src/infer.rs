@@ -19,7 +19,7 @@
 
 use crate::estimate::Analyzer;
 use ipet_arch::{AluOp, Cond, FuncId, Instr, Operand, Reg};
-use ipet_cfg::{BlockId, Cfg, Dominators, LoopInfo};
+use ipet_cfg::{BlockId, Cfg, LoopInfo};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -64,7 +64,7 @@ struct HeaderTest {
 /// Returns the continue-condition (normalised so that *taken* means
 /// "stay in the loop").
 fn match_header(cfg: &Cfg, function: &ipet_arch::Function, l: &LoopInfo) -> Option<HeaderTest> {
-    let block = &cfg.blocks[l.header.0];
+    let block = &cfg.blocks()[l.header.0];
     let instrs = &function.instrs[block.start..block.end];
     let (&Instr::Br { cond, a, b, target }, rest) = instrs.split_last()? else {
         return None;
@@ -107,7 +107,7 @@ fn match_header(cfg: &Cfg, function: &ipet_arch::Function, l: &LoopInfo) -> Opti
 fn match_step(cfg: &Cfg, function: &ipet_arch::Function, l: &LoopInfo, slot: i32) -> Option<i64> {
     let mut step: Option<i64> = None;
     for &b in &l.body {
-        let block = &cfg.blocks[b.0];
+        let block = &cfg.blocks()[b.0];
         let instrs = &function.instrs[block.start..block.end];
         for (i, ins) in instrs.iter().enumerate() {
             if let Instr::St { src, base, offset } = *ins {
@@ -177,20 +177,15 @@ fn trace_add_constant(prefix: &[Instr], reg: Reg, slot: i32) -> Option<i64> {
 /// outside the loop, with no other stores to the slot in between (we only
 /// accept the straightforward case: the *immediately* dominating
 /// initialisation).
-fn match_init(
-    cfg: &Cfg,
-    function: &ipet_arch::Function,
-    dom: &Dominators,
-    l: &LoopInfo,
-    slot: i32,
-) -> Option<i64> {
+fn match_init(cfg: &Cfg, function: &ipet_arch::Function, l: &LoopInfo, slot: i32) -> Option<i64> {
+    let dom = cfg.dominators();
     let mut init: Option<i64> = None;
     for b in 0..cfg.num_blocks() {
         let block_id = BlockId(b);
         if l.contains(block_id) || !dom.dominates(block_id, l.header) {
             continue;
         }
-        let block = &cfg.blocks[b];
+        let block = &cfg.blocks()[b];
         let instrs = &function.instrs[block.start..block.end];
         for (i, ins) in instrs.iter().enumerate() {
             if let Instr::St { src, base, offset } = *ins {
@@ -255,18 +250,17 @@ pub fn infer_loop_bounds(analyzer: &Analyzer<'_>) -> Vec<InferredBound> {
     let instances = analyzer.instances();
     for cfg in &instances.cfgs {
         let function = &analyzer.program().functions[cfg.func.0];
-        let dom = Dominators::compute(cfg);
         for l in cfg.loops() {
             if !seen.insert((cfg.func, l.header)) {
                 continue;
             }
-            let Some(test) = match_header(cfg, function, &l) else {
+            let Some(test) = match_header(cfg, function, l) else {
                 continue;
             };
-            let Some(step) = match_step(cfg, function, &l, test.slot) else {
+            let Some(step) = match_step(cfg, function, l, test.slot) else {
                 continue;
             };
-            let Some(init) = match_init(cfg, function, &dom, &l, test.slot) else {
+            let Some(init) = match_init(cfg, function, l, test.slot) else {
                 continue;
             };
             let Some(trips) = trip_count(init, test.cond, test.limit as i64, step) else {

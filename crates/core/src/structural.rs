@@ -28,13 +28,13 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
             let block = BlockId(b);
             let x = VarRef::Block(inst, block);
             let mut in_terms = vec![(x, 1.0)];
-            for e in cfg.in_edges(block) {
+            for &e in cfg.in_edges(block) {
                 in_terms.push((VarRef::Edge(inst, e), -1.0));
             }
             out.push(LinCon::eq(in_terms, 0.0));
 
             let mut out_terms = vec![(x, 1.0)];
-            for e in cfg.out_edges(block) {
+            for &e in cfg.out_edges(block) {
                 out_terms.push((VarRef::Edge(inst, e), -1.0));
             }
             out.push(LinCon::eq(out_terms, 0.0));
@@ -102,20 +102,13 @@ pub fn flow_spec(instances: &Instances, space: &VarSpace) -> FlowSpec {
     for i in 0..instances.len() {
         let inst = InstanceId(i);
         let cfg = instances.cfg(inst);
+        let edge_vars = |es: &[EdgeId]| es.iter().map(|&e| var(VarRef::Edge(inst, e))).collect();
         for b in 0..cfg.num_blocks() {
             let block = BlockId(b);
             spec.nodes.push(FlowNode {
                 block: var(VarRef::Block(inst, block)),
-                in_edges: cfg
-                    .in_edges(block)
-                    .into_iter()
-                    .map(|e| var(VarRef::Edge(inst, e)))
-                    .collect(),
-                out_edges: cfg
-                    .out_edges(block)
-                    .into_iter()
-                    .map(|e| var(VarRef::Edge(inst, e)))
-                    .collect(),
+                in_edges: edge_vars(cfg.in_edges(block)),
+                out_edges: edge_vars(cfg.out_edges(block)),
             });
         }
         let entry = var(VarRef::Edge(inst, EdgeId(0)));
@@ -162,7 +155,7 @@ pub fn structural_text(instances: &Instances, inst: InstanceId) -> String {
     let _ = writeln!(out, "fn {} ({}):", cfg.func_name, instances.instances[inst.0].label);
     let edge_name = |e: EdgeId| -> String {
         // f-edges print as f<site>, others as d<index>.
-        if let ipet_cfg::EdgeKind::Call(_) = cfg.edges[e.0].kind {
+        if let ipet_cfg::EdgeKind::Call(_) = cfg.edges()[e.0].kind {
             let site = cfg
                 .call_sites()
                 .iter()
@@ -175,8 +168,8 @@ pub fn structural_text(instances: &Instances, inst: InstanceId) -> String {
     };
     for b in 0..cfg.num_blocks() {
         let block = BlockId(b);
-        let ins: Vec<String> = cfg.in_edges(block).into_iter().map(edge_name).collect();
-        let outs: Vec<String> = cfg.out_edges(block).into_iter().map(edge_name).collect();
+        let ins: Vec<String> = cfg.in_edges(block).iter().copied().map(edge_name).collect();
+        let outs: Vec<String> = cfg.out_edges(block).iter().copied().map(edge_name).collect();
         let _ = writeln!(out, "  x{} = {} = {}", b + 1, ins.join(" + "), outs.join(" + "));
     }
     match instances.instances[inst.0].parent {

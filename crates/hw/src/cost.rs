@@ -131,7 +131,7 @@ mod tests {
         b.ret(); // 9
         let p = program_of(b);
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let c = block_cost(&m, &p.functions[0], &cfg.blocks[0]);
+        let c = block_cost(&m, &p.functions[0], &cfg.blocks()[0]);
         assert_eq!(c.best, 1 + 5 + 9);
         assert_eq!(c.worst_warm, c.best); // no conditional branch
                                           // 3 instructions at addresses 0..12 -> 1 line of 16 bytes.
@@ -148,7 +148,7 @@ mod tests {
         b.ret(); // 9
         let p = program_of(b);
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let c = block_cost(&m, &p.functions[0], &cfg.blocks[0]);
+        let c = block_cost(&m, &p.functions[0], &cfg.blocks()[0]);
         assert_eq!(c.best, 4 + 2 + 1 + 9);
     }
 
@@ -183,7 +183,7 @@ mod tests {
         b.ret();
         let p = program_of(b);
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let c = block_cost(&m, &p.functions[0], &cfg.blocks[0]);
+        let c = block_cost(&m, &p.functions[0], &cfg.blocks()[0]);
         assert_eq!(c.best, m.branch_cycles);
         assert_eq!(c.worst_warm, m.branch_cycles + m.branch_taken_penalty);
     }
@@ -198,7 +198,7 @@ mod tests {
         b.ret(); // 9 instrs = 36 bytes = 3 lines
         let p = program_of(b);
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let c = block_cost(&m, &p.functions[0], &cfg.blocks[0]);
+        let c = block_cost(&m, &p.functions[0], &cfg.blocks()[0]);
         assert_eq!(c.worst_cold - c.worst_warm, 3 * m.miss_penalty);
     }
 
@@ -220,7 +220,7 @@ mod tests {
         let p = Program::new(vec![f0.finish().unwrap(), f1.finish().unwrap()], vec![], FuncId(1))
             .unwrap();
         let cfg = Cfg::build(FuncId(1), &p.functions[1]);
-        let c = block_cost(&m, &p.functions[1], &cfg.blocks[0]);
+        let c = block_cost(&m, &p.functions[1], &cfg.blocks()[0]);
         // f starts at byte 16 (line 1), 5 instrs end at byte 36 -> lines 1,2 = 2 lines.
         assert_eq!(c.worst_cold - c.worst_warm, 2 * m.miss_penalty);
     }
@@ -237,7 +237,7 @@ mod tests {
         b.ret();
         let p = program_of(b);
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let c = block_cost(&m, &p.functions[0], blk);
             assert!(c.best <= c.worst_warm);
             assert!(c.worst_warm <= c.worst_cold);
@@ -268,7 +268,7 @@ mod param_tests {
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
         let point = m.param_point();
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let concrete = block_cost(m, &p.functions[0], blk);
             let form = block_cost_param(m, &p.functions[0], blk);
             assert_eq!(form.best.eval_u64(&point), Some(concrete.best));
@@ -289,7 +289,7 @@ mod param_tests {
         let m = Machine::i960kb();
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let concrete = block_cost(&m, &p.functions[0], blk);
             let form = block_cost_param(&m, &p.functions[0], blk);
             // Slope of worst_cold in the miss penalty = lines spanned.
@@ -309,7 +309,7 @@ mod param_tests {
         let m = Machine { miss_penalty: 0, ..Machine::i960kb() };
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let concrete = block_cost(&m, &p.functions[0], blk);
             let form = block_cost_param(&m, &p.functions[0], blk);
             assert_eq!(concrete.worst_cold, concrete.worst_warm);
@@ -326,7 +326,7 @@ mod param_tests {
         let m = Machine { dmiss_penalty: 0, miss_penalty: 0, ..Machine::i960kb_with_dcache() };
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let concrete = block_cost(&m, &p.functions[0], blk);
             let form = block_cost_param(&m, &p.functions[0], blk);
             assert_eq!(form.worst_warm.constant_part(), concrete.worst_warm as i128);
@@ -340,7 +340,7 @@ mod param_tests {
         let m = Machine::i960kb_with_dcache();
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let form = block_cost_param(&m, &p.functions[0], &cfg.blocks[0]);
+        let form = block_cost_param(&m, &p.functions[0], &cfg.blocks()[0]);
         // The entry block has exactly one load.
         assert_eq!(form.worst_warm.coeff(P_DMISS), 1);
         assert_eq!(form.worst_cold.coeff(P_DMISS), 1);
@@ -364,8 +364,8 @@ mod dcache_tests {
         b.ret();
         let p = Program::new(vec![b.finish().unwrap()], vec![], FuncId(0)).unwrap();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let c_plain = block_cost(&plain, &p.functions[0], &cfg.blocks[0]);
-        let c_cached = block_cost(&cached, &p.functions[0], &cfg.blocks[0]);
+        let c_plain = block_cost(&plain, &p.functions[0], &cfg.blocks()[0]);
+        let c_cached = block_cost(&cached, &p.functions[0], &cfg.blocks()[0]);
         // No dcache: loads are deterministic, no extra worst-case term.
         assert_eq!(c_plain.worst_warm - c_plain.best, 0);
         // With a dcache: two loads may each miss; stores are write-through.

@@ -37,7 +37,7 @@
 //! let cfg = Cfg::build(FuncId(0), program.entry_function());
 //!
 //! let machine = Machine::i960kb();
-//! let cost = block_cost(&machine, program.entry_function(), &cfg.blocks[0]);
+//! let cost = block_cost(&machine, program.entry_function(), &cfg.blocks()[0]);
 //! assert!(cost.best <= cost.worst_warm);
 //! assert!(cost.worst_warm < cost.worst_cold); // the cold case pays a line fill
 //! ```

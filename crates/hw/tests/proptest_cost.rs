@@ -60,7 +60,7 @@ proptest! {
         let machine = Machine::i960kb();
         let f = program.entry_function();
         let cfg = Cfg::build(FuncId(0), f);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let c = block_cost(&machine, f, blk);
             prop_assert!(c.best <= c.worst_warm);
             prop_assert!(c.worst_warm < c.worst_cold, "cold adds >= one line fill");
@@ -76,7 +76,7 @@ proptest! {
         let bigger = Machine { miss_penalty: machine.miss_penalty + 5, ..machine };
         let f = program.entry_function();
         let cfg = Cfg::build(FuncId(0), f);
-        for blk in &cfg.blocks {
+        for blk in cfg.blocks() {
             let base: u64 = f.instrs[blk.start..blk.end]
                 .iter()
                 .map(|i| machine.class_cycles(i.class()))
@@ -97,7 +97,7 @@ proptest! {
         let machine = Machine::i960kb();
         let f = program.entry_function();
         let cfg = Cfg::build(FuncId(0), f);
-        let c = block_cost(&machine, f, &cfg.blocks[0]);
+        let c = block_cost(&machine, f, &cfg.blocks()[0]);
         if branch {
             prop_assert_eq!(c.worst_warm - c.best, machine.branch_taken_penalty);
         } else {

@@ -213,7 +213,7 @@ pub fn infer_and_merge(
     let src_line = |func: &str, header: usize| -> Option<u32> {
         let (fid, _) = program.function_by_name(func)?;
         let cfg = &analyzer.instances().cfgs[fid.0];
-        program.functions[fid.0].src_line(cfg.blocks[header].start)
+        program.functions[fid.0].src_line(cfg.blocks()[header].start)
     };
 
     // Layer 1: AST rules, mapped onto CFG headers per function.
@@ -230,12 +230,12 @@ pub fn infer_and_merge(
             let cfg = &analyzer.instances().cfgs[fid.0];
             let cfg_loops = cfg.loops();
             let ast_loops = rules::function_loops(module, decl);
-            if ast_loops.len() != cfg_loops.len() || !nesting_matches(&ast_loops, &cfg_loops) {
+            if ast_loops.len() != cfg_loops.len() || !nesting_matches(&ast_loops, cfg_loops) {
                 // Optimisation reshaped the loop forest (or the frontend
                 // and CFG disagree); stay silent rather than guess.
                 continue;
             }
-            for (al, cl) in ast_loops.iter().zip(&cfg_loops) {
+            for (al, cl) in ast_loops.iter().zip(cfg_loops) {
                 if let Some(b) = &al.bound {
                     inferred.insert(
                         (fname.clone(), cl.header.0),

@@ -59,14 +59,19 @@ impl IntRow {
     /// right-hand side is not an exactly-representable integer. Duplicate
     /// terms are summed (checked), zeros dropped, terms sorted by variable.
     pub(crate) fn from_constraint(con: &Constraint) -> Option<IntRow> {
-        let mut acc: HashMap<usize, i64> = HashMap::new();
+        let mut raw = Vec::with_capacity(con.terms.len());
         for &(var, coeff) in &con.terms {
-            let c = exact_int(coeff)?;
-            let slot = acc.entry(var.0).or_insert(0);
-            *slot = slot.checked_add(c)?;
+            raw.push((var.0, exact_int(coeff)?));
         }
-        let mut terms: Vec<(usize, i64)> = acc.into_iter().filter(|&(_, c)| c != 0).collect();
-        terms.sort_unstable_by_key(|&(v, _)| v);
+        // Stable, so repeats of a variable sum in term order.
+        raw.sort_by_key(|&(v, _)| v);
+        let mut terms = Vec::with_capacity(raw.len());
+        for run in raw.chunk_by(|a, b| a.0 == b.0) {
+            let sum = run.iter().try_fold(0i64, |acc, &(_, c)| acc.checked_add(c))?;
+            if sum != 0 {
+                terms.push((run[0].0, sum));
+            }
+        }
         Some(IntRow { terms, rel: con.relation, rhs: exact_int(con.rhs)? })
     }
 }
@@ -447,6 +452,27 @@ mod tests {
 
     fn int_problem(p: &Problem) -> IntProblem {
         IntProblem::from_problem(p).expect("exact data")
+    }
+
+    #[test]
+    fn int_row_sums_repeats_in_term_order() {
+        use crate::model::{Constraint, VarId};
+        let row = |terms: Vec<(usize, f64)>| Constraint {
+            terms: terms.into_iter().map(|(v, c)| (VarId(v), c)).collect(),
+            relation: Relation::Le,
+            rhs: 7.0,
+        };
+        let r =
+            IntRow::from_constraint(&row(vec![(3, 2.0), (1, 4.0), (3, -2.0), (0, 5.0), (1, 1.0)]))
+                .expect("exact data");
+        assert_eq!(r.terms, vec![(0, 5), (1, 5)], "repeats summed, zeros dropped, sorted");
+        assert_eq!(r.rhs, 7);
+        // 2400 * 4e15 passes i64::MAX part-way through the run: overflow
+        // declines the row even though later terms would cancel it.
+        let mut big = vec![(2, MAX_EXACT); 2400];
+        big.extend(vec![(2, -MAX_EXACT); 2400]);
+        assert!(IntRow::from_constraint(&row(big)).is_none());
+        assert!(IntRow::from_constraint(&row(vec![(0, 0.5)])).is_none());
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl<'p> Simulator<'p> {
         let leader_block = cfgs
             .iter()
             .map(|cfg| {
-                cfg.blocks.iter().enumerate().map(|(b, blk)| (blk.start, BlockId(b))).collect()
+                cfg.blocks().iter().enumerate().map(|(b, blk)| (blk.start, BlockId(b))).collect()
             })
             .collect();
         let mem_words = (program.data_words() + config.stack_words) as usize;

@@ -113,8 +113,7 @@ impl Benchmark {
                 .function_by_name(func_name)
                 .unwrap_or_else(|| panic!("{}: no function {func_name}", self.name));
             let cfg = Cfg::build(func_id, function);
-            let mut loops = cfg.loops();
-            loops.sort_by_key(|l| l.header);
+            let loops = cfg.loops();
             assert_eq!(
                 loops.len(),
                 bounds.len(),

@@ -23,8 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in [2usize, 4, 6, 8, 10, 12, 14, 16] {
         let program = diamond_chain_program(k);
         let cfg = Cfg::build(program.entry, program.entry_function());
-        let costs: Vec<_> =
-            cfg.blocks.iter().map(|b| block_cost(&machine, program.entry_function(), b)).collect();
+        let costs: Vec<_> = cfg
+            .blocks()
+            .iter()
+            .map(|b| block_cost(&machine, program.entry_function(), b))
+            .collect();
 
         let t0 = Instant::now();
         let enumerator = PathEnumerator::new(&cfg, &costs, &HashMap::new(), u64::MAX)?;

@@ -78,7 +78,7 @@ proptest! {
         let machine = Machine::i960kb();
         let cfg = Cfg::build(program.entry, program.entry_function());
         let costs: Vec<_> = cfg
-            .blocks
+            .blocks()
             .iter()
             .map(|b| block_cost(&machine, program.entry_function(), b))
             .collect();

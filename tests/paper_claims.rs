@@ -118,7 +118,7 @@ fn explicit_and_implicit_agree_and_paths_double() {
         let program = diamond_chain_program(k);
         let cfg = Cfg::build(program.entry, program.entry_function());
         let costs: Vec<_> = cfg
-            .blocks
+            .blocks()
             .iter()
             .map(|blk| block_cost(&machine(), program.entry_function(), blk))
             .collect();
