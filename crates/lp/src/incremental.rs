@@ -143,7 +143,9 @@ impl BaseProblem {
     /// not optimal, gets no snapshot.
     ///
     /// Pivots are charged to `meter` and reported under `lp.ticks`;
-    /// `lp.warm.base_solves` counts the sparse solve.
+    /// `lp.warm.base_solves` counts the sparse solve, `lp.base.crash_rows`
+    /// the rows its crash basis covered and `lp.base.phase1_pivots` the
+    /// pivots phase 1 still spent.
     pub fn solve_base(&self, meter: &BudgetMeter) -> Option<BaseSolution> {
         // A cancelled meter declines the base solve outright: its jobs fall
         // cold, where the budget checkpoints degrade them promptly.
@@ -158,6 +160,8 @@ impl BaseProblem {
         meter.charge_ticks(pivots);
         ipet_trace::counter("lp.warm.base_solves", 1);
         ipet_trace::counter("lp.ticks", pivots);
+        ipet_trace::counter("lp.base.crash_rows", inst.crash_rows());
+        ipet_trace::counter("lp.base.phase1_pivots", inst.phase1_pivots());
         (end == SparseEnd::Optimal).then_some(BaseSolution { red, inst, pivots })
     }
 

@@ -13,10 +13,13 @@
 //!
 //! * [`Problem`] / [`ProblemBuilder`] — dense LP/ILP model with named
 //!   variables, `≤ / ≥ / =` rows and non-negative variables.
-//! * [`solve_lp`] — two-phase primal simplex with Bland's anti-cycling rule;
-//!   a tied optimum resolves to its canonical (lexicographically smallest)
-//!   point.
+//! * [`solve_lp`] — cold solves: dense two-phase primal simplex with
+//!   Dantzig pricing and a Bland anti-cycling fallback; a tied optimum
+//!   resolves to its canonical (lexicographically smallest) point.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
+//! * [`BaseProblem::solve_base`] — warm-start base snapshots: exact
+//!   presolve, then a sparse revised simplex whose phase 1 starts from a
+//!   triangular crash basis; deltas dual re-optimize from the snapshot.
 //!
 //! ## Example
 //!

@@ -15,17 +15,30 @@
 //! reduced cost, smallest column index on ties) switching to Bland's rule
 //! after [`crate::simplex`]'s stall threshold, with the same `FEAS_TOL`.
 //! It solves presolved warm-start bases and re-optimizes their deltas
-//! ([`crate::BaseProblem::solve_base`]). Its results are only ever
-//! *accepted* upstream after the walk to the canonical optimum
-//! ([`crate::canonical`]), when the witness rounds integral and the exact
-//! integer certification passes — so the sparse path can never change a
-//! bound, only the work done to reach it.
+//! ([`crate::BaseProblem::solve_base`]).
+//!
+//! A base's start basis is crashed (`SparseInstance::crash`): the
+//! artificials of zero-level rows — the flow-conservation equations — are
+//! replaced by structural or surplus columns chosen so that, in crash
+//! order, the covered block is lower triangular with a nonzero diagonal.
+//! The basis stays nonsingular and its basic solution is exactly the
+//! artificial start's point (structurals 0, unit columns at `b`), the
+//! point phase 1 used to reach by one degenerate pivot per covered row.
+//!
+//! Sparse results are only ever *accepted* upstream after the walk to the
+//! canonical optimum ([`crate::canonical`]), when the witness rounds
+//! integral and the exact integer certification passes — so neither the
+//! sparse path nor its start basis can change a bound, only the work done
+//! to reach it.
 
 // NaN-aware guards (`!(x > tol)` also rejects NaN, `x <= tol` would not) and
 // index-based kernel loops are deliberate: the forms clippy suggests either
 // change NaN behaviour or obscure the row/column arithmetic of the LU and
 // pricing kernels.
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::canonical::LexKernel;
 use crate::model::{Problem, Relation, Sense};
@@ -171,14 +184,27 @@ pub(crate) struct SparseInstance {
     factor: Factor,
     /// Current basic values `B^{-1} b`, indexed by row.
     xb: Vec<f64>,
+    /// Rows whose artificial [`crash`](Self::crash) replaced.
+    crash_rows: u64,
+    /// Pivots the last [`solve_primal`](Self::solve_primal) spent in phase 1.
+    phase1_pivots: u64,
 }
 
 impl SparseInstance {
-    /// Build the standard form from `problem`, mirroring the dense
-    /// construction: rows are normalized to non-negative right-hand sides,
-    /// `<=` rows get a basic slack, `>=` rows a surplus plus basic
-    /// artificial, `=` rows a basic artificial.
+    /// Build the standard form of `problem`, [`crash`](Self::crash) its
+    /// start basis and factorize it. `None` for non-finite data or a basis
+    /// the factorization declines.
     pub(crate) fn build(problem: &Problem) -> Option<SparseInstance> {
+        let mut inst = SparseInstance::standard_form(problem)?;
+        inst.crash();
+        inst.refactorize().then_some(inst)
+    }
+
+    /// The standard form, mirroring the dense construction: rows are
+    /// normalized to non-negative right-hand sides, `<=` rows get a basic
+    /// slack, `>=` rows a surplus plus basic artificial, `=` rows a basic
+    /// artificial. Not yet factorized. `None` for non-finite data.
+    fn standard_form(problem: &Problem) -> Option<SparseInstance> {
         if problem.has_non_finite() {
             return None;
         }
@@ -250,7 +276,7 @@ impl SparseInstance {
         for &c in &basis {
             in_basis[c] = true;
         }
-        let mut inst = SparseInstance {
+        Some(SparseInstance {
             m,
             n,
             cols,
@@ -262,11 +288,87 @@ impl SparseInstance {
             artificial,
             factor: Factor::default(),
             xb: Vec::new(),
-        };
-        if !inst.refactorize() {
-            return None;
+            crash_rows: 0,
+            phase1_pivots: 0,
+        })
+    }
+
+    /// Triangular crash: replaces the artificials of zero-level rows with
+    /// structural or surplus columns before phase 1.
+    ///
+    /// A row is eligible when its starting basic column is an artificial at
+    /// value 0: an `=` or `>=` row with `b_i == 0`. Repeatedly, the
+    /// uncovered eligible row with the fewest live candidates (ties: the
+    /// smallest row) installs its live candidate of largest `|a|` (ties: the
+    /// smallest column), and every live column with an entry in that row is
+    /// retired. A column installed later therefore has no entry in any row
+    /// covered earlier: in crash order the covered block is lower
+    /// triangular with a nonzero diagonal, and the basis `[A_ZS 0; A_NS I]`
+    /// is nonsingular. Its basic solution is the artificial start's point —
+    /// every structural and surplus at 0, each unit column at `b_i` — which
+    /// is the point phase 1 used to reach by one degenerate pivot per
+    /// covered row. Replaced artificials are barred at once; an uncovered
+    /// row keeps its artificial for phase 1.
+    ///
+    /// The row-wise candidate index is built once and the live counts sit
+    /// in a lazy min-heap keyed `(count, row)`, so the crash touches each
+    /// nonzero a bounded number of times: `O(nnz log m)`.
+    fn crash(&mut self) {
+        let m = self.m;
+        let eligible: Vec<bool> =
+            (0..m).map(|i| self.artificial[self.basis[i]] && self.b[i] == 0.0).collect();
+        // Candidates: every non-basic, non-artificial column (the
+        // structurals and the surpluses; slacks start basic).
+        let mut live: Vec<bool> =
+            (0..self.cols.len()).map(|j| !self.in_basis[j] && !self.artificial[j]).collect();
+        // Row-wise index of the candidate entries of eligible rows,
+        // ascending column within a row.
+        let triples: Vec<(usize, usize, f64)> = (0..self.cols.len())
+            .filter(|&j| live[j])
+            .flat_map(|j| self.cols[j].iter().map(move |&(i, a)| (i, j, a)))
+            .filter(|&(i, _, _)| eligible[i])
+            .collect();
+        let rows = Lines::grouped(m, &triples);
+        let mut count: Vec<usize> = (0..m).map(|i| rows.line(i).len()).collect();
+        let mut covered = vec![false; m];
+        let mut queue: BinaryHeap<Reverse<(usize, usize)>> =
+            (0..m).filter(|&i| count[i] > 0).map(|i| Reverse((count[i], i))).collect();
+        while let Some(Reverse((c, r))) = queue.pop() {
+            if covered[r] || c != count[r] {
+                continue; // stale entry
+            }
+            let row = rows.line(r);
+            let mut pick: Option<(usize, f64)> = None;
+            for &(j, a) in row.iter().filter(|&&(j, _)| live[j]) {
+                if a.abs() > FEAS_TOL && pick.is_none_or(|(_, best)| a.abs() > best) {
+                    pick = Some((j, a.abs()));
+                }
+            }
+            let Some((j, _)) = pick else {
+                continue; // only negligible entries: keep the artificial
+            };
+            let art = self.basis[r];
+            self.in_basis[art] = false;
+            self.banned[art] = true;
+            self.in_basis[j] = true;
+            self.basis[r] = j;
+            covered[r] = true;
+            self.crash_rows += 1;
+            for &(k, _) in row {
+                if !live[k] {
+                    continue;
+                }
+                live[k] = false;
+                for &(i, _) in &self.cols[k] {
+                    if eligible[i] && !covered[i] {
+                        count[i] -= 1;
+                        if count[i] > 0 {
+                            queue.push(Reverse((count[i], i)));
+                        }
+                    }
+                }
+            }
         }
-        Some(inst)
     }
 
     /// Sparse right-looking Gaussian elimination of the current basis with
@@ -615,13 +717,18 @@ impl SparseInstance {
         }
     }
 
-    /// Two-phase primal solve, mirroring the dense `solve_primal`.
+    /// Two-phase primal solve, mirroring the dense `solve_primal`. Phase 1
+    /// runs only while an artificial is basic: after a crash that covered
+    /// every artificial row there is nothing for it to drive out.
     pub(crate) fn solve_primal(&mut self, max_iters: u64, pivots: &mut u64) -> SparseEnd {
-        let has_artificials = self.artificial.iter().any(|&a| a);
-        if has_artificials {
+        self.phase1_pivots = 0;
+        if self.basis.iter().any(|&c| self.artificial[c]) {
             let phase1: Vec<f64> =
                 self.artificial.iter().map(|&a| if a { -1.0 } else { 0.0 }).collect();
-            match self.optimize(&phase1, max_iters, pivots) {
+            let before = *pivots;
+            let end = self.optimize(&phase1, max_iters, pivots);
+            self.phase1_pivots = *pivots - before;
+            match end {
                 SparseEnd::Optimal => {}
                 SparseEnd::Unbounded => return SparseEnd::Numerical,
                 other => return other,
@@ -790,6 +897,16 @@ impl SparseInstance {
             }
         }
         x
+    }
+
+    /// Rows the crash covered at build time.
+    pub(crate) fn crash_rows(&self) -> u64 {
+        self.crash_rows
+    }
+
+    /// Pivots the last [`solve_primal`](Self::solve_primal) spent in phase 1.
+    pub(crate) fn phase1_pivots(&self) -> u64 {
+        self.phase1_pivots
     }
 
     /// Default iteration cap, matching the dense instance's formula.
@@ -1048,6 +1165,189 @@ mod tests {
             }
             other => panic!("dense disagreed: {other:?}"),
         }
+    }
+
+    // -- crash basis -----------------------------------------------------------
+
+    /// The crash rule spelled out naively from the artificial start,
+    /// rescanning every row and column per step: the basis it installs.
+    fn reference_crash_basis(start: &SparseInstance) -> Vec<usize> {
+        let mut basis = start.basis.clone();
+        let eligible: Vec<bool> =
+            (0..start.m).map(|i| start.artificial[basis[i]] && start.b[i] == 0.0).collect();
+        let mut live: Vec<bool> =
+            (0..start.cols.len()).map(|j| !start.in_basis[j] && !start.artificial[j]).collect();
+        let mut covered = vec![false; start.m];
+        let entry = |i: usize, j: usize| start.cols[j].iter().find(|e| e.0 == i).map(|e| e.1);
+        loop {
+            let mut pick: Option<(usize, usize, usize)> = None; // (count, row, column)
+            for i in (0..start.m).filter(|&i| eligible[i] && !covered[i]) {
+                let candidates: Vec<(usize, f64)> = (0..start.cols.len())
+                    .filter(|&j| live[j])
+                    .filter_map(|j| entry(i, j).map(|a| (j, a.abs())))
+                    .collect();
+                let Some(&(j, best)) = candidates.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1))
+                else {
+                    continue;
+                };
+                if best > FEAS_TOL && pick.is_none_or(|(c, _, _)| candidates.len() < c) {
+                    pick = Some((candidates.len(), i, j));
+                }
+            }
+            let Some((_, r, j)) = pick else { return basis };
+            basis[r] = j;
+            covered[r] = true;
+            for k in 0..start.cols.len() {
+                if entry(r, k).is_some() {
+                    live[k] = false;
+                }
+            }
+        }
+    }
+
+    /// A seeded IPET-shaped LP: flow conservation over a random control
+    /// flow graph with its entry count fixed to 1, back edges bounded by
+    /// loop rows (some with a zero-level lower bound `x_back >= k·x_entry`),
+    /// a few zero-level `>=` and ratio rows, the odd repeated conservation
+    /// row (its candidates are all retired by its twin), and a cap on every
+    /// edge so the optimum is finite.
+    fn flow_like_problem(rng: &mut StdRng) -> Problem {
+        let blocks = rng.gen_range(1usize..=12);
+        let sense = if rng.gen_bool(0.5) { Sense::Maximize } else { Sense::Minimize };
+        // (from, to); `None` is outside the routine.
+        let mut edges: Vec<(Option<usize>, Option<usize>)> =
+            vec![(None, Some(0)), (Some(blocks - 1), None)];
+        for i in 0..blocks - 1 {
+            edges.push((Some(i), Some(i + 1)));
+        }
+        for _ in 0..rng.gen_range(0..=blocks) {
+            let i = rng.gen_range(0..blocks);
+            let j = rng.gen_range(i..blocks);
+            edges.push((Some(j), Some(i))); // back (or self) edge
+            if i < j {
+                edges.push((Some(i), Some(j))); // forward skip
+            }
+        }
+        let mut b = ProblemBuilder::new(sense);
+        let x: Vec<_> = (0..edges.len()).map(|e| b.add_var(format!("d{e}"), true)).collect();
+        for &v in &x {
+            b.objective(v, rng.gen_range(0i64..=9) as f64);
+            b.constraint(vec![(v, 1.0)], Relation::Le, 50.0);
+        }
+        b.constraint(vec![(x[0], 1.0)], Relation::Eq, 1.0);
+        for block in 0..blocks {
+            let mut terms = Vec::new();
+            for (e, &(from, to)) in edges.iter().enumerate() {
+                if to == Some(block) {
+                    terms.push((x[e], 1.0));
+                }
+                if from == Some(block) {
+                    terms.push((x[e], -1.0));
+                }
+            }
+            if rng.gen_bool(0.1) {
+                b.constraint(terms.clone(), Relation::Eq, 0.0);
+            }
+            b.constraint(terms, Relation::Eq, 0.0);
+        }
+        for (e, &(from, to)) in edges.iter().enumerate() {
+            if let (Some(from), Some(to)) = (from, to) {
+                if from >= to {
+                    let k = rng.gen_range(1i64..=10);
+                    b.constraint(vec![(x[e], 1.0), (x[0], -k as f64)], Relation::Le, 0.0);
+                    if rng.gen_bool(0.3) {
+                        let lo = rng.gen_range(1..=k) as f64;
+                        b.constraint(vec![(x[e], 1.0), (x[0], -lo)], Relation::Ge, 0.0);
+                    }
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..=2) {
+            let (p, q) = (rng.gen_range(0..x.len()), rng.gen_range(0..x.len()));
+            if p != q {
+                let c = rng.gen_range(1i64..=3) as f64;
+                let rel = if rng.gen_bool(0.7) { Relation::Ge } else { Relation::Eq };
+                b.constraint(vec![(x[p], 1.0), (x[q], -c)], rel, 0.0);
+            }
+        }
+        b.build()
+    }
+
+    /// Solves `p` from the crash and from the artificial start, checks
+    /// that the crash installs the reference basis at the artificial
+    /// start's point, and that both reach the dense optimum. Returns
+    /// `(crashed rows, phase-1 pivots after the crash, phase-1 pivots from
+    /// the artificial start)`.
+    fn check_crash(p: &Problem) -> (u64, u64, u64) {
+        let mut start = SparseInstance::standard_form(p).expect("finite data");
+        let want_basis = reference_crash_basis(&start);
+        assert!(start.refactorize(), "the artificial basis factors");
+        let mut crashed = SparseInstance::build(p).expect("the crashed basis factors");
+        assert_eq!(crashed.basis, want_basis);
+        assert_eq!(crashed.xb, start.xb, "the crash moved the start point");
+        assert_eq!(crashed.xb, crashed.b);
+        let covered = (0..crashed.m).filter(|&i| crashed.basis[i] != start.basis[i]).count();
+        assert_eq!(crashed.crash_rows(), covered as u64);
+        let dense = solve_lp(p);
+        for inst in [&mut crashed, &mut start] {
+            let mut pivots = 0u64;
+            let end = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
+            match &dense {
+                LpOutcome::Optimal { value, .. } => {
+                    assert_eq!(end, SparseEnd::Optimal);
+                    let got = p.objective_value(&inst.extract_x());
+                    assert!((got - value).abs() < 1e-6, "{got} vs dense {value}");
+                }
+                LpOutcome::Infeasible => assert_eq!(end, SparseEnd::Infeasible),
+                other => panic!("capped flow problem ended {other:?}"),
+            }
+        }
+        (crashed.crash_rows(), crashed.phase1_pivots(), start.phase1_pivots())
+    }
+
+    #[test]
+    fn crash_covers_the_flow_equation_at_the_artificial_start_point() {
+        // Only `x3 - x1 = 0` is zero-level: `x1 = 1` keeps its artificial.
+        assert_eq!(check_crash(&flow_problem()), (1, 1, 2));
+    }
+
+    #[test]
+    fn crash_matches_the_reference_rule_and_the_dense_optimum_on_seeded_flows() {
+        let mut rng = StdRng::seed_from_u64(0xc4a5_0020);
+        let (mut crashed, mut phase1, mut artificial_phase1) = (0, 0, 0);
+        for _ in 0..300 {
+            let (rows, after, before) = check_crash(&flow_like_problem(&mut rng));
+            crashed += rows;
+            phase1 += after;
+            artificial_phase1 += before;
+        }
+        assert!(crashed >= 1000, "only {crashed} rows crashed");
+        assert!(2 * phase1 < artificial_phase1, "phase 1: {phase1} vs {artificial_phase1}");
+    }
+
+    #[test]
+    fn crash_tolerates_zero_columns_and_fully_retired_rows() {
+        // No columns at all, as presolve leaves a fully forced base: the
+        // empty zero-level row keeps its artificial.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        b.constraint(vec![], Relation::Eq, 0.0);
+        b.constraint(vec![], Relation::Le, 2.0);
+        let p = b.build();
+        assert_eq!(check_crash(&p).0, 0);
+
+        // A repeated row: covering the first retires both columns, so the
+        // twin keeps its artificial and phase 1 cannot drive it out.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x: Vec<_> = (0..3).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        b.objective(x[0], 1.0);
+        b.objective(x[2], 2.0);
+        b.constraint(vec![(x[0], 1.0), (x[1], -1.0)], Relation::Eq, 0.0);
+        b.constraint(vec![(x[0], 1.0), (x[1], -1.0)], Relation::Eq, 0.0);
+        b.constraint(vec![(x[1], 1.0), (x[2], 1.0)], Relation::Le, 3.0);
+        let p = b.build();
+        assert_eq!(check_crash(&p).0, 1);
+        let inst = SparseInstance::build(&p).expect("builds");
+        assert!(inst.artificial[inst.basis[1]], "the twin row keeps its artificial");
     }
 
     // -- kernel equivalence ----------------------------------------------------
