@@ -114,23 +114,14 @@ pub struct PooledRun {
     pub solve_wall: Duration,
 }
 
-/// Runs every benchmark with the ILP solves batched through a `jobs`-wide
-/// work-stealing pool. Estimates, set reports and cache hit/miss counts
-/// are bit-for-bit identical for any `jobs` value (and identical to
-/// [`run_all`]'s); only wall-clock changes.
-///
-/// # Panics
-///
-/// Panics if a benchmark fails to compile, analyse or simulate — the test
-/// suite keeps all of these green.
-pub fn run_all_pooled(jobs: usize) -> PooledRun {
-    run_all_pooled_with(&ipet_pool::SolvePool::new(jobs), true)
-}
-
-/// [`run_all_pooled`] against a caller-supplied pool, so several
-/// experiments can share one solve cache: a later batch that re-analyzes a
-/// benchmark under an overlapping configuration (e.g. the miss-penalty
-/// sweep's point at the default penalty) replays instead of re-solving.
+/// Runs every benchmark with the ILP solves batched through `pool`, a
+/// work-stealing pool of any width. Estimates, set reports and cache
+/// hit/miss counts are bit-for-bit identical for any worker count (and
+/// identical to [`run_all`]'s); only wall-clock changes. Passing one pool
+/// to several experiments lets them share its solve cache: a later batch
+/// that re-analyzes a benchmark under an overlapping configuration (e.g.
+/// the miss-penalty sweep's point at the default penalty) replays instead
+/// of re-solving.
 ///
 /// `warm` toggles base+delta warm starting
 /// ([`Analyzer::with_warm_start`]); every bound and set report is
@@ -138,7 +129,8 @@ pub fn run_all_pooled(jobs: usize) -> PooledRun {
 ///
 /// # Panics
 ///
-/// See [`run_all_pooled`].
+/// Panics if a benchmark fails to compile, analyse or simulate — the test
+/// suite keeps all of these green.
 pub fn run_all_pooled_with(pool: &ipet_pool::SolvePool, warm: bool) -> PooledRun {
     run_all_pooled_infer(pool, warm, None)
 }
@@ -150,7 +142,7 @@ pub fn run_all_pooled_with(pool: &ipet_pool::SolvePool, warm: bool) -> PooledRun
 ///
 /// # Panics
 ///
-/// See [`run_all_pooled`]; additionally panics if inference fails on a
+/// See [`run_all_pooled_with`]; additionally panics if inference fails on a
 /// bundled benchmark (in `Only` mode a data-dependent loop does fail).
 pub fn run_all_pooled_infer(
     pool: &ipet_pool::SolvePool,

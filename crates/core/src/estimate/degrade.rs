@@ -19,7 +19,9 @@ impl AnalysisPlan {
     /// Covers skipped sets with the base problems' LP relaxations: the
     /// base's feasible region contains every composed set's, so its
     /// max/min bound whatever the skipped sets could attain. One LP per
-    /// sense, on a fresh meter — Bland's rule terminates.
+    /// sense, on a fresh meter and with no deadline: the budget that
+    /// skipped the sets is spent, and the simplex kernel's switch to
+    /// Bland's rule after a stall terminates.
     ///
     /// Widens `worst_bound` / `best_bound` in place.
     pub(super) fn cover_skipped_sets(

@@ -1,8 +1,7 @@
-//! The dense tableau's support-list kernels against the full-row reference
-//! on every ILP the 13 suite routines produce: the same pivots in the same
-//! order, the same end state, basis and tableau (up to the sign of a zero),
-//! and `==` witnesses and values, over each cold solve of a composed problem
-//! and its walk to the canonical optimum. The sparse kernel's LU
+//! The production simplex kernel against the debug reference kernel on
+//! every ILP the 13 suite routines produce: each job's cold `solve_lp`
+//! point must be the reference tableau's canonical LP optimum (the same
+//! rounded witness, values within 1e-6 relative). The sparse kernel's LU
 //! factorizations are checked against the dense elimination on every warm
 //! base snapshot and delta append.
 //!
@@ -13,27 +12,42 @@ use ipet_audit::{certify_witness, ClaimKind};
 use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
 use ipet_hw::Machine;
 use ipet_lp::{
-    debug_kernel_trace, debug_lu_checks, BudgetMeter, IncrementalSolver, Problem, SolveBudget,
-    SolverFaults,
+    debug_lu_checks, debug_reference_lp, round_witness, solve_lp, BudgetMeter, IncrementalSolver,
+    LpOutcome, Problem, SolveBudget, SolverFaults,
 };
 
 #[test]
-fn suite_ilps_pivot_identically_under_both_kernels() {
+fn suite_cold_lps_reach_the_reference_kernels_canonical_optimum() {
     let budget = AnalysisBudget::default();
-    let mut cold = 0;
+    let mut compared = 0;
     for bench in ipet_suite::all() {
         let program = bench.program().expect("compiles");
         let analyzer = Analyzer::new(&program, Machine::i960kb()).expect("analyzer");
         let anns = parse_annotations(&bench.annotations(&program)).expect("annotations");
         let plan = analyzer.plan(&anns, &budget).expect("plan");
         for job in plan.jobs() {
-            let listed = debug_kernel_trace(&job.problem, false);
-            assert!(!listed.pivots.is_empty(), "{}: a cold solve pivots", bench.name);
-            assert_eq!(listed, debug_kernel_trace(&job.problem, true), "{} cold", bench.name);
-            cold += 1;
+            let optimum = |outcome: LpOutcome, kernel: &str| match outcome {
+                LpOutcome::Optimal { x, value } => (x, value),
+                other => panic!("{}: the {kernel} kernel ended {other:?}", bench.name),
+            };
+            let (x, value) = optimum(solve_lp(&job.problem), "sparse");
+            let (want_x, want_value) = optimum(debug_reference_lp(&job.problem), "reference");
+            let witness = round_witness(&x).expect("an integral sparse optimum");
+            let want = round_witness(&want_x).expect("an integral reference optimum");
+            assert_eq!(witness, want, "{}: the kernels' canonical points differ", bench.name);
+            for (a, b) in x.iter().zip(&want_x) {
+                assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0), "{}: {a} vs {b}", bench.name);
+            }
+            assert!(
+                (value - want_value).abs() <= 1e-6 * want_value.abs().max(1.0),
+                "{}: value {value} vs reference {want_value}",
+                bench.name
+            );
+            compared += 1;
         }
     }
-    assert!(cold >= 13, "only {cold} cold solves compared");
+    // 36 when written: two bases plus one job per extra set per routine.
+    assert!(compared >= 36, "only {compared} cold solves compared");
 }
 
 #[test]

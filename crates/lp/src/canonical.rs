@@ -1,5 +1,4 @@
-//! Canonical optima: one lexicographic tie-break shared by both simplex
-//! kernels.
+//! Canonical optima: one lexicographic tie-break for every simplex run.
 //!
 //! An LP optimum is often tied: IPET objectives routinely give equal-cost
 //! branch arms, so a whole face of the feasible region is optimal, and which
@@ -7,8 +6,8 @@
 //! accepted result here is instead the face's **canonical** point: the
 //! lexicographic minimum of the structural variables in `VarId` order. The
 //! optimal face is the same whichever basis reaches it, and its
-//! lexicographic minimum is a single point, so a dense cold solve and a
-//! sparse warm re-optimization report the same optimum.
+//! lexicographic minimum is a single point, so a cold solve, a warm
+//! re-optimization and the debug reference kernel report the same optimum.
 //!
 //! [`canonicalize`] walks there from any optimal basis. The face's free
 //! directions are the non-basic columns whose phase-2 reduced cost is within
@@ -169,7 +168,8 @@ fn ratio_test<K: LexKernel>(k: &K, w: &[f64]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
-    use crate::simplex::{build_instance, le_form, solve_lp, LpOutcome, PrimalEnd};
+    use crate::reference::debug_reference_lp;
+    use crate::simplex::{le_form, solve_lp, LpOutcome};
     use crate::sparse::{SparseDualEnd, SparseEnd, SparseInstance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -285,21 +285,15 @@ mod tests {
         (problem(sense, &obj, rows), delta)
     }
 
-    /// Dense cold, sparse cold and sparse warm: the canonical `x`, or
+    /// Reference cold, sparse cold and sparse warm: the canonical `x`, or
     /// `None` when the run did not reach one.
     fn canonical_points(base: &Problem, delta: &[Constraint]) -> [Option<Vec<f64>>; 3] {
         let mut composed = base.clone();
         composed.constraints.extend(delta.iter().cloned());
 
-        let dense = |p: &Problem| {
-            let mut inst = build_instance(p);
-            let cap = inst.default_iter_cap();
-            let mut pivots = 0;
-            if inst.solve_primal(cap, &mut pivots) != PrimalEnd::Optimal {
-                return None;
-            }
-            let end = canonicalize(&mut inst, cap as u64, &mut pivots);
-            (end == LexEnd::Canonical).then(|| inst.extract_x())
+        let reference = |p: &Problem| match debug_reference_lp(p) {
+            LpOutcome::Optimal { x, .. } => Some(x),
+            _ => None,
         };
         let sparse = |p: &Problem, rows: &[(Vec<f64>, f64)]| {
             let mut inst = SparseInstance::build(p)?;
@@ -318,7 +312,7 @@ mod tests {
             (end == LexEnd::Canonical).then(|| inst.extract_x())
         };
         let le = le_form(delta, base.num_vars());
-        [dense(&composed), sparse(&composed, &[]), sparse(base, &le)]
+        [reference(&composed), sparse(&composed, &[]), sparse(base, &le)]
     }
 
     #[test]
@@ -330,12 +324,12 @@ mod tests {
             let points = canonical_points(&base, &delta);
             let Some(cold) = &points[0] else { continue };
             for (what, p) in ["sparse cold", "sparse warm"].iter().zip(&points[1..]) {
-                // The sparse paths may decline a base the dense cold path
-                // solves (a singular factorization, an optimal base whose
-                // delta is infeasible); whatever they reach must agree.
+                // The sparse paths may decline a base the reference
+                // solves (a factorization that overflows, an optimal base
+                // whose delta is infeasible); whatever they reach must agree.
                 if let Some(p) = p {
                     let close = cold.iter().zip(p).all(|(a, b)| (a - b).abs() <= 1e-9);
-                    assert!(close, "case {case}: {what} {p:?} vs dense cold {cold:?}");
+                    assert!(close, "case {case}: {what} {p:?} vs reference {cold:?}");
                 }
             }
             compared += 1;

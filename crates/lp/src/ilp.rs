@@ -37,19 +37,6 @@ pub struct IlpStats {
     pub first_relaxation_integral: bool,
 }
 
-/// Resource limits for [`solve_ilp_with_limits`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IlpLimits {
-    /// Maximum number of branch-and-bound nodes to expand.
-    pub max_nodes: usize,
-}
-
-impl Default for IlpLimits {
-    fn default() -> IlpLimits {
-        IlpLimits { max_nodes: SolveBudget::DEFAULT_MAX_NODES }
-    }
-}
-
 /// Result of a budget-aware ILP solve ([`solve_ilp_budgeted`]).
 ///
 /// Unlike [`IlpOutcome`], budget exhaustion is not a dead end: whenever the
@@ -108,21 +95,19 @@ fn most_fractional(problem: &Problem, x: &[f64]) -> Option<(usize, f64)> {
     best.map(|(i, _)| (i, x[i]))
 }
 
-/// Solves the ILP with default limits. See [`solve_ilp_with_limits`].
-pub fn solve_ilp(problem: &Problem) -> (IlpOutcome, IlpStats) {
-    solve_ilp_with_limits(problem, IlpLimits::default())
-}
-
 /// Solves a mixed ILP by depth-first branch & bound on the LP relaxation.
 ///
 /// Compatibility wrapper around [`solve_ilp_budgeted`]: runs with an
-/// unlimited budget except for `limits.max_nodes` and collapses the richer
+/// unlimited budget (the default node cap aside) and collapses the richer
 /// [`IlpResolution`] to the classic [`IlpOutcome`] (a truncated search that
 /// found an incumbent reports it as `Optimal`, like the original solver).
-pub fn solve_ilp_with_limits(problem: &Problem, limits: IlpLimits) -> (IlpOutcome, IlpStats) {
-    let budget = SolveBudget { max_nodes: limits.max_nodes, ..SolveBudget::unlimited() };
-    let (resolution, stats) =
-        solve_ilp_budgeted(problem, &budget, &BudgetMeter::new(), &mut SolverFaults::none());
+pub fn solve_ilp(problem: &Problem) -> (IlpOutcome, IlpStats) {
+    let (resolution, stats) = solve_ilp_budgeted(
+        problem,
+        &SolveBudget::unlimited(),
+        &BudgetMeter::new(),
+        &mut SolverFaults::none(),
+    );
     let outcome = match resolution {
         IlpResolution::Exact { x, value }
         | IlpResolution::Relaxed { incumbent: Some((x, value)), .. } => {
@@ -515,18 +500,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(!stats.first_relaxation_integral);
-    }
-
-    #[test]
-    fn node_limit_reported() {
-        let p = knapsack(&[9.0, 7.0, 6.0, 5.0, 4.0], &[5.0, 4.0, 3.0, 3.0, 2.0], 9.0);
-        let (out, stats) = solve_ilp_with_limits(&p, IlpLimits { max_nodes: 1 });
-        // One node is the root; if it is fractional we cannot conclude.
-        if stats.first_relaxation_integral {
-            assert!(matches!(out, IlpOutcome::Optimal { .. }));
-        } else {
-            assert_eq!(out, IlpOutcome::LimitReached);
-        }
     }
 
     fn exact_value(p: &Problem) -> f64 {

@@ -8,7 +8,8 @@
 //! snapshot of the base optimum instead of solving each composed problem
 //! from scratch. The snapshot is the presolved base solved by the sparse
 //! revised simplex ([`crate::presolve`], [`crate::sparse`]); cold solves
-//! run on the dense tableau ([`crate::simplex`]).
+//! run the same kernel on the composed problem as it stands
+//! ([`crate::simplex`]).
 //!
 //! ## Bit-identity contract
 //!
@@ -42,7 +43,9 @@
 //! same canonicalization), which makes the equality hold bit for bit rather
 //! than merely within tolerance.
 //! Under `debug_assertions` every accepted warm result is additionally
-//! shadow-solved cold and asserted identical.
+//! shadow-solved cold and asserted identical, and checked against the
+//! canonical LP optimum of the independent reference kernel
+//! ([`crate::reference`]).
 //!
 //! Warm starting is only attempted under effectively unconstrained budgets
 //! (no tick deadline, no per-LP iteration cap, at least one node): under a
@@ -367,7 +370,7 @@ fn warm_attempt(
     if !certify(full, &snapped, claimed) {
         return Err(WarmMiss::Uncertified);
     }
-    Ok(accept(full, snapped, claimed, sol.pivots, warm_pivots, meter))
+    Ok(accept(full, snapped, claimed, meter))
 }
 
 /// Builds the accepted warm result: the resolution the cold path would
@@ -380,8 +383,6 @@ fn accept(
     full: &Problem,
     snapped: Vec<f64>,
     claimed: i64,
-    base_pivots: u64,
-    warm_pivots: u64,
     meter: &BudgetMeter,
 ) -> (IlpResolution, IlpStats) {
     let resolution = IlpResolution::Exact { x: snapped, value: claimed as f64 };
@@ -392,7 +393,6 @@ fn accept(
     debug_shadow_check(full, &resolution, stats);
 
     ipet_trace::counter("lp.warm.hits", 1);
-    ipet_trace::counter("lp.warm.pivots_saved", base_pivots.saturating_sub(warm_pivots));
     ipet_trace::counter("lp.ilp.solves", 1);
     ipet_trace::counter("lp.lp_calls", stats.lp_calls as u64);
     ipet_trace::counter("lp.bb_nodes", stats.nodes as u64);
@@ -404,8 +404,10 @@ fn accept(
 
 /// Debug builds shadow-solve every accepted warm result cold (fresh meter,
 /// no faults, no telemetry) and assert bit-identical resolutions and
-/// statistics. Release builds skip this; CI's warm-vs-cold counter diff
-/// covers them.
+/// statistics. The cold solve runs the production kernel too, so the
+/// warm witness must also equal the rounded canonical LP optimum of the
+/// composed problem on the independent reference kernel. Release builds
+/// skip this; CI's warm-vs-cold counter diff covers them.
 #[cfg(debug_assertions)]
 fn debug_shadow_check(full: &Problem, warm: &IlpResolution, warm_stats: IlpStats) {
     let mut warm = warm.clone();
@@ -427,6 +429,18 @@ fn debug_shadow_check(full: &Problem, warm: &IlpResolution, warm_stats: IlpStats
     assert_eq!(
         warm_stats, cold_stats,
         "warm-started statistics diverged from the cold solve (warm-start soundness bug)"
+    );
+    let IlpResolution::Exact { x, .. } = &warm else {
+        unreachable!("warm starts only accept exact resolutions");
+    };
+    let reference = match crate::reference::debug_reference_lp(full) {
+        crate::simplex::LpOutcome::Optimal { x, .. } => round_witness(&x).ok(),
+        _ => None,
+    };
+    let witness = round_witness(x).ok();
+    assert_eq!(
+        witness, reference,
+        "warm witness differs from the reference kernel's optimum (warm-start soundness bug)"
     );
 }
 

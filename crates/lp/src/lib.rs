@@ -11,15 +11,22 @@
 //!
 //! ## Components
 //!
-//! * [`Problem`] / [`ProblemBuilder`] — dense LP/ILP model with named
+//! * [`Problem`] / [`ProblemBuilder`] — LP/ILP model with named
 //!   variables, `≤ / ≥ / =` rows and non-negative variables.
-//! * [`solve_lp`] — cold solves: dense two-phase primal simplex with
-//!   Dantzig pricing and a Bland anti-cycling fallback; a tied optimum
-//!   resolves to its canonical (lexicographically smallest) point.
+//! * One simplex kernel: a sparse revised simplex (LU factors plus an eta
+//!   file, Dantzig pricing with a Bland anti-cycling fallback) whose
+//!   phase 1 starts from a triangular crash basis. Every solve, cold or
+//!   warm, runs on it and resolves a tied optimum to its canonical
+//!   (lexicographically smallest) point.
+//! * [`solve_lp`] — cold solves of a problem as it stands.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
 //! * [`BaseProblem::solve_base`] — warm-start base snapshots: exact
-//!   presolve, then a sparse revised simplex whose phase 1 starts from a
-//!   triangular crash basis; deltas dual re-optimize from the snapshot.
+//!   presolve, then the sparse kernel; deltas dual re-optimize from the
+//!   snapshot.
+//!
+//! Debug builds keep a second, independent kernel — a textbook full-row
+//! tableau with Bland's rule — as the reference that tests and the
+//! warm-start shadow check compare the sparse kernel against.
 //!
 //! ## Example
 //!
@@ -74,6 +81,8 @@ mod incremental;
 mod model;
 pub mod parametric;
 mod presolve;
+#[cfg(any(test, debug_assertions))]
+mod reference;
 mod round;
 mod simplex;
 mod sparse;
@@ -82,10 +91,7 @@ pub use budget::{
     BoundQuality, BudgetMeter, CancelToken, IoFault, LpFault, SolveBudget, SolveFault, SolverFaults,
 };
 pub use fingerprint::{delta_rows_fingerprint, fingerprint, same_structure, Fingerprint};
-pub use ilp::{
-    solve_ilp, solve_ilp_budgeted, solve_ilp_with_limits, IlpLimits, IlpOutcome, IlpResolution,
-    IlpStats,
-};
+pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats};
 #[cfg(debug_assertions)]
 pub use incremental::debug_force_warm_mismatch;
 pub use incremental::{
@@ -94,10 +100,10 @@ pub use incremental::{
 };
 pub use model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
 pub use parametric::{BoundFormula, GridSweep, Probe};
-pub use round::{round_claimed, round_witness, RoundError, WITNESS_TOL};
 #[cfg(debug_assertions)]
 #[doc(hidden)]
-pub use simplex::{debug_kernel_trace, KernelTrace};
+pub use reference::debug_reference_lp;
+pub use round::{round_claimed, round_witness, RoundError, WITNESS_TOL};
 pub use simplex::{solve_lp, solve_lp_metered, LpOutcome, FEAS_TOL, INT_TOL};
 #[cfg(debug_assertions)]
 #[doc(hidden)]

@@ -2,8 +2,8 @@
 //!
 //! Presolve shrinks a routine's warm-start base before the sparse revised
 //! simplex solves it ([`crate::BaseProblem::solve_base`]). A warm result is
-//! only *accepted* when it is provably identical to what the dense cold
-//! path would produce. That proof leans on a bijection between the feasible
+//! only *accepted* when it is provably identical to what the cold path
+//! would produce. That proof leans on a bijection between the feasible
 //! set of the original problem and the feasible set of the presolved problem,
 //! so every reduction here must preserve the **LP relaxation's** feasible set
 //! exactly — not merely the integer hull. Concretely:
@@ -21,8 +21,8 @@
 //!   dominating one; contradictory duplicates abort.
 //!
 //! Anything surprising — overflow, non-integral data, detected infeasibility
-//! — returns `None`: every delta of that base then solves cold on the dense
-//! tableau, which remains the single source of truth for hard cases.
+//! — returns `None`: every delta of that base then solves cold, on the
+//! unpresolved problem, which owns all hard-case semantics.
 //!
 //! A base whose every variable is forced reduces to zero columns. It still
 //! snapshots: each delta row then maps to satisfied or violated, and
@@ -262,8 +262,8 @@ fn exact_rhs(v: i128) -> Option<i64> {
 
 /// Run the presolve fixpoint over `problem`. Returns `None` whenever a
 /// reduction cannot be justified exactly (non-integral data, overflow) or the
-/// problem is detected infeasible — the caller then solves cold on the dense
-/// tableau, which owns all hard-case semantics.
+/// problem is detected infeasible — the caller then solves cold on the
+/// unpresolved problem, which owns all hard-case semantics.
 pub(crate) fn presolve(problem: &IntProblem) -> Option<Reduced> {
     let n = problem.n;
     let mut rows: Vec<Option<IntRow>> = problem.rows.iter().cloned().map(Some).collect();

@@ -1,35 +1,37 @@
-//! Revised simplex over sparse columns.
+//! Revised simplex over sparse columns: the one production simplex kernel.
 //!
-//! The dense tableau in `simplex.rs` carries the full `m × (n+m)` matrix
-//! through every pivot. This module keeps the constraint matrix as immutable
-//! CSC columns and represents the basis inverse implicitly: an LU
-//! factorization (partial pivoting) of the basis taken at the last
-//! refactorization point, stored as sparse per-row and per-column lists of
-//! its nonzeros, composed with an eta file of product-form updates, one eta
-//! per pivot. FTRAN/BTRAN apply the factors; every
-//! [`REFACTOR_INTERVAL`] pivots the LU is rebuilt from the current basis and
-//! the eta file is discarded, which also re-syncs the basic values against
-//! the right-hand side to keep drift bounded.
+//! The constraint matrix is kept as immutable CSC columns and the basis
+//! inverse implicitly: an LU factorization (partial pivoting) of the basis
+//! taken at the last refactorization point, stored as sparse per-row and
+//! per-column lists of its nonzeros, composed with an eta file of
+//! product-form updates, one eta per pivot. FTRAN/BTRAN apply the factors;
+//! every [`REFACTOR_INTERVAL`] pivots the LU is rebuilt from the current
+//! basis and the eta file is discarded, which also re-syncs the basic
+//! values against the right-hand side to keep drift bounded.
 //!
-//! Pricing mirrors the dense path's discipline: Dantzig (most negative
-//! reduced cost, smallest column index on ties) switching to Bland's rule
-//! after [`crate::simplex`]'s stall threshold, with the same `FEAS_TOL`.
-//! It solves presolved warm-start bases and re-optimizes their deltas
+//! Pricing is Dantzig's rule (most negative reduced cost, smallest column
+//! index on ties), switching to Bland's rule after [`STALL_THRESHOLD`]
+//! consecutive degenerate pivots: a stalled run of degenerate pivots is
+//! the precondition for cycling, and Bland's rule provably terminates.
+//! Every loop is also capped by an iteration budget. The kernel solves
+//! cold LPs as they stand ([`crate::solve_lp_metered`]), presolved
+//! warm-start bases, and re-optimizes their deltas
 //! ([`crate::BaseProblem::solve_base`]).
 //!
-//! A base's start basis is crashed (`SparseInstance::crash`): the
+//! Every start basis is crashed (`SparseInstance::crash`): the
 //! artificials of zero-level rows — the flow-conservation equations — are
 //! replaced by structural or surplus columns chosen so that, in crash
 //! order, the covered block is lower triangular with a nonzero diagonal.
 //! The basis stays nonsingular and its basic solution is exactly the
 //! artificial start's point (structurals 0, unit columns at `b`), the
-//! point phase 1 used to reach by one degenerate pivot per covered row.
+//! point phase 1 would reach by one degenerate pivot per covered row.
 //!
-//! Sparse results are only ever *accepted* upstream after the walk to the
-//! canonical optimum ([`crate::canonical`]), when the witness rounds
-//! integral and the exact integer certification passes — so neither the
-//! sparse path nor its start basis can change a bound, only the work done
-//! to reach it.
+//! Results are only ever *reported* after the walk to the canonical
+//! optimum ([`crate::canonical`]), and warm results only when the witness
+//! rounds integral and the exact integer certification passes — so the
+//! start basis and the pivot path decide the work done, not the bound.
+//! Debug builds and tests check the kernel against an independent
+//! full-row tableau (`crate::reference`).
 
 // NaN-aware guards (`!(x > tol)` also rejects NaN, `x <= tol` would not) and
 // index-based kernel loops are deliberate: the forms clippy suggests either
@@ -47,8 +49,7 @@ use crate::simplex::FEAS_TOL;
 /// Rebuild the LU factors after this many eta updates.
 const REFACTOR_INTERVAL: usize = 64;
 
-/// Consecutive degenerate pivots before switching to Bland's rule. Matches
-/// the dense tableau's threshold.
+/// Consecutive degenerate pivots before switching to Bland's rule.
 const STALL_THRESHOLD: u32 = 12;
 
 /// Terminal state of a primal solve.
@@ -200,7 +201,7 @@ impl SparseInstance {
         inst.refactorize().then_some(inst)
     }
 
-    /// The standard form, mirroring the dense construction: rows are
+    /// The standard form: rows are
     /// normalized to non-negative right-hand sides, `<=` rows get a basic
     /// slack, `>=` rows a surplus plus basic artificial, `=` rows a basic
     /// artificial. Not yet factorized. `None` for non-finite data.
@@ -682,7 +683,7 @@ impl SparseInstance {
                 return SparseEnd::Numerical;
             }
             // Ratio test: min xb_i / w_i over w_i > tol; ties by smallest
-            // basis column index, matching the dense tableau.
+            // basis column index.
             let mut leave: Option<(usize, f64)> = None;
             for i in 0..self.m {
                 if w[i] > FEAS_TOL {
@@ -717,7 +718,7 @@ impl SparseInstance {
         }
     }
 
-    /// Two-phase primal solve, mirroring the dense `solve_primal`. Phase 1
+    /// Two-phase primal solve. Phase 1
     /// runs only while an artificial is basic: after a crash that covered
     /// every artificial row there is nothing for it to drive out.
     pub(crate) fn solve_primal(&mut self, max_iters: u64, pivots: &mut u64) -> SparseEnd {
@@ -909,7 +910,8 @@ impl SparseInstance {
         self.phase1_pivots
     }
 
-    /// Default iteration cap, matching the dense instance's formula.
+    /// The generous size-derived iteration cap (Bland's fallback
+    /// terminates, so this only catches pathologies).
     pub(crate) fn default_iter_cap(&self) -> u64 {
         50_000 + 200 * (self.m as u64 + self.cols.len() as u64)
     }
@@ -1062,7 +1064,8 @@ pub use reference::debug_lu_checks;
 mod tests {
     use super::*;
     use crate::model::{ProblemBuilder, Relation, Sense};
-    use crate::simplex::{solve_lp, LpOutcome};
+    use crate::reference::debug_reference_lp;
+    use crate::simplex::LpOutcome;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1089,7 +1092,7 @@ mod tests {
         let end = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
         assert_eq!(end, SparseEnd::Optimal);
         let x = inst.extract_x();
-        match solve_lp(&p) {
+        match debug_reference_lp(&p) {
             LpOutcome::Optimal { x: dx, value } => {
                 for (a, b) in x.iter().zip(dx.iter()) {
                     assert!((a - b).abs() < 1e-6, "{x:?} vs {dx:?}");
@@ -1097,7 +1100,7 @@ mod tests {
                 let sparse_val = p.objective_value(&x);
                 assert!((sparse_val - value).abs() < 1e-6);
             }
-            other => panic!("dense disagreed: {other:?}"),
+            other => panic!("the reference disagreed: {other:?}"),
         }
     }
 
@@ -1145,7 +1148,7 @@ mod tests {
         let x = inst.extract_x();
         assert!((x[1] - 6.0).abs() < 1e-6, "{x:?}");
 
-        // The dense path on the composed problem must agree.
+        // The reference kernel on the composed problem must agree.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x1 = b.add_var("x1", true);
         let x2 = b.add_var("x2", true);
@@ -1157,13 +1160,13 @@ mod tests {
         b.constraint(vec![(x2, 1.0), (x1, -10.0)], Relation::Le, 0.0);
         b.constraint(vec![(x3, 1.0), (x1, -1.0)], Relation::Eq, 0.0);
         b.constraint(vec![(x2, 1.0)], Relation::Le, 6.0);
-        match solve_lp(&b.build()) {
+        match debug_reference_lp(&b.build()) {
             LpOutcome::Optimal { x: dx, .. } => {
                 for (a, b) in x.iter().zip(dx.iter()) {
                     assert!((a - b).abs() < 1e-6, "{x:?} vs {dx:?}");
                 }
             }
-            other => panic!("dense disagreed: {other:?}"),
+            other => panic!("the reference disagreed: {other:?}"),
         }
     }
 
@@ -1275,9 +1278,9 @@ mod tests {
 
     /// Solves `p` from the crash and from the artificial start, checks
     /// that the crash installs the reference basis at the artificial
-    /// start's point, and that both reach the dense optimum. Returns
-    /// `(crashed rows, phase-1 pivots after the crash, phase-1 pivots from
-    /// the artificial start)`.
+    /// start's point, and that both reach the reference kernel's optimum.
+    /// Returns `(crashed rows, phase-1 pivots after the crash, phase-1
+    /// pivots from the artificial start)`.
     fn check_crash(p: &Problem) -> (u64, u64, u64) {
         let mut start = SparseInstance::standard_form(p).expect("finite data");
         let want_basis = reference_crash_basis(&start);
@@ -1288,15 +1291,15 @@ mod tests {
         assert_eq!(crashed.xb, crashed.b);
         let covered = (0..crashed.m).filter(|&i| crashed.basis[i] != start.basis[i]).count();
         assert_eq!(crashed.crash_rows(), covered as u64);
-        let dense = solve_lp(p);
+        let reference = debug_reference_lp(p);
         for inst in [&mut crashed, &mut start] {
             let mut pivots = 0u64;
             let end = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
-            match &dense {
+            match &reference {
                 LpOutcome::Optimal { value, .. } => {
                     assert_eq!(end, SparseEnd::Optimal);
                     let got = p.objective_value(&inst.extract_x());
-                    assert!((got - value).abs() < 1e-6, "{got} vs dense {value}");
+                    assert!((got - value).abs() < 1e-6, "{got} vs reference {value}");
                 }
                 LpOutcome::Infeasible => assert_eq!(end, SparseEnd::Infeasible),
                 other => panic!("capped flow problem ended {other:?}"),
@@ -1626,11 +1629,11 @@ mod tests {
         let end = inst.solve_primal(inst.default_iter_cap(), &mut pivots);
         assert_eq!(end, SparseEnd::Optimal);
         let x = inst.extract_x();
-        match solve_lp(&p) {
+        match debug_reference_lp(&p) {
             LpOutcome::Optimal { value, .. } => {
                 assert!((p.objective_value(&x) - value).abs() < 1e-6);
             }
-            other => panic!("dense disagreed: {other:?}"),
+            other => panic!("the reference disagreed: {other:?}"),
         }
     }
 }

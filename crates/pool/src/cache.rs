@@ -39,9 +39,7 @@
 //! which entry goes is as deterministic as the hit/miss counts.
 
 use ipet_audit::{certify_witness, ClaimKind};
-use ipet_lp::{
-    fingerprint, round_claimed, same_structure, Fingerprint, IlpResolution, IlpStats, Problem,
-};
+use ipet_lp::{round_claimed, same_structure, Fingerprint, IlpResolution, IlpStats, Problem};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -169,11 +167,6 @@ impl SolveCache {
         self.lru.lock().expect("cache lock").recency.len()
     }
 
-    /// Computes the cache key of `problem`.
-    pub fn key(problem: &Problem) -> Fingerprint {
-        fingerprint(problem)
-    }
-
     /// Looks up a validated replay for `problem`, updating hit/reject
     /// telemetry. Returns `None` (counting nothing — the caller records the
     /// miss on insert) when no entry passes both gates.
@@ -251,7 +244,7 @@ impl SolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipet_lp::{ProblemBuilder, Relation, Sense};
+    use ipet_lp::{fingerprint, ProblemBuilder, Relation, Sense};
 
     fn toy() -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
@@ -268,7 +261,7 @@ mod tests {
     fn probe_miss_then_hit() {
         let cache = SolveCache::new();
         let p = toy();
-        let key = SolveCache::key(&p);
+        let key = fingerprint(&p);
         assert!(cache.probe(key, &p).is_none());
         let res = IlpResolution::Exact { x: vec![2.0, 2.0], value: 10.0 };
         cache.insert(key, &p, &res, IlpStats::default());
@@ -290,7 +283,7 @@ mod tests {
         let (a, b, c) = (problem(1.0), problem(2.0), problem(3.0));
         let solve = |p: &Problem, v: f64| {
             cache.insert(
-                SolveCache::key(p),
+                fingerprint(p),
                 p,
                 &IlpResolution::Exact { x: vec![v], value: v },
                 IlpStats::default(),
@@ -299,12 +292,12 @@ mod tests {
         solve(&a, 1.0);
         solve(&b, 2.0);
         // A hit makes `a` the most recently used, so `c` evicts `b`.
-        assert!(cache.probe(SolveCache::key(&a), &a).is_some());
+        assert!(cache.probe(fingerprint(&a), &a).is_some());
         solve(&c, 3.0);
         assert_eq!((cache.len(), cache.stats().evicted), (2, 1));
-        assert!(cache.probe(SolveCache::key(&b), &b).is_none());
-        assert!(cache.probe(SolveCache::key(&a), &a).is_some());
-        assert!(cache.probe(SolveCache::key(&c), &c).is_some());
+        assert!(cache.probe(fingerprint(&b), &b).is_none());
+        assert!(cache.probe(fingerprint(&a), &a).is_some());
+        assert!(cache.probe(fingerprint(&c), &c).is_some());
     }
 
     #[test]
@@ -321,15 +314,15 @@ mod tests {
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         let q = b.build();
-        let key = SolveCache::key(&p);
-        assert_eq!(key, SolveCache::key(&q), "test premise: α-equivalent");
+        let key = fingerprint(&p);
+        assert_eq!(key, fingerprint(&q), "test premise: α-equivalent");
         cache.insert(
             key,
             &p,
             &IlpResolution::Exact { x: vec![2.0, 2.0], value: 10.0 },
             IlpStats::default(),
         );
-        assert!(cache.probe(SolveCache::key(&q), &q).is_none());
+        assert!(cache.probe(fingerprint(&q), &q).is_none());
         assert_eq!(cache.stats().rejected, 1);
     }
 
@@ -337,7 +330,7 @@ mod tests {
     fn corrupt_witness_fails_validation() {
         let cache = SolveCache::new();
         let p = toy();
-        let key = SolveCache::key(&p);
+        let key = fingerprint(&p);
         // Witness violates x <= 2: the gate must refuse the replay.
         cache.insert(
             key,

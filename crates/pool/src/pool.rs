@@ -114,17 +114,14 @@ struct PoolJob<'a> {
     /// The full `base ∘ delta` problem — what the answer must be correct
     /// for, and what cold solves, retries and cache validation run against.
     problem: &'a Problem,
-    /// Cache key: `job_key(base_fp, delta_fp)` for plan jobs, the plain
-    /// content fingerprint for bare problems.
+    /// Cache key: `job_key(base_fp, delta_fp)`.
     key: Fingerprint,
     /// `(base-table slot, delta rows)` for a warm-started solve; `None`
     /// solves cold.
     warm: Option<(usize, &'a DeltaSet)>,
-    /// `(identity, invalidation)` hashes of the originating plan; plan
-    /// jobs carry them so the persistent store can scope its replays.
-    /// Bare problems ([`SolvePool::solve_batch`]) have no analysis
-    /// context and never touch the store.
-    ctx: Option<(u128, u128)>,
+    /// `(identity, invalidation)` hashes of the originating plan, which
+    /// scope the persistent store's replays.
+    ctx: (u128, u128),
 }
 
 /// Mixes a `(base, delta)` fingerprint pair into one asymmetric cache key,
@@ -275,18 +272,6 @@ impl SolvePool {
         (self.cache.len(), self.bases.lock().expect("base cache lock").len())
     }
 
-    /// Solves a batch of bare problems under `budget`, returning per-job
-    /// outcomes in submission order. Every solve is cold — base+delta
-    /// warm starting needs the decomposition and goes through
-    /// [`SolvePool::run_plans`] / [`SolvePool::run_plans_audited`].
-    pub fn solve_batch(&self, problems: &[Problem], budget: &SolveBudget) -> BatchReport {
-        let jobs: Vec<PoolJob<'_>> = problems
-            .iter()
-            .map(|p| PoolJob { problem: p, key: SolveCache::key(p), warm: None, ctx: None })
-            .collect();
-        self.solve_jobs(&jobs, &[], 0, budget, &CancelToken::new())
-    }
-
     /// Builds the batch's job list and warm-start base table for `plans`.
     ///
     /// Base LPs are solved serially, once per distinct base (pool-level
@@ -325,7 +310,7 @@ impl SolvePool {
                 let base = &plan.bases()[job.base];
                 let key = job_key(base.fingerprint(), base.delta_fingerprint(&job.delta));
                 let warm = slots.get(job.base).copied().flatten().map(|s| (s, &job.delta));
-                jobs.push(PoolJob { problem: &job.problem, key, warm, ctx: Some(ctx) });
+                jobs.push(PoolJob { problem: &job.problem, key, warm, ctx });
             }
         }
         (jobs, table, base_meter.ticks())
@@ -373,10 +358,10 @@ impl SolvePool {
         Some(table.len() - 1)
     }
 
-    /// The batch executor behind [`SolvePool::solve_batch`] and the plan
-    /// drivers: dedups, probes the cache, shards the deadline, dispatches
-    /// to the workers (warm where a job carries a base snapshot slot) and
-    /// fans the answers back out in submission order.
+    /// The batch executor behind the plan drivers: dedups, probes the
+    /// cache, shards the deadline, dispatches to the workers (warm where a
+    /// job carries a base snapshot slot) and fans the answers back out in
+    /// submission order.
     fn solve_jobs(
         &self,
         jobs: &[PoolJob<'_>],
@@ -423,15 +408,13 @@ impl SolvePool {
             match self.cache.probe(keys[rep], jobs[rep].problem) {
                 Some(hit) => answers.push(Some(hit)),
                 None => {
-                    // Second tier: the persistent store (plan jobs only).
-                    // Its probe re-runs the same gates, so a hit here is
-                    // as trustworthy as an in-memory one.
-                    let disk = match (&self.store, jobs[rep].ctx) {
-                        (Some(store), Some((identity, invalidation))) => {
-                            store.probe(keys[rep], identity, invalidation, jobs[rep].problem)
-                        }
-                        _ => None,
-                    };
+                    // Second tier: the persistent store. Its probe re-runs
+                    // the same gates, so a hit here is as trustworthy as an
+                    // in-memory one.
+                    let (identity, invalidation) = jobs[rep].ctx;
+                    let disk = self.store.as_ref().and_then(|store| {
+                        store.probe(keys[rep], identity, invalidation, jobs[rep].problem)
+                    });
                     match disk {
                         Some(hit) => answers.push(Some(hit)),
                         None => {
@@ -569,10 +552,10 @@ impl SolvePool {
             let (res, stats, uncacheable) = solved[i].clone().expect("every representative solved");
             if !uncacheable {
                 self.cache.insert(keys[rep], jobs[rep].problem, &res, stats);
-                if let (Some(store), Some((identity, invalidation))) = (&self.store, jobs[rep].ctx)
-                {
+                if let Some(store) = &self.store {
                     // Feed the persistent tier; it keeps only `Exact`
                     // resolutions (the only kind a replay can re-certify).
+                    let (identity, invalidation) = jobs[rep].ctx;
                     store.insert(keys[rep], identity, invalidation, jobs[rep].problem, &res, stats);
                 }
             }
