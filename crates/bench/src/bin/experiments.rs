@@ -21,10 +21,11 @@
 //! experiments csv [DIR]           # dump every table as CSV (default ./results)
 //! ```
 //!
-//! `--jobs N` (default 1) sets the `ipet-pool` worker count for the
+//! `--jobs N` (default 1) sets the solve-pool worker count for the
 //! pool-routed experiments (`all`, `table2`, `table3`, `tables`,
-//! `benchjson`, `counters`, `gate`, `fig1`, `table1`). Table output is
-//! bit-for-bit identical for any `N`; only wall-clock changes.
+//! `benchjson`, `counters`, `gate`, `fig1`, `table1`, `sweep`,
+//! `parametric`, `budget`). Table output is bit-for-bit identical for any
+//! `N`; only wall-clock changes.
 //!
 //! `--no-warm-start` disables base+delta warm starting on the pool-routed
 //! experiments: every ILP is solved cold. Every bound and table is
@@ -96,10 +97,9 @@ fn main() {
         eprintln!("experiments {which}: unexpected option {opt}");
         std::process::exit(1);
     }
-    // The Table I-III data now always flows through the solve pool; at the
-    // default `--jobs 1` it degenerates to a serial run with identical
-    // results (the pool-level tests pin this down).
-    let pooled = || run_all_pooled_infer(&ipet_pool::SolvePool::new(jobs), warm, infer);
+    // The Table I-III data flows through the solve pool, with identical
+    // results at any `--jobs` (the pool-level tests pin this down).
+    let pooled = || run_all_pooled_infer(&ipet_core::SolvePool::new(jobs), warm, infer);
     // `experiments csv <dir>` dumps every table as CSV for plotting.
     if which == "csv" {
         let dir = std::path::PathBuf::from(rest.get(1).map(String::as_str).unwrap_or("results"));
@@ -118,14 +118,14 @@ fn main() {
         "ilpstats" => ilpstats(&run_all()),
         "blowup" => blowup(),
         "ablation-split" => ablation(),
-        "sweep" => sweep(),
+        "sweep" => sweep(jobs, warm),
         "parametric" => parametric(jobs, warm, &rest[1..]),
         "dsp3210" => dsp3210(),
         "dcache" => dcache(),
         "exhaustive" => exhaustive(),
         "sensitivity" => sensitivity(),
         "stress" => stress(),
-        "budget" => budget(),
+        "budget" => budget(jobs),
         "tables" => tables(jobs, warm, infer),
         "benchjson" => benchjson(jobs, warm, infer),
         "counters" => counters(jobs, warm, infer),
@@ -134,8 +134,8 @@ fn main() {
             // One pool for the whole run: the miss-penalty sweep's point at
             // the default penalty (8) replays the Table II/III solves from
             // the shared cache instead of repeating them.
-            let pool = ipet_pool::SolvePool::new(jobs);
-            let run = run_all_pooled_with(&pool, warm);
+            let pool = ipet_core::SolvePool::new(jobs);
+            let run = run_all_pooled_infer(&pool, warm, None);
             figures();
             println!("{}", fig5_text());
             fig6();
@@ -143,8 +143,8 @@ fn main() {
             table1(&run.data);
             table23(&run.data, false);
             table23(&run.data, true);
-            // Per-benchmark solve timing needs the serial path (pooled
-            // solves interleave across benchmarks).
+            // Per-benchmark solve timing needs one analysis per benchmark
+            // (a shared batch interleaves solves across benchmarks).
             ilpstats(&run_all());
             blowup();
             ablation();
@@ -155,7 +155,7 @@ fn main() {
             exhaustive();
             sensitivity();
             stress();
-            budget();
+            budget(jobs);
         }
         other => {
             eprintln!("unknown experiment {other}");
@@ -210,25 +210,24 @@ const SWEEP_NAMES: [&str; 3] = ["check_data", "fft", "matgen"];
 /// `tables --jobs 1` and `tables --jobs 8` must produce byte-identical
 /// output (CI diffs them).
 fn tables(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
-    let pool = ipet_pool::SolvePool::new(jobs);
+    let pool = ipet_core::SolvePool::new(jobs);
     let run = run_all_pooled_infer(&pool, warm, infer);
     table1(&run.data);
     table23(&run.data, false);
     table23(&run.data, true);
-    let (points, sweep_report) =
-        sweep_miss_penalty_pooled(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
-    print_sweep(&points);
+    let sweep = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+    print_sweep(&sweep.points);
     let stats = pool.cache_stats();
     println!(
         "pool: {} solved, {} replayed, {} rejected near-hits, {} simplex ticks",
         stats.misses,
         stats.hits,
         stats.rejected,
-        run.total_ticks + sweep_report.total_ticks
+        run.total_ticks + sweep.report.total_ticks
     );
 }
 
-fn pool_summary(pool: &ipet_pool::SolvePool, run: &PooledRun) {
+fn pool_summary(pool: &ipet_core::SolvePool, run: &PooledRun) {
     let stats = pool.cache_stats();
     println!("== solve pool: {} worker(s) ==", run.jobs);
     println!(
@@ -253,9 +252,10 @@ fn collect_bench_doc(
 ) -> ipet_trace::Json {
     let recorder = ipet_trace::install();
     recorder.reset();
-    let pool = ipet_pool::SolvePool::new(jobs);
+    let pool = ipet_core::SolvePool::new(jobs);
     let run = run_all_pooled_infer(&pool, warm, infer);
-    let (_, sweep_report) = sweep_miss_penalty_pooled(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+    let sweep_report =
+        sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm).report;
     // Solve-phase wall only: compile/simulate/planning are serial and
     // identical across `--jobs`, so including them would bury the signal.
     let solve_wall = run.solve_wall + sweep_report.wall;
@@ -352,7 +352,7 @@ fn gate_cmd(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>, args:
 /// The miss-penalty sweep rendered from pooled points (same table as
 /// [`sweep`], but solved through the shared pool), plus each routine's
 /// certified bound formula.
-fn sweep_pooled(pool: &ipet_pool::SolvePool, warm: bool) {
+fn sweep_pooled(pool: &ipet_core::SolvePool, warm: bool) {
     let s = sweep_miss_penalty_parametric(pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
     print_sweep(&s.points);
     print_regions(&s);
@@ -515,8 +515,9 @@ fn ablation() {
     println!();
 }
 
-fn sweep() {
-    print_sweep(&sweep_miss_penalty(&SWEEP_PENALTIES, &SWEEP_NAMES));
+fn sweep(jobs: usize, warm: bool) {
+    let pool = ipet_core::SolvePool::new(jobs);
+    print_sweep(&sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm).points);
 }
 
 /// `experiments parametric [--check]`: the miss-penalty sweep answered by
@@ -527,12 +528,12 @@ fn sweep() {
 /// and `--jobs 8`).
 fn parametric(jobs: usize, warm: bool, args: &[String]) {
     let check = args.iter().any(|a| a == "--check");
-    let pool = ipet_pool::SolvePool::new(jobs);
+    let pool = ipet_core::SolvePool::new(jobs);
     let s = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
     print_sweep(&s.points);
     print_regions(&s);
     if check {
-        let concrete_pool = ipet_pool::SolvePool::new(jobs);
+        let concrete_pool = ipet_core::SolvePool::new(jobs);
         let (concrete, _) =
             sweep_miss_penalty_concrete(&concrete_pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
         let mut failures = 0usize;
@@ -635,13 +636,13 @@ fn sensitivity() {
     println!();
 }
 
-fn budget() {
+fn budget(jobs: usize) {
     println!("== budget: bound quality under shrinking tick deadlines ==");
     println!(
         "{:<12} {:>10} {:>24} {:>8} {:>8} {:>8}  safe",
         "function", "deadline", "bound", "quality", "skipped", "relaxed"
     );
-    let rows = budget_rows(&[100_000, 1_000, 100, 10, 0], &["check_data", "piksrt", "des"]);
+    let rows = budget_rows(jobs, &[100_000, 1_000, 100, 10, 0], &["check_data", "piksrt", "des"]);
     for r in &rows {
         let deadline = r.deadline_ticks.map(group_digits).unwrap_or_else(|| "unlimited".into());
         println!(

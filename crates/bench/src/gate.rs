@@ -15,7 +15,7 @@
 //! only a slowdown beyond the tolerance fails.
 
 use crate::PooledRun;
-use ipet_pool::BatchReport;
+use ipet_core::BatchReport;
 use ipet_trace::{Json, TraceDoc};
 use std::collections::BTreeMap;
 use std::time::Duration;

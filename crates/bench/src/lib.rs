@@ -95,7 +95,7 @@ pub fn run_all() -> Vec<BenchData> {
 }
 
 /// A [`run_all`] equivalent that batches every benchmark's ILPs through
-/// one `ipet-pool` [`SolvePool`](ipet_pool::SolvePool).
+/// one [`SolvePool`](ipet_core::SolvePool).
 #[derive(Debug)]
 pub struct PooledRun {
     /// Per-benchmark data, Table I row order. `solve_time` is zero here —
@@ -105,7 +105,7 @@ pub struct PooledRun {
     /// Worker count the pool ran with.
     pub jobs: usize,
     /// Cache statistics of the batch (deterministic for any `jobs`).
-    pub cache: ipet_pool::CacheStats,
+    pub cache: ipet_core::CacheStats,
     /// Ticks spent per worker (scheduling-dependent; sums deterministically).
     pub worker_ticks: Vec<u64>,
     /// Total simplex ticks of the batch (deterministic for any `jobs`).
@@ -115,7 +115,8 @@ pub struct PooledRun {
 }
 
 /// Runs every benchmark with the ILP solves batched through `pool`, a
-/// work-stealing pool of any width. Estimates, set reports and cache
+/// work-stealing pool of any width, after loop-bound inference
+/// (`ipet-infer`) when `infer` is set. Estimates, set reports and cache
 /// hit/miss counts are bit-for-bit identical for any worker count (and
 /// identical to [`run_all`]'s); only wall-clock changes. Passing one pool
 /// to several experiments lets them share its solve cache: a later batch
@@ -125,27 +126,17 @@ pub struct PooledRun {
 ///
 /// `warm` toggles base+delta warm starting
 /// ([`Analyzer::with_warm_start`]); every bound and set report is
-/// bit-identical either way — only solver effort changes.
-///
-/// # Panics
-///
-/// Panics if a benchmark fails to compile, analyse or simulate — the test
-/// suite keeps all of these green.
-pub fn run_all_pooled_with(pool: &ipet_pool::SolvePool, warm: bool) -> PooledRun {
-    run_all_pooled_infer(pool, warm, None)
-}
-
-/// [`run_all_pooled_with`] with loop-bound inference (`ipet-infer`)
-/// applied to every benchmark's annotations before planning. Inference
-/// runs in the serial planning phase, so its `infer.*` trace counters are
+/// bit-identical either way — only solver effort changes. Inference runs
+/// in the serial planning phase, so its `infer.*` trace counters are
 /// bit-identical for any pool width.
 ///
 /// # Panics
 ///
-/// See [`run_all_pooled_with`]; additionally panics if inference fails on a
-/// bundled benchmark (in `Only` mode a data-dependent loop does fail).
+/// Panics if a benchmark fails to compile, infer, analyse or simulate —
+/// the test suite keeps all of these green (in `Only` inference mode a
+/// data-dependent loop does fail).
 pub fn run_all_pooled_infer(
-    pool: &ipet_pool::SolvePool,
+    pool: &ipet_core::SolvePool,
     warm: bool,
     infer: Option<ipet_infer::InferMode>,
 ) -> PooledRun {
@@ -242,7 +233,7 @@ pub fn audit_all_pooled(jobs: usize, warm: bool) -> Vec<(String, ipet_core::Audi
             analyzer.plan(&anns, &budget).unwrap_or_else(|e| panic!("{}: {e}", b.name))
         })
         .collect();
-    let pool = ipet_pool::SolvePool::new(jobs);
+    let pool = ipet_core::SolvePool::new(jobs);
     let batch = pool.run_plans_audited(&plans, &budget.solve);
     names
         .into_iter()
@@ -619,9 +610,9 @@ mod tests {
         let penalties = [0u64, 2, 4, 8, 16, 32];
         let names = ["check_data"];
         let s =
-            sweep_miss_penalty_parametric(&ipet_pool::SolvePool::new(1), &penalties, &names, true);
+            sweep_miss_penalty_parametric(&ipet_core::SolvePool::new(1), &penalties, &names, true);
         let (concrete, _) =
-            sweep_miss_penalty_concrete(&ipet_pool::SolvePool::new(1), &penalties, &names, true);
+            sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), &penalties, &names, true);
         for (got, want) in s.points.iter().zip(&concrete) {
             assert_eq!(got.miss_penalty, want.miss_penalty);
             assert_eq!(got.wcet, want.wcet, "mp = {}", got.miss_penalty);
@@ -633,11 +624,6 @@ mod tests {
         assert!(!s.regions.is_empty());
         assert_eq!(s.regions.first().unwrap().from_penalty, 0);
         assert_eq!(s.regions.last().unwrap().to_penalty, 32);
-        // And the serial entry point is the same sweep on a 1-wide pool.
-        let serial = sweep_miss_penalty(&penalties, &names);
-        for (a, b) in serial.iter().zip(&s.points) {
-            assert_eq!(a.wcet, b.wcet);
-        }
     }
 
     #[test]
@@ -645,7 +631,7 @@ mod tests {
         // From unlimited down to a zero-tick deadline, the bound may widen
         // and the quality may drop, but it must never stop enclosing the
         // exact answer.
-        let rows = budget_rows(&[10_000, 50, 0], &["check_data"]);
+        let rows = budget_rows(2, &[10_000, 50, 0], &["check_data"]);
         assert_eq!(rows.len(), 4);
         assert!(rows[0].quality.is_exact());
         for r in &rows {
@@ -699,48 +685,18 @@ pub struct ParametricSweep {
     /// Chord-certificate failures (witness changes between probes).
     pub region_exits: u64,
     /// Merged batch report over every probe's pooled solve.
-    pub report: ipet_pool::BatchReport,
+    pub report: ipet_core::BatchReport,
 }
 
 /// Parameter sweep: how the estimated WCET scales with the i-cache line
-/// fill penalty (the knob behind the paper's all-miss conservatism).
-/// Returns one series point per penalty value. Delegates to
-/// [`sweep_miss_penalty_pooled`] with a single-worker pool.
-///
-/// # Panics
-///
-/// Panics if `penalties` is not strictly increasing or a benchmark fails
-/// to compile or analyse.
-pub fn sweep_miss_penalty(penalties: &[u64], names: &[&str]) -> Vec<SweepPoint> {
-    sweep_miss_penalty_pooled(&ipet_pool::SolvePool::new(1), penalties, names, true).0
-}
-
-/// [`sweep_miss_penalty`] with the ILPs batched through `pool`, solving
-/// only where the chord certificate cannot extend an already-certified
-/// bound formula (see [`sweep_miss_penalty_parametric`]). The reported
-/// points are bit-identical to a concrete per-point sweep.
-///
-/// # Panics
-///
-/// Panics if `penalties` is not strictly increasing or a benchmark fails
-/// to compile or analyse.
-pub fn sweep_miss_penalty_pooled(
-    pool: &ipet_pool::SolvePool,
-    penalties: &[u64],
-    names: &[&str],
-    warm: bool,
-) -> (Vec<SweepPoint>, ipet_pool::BatchReport) {
-    let s = sweep_miss_penalty_parametric(pool, penalties, names, warm);
-    (s.points, s.report)
-}
-
-/// The parametric sweep in full: probes the penalty grid with concrete
-/// pooled solves only at region boundaries, certifies each witness line
+/// fill penalty (the knob behind the paper's all-miss conservatism), one
+/// series point per penalty value. It probes the penalty grid with
+/// concrete pooled solves only at region boundaries, certifies each witness line
 /// over the interval it stays optimal (`ipet-lp`'s chord certificate,
 /// re-checked through `ipet-audit`'s exact rationals), and fills every
 /// interior grid point by evaluating the certified formula.
 ///
-/// Sharing the pool with an earlier [`run_all_pooled_with`] batch makes a
+/// Sharing the pool with an earlier [`run_all_pooled_infer`] batch makes a
 /// probe at the default i960KB penalty (8 cycles) a pure cache replay:
 /// those problems are bit-identical to the Table II/III ones.
 ///
@@ -754,13 +710,13 @@ pub fn sweep_miss_penalty_pooled(
 /// Panics if `penalties` is not strictly increasing or a benchmark fails
 /// to compile or analyse.
 pub fn sweep_miss_penalty_parametric(
-    pool: &ipet_pool::SolvePool,
+    pool: &ipet_core::SolvePool,
     penalties: &[u64],
     names: &[&str],
     warm: bool,
 ) -> ParametricSweep {
     let budget = ipet_core::AnalysisBudget::default();
-    let mut report = ipet_pool::BatchReport::empty();
+    let mut report = ipet_core::BatchReport::empty();
     let mut probe = |mp: u64| -> Result<ipet_lp::Probe, std::convert::Infallible> {
         let machine = Machine { miss_penalty: mp, ..Machine::i960kb() };
         let point = machine.param_point();
@@ -830,7 +786,7 @@ pub fn sweep_miss_penalty_parametric(
     #[cfg(debug_assertions)]
     if !ipet_trace::enabled() {
         let shadow =
-            sweep_miss_penalty_concrete(&ipet_pool::SolvePool::new(1), penalties, names, warm).0;
+            sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), penalties, names, warm).0;
         for (got, want) in points.iter().zip(&shadow) {
             assert_eq!(got.miss_penalty, want.miss_penalty);
             assert_eq!(got.wcet, want.wcet, "mp = {}", got.miss_penalty);
@@ -856,11 +812,11 @@ pub fn sweep_miss_penalty_parametric(
 ///
 /// Panics if a benchmark fails to compile or analyse.
 pub fn sweep_miss_penalty_concrete(
-    pool: &ipet_pool::SolvePool,
+    pool: &ipet_core::SolvePool,
     penalties: &[u64],
     names: &[&str],
     warm: bool,
-) -> (Vec<SweepPoint>, ipet_pool::BatchReport) {
+) -> (Vec<SweepPoint>, ipet_core::BatchReport) {
     let budget = ipet_core::AnalysisBudget::default();
     let mut plans = Vec::new();
     for &mp in penalties {
@@ -916,10 +872,12 @@ pub struct BudgetRow {
 }
 
 /// Budget sweep: each benchmark analysed under a descending series of tick
-/// deadlines, showing the graceful-degradation cascade (exact → relaxed /
-/// partial) and checking that every degraded bound stays an enclosure of
-/// the exact one.
-pub fn budget_rows(deadlines: &[u64], names: &[&str]) -> Vec<BudgetRow> {
+/// deadlines on a pool of `jobs` workers, showing the graceful-degradation
+/// cascade (exact → relaxed / partial) and checking that every degraded
+/// bound stays an enclosure of the exact one. Each row runs on a fresh
+/// pool, so no row replays another's solves, and the deadline's `d / n`
+/// shards make every row the same at any `jobs`.
+pub fn budget_rows(jobs: usize, deadlines: &[u64], names: &[&str]) -> Vec<BudgetRow> {
     use ipet_core::AnalysisBudget;
     let machine = Machine::i960kb();
     let mut rows = Vec::new();
@@ -927,29 +885,23 @@ pub fn budget_rows(deadlines: &[u64], names: &[&str]) -> Vec<BudgetRow> {
         let b = ipet_suite::by_name(name).expect("bundled benchmark");
         let program = b.program().unwrap();
         let analyzer = Analyzer::new(&program, machine).unwrap();
-        let ann = b.annotations(&program);
-        let exact = analyzer.analyze(&ann).unwrap();
-        rows.push(BudgetRow {
-            name: name.to_string(),
-            deadline_ticks: None,
-            bound: exact.bound,
-            quality: exact.quality,
-            sets_skipped: exact.sets_skipped,
-            degraded_sets: exact.degraded_sets.len(),
-            safe: true,
-        });
-        for &ticks in deadlines {
+        let anns = ipet_core::parse_annotations(&b.annotations(&program)).unwrap();
+        let mut exact = None;
+        for ticks in std::iter::once(None).chain(deadlines.iter().map(|&t| Some(t))) {
             let mut budget = AnalysisBudget::unlimited();
-            budget.solve.deadline_ticks = Some(ticks);
-            let est = analyzer.analyze_with(&ann, &budget).unwrap();
+            budget.solve.deadline_ticks = ticks;
+            let plan = analyzer.plan(&anns, &budget).unwrap();
+            let batch = ipet_core::SolvePool::new(jobs).run_plans(&[plan], &budget.solve);
+            let est = batch.estimates.into_iter().next().expect("one plan").unwrap();
+            let exact = *exact.get_or_insert(est.bound);
             rows.push(BudgetRow {
                 name: name.to_string(),
-                deadline_ticks: Some(ticks),
+                deadline_ticks: ticks,
                 bound: est.bound,
                 quality: est.quality,
                 sets_skipped: est.sets_skipped,
                 degraded_sets: est.degraded_sets.len(),
-                safe: est.bound.encloses(exact.bound),
+                safe: est.bound.encloses(exact),
             });
         }
     }
@@ -1220,7 +1172,9 @@ pub fn write_csvs(dir: &std::path::Path, data: &[BenchData]) -> std::io::Result<
         "function,all_miss_wcet,split_wcet,measured_worst",
         ablation_split_rows().into_iter().map(|(n, b, s, m)| format!("{n},{b},{s},{m}")).collect(),
     )?;
-    let sweep = sweep_miss_penalty(&[0, 2, 4, 8, 16, 32], &["check_data", "fft", "matgen"]);
+    let pool = ipet_core::SolvePool::new(1);
+    let names = ["check_data", "fft", "matgen"];
+    let sweep = sweep_miss_penalty_parametric(&pool, &[0, 2, 4, 8, 16, 32], &names, true).points;
     w(
         "sweep.csv",
         "miss_penalty,function,wcet",

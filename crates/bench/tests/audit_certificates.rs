@@ -5,21 +5,23 @@
 use ipet_bench::synth;
 use ipet_core::{
     infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, AuditReport, BoundQuality,
-    CertVerdict, Estimate, SolverFaults,
+    CertVerdict, Estimate, SolvePool, SolverFaults,
 };
 use ipet_hw::Machine;
 use proptest::prelude::*;
 
-/// Analyzes the seeded synthetic program with certification on, under the
-/// given fault injection.
-fn audited(seed: u64, faults: &mut SolverFaults) -> (Estimate, AuditReport) {
+/// Analyzes the seeded synthetic program with certification on, on a
+/// one-worker pool whose every fresh solve starts from the `faults`
+/// template.
+fn audited(seed: u64, faults: SolverFaults) -> (Estimate, AuditReport) {
     let s = synth::generate(seed, synth::SynthConfig::default());
     let analyzer = Analyzer::new(&s.program, Machine::i960kb()).expect("analyzer");
     let anns = ipet_core::parse_annotations(&inferred_annotations(&infer_loop_bounds(&analyzer)))
         .expect("inferred annotations parse");
-    analyzer
-        .analyze_audited_with_faults(&anns, &AnalysisBudget::default(), faults)
-        .expect("analysis succeeds")
+    let budget = AnalysisBudget::default();
+    let plan = analyzer.plan(&anns, &budget).expect("plan");
+    let batch = SolvePool::with_faults(1, faults).run_plans_audited(&[plan], &budget.solve);
+    batch.results.into_iter().next().expect("one plan").expect("analysis succeeds")
 }
 
 proptest! {
@@ -29,7 +31,7 @@ proptest! {
     /// verifies: feasibility, exact objective replay and CFG flow replay.
     #[test]
     fn every_exact_solve_certifies(seed in 0u64..1000) {
-        let (est, report) = audited(seed, &mut SolverFaults::none());
+        let (est, report) = audited(seed, SolverFaults::none());
         prop_assert!(report.all_certified(), "seed {seed}:\n{}", report.render());
         prop_assert!(report.certified() >= 1, "seed {seed}: nothing was certified");
         if est.quality == BoundQuality::Exact {
@@ -57,7 +59,7 @@ proptest! {
     /// be rejected by at least one certificate check.
     #[test]
     fn corrupted_witnesses_are_rejected(seed in 0u64..200) {
-        let (_, report) = audited(seed, &mut SolverFaults::corrupt_witness_at(0));
+        let (_, report) = audited(seed, SolverFaults::corrupt_witness_at(0));
         prop_assert!(
             report.rejected() >= 1,
             "seed {seed}: corrupt witness slipped through:\n{}",
@@ -69,7 +71,7 @@ proptest! {
     /// must fail the exact objective replay.
     #[test]
     fn corrupted_bounds_are_rejected(seed in 0u64..200) {
-        let (_, report) = audited(seed, &mut SolverFaults::corrupt_bound_at(0));
+        let (_, report) = audited(seed, SolverFaults::corrupt_bound_at(0));
         prop_assert!(
             report.rejected() >= 1,
             "seed {seed}: corrupt bound slipped through:\n{}",
@@ -87,13 +89,11 @@ fn auditing_never_changes_the_estimate() {
         let analyzer = Analyzer::new(&s.program, Machine::i960kb()).expect("analyzer");
         let text = inferred_annotations(&infer_loop_bounds(&analyzer));
         let anns = ipet_core::parse_annotations(&text).expect("parse");
+        let plain = analyzer.analyze_parsed(&anns).expect("plain");
         let budget = AnalysisBudget::default();
-        let plain = analyzer
-            .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("plain");
-        let (audited, _) = analyzer
-            .analyze_audited_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("audited");
+        let plan = analyzer.plan(&anns, &budget).expect("plan");
+        let batch = SolvePool::new(1).run_plans_audited(&[plan], &budget.solve);
+        let (audited, _) = batch.results.into_iter().next().expect("one plan").expect("audited");
         assert_eq!(plain, audited, "seed {seed}");
     }
 }

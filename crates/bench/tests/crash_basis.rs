@@ -7,7 +7,7 @@
 //! One test in its own binary: it reads the process-global trace recorder.
 
 use ipet_bench::synth;
-use ipet_core::{infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, SolverFaults};
+use ipet_core::{infer_loop_bounds, inferred_annotations, Analyzer};
 use ipet_hw::Machine;
 
 /// `lp.ticks` over seeds 0..64 when every zero-level row started phase 1
@@ -23,13 +23,7 @@ fn crashed_bases_halve_the_synth_corpus_ticks() {
         let analyzer = Analyzer::new(&s.program, Machine::i960kb()).expect("analyzer");
         let anns = inferred_annotations(&infer_loop_bounds(&analyzer));
         let anns = ipet_core::parse_annotations(&anns).expect("parse");
-        analyzer
-            .analyze_parsed_with_faults(
-                &anns,
-                &AnalysisBudget::default(),
-                &mut SolverFaults::none(),
-            )
-            .expect("analysis");
+        analyzer.analyze_parsed(&anns).expect("analysis");
     }
     let doc = recorder.snapshot();
     let counter = |name: &str| doc.counters.get(name).copied().unwrap_or(0);

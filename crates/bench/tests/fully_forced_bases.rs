@@ -6,7 +6,7 @@
 //! One test in its own binary: it reads the process-global trace recorder.
 
 use ipet_bench::synth;
-use ipet_core::{infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, SolverFaults};
+use ipet_core::{infer_loop_bounds, inferred_annotations, Analyzer};
 use ipet_hw::Machine;
 
 #[test]
@@ -18,13 +18,7 @@ fn synth_bases_all_warm_start_including_fully_forced_ones() {
         let analyzer = Analyzer::new(&s.program, Machine::i960kb()).expect("analyzer");
         let anns = inferred_annotations(&infer_loop_bounds(&analyzer));
         let anns = ipet_core::parse_annotations(&anns).expect("parse");
-        analyzer
-            .analyze_parsed_with_faults(
-                &anns,
-                &AnalysisBudget::default(),
-                &mut SolverFaults::none(),
-            )
-            .expect("analysis");
+        analyzer.analyze_parsed(&anns).expect("analysis");
     }
     let doc = recorder.snapshot();
     let counter = |name: &str| doc.counters.get(name).copied().unwrap_or(0);

@@ -6,7 +6,7 @@
 
 use ipet_bench::synth;
 use ipet_cfg::Cfg;
-use ipet_core::{AnalysisBudget, Analyzer, Annotations, SolverFaults};
+use ipet_core::{AnalysisBudget, Analyzer, Annotations, SolvePool};
 use ipet_hw::Machine;
 use ipet_infer::{infer_and_merge, InferMode};
 use ipet_sim::{SimConfig, Simulator};
@@ -97,8 +97,9 @@ proptest! {
         let out = infer_and_merge(Some(&s.module), &analyzer, &Annotations::default(), InferMode::Only)
             .expect("synth loops are all inferable");
         let budget = AnalysisBudget::default();
-        let (inferred, report) = analyzer
-            .analyze_audited_with_faults(&out.annotations, &budget, &mut SolverFaults::none())
+        let plan = analyzer.plan(&out.annotations, &budget).expect("plan");
+        let batch = SolvePool::new(1).run_plans_audited(&[plan], &budget.solve);
+        let (inferred, report) = batch.results.into_iter().next().expect("one plan")
             .expect("audited analysis");
         prop_assert!(
             annotated.bound.encloses(inferred.bound),

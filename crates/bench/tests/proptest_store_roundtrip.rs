@@ -10,11 +10,10 @@
 use ipet_bench::synth;
 use ipet_core::{
     infer_loop_bounds, inferred_annotations, parse_annotations, AnalysisBudget, AnalysisPlan,
-    Analyzer,
+    Analyzer, PlanBatch, SolvePool,
 };
 use ipet_hw::Machine;
 use ipet_lp::{same_structure, IlpResolution, IlpStats, Problem};
-use ipet_pool::{PlanBatch, SolvePool};
 use ipet_store::{Store, StoreMode};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,7 +7,7 @@
 
 use ipet_arch::Program;
 use ipet_bench::synth;
-use ipet_core::{infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, SolverFaults};
+use ipet_core::{infer_loop_bounds, inferred_annotations, AnalysisBudget, Analyzer, SolvePool};
 use ipet_hw::Machine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -62,13 +62,8 @@ fn assert_warm_matches_cold(program: &Program, seed: u64) {
     let warm = Analyzer::new(program, machine).expect("analyzer");
     let cold = Analyzer::new(program, machine).expect("analyzer").with_warm_start(false);
     let anns = ipet_core::parse_annotations(&annotations_for(&warm)).expect("parse");
-    let budget = AnalysisBudget::default();
-    let w = warm
-        .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
-        .expect("warm analysis");
-    let c = cold
-        .analyze_parsed_with_faults(&anns, &budget, &mut SolverFaults::none())
-        .expect("cold analysis");
+    let w = warm.analyze_parsed(&anns).expect("warm analysis");
+    let c = cold.analyze_parsed(&anns).expect("cold analysis");
     assert_eq!(&w.wcet_counts, &c.wcet_counts, "seed {seed}: WCET witnesses differ");
     assert_eq!(&w.bcet_counts, &c.bcet_counts, "seed {seed}: BCET witnesses differ");
     assert_eq!(w, c, "seed {seed}: estimates differ");
@@ -100,12 +95,12 @@ proptest! {
         let cold = Analyzer::new(&s.program, machine).expect("analyzer").with_warm_start(false);
         let anns = ipet_core::parse_annotations(&annotations_for(&warm)).expect("parse");
         let budget = AnalysisBudget::default();
-        let (we, wr) = warm
-            .analyze_audited_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("warm audited");
-        let (ce, cr) = cold
-            .analyze_audited_with_faults(&anns, &budget, &mut SolverFaults::none())
-            .expect("cold audited");
+        let audited = |analyzer: &Analyzer<'_>| {
+            let plan = analyzer.plan(&anns, &budget).expect("plan");
+            SolvePool::new(1).run_plans_audited(&[plan], &budget.solve).results.remove(0)
+        };
+        let (we, wr) = audited(&warm).expect("warm audited");
+        let (ce, cr) = audited(&cold).expect("cold audited");
         prop_assert_eq!(we, ce, "seed {}: audited estimates differ", seed);
         prop_assert!(wr.all_certified(), "seed {}: warm run not fully certified:\n{}", seed, wr.render());
         prop_assert!(cr.all_certified(), "seed {}: cold run not fully certified:\n{}", seed, cr.render());

@@ -25,9 +25,10 @@
 //! `--machine dsp3210` selects the paper's §VII port target.
 //!
 //! `analyze` accepts **multiple targets** in one invocation and a
-//! `--jobs N` worker count: all targets' ILPs are batched through the
-//! `ipet-pool` work-stealing pool with its content-addressed solve cache,
-//! and the per-target reports are printed in argument order. Output is
+//! `--jobs N` worker count: all targets' ILPs are batched through one
+//! work-stealing solve pool with its content-addressed solve cache, and
+//! the per-target reports are printed in argument order. A tick deadline
+//! is split evenly over the batch's fresh solves, so the reports are
 //! bit-for-bit identical for any `--jobs` value.
 
 mod serve;
@@ -35,10 +36,9 @@ mod serve;
 use ipet_cfg::InstanceId;
 use ipet_core::{
     structural_text, AnalysisBudget, Analyzer, AuditReport, CacheMode, ContextMode, Estimate,
-    SolverFaults, TimeBound,
+    SolvePool, SolveRequest, SolverFaults, TimeBound,
 };
 use ipet_hw::Machine;
-use ipet_pool::SolvePool;
 use ipet_sim::measure;
 use ipet_store::Store;
 use std::process::ExitCode;
@@ -90,7 +90,7 @@ fn usage() -> String {
      \x20        --machine i960kb|dsp3210 --cache-split --dump-structural --measure\n\
      \x20        --parametric (sweep the i-cache miss penalty and print each\n\
      \x20         routine's certified WCET bound formula wcet(p) with its\n\
-     \x20         validity interval; serial path only)\n\
+     \x20         validity interval)\n\
      \x20        --jobs N (parallel ILP workers; output identical for any N)\n\
      \x20        --no-warm-start (solve every ILP cold; bounds are identical,\n\
      \x20         only solver effort counters change)\n\
@@ -101,7 +101,8 @@ fn usage() -> String {
      \x20        --no-store (pin the default: never touch a store)\n\
      budget:  --deadline TICKS --max-nodes N --max-sets N --no-degrade\n\
      faults:  --inject-corrupt-witness N --inject-corrupt-bound N\n\
-     \x20        (corrupt the Nth solve; the audit must catch it; serial path only)\n\
+     \x20        (corrupt the Nth ILP solve inside each fresh solve of the\n\
+     \x20         pool, so 0 hits every one; the audit must catch it)\n\
      \x20        --inject-fail-write N --inject-torn-write N\n\
      \x20        --inject-corrupt-record N --inject-fail-open\n\
      \x20        (store IO faults; need --store; every one degrades to cold\n\
@@ -381,7 +382,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 return Err("serve takes no targets; requests arrive as NDJSON".into());
             }
             if faults.armed() {
-                return Err("--inject-corrupt-* solve faults need `analyze` (serial path)".into());
+                return Err("--inject-corrupt-* solve faults need `analyze`".into());
             }
             serve::serve(serve::ServeConfig {
                 store_path: if no_store { None } else { store_path },
@@ -427,76 +428,36 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                     )
                 })
                 .collect::<Result<_, _>>()?;
-            // The persistent store rides the pooled path (it is a pool
-            // tier); a store-backed run therefore excludes the serial-only
-            // features, mirroring the multi-target restrictions below.
-            let store = if let (Some(path), false) = (&store_path, no_store) {
-                if do_measure || dump_structural || parametric {
-                    return Err("--store needs the pooled path; drop \
-                         --measure/--dump-structural/--parametric"
-                        .into());
+            // A store cannot vouch for solves a fault corrupted on purpose.
+            let armed = faults.armed();
+            let mut pool = SolvePool::with_faults(jobs, faults);
+            if let (Some(path), false) = (&store_path, no_store) {
+                if armed {
+                    return Err(
+                        "--store cannot combine with --inject-corrupt-* solve faults".into()
+                    );
                 }
-                if faults.armed() {
-                    return Err("--store cannot combine with --inject-corrupt-* solve faults \
-                         (they need the serial path)"
-                        .into());
-                }
-                Some(Arc::new(Store::open_with_faults(path, io_faults.clone())))
-            } else {
-                if io_faults.io_armed() {
-                    return Err("--inject-fail-write/--inject-torn-write/\
-                         --inject-corrupt-record/--inject-fail-open require --store"
-                        .into());
-                }
-                None
+                pool = pool.with_store(Arc::new(Store::open_with_faults(path, io_faults)));
+            } else if io_faults.io_armed() {
+                return Err("--inject-fail-write/--inject-torn-write/\
+                     --inject-corrupt-record/--inject-fail-open require --store"
+                    .into());
+            }
+            let options = AnalyzeOptions {
+                machine: machine_by_name(&machine_name)?,
+                mode: if cache_split { CacheMode::FirstIterSplit } else { CacheMode::AllMiss },
+                context: if shared { ContextMode::Shared } else { ContextMode::PerCallSite },
+                infer,
+                warm,
+                budget,
+                audit,
+                dump_structural,
+                do_measure,
+                parametric,
             };
             let mut certificates: Vec<(String, AuditReport)> = Vec::new();
             let mut provenances: Vec<(String, Vec<ipet_core::LoopProvenance>)> = Vec::new();
-            let status = if loaded.len() == 1 && jobs == 1 && store.is_none() {
-                // The single-target serial path keeps the full feature set
-                // (`--measure`, `--dump-structural`, fault injection).
-                analyze(
-                    &loaded[0],
-                    &machine_name,
-                    cache_split,
-                    dump_structural,
-                    do_measure,
-                    parametric,
-                    infer,
-                    shared,
-                    warm,
-                    &budget,
-                    audit,
-                    &mut faults,
-                    &mut certificates,
-                    &mut provenances,
-                )
-            } else {
-                if do_measure || dump_structural || parametric {
-                    return Err("--measure, --dump-structural and --parametric need the \
-                         serial path (one target, --jobs 1)"
-                        .into());
-                }
-                if faults.armed() {
-                    return Err("--inject-* fault hooks need the serial path \
-                         (one target, --jobs 1)"
-                        .into());
-                }
-                analyze_pooled(
-                    &loaded,
-                    &machine_name,
-                    cache_split,
-                    infer,
-                    shared,
-                    warm,
-                    jobs,
-                    &budget,
-                    audit,
-                    store.as_ref(),
-                    &mut certificates,
-                    &mut provenances,
-                )
-            };
+            let status = analyze(&loaded, &options, &pool, &mut certificates, &mut provenances);
             // Write the trace even for degraded runs — the document is most
             // interesting exactly when budgets bit. With `--audit` the
             // trace document is embedded in an `ipet-audit-v1` wrapper that
@@ -681,21 +642,6 @@ fn audit_document(
     ])
 }
 
-/// Runs `ipet-infer` over a loaded target and returns the merged
-/// annotation set, printing the derived bounds and any
-/// annotation/inference disagreements.
-fn infer_annotations(
-    t: &Target,
-    analyzer: &Analyzer<'_>,
-    user: &ipet_core::Annotations,
-    mode: ipet_infer::InferMode,
-) -> Result<ipet_core::Annotations, String> {
-    let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), analyzer, user, mode)
-        .map_err(|e| e.to_string())?;
-    print!("{}", render_infer(&outcome));
-    Ok(outcome.annotations)
-}
-
 /// The deterministic `--infer` stdout section: derived bounds in
 /// annotation syntax, the outcome tallies, and any disagreements.
 fn render_infer(outcome: &ipet_infer::InferOutcome) -> String {
@@ -774,72 +720,187 @@ fn with_infer_section(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn analyze(
-    t: &Target,
-    machine_name: &str,
-    cache_split: bool,
+/// What `analyze` does besides solving, fixed for every target of a run.
+struct AnalyzeOptions {
+    machine: Machine,
+    mode: CacheMode,
+    context: ContextMode,
+    infer: Option<ipet_infer::InferMode>,
+    warm: bool,
+    budget: AnalysisBudget,
+    audit: bool,
     dump_structural: bool,
     do_measure: bool,
     parametric: bool,
-    infer: Option<ipet_infer::InferMode>,
-    shared: bool,
-    warm: bool,
-    budget: &AnalysisBudget,
-    audit: bool,
-    faults: &mut SolverFaults,
+}
+
+impl AnalyzeOptions {
+    fn analyzer<'p>(
+        &self,
+        program: &'p ipet_arch::Program,
+        machine: Machine,
+    ) -> Result<Analyzer<'p>, String> {
+        Ok(Analyzer::new_with_context(program, machine, self.context)
+            .map_err(|e| e.to_string())?
+            .with_cache_mode(self.mode)
+            .with_warm_start(self.warm))
+    }
+}
+
+/// `analyze`: builds every target's job graph ([`Analyzer::plan`]),
+/// solves all their ILPs as one batch on `pool`, and prints the
+/// per-target reports in argument order.
+///
+/// Everything printed on stdout is deterministic (bounds, qualities, and
+/// the pool summary's solve/replay counts and total ticks are pure
+/// functions of the job list and budget), so the output is bit-for-bit
+/// identical for any `--jobs` value except for the summary's worker count.
+fn analyze(
+    targets: &[Target],
+    options: &AnalyzeOptions,
+    pool: &SolvePool,
     certificates: &mut Vec<(String, AuditReport)>,
     provenances: &mut Vec<(String, Vec<ipet_core::LoopProvenance>)>,
 ) -> Result<RunStatus, String> {
-    let machine = machine_by_name(machine_name)?;
-    let mode = if cache_split { CacheMode::FirstIterSplit } else { CacheMode::AllMiss };
-    let context = if shared { ContextMode::Shared } else { ContextMode::PerCallSite };
-    let analyzer = Analyzer::new_with_context(&t.program, machine, context)
-        .map_err(|e| e.to_string())?
-        .with_cache_mode(mode)
-        .with_warm_start(warm);
+    // Inference runs here, in the serial planning phase, so its counters
+    // and printed summaries are identical for any `--jobs`. The analyzers
+    // and annotations stay for the sections printed after each bound.
+    let mut plans = Vec::with_capacity(targets.len());
+    let mut planned = Vec::with_capacity(targets.len());
+    for t in targets {
+        let analyzer = options
+            .analyzer(&t.program, options.machine)
+            .map_err(|e| format!("{}: {e}", t.name))?;
+        let mut anns =
+            ipet_core::parse_annotations(&t.annotations).map_err(|e| format!("{}: {e}", t.name))?;
+        let mut section = String::new();
+        if let Some(mode) = options.infer {
+            let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), &analyzer, &anns, mode)
+                .map_err(|e| format!("{}: {e}", t.name))?;
+            section = render_infer(&outcome);
+            anns = outcome.annotations;
+            provenances.push((t.name.clone(), anns.provenance.clone()));
+        }
+        plans.push(analyzer.plan(&anns, &options.budget).map_err(|e| format!("{}: {e}", t.name))?);
+        planned.push((analyzer, anns, section));
+    }
 
-    if !t.annotations.is_empty() {
-        println!("functionality constraints:\n{}", t.annotations.trim_end());
-    }
-    let mut anns = ipet_core::parse_annotations(&t.annotations).map_err(|e| e.to_string())?;
-    if let Some(mode) = infer {
-        anns = infer_annotations(t, &analyzer, &anns, mode)?;
-        provenances.push((t.name.clone(), anns.provenance.clone()));
-    }
-    let (est, report) = if audit {
-        let (est, report) = analyzer
-            .analyze_audited_with_faults(&anns, budget, faults)
-            .map_err(|e| e.to_string())?;
-        (est, Some(report))
-    } else {
-        let est = analyzer
-            .analyze_parsed_with_faults(&anns, budget, faults)
-            .map_err(|e| e.to_string())?;
-        (est, None)
+    let request = SolveRequest {
+        budget: options.budget.solve,
+        audit: options.audit,
+        ..SolveRequest::default()
     };
-    print!("{}", est.render());
-    if let Some(report) = &report {
-        println!("certificate report:");
-        print!("{}", report.render());
-    }
+    let batch = pool.run(&plans, &request);
 
-    if dump_structural {
+    let mut degraded = false;
+    let mut audit_failed = false;
+    let mut failures = Vec::new();
+    for ((t, (analyzer, anns, infer_section)), result) in
+        targets.iter().zip(&planned).zip(batch.results)
+    {
+        if targets.len() > 1 {
+            println!("=== {} ===", t.name);
+        }
+        if !t.annotations.is_empty() {
+            println!("functionality constraints:\n{}", t.annotations.trim_end());
+        }
+        print!("{infer_section}");
+        let (est, report) = match result {
+            Ok(done) => done,
+            Err(e) => {
+                failures.push(format!("{}: {e}", t.name));
+                continue;
+            }
+        };
+        print!("{}", est.render());
+        if options.audit {
+            println!("certificate report:");
+            print!("{}", report.render());
+            if !report.all_certified() {
+                audit_failed = true;
+                eprintln!(
+                    "cinderella: {}: audit rejected a reported bound — \
+                     the result must not be trusted",
+                    t.name
+                );
+            }
+            certificates.push((t.name.clone(), report));
+        }
+        if let Err(e) = report_extras(t, options, analyzer, anns, &est) {
+            failures.push(format!("{}: {e}", t.name));
+        }
+        if !est.quality.is_exact() {
+            degraded = true;
+            // Diagnostics on stderr so scripted callers parsing stdout see
+            // only the report; the exit status (2) carries the same signal.
+            eprintln!(
+                "cinderella: {}: bound is safe but degraded \
+                 (quality: {}; {} sets skipped, {} relaxed)",
+                t.name,
+                est.quality,
+                est.sets_skipped,
+                est.degraded_sets.len()
+            );
+        }
+    }
+    // The summary reports cache traffic, which only a batch of several
+    // targets or a store-backed run has to show.
+    if targets.len() > 1 || pool.store().is_some() {
+        let stats = pool.cache_stats();
+        println!(
+            "pool: {} worker(s), {} solved, {} replayed ({} rejected near-hits), {} ticks",
+            pool.workers(),
+            stats.misses,
+            stats.hits,
+            stats.rejected,
+            batch.report.total_ticks
+        );
+    }
+    if let Some(store) = pool.store() {
+        // Flush before reporting so the summary reflects what actually
+        // reached disk. A failed flush degrades, it never fails the run:
+        // every bound above was already computed and certified.
+        if let Err(e) = store.flush() {
+            eprintln!("cinderella: store flush failed ({e}); results were solved cold-safe");
+        }
+        println!("{}", store_summary(store));
+    }
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
+    Ok(if audit_failed {
+        RunStatus::AuditFailed
+    } else if degraded {
+        RunStatus::Degraded
+    } else {
+        RunStatus::Exact
+    })
+}
+
+/// The per-target sections after the bound: `--dump-structural`,
+/// `--parametric` and `--measure`, in that order.
+fn report_extras(
+    t: &Target,
+    options: &AnalyzeOptions,
+    analyzer: &Analyzer<'_>,
+    anns: &ipet_core::Annotations,
+    est: &Estimate,
+) -> Result<(), String> {
+    if options.dump_structural {
         let instances = analyzer.instances();
         for i in 0..instances.len() {
             println!("{}", structural_text(instances, InstanceId(i)));
         }
     }
-
-    if parametric {
-        parametric_report(t, machine, mode, context, warm, &anns, budget)?;
+    if options.parametric {
+        parametric_report(t, options, analyzer, anns)?;
     }
-
-    if do_measure {
+    if options.do_measure {
         let b = t
             .bench
             .as_ref()
             .ok_or("--measure requires a bundled benchmark (it carries the data sets)")?;
+        let machine = options.machine;
         let worst = measure(&t.program, machine, &(b.worst_seeds)(), b.args_worst, true)
             .map_err(|e| e.to_string())?;
         let best = measure(&t.program, machine, &(b.best_seeds)(), b.args_best, false)
@@ -854,28 +915,7 @@ fn analyze(
             return Err("estimated bound does not enclose the measured bound".into());
         }
     }
-
-    let audit_failed = report.as_ref().is_some_and(|r| !r.all_certified());
-    if let Some(report) = report {
-        certificates.push((t.name.clone(), report));
-    }
-    if audit_failed {
-        eprintln!("cinderella: audit rejected a reported bound — the result must not be trusted");
-        return Ok(RunStatus::AuditFailed);
-    }
-    if est.quality.is_exact() {
-        Ok(RunStatus::Exact)
-    } else {
-        // Diagnostics on stderr so scripted callers parsing stdout see
-        // only the report; the exit status (2) carries the same signal.
-        eprintln!(
-            "cinderella: bound is safe but degraded (quality: {}; {} sets skipped, {} relaxed)",
-            est.quality,
-            est.sets_skipped,
-            est.degraded_sets.len()
-        );
-        Ok(RunStatus::Degraded)
-    }
+    Ok(())
 }
 
 /// `--parametric`: sweeps the i-cache miss penalty over a small grid
@@ -885,27 +925,25 @@ fn analyze(
 /// certified WCET bound formulas with their validity intervals.
 fn parametric_report(
     t: &Target,
-    machine: Machine,
-    mode: CacheMode,
-    context: ContextMode,
-    warm: bool,
+    options: &AnalyzeOptions,
+    analyzer: &Analyzer<'_>,
     anns: &ipet_core::Annotations,
-    budget: &AnalysisBudget,
 ) -> Result<(), String> {
+    let machine = options.machine;
     let mut grid: Vec<u64> = vec![0, 2, 4, 8, 16, 32];
     if !grid.contains(&machine.miss_penalty) {
         grid.push(machine.miss_penalty);
         grid.sort_unstable();
     }
+    // Each probe runs on a fresh pool, so under a tick deadline its bound
+    // depends on the probe alone, never on what an earlier probe cached.
     let mut probe = |mp: u64| -> Result<ipet_lp::Probe, String> {
         let m = Machine { miss_penalty: mp, ..machine };
-        let analyzer = Analyzer::new_with_context(&t.program, m, context)
-            .map_err(|e| e.to_string())?
-            .with_cache_mode(mode)
-            .with_warm_start(warm);
-        let est = analyzer
-            .analyze_parsed_with_faults(anns, budget, &mut SolverFaults::none())
-            .map_err(|e| e.to_string())?;
+        let plan = options.analyzer(&t.program, m)?.plan(anns, &options.budget);
+        let plan = plan.map_err(|e| e.to_string())?;
+        let batch = SolvePool::new(1).run_plans(&[plan], &options.budget.solve);
+        let est = batch.estimates.into_iter().next().expect("one plan");
+        let est = est.map_err(|e| e.to_string())?;
         let line = est.wcet_formula.as_ref().and_then(|f| {
             let (constant, slope) = f.specialize(ipet_core::P_MISS, &m.param_point())?;
             Some(ipet_lp::BoundFormula { constant, slope })
@@ -939,11 +977,7 @@ fn parametric_report(
         sweep.region_hits,
         sweep.region_exits
     );
-    let base = Analyzer::new_with_context(&t.program, machine, context)
-        .map_err(|e| e.to_string())?
-        .with_cache_mode(mode)
-        .with_warm_start(warm);
-    let model = base.wcet_loop_model_parsed(anns).map_err(|e| e.to_string())?;
+    let model = analyzer.wcet_loop_model_parsed(anns).map_err(|e| e.to_string())?;
     if !model.is_constant() {
         println!(
             "loop-bound model (first-order around the annotated bounds, \
@@ -952,149 +986,4 @@ fn parametric_report(
         println!("  wcet = {model}");
     }
     Ok(())
-}
-
-/// Multi-target / parallel `analyze`: builds every target's job graph
-/// ([`Analyzer::plan`]), batches all ILPs through one `ipet-pool`
-/// [`SolvePool`], and prints the per-target reports in argument order.
-///
-/// Everything printed on stdout is deterministic — bounds, qualities, and
-/// the pool summary (solve/replay counts and total ticks are pure
-/// functions of the job list and budget) — so the output is bit-for-bit
-/// identical for any `--jobs` value.
-#[allow(clippy::too_many_arguments)]
-fn analyze_pooled(
-    targets: &[Target],
-    machine_name: &str,
-    cache_split: bool,
-    infer: Option<ipet_infer::InferMode>,
-    shared: bool,
-    warm: bool,
-    jobs: usize,
-    budget: &AnalysisBudget,
-    audit: bool,
-    store: Option<&Arc<Store>>,
-    certificates: &mut Vec<(String, AuditReport)>,
-    provenances: &mut Vec<(String, Vec<ipet_core::LoopProvenance>)>,
-) -> Result<RunStatus, String> {
-    let machine = machine_by_name(machine_name)?;
-    let mode = if cache_split { CacheMode::FirstIterSplit } else { CacheMode::AllMiss };
-    let context = if shared { ContextMode::Shared } else { ContextMode::PerCallSite };
-
-    // Planning borrows each target's program only transiently: the plans
-    // own their jobs, so the analyzers are dropped before solving starts.
-    // Inference also runs here, in the serial planning phase, so its
-    // counters and printed summaries are identical for any `--jobs`.
-    let mut plans = Vec::with_capacity(targets.len());
-    let mut infer_sections = Vec::with_capacity(targets.len());
-    for t in targets {
-        let analyzer = Analyzer::new_with_context(&t.program, machine, context)
-            .map_err(|e| format!("{}: {e}", t.name))?
-            .with_cache_mode(mode)
-            .with_warm_start(warm);
-        let mut anns =
-            ipet_core::parse_annotations(&t.annotations).map_err(|e| format!("{}: {e}", t.name))?;
-        let mut section = String::new();
-        if let Some(mode) = infer {
-            let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), &analyzer, &anns, mode)
-                .map_err(|e| format!("{}: {e}", t.name))?;
-            section = render_infer(&outcome);
-            anns = outcome.annotations;
-            provenances.push((t.name.clone(), anns.provenance.clone()));
-        }
-        plans.push(analyzer.plan(&anns, budget).map_err(|e| format!("{}: {e}", t.name))?);
-        infer_sections.push(section);
-    }
-
-    let mut pool = SolvePool::new(jobs);
-    if let Some(store) = store {
-        pool = pool.with_store(Arc::clone(store));
-    }
-    // With `--audit`, each plan's verdicts fold through the certifier; the
-    // estimates are bit-identical either way (the auditor only observes).
-    type PooledResult = Result<(Estimate, Option<AuditReport>), String>;
-    let (results, total_ticks): (Vec<PooledResult>, u64) = if audit {
-        let batch = pool.run_plans_audited(&plans, &budget.solve);
-        let results = batch
-            .results
-            .into_iter()
-            .map(|r| r.map(|(est, report)| (est, Some(report))).map_err(|e| e.to_string()))
-            .collect();
-        (results, batch.report.total_ticks)
-    } else {
-        let batch = pool.run_plans(&plans, &budget.solve);
-        let results = batch
-            .estimates
-            .into_iter()
-            .map(|r| r.map(|est| (est, None)).map_err(|e| e.to_string()))
-            .collect();
-        (results, batch.report.total_ticks)
-    };
-
-    let mut degraded = false;
-    let mut audit_failed = false;
-    let mut failures = Vec::new();
-    for (t, (result, infer_section)) in targets.iter().zip(results.iter().zip(&infer_sections)) {
-        if targets.len() > 1 {
-            println!("=== {} ===", t.name);
-        }
-        if !t.annotations.is_empty() {
-            println!("functionality constraints:\n{}", t.annotations.trim_end());
-        }
-        print!("{infer_section}");
-        match result {
-            Ok((est, report)) => {
-                print!("{}", est.render());
-                if let Some(report) = report {
-                    println!("certificate report:");
-                    print!("{}", report.render());
-                    if !report.all_certified() {
-                        audit_failed = true;
-                        eprintln!(
-                            "cinderella: {}: audit rejected a reported bound — \
-                             the result must not be trusted",
-                            t.name
-                        );
-                    }
-                    certificates.push((t.name.clone(), report.clone()));
-                }
-                if !est.quality.is_exact() {
-                    degraded = true;
-                    eprintln!(
-                        "cinderella: {}: bound is safe but degraded \
-                         (quality: {}; {} sets skipped, {} relaxed)",
-                        t.name,
-                        est.quality,
-                        est.sets_skipped,
-                        est.degraded_sets.len()
-                    );
-                }
-            }
-            Err(e) => failures.push(format!("{}: {e}", t.name)),
-        }
-    }
-    let stats = pool.cache_stats();
-    println!(
-        "pool: {jobs} worker(s), {} solved, {} replayed ({} rejected near-hits), {} ticks",
-        stats.misses, stats.hits, stats.rejected, total_ticks
-    );
-    if let Some(store) = store {
-        // Flush before reporting so the summary reflects what actually
-        // reached disk. A failed flush degrades, it never fails the run:
-        // every bound above was already computed and certified.
-        if let Err(e) = store.flush() {
-            eprintln!("cinderella: store flush failed ({e}); results were solved cold-safe");
-        }
-        println!("{}", store_summary(store));
-    }
-    if !failures.is_empty() {
-        return Err(failures.join("; "));
-    }
-    Ok(if audit_failed {
-        RunStatus::AuditFailed
-    } else if degraded {
-        RunStatus::Degraded
-    } else {
-        RunStatus::Exact
-    })
 }

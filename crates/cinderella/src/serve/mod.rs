@@ -73,7 +73,7 @@
 //! ## Bounded memory
 //!
 //! The shared pool's solve cache and base-snapshot cache are LRU-bounded
-//! (`ipet_pool::SOLVE_CACHE_CAPACITY`, `ipet_pool::BASE_CACHE_CAPACITY`),
+//! (`ipet_core::SOLVE_CACHE_CAPACITY`, `ipet_core::BASE_CACHE_CAPACITY`),
 //! so a daemon that serves edits forever holds its replay working set
 //! plus the most recent edits, and its memory stops growing once the
 //! caches are full. The `stats` op's `pool` object reports `evicted` and
@@ -88,9 +88,7 @@ mod watchdog;
 use crate::{machine_by_name, store_summary, RunStatus};
 use admission::Admission;
 use counters::Counters;
-use ipet_core::{AnalysisBudget, Estimate};
-use ipet_lp::CancelToken;
-use ipet_pool::SolvePool;
+use ipet_core::{AnalysisBudget, CancelToken, Estimate, SolvePool, SolveRequest};
 use ipet_store::Store;
 use ipet_trace::Json;
 use std::io::BufReader;
@@ -457,20 +455,11 @@ pub(crate) fn run_request(
         infer_counts = Some(outcome.counts);
     }
     let plan = analyzer.plan(&anns, &budget).map_err(|e| e.to_string())?;
-    let plans = [plan];
-
-    let (est, audit_failed): (Estimate, bool) = if audit {
-        let batch = pool.run_plans_audited_cancellable(&plans, &budget.solve, cancel);
-        let (est, report) =
-            batch.results.into_iter().next().expect("one plan").map_err(|e| e.to_string())?;
-        let failed = !report.all_certified();
-        (est, failed)
-    } else {
-        let batch = pool.run_plans_cancellable(&plans, &budget.solve, cancel);
-        let est =
-            batch.estimates.into_iter().next().expect("one plan").map_err(|e| e.to_string())?;
-        (est, false)
-    };
+    let request = SolveRequest { budget: budget.solve, cancel: cancel.clone(), audit };
+    let batch = pool.run(&[plan], &request);
+    let (est, report) =
+        batch.results.into_iter().next().expect("one plan").map_err(|e| e.to_string())?;
+    let audit_failed = audit && !report.all_certified();
 
     let mut responses: Vec<Json> = est
         .sets

@@ -402,14 +402,15 @@ fn jobs_flag_output_is_identical_across_worker_counts() {
 
 #[test]
 fn no_warm_start_changes_no_reported_bound() {
-    // Serial path: warm starting is accepted only when bit-identical to a
-    // cold solve, so the whole report must match byte for byte.
+    // One target prints no pool summary, and warm starting is accepted
+    // only when bit-identical to a cold solve, so the whole report must
+    // match byte for byte.
     let (ok_w, warm, _) = cinderella(&["analyze", "check_data"]);
     let (ok_c, cold, _) = cinderella(&["analyze", "check_data", "--no-warm-start"]);
     assert!(ok_w && ok_c);
-    assert_eq!(warm, cold, "--no-warm-start must not change the serial report");
+    assert_eq!(warm, cold, "--no-warm-start must not change the report");
 
-    // Pooled path: everything but the pool summary line must match too
+    // Several targets: everything but the pool summary line must match too
     // (cold solves spend more pivot ticks, which that line reports).
     let strip_pool_line = |s: &str| -> String {
         s.lines().filter(|l| !l.starts_with("pool:")).collect::<Vec<_>>().join("\n")
@@ -430,10 +431,35 @@ fn duplicate_targets_are_served_from_the_solve_cache() {
 }
 
 #[test]
-fn pooled_path_rejects_serial_only_flags() {
-    let (code_ok, _, stderr) = cinderella(&["analyze", "piksrt", "check_data", "--measure"]);
-    assert!(!code_ok);
-    assert!(stderr.contains("serial path"), "{stderr}");
+fn measure_dump_and_parametric_run_for_every_target() {
+    let (ok, stdout, stderr) = cinderella(&[
+        "analyze",
+        "piksrt",
+        "check_data",
+        "--measure",
+        "--dump-structural",
+        "--parametric",
+        "--jobs",
+        "2",
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.matches("measured bound:").count(), 2, "{stdout}");
+    assert_eq!(stdout.matches("parametric WCET vs i-cache miss penalty").count(), 2);
+    assert!(stdout.contains("d1 = 1"), "structural constraints dumped:\n{stdout}");
+}
+
+#[test]
+fn deadline_reports_are_identical_at_any_jobs() {
+    // One deadline rule: each fresh solve gets its `d / n` share, so the
+    // report cannot depend on how many workers share the batch.
+    for (target, deadline) in [("check_data", "10"), ("des", "40"), ("dhry", "80")] {
+        let run = |jobs: &str| {
+            cinderella_code(&["analyze", target, "--deadline", deadline, "--jobs", jobs])
+        };
+        let (one, two) = (run("1"), run("2"));
+        assert_eq!(one.0, two.0, "{target} at {deadline}: exit codes differ");
+        assert_eq!(one.1, two.1, "{target} at {deadline}: stdout differs");
+    }
 }
 
 // -- structured tracing -----------------------------------------------------
@@ -543,17 +569,21 @@ fn pooled_audit_agrees_across_worker_counts() {
 }
 
 #[test]
-fn fault_injection_requires_the_serial_path() {
-    let (code, _, stderr) = cinderella_code(&[
+fn fault_injection_runs_with_several_targets_and_workers() {
+    // The fault template re-arms for every fresh solve, so index 0
+    // corrupts each target's solves and the audit rejects every target.
+    let (code, stdout, stderr) = cinderella_code(&[
         "analyze",
         "piksrt",
         "check_data",
         "--audit",
         "--inject-corrupt-witness",
         "0",
+        "--jobs",
+        "2",
     ]);
-    assert_eq!(code, 1);
-    assert!(stderr.contains("serial path"), "{stderr}");
+    assert_eq!(code, 3, "{stdout}");
+    assert_eq!(stderr.matches("must not be trusted").count(), 2, "{stderr}");
 }
 
 #[test]
@@ -756,11 +786,16 @@ fn hand_corrupted_store_falls_back_and_repairs() {
 }
 
 #[test]
-fn store_requires_the_pooled_path_and_io_faults_require_a_store() {
+fn store_runs_every_report_but_rejects_solve_faults_and_io_faults_need_it() {
     let dir = store_scratch("reject");
     let path = dir.join("s.store");
+    let store = path.to_str().unwrap();
+    let (code, stdout, stderr) =
+        cinderella_code(&["analyze", "piksrt", "--store", store, "--measure"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("measured bound:") && stdout.contains("store:"), "{stdout}");
     let (code, _, stderr) =
-        cinderella_code(&["analyze", "piksrt", "--store", path.to_str().unwrap(), "--measure"]);
+        cinderella_code(&["analyze", "piksrt", "--store", store, "--inject-corrupt-witness", "0"]);
     assert_eq!(code, 1);
     assert!(stderr.contains("--store"), "{stderr}");
     let (code, _, stderr) = cinderella_code(&["analyze", "piksrt", "--inject-fail-write", "0"]);

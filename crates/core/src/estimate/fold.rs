@@ -8,25 +8,27 @@ use ipet_audit::{
     certify_witness, AuditReport, CertFailure, CertVerdict, ClaimKind, SetCertificate,
 };
 use ipet_hw::ParamExpr;
-use ipet_lp::{round_witness, BoundQuality, IlpResolution, IlpStats, Problem, Sense};
+use ipet_lp::{round_witness, BoundQuality, IlpResolution, Problem, Sense};
 use std::collections::BTreeMap;
 
 impl AnalysisPlan {
     /// Folds job verdicts into the final [`Estimate`].
     ///
-    /// `verdicts[i]` answers `jobs()[i]`; missing trailing entries count as
-    /// [`JobVerdict::Skipped`]. Sets with a skipped or exhausted job are
-    /// covered by the common-constraint LP relaxation and degrade the
-    /// overall quality to `Partial`, exactly like the serial pipeline.
+    /// `verdicts[i]` answers `jobs()[i]`, one verdict per job. Sets with
+    /// an exhausted job are covered by the common-constraint LP relaxation
+    /// and degrade the overall quality to `Partial`.
     ///
     /// # Errors
     ///
-    /// See [`AnalysisError`] — the same failures the serial path surfaces
-    /// (unbounded loops, numerical breakdown, budget exhaustion with
-    /// degradation disabled), reported in canonical job order regardless of
-    /// the order the executor finished them in.
+    /// See [`AnalysisError`] (unbounded loops, numerical breakdown, budget
+    /// exhaustion with degradation disabled), reported in canonical job
+    /// order regardless of the order the executor finished them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one verdict per job.
     pub fn complete(&self, verdicts: &[JobVerdict]) -> Result<Estimate, AnalysisError> {
-        self.complete_impl(verdicts, false).map(|(estimate, _)| estimate)
+        self.fold(verdicts, false).map(|(estimate, _)| estimate)
     }
 
     /// Like [`complete`](AnalysisPlan::complete), but additionally runs the
@@ -41,7 +43,7 @@ impl AnalysisPlan {
         &self,
         verdicts: &[JobVerdict],
     ) -> Result<(Estimate, AuditReport), AnalysisError> {
-        self.complete_impl(verdicts, true)
+        self.fold(verdicts, true)
     }
 
     /// The ILP a given set/sense verdict answered, for re-certification.
@@ -87,11 +89,14 @@ impl AnalysisPlan {
         Ok(cert.objective.max(0) as u64)
     }
 
-    fn complete_impl(
+    /// [`complete`](AnalysisPlan::complete), plus the certificate report
+    /// when `audit` is set (an empty one otherwise).
+    pub(crate) fn fold(
         &self,
         verdicts: &[JobVerdict],
         audit: bool,
     ) -> Result<(Estimate, AuditReport), AnalysisError> {
+        assert_eq!(verdicts.len(), self.jobs.len(), "one verdict per job");
         let budget = &self.budget;
         let mut quality = self.quality_floor;
         let mut reports: Vec<SetReport> = Vec::new();
@@ -108,95 +113,77 @@ impl AnalysisPlan {
         let mut certificates: Vec<SetCertificate> = Vec::new();
 
         for set in 0..self.num_sets {
-            let w_verdict = verdicts.get(2 * set).unwrap_or(&JobVerdict::Skipped);
-            let b_verdict = verdicts.get(2 * set + 1).unwrap_or(&JobVerdict::Skipped);
+            let JobVerdict::Solved(w_res, w_stats) = &verdicts[2 * set];
+            let JobVerdict::Solved(b_res, b_stats) = &verdicts[2 * set + 1];
             let mut set_quality = BoundQuality::Exact;
             let mut set_skipped = false;
-            // Covered = skipped/quarantined, replaced per arm below.
+            // Covered = exhausted/quarantined, replaced per arm below.
             let mut wcet_cert = CertVerdict::Covered;
             let mut bcet_cert = CertVerdict::Covered;
 
-            let (wcet, w_stats) = match w_verdict {
-                JobVerdict::Solved(res, stats) => {
-                    let wcet = match res {
-                        IlpResolution::Exact { x, value } => {
-                            let v = to_cycles(*value)?;
-                            if audit {
-                                wcet_cert = self.audit_exact(set, Sense::Maximize, x, v);
-                            }
-                            if worst_witness.as_ref().map(|(b, _)| v > *b).unwrap_or(true) {
-                                worst_witness = Some((v, x.clone()));
-                            }
-                            Some(v)
-                        }
-                        IlpResolution::Relaxed { bound, incumbent } => {
-                            if !budget.degrade {
-                                return Err(AnalysisError::SolverLimit);
-                            }
-                            // The relaxation value safely over-covers this
-                            // set's true maximum; ceil keeps it safe in
-                            // integer cycles.
-                            let v = to_cycles(bound.ceil())?;
-                            set_quality = set_quality.combine(BoundQuality::Relaxed);
-                            let mut witnessed = None;
-                            let mut rejection = None;
-                            if let Some((x, _)) = incumbent {
-                                // Satellite fix: an incumbent is only a
-                                // witness once it passes exact
-                                // re-certification; infeasible incumbents
-                                // are dropped, not reported.
-                                match self.certify_incumbent(set, Sense::Maximize, x, v) {
-                                    Ok(w) => {
-                                        ipet_trace::counter("audit.incumbent.accepted", 1);
-                                        witnessed = Some(w);
-                                        if worst_witness
-                                            .as_ref()
-                                            .map(|(b, _)| w > *b)
-                                            .unwrap_or(true)
-                                        {
-                                            worst_witness = Some((w, x.clone()));
-                                        }
-                                    }
-                                    Err(failure) => {
-                                        ipet_trace::counter("audit.incumbent.dropped", 1);
-                                        rejection = Some(failure);
-                                    }
+            let wcet = match w_res {
+                IlpResolution::Exact { x, value } => {
+                    let v = to_cycles(*value)?;
+                    if audit {
+                        wcet_cert = self.audit_exact(set, Sense::Maximize, x, v);
+                    }
+                    if worst_witness.as_ref().map(|(b, _)| v > *b).unwrap_or(true) {
+                        worst_witness = Some((v, x.clone()));
+                    }
+                    Some(v)
+                }
+                IlpResolution::Relaxed { bound, incumbent } => {
+                    if !budget.degrade {
+                        return Err(AnalysisError::SolverLimit);
+                    }
+                    // The relaxation value safely over-covers this set's
+                    // true maximum; ceil keeps it safe in integer cycles.
+                    let v = to_cycles(bound.ceil())?;
+                    set_quality = set_quality.combine(BoundQuality::Relaxed);
+                    let mut witnessed = None;
+                    let mut rejection = None;
+                    if let Some((x, _)) = incumbent {
+                        // An incumbent is only a witness once it passes
+                        // exact re-certification; infeasible incumbents are
+                        // dropped, not reported.
+                        match self.certify_incumbent(set, Sense::Maximize, x, v) {
+                            Ok(w) => {
+                                ipet_trace::counter("audit.incumbent.accepted", 1);
+                                witnessed = Some(w);
+                                if worst_witness.as_ref().map(|(b, _)| w > *b).unwrap_or(true) {
+                                    worst_witness = Some((w, x.clone()));
                                 }
                             }
-                            if audit {
-                                wcet_cert = match rejection {
-                                    Some(failure) => CertVerdict::Rejected(failure),
-                                    None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
-                                };
+                            Err(failure) => {
+                                ipet_trace::counter("audit.incumbent.dropped", 1);
+                                rejection = Some(failure);
                             }
-                            Some(v)
                         }
-                        IlpResolution::Infeasible => {
-                            wcet_cert = CertVerdict::Infeasible;
-                            None
-                        }
-                        IlpResolution::Unbounded => {
-                            return Err(AnalysisError::Unbounded {
-                                unbounded_loops: self.unbounded_loops.clone(),
-                            })
-                        }
-                        IlpResolution::Numerical => return Err(AnalysisError::Numerical),
-                        IlpResolution::Exhausted => {
-                            if !budget.degrade {
-                                return Err(AnalysisError::BudgetExhausted);
-                            }
-                            set_skipped = true;
-                            None
-                        }
-                    };
-                    (wcet, *stats)
+                    }
+                    if audit {
+                        wcet_cert = match rejection {
+                            Some(failure) => CertVerdict::Rejected(failure),
+                            None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
+                        };
+                    }
+                    Some(v)
                 }
-                JobVerdict::Skipped => {
+                IlpResolution::Infeasible => {
+                    wcet_cert = CertVerdict::Infeasible;
+                    None
+                }
+                IlpResolution::Unbounded => {
+                    return Err(AnalysisError::Unbounded {
+                        unbounded_loops: self.unbounded_loops.clone(),
+                    })
+                }
+                IlpResolution::Numerical => return Err(AnalysisError::Numerical),
+                IlpResolution::Exhausted => {
                     if !budget.degrade {
                         return Err(AnalysisError::BudgetExhausted);
                     }
                     set_skipped = true;
-                    (None, IlpStats::default())
+                    None
                 }
             };
             if let Some(v) = wcet {
@@ -205,84 +192,66 @@ impl AnalysisPlan {
 
             // The BCET side only counts when the WCET side was attempted:
             // a set whose WCET job exhausted is covered whole.
-            let (bcet, b_stats) = match (set_skipped, b_verdict) {
-                (true, _) => (None, IlpStats::default()),
-                (false, JobVerdict::Solved(res, stats)) => {
-                    let bcet = match res {
-                        IlpResolution::Exact { x, value } => {
-                            let v = to_cycles(*value)?;
-                            if audit {
-                                bcet_cert = self.audit_exact(set, Sense::Minimize, x, v);
-                            }
-                            if best_witness.as_ref().map(|(b, _)| v < *b).unwrap_or(true) {
-                                best_witness = Some((v, x.clone()));
-                            }
-                            Some(v)
-                        }
-                        IlpResolution::Relaxed { bound, incumbent } => {
-                            if !budget.degrade {
-                                return Err(AnalysisError::SolverLimit);
-                            }
-                            // The relaxation value safely under-covers this
-                            // set's true minimum; floor keeps it safe in
-                            // integer cycles.
-                            let v = to_cycles(bound.floor())?;
-                            set_quality = set_quality.combine(BoundQuality::Relaxed);
-                            let mut witnessed = None;
-                            let mut rejection = None;
-                            if let Some((x, _)) = incumbent {
-                                match self.certify_incumbent(set, Sense::Minimize, x, v) {
-                                    Ok(w) => {
-                                        ipet_trace::counter("audit.incumbent.accepted", 1);
-                                        witnessed = Some(w);
-                                        if best_witness
-                                            .as_ref()
-                                            .map(|(b, _)| w < *b)
-                                            .unwrap_or(true)
-                                        {
-                                            best_witness = Some((w, x.clone()));
-                                        }
-                                    }
-                                    Err(failure) => {
-                                        ipet_trace::counter("audit.incumbent.dropped", 1);
-                                        rejection = Some(failure);
-                                    }
+            let bcet = match b_res {
+                _ if set_skipped => None,
+                IlpResolution::Exact { x, value } => {
+                    let v = to_cycles(*value)?;
+                    if audit {
+                        bcet_cert = self.audit_exact(set, Sense::Minimize, x, v);
+                    }
+                    if best_witness.as_ref().map(|(b, _)| v < *b).unwrap_or(true) {
+                        best_witness = Some((v, x.clone()));
+                    }
+                    Some(v)
+                }
+                IlpResolution::Relaxed { bound, incumbent } => {
+                    if !budget.degrade {
+                        return Err(AnalysisError::SolverLimit);
+                    }
+                    // The relaxation value safely under-covers this set's
+                    // true minimum; floor keeps it safe in integer cycles.
+                    let v = to_cycles(bound.floor())?;
+                    set_quality = set_quality.combine(BoundQuality::Relaxed);
+                    let mut witnessed = None;
+                    let mut rejection = None;
+                    if let Some((x, _)) = incumbent {
+                        match self.certify_incumbent(set, Sense::Minimize, x, v) {
+                            Ok(w) => {
+                                ipet_trace::counter("audit.incumbent.accepted", 1);
+                                witnessed = Some(w);
+                                if best_witness.as_ref().map(|(b, _)| w < *b).unwrap_or(true) {
+                                    best_witness = Some((w, x.clone()));
                                 }
                             }
-                            if audit {
-                                bcet_cert = match rejection {
-                                    Some(failure) => CertVerdict::Rejected(failure),
-                                    None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
-                                };
+                            Err(failure) => {
+                                ipet_trace::counter("audit.incumbent.dropped", 1);
+                                rejection = Some(failure);
                             }
-                            Some(v)
                         }
-                        IlpResolution::Infeasible => {
-                            bcet_cert = CertVerdict::Infeasible;
-                            None
-                        }
-                        // Minimizing a non-negative objective cannot be
-                        // unbounded; a solver verdict to the contrary is
-                        // numerical breakdown.
-                        IlpResolution::Unbounded | IlpResolution::Numerical => {
-                            return Err(AnalysisError::Numerical)
-                        }
-                        IlpResolution::Exhausted => {
-                            if !budget.degrade {
-                                return Err(AnalysisError::BudgetExhausted);
-                            }
-                            set_skipped = true;
-                            None
-                        }
-                    };
-                    (bcet, *stats)
+                    }
+                    if audit {
+                        bcet_cert = match rejection {
+                            Some(failure) => CertVerdict::Rejected(failure),
+                            None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
+                        };
+                    }
+                    Some(v)
                 }
-                (false, JobVerdict::Skipped) => {
+                IlpResolution::Infeasible => {
+                    bcet_cert = CertVerdict::Infeasible;
+                    None
+                }
+                // Minimizing a non-negative objective cannot be unbounded;
+                // a solver verdict to the contrary is numerical breakdown.
+                IlpResolution::Unbounded | IlpResolution::Numerical => {
+                    return Err(AnalysisError::Numerical)
+                }
+                IlpResolution::Exhausted => {
                     if !budget.degrade {
                         return Err(AnalysisError::BudgetExhausted);
                     }
                     set_skipped = true;
-                    (None, IlpStats::default())
+                    None
                 }
             };
             if let Some(v) = bcet {
@@ -309,15 +278,15 @@ impl AnalysisPlan {
                 index: set,
                 wcet,
                 bcet,
-                wcet_stats: w_stats,
-                bcet_stats: b_stats,
+                wcet_stats: *w_stats,
+                bcet_stats: *b_stats,
                 quality: set_quality,
             });
             solved += 1;
         }
 
-        // Sets whose jobs never ran are covered by the base problems' LP
-        // relaxations (see `degrade.rs`).
+        // Sets whose jobs exhausted their budget (or were quarantined) are
+        // covered by the base problems' LP relaxations (see `degrade.rs`).
         let sets_skipped = self.num_sets - solved;
         if sets_skipped > 0 {
             quality = quality.combine(BoundQuality::Partial);

@@ -20,18 +20,18 @@
 //! (structural + common functionality + cache-split rows — exactly the
 //! cover relaxation used to bound skipped sets) and one small [`DeltaSet`]
 //! per surviving set. Each job's full problem is `base.compose(delta)`
-//! **by construction**, so the warm-started incremental solver and the
-//! cold monolithic solver answer the same composed problem bit for bit.
+//! **by construction**, so a warm-started delta re-solve and the cold
+//! monolithic solve answer the same composed problem bit for bit.
 
 use crate::dsl::{parse_annotations, Annotations, LoopProvenance, Stmt};
 use crate::error::AnalysisError;
+use crate::pool::{SolvePool, SolveRequest};
 use ipet_arch::{FuncId, Program};
-use ipet_audit::{certify_witness, AuditReport, ClaimKind, FlowSpec};
+use ipet_audit::FlowSpec;
 use ipet_cfg::{BlockId, InstanceId, Instances};
 use ipet_hw::{block_cost, block_cost_param, BlockCost, Machine, ParamExpr, ParamPoint};
 use ipet_lp::{
-    solve_ilp_budgeted, BaseProblem, BoundQuality, BudgetMeter, DeltaSet, IlpResolution, IlpStats,
-    IncrementalSolver, Problem, Sense, SolveBudget, SolverFaults,
+    BaseProblem, BoundQuality, DeltaSet, IlpResolution, IlpStats, Problem, Sense, SolveBudget,
 };
 use std::collections::{BTreeMap, HashSet};
 
@@ -44,9 +44,10 @@ mod tests;
 
 /// Resource budget and degradation policy for one analysis run.
 ///
-/// The [`SolveBudget`] is shared across every ILP the analysis solves: the
-/// tick deadline caps the *sum* of solver work over all constraint sets and
-/// both senses, which is what a wall-clock deadline means for the pipeline.
+/// The [`SolveBudget`] goes to the [`SolvePool`] that runs the plan: a
+/// tick deadline `d` is split over the batch's `n` fresh solves, `d / n`
+/// each (the first `d mod n` get one more), so every job's budget, and with
+/// it the bound, is the same at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisBudget {
     /// Solver resource limits (tick deadline, LP iterations, B&B nodes,
@@ -287,8 +288,8 @@ impl Estimate {
 /// `set 0 × Maximize, set 0 × Minimize, set 1 × Maximize, ...` — job `i`
 /// belongs to set `i / 2` with sense `Maximize` when `i` is even. The
 /// problems are fully assembled (structural + functionality + cache-split
-/// rows), self-contained, and independent of each other: any executor —
-/// serial, threaded, or cached — may solve them in any order.
+/// rows), self-contained, and independent of each other, so the pool may
+/// solve, replay and steal them in any order.
 ///
 /// Each job also carries its base+delta factorization: `problem` is
 /// exactly `plan.bases()[job.base].compose(&job.delta)`, so executors may
@@ -313,13 +314,13 @@ pub struct IlpJob {
 }
 
 /// Outcome of one [`IlpJob`], fed back to [`AnalysisPlan::complete`].
+/// Every job gets one: a job whose budget ran out resolves
+/// [`IlpResolution::Exhausted`], and its constraint set is covered by the
+/// common-constraint relaxation.
 #[derive(Debug, Clone)]
 pub enum JobVerdict {
     /// The job ran (possibly degrading) and produced a resolution.
     Solved(IlpResolution, IlpStats),
-    /// The job was never attempted — the budget ran out before dispatch.
-    /// Its constraint set is covered by the common-constraint relaxation.
-    Skipped,
 }
 
 /// Per-variable metadata an [`AnalysisPlan`] keeps so the verdict fold can
@@ -355,7 +356,7 @@ struct VarMeta {
 /// verdict contributes to the running max/min and `BoundQuality::combine`
 /// is commutative and associative, so executors may finish jobs in any
 /// order (work stealing, caching, replay) and the resulting `Estimate` is
-/// identical to the serial one, bit for bit.
+/// the same at any worker count, bit for bit.
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
     jobs: Vec<IlpJob>,
@@ -711,126 +712,20 @@ impl<'p> Analyzer<'p> {
     ///
     /// See [`AnalysisError`].
     pub fn analyze(&self, annotations: &str) -> Result<Estimate, AnalysisError> {
-        self.analyze_with(annotations, &AnalysisBudget::default())
+        self.analyze_parsed(&parse_annotations(annotations)?)
     }
 
-    /// Runs the full analysis with annotation source text under `budget`.
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisError`].
-    pub fn analyze_with(
-        &self,
-        annotations: &str,
-        budget: &AnalysisBudget,
-    ) -> Result<Estimate, AnalysisError> {
-        let anns = parse_annotations(annotations)?;
-        self.analyze_parsed_with(&anns, budget)
-    }
-
-    /// Runs the full analysis with pre-parsed annotations.
+    /// Runs the full analysis with pre-parsed annotations: the plan on a
+    /// one-worker [`SolvePool`], unbudgeted. Budgets, audits, faults and
+    /// cancellation go through [`Analyzer::plan`] and [`SolvePool::run`].
     ///
     /// # Errors
     ///
     /// See [`AnalysisError`].
     pub fn analyze_parsed(&self, anns: &Annotations) -> Result<Estimate, AnalysisError> {
-        self.analyze_parsed_with(anns, &AnalysisBudget::default())
-    }
-
-    /// Runs the full analysis with pre-parsed annotations under `budget`.
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisError`].
-    pub fn analyze_parsed_with(
-        &self,
-        anns: &Annotations,
-        budget: &AnalysisBudget,
-    ) -> Result<Estimate, AnalysisError> {
-        self.analyze_parsed_with_faults(anns, budget, &mut SolverFaults::none())
-    }
-
-    /// [`Analyzer::analyze_parsed_with`] plus deterministic fault injection:
-    /// `faults` is threaded into every LP/ILP call of the analysis, letting
-    /// tests force each budget-exhaustion path at an exact call index.
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisError`].
-    pub fn analyze_parsed_with_faults(
-        &self,
-        anns: &Annotations,
-        budget: &AnalysisBudget,
-        faults: &mut SolverFaults,
-    ) -> Result<Estimate, AnalysisError> {
-        let plan = self.plan(anns, budget)?;
-        let verdicts = Analyzer::run_serial(&plan, budget, faults);
-        plan.complete(&verdicts)
-    }
-
-    /// [`Analyzer::analyze_parsed_with_faults`] plus exact-arithmetic
-    /// certification of every verdict: returns the per-set certificate
-    /// report alongside the (bit-identical) estimate.
-    ///
-    /// # Errors
-    ///
-    /// See [`AnalysisError`].
-    pub fn analyze_audited_with_faults(
-        &self,
-        anns: &Annotations,
-        budget: &AnalysisBudget,
-        faults: &mut SolverFaults,
-    ) -> Result<(Estimate, AuditReport), AnalysisError> {
-        let plan = self.plan(anns, budget)?;
-        let verdicts = Analyzer::run_serial(&plan, budget, faults);
-        plan.complete_audited(&verdicts)
-    }
-
-    /// The serial executor: one shared meter, jobs in canonical order, the
-    /// run stopping at the first exhaustion (every later job is skipped and
-    /// its set covered by the common-constraint relaxation). The deadline is
-    /// checked at each set boundary — a set's BCET job still runs after its
-    /// WCET job spent the deadline, and reports `Exhausted` through the
-    /// solver's own top-of-search check.
-    ///
-    /// When the plan enables warm starting, each sense's base LP is solved
-    /// once (lazily) and every delta re-optimizes from its snapshot; the
-    /// incremental solver itself guarantees bit-identical results and falls
-    /// back cold under budgets or armed fault injection.
-    fn run_serial(
-        plan: &AnalysisPlan,
-        budget: &AnalysisBudget,
-        faults: &mut SolverFaults,
-    ) -> Vec<JobVerdict> {
-        let meter = BudgetMeter::new();
-        let certify = |problem: &Problem, x: &[f64], claimed: i64| -> bool {
-            certify_witness(problem, x, claimed, ClaimKind::Equal).is_ok()
-        };
-        let mut solvers: Vec<IncrementalSolver<'_>> =
-            plan.bases.iter().map(IncrementalSolver::new).collect();
-        let mut verdicts: Vec<JobVerdict> = Vec::with_capacity(plan.jobs().len());
-        for job in plan.jobs() {
-            if job.sense == Sense::Maximize && meter.deadline_hit(&budget.solve) {
-                break;
-            }
-            let (res, stats) = if plan.warm_start {
-                solvers[job.base].solve(
-                    &job.delta,
-                    &job.problem,
-                    &budget.solve,
-                    &meter,
-                    faults,
-                    &certify,
-                )
-            } else {
-                solve_ilp_budgeted(&job.problem, &budget.solve, &meter, faults)
-            };
-            let exhausted = matches!(res, IlpResolution::Exhausted);
-            verdicts.push(JobVerdict::Solved(res, stats));
-            if exhausted {
-                break;
-            }
-        }
-        verdicts
+        let plan = self.plan(anns, &AnalysisBudget::default())?;
+        let batch = SolvePool::new(1).run(std::slice::from_ref(&plan), &SolveRequest::default());
+        let result = batch.results.into_iter().next().expect("one result per plan");
+        result.map(|(estimate, _)| estimate)
     }
 }

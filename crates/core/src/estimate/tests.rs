@@ -2,7 +2,30 @@ use super::*;
 use crate::structural::structural_constraints;
 use crate::vars::VarSpace;
 use ipet_arch::{AluOp, AsmBuilder, Cond, Program, Reg};
+use ipet_lp::SolverFaults;
 use std::collections::HashMap;
+
+/// `ann` planned under `budget` and run on a one-worker pool.
+fn analyze_under(
+    a: &Analyzer<'_>,
+    ann: &str,
+    budget: &AnalysisBudget,
+) -> Result<Estimate, AnalysisError> {
+    let plan = a.plan(&parse_annotations(ann)?, budget)?;
+    SolvePool::new(1).run_plans(std::slice::from_ref(&plan), &budget.solve).estimates.remove(0)
+}
+
+/// `anns` run unbudgeted on a one-worker pool whose every fresh solve
+/// starts from the `faults` template.
+fn analyze_with_faults(
+    a: &Analyzer<'_>,
+    anns: &Annotations,
+    faults: SolverFaults,
+) -> Result<Estimate, AnalysisError> {
+    let plan = a.plan(anns, &AnalysisBudget::unlimited())?;
+    let pool = SolvePool::with_faults(1, faults);
+    pool.run_plans(std::slice::from_ref(&plan), &SolveBudget::unlimited()).estimates.remove(0)
+}
 
 fn while_loop_program(n: i32) -> Program {
     let mut b = AsmBuilder::new("main");
@@ -320,7 +343,7 @@ fn job_problems_recompose_from_base_and_delta() {
     assert_eq!(plan.num_sets(), 3);
     for job in plan.jobs() {
         // The invariant the warm path relies on: the composed problem the
-        // incremental solver answers IS the job's monolithic problem.
+        // warm path answers IS the job's monolithic problem.
         assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
         assert!(!job.delta.is_empty());
         // Deltas are small: only the disjunct rows, never the structural
@@ -335,7 +358,7 @@ fn job_problems_recompose_from_base_and_delta() {
 }
 
 #[test]
-fn warm_and_cold_serial_analyses_are_bit_identical() {
+fn warm_and_cold_analyses_are_bit_identical() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
     let cold_a = a.clone().with_warm_start(false);
@@ -349,20 +372,13 @@ fn warm_and_cold_serial_analyses_are_bit_identical() {
         assert_eq!(warm, cold, "warm vs cold mismatch for {ann}");
 
         let anns = parse_annotations(ann).unwrap();
-        let (warm_est, warm_audit) = a
-            .analyze_audited_with_faults(
-                &anns,
-                &AnalysisBudget::unlimited(),
-                &mut SolverFaults::none(),
-            )
-            .unwrap();
-        let (cold_est, cold_audit) = cold_a
-            .analyze_audited_with_faults(
-                &anns,
-                &AnalysisBudget::unlimited(),
-                &mut SolverFaults::none(),
-            )
-            .unwrap();
+        let audited = |a: &Analyzer<'_>| {
+            let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
+            let budget = SolveBudget::unlimited();
+            SolvePool::new(1).run_plans_audited(&[plan], &budget).results.remove(0).unwrap()
+        };
+        let (warm_est, warm_audit) = audited(&a);
+        let (cold_est, cold_audit) = audited(&cold_a);
         assert_eq!(warm_est, cold_est);
         assert!(warm_audit.all_certified());
         assert_eq!(warm_audit.certified(), cold_audit.certified());
@@ -427,7 +443,7 @@ fn roomy_budget_matches_default_analysis_exactly() {
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
     let ann = "fn main { loop x2 in [0, 10]; }";
     let plain = a.analyze(ann).unwrap();
-    let budgeted = a.analyze_with(ann, &AnalysisBudget::unlimited()).unwrap();
+    let budgeted = analyze_under(&a, ann, &AnalysisBudget::unlimited()).unwrap();
     assert_eq!(plain.bound, budgeted.bound);
     assert_eq!(budgeted.quality, BoundQuality::Exact);
     assert_eq!(budgeted.sets_skipped, 0);
@@ -446,7 +462,7 @@ fn fractional_root_under_node_budget_degrades_to_relaxed() {
 
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.max_nodes = 1;
-    let degraded = a.analyze_with(ann, &budget).unwrap();
+    let degraded = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(degraded.quality, BoundQuality::Relaxed);
     assert!(!degraded.degraded_sets.is_empty());
     // The relaxed bound must stay safe: at least as wide as the truth.
@@ -464,7 +480,7 @@ fn zero_tick_deadline_skips_sets_but_still_bounds_safely() {
 
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.deadline_ticks = Some(0);
-    let partial = a.analyze_with(ann, &budget).unwrap();
+    let partial = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(partial.quality, BoundQuality::Partial);
     assert!(partial.sets_skipped > 0);
     // The cover relaxation (structural + loop bound) encloses every
@@ -480,7 +496,7 @@ fn no_degrade_surfaces_budget_exhausted() {
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.deadline_ticks = Some(0);
     budget.degrade = false;
-    match a.analyze_with("fn main { loop x2 in [0, 10]; }", &budget) {
+    match analyze_under(&a, "fn main { loop x2 in [0, 10]; }", &budget) {
         Err(AnalysisError::BudgetExhausted) => {}
         other => panic!("{other:?}"),
     }
@@ -493,7 +509,7 @@ fn no_degrade_rejects_relaxed_set_bounds_too() {
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.max_nodes = 1;
     budget.degrade = false;
-    match a.analyze_with("fn main { loop x2 in [0, 10]; 2*x3 <= 7; }", &budget) {
+    match analyze_under(&a, "fn main { loop x2 in [0, 10]; 2*x3 <= 7; }", &budget) {
         Err(AnalysisError::SolverLimit) => {}
         other => panic!("{other:?}"),
     }
@@ -509,9 +525,7 @@ fn injected_node_fault_cascades_to_a_safe_partial_bound() {
     // Kill the very first branch-and-bound expansion: the WCET solve
     // comes back `Exhausted`, the set is skipped, and the cover
     // relaxation must still produce an enclosing bound.
-    let mut faults = SolverFaults::limit_at(0);
-    let est =
-        a.analyze_parsed_with_faults(&anns, &AnalysisBudget::unlimited(), &mut faults).unwrap();
+    let est = analyze_with_faults(&a, &anns, SolverFaults::limit_at(0)).unwrap();
     assert_eq!(est.quality, BoundQuality::Partial);
     assert_eq!(est.sets_skipped, 1);
     assert!(est.bound.encloses(exact.bound));
@@ -526,13 +540,11 @@ fn injected_lp_infeasibility_never_panics() {
     // it from the max/min — every set gone means AllSetsInfeasible,
     // never a panic.
     for idx in 0..4 {
-        let mut faults = SolverFaults::infeasible_at(idx);
-        let _ = a.analyze_parsed_with_faults(&anns, &AnalysisBudget::unlimited(), &mut faults);
+        let _ = analyze_with_faults(&a, &anns, SolverFaults::infeasible_at(idx));
     }
     // Forcing a numerical LP failure at the root surfaces as the
     // typed Numerical error.
-    let mut faults = SolverFaults::numerical_at(0);
-    match a.analyze_parsed_with_faults(&anns, &AnalysisBudget::unlimited(), &mut faults) {
+    match analyze_with_faults(&a, &anns, SolverFaults::numerical_at(0)) {
         Err(AnalysisError::Numerical) => {}
         other => panic!("{other:?}"),
     }
@@ -548,13 +560,13 @@ fn dnf_cap_drops_disjunctions_and_reports_partial() {
 
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.max_sets = 1; // 2 sets blow the cap
-    let partial = a.analyze_with(ann, &budget).unwrap();
+    let partial = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(partial.quality, BoundQuality::Partial);
     // Dropping the disjunction relaxes the model in both senses.
     assert!(partial.bound.encloses(exact.bound));
 
     budget.degrade = false;
-    match a.analyze_with(ann, &budget) {
+    match analyze_under(&a, ann, &budget) {
         Err(AnalysisError::SolverLimit) => {}
         other => panic!("{other:?}"),
     }
@@ -606,7 +618,7 @@ fn degraded_analysis_reports_no_formula() {
     let ann = "fn main { loop x2 in [0, 10]; (x3 = 0) | (x3 = 5); }";
     let mut budget = AnalysisBudget::unlimited();
     budget.solve.max_sets = 1;
-    let partial = a.analyze_with(ann, &budget).unwrap();
+    let partial = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(partial.quality, BoundQuality::Partial);
     assert!(partial.wcet_formula.is_none(), "non-exact bounds must not claim a formula");
 }

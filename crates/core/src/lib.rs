@@ -20,6 +20,10 @@
 //!    objective `Σ c_i·x_i` uses the block cost bounds from `ipet-hw`.
 //!    The WCET is the max over sets of the maxima; the BCET the min of the
 //!    minima.
+//! 4. [`Analyzer::plan`] turns this into a job graph, and the solve pool
+//!    ([`SolvePool`]) runs it: dedup, a content-addressed cache, warm
+//!    starts, deterministic deadline sharding and any number of workers.
+//!    [`Analyzer::analyze`] is the one-worker, unbudgeted case.
 //!
 //! ## Example
 //!
@@ -52,6 +56,7 @@ mod estimate;
 mod idl;
 mod infer;
 mod lincon;
+mod pool;
 mod structural;
 mod vars;
 
@@ -72,7 +77,11 @@ pub use ipet_audit::{certify_chord, AuditReport, CertFailure, CertVerdict, SetCe
 // Parametric-cost vocabulary shared with the hardware model, re-exported
 // for the same reason (Estimate::wcet_formula is a ParamExpr).
 pub use ipet_hw::{ParamExpr, ParamPoint, P_DMISS, P_MISS};
-pub use ipet_lp::{BoundQuality, BudgetMeter, SolveBudget, SolverFaults};
+pub use ipet_lp::{BoundQuality, BudgetMeter, CancelToken, SolveBudget, SolverFaults};
 pub use lincon::{set_is_null, LinCon};
+pub use pool::{
+    AuditedPlanBatch, BatchReport, CacheOutcome, CacheStats, JobOutcome, PlanBatch, SolveCache,
+    SolvePool, SolveRequest, BASE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY,
+};
 pub use structural::{flow_spec, structural_constraints, structural_text};
 pub use vars::{VarRef, VarSpace};

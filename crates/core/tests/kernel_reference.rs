@@ -12,8 +12,8 @@ use ipet_audit::{certify_witness, ClaimKind};
 use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
 use ipet_hw::Machine;
 use ipet_lp::{
-    debug_lu_checks, debug_reference_lp, round_witness, solve_lp, BudgetMeter, IncrementalSolver,
-    LpOutcome, Problem, SolveBudget, SolverFaults,
+    debug_lu_checks, debug_reference_lp, round_witness, solve_delta_warm, solve_lp, BaseSolution,
+    BudgetMeter, LpOutcome, Problem, SolveBudget, SolverFaults,
 };
 
 #[test]
@@ -63,24 +63,26 @@ fn suite_refactorizations_match_the_dense_elimination() {
         let anns = parse_annotations(&bench.annotations(&program)).expect("annotations");
         let plan = analyzer.plan(&anns, &budget).expect("plan");
         let before = debug_lu_checks();
-        // Each base snapshot is built on the first job of its sense; every
-        // later job appends its delta to that snapshot and refactorizes.
-        let mut solvers: Vec<IncrementalSolver<'_>> =
-            plan.bases().iter().map(IncrementalSolver::new).collect();
+        // Each base snapshot is built on the first job of its sense, as the
+        // pool does; every job then appends its delta to that snapshot and
+        // refactorizes.
+        let mut snapshots: Vec<Option<Option<BaseSolution>>> = vec![None; plan.bases().len()];
         let meter = BudgetMeter::new();
         for job in plan.jobs() {
-            let snapshots = debug_lu_checks();
-            let solver = &mut solvers[job.base];
-            let unlimited = SolveBudget::unlimited();
-            solver.solve(
+            let checks = debug_lu_checks();
+            let base = &plan.bases()[job.base];
+            let solution = snapshots[job.base].get_or_insert_with(|| base.solve_base(&meter));
+            solve_delta_warm(
+                base,
+                solution.as_ref(),
                 &job.delta,
                 &job.problem,
-                &unlimited,
+                &SolveBudget::unlimited(),
                 &meter,
                 &mut SolverFaults::none(),
                 &certify,
             );
-            warm_checked += u64::from(debug_lu_checks() > snapshots);
+            warm_checked += u64::from(debug_lu_checks() > checks);
         }
         // `refactorize` panics on any disagreement; count what it checked.
         checked += debug_lu_checks() - before;

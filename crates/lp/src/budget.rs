@@ -61,13 +61,17 @@ impl fmt::Display for BoundQuality {
 
 /// Resource limits for a solve pipeline run.
 ///
-/// The budget is *shared* across everything charged to one [`BudgetMeter`]:
-/// an analysis solving many constraint sets draws all of them from the same
-/// tick pool, so a deadline caps the whole analysis, not each subproblem.
+/// A solver entry point charges its work to the [`BudgetMeter`] it is
+/// given and stops at `deadline_ticks`. The solve pool (`ipet-core`)
+/// splits a batch's deadline `d` over the batch's `n` fresh solves: `d / n`
+/// ticks each, the first `d mod n` getting one more, each on its own
+/// meter, so a job's share depends on the batch alone and never on the
+/// worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
-    /// Deadline in ticks (simplex pivots) for the whole run; `None` means no
-    /// deadline. This is the deterministic stand-in for wall-clock time.
+    /// Deadline in ticks (simplex pivots); `None` means no deadline. The
+    /// pool shards it over a batch as above. This is the deterministic
+    /// stand-in for wall-clock time.
     pub deadline_ticks: Option<u64>,
     /// Cap on iterations of a single LP solve; `None` uses the solver's own
     /// size-derived budget.
@@ -112,8 +116,8 @@ impl Default for SolveBudget {
 /// second control path: a [`BudgetMeter`] carrying a cancelled token
 /// reports its deadline as hit ([`BudgetMeter::deadline_hit`]) and its
 /// remaining ticks as zero, so every solver loop that already honors tick
-/// deadlines — branch-and-bound node expansion, LP entry, the plan-level
-/// set driver — observes the cancellation at its next budget check and
+/// deadlines — branch-and-bound node expansion, LP entry, the pool's base
+/// solves — observes the cancellation at its next budget check and
 /// degrades exactly as it would on exhaustion: to a certified-safe
 /// relaxed/partial bound, never a panic, a wedged worker or an unsafe
 /// answer.
@@ -506,6 +510,20 @@ pub enum SolveFault {
     CorruptWitness,
     /// Return a silently corrupted claimed bound.
     CorruptBound,
+}
+
+/// The payload of the panic [`SolveFault::Panic`] raises.
+const INJECTED_PANIC: &str = "injected solver panic (SolverFaults)";
+
+/// Raises the panic [`SolveFault::Panic`] injects.
+pub(crate) fn injected_panic() -> ! {
+    std::panic::panic_any(INJECTED_PANIC)
+}
+
+/// Whether a caught panic payload is the one [`SolveFault::Panic`]
+/// injects, as opposed to a panic the code under test raised itself.
+pub fn is_injected_panic(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload.downcast_ref::<&str>() == Some(&INJECTED_PANIC)
 }
 
 /// A failure forced into a store flush by [`SolverFaults::write_fault`].

@@ -145,7 +145,7 @@ pub fn solve_ilp_budgeted(
 ) -> (IlpResolution, IlpStats) {
     let solve_fault = if faults.armed() { faults.solve_fault() } else { None };
     if solve_fault == Some(SolveFault::Panic) {
-        panic!("injected solver panic (SolverFaults)");
+        crate::budget::injected_panic();
     }
     let ticks_before = meter.ticks();
     let (mut resolution, stats) = branch_and_bound(problem, budget, meter, faults);

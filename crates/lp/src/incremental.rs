@@ -255,9 +255,8 @@ type WarmResult = Result<(IlpResolution, IlpStats), WarmMiss>;
 
 /// Solves `full` = `base + delta`, warm-starting from `solution` when
 /// possible and falling back to a cold [`solve_ilp_budgeted`] on `full`
-/// otherwise. This is the one solve entry point shared by the serial
-/// executor and the pool workers, so both produce identical results by
-/// construction.
+/// otherwise. This is the pool workers' solve entry point for jobs with a
+/// base snapshot.
 ///
 /// `full` must be `base.compose(delta)`; callers pass the composed problem
 /// they already hold (a plan job's `problem`) so it is built once per job.
@@ -447,42 +446,6 @@ fn debug_shadow_check(full: &Problem, warm: &IlpResolution, warm_stats: IlpStats
 #[cfg(not(debug_assertions))]
 fn debug_shadow_check(_full: &Problem, _warm: &IlpResolution, _warm_stats: IlpStats) {}
 
-/// Per-(routine, sense) incremental solver for serial executors: solves the
-/// base LP lazily on the first warm-eligible delta, snapshots it, and
-/// warm-starts every subsequent delta of the same base.
-pub struct IncrementalSolver<'a> {
-    base: &'a BaseProblem,
-    /// `None` until the first eligible solve; then the snapshot (or `None`
-    /// inside when the base LP was not warm-startable).
-    solution: Option<Option<BaseSolution>>,
-}
-
-impl<'a> IncrementalSolver<'a> {
-    /// A solver for deltas of `base`; nothing is solved yet.
-    pub fn new(base: &'a BaseProblem) -> IncrementalSolver<'a> {
-        IncrementalSolver { base, solution: None }
-    }
-
-    /// Solves `full` = `base + delta`: warm when possible, cold otherwise.
-    /// See [`solve_delta_warm`].
-    pub fn solve(
-        &mut self,
-        delta: &DeltaSet,
-        full: &Problem,
-        budget: &SolveBudget,
-        meter: &BudgetMeter,
-        faults: &mut SolverFaults,
-        certify: CertifyFn,
-    ) -> (IlpResolution, IlpStats) {
-        let solution = if warm_eligible(budget) && !faults.armed() {
-            self.solution.get_or_insert_with(|| self.base.solve_base(meter)).as_ref()
-        } else {
-            None
-        };
-        solve_delta_warm(self.base, solution, delta, full, budget, meter, faults, certify)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,37 +588,6 @@ mod tests {
             ..SolveBudget::unlimited()
         }));
         assert!(!warm_eligible(&SolveBudget { max_nodes: 0, ..SolveBudget::unlimited() }));
-    }
-
-    #[test]
-    fn incremental_solver_reuses_one_base_solve() {
-        let base = toy_base();
-        let meter = BudgetMeter::new();
-        let mut solver = IncrementalSolver::new(&base);
-        let budget = SolveBudget::unlimited();
-        let deltas = [
-            delta(vec![(vec![(0, 1.0)], Relation::Le, 2.0)]),
-            delta(vec![(vec![(0, 1.0)], Relation::Le, 3.0)]),
-            delta(vec![(vec![(1, 1.0)], Relation::Le, 1.0)]),
-        ];
-        for d in &deltas {
-            let full = base.compose(d);
-            let (warm, _) = solver.solve(
-                d,
-                &full,
-                &budget,
-                &meter,
-                &mut SolverFaults::none(),
-                &feasibility_certify,
-            );
-            let (cold, _) = solve_ilp_budgeted(
-                &full,
-                &SolveBudget::unlimited(),
-                &BudgetMeter::new(),
-                &mut SolverFaults::none(),
-            );
-            assert_eq!(warm, cold);
-        }
     }
 
     #[test]

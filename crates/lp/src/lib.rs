@@ -88,7 +88,8 @@ mod simplex;
 mod sparse;
 
 pub use budget::{
-    BoundQuality, BudgetMeter, CancelToken, IoFault, LpFault, SolveBudget, SolveFault, SolverFaults,
+    is_injected_panic, BoundQuality, BudgetMeter, CancelToken, IoFault, LpFault, SolveBudget,
+    SolveFault, SolverFaults,
 };
 pub use fingerprint::{delta_rows_fingerprint, fingerprint, same_structure, Fingerprint};
 pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats};
@@ -96,7 +97,6 @@ pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats
 pub use incremental::debug_force_warm_mismatch;
 pub use incremental::{
     solve_delta_warm, warm_eligible, BaseProblem, BaseSolution, CertifyFn, DeltaSet,
-    IncrementalSolver,
 };
 pub use model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
 pub use parametric::{BoundFormula, GridSweep, Probe};
