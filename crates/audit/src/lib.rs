@@ -30,16 +30,16 @@
 //!   (`d_entry = 1`, in-flow = out-flow per block, call-site coupling)
 //!   via a [`FlowSpec`] built from the CFG topology, independently of the
 //!   constraint matrix the solver saw;
-//! * **(d) cache replays** — `ipet-pool` runs [`certify_witness`] on every
-//!   cached witness against the *new* problem before accepting a replay,
-//!   upgrading the old tolerance heuristic into a proof.
+//! * **(d) cache replays** — the solve cache and the persistent store pass
+//!   every replay through [`replay_gate`]: the cached problem must equal the
+//!   new one, and a cached witness must certify against it exactly.
 //!
 //! Any failed check is an explicit [`CertFailure`]; even internal overflow
 //! rejects the certificate rather than guessing.
 
 use std::fmt;
 
-use ipet_lp::{round_witness, Problem, Relation, RoundError};
+use ipet_lp::{round_claimed, round_witness, same_structure, Problem, Relation, RoundError};
 
 mod rat;
 
@@ -261,6 +261,40 @@ pub fn certify_witness(
         .as_int()
         .ok_or(CertFailure::ObjectiveMismatch { computed: objective.render(), claimed })?;
     Ok(CertifiedWitness { counts, objective })
+}
+
+/// How a cached answer stands against a problem it might answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replay {
+    /// The entry holds another problem (a key collision): no answer here,
+    /// and no rejection either.
+    Foreign,
+    /// The entry holds the problem, and its witness, if any, certifies.
+    Certified,
+    /// The entry holds the problem, but its witness fails exact
+    /// certification: the problem must be solved afresh.
+    Rejected,
+}
+
+/// The replay gate of the solve cache and the persistent store (check (d)):
+/// the `cached` problem must equal `problem` row for row
+/// ([`same_structure`]), and a cached `Exact` answer — `exact` is its
+/// witness and objective value — must round to integer counts, satisfy
+/// every row of `problem` exactly and reproduce its value exactly. A verdict
+/// without a witness (`exact` is `None`) replays on structural equality.
+pub fn replay_gate(cached: &Problem, problem: &Problem, exact: Option<(&[f64], f64)>) -> Replay {
+    if !same_structure(cached, problem) {
+        return Replay::Foreign;
+    }
+    let certified = exact.is_none_or(|(x, value)| {
+        round_claimed(value)
+            .is_ok_and(|claimed| certify_witness(problem, x, claimed, ClaimKind::Equal).is_ok())
+    });
+    if certified {
+        Replay::Certified
+    } else {
+        Replay::Rejected
+    }
 }
 
 /// Exact chord certificate for parametric region reuse (DESIGN.md §16).

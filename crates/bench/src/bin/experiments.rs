@@ -219,7 +219,7 @@ fn tables(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
     print_sweep(&sweep.points);
     let stats = pool.cache_stats();
     println!(
-        "pool: {} solved, {} replayed, {} rejected near-hits, {} simplex ticks",
+        "pool: {} solved, {} replayed, {} rejected replays, {} simplex ticks",
         stats.misses,
         stats.hits,
         stats.rejected,
@@ -231,7 +231,7 @@ fn pool_summary(pool: &ipet_core::SolvePool, run: &PooledRun) {
     let stats = pool.cache_stats();
     println!("== solve pool: {} worker(s) ==", run.jobs);
     println!(
-        "cache: {} solved, {} replayed, {} rejected near-hits",
+        "cache: {} solved, {} replayed, {} rejected replays",
         stats.misses, stats.hits, stats.rejected
     );
     println!(

@@ -848,7 +848,7 @@ fn analyze(
     if targets.len() > 1 || pool.store().is_some() {
         let stats = pool.cache_stats();
         println!(
-            "pool: {} worker(s), {} solved, {} replayed ({} rejected near-hits), {} ticks",
+            "pool: {} worker(s), {} solved, {} replayed ({} rejected replays), {} ticks",
             pool.workers(),
             stats.misses,
             stats.hits,

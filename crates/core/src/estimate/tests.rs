@@ -431,7 +431,8 @@ fn single_set_plans_have_empty_deltas() {
         // base itself.
         assert!(job.delta.is_empty());
         assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
-        assert_eq!(plan.bases()[job.base].delta_fingerprint(&job.delta), ipet_lp::Fingerprint(0));
+        let base = &plan.bases()[job.base];
+        assert_eq!(base.key(&job.delta), base.fingerprint());
     }
 }
 

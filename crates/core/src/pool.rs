@@ -37,12 +37,13 @@ pub use cache::{CacheOutcome, CacheStats, SolveCache, SOLVE_CACHE_CAPACITY};
 use crate::{AnalysisError, AnalysisPlan, Estimate, JobVerdict};
 use ipet_audit::{certify_witness, AuditReport, ClaimKind};
 use ipet_lp::{
-    is_injected_panic, solve_delta_warm, solve_ilp_budgeted, warm_eligible, BaseProblem,
-    BaseSolution, BudgetMeter, CancelToken, DeltaSet, Fingerprint, IlpResolution, IlpStats,
-    Problem, SolveBudget, SolverFaults,
+    is_injected_panic, same_structure, solve_delta_warm, solve_ilp_budgeted, warm_eligible,
+    BaseProblem, BaseSolution, BudgetMeter, CancelToken, DeltaSet, Fingerprint, IlpResolution,
+    IlpStats, Problem, SolveBudget, SolverFaults,
 };
 use ipet_store::Store;
 use std::any::Any;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,8 +80,7 @@ pub struct JobOutcome {
     /// job reports the original solve's statistics — they describe the
     /// work the answer *embodies*, not work done again.
     pub stats: IlpStats,
-    /// Whether the answer was solved fresh, replayed, or solved fresh after
-    /// the cache rejected a fingerprint near-hit.
+    /// Whether the answer was solved fresh or replayed.
     pub cache: CacheOutcome,
 }
 
@@ -178,7 +178,8 @@ struct PoolJob<'a> {
     /// The full `base ∘ delta` problem — what the answer must be correct
     /// for, and what cold solves, retries and cache validation run against.
     problem: &'a Problem,
-    /// Cache key: `job_key(base_fp, delta_fp)`.
+    /// Cache key: the fingerprint of `problem`, continued from its base's
+    /// hash state ([`BaseProblem::key`]).
     key: Fingerprint,
     /// `(base-table slot, delta rows)` for a warm-started solve; `None`
     /// solves cold.
@@ -186,17 +187,6 @@ struct PoolJob<'a> {
     /// `(identity, invalidation)` hashes of the originating plan, which
     /// scope the persistent store's replays.
     ctx: (u128, u128),
-}
-
-/// Mixes a `(base, delta)` fingerprint pair into one asymmetric cache key,
-/// so `(a, b)` and `(b, a)` index different buckets. An empty delta
-/// fingerprints to zero, keying the bare base. The key is only an index:
-/// replay is still gated by structural equality and exact witness
-/// re-certification against the composed problem.
-fn job_key(base: Fingerprint, delta: Fingerprint) -> Fingerprint {
-    Fingerprint(
-        base.0.rotate_left(1) ^ delta.0.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835),
-    )
 }
 
 /// The exact-arithmetic certification gate injected into warm solves: a
@@ -227,8 +217,8 @@ struct BaseEntry {
 ///
 /// Results are bit-for-bit identical for any worker count:
 ///
-/// * **Dedup before dispatch** — jobs are grouped by fingerprint and
-///   structural equality *before* any solver runs, so which jobs are solved
+/// * **Dedup before dispatch** — jobs are grouped by cache key (checked by
+///   structural equality) *before* any solver runs, so which jobs are solved
 ///   (one representative per group) and which are replayed never depends on
 ///   scheduling. Hit/miss counts are deterministic too.
 /// * **Deadline sharding** — a tick deadline is split across the
@@ -375,7 +365,7 @@ impl SolvePool {
             };
             for job in plan.jobs() {
                 let base = &plan.bases()[job.base];
-                let key = job_key(base.fingerprint(), base.delta_fingerprint(&job.delta));
+                let key = base.key(&job.delta);
                 let warm = slots.get(job.base).copied().flatten().map(|s| (s, &job.delta));
                 jobs.push(PoolJob { problem: &job.problem, key, warm, ctx });
             }
@@ -440,59 +430,42 @@ impl SolvePool {
         let _span = ipet_trace::span("pool.solve_batch");
         ipet_trace::counter("pool.batches", 1);
         ipet_trace::counter("pool.jobs", jobs.len() as u64);
-        // 1. Deterministic dedup: group jobs by (fingerprint, structure).
-        //    `groups[g]` lists the job indices sharing one representative
-        //    (the first member); first-occurrence order keeps the grouping
-        //    independent of hash-map iteration.
-        let keys: Vec<Fingerprint> = jobs.iter().map(|j| j.key).collect();
+        // 1. Deterministic dedup: group jobs by cache key. `groups[g]`
+        //    lists the job indices sharing one representative (the first
+        //    member), in first-occurrence order. Structural equality guards
+        //    against a key collision: a colliding job is solved apart.
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: Vec<usize> = vec![0; jobs.len()];
+        let mut group_by_key: HashMap<Fingerprint, usize> = HashMap::new();
         for (j, job) in jobs.iter().enumerate() {
-            let found = groups.iter().position(|g| {
-                keys[g[0]] == keys[j] && ipet_lp::same_structure(jobs[g[0]].problem, job.problem)
-            });
-            match found {
-                Some(g) => {
-                    groups[g].push(j);
-                    group_of[j] = g;
-                }
-                None => {
-                    group_of[j] = groups.len();
-                    groups.push(vec![j]);
-                }
+            let first = *group_by_key.entry(job.key).or_insert(groups.len());
+            if first < groups.len() && same_structure(jobs[groups[first][0]].problem, job.problem) {
+                groups[first].push(j);
+                group_of[j] = first;
+            } else {
+                group_of[j] = groups.len();
+                groups.push(vec![j]);
             }
         }
 
-        // 2. Cross-batch cache probe per group representative. Probing is
-        //    serial, so the rejected-counter delta attributes near-hit
-        //    rejections to the group that caused them.
+        // 2. Cross-batch probes per group representative: the in-memory
+        //    cache, then the persistent store, which runs the same replay
+        //    gate, so a hit there is as trustworthy as an in-memory one.
+        let rejected_by_cache = self.cache.stats().rejected;
         let mut answers: Vec<Option<(IlpResolution, IlpStats)>> = Vec::with_capacity(groups.len());
-        let mut group_rejected: Vec<bool> = vec![false; groups.len()];
         let mut to_solve: Vec<usize> = Vec::new(); // indices into `groups`
         for (g, members) in groups.iter().enumerate() {
-            let rep = members[0];
-            let rejected_before = self.cache.stats().rejected;
-            match self.cache.probe(keys[rep], jobs[rep].problem) {
-                Some(hit) => answers.push(Some(hit)),
-                None => {
-                    // Second tier: the persistent store. Its probe re-runs
-                    // the same gates, so a hit here is as trustworthy as an
-                    // in-memory one.
-                    let (identity, invalidation) = jobs[rep].ctx;
-                    let disk = self.store.as_ref().and_then(|store| {
-                        store.probe(keys[rep], identity, invalidation, jobs[rep].problem)
-                    });
-                    match disk {
-                        Some(hit) => answers.push(Some(hit)),
-                        None => {
-                            answers.push(None);
-                            group_rejected[g] = self.cache.stats().rejected > rejected_before;
-                            to_solve.push(g);
-                        }
-                    }
-                }
+            let job = &jobs[members[0]];
+            let answer = self.cache.probe(job.key, job.problem).or_else(|| {
+                let (identity, invalidation) = job.ctx;
+                self.store.as_ref()?.probe(job.key, identity, invalidation, job.problem)
+            });
+            if answer.is_none() {
+                to_solve.push(g);
             }
+            answers.push(answer);
         }
+        ipet_trace::counter("pool.cache.rejected", self.cache.stats().rejected - rejected_by_cache);
 
         ipet_trace::counter("pool.dedup.replays", (jobs.len() - groups.len()) as u64);
         ipet_trace::counter("pool.groups.solved", to_solve.len() as u64);
@@ -515,9 +488,8 @@ impl SolvePool {
         //    panics is retried once on a fresh thread (transient injected
         //    panics disarmed, always cold); a second panic quarantines the
         //    job as `Exhausted`.
-        // Per-representative slot: (resolution, stats, uncacheable). A slot
-        // is uncacheable when its solve was quarantined after a double
-        // panic, or ran under a cancelled token.
+        // Per-representative slot: (resolution, stats, cancelled), where
+        // `cancelled` marks a solve that ended under a cancelled token.
         let slots: Mutex<Vec<Option<(IlpResolution, IlpStats, bool)>>> =
             Mutex::new(vec![None; to_solve.len()]);
         let cursor = AtomicUsize::new(0);
@@ -555,8 +527,8 @@ impl SolvePool {
                 ipet_trace::counter("pool.worker.jobs", 1);
                 ipet_trace::counter("pool.worker.ticks", meter.ticks());
                 my_ticks = my_ticks.saturating_add(meter.ticks());
-                let (res, stats, quarantined) = match attempt {
-                    Ok((res, stats)) => (res, stats, false),
+                let (res, stats) = match attempt {
+                    Ok(solved) => solved,
                     Err(payload) => {
                         reraise_unless_injected(payload);
                         ipet_trace::counter("pool.panic.caught", 1);
@@ -572,24 +544,23 @@ impl SolvePool {
                                 ipet_trace::counter("pool.panic.retried", 1);
                                 ipet_trace::counter("pool.worker.ticks", ticks);
                                 my_ticks = my_ticks.saturating_add(ticks);
-                                (res, stats, false)
+                                (res, stats)
                             }
                             None => {
                                 ipet_trace::counter("pool.panic.quarantined", 1);
-                                (IlpResolution::Exhausted, IlpStats::default(), true)
+                                (IlpResolution::Exhausted, IlpStats::default())
                             }
                         }
                     }
                 };
                 // A solve that ran while the token was cancelled may
-                // carry a degradation that reflects the cancellation,
-                // not the problem — keep it out of the caches just
-                // like a quarantined crash.
-                let uncacheable = quarantined || cancel.is_cancelled();
-                if !quarantined && uncacheable {
+                // carry a degradation that reflects the cancellation, not
+                // the problem — it stays out of the caches.
+                let cancelled = cancel.is_cancelled();
+                if cancelled {
                     ipet_trace::counter("pool.cancelled", 1);
                 }
-                slots.lock().expect("slot lock")[i] = Some((res, stats, uncacheable));
+                slots.lock().expect("slot lock")[i] = Some((res, stats, cancelled));
             }
             tallies.lock().expect("tick lock")[w] = my_ticks;
         };
@@ -616,21 +587,19 @@ impl SolvePool {
         let worker_ticks = tallies.into_inner().expect("tick lock");
 
         // 5. Install the fresh solves (cache misses) and splice them into
-        //    the per-group answers. Uncacheable jobs (quarantined after a
-        //    double panic, or solved under a cancelled token) are *not*
-        //    cached: their markers describe this run's crash or
+        //    the per-group answers. Solves that ended under a cancelled
+        //    token are *not* cached: they describe this run's
         //    cancellation, not the problem, and must not be replayed into
-        //    future batches.
+        //    future batches. The cache keeps no budget-degraded result
+        //    (a quarantined job is one), the store only `Exact` ones.
         for (i, g) in to_solve.iter().enumerate() {
-            let rep = groups[*g][0];
-            let (res, stats, uncacheable) = solved[i].clone().expect("every representative solved");
-            if !uncacheable {
-                self.cache.insert(keys[rep], jobs[rep].problem, &res, stats);
+            let job = &jobs[groups[*g][0]];
+            let (res, stats, cancelled) = solved[i].clone().expect("every representative solved");
+            if !cancelled {
+                self.cache.insert(job.key, job.problem, &res, stats);
                 if let Some(store) = &self.store {
-                    // Feed the persistent tier; it keeps only `Exact`
-                    // resolutions (the only kind a replay can re-certify).
-                    let (identity, invalidation) = jobs[rep].ctx;
-                    store.insert(keys[rep], identity, invalidation, jobs[rep].problem, &res, stats);
+                    let (identity, invalidation) = job.ctx;
+                    store.insert(job.key, identity, invalidation, job.problem, &res, stats);
                 }
             }
             answers[*g] = Some((res, stats));
@@ -641,35 +610,20 @@ impl SolvePool {
         //    replay. Within-batch replays (jobs beyond each group's
         //    representative: `jobs - groups`) weren't seen by probe(), so
         //    count them into the cache stats here.
-        let fresh: std::collections::HashSet<usize> =
-            to_solve.iter().map(|g| groups[*g][0]).collect();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
+        let fresh: HashSet<usize> = to_solve.iter().map(|g| groups[*g][0]).collect();
         let outcomes: Vec<JobOutcome> = (0..jobs.len())
             .map(|j| {
-                let g = group_of[j];
-                let (resolution, stats) = answers[g].clone().expect("every group answered");
-                let cache = if fresh.contains(&j) {
-                    misses += 1;
-                    if group_rejected[g] {
-                        CacheOutcome::Rejected
-                    } else {
-                        CacheOutcome::Miss
-                    }
-                } else {
-                    hits += 1;
-                    CacheOutcome::Hit
-                };
+                let (resolution, stats) =
+                    answers[group_of[j]].clone().expect("every group answered");
+                let cache = if fresh.contains(&j) { CacheOutcome::Miss } else { CacheOutcome::Hit };
                 JobOutcome { resolution, stats, cache }
             })
             .collect();
+        let misses = fresh.len() as u64;
+        let hits = jobs.len() as u64 - misses;
         self.cache.count_batch_hits((jobs.len() - groups.len()) as u64);
         ipet_trace::counter("pool.cache.hits", hits);
         ipet_trace::counter("pool.cache.misses", misses);
-        ipet_trace::counter(
-            "pool.cache.rejected",
-            group_rejected.iter().filter(|&&r| r).count() as u64,
-        );
 
         let total_ticks = worker_ticks.iter().sum::<u64>() + base_ticks;
         BatchReport { outcomes, hits, misses, worker_ticks, base_ticks, total_ticks, wall }
@@ -678,7 +632,7 @@ impl SolvePool {
     /// Runs every job of every plan through the pool as one batch and folds
     /// the verdicts back per plan. Jobs of warm-started plans reuse each
     /// plan's shared base optimum ([`AnalysisPlan::bases`]); the cache is
-    /// keyed on the `(base, delta)` fingerprint pair.
+    /// keyed on each job's composed problem ([`BaseProblem::key`]).
     ///
     /// Jobs are concatenated in plan order (each plan's jobs in their
     /// canonical order), so the batch — and with it the dedup grouping, the
@@ -814,14 +768,5 @@ mod tests {
             CancelToken::new(),
         );
         assert!(retried.is_none(), "a panicking retry quarantines the job");
-    }
-
-    #[test]
-    fn job_keys_are_asymmetric_and_delta_sensitive() {
-        let a = Fingerprint(0x1234_5678_9abc_def0);
-        let b = Fingerprint(0x0fed_cba9_8765_4321);
-        assert_ne!(job_key(a, b), job_key(b, a));
-        assert_ne!(job_key(a, Fingerprint(0)), job_key(a, b));
-        assert_eq!(job_key(a, b), job_key(a, b));
     }
 }

@@ -1,32 +1,31 @@
 //! The content-addressed solve cache.
 //!
-//! Solved ILPs are stored under their [`Fingerprint`] — a normalized,
-//! permutation-invariant content hash from `ipet-lp` — so structurally
-//! identical problems across constraint sets, benchmarks and repeated runs
-//! are solved once and replayed.
+//! Solved ILPs are stored under their [`Fingerprint`] — a positional
+//! content hash of the normalized problem from `ipet-lp` — so identical
+//! problems across constraint sets, benchmarks and repeated runs are solved
+//! once and replayed.
 //!
 //! ## Soundness: validated replay
 //!
 //! A fingerprint match alone never authorizes a replay. The fingerprint is
-//! the *index*; correctness comes from two gates applied on every probe:
+//! the *index*; correctness comes from [`ipet_audit::replay_gate`], the gate
+//! the persistent store applies too:
 //!
 //! 1. **Structural equality** — the cached problem must match the probe
-//!    problem row for row ([`same_structure`], which ignores debug names
-//!    and term noise but nothing else). α-equivalent-but-permuted problems
-//!    share a bucket yet are *not* replayed: an `Exact` witness vector is
-//!    indexed by variable order, so replaying it across a permutation would
-//!    corrupt the block counts downstream. Such near-hits are counted as
-//!    [`CacheOutcome::Rejected`] telemetry instead.
+//!    problem row for row ([`ipet_lp::same_structure`], which ignores debug
+//!    names and term noise but nothing else). Equal keys imply it up to a
+//!    128-bit collision; an entry that fails it is another problem and is
+//!    passed over without counting anything.
 //! 2. **Witness re-certification** — an `Exact` resolution is replayed only
 //!    if its cached witness *certifies* against the probe problem in exact
-//!    integer arithmetic ([`ipet_audit::certify_witness`]): the witness
-//!    rounds to integer counts within the shared tolerance, satisfies every
-//!    constraint row exactly, and reproduces the cached objective value
-//!    exactly. This can only fail on a hash-bucket collision or an
-//!    implementation bug; either way the probe is treated as a miss and
-//!    solved fresh, so a cache defect can cost time but never an unsound
-//!    bound. Successful re-certifications count `audit.cache.recertified`;
-//!    failures count `audit.cache.rejected`.
+//!    integer arithmetic: the witness rounds to integer counts within the
+//!    shared tolerance, satisfies every constraint row exactly, and
+//!    reproduces the cached objective value exactly. This can only fail on
+//!    an implementation bug; the probe is then treated as a miss and solved
+//!    fresh, so a cache defect can cost time but never an unsound bound.
+//!    Successful re-certifications count `audit.cache.recertified`;
+//!    failures count `audit.cache.rejected`, and a probe left without a
+//!    replay by one counts in [`CacheStats::rejected`].
 //!
 //! ## Bounded: LRU by last use
 //!
@@ -38,8 +37,8 @@
 //! bit. Probes and inserts run serially in the pool's batch driver, so
 //! which entry goes is as deterministic as the hit/miss counts.
 
-use ipet_audit::{certify_witness, ClaimKind};
-use ipet_lp::{round_claimed, same_structure, Fingerprint, IlpResolution, IlpStats, Problem};
+use ipet_audit::{replay_gate, Replay};
+use ipet_lp::{Fingerprint, IlpResolution, IlpStats, Problem};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -47,14 +46,11 @@ use std::sync::Mutex;
 /// How a job's answer was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Solved fresh (and inserted into the cache).
+    /// Solved fresh.
     Miss,
     /// Replayed from the cache (cross-batch) or from a structurally
     /// identical job solved earlier in the same batch.
     Hit,
-    /// A fingerprint bucket held only α-equivalent-but-permuted entries (or
-    /// an entry that failed witness validation): solved fresh.
-    Rejected,
 }
 
 /// Cumulative cache statistics.
@@ -64,7 +60,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Jobs solved fresh.
     pub misses: u64,
-    /// Fingerprint matches refused by the structural/witness gates.
+    /// Probes that found the problem cached but no witness of it that
+    /// certifies.
     pub rejected: u64,
     /// Entries dropped to stay within capacity (least recently used first).
     pub evicted: u64,
@@ -168,48 +165,48 @@ impl SolveCache {
     }
 
     /// Looks up a validated replay for `problem`, updating hit/reject
-    /// telemetry. Returns `None` (counting nothing — the caller records the
-    /// miss on insert) when no entry passes both gates.
+    /// telemetry. Returns `None` (counting no miss — the caller records the
+    /// miss on insert) when no entry passes the replay gate.
     /// A hit makes the entry the most recently used.
     pub fn probe(&self, key: Fingerprint, problem: &Problem) -> Option<(IlpResolution, IlpStats)> {
         let mut guard = self.lru.lock().expect("cache lock");
         let Lru { buckets, recency, next_stamp } = &mut *guard;
         let bucket = buckets.get_mut(&key.0)?;
-        let mut near_hit = false;
+        let mut rejected = false;
         for entry in bucket.iter_mut() {
-            if !same_structure(&entry.problem, problem) {
-                near_hit = true;
-                continue;
-            }
-            if let IlpResolution::Exact { x, value } = &entry.resolution {
-                // Replay is authorized by the auditor, not a tolerance: the
-                // cached witness must round to integer counts, satisfy every
-                // row of the *probe* problem exactly, and reproduce the
-                // cached objective exactly (all in i128 arithmetic).
-                let certified = round_claimed(*value)
-                    .ok()
-                    .and_then(|claimed| certify_witness(problem, x, claimed, ClaimKind::Equal).ok())
-                    .is_some();
-                if !certified {
+            let witness = match &entry.resolution {
+                IlpResolution::Exact { x, value } => Some((x.as_slice(), *value)),
+                _ => None,
+            };
+            match replay_gate(&entry.problem, problem, witness) {
+                Replay::Foreign => continue,
+                Replay::Rejected => {
                     ipet_trace::counter("audit.cache.rejected", 1);
-                    near_hit = true;
+                    rejected = true;
                     continue;
                 }
-                ipet_trace::counter("audit.cache.recertified", 1);
+                Replay::Certified if witness.is_some() => {
+                    ipet_trace::counter("audit.cache.recertified", 1);
+                }
+                Replay::Certified => {}
             }
             self.hits.fetch_add(1, Ordering::Relaxed);
             recency.remove(&entry.stamp);
             entry.stamp = take_stamp(recency, next_stamp, key.0);
             return Some((entry.resolution.clone(), entry.stats));
         }
-        if near_hit {
+        if rejected {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
         None
     }
 
-    /// Inserts a fresh solve result and counts the miss that caused it,
-    /// evicting the least recently used entry when the cache is full.
+    /// Counts the miss behind a fresh solve result and keeps the result,
+    /// evicting the least recently used entry when the cache is full. A
+    /// budget-degraded result (`Relaxed`, `Exhausted`) is not kept: it
+    /// reflects the budget it ran under, which the key does not cover, so
+    /// replaying it could degrade an answer another budget would give
+    /// exactly.
     pub fn insert(
         &self,
         key: Fingerprint,
@@ -218,6 +215,9 @@ impl SolveCache {
         stats: IlpStats,
     ) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+        if matches!(resolution, IlpResolution::Relaxed { .. } | IlpResolution::Exhausted) {
+            return;
+        }
         let mut lru = self.lru.lock().expect("cache lock");
         if lru.recency.len() >= self.capacity {
             lru.evict_oldest();
@@ -271,6 +271,20 @@ mod tests {
     }
 
     #[test]
+    fn degraded_results_count_their_miss_but_are_not_kept() {
+        let cache = SolveCache::new();
+        let p = toy();
+        let key = fingerprint(&p);
+        for degraded in
+            [IlpResolution::Exhausted, IlpResolution::Relaxed { bound: 12.0, incumbent: None }]
+        {
+            cache.insert(key, &p, &degraded, IlpStats::default());
+            assert!(cache.probe(key, &p).is_none());
+        }
+        assert_eq!((cache.len(), cache.stats().misses), (0, 2));
+    }
+
+    #[test]
     fn a_full_cache_evicts_the_least_recently_used_entry() {
         let cache = SolveCache::with_capacity(2);
         let problem = |rhs: f64| {
@@ -301,9 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn permuted_entry_is_rejected_not_replayed() {
-        // Same problem with variables swapped: same fingerprint, different
-        // structure — the witness must not transfer.
+    fn permuted_entry_is_a_plain_miss() {
+        // Same problem with variables swapped: a witness indexed by the
+        // other variable order must not transfer, and nothing was rejected
+        // — the permuted twin is simply another problem.
         let cache = SolveCache::new();
         let p = toy();
         let mut b = ProblemBuilder::new(Sense::Maximize);
@@ -314,16 +329,17 @@ mod tests {
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
         let q = b.build();
-        let key = fingerprint(&p);
-        assert_eq!(key, fingerprint(&q), "test premise: α-equivalent");
         cache.insert(
-            key,
+            fingerprint(&p),
             &p,
             &IlpResolution::Exact { x: vec![2.0, 2.0], value: 10.0 },
             IlpStats::default(),
         );
         assert!(cache.probe(fingerprint(&q), &q).is_none());
-        assert_eq!(cache.stats().rejected, 1);
+        // Even under the entry's own key (a forced collision) the gate
+        // passes it over without a rejection.
+        assert!(cache.probe(fingerprint(&p), &q).is_none());
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, rejected: 0, evicted: 0 });
     }
 
     #[test]

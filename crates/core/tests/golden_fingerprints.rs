@@ -1,10 +1,11 @@
 //! Pins the content fingerprints of every suite ILP: each routine's two
-//! base fingerprints, and each job's composed-problem fingerprint and delta
-//! fingerprint, under the bundled annotations and under `--infer` (merge).
+//! base fingerprints and each job's composed-problem fingerprint (which is
+//! also the job's cache key, continued from its base), under the bundled
+//! annotations and under `--infer` (merge).
 //!
 //! The solve cache, the pool's base table and the persistent store all key
-//! on these values, so a change to row normalization or to the refinement
-//! that moved any of them would silently re-key every cache. Regenerate the
+//! on these values, so a change to row normalization or to the hash that
+//! moved any of them would silently re-key every cache. Regenerate the
 //! table only together with a deliberate key change: run with
 //! `GOLDEN_PRINT=1 cargo test -p ipet-core --test golden_fingerprints --
 //! --nocapture` and paste the printed lines.
@@ -38,9 +39,9 @@ fn listing(infer: bool) -> String {
             out += &format!("{} {mode} base{b} {}\n", bench.name, base.fingerprint());
         }
         for (j, job) in plan.jobs().iter().enumerate() {
-            let delta = plan.bases()[job.base].delta_fingerprint(&job.delta);
-            out += &format!("{} {mode} job{j} {}\n", bench.name, fingerprint(&job.problem));
-            out += &format!("{} {mode} delta{j} {delta}\n", bench.name);
+            let key = fingerprint(&job.problem);
+            assert_eq!(plan.bases()[job.base].key(&job.delta), key, "{} job{j}", bench.name);
+            out += &format!("{} {mode} job{j} {key}\n", bench.name);
         }
     }
     out
@@ -59,200 +60,128 @@ fn suite_fingerprints_match_the_pinned_keys() {
 }
 
 const GOLDEN: &str = "\
-check_data plain base0 e045385447e19fac8022bf4a2b2ce9d0
-check_data plain base1 4b41b67a2a38a638fd4ef3cf175f9d5f
-check_data plain job0 6b3eb5bd206f7c71b87cb2c48e56c700
-check_data plain delta0 33ed12d92cab58e4c6060e20942f1c97
-check_data plain job1 1e3c6bc71458ccf36af7c686f5d6f2bd
-check_data plain delta1 33ed12d92cab58e4c6060e20942f1c97
-check_data plain job2 bd6ca0789555426e01df30459afd11f0
-check_data plain delta2 80f69e17f20b017629afb788461a885a
-check_data plain job3 9529eec64323e2e7f9334e8e71e0e531
-check_data plain delta3 80f69e17f20b017629afb788461a885a
-fft plain base0 02cded6daf86b497858a15277bfff379
-fft plain base1 efa8458357afbb83cf10320cc335283d
-fft plain job0 02cded6daf86b497858a15277bfff379
-fft plain delta0 00000000000000000000000000000000
-fft plain job1 efa8458357afbb83cf10320cc335283d
-fft plain delta1 00000000000000000000000000000000
-piksrt plain base0 82f07c083055613e716e4d111b19a3cf
-piksrt plain base1 1175128c2465e77df78efccad04a2f6d
-piksrt plain job0 82f07c083055613e716e4d111b19a3cf
-piksrt plain delta0 00000000000000000000000000000000
-piksrt plain job1 1175128c2465e77df78efccad04a2f6d
-piksrt plain delta1 00000000000000000000000000000000
-des plain base0 b1d436ba9d9071cf8e7c3889a1cab171
-des plain base1 f51c329e258493cd80ec310f52db73a9
-des plain job0 7b612b8fce04968612d2246352839fb8
-des plain delta0 48a83b156aa7da61e1da0d7a06a46bc2
-des plain job1 ed806be3d35a159229f10eec56cc1f64
-des plain delta1 48a83b156aa7da61e1da0d7a06a46bc2
-des plain job2 ce2ab5f38c5d58880da32a2e33bf8eac
-des plain delta2 8fb4ce05f0353adf7cc09b6571fef8d1
-des plain job3 772d2b4cffa45092da1b25e2ded2c408
-des plain delta3 8fb4ce05f0353adf7cc09b6571fef8d1
-line plain base0 d6f37955584ce4b6427ad8c5129f6708
-line plain base1 bac02ce19043a190cfcd76ea369e5adc
-line plain job0 6c47430f3e3c8aa5261295dd2ff3f419
-line plain delta0 9f4fd30bc93c24f7b05d195ead8fff3e
-line plain job1 92f6d86fb9661438f557352eae816cae
-line plain delta1 9f4fd30bc93c24f7b05d195ead8fff3e
-line plain job2 ecc384f75ae92de8cecfbbcc76de46e1
-line plain delta2 9f8ebeb202f9b35478e5b9dd5dafc12a
-line plain job3 b0ee05adedde5d8e5e5e4707bb092e7d
-line plain delta3 9f8ebeb202f9b35478e5b9dd5dafc12a
-circle plain base0 c20ddc392b2d87590c1f0abababeb33d
-circle plain base1 938e2921d0a671fc68e059107d7033bd
-circle plain job0 c20ddc392b2d87590c1f0abababeb33d
-circle plain delta0 00000000000000000000000000000000
-circle plain job1 938e2921d0a671fc68e059107d7033bd
-circle plain delta1 00000000000000000000000000000000
-jpeg_fdct_islow plain base0 2e09070356d259c4378cc304d1565ce8
-jpeg_fdct_islow plain base1 5e4b0cd7ac1cf832fc0b93271b82a164
-jpeg_fdct_islow plain job0 2e09070356d259c4378cc304d1565ce8
-jpeg_fdct_islow plain delta0 00000000000000000000000000000000
-jpeg_fdct_islow plain job1 5e4b0cd7ac1cf832fc0b93271b82a164
-jpeg_fdct_islow plain delta1 00000000000000000000000000000000
-jpeg_idct_islow plain base0 53a27b4ab44697b19bfbafd6a70ecae1
-jpeg_idct_islow plain base1 ee0c71d130560b3b7ddadfbbc68f3d02
-jpeg_idct_islow plain job0 53a27b4ab44697b19bfbafd6a70ecae1
-jpeg_idct_islow plain delta0 00000000000000000000000000000000
-jpeg_idct_islow plain job1 ee0c71d130560b3b7ddadfbbc68f3d02
-jpeg_idct_islow plain delta1 00000000000000000000000000000000
-recon plain base0 bd5e0b3c08e4680952d61ed4db8b406b
-recon plain base1 667390763e760847d85d6b0481ac9697
-recon plain job0 bd5e0b3c08e4680952d61ed4db8b406b
-recon plain delta0 00000000000000000000000000000000
-recon plain job1 667390763e760847d85d6b0481ac9697
-recon plain delta1 00000000000000000000000000000000
-fullsearch plain base0 14c6f75965cf367400e240137b8c8055
-fullsearch plain base1 3fc23d8e5ddd088a603c36559d56ca0d
-fullsearch plain job0 14c6f75965cf367400e240137b8c8055
-fullsearch plain delta0 00000000000000000000000000000000
-fullsearch plain job1 3fc23d8e5ddd088a603c36559d56ca0d
-fullsearch plain delta1 00000000000000000000000000000000
-whetstone plain base0 a0c4026b70763ac4f0d61cab2191cf68
-whetstone plain base1 079fcf71c5aace65a0a01f81b35ad77b
-whetstone plain job0 a0c4026b70763ac4f0d61cab2191cf68
-whetstone plain delta0 00000000000000000000000000000000
-whetstone plain job1 079fcf71c5aace65a0a01f81b35ad77b
-whetstone plain delta1 00000000000000000000000000000000
-dhry plain base0 634f412923f488fe4c6b0051e754ae4e
-dhry plain base1 c693ef06a1e53e22c76045c0b9124e16
-dhry plain job0 355b5a29a1f15a4b8a01eb40182af927
-dhry plain delta0 9712d183e3dbce35780cd8905876f1cd
-dhry plain job1 75bea7606ea324df5c5f27870670da49
-dhry plain delta1 9712d183e3dbce35780cd8905876f1cd
-dhry plain job2 a25eae65e3ce2953af1670e6d86d5eef
-dhry plain delta2 55800fcb50f1ae5f57cd07839ec905c3
-dhry plain job3 506bbada48cb27fce2fcafd2fbea343b
-dhry plain delta3 55800fcb50f1ae5f57cd07839ec905c3
-dhry plain job4 a25eae65e3ce2953af1670e6d86d5eef
-dhry plain delta4 55800fcb50f1ae5f57cd07839ec905c3
-dhry plain job5 506bbada48cb27fce2fcafd2fbea343b
-dhry plain delta5 55800fcb50f1ae5f57cd07839ec905c3
-matgen plain base0 03d9fdc7b3b3f19bbd52c50c28af686e
-matgen plain base1 8af99161e5d217d4a062353fce33c1af
-matgen plain job0 03d9fdc7b3b3f19bbd52c50c28af686e
-matgen plain delta0 00000000000000000000000000000000
-matgen plain job1 8af99161e5d217d4a062353fce33c1af
-matgen plain delta1 00000000000000000000000000000000
-check_data infer base0 e045385447e19fac8022bf4a2b2ce9d0
-check_data infer base1 4b41b67a2a38a638fd4ef3cf175f9d5f
-check_data infer job0 6b3eb5bd206f7c71b87cb2c48e56c700
-check_data infer delta0 33ed12d92cab58e4c6060e20942f1c97
-check_data infer job1 1e3c6bc71458ccf36af7c686f5d6f2bd
-check_data infer delta1 33ed12d92cab58e4c6060e20942f1c97
-check_data infer job2 bd6ca0789555426e01df30459afd11f0
-check_data infer delta2 80f69e17f20b017629afb788461a885a
-check_data infer job3 9529eec64323e2e7f9334e8e71e0e531
-check_data infer delta3 80f69e17f20b017629afb788461a885a
-fft infer base0 02cded6daf86b497858a15277bfff379
-fft infer base1 efa8458357afbb83cf10320cc335283d
-fft infer job0 02cded6daf86b497858a15277bfff379
-fft infer delta0 00000000000000000000000000000000
-fft infer job1 efa8458357afbb83cf10320cc335283d
-fft infer delta1 00000000000000000000000000000000
-piksrt infer base0 82f07c083055613e716e4d111b19a3cf
-piksrt infer base1 1175128c2465e77df78efccad04a2f6d
-piksrt infer job0 82f07c083055613e716e4d111b19a3cf
-piksrt infer delta0 00000000000000000000000000000000
-piksrt infer job1 1175128c2465e77df78efccad04a2f6d
-piksrt infer delta1 00000000000000000000000000000000
-des infer base0 b1d436ba9d9071cf8e7c3889a1cab171
-des infer base1 f51c329e258493cd80ec310f52db73a9
-des infer job0 7b612b8fce04968612d2246352839fb8
-des infer delta0 48a83b156aa7da61e1da0d7a06a46bc2
-des infer job1 ed806be3d35a159229f10eec56cc1f64
-des infer delta1 48a83b156aa7da61e1da0d7a06a46bc2
-des infer job2 ce2ab5f38c5d58880da32a2e33bf8eac
-des infer delta2 8fb4ce05f0353adf7cc09b6571fef8d1
-des infer job3 772d2b4cffa45092da1b25e2ded2c408
-des infer delta3 8fb4ce05f0353adf7cc09b6571fef8d1
-line infer base0 d6f37955584ce4b6427ad8c5129f6708
-line infer base1 bac02ce19043a190cfcd76ea369e5adc
-line infer job0 6c47430f3e3c8aa5261295dd2ff3f419
-line infer delta0 9f4fd30bc93c24f7b05d195ead8fff3e
-line infer job1 92f6d86fb9661438f557352eae816cae
-line infer delta1 9f4fd30bc93c24f7b05d195ead8fff3e
-line infer job2 ecc384f75ae92de8cecfbbcc76de46e1
-line infer delta2 9f8ebeb202f9b35478e5b9dd5dafc12a
-line infer job3 b0ee05adedde5d8e5e5e4707bb092e7d
-line infer delta3 9f8ebeb202f9b35478e5b9dd5dafc12a
-circle infer base0 c20ddc392b2d87590c1f0abababeb33d
-circle infer base1 938e2921d0a671fc68e059107d7033bd
-circle infer job0 c20ddc392b2d87590c1f0abababeb33d
-circle infer delta0 00000000000000000000000000000000
-circle infer job1 938e2921d0a671fc68e059107d7033bd
-circle infer delta1 00000000000000000000000000000000
-jpeg_fdct_islow infer base0 2e09070356d259c4378cc304d1565ce8
-jpeg_fdct_islow infer base1 5e4b0cd7ac1cf832fc0b93271b82a164
-jpeg_fdct_islow infer job0 2e09070356d259c4378cc304d1565ce8
-jpeg_fdct_islow infer delta0 00000000000000000000000000000000
-jpeg_fdct_islow infer job1 5e4b0cd7ac1cf832fc0b93271b82a164
-jpeg_fdct_islow infer delta1 00000000000000000000000000000000
-jpeg_idct_islow infer base0 53a27b4ab44697b19bfbafd6a70ecae1
-jpeg_idct_islow infer base1 ee0c71d130560b3b7ddadfbbc68f3d02
-jpeg_idct_islow infer job0 53a27b4ab44697b19bfbafd6a70ecae1
-jpeg_idct_islow infer delta0 00000000000000000000000000000000
-jpeg_idct_islow infer job1 ee0c71d130560b3b7ddadfbbc68f3d02
-jpeg_idct_islow infer delta1 00000000000000000000000000000000
-recon infer base0 bd5e0b3c08e4680952d61ed4db8b406b
-recon infer base1 667390763e760847d85d6b0481ac9697
-recon infer job0 bd5e0b3c08e4680952d61ed4db8b406b
-recon infer delta0 00000000000000000000000000000000
-recon infer job1 667390763e760847d85d6b0481ac9697
-recon infer delta1 00000000000000000000000000000000
-fullsearch infer base0 14c6f75965cf367400e240137b8c8055
-fullsearch infer base1 3fc23d8e5ddd088a603c36559d56ca0d
-fullsearch infer job0 14c6f75965cf367400e240137b8c8055
-fullsearch infer delta0 00000000000000000000000000000000
-fullsearch infer job1 3fc23d8e5ddd088a603c36559d56ca0d
-fullsearch infer delta1 00000000000000000000000000000000
-whetstone infer base0 a0c4026b70763ac4f0d61cab2191cf68
-whetstone infer base1 079fcf71c5aace65a0a01f81b35ad77b
-whetstone infer job0 a0c4026b70763ac4f0d61cab2191cf68
-whetstone infer delta0 00000000000000000000000000000000
-whetstone infer job1 079fcf71c5aace65a0a01f81b35ad77b
-whetstone infer delta1 00000000000000000000000000000000
-dhry infer base0 9129607901f380823495a30a3db1c448
-dhry infer base1 87086cb10ed29f86374f361c2fef7b8c
-dhry infer job0 cbca252efaedd6bb71a4db81661e1b7e
-dhry infer delta0 9712d183e3dbce35780cd8905876f1cd
-dhry infer job1 4223a4285dfc5ac4d9124c17ffe8dbad
-dhry infer delta1 9712d183e3dbce35780cd8905876f1cd
-dhry infer job2 1dbdab25a0d91300e3774e3333c4b17f
-dhry infer delta2 55800fcb50f1ae5f57cd07839ec905c3
-dhry infer job3 28c8d595f140ec64d0af3eef70da9092
-dhry infer delta3 55800fcb50f1ae5f57cd07839ec905c3
-dhry infer job4 1dbdab25a0d91300e3774e3333c4b17f
-dhry infer delta4 55800fcb50f1ae5f57cd07839ec905c3
-dhry infer job5 28c8d595f140ec64d0af3eef70da9092
-dhry infer delta5 55800fcb50f1ae5f57cd07839ec905c3
-matgen infer base0 03d9fdc7b3b3f19bbd52c50c28af686e
-matgen infer base1 8af99161e5d217d4a062353fce33c1af
-matgen infer job0 03d9fdc7b3b3f19bbd52c50c28af686e
-matgen infer delta0 00000000000000000000000000000000
-matgen infer job1 8af99161e5d217d4a062353fce33c1af
-matgen infer delta1 00000000000000000000000000000000
+check_data plain base0 c1726f00aa3857657582ab8eea524922
+check_data plain base1 9de3d7b901c2c206f34f4faf2b1fadc9
+check_data plain job0 0e0920d56b17f633be12660188408624
+check_data plain job1 8aff44fbdc938562f0b0a176179b9a4e
+check_data plain job2 bdb3e50629ce313f1a017117fbebdda8
+check_data plain job3 a86dfa72b766a57611648c90f830d610
+fft plain base0 8bd75fc75110ec4ee2b0b22db61537bc
+fft plain base1 251647eab335d250228ec761dcda988e
+fft plain job0 8bd75fc75110ec4ee2b0b22db61537bc
+fft plain job1 251647eab335d250228ec761dcda988e
+piksrt plain base0 67620fa15a55d6cccaaaa6f451c1c10d
+piksrt plain base1 fc834d3f5930dd6bbe216ef9d75e06c3
+piksrt plain job0 67620fa15a55d6cccaaaa6f451c1c10d
+piksrt plain job1 fc834d3f5930dd6bbe216ef9d75e06c3
+des plain base0 1ba91e53c22e54d73af47ce743abd406
+des plain base1 f13919f5e27e6d68bc21e084d1e61bff
+des plain job0 2be613503bb5e9ba14c1f589d8db2c45
+des plain job1 7a81d615d976681c54b0983cf1f38735
+des plain job2 7cfd8c435e66e70f3d3af9d9af7c1b64
+des plain job3 31456e2a6ed55037a98642b774c1fdb6
+line plain base0 6c08d667b09891e19e5713b5b1291616
+line plain base1 32150811d00b1247f3fba20d320ad18b
+line plain job0 94d411b4c20f3e5cc75efb22824ddea2
+line plain job1 202bad8c071aa3f0d7cabd83e13c896f
+line plain job2 6a8fff264738108abc9ad6e86cc09cf2
+line plain job3 56d02c7cf36da276860495af58d9324e
+circle plain base0 8796c3b22de57bc7535116fe8f131b84
+circle plain base1 4d82108cebdf4e7b65b45d1ecbb67c45
+circle plain job0 8796c3b22de57bc7535116fe8f131b84
+circle plain job1 4d82108cebdf4e7b65b45d1ecbb67c45
+jpeg_fdct_islow plain base0 940fc0875f2dcd03775f2fa4b7e071fc
+jpeg_fdct_islow plain base1 3a255172869a2c1a635941f0c8b9a8da
+jpeg_fdct_islow plain job0 940fc0875f2dcd03775f2fa4b7e071fc
+jpeg_fdct_islow plain job1 3a255172869a2c1a635941f0c8b9a8da
+jpeg_idct_islow plain base0 e9f25d0a50370ba58d536860e0f8a8a4
+jpeg_idct_islow plain base1 f4ea6016e543d934e55725b12fe19998
+jpeg_idct_islow plain job0 e9f25d0a50370ba58d536860e0f8a8a4
+jpeg_idct_islow plain job1 f4ea6016e543d934e55725b12fe19998
+recon plain base0 531f8219e625174389c2893ddedbdbb0
+recon plain base1 7fc372278ecb8c95e857454d31da880e
+recon plain job0 531f8219e625174389c2893ddedbdbb0
+recon plain job1 7fc372278ecb8c95e857454d31da880e
+fullsearch plain base0 8102c9db8f77361d4544ec48a0008eb0
+fullsearch plain base1 ab4a00f40e008070c2f333e75a930ba6
+fullsearch plain job0 8102c9db8f77361d4544ec48a0008eb0
+fullsearch plain job1 ab4a00f40e008070c2f333e75a930ba6
+whetstone plain base0 cfcac319e6664cfec8e3dca898a17af7
+whetstone plain base1 8544a99b36d9cc1e47031582d6863f01
+whetstone plain job0 cfcac319e6664cfec8e3dca898a17af7
+whetstone plain job1 8544a99b36d9cc1e47031582d6863f01
+dhry plain base0 3752d5e913c17d9ef9f7d0b3554ca01f
+dhry plain base1 637c2cf6b74def9ddcbad31a8f0bc891
+dhry plain job0 76bff99cf630996403d8d199f104c6d2
+dhry plain job1 c18a6d5c399effe1436d088bad72af73
+dhry plain job2 51a31b278d1a41ab3fa51deb39d5f247
+dhry plain job3 d3d2b9a35445329ff91a161ac41347ba
+dhry plain job4 51a31b278d1a41ab3fa51deb39d5f247
+dhry plain job5 d3d2b9a35445329ff91a161ac41347ba
+matgen plain base0 423ace0c93e6dc7ea8b00dc16d8cea91
+matgen plain base1 8cd62bc03431d0d985652ac5b2c3c8a1
+matgen plain job0 423ace0c93e6dc7ea8b00dc16d8cea91
+matgen plain job1 8cd62bc03431d0d985652ac5b2c3c8a1
+check_data infer base0 2de117502a232a06b09e208c12934e9c
+check_data infer base1 8d0260cf6e1a894cc697b42f8daf87a3
+check_data infer job0 bed51f282ca3177ab2c23f13e2525f0d
+check_data infer job1 9620f4ac470bc88d3b6e3c5d58630a48
+check_data infer job2 b9e0f64806b9dde1e0eaae5bdd9ff5e5
+check_data infer job3 59e5e54b1179960142d18b32a7e9aa14
+fft infer base0 397e1cc77cd6a992d7927935310e296b
+fft infer base1 cc4314bc6a182ca1e19a0d23837c415a
+fft infer job0 397e1cc77cd6a992d7927935310e296b
+fft infer job1 cc4314bc6a182ca1e19a0d23837c415a
+piksrt infer base0 61fa81bab5f39e7e12b55bb928768bef
+piksrt infer base1 ecab67e11b2b57dcc8f7e9a04204c403
+piksrt infer job0 61fa81bab5f39e7e12b55bb928768bef
+piksrt infer job1 ecab67e11b2b57dcc8f7e9a04204c403
+des infer base0 1ba91e53c22e54d73af47ce743abd406
+des infer base1 f13919f5e27e6d68bc21e084d1e61bff
+des infer job0 2be613503bb5e9ba14c1f589d8db2c45
+des infer job1 7a81d615d976681c54b0983cf1f38735
+des infer job2 7cfd8c435e66e70f3d3af9d9af7c1b64
+des infer job3 31456e2a6ed55037a98642b774c1fdb6
+line infer base0 6c08d667b09891e19e5713b5b1291616
+line infer base1 32150811d00b1247f3fba20d320ad18b
+line infer job0 94d411b4c20f3e5cc75efb22824ddea2
+line infer job1 202bad8c071aa3f0d7cabd83e13c896f
+line infer job2 6a8fff264738108abc9ad6e86cc09cf2
+line infer job3 56d02c7cf36da276860495af58d9324e
+circle infer base0 044e2df72d32409faffee95b113f61d2
+circle infer base1 ad6c2d7216062d7ff00a4998046128bc
+circle infer job0 044e2df72d32409faffee95b113f61d2
+circle infer job1 ad6c2d7216062d7ff00a4998046128bc
+jpeg_fdct_islow infer base0 940fc0875f2dcd03775f2fa4b7e071fc
+jpeg_fdct_islow infer base1 3a255172869a2c1a635941f0c8b9a8da
+jpeg_fdct_islow infer job0 940fc0875f2dcd03775f2fa4b7e071fc
+jpeg_fdct_islow infer job1 3a255172869a2c1a635941f0c8b9a8da
+jpeg_idct_islow infer base0 e9f25d0a50370ba58d536860e0f8a8a4
+jpeg_idct_islow infer base1 f4ea6016e543d934e55725b12fe19998
+jpeg_idct_islow infer job0 e9f25d0a50370ba58d536860e0f8a8a4
+jpeg_idct_islow infer job1 f4ea6016e543d934e55725b12fe19998
+recon infer base0 531f8219e625174389c2893ddedbdbb0
+recon infer base1 7fc372278ecb8c95e857454d31da880e
+recon infer job0 531f8219e625174389c2893ddedbdbb0
+recon infer job1 7fc372278ecb8c95e857454d31da880e
+fullsearch infer base0 8102c9db8f77361d4544ec48a0008eb0
+fullsearch infer base1 ab4a00f40e008070c2f333e75a930ba6
+fullsearch infer job0 8102c9db8f77361d4544ec48a0008eb0
+fullsearch infer job1 ab4a00f40e008070c2f333e75a930ba6
+whetstone infer base0 cfcac319e6664cfec8e3dca898a17af7
+whetstone infer base1 8544a99b36d9cc1e47031582d6863f01
+whetstone infer job0 cfcac319e6664cfec8e3dca898a17af7
+whetstone infer job1 8544a99b36d9cc1e47031582d6863f01
+dhry infer base0 2f429d99eab27d5a9b073e26660e3359
+dhry infer base1 391c373715f0e694ad049c47dc880d2d
+dhry infer job0 9e180ac31a761d694f87b1839833c54f
+dhry infer job1 a29b54b355cd48d7fe0da2611c5ac211
+dhry infer job2 dbb56c718877022a7b2c7f5f03007f95
+dhry infer job3 e64fbe9e46a239515e2ece71d7658902
+dhry infer job4 dbb56c718877022a7b2c7f5f03007f95
+dhry infer job5 e64fbe9e46a239515e2ece71d7658902
+matgen infer base0 423ace0c93e6dc7ea8b00dc16d8cea91
+matgen infer base1 8cd62bc03431d0d985652ac5b2c3c8a1
+matgen infer job0 423ace0c93e6dc7ea8b00dc16d8cea91
+matgen infer job1 8cd62bc03431d0d985652ac5b2c3c8a1
 ";

@@ -156,3 +156,23 @@ fn parallel_scaling_probe() {
         eprintln!("parallel_scaling_probe: workers={workers}: {:?}", t.elapsed());
     }
 }
+
+#[test]
+fn a_degraded_answer_is_not_replayed_into_an_unbudgeted_run() {
+    // The cache key covers the problem, not the budget it was solved
+    // under: an answer degraded by a deadline must not answer a later run
+    // without one. The later run must give what a fresh pool gives.
+    let unlimited = AnalysisBudget::default();
+    let mut tight = AnalysisBudget::default();
+    tight.solve.deadline_ticks = Some(40);
+    let pool = SolvePool::new(1);
+    let degraded = pool.run_plans(&plans_for(&["dhry"], &tight), &tight.solve);
+    let degraded = degraded.estimates[0].as_ref().expect("ok");
+    assert_ne!(degraded.quality, BoundQuality::Exact, "test premise: the deadline degrades");
+
+    let after = pool.run_plans(&plans_for(&["dhry"], &unlimited), &unlimited.solve);
+    let fresh = SolvePool::new(1).run_plans(&plans_for(&["dhry"], &unlimited), &unlimited.solve);
+    let fresh = fresh.estimates[0].as_ref().expect("ok");
+    assert_eq!(fresh.quality, BoundQuality::Exact);
+    assert_eq!(after.estimates[0].as_ref().expect("ok"), fresh);
+}

@@ -177,14 +177,10 @@ fn changed_annotations_invalidate_stale_entries() {
     assert!(store.stats().invalidated > 0, "stale entries must be dropped");
 }
 
-/// The pool's `(base, delta)` cache key mix. The control run below fails
-/// if this copy ever drifts from the pool's.
+/// The pool's cache key of a job. The control run below fails if the
+/// pool ever keys jobs otherwise.
 fn job_key(plan: &AnalysisPlan, job: &ipet_core::IlpJob) -> ipet_lp::Fingerprint {
-    let base = &plan.bases()[job.base];
-    let (b, d) = (base.fingerprint(), base.delta_fingerprint(&job.delta));
-    ipet_lp::Fingerprint(
-        b.0.rotate_left(1) ^ d.0.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835),
-    )
+    plan.bases()[job.base].key(&job.delta)
 }
 
 #[test]

@@ -54,7 +54,7 @@
 
 use crate::budget::{BudgetMeter, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
-use crate::fingerprint::{delta_rows_fingerprint, fingerprint, Fingerprint};
+use crate::fingerprint::{Fingerprint, ProblemHasher};
 use crate::ilp::{solve_ilp_budgeted, IlpResolution, IlpStats};
 use crate::model::{Constraint, Problem, VarId};
 use crate::presolve::{presolve, IntProblem, IntRow, MappedRow, Reduced};
@@ -90,19 +90,20 @@ impl DeltaSet {
 }
 
 /// An immutable shared base problem: objective, variable bounds and the
-/// constraint rows common to every set of a routine, with its content
-/// fingerprint precomputed for cache keying.
+/// constraint rows common to every set of a routine, with the fingerprint
+/// hash state after its rows kept for cache keying.
 #[derive(Debug, Clone)]
 pub struct BaseProblem {
     problem: Problem,
-    fingerprint: Fingerprint,
+    hasher: ProblemHasher,
 }
 
 impl BaseProblem {
-    /// Wraps a problem as a shared base, computing its fingerprint.
+    /// Wraps a problem as a shared base, hashing it once.
     pub fn new(problem: Problem) -> BaseProblem {
-        let fingerprint = fingerprint(&problem);
-        BaseProblem { problem, fingerprint }
+        let mut hasher = ProblemHasher::new(&problem);
+        hasher.rows(&problem.constraints);
+        BaseProblem { problem, hasher }
     }
 
     /// The base problem itself (also the cover relaxation of every set that
@@ -111,16 +112,19 @@ impl BaseProblem {
         &self.problem
     }
 
-    /// Content fingerprint of the base (the first half of the pool's
-    /// `(base, delta)` cache key).
+    /// Content fingerprint of the base: [`crate::fingerprint`] of
+    /// [`BaseProblem::problem`].
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        self.hasher.finish()
     }
 
-    /// Content fingerprint of a delta relative to this base (the second
-    /// half of the cache key). Positional in the base's variable order.
-    pub fn delta_fingerprint(&self, delta: &DeltaSet) -> Fingerprint {
-        delta_rows_fingerprint(&delta.rows, self.problem.num_vars())
+    /// The pool's cache key of `base + delta`: the base's hash continued
+    /// over the delta rows, equal to `fingerprint(&self.compose(delta))`
+    /// by construction, in O(delta terms).
+    pub fn key(&self, delta: &DeltaSet) -> Fingerprint {
+        let mut hasher = self.hasher.clone();
+        hasher.rows(&delta.rows);
+        hasher.finish()
     }
 
     /// Recomposes the full monolithic problem: the base rows followed by
@@ -183,7 +187,7 @@ impl BaseProblem {
 }
 
 /// A snapshot of the base problem's optimal basis, reusable across every
-/// delta of the base (and across α-identical bases): the presolve reduction
+/// delta of the base (and across identical bases): the presolve reduction
 /// of the base plus the factorized sparse optimum of the reduced problem.
 /// Warm starts map delta rows through the reduction. Opaque; produced by
 /// [`BaseProblem::solve_base`].
@@ -677,13 +681,15 @@ mod tests {
     }
 
     #[test]
-    fn delta_fingerprints_discriminate_rows() {
+    fn delta_keys_are_the_composed_fingerprints() {
         let base = toy_base();
         let a = delta(vec![(vec![(0, 1.0)], Relation::Le, 2.0)]);
         let b = delta(vec![(vec![(0, 1.0)], Relation::Le, 3.0)]);
-        assert_eq!(base.delta_fingerprint(&a), base.delta_fingerprint(&a));
-        assert_ne!(base.delta_fingerprint(&a), base.delta_fingerprint(&b));
-        assert_ne!(base.delta_fingerprint(&a), base.delta_fingerprint(&DeltaSet::default()));
+        for d in [&a, &b, &DeltaSet::default()] {
+            assert_eq!(base.key(d), crate::fingerprint(&base.compose(d)));
+        }
+        assert_ne!(base.key(&a), base.key(&b));
+        assert_eq!(base.key(&DeltaSet::default()), base.fingerprint());
     }
 
     #[cfg(debug_assertions)]

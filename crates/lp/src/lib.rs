@@ -91,7 +91,7 @@ pub use budget::{
     is_injected_panic, BoundQuality, BudgetMeter, CancelToken, IoFault, LpFault, SolveBudget,
     SolveFault, SolverFaults,
 };
-pub use fingerprint::{delta_rows_fingerprint, fingerprint, same_structure, Fingerprint};
+pub use fingerprint::{fingerprint, same_structure, Fingerprint};
 pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats};
 #[cfg(debug_assertions)]
 pub use incremental::debug_force_warm_mismatch;

@@ -1,12 +1,19 @@
 //! Property tests for the content-addressed problem fingerprint: the key the
-//! solve pool caches under must identify a problem up to α-equivalence
-//! (variable renaming, row reordering, term noise) and must separate
-//! problems that differ semantically.
+//! solve pool caches under must coincide with structural equality (the
+//! positional `same_structure`, which forgives term noise but not a
+//! variable or row permutation), must be continuable from a base problem
+//! over its delta rows, and must separate problems that differ
+//! semantically.
 
 use ipet_lp::{
-    fingerprint, same_structure, Constraint, Problem, ProblemBuilder, Relation, Sense, VarId,
+    fingerprint, same_structure, BaseProblem, Constraint, DeltaSet, Problem, ProblemBuilder,
+    Relation, Sense, VarId,
 };
 use proptest::prelude::*;
+
+fn arb_relation() -> impl Strategy<Value = Relation> {
+    prop_oneof![Just(Relation::Le), Just(Relation::Ge), Just(Relation::Eq)]
+}
 
 /// A random small ILP: `n` variables, a few random rows, random sense,
 /// random integrality.
@@ -16,11 +23,7 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
     (n, rows, any::<bool>()).prop_flat_map(|(n, rows, maximize)| {
         let obj = prop::collection::vec(-5i32..=5, n);
         let flags = prop::collection::vec(any::<bool>(), n);
-        let row = (
-            prop::collection::vec(-3i32..=3, n),
-            prop_oneof![Just(Relation::Le), Just(Relation::Ge), Just(Relation::Eq)],
-            -10i32..=10,
-        );
+        let row = (prop::collection::vec(-3i32..=3, n), arb_relation(), -10i32..=10);
         let rowvec = prop::collection::vec(row, rows);
         (obj, flags, rowvec).prop_map(move |(obj, flags, rowvec)| {
             let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
@@ -40,7 +43,8 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
 }
 
 /// Applies a variable permutation `perm` (new index of old variable `v` is
-/// `perm[v]`) to every part of the problem, producing an α-equivalent model.
+/// `perm[v]`) to every part of the problem: the same model with its
+/// variables renamed.
 fn permute(p: &Problem, perm: &[usize]) -> Problem {
     let n = p.num_vars();
     let mut objective = vec![0.0; n];
@@ -75,27 +79,74 @@ fn perm_from_ranks(ranks: &[u64], n: usize) -> Vec<usize> {
     perm
 }
 
+/// The same problem written differently: each row's terms reversed, split
+/// in halves around a zero term, `-0.0` for zero objective coefficients,
+/// and new names.
+fn noisy(p: &Problem) -> Problem {
+    let mut q = p.clone();
+    for con in &mut q.constraints {
+        con.terms = con
+            .terms
+            .iter()
+            .rev()
+            .flat_map(|&(v, c)| [(v, c / 2.0), (v, 0.0), (v, c / 2.0)])
+            .collect();
+    }
+    for c in &mut q.objective {
+        if *c == 0.0 {
+            *c = -0.0;
+        }
+    }
+    q.names = (0..q.num_vars()).map(|v| format!("w{v}")).collect();
+    q
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// α-equivalence: any variable permutation plus any row rotation maps to
-    /// the same fingerprint.
+    /// A base's key of a delta is the fingerprint of the composed problem,
+    /// for random bases and random delta rows (zero coefficients included,
+    /// so rows that need merging are covered too).
     #[test]
-    fn alpha_equivalent_problems_share_a_key(
+    fn base_keys_are_composed_fingerprints((p, rows) in arb_problem().prop_flat_map(|p| {
+        let n = p.num_vars();
+        let row = (prop::collection::vec(-3i32..=3, n), arb_relation(), -10i32..=10);
+        (Just(p), prop::collection::vec(row, 0..4))
+    })) {
+        let delta = DeltaSet::new(
+            rows.into_iter()
+                .map(|(coeffs, relation, rhs)| Constraint {
+                    terms: coeffs.iter().enumerate().map(|(v, &c)| (VarId(v), c as f64)).collect(),
+                    relation,
+                    rhs: rhs as f64,
+                })
+                .collect(),
+        );
+        let base = BaseProblem::new(p);
+        prop_assert_eq!(base.key(&delta), fingerprint(&base.compose(&delta)));
+    }
+
+    /// Keys coincide with structural equality: a noisy copy of a problem
+    /// is the same problem and shares its key, and a copy with its
+    /// variables permuted and its rows rotated shares the key exactly when
+    /// `same_structure` still holds (a symmetric problem can map to
+    /// itself).
+    #[test]
+    fn same_structure_coincides_with_equal_keys(
         (p, ranks, rot) in (
             arb_problem(),
             prop::collection::vec(0u64..1_000, 5),
             0usize..4,
         )
     ) {
-        let n = p.num_vars();
-        let perm = perm_from_ranks(&ranks, n);
-        let mut q = permute(&p, &perm);
-        if !q.constraints.is_empty() {
-            let r = rot % q.constraints.len();
-            q.constraints.rotate_left(r);
-        }
+        let q = noisy(&p);
+        prop_assert!(same_structure(&p, &q));
         prop_assert_eq!(fingerprint(&p), fingerprint(&q));
+
+        let mut q = noisy(&permute(&p, &perm_from_ranks(&ranks, p.num_vars())));
+        let r = rot % q.constraints.len();
+        q.constraints.rotate_left(r);
+        prop_assert_eq!(same_structure(&p, &q), fingerprint(&p) == fingerprint(&q));
     }
 
     /// Term-level noise — splitting a coefficient across repeated terms and

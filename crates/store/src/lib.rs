@@ -1,7 +1,7 @@
 //! # ipet-store
 //!
 //! A crash-safe, disk-backed store of solved ILPs, keyed on the same
-//! `(base, delta)` fingerprints the in-memory solve cache uses. It lets a
+//! problem fingerprints the in-memory solve cache uses. It lets a
 //! second `cinderella analyze` of the same program — or a long-running
 //! `cinderella serve` daemon — replay certified solves across *process*
 //! boundaries, not just across batches within one process.
@@ -12,9 +12,12 @@
 //! and a CRC32 checksum; records that fail framing, checksum, version or
 //! decode checks are **quarantined** (counted, skipped) rather than trusted
 //! or repaired. A record that decodes cleanly is still only an *index
-//! entry*: a replay is authorized exactly like the in-memory cache's —
-//! [`same_structure`] against the probe problem plus exact-arithmetic
-//! re-certification of the cached witness ([`ipet_audit::certify_witness`]).
+//! entry*: its bucket key is re-derived from its own problem
+//! ([`ipet_lp::fingerprint`]), never read from the record, so a file
+//! written under an older key scheme re-keys itself on open; and a replay
+//! passes the same gate as the in-memory cache's
+//! ([`ipet_audit::replay_gate`]: structural equality with the probe
+//! problem, then exact-arithmetic re-certification of the cached witness).
 //! A flipped bit anywhere can therefore cost a cold solve, never a wrong
 //! bound.
 //!
@@ -70,10 +73,10 @@
 //! silently retires its stale entries instead of relying on fingerprint
 //! luck to miss them.
 
-use ipet_audit::{certify_witness, ClaimKind};
+use ipet_audit::{replay_gate, Replay};
 use ipet_lp::{
-    round_claimed, same_structure, Fingerprint, IlpResolution, IlpStats, IoFault, Problem,
-    Relation, Sense, SolverFaults,
+    fingerprint, same_structure, Fingerprint, IlpResolution, IlpStats, IoFault, Problem, Relation,
+    Sense, SolverFaults,
 };
 use std::collections::HashMap;
 use std::fs;
@@ -147,7 +150,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// Probes that found no usable entry.
     pub misses: u64,
-    /// Fingerprint matches refused by the structural or witness gates.
+    /// Probes that found the problem stored but its witness failed exact
+    /// re-certification.
     pub rejected: u64,
     /// Entries dropped because their invalidation hash went stale.
     pub invalidated: u64,
@@ -440,9 +444,8 @@ impl Store {
         }
     }
 
-    /// Looks up a certified replay for `problem` under the given context.
-    /// Mirrors the in-memory cache's gates: same structure, then exact
-    /// witness re-certification. Anything less is a miss.
+    /// Looks up a certified replay for `problem` under the given context,
+    /// through the in-memory cache's replay gate. Anything less is a miss.
     pub fn probe(
         &self,
         key: Fingerprint,
@@ -451,33 +454,25 @@ impl Store {
         problem: &Problem,
     ) -> Option<(IlpResolution, IlpStats)> {
         let inner = self.inner.lock().expect("store lock");
-        let mut near_hit = false;
-        if let Some(bucket) = inner.entries.get(&key.0) {
-            for entry in bucket {
-                if entry.identity != identity || entry.invalidation != invalidation {
-                    continue;
+        let mut rejected = false;
+        let bucket = inner.entries.get(&key.0).map_or(&[][..], Vec::as_slice);
+        for entry in bucket {
+            if entry.identity != identity || entry.invalidation != invalidation {
+                continue;
+            }
+            match replay_gate(&entry.problem, problem, Some((&entry.x, entry.value))) {
+                Replay::Foreign => {}
+                Replay::Rejected => rejected = true,
+                Replay::Certified => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    ipet_trace::counter("store.hits", 1);
+                    let resolution =
+                        IlpResolution::Exact { x: entry.x.clone(), value: entry.value };
+                    return Some((resolution, entry.stats));
                 }
-                if !same_structure(&entry.problem, problem) {
-                    near_hit = true;
-                    continue;
-                }
-                let certified = round_claimed(entry.value)
-                    .ok()
-                    .and_then(|claimed| {
-                        certify_witness(problem, &entry.x, claimed, ClaimKind::Equal).ok()
-                    })
-                    .is_some();
-                if !certified {
-                    near_hit = true;
-                    continue;
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.hits", 1);
-                let resolution = IlpResolution::Exact { x: entry.x.clone(), value: entry.value };
-                return Some((resolution, entry.stats));
             }
         }
-        if near_hit {
+        if rejected {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             ipet_trace::counter("store.rejected", 1);
         }
@@ -1024,7 +1019,9 @@ fn decode_entry(payload: &[u8]) -> Option<StoreEntry> {
     if c.u8()? != TAG_SOLVE {
         return None;
     }
-    let key = c.u128()?;
+    // The stored key is not trusted: the bucket key is re-derived from the
+    // record's own problem below.
+    let _stored_key = c.u128()?;
     let identity = c.u128()?;
     let invalidation = c.u128()?;
     let problem = decode_problem(&mut c)?;
@@ -1048,7 +1045,7 @@ fn decode_entry(payload: &[u8]) -> Option<StoreEntry> {
         return None;
     }
     Some(StoreEntry {
-        key,
+        key: fingerprint(&problem).0,
         identity,
         invalidation,
         problem,
@@ -1212,6 +1209,26 @@ mod tests {
         store.insert(key, 1, 2, &p, &bad, IlpStats::default());
         assert!(store.probe(key, 1, 2, &p).is_none());
         assert_eq!(store.stats().rejected, 1);
+    }
+
+    #[test]
+    fn a_record_under_a_foreign_key_re_keys_on_open() {
+        // A file written under another key scheme: the record's key is not
+        // its problem's fingerprint. Opening re-derives it, so the record
+        // replays under the current key.
+        let dir = scratch("rekey");
+        let path = dir.join("s.store");
+        let p = toy();
+        {
+            let store = Store::open(&path);
+            store.insert(Fingerprint(7), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.flush().expect("flush");
+        }
+        let store = Store::open(&path);
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0));
+        let (res, _) = store.probe(key_of(&p), 1, 2, &p).expect("replay under the derived key");
+        assert_eq!(res, toy_exact());
+        assert!(store.probe(Fingerprint(7), 1, 2, &p).is_none());
     }
 
     #[test]
