@@ -1,7 +1,7 @@
 //! The triangular crash basis earns its keep on the synthetic corpus: over
 //! default synthetic programs every base still snapshots and serves its
 //! delta warm, while the base solves spend less than half the simplex
-//! ticks the artificial start spent: 12514 over these seeds, against 1626
+//! ticks the artificial start spent: 12514 over these seeds, against 1810
 //! with the crash.
 //!
 //! One test in its own binary: it reads the process-global trace recorder.

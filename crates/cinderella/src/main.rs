@@ -844,15 +844,15 @@ fn analyze(
         }
     }
     // The summary reports cache traffic, which only a batch of several
-    // targets or a store-backed run has to show.
+    // targets or a store-backed run has to show. Solved and replayed come
+    // from the batch, so store replays count too.
     if targets.len() > 1 || pool.store().is_some() {
-        let stats = pool.cache_stats();
         println!(
             "pool: {} worker(s), {} solved, {} replayed ({} rejected replays), {} ticks",
             pool.workers(),
-            stats.misses,
-            stats.hits,
-            stats.rejected,
+            batch.report.misses,
+            batch.report.hits,
+            pool.cache_stats().rejected,
             batch.report.total_ticks
         );
     }

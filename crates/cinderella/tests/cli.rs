@@ -703,6 +703,22 @@ fn second_run_replays_from_the_store_byte_identically() {
 }
 
 #[test]
+fn pool_line_counts_store_replays() {
+    // Every job the pool did not solve is a replay, whether the solve
+    // cache, in-batch dedup or the store answered it.
+    let dir = store_scratch("pool-line");
+    let store = dir.join("solves.store");
+    let args = ["analyze", "piksrt", "dhry", "check_data", "--store", store.to_str().unwrap()];
+    let (ok, _, stderr) = cinderella(&args);
+    assert!(ok, "{stderr}");
+    let (ok, out, stderr) = cinderella(&args);
+    assert!(ok, "{stderr}");
+    let pool = out.lines().find(|l| l.starts_with("pool:")).expect("pool summary");
+    assert!(pool.contains("0 solved, 12 replayed"), "{pool}");
+    assert!(store_line(&out).contains("hits=10"), "{}", store_line(&out));
+}
+
+#[test]
 fn every_io_fault_degrades_to_cold_solves_with_identical_bounds() {
     let dir = store_scratch("faults");
     let baseline = {

@@ -6,10 +6,10 @@
 //! rows common to every set, plus objective and bounds) and one small
 //! [`DeltaSet`] per constraint set, and re-optimizes each delta from a
 //! snapshot of the base optimum instead of solving each composed problem
-//! from scratch. The snapshot is the presolved base solved by the sparse
-//! revised simplex ([`crate::presolve`], [`crate::sparse`]); cold solves
-//! run the same kernel on the composed problem as it stands
-//! ([`crate::simplex`]).
+//! from scratch. The snapshot is the base as it stands, solved by the
+//! sparse revised simplex ([`crate::sparse`]) exactly as a cold LP is
+//! ([`crate::simplex`]); a delta's rows are appended to it over the
+//! composed problem's own variables.
 //!
 //! ## Bit-identity contract
 //!
@@ -37,7 +37,7 @@
 //! Everything else — dual infeasibility, iteration limits, a fractional
 //! canonical optimum, certification failures — falls back to the ordinary
 //! cold branch-and-bound solve and counts `lp.warm.misses`, plus the first
-//! gate it failed as `lp.warm.miss.{dual,fractional,uncertified,unmapped}`.
+//! gate it failed as `lp.warm.miss.{dual,fractional,uncertified}`.
 //! Witness vectors and objective values of accepted results are
 //! canonicalized to their rounded integer form (the cold path applies the
 //! same canonicalization), which makes the equality hold bit for bit rather
@@ -56,8 +56,7 @@ use crate::budget::{BudgetMeter, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
 use crate::fingerprint::{Fingerprint, ProblemHasher};
 use crate::ilp::{solve_ilp_budgeted, IlpResolution, IlpStats};
-use crate::model::{Constraint, Problem, VarId};
-use crate::presolve::{presolve, IntProblem, IntRow, MappedRow, Reduced};
+use crate::model::{Constraint, Problem};
 use crate::round::{round_claimed, round_witness};
 use crate::simplex::le_form;
 use crate::sparse::{SparseDualEnd, SparseEnd, SparseInstance};
@@ -140,13 +139,10 @@ impl BaseProblem {
     /// Returns `None` when the base is not warm-startable; callers then
     /// solve every delta cold.
     ///
-    /// The base is presolved and solved with the sparse revised simplex; the
-    /// snapshot carries the reduction map plus the factorized sparse basis,
-    /// and warm starts re-optimize in the reduced space. A base that
-    /// presolve fixes completely reduces to zero columns: every delta row
-    /// then maps to satisfied or violated, and postsolve rebuilds the one
-    /// feasible point. A base presolve declines (non-finite, non-integral
-    /// or infeasible data, a continuous variable), or whose sparse solve is
+    /// The base is solved as it stands on the cold path's sparse kernel
+    /// (crashed standard form, primal simplex), and the snapshot is the
+    /// factorized optimal basis over the base's own variables. A base with
+    /// a continuous variable or non-finite data, or whose sparse solve is
     /// not optimal, gets no snapshot.
     ///
     /// Pivots are charged to `meter` and reported under `lp.ticks`;
@@ -160,7 +156,10 @@ impl BaseProblem {
             return None;
         }
         let _span = ipet_trace::span("lp.base_solve");
-        let (red, mut inst) = self.presolve_sparse_base()?;
+        if !self.problem.integer.iter().all(|&b| b) {
+            return None;
+        }
+        let mut inst = SparseInstance::build(&self.problem)?;
         let cap = inst.default_iter_cap();
         let mut pivots = 0u64;
         let end = inst.solve_primal(cap, &mut pivots);
@@ -169,31 +168,15 @@ impl BaseProblem {
         ipet_trace::counter("lp.ticks", pivots);
         ipet_trace::counter("lp.base.crash_rows", inst.crash_rows());
         ipet_trace::counter("lp.base.phase1_pivots", inst.phase1_pivots());
-        (end == SparseEnd::Optimal).then_some(BaseSolution { red, inst, pivots })
-    }
-
-    /// Presolve the base and build the sparse instance of the reduction, or
-    /// `None` when the base cannot be presolved.
-    fn presolve_sparse_base(&self) -> Option<(Reduced, SparseInstance)> {
-        if !self.problem.integer.iter().all(|&b| b) {
-            return None;
-        }
-        let ip = IntProblem::from_problem(&self.problem)?;
-        let red = presolve(&ip)?;
-        let rp = red.to_shifted_problem()?;
-        let inst = SparseInstance::build(&rp)?;
-        Some((red, inst))
+        (end == SparseEnd::Optimal).then_some(BaseSolution { inst, pivots })
     }
 }
 
 /// A snapshot of the base problem's optimal basis, reusable across every
-/// delta of the base (and across identical bases): the presolve reduction
-/// of the base plus the factorized sparse optimum of the reduced problem.
-/// Warm starts map delta rows through the reduction. Opaque; produced by
-/// [`BaseProblem::solve_base`].
+/// delta of the base (and across identical bases): the factorized sparse
+/// optimum of the base. Opaque; produced by [`BaseProblem::solve_base`].
 #[derive(Clone)]
 pub struct BaseSolution {
-    red: Reduced,
     inst: SparseInstance,
     pivots: u64,
 }
@@ -237,11 +220,8 @@ enum WarmMiss {
     Dual,
     /// The canonical optimum does not round to integer counts.
     Fractional,
-    /// Postsolve, claim rounding or exact certification rejected the
-    /// witness.
+    /// Claim rounding or exact certification rejected the witness.
     Uncertified,
-    /// A delta row has no exact image in the presolved base's space.
-    Unmapped,
 }
 
 impl WarmMiss {
@@ -250,7 +230,6 @@ impl WarmMiss {
             WarmMiss::Dual => "lp.warm.miss.dual",
             WarmMiss::Fractional => "lp.warm.miss.fractional",
             WarmMiss::Uncertified => "lp.warm.miss.uncertified",
-            WarmMiss::Unmapped => "lp.warm.miss.unmapped",
         }
     }
 }
@@ -298,13 +277,11 @@ pub fn solve_delta_warm(
     solve_ilp_budgeted(full, budget, meter, faults)
 }
 
-/// The warm attempt: map each delta row through the base's presolve
-/// reduction (fixed variables substituted in exact arithmetic), append the
-/// mapped rows to the factorized sparse basis — the append refactorizes,
-/// i.e. re-snapshots the basis — and dual re-optimize in the reduced space.
-/// The reduced witness is postsolved back to a full witness before
-/// certification, so the certificate and the canonical `Exact` resolution
-/// are over the composed problem, never the reduction.
+/// The warm attempt: append the delta rows in `<=` form to a copy of the
+/// factorized base basis — the append refactorizes, i.e. re-snapshots the
+/// basis — and dual re-optimize. The base and the composed problem share
+/// their variables, so the witness, its certificate and the canonical
+/// `Exact` resolution are all over the composed problem.
 fn warm_attempt(
     sol: &BaseSolution,
     delta: &DeltaSet,
@@ -312,29 +289,7 @@ fn warm_attempt(
     meter: &BudgetMeter,
     certify: CertifyFn,
 ) -> WarmResult {
-    let red = &sol.red;
-    // Delta rows in exact integer form, mapped into the reduced space, then
-    // `<=` form over the free variables.
-    let mut mapped_rows: Vec<Constraint> = Vec::with_capacity(delta.rows.len());
-    for row in &delta.rows {
-        let int_row = IntRow::from_constraint(row).ok_or(WarmMiss::Unmapped)?;
-        let mapped = match red.map_row(&int_row).ok_or(WarmMiss::Unmapped)? {
-            MappedRow::Satisfied => continue,
-            // A delta row contradicting the presolved fixings proves the
-            // composed problem infeasible — but only in the reduction's
-            // algebra, with no witness to certify, so the verdict belongs
-            // to the cold path.
-            MappedRow::Violated => return Err(WarmMiss::Unmapped),
-            MappedRow::Row(r) => r,
-        };
-        // The base instance lives in the shifted space (`x = lo + x'`), so
-        // the mapped row's right-hand side shifts with it.
-        let rhs = red.shift_rhs(&mapped.terms, mapped.rhs).ok_or(WarmMiss::Unmapped)? as f64;
-        let terms = mapped.terms.iter().map(|&(j, a)| (VarId(j), a as f64)).collect();
-        mapped_rows.push(Constraint { terms, relation: mapped.rel, rhs });
-    }
-    let le_rows = le_form(&mapped_rows, red.n_free);
-
+    let le_rows = le_form(&delta.rows, full.num_vars());
     let mut inst = sol.inst.clone();
     if !inst.append_le_rows(&le_rows) {
         return Err(WarmMiss::Dual);
@@ -345,12 +300,6 @@ fn warm_attempt(
     // Dual infeasibility proves LP infeasibility, but only in floating
     // point: there is no witness to certify exactly, so the verdict is not
     // accepted — the cold path re-derives it from phase 1.
-    //
-    // The walk runs in the presolved, shifted space. Presolve only fixes
-    // variables and absorbs bounds, the survivors keep their relative
-    // order, and the shift `x = lo + x'` is monotone, so the reduced lex
-    // minimum is the composed problem's.
-    debug_assert!(red.keeps_var_order(), "presolve reordered the free variables");
     let lex =
         (end == SparseDualEnd::Optimal).then(|| canonicalize(&mut inst, cap, &mut warm_pivots));
     meter.charge_ticks(warm_pivots);
@@ -359,15 +308,11 @@ fn warm_attempt(
         return Err(WarmMiss::Dual);
     }
 
-    // Canonical, integral, postsolved, exactly certified — or no deal.
-    // Presolve preserves the LP feasible set, so the canonical reduced
-    // optimum is the composed problem's canonical optimum: the cold result.
+    // Canonical, integral, exactly certified — or no deal. The canonical
+    // optimum is a point of the composed LP, whichever basis reached it:
+    // the cold result.
     let ints = round_witness(&inst.extract_x()).map_err(|_| WarmMiss::Fractional)?;
-    let full_ints = red
-        .unshift_witness(&ints)
-        .and_then(|ints| red.postsolve_witness(&ints))
-        .ok_or(WarmMiss::Uncertified)?;
-    let snapped: Vec<f64> = full_ints.iter().map(|&v| v as f64).collect();
+    let snapped: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
     let claimed =
         round_claimed(full.objective_value(&snapped)).map_err(|_| WarmMiss::Uncertified)?;
     if !certify(full, &snapped, claimed) {
@@ -617,9 +562,9 @@ mod tests {
     }
 
     #[test]
-    fn fully_forced_base_warm_starts_from_zero_columns() {
-        // max 3x + 2y st x = 2, y = 3: presolve fixes both variables, so
-        // the snapshot is a zero-column reduction solved in 0 pivots.
+    fn forced_base_snapshots_and_warm_starts_as_it_stands() {
+        // max 3x + 2y st x = 2, y = 3: every variable is forced, and the
+        // base still solves and snapshots like any other.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var("x", true);
         let y = b.add_var("y", true);
@@ -630,7 +575,6 @@ mod tests {
         let base = BaseProblem::new(b.build());
         let meter = BudgetMeter::new();
         let sol = base.solve_base(&meter).expect("a fully forced base snapshots");
-        assert_eq!((sol.red.n_free, sol.pivots()), (0, 0));
         let cold = |d: &DeltaSet| {
             solve_ilp_budgeted(
                 &base.compose(d),
@@ -656,8 +600,7 @@ mod tests {
         };
         ipet_trace::install();
 
-        // x + y <= 6 holds at the fixed point (2, 3): every row maps to
-        // satisfied and postsolve rebuilds the point.
+        // x + y <= 6 holds at the forced point (2, 3): a warm hit.
         let satisfied = delta(vec![(vec![(0, 1.0), (1, 1.0)], Relation::Le, 6.0)]);
         let full = base.compose(&satisfied);
         assert!(warm_attempt(&sol, &satisfied, &full, &meter, &feasibility_certify).is_ok());
@@ -667,15 +610,15 @@ mod tests {
         assert_eq!(hit, cold(&satisfied));
         assert_eq!(hit.0, IlpResolution::Exact { x: vec![2.0, 3.0], value: 12.0 });
 
-        // x + y >= 6 contradicts the fixings: no warm verdict, the cold
-        // path reports the infeasibility.
+        // x + y >= 6 contradicts the forced point: the dual proves it but
+        // cannot certify it, so the cold path reports the infeasibility.
         let violated = delta(vec![(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 6.0)]);
         let full = base.compose(&violated);
         let miss = warm_attempt(&sol, &violated, &full, &meter, &feasibility_certify);
-        assert_eq!(miss.err(), Some(WarmMiss::Unmapped));
-        let unmapped = counter("lp.warm.miss.unmapped");
+        assert_eq!(miss.err(), Some(WarmMiss::Dual));
+        let dual = counter("lp.warm.miss.dual");
         let res = warm(&violated);
-        assert!(counter("lp.warm.miss.unmapped") > unmapped, "the miss must count its reason");
+        assert!(counter("lp.warm.miss.dual") > dual, "the miss must count its reason");
         assert_eq!(res.0, IlpResolution::Infeasible);
         assert_eq!(res, cold(&violated));
     }

@@ -20,9 +20,9 @@
 //!   (lexicographically smallest) point.
 //! * [`solve_lp`] — cold solves of a problem as it stands.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
-//! * [`BaseProblem::solve_base`] — warm-start base snapshots: exact
-//!   presolve, then the sparse kernel; deltas dual re-optimize from the
-//!   snapshot.
+//! * [`BaseProblem::solve_base`] — warm-start base snapshots: the base
+//!   solved as it stands on the same kernel; deltas append their rows and
+//!   dual re-optimize from the snapshot.
 //!
 //! Debug builds keep a second, independent kernel — a textbook full-row
 //! tableau with Bland's rule — as the reference that tests and the
@@ -80,7 +80,6 @@ mod ilp;
 mod incremental;
 mod model;
 pub mod parametric;
-mod presolve;
 #[cfg(any(test, debug_assertions))]
 mod reference;
 mod round;

@@ -1,13 +1,13 @@
 //! Cold LP solves: the entry points every cold consumer shares.
 //!
 //! [`solve_lp_metered`] builds the sparse standard form of the problem as
-//! it stands, with no presolve ([`crate::sparse`]): its crash basis covers
-//! the zero-level flow equations, so phase 1 pivots only on the rows the
-//! crash left to their artificials. The two-phase revised simplex then
+//! it stands ([`crate::sparse`]): its crash basis covers the zero-level
+//! flow equations, so phase 1 pivots only on the rows the crash left to
+//! their artificials. The two-phase revised simplex then
 //! ends with the walk to the canonical optimum ([`crate::canonical`]).
 //! Branch-and-bound nodes, the cold fallback of warm starts and the
 //! relaxation covers of skipped sets all solve here; warm starts
-//! re-optimize a presolved snapshot of the same kernel instead
+//! re-optimize a snapshot of the same kernel's solve of their base instead
 //! ([`crate::BaseProblem::solve_base`]).
 //!
 //! Every priced pivot — phase 1, phase 2 and the canonical walk — is one

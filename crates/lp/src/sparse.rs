@@ -14,9 +14,8 @@
 //! consecutive degenerate pivots: a stalled run of degenerate pivots is
 //! the precondition for cycling, and Bland's rule provably terminates.
 //! Every loop is also capped by an iteration budget. The kernel solves
-//! cold LPs as they stand ([`crate::solve_lp_metered`]), presolved
-//! warm-start bases, and re-optimizes their deltas
-//! ([`crate::BaseProblem::solve_base`]).
+//! cold LPs and warm-start bases as they stand ([`crate::solve_lp_metered`],
+//! [`crate::BaseProblem::solve_base`]), and re-optimizes the bases' deltas.
 //!
 //! Every start basis is crashed (`SparseInstance::crash`): the
 //! artificials of zero-level rows — the flow-conservation equations — are
@@ -1330,8 +1329,8 @@ mod tests {
 
     #[test]
     fn crash_tolerates_zero_columns_and_fully_retired_rows() {
-        // No columns at all, as presolve leaves a fully forced base: the
-        // empty zero-level row keeps its artificial.
+        // No columns at all (a problem with no variables, or rows whose
+        // terms all cancel): the empty zero-level row keeps its artificial.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         b.constraint(vec![], Relation::Eq, 0.0);
         b.constraint(vec![], Relation::Le, 2.0);
