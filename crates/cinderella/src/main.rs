@@ -130,6 +130,28 @@ fn load_target(
     idl_file: Option<&str>,
     optimize: bool,
 ) -> Result<Target, String> {
+    target_from(name, read_target_file(name)?, entry, ann_file, idl_file, optimize)
+}
+
+/// The bytes of a `.mc` or `.s` target; `None` for a bundled benchmark.
+pub(crate) fn read_target_file(name: &str) -> Result<Option<String>, String> {
+    if name.ends_with(".mc") || name.ends_with(".s") {
+        std::fs::read_to_string(name).map(Some).map_err(|e| format!("{name}: {e}"))
+    } else {
+        Ok(None)
+    }
+}
+
+/// [`load_target`] over the target's bytes as [`read_target_file`] read
+/// them.
+pub(crate) fn target_from(
+    name: &str,
+    file: Option<String>,
+    entry: Option<&str>,
+    ann_file: Option<&str>,
+    idl_file: Option<&str>,
+    optimize: bool,
+) -> Result<Target, String> {
     let read_annotations = |fallback: String| -> Result<String, String> {
         match (ann_file, idl_file) {
             (Some(_), Some(_)) => Err("use --annotations or --idl, not both".into()),
@@ -141,48 +163,50 @@ fn load_target(
             (None, None) => Ok(fallback),
         }
     };
-    if name.ends_with(".mc") {
-        let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
-        let entry = entry.unwrap_or("main");
-        let level = if optimize { ipet_lang::OptLevel::O1 } else { ipet_lang::OptLevel::O0 };
-        let program =
-            ipet_lang::compile_with(&src, entry, level).map_err(|e| format!("{name}: {e}"))?;
-        let annotations = read_annotations(String::new())?;
-        let module = ipet_lang::parse_module(&src).ok();
-        Ok(Target {
-            name: name.to_string(),
-            program,
-            annotations,
-            source: Some(src),
-            module,
-            bench: None,
-        })
-    } else if name.ends_with(".s") {
-        let src = std::fs::read_to_string(name).map_err(|e| format!("{name}: {e}"))?;
-        let program = ipet_arch::parse_program(&src).map_err(|e| format!("{name}: {e}"))?;
-        let annotations = read_annotations(String::new())?;
-        Ok(Target {
-            name: name.to_string(),
-            program,
-            annotations,
-            source: Some(src),
-            module: None,
-            bench: None,
-        })
-    } else {
-        let bench = ipet_suite::by_name(name)
-            .ok_or_else(|| format!("no benchmark named {name}; try `cinderella list`"))?;
-        let program = bench.program().map_err(|e| format!("{name}: {e}"))?;
-        let annotations = read_annotations(bench.annotations(&program))?;
-        let module = ipet_lang::parse_module(bench.source).ok();
-        Ok(Target {
-            name: name.to_string(),
-            program,
-            annotations,
-            source: Some(bench.source.to_string()),
-            module,
-            bench: Some(bench),
-        })
+    match file {
+        Some(src) if name.ends_with(".mc") => {
+            let entry = entry.unwrap_or("main");
+            let level = if optimize { ipet_lang::OptLevel::O1 } else { ipet_lang::OptLevel::O0 };
+            let program =
+                ipet_lang::compile_with(&src, entry, level).map_err(|e| format!("{name}: {e}"))?;
+            let annotations = read_annotations(String::new())?;
+            let module = ipet_lang::parse_module(&src).ok();
+            Ok(Target {
+                name: name.to_string(),
+                program,
+                annotations,
+                source: Some(src),
+                module,
+                bench: None,
+            })
+        }
+        Some(src) => {
+            let program = ipet_arch::parse_program(&src).map_err(|e| format!("{name}: {e}"))?;
+            let annotations = read_annotations(String::new())?;
+            Ok(Target {
+                name: name.to_string(),
+                program,
+                annotations,
+                source: Some(src),
+                module: None,
+                bench: None,
+            })
+        }
+        None => {
+            let bench = ipet_suite::by_name(name)
+                .ok_or_else(|| format!("no benchmark named {name}; try `cinderella list`"))?;
+            let program = bench.program().map_err(|e| format!("{name}: {e}"))?;
+            let annotations = read_annotations(bench.annotations(&program))?;
+            let module = ipet_lang::parse_module(bench.source).ok();
+            Ok(Target {
+                name: name.to_string(),
+                program,
+                annotations,
+                source: Some(bench.source.to_string()),
+                module,
+                bench: Some(bench),
+            })
+        }
     }
 }
 

@@ -310,7 +310,7 @@ fn serve_line(
         .timeout_ms
         .map(|ms| super::watchdog::RequestTimer::arm(Duration::from_millis(ms), token.clone()));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        super::run_request(&req, &daemon.pool, &daemon.cfg, &token)
+        super::run_request(&req, daemon, &token)
     }));
     shared.set_current(None);
     let timed_out = timer.map(super::watchdog::RequestTimer::disarm).unwrap_or(false);

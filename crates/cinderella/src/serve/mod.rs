@@ -70,19 +70,32 @@
 //! watchdog or a vanished client are never persisted: their degradation is
 //! wall-clock nondeterminism, and the cache must stay deterministic.
 //!
+//! ## Plan memo
+//!
+//! A request the daemon has answered before skips the front end: the plan
+//! memo ([`memo`]) maps the request's plan inputs (target and file bytes,
+//! `entry`, `machine`, `annotations`, `infer`, the warm flag and the
+//! effective budget; not `audit`) to the plan built from them. A plan is
+//! admitted only when its batch solved nothing fresh, so one-off edits
+//! never enter. A memo hit runs the same plan through the same pool, so
+//! the answer is byte-identical to a rebuilt one.
+//!
 //! ## Bounded memory
 //!
 //! The shared pool's solve cache and base-snapshot cache are LRU-bounded
 //! (`ipet_core::SOLVE_CACHE_CAPACITY`, `ipet_core::BASE_CACHE_CAPACITY`),
-//! so a daemon that serves edits forever holds its replay working set
-//! plus the most recent edits, and its memory stops growing once the
-//! caches are full. The `stats` op's `pool` object reports `evicted` and
-//! `bases_evicted`; its `store` object reports `appends` and
-//! `compactions`.
+//! and so is the plan memo, by the problems its plans hold (at most
+//! `SOLVE_CACHE_CAPACITY`). A daemon that serves edits forever holds its
+//! replay working set plus the most recent edits, and its memory stops
+//! growing once the caches are full. The `stats` op's `pool` object
+//! reports `evicted` and `bases_evicted`; its `memo` object reports
+//! `hits`, `misses`, `entries` and `evicted`; its `store` object reports
+//! `appends` and `compactions`.
 
 mod admission;
 mod conn;
 mod counters;
+mod memo;
 mod watchdog;
 
 use crate::{machine_by_name, store_summary, RunStatus};
@@ -91,6 +104,7 @@ use counters::Counters;
 use ipet_core::{AnalysisBudget, CancelToken, Estimate, SolvePool, SolveRequest};
 use ipet_store::Store;
 use ipet_trace::Json;
+use memo::{PlanKey, PlanMemo};
 use std::io::BufReader;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -147,6 +161,7 @@ pub(crate) struct Daemon {
     store: Option<Arc<Store>>,
     admission: Admission,
     counters: Counters,
+    memo: PlanMemo,
     /// Local drain flag; [`Daemon::draining`] also folds in SIGTERM.
     draining: AtomicBool,
     started: Instant,
@@ -176,6 +191,7 @@ impl Daemon {
             store,
             admission,
             counters: Counters::default(),
+            memo: PlanMemo::new(),
             draining: AtomicBool::new(false),
             started: Instant::now(),
         })
@@ -218,11 +234,12 @@ impl Daemon {
     }
 
     /// `{"op": "stats"}` response: serve counters, admission state, pool
-    /// cache tallies (with LRU evictions) and the store summary (with the
-    /// journal's appends and compactions).
+    /// cache tallies (with LRU evictions), the plan memo's tallies and the
+    /// store summary (with the journal's appends and compactions).
     pub(crate) fn stats_line(&self) -> Json {
         let c = self.counters.snapshot();
         let cache = self.pool.cache_stats();
+        let memo = self.memo.stats();
         // Warm-start solver tallies since startup, in the recorder's
         // (deterministic) name order.
         let solver_json = {
@@ -295,6 +312,15 @@ impl Daemon {
                             ("rejected".into(), Json::Num(cache.rejected as f64)),
                             ("evicted".into(), Json::Num(cache.evicted as f64)),
                             ("bases_evicted".into(), Json::Num(self.pool.bases_evicted() as f64)),
+                        ]),
+                    ),
+                    (
+                        "memo".into(),
+                        Json::Obj(vec![
+                            ("hits".into(), Json::Num(memo.hits as f64)),
+                            ("misses".into(), Json::Num(memo.misses as f64)),
+                            ("entries".into(), Json::Num(memo.entries as f64)),
+                            ("evicted".into(), Json::Num(memo.evicted as f64)),
                         ]),
                     ),
                     ("solver".into(), solver_json),
@@ -404,22 +430,19 @@ fn opt_num(v: Option<u64>) -> Json {
 /// per-set lines plus the final `done` line. The token is the request's
 /// cancellation surface: the watchdog and the disconnect detector both
 /// fire it, and the pool degrades to certified-safe bounds at its next
-/// budget checkpoint.
+/// budget checkpoint. A request the daemon has answered before takes its
+/// plan from the memo and skips the front end.
 pub(crate) fn run_request(
     req: &Json,
-    pool: &SolvePool,
-    cfg: &ServeConfig,
+    daemon: &Daemon,
     cancel: &CancelToken,
 ) -> Result<Vec<Json>, String> {
+    let cfg = &daemon.cfg;
     let id = req.get("id").cloned().unwrap_or(Json::Null);
     let target = req
         .get("target")
         .and_then(Json::as_str)
         .ok_or("request needs a \"target\" string (benchmark name or .mc/.s path)")?;
-    let entry = req.get("entry").and_then(Json::as_str);
-    let machine_name =
-        req.get("machine").and_then(Json::as_str).unwrap_or(&cfg.machine_name).to_string();
-    let machine = machine_by_name(&machine_name)?;
     let audit = match req.get("audit") {
         Some(Json::Bool(b)) => *b,
         _ => cfg.audit,
@@ -436,29 +459,30 @@ pub(crate) fn run_request(
     if let Some(d) = req.get("deadline").and_then(Json::as_u64) {
         budget.solve.deadline_ticks = Some(d);
     }
+    let key = PlanKey {
+        target: target.to_string(),
+        file: crate::read_target_file(target)?,
+        entry: req.get("entry").and_then(Json::as_str).map(str::to_string),
+        machine: req.get("machine").and_then(Json::as_str).unwrap_or(&cfg.machine_name).to_string(),
+        annotations: req.get("annotations").and_then(Json::as_str).map(str::to_string),
+        infer,
+        warm: cfg.warm,
+        budget,
+    };
 
-    let t = crate::load_target(target, entry, None, None, false)?;
-    let analyzer = ipet_core::Analyzer::new(&t.program, machine)
-        .map_err(|e| e.to_string())?
-        .with_warm_start(cfg.warm);
-    let mut annotations = t.annotations.clone();
-    if let Some(extra) = req.get("annotations").and_then(Json::as_str) {
-        annotations.push('\n');
-        annotations.push_str(extra);
-    }
-    let mut anns = ipet_core::parse_annotations(&annotations).map_err(|e| e.to_string())?;
-    let mut infer_counts = None;
-    if let Some(mode) = infer {
-        let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), &analyzer, &anns, mode)
-            .map_err(|e| e.to_string())?;
-        anns = outcome.annotations;
-        infer_counts = Some(outcome.counts);
-    }
-    let plan = analyzer.plan(&anns, &budget).map_err(|e| e.to_string())?;
+    let (memoized, fresh) = match daemon.memo.get(&key) {
+        Some(memoized) => (memoized, false),
+        None => (Arc::new(build_plan(&key)?), true),
+    };
+    let (plan, infer_counts) = &*memoized;
     let request = SolveRequest { budget: budget.solve, cancel: cancel.clone(), audit };
-    let batch = pool.run(&[plan], &request);
+    let batch = daemon.pool.run(std::slice::from_ref(plan), &request);
     let (est, report) =
         batch.results.into_iter().next().expect("one plan").map_err(|e| e.to_string())?;
+    // Admit on replay: the daemon has answered this exact request before.
+    if fresh && batch.report.misses == 0 {
+        daemon.memo.admit(key, Arc::clone(&memoized));
+    }
     let audit_failed = audit && !report.all_certified();
 
     let mut responses: Vec<Json> = est
@@ -474,8 +498,36 @@ pub(crate) fn run_request(
             ])
         })
         .collect();
-    responses.push(done_line(id, target, &est, audit_failed, cancel, infer_counts));
+    responses.push(done_line(id, target, &est, audit_failed, cancel, *infer_counts));
     Ok(responses)
+}
+
+/// The front end of a request: compile (from the bytes in `key`), build
+/// the CFGs, merge annotations and inference, and plan.
+fn build_plan(
+    key: &PlanKey,
+) -> Result<(ipet_core::AnalysisPlan, Option<ipet_infer::InferCounts>), String> {
+    let machine = machine_by_name(&key.machine)?;
+    let t =
+        crate::target_from(&key.target, key.file.clone(), key.entry.as_deref(), None, None, false)?;
+    let analyzer = ipet_core::Analyzer::new(&t.program, machine)
+        .map_err(|e| e.to_string())?
+        .with_warm_start(key.warm);
+    let mut annotations = t.annotations.clone();
+    if let Some(extra) = &key.annotations {
+        annotations.push('\n');
+        annotations.push_str(extra);
+    }
+    let mut anns = ipet_core::parse_annotations(&annotations).map_err(|e| e.to_string())?;
+    let mut infer_counts = None;
+    if let Some(mode) = key.infer {
+        let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), &analyzer, &anns, mode)
+            .map_err(|e| e.to_string())?;
+        anns = outcome.annotations;
+        infer_counts = Some(outcome.counts);
+    }
+    let plan = analyzer.plan(&anns, &key.budget).map_err(|e| e.to_string())?;
+    Ok((plan, infer_counts))
 }
 
 /// The request's final line. `"cancelled": true` marks a bound the

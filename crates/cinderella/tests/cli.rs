@@ -719,6 +719,29 @@ fn pool_line_counts_store_replays() {
 }
 
 #[test]
+fn a_run_that_replays_every_job_solves_no_base() {
+    // Warm-start bases are resolved only for jobs the pool must solve, so
+    // a second run over a store that answers everything spends no tick.
+    let dir = store_scratch("no-bases");
+    let store = dir.join("solves.store");
+    let trace = dir.join("trace.json");
+    let mut args =
+        vec!["analyze", "piksrt", "dhry", "check_data", "--store", store.to_str().unwrap()];
+    let (ok, _, stderr) = cinderella(&args);
+    assert!(ok, "{stderr}");
+    args.extend(["--trace-json", trace.to_str().unwrap()]);
+    let (ok, out, stderr) = cinderella(&args);
+    assert!(ok, "{stderr}");
+    let pool = out.lines().find(|l| l.starts_with("pool:")).expect("pool summary");
+    assert!(pool.contains("0 solved, 12 replayed") && pool.ends_with(" 0 ticks"), "{pool}");
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let doc = ipet_trace::TraceDoc::from_json(&ipet_trace::parse_json(&text).expect("JSON"))
+        .expect("trace schema");
+    assert_eq!(doc.counters.get("lp.warm.base_solves"), None, "{text}");
+    assert_eq!(doc.counters.get("lp.ticks").copied().unwrap_or(0), 0, "{text}");
+}
+
+#[test]
 fn every_io_fault_degrades_to_cold_solves_with_identical_bounds() {
     let dir = store_scratch("faults");
     let baseline = {

@@ -249,3 +249,127 @@ fn socket_mode_serves_connections_and_shuts_down_on_request() {
     assert_eq!(code, 0);
     assert!(store_line(&out).contains("misses=0"), "{}", store_line(&out));
 }
+
+// -- the plan memo ------------------------------------------------------------
+
+/// A daemon on stdin, asked one request at a time.
+struct Daemon {
+    child: Child,
+    stdin: std::process::ChildStdin,
+    reader: BufReader<std::process::ChildStdout>,
+}
+
+impl Daemon {
+    fn start() -> Daemon {
+        let mut child = spawn_serve(&[]);
+        let stdin = child.stdin.take().unwrap();
+        let reader = BufReader::new(child.stdout.take().unwrap());
+        Daemon { child, stdin, reader }
+    }
+
+    /// The answer to `request`, with every line's `id` dropped.
+    fn ask(&mut self, request: &str) -> (Vec<ipet_trace::Json>, ipet_trace::Json) {
+        writeln!(self.stdin, "{request}").unwrap();
+        let (sets, done) = read_response(&mut self.reader);
+        (sets.iter().map(without_id).collect(), without_id(&done))
+    }
+
+    /// The `stats` op's memo tallies: (hits, misses, entries).
+    fn memo(&mut self) -> (u64, u64, u64) {
+        let (_, stats) = self.ask(r#"{"op": "stats"}"#);
+        let memo = stats.get("stats").and_then(|s| s.get("memo")).expect("memo stats");
+        let n = |k| memo.get(k).and_then(ipet_trace::Json::as_u64).expect("memo tally");
+        (n("hits"), n("misses"), n("entries"))
+    }
+
+    fn finish(mut self) {
+        drop(self.stdin);
+        assert_eq!(self.child.wait().unwrap().code(), Some(0));
+    }
+}
+
+fn without_id(line: &ipet_trace::Json) -> ipet_trace::Json {
+    match line {
+        ipet_trace::Json::Obj(kv) => {
+            ipet_trace::Json::Obj(kv.iter().filter(|(k, _)| k != "id").cloned().collect())
+        }
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn a_repeated_request_is_answered_identically_from_the_memo() {
+    let mut daemon = Daemon::start();
+    let request = r#"{"id": 1, "target": "piksrt", "infer": true}"#;
+    let first = daemon.ask(request);
+    assert_eq!(status_of(&first.1), 0);
+    // The first request solves fresh, so its plan is not admitted; the
+    // second replays and is; the third takes the memoized plan.
+    for want in [(0, 2, 1), (1, 2, 1)] {
+        assert_eq!(daemon.ask(request), first);
+        assert_eq!(daemon.memo(), want);
+    }
+    daemon.finish();
+}
+
+#[test]
+fn audited_and_unaudited_requests_share_one_memo_entry() {
+    let mut daemon = Daemon::start();
+    daemon.ask(r#"{"id": 1, "target": "check_data"}"#);
+    let (_, plain) = daemon.ask(r#"{"id": 2, "target": "check_data", "audit": false}"#);
+    assert_eq!(daemon.memo(), (0, 2, 1));
+    let (_, audited) = daemon.ask(r#"{"id": 3, "target": "check_data", "audit": true}"#);
+    assert_eq!(daemon.memo(), (1, 2, 1), "the audit flag is not a plan input");
+    assert_eq!(audited, plain);
+    daemon.finish();
+}
+
+#[test]
+fn a_rewritten_source_file_is_answered_from_its_new_bytes() {
+    let dir = scratch("memo-file");
+    let path = dir.join("p.mc");
+    let request = format!(r#"{{"id": 1, "target": "{}"}}"#, path.display());
+    std::fs::write(&path, "int main() { int a; a = 1; return a; }\n").unwrap();
+    let mut daemon = Daemon::start();
+    let old = daemon.ask(&request);
+    assert_eq!(daemon.ask(&request), old);
+    assert_eq!(daemon.memo(), (0, 2, 1), "the old bytes' plan is memoized");
+
+    std::fs::write(
+        &path,
+        "int main() { int a; int b; a = 1; b = a + 2; if (b > a) { a = b * 3; } return a; }\n",
+    )
+    .unwrap();
+    let new = daemon.ask(&request);
+    assert_eq!(daemon.memo().0, 0, "new bytes miss the memo");
+    daemon.finish();
+    assert_ne!(new, old, "test premise: the rewrite moves the bound");
+
+    let mut fresh = Daemon::start();
+    assert_eq!(fresh.ask(&request), new);
+    fresh.finish();
+}
+
+#[test]
+fn every_plan_input_is_part_of_the_memo_key() {
+    let mut daemon = Daemon::start();
+    let base = r#"{"id": 1, "target": "check_data""#;
+    daemon.ask(&format!("{base}}}"));
+    daemon.ask(&format!("{base}}}"));
+    assert_eq!(daemon.memo(), (0, 2, 1));
+    let variants = [
+        r#""annotations": "fn check_data { x1 <= 1; }""#,
+        r#""deadline": 1000000"#,
+        r#""infer": true"#,
+        r#""machine": "dsp3210""#,
+    ];
+    for (i, field) in variants.iter().enumerate() {
+        let (_, done) = daemon.ask(&format!("{base}, {field}}}"));
+        assert_eq!(status_of(&done), 0, "{field}");
+        let (hits, misses, _) = daemon.memo();
+        assert_eq!((hits, misses), (0, 3 + i as u64), "{field} must miss the memo");
+    }
+    daemon.ask(&format!("{base}}}"));
+    assert_eq!(daemon.memo().0, 1, "the unchanged request still hits");
+    daemon.finish();
+}

@@ -48,7 +48,7 @@ mod tests;
 /// tick deadline `d` is split over the batch's `n` fresh solves, `d / n`
 /// each (the first `d mod n` get one more), so every job's budget, and with
 /// it the bound, is the same at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalysisBudget {
     /// Solver resource limits (tick deadline, LP iterations, B&B nodes,
     /// DNF set cap).

@@ -97,8 +97,10 @@ pub struct BatchReport {
     pub misses: u64,
     /// Ticks spent by each worker (length = configured worker count).
     pub worker_ticks: Vec<u64>,
-    /// Ticks spent solving warm-start base LPs, serially before dispatch
-    /// (zero when every base replays from the pool's snapshot cache).
+    /// Ticks spent solving warm-start base LPs, serially before dispatch.
+    /// Only bases of the batch's fresh solves are resolved, so this is zero
+    /// when every job replays or every needed base replays from the pool's
+    /// snapshot cache.
     pub base_ticks: u64,
     /// Total ticks committed by the batch: the sum of `worker_ticks` plus
     /// `base_ticks`.
@@ -181,8 +183,9 @@ struct PoolJob<'a> {
     /// Cache key: the fingerprint of `problem`, continued from its base's
     /// hash state ([`BaseProblem::key`]).
     key: Fingerprint,
-    /// `(base-table slot, delta rows)` for a warm-started solve; `None`
-    /// solves cold.
+    /// `(batch base index, delta rows)` for a job of a warm-started plan;
+    /// `None` solves cold. The base's snapshot is resolved only if the job
+    /// is a representative the batch must solve.
     warm: Option<(usize, &'a DeltaSet)>,
     /// `(identity, invalidation)` hashes of the originating plan, which
     /// scope the persistent store's replays.
@@ -197,17 +200,21 @@ fn certify_exact(problem: &Problem, x: &[f64], claimed: i64) -> bool {
 
 /// Base snapshots a pool keeps. A snapshot holds the base LP's optimal
 /// factorization and is the pool's largest item (about 34 KB on average
-/// over serve-style suite edits). A `--infer` pass over the 13 suite
-/// routines needs 34, the largest in-repo batch run, and a serve edit adds
-/// two (its constraint lands in the base), so a daemon keeps its replay
-/// working set plus roughly the last 47 edits, in about 4 MB.
-pub const BASE_CACHE_CAPACITY: usize = 128;
+/// over serve-style suite edits). Replays never touch this cache: a base
+/// is looked up only for a job that misses every replay tier. It needs
+/// room for the distinct bases of one batch's fresh solves (34 on a
+/// `--infer` pass over the 13 suite routines, the largest in-repo batch
+/// run) and for the bases later edits reuse. A serve edit adds two (its
+/// constraint lands in the base), so a daemon keeps the bases of its last
+/// 32 edits, in about 2 MB.
+pub const BASE_CACHE_CAPACITY: usize = 64;
 
 /// A base LP solved once, kept for reuse across jobs, plans and batches.
+/// The snapshot is shared, so a hit costs a reference count, not a copy.
 struct BaseEntry {
     fingerprint: Fingerprint,
     problem: Problem,
-    solution: BaseSolution,
+    solution: Arc<BaseSolution>,
 }
 
 /// A work-stealing ILP solve pool with a content-addressed solve cache and
@@ -228,10 +235,13 @@ struct BaseEntry {
 ///   `Relaxed`) identically. The pool's meters only *account* for spend;
 ///   they never gate a solve on a concurrently updated counter, because
 ///   that would make degradation schedule-dependent.
-/// * **Bases before dispatch** — warm-start base LPs are solved serially
-///   before any worker starts, once per distinct base (reuse counts
-///   `pool.cache.base_hits`), so whether a job warm-starts is a pure
-///   function of the plans and the budget — never of scheduling. The warm
+/// * **Bases after the probes, before dispatch** — once dedup and the
+///   replay probes have fixed the representatives to solve, the bases
+///   those need (and only those) are resolved serially, in representative
+///   order, before any worker starts: solved once per distinct base, or
+///   replayed from the snapshot cache (`pool.cache.base_hits`). Whether a
+///   job warm-starts is therefore a pure function of the plans, the
+///   budget and the deterministic cache state — never of scheduling. The warm
 ///   path itself only accepts results that are bit-identical to a cold
 ///   solve (canonical, integral, exactly certified), so warm execution
 ///   cannot perturb any outcome.
@@ -329,24 +339,20 @@ impl SolvePool {
         (self.cache.len(), self.bases.lock().expect("base cache lock").len())
     }
 
-    /// Builds the batch's job list and warm-start base table for `plans`.
-    ///
-    /// Base LPs are solved serially, once per distinct base (pool-level
-    /// snapshot cache gated on exact problem equality; reuse counts
-    /// `pool.cache.base_hits`), before any worker dispatch. Plans that
+    /// Builds the batch's job list and the warm-start bases its jobs refer
+    /// to: every base of every warm-started plan, in plan order. Plans that
     /// opted out ([`warm_start()`](AnalysisPlan::warm_start) is false),
-    /// budgets that forbid warm starts, armed fault templates, and bases
-    /// whose LP is not warm-startable all yield cold jobs. Also returns the
-    /// ticks the base solves spent.
+    /// budgets that forbid warm starts and armed fault templates yield
+    /// cold jobs. Nothing is solved here: [`SolvePool::solve_jobs`]
+    /// resolves a base only for a representative that missed every replay
+    /// tier.
     fn prepare_jobs<'a>(
         &self,
         plans: &'a [AnalysisPlan],
         budget: &SolveBudget,
-        cancel: &CancelToken,
-    ) -> (Vec<PoolJob<'a>>, Vec<(&'a BaseProblem, BaseSolution)>, u64) {
+    ) -> (Vec<PoolJob<'a>>, Vec<&'a BaseProblem>) {
         let warm_batch = warm_eligible(budget) && !self.faults.armed();
-        let base_meter = BudgetMeter::with_cancel(cancel.clone());
-        let mut table: Vec<(&'a BaseProblem, BaseSolution)> = Vec::new();
+        let mut bases: Vec<&'a BaseProblem> = Vec::new();
         let mut jobs: Vec<PoolJob<'a>> = Vec::new();
         for plan in plans {
             let ctx = (plan.identity_hash(), plan.invalidation_hash());
@@ -355,75 +361,59 @@ impl SolvePool {
                 // any of this plan's probes can see them.
                 store.note_context(ctx.0, ctx.1);
             }
-            let slots: Vec<Option<usize>> = if warm_batch && plan.warm_start() {
-                plan.bases()
-                    .iter()
-                    .map(|base| self.base_slot(base, &mut table, &base_meter))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let first = bases.len();
+            let warm = warm_batch && plan.warm_start();
+            if warm {
+                bases.extend(plan.bases());
+            }
             for job in plan.jobs() {
-                let base = &plan.bases()[job.base];
-                let key = base.key(&job.delta);
-                let warm = slots.get(job.base).copied().flatten().map(|s| (s, &job.delta));
+                let key = plan.bases()[job.base].key(&job.delta);
+                let warm = warm.then_some((first + job.base, &job.delta));
                 jobs.push(PoolJob { problem: &job.problem, key, warm, ctx });
             }
         }
-        (jobs, table, base_meter.ticks())
+        (jobs, bases)
     }
 
-    /// Resolves `base` to a slot in the batch's snapshot table, solving its
-    /// LP once and caching the snapshot in the pool on first sight (a hit
-    /// makes it the most recently used; a full cache evicts the least).
+    /// The snapshot of `base`, solving its LP and caching the snapshot in
+    /// the pool on first sight (a hit makes it the most recently used and
+    /// counts `pool.cache.base_hits`; a full cache evicts the least).
     /// Returns `None` when the base is not warm-startable (its jobs then
     /// solve cold). Base-solve pivots are charged to `meter`.
-    fn base_slot<'a>(
-        &self,
-        base: &'a BaseProblem,
-        table: &mut Vec<(&'a BaseProblem, BaseSolution)>,
-        meter: &BudgetMeter,
-    ) -> Option<usize> {
+    fn base_snapshot(&self, base: &BaseProblem, meter: &BudgetMeter) -> Option<Arc<BaseSolution>> {
         let mut cache = self.bases.lock().expect("base cache lock");
         let cached = cache
             .iter()
             .position(|e| e.fingerprint == base.fingerprint() && e.problem == *base.problem());
-        let solution = match cached {
-            Some(i) => {
-                ipet_trace::counter("pool.cache.base_hits", 1);
-                let entry = cache.remove(i);
-                let solution = entry.solution.clone();
-                cache.push(entry);
-                solution
-            }
-            None => {
-                let solution = base.solve_base(meter)?;
-                if cache.len() >= BASE_CACHE_CAPACITY {
-                    cache.remove(0);
-                    self.bases_evicted.fetch_add(1, Ordering::Relaxed);
-                    ipet_trace::counter("pool.cache.bases_evicted", 1);
-                }
-                cache.push(BaseEntry {
-                    fingerprint: base.fingerprint(),
-                    problem: base.problem().clone(),
-                    solution: solution.clone(),
-                });
-                solution
-            }
-        };
-        table.push((base, solution));
-        Some(table.len() - 1)
+        if let Some(i) = cached {
+            ipet_trace::counter("pool.cache.base_hits", 1);
+            let entry = cache.remove(i);
+            let solution = Arc::clone(&entry.solution);
+            cache.push(entry);
+            return Some(solution);
+        }
+        let solution = Arc::new(base.solve_base(meter)?);
+        if cache.len() >= BASE_CACHE_CAPACITY {
+            cache.remove(0);
+            self.bases_evicted.fetch_add(1, Ordering::Relaxed);
+            ipet_trace::counter("pool.cache.bases_evicted", 1);
+        }
+        cache.push(BaseEntry {
+            fingerprint: base.fingerprint(),
+            problem: base.problem().clone(),
+            solution: Arc::clone(&solution),
+        });
+        Some(solution)
     }
 
     /// The batch executor behind the plan drivers: dedups, probes the
-    /// cache, shards the deadline, dispatches to the workers (warm where a
-    /// job carries a base snapshot slot) and fans the answers back out in
-    /// submission order.
+    /// cache, resolves the bases the fresh solves need, shards the
+    /// deadline, dispatches to the workers (warm where a job's base has a
+    /// snapshot) and fans the answers back out in submission order.
     fn solve_jobs(
         &self,
         jobs: &[PoolJob<'_>],
-        bases: &[(&BaseProblem, BaseSolution)],
-        base_ticks: u64,
+        bases: &[&BaseProblem],
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> BatchReport {
@@ -470,18 +460,33 @@ impl SolvePool {
         ipet_trace::counter("pool.dedup.replays", (jobs.len() - groups.len()) as u64);
         ipet_trace::counter("pool.groups.solved", to_solve.len() as u64);
 
-        // 3. Deterministic deadline sharding over the representative solves.
+        // 3. Warm-start bases, resolved only for the representatives left
+        //    to solve: serially, before dispatch, in representative order,
+        //    once per batch base. A batch whose every job replays touches
+        //    no base.
+        let base_meter = BudgetMeter::with_cancel(cancel.clone());
+        let mut snapshots: Vec<Option<Option<Arc<BaseSolution>>>> = vec![None; bases.len()];
+        for g in &to_solve {
+            if let Some((b, _)) = jobs[groups[*g][0]].warm {
+                snapshots[b].get_or_insert_with(|| self.base_snapshot(bases[b], &base_meter));
+            }
+        }
+        let snapshots: Vec<Option<Arc<BaseSolution>>> =
+            snapshots.into_iter().map(Option::flatten).collect();
+        let base_ticks = base_meter.ticks();
+
+        // 4. Deterministic deadline sharding over the representative solves.
         let shards = shard_deadline(budget.deadline_ticks, to_solve.len());
         ipet_trace::counter(
             "pool.shards.deadline",
             shards.iter().filter(|s| s.is_some()).count() as u64,
         );
 
-        // 4. Work-stealing execution: a shared cursor hands representative
+        // 5. Work-stealing execution: a shared cursor hands representative
         //    solves to whichever worker frees up first; each solve runs
         //    under its own sharded budget, a fresh meter and a re-armed
         //    fault clone, isolated by `catch_unwind`, and each worker
-        //    tallies the ticks it spent. A job with a base snapshot slot
+        //    tallies the ticks it spent. A job whose base has a snapshot
         //    warm-starts (`solve_delta_warm` falls back cold on its own
         //    whenever the warm result cannot be certified bit-identical);
         //    other jobs solve the composed problem cold. A solve that
@@ -508,20 +513,20 @@ impl SolvePool {
                 let job_budget = SolveBudget { deadline_ticks: shards[i], ..*budget };
                 let meter = BudgetMeter::with_cancel((*cancel).clone());
                 let mut faults = faults_template.clone();
-                let attempt = catch_unwind(AssertUnwindSafe(|| match jobs[rep].warm {
-                    Some((slot, delta)) => {
-                        let (base, solution) = &bases[slot];
-                        solve_delta_warm(
-                            base,
-                            Some(solution),
-                            delta,
-                            jobs[rep].problem,
-                            &job_budget,
-                            &meter,
-                            &mut faults,
-                            &certify_exact,
-                        )
-                    }
+                let warm = jobs[rep]
+                    .warm
+                    .and_then(|(b, delta)| Some((bases[b], snapshots[b].as_deref()?, delta)));
+                let attempt = catch_unwind(AssertUnwindSafe(|| match warm {
+                    Some((base, solution, delta)) => solve_delta_warm(
+                        base,
+                        Some(solution),
+                        delta,
+                        jobs[rep].problem,
+                        &job_budget,
+                        &meter,
+                        &mut faults,
+                        &certify_exact,
+                    ),
                     None => solve_ilp_budgeted(jobs[rep].problem, &job_budget, &meter, &mut faults),
                 }));
                 ipet_trace::counter("pool.worker.jobs", 1);
@@ -586,7 +591,7 @@ impl SolvePool {
         let solved = slots.into_inner().expect("slot lock");
         let worker_ticks = tallies.into_inner().expect("tick lock");
 
-        // 5. Install the fresh solves (cache misses) and splice them into
+        // 6. Install the fresh solves (cache misses) and splice them into
         //    the per-group answers. Solves that ended under a cancelled
         //    token are *not* cached: they describe this run's
         //    cancellation, not the problem, and must not be replayed into
@@ -605,7 +610,7 @@ impl SolvePool {
             answers[*g] = Some((res, stats));
         }
 
-        // 6. Fan the group answers back out to every member. The fresh
+        // 7. Fan the group answers back out to every member. The fresh
         //    representatives are the batch's misses; everything else is a
         //    replay. Within-batch replays (jobs beyond each group's
         //    representative: `jobs - groups`) weren't seen by probe(), so
@@ -640,8 +645,8 @@ impl SolvePool {
     /// and the request, independent of the worker count.
     pub fn run(&self, plans: &[AnalysisPlan], request: &SolveRequest) -> AuditedPlanBatch {
         let SolveRequest { budget, cancel, audit } = request;
-        let (jobs, bases, base_ticks) = self.prepare_jobs(plans, budget, cancel);
-        let report = self.solve_jobs(&jobs, &bases, base_ticks, budget, cancel);
+        let (jobs, bases) = self.prepare_jobs(plans, budget);
+        let report = self.solve_jobs(&jobs, &bases, budget, cancel);
         let mut outcomes = report.outcomes.iter();
         let results = plans
             .iter()

@@ -39,7 +39,7 @@ use std::fmt;
 mod rules;
 
 /// How inferred bounds combine with user annotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InferMode {
     /// Use both: where a loop has an annotation and an inferred bound,
     /// take the intersection (the tighter of each end) and report

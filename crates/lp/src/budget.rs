@@ -67,7 +67,7 @@ impl fmt::Display for BoundQuality {
 /// ticks each, the first `d mod n` getting one more, each on its own
 /// meter, so a job's share depends on the batch alone and never on the
 /// worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveBudget {
     /// Deadline in ticks (simplex pivots); `None` means no deadline. The
     /// pool shards it over a batch as above. This is the deterministic
