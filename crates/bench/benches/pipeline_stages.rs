@@ -1,7 +1,7 @@
 //! Times each stage of the toolchain separately on the largest routine —
 //! compile, CFG + instance expansion, block costing, simulation, and the
 //! steps around the simplex: planning, content fingerprinting and the base
-//! LP snapshot — to show where the milliseconds go (the paper's
+//! LP solve — to show where the milliseconds go (the paper's
 //! "insignificant" claim covers only the ILP; this bench covers the
 //! substrates).
 
@@ -61,11 +61,8 @@ fn bench_stages(c: &mut Criterion) {
         bench.iter(|| black_box(ipet_lp::fingerprint(black_box(base.problem()))))
     });
 
-    group.bench_function("base_solve", |bench| {
-        bench.iter(|| {
-            let snapshot = base.solve_base(&ipet_lp::BudgetMeter::new()).unwrap();
-            black_box(snapshot.pivots())
-        })
+    group.bench_function("base_lp", |bench| {
+        bench.iter(|| black_box(ipet_lp::solve_lp(black_box(base.problem()))))
     });
 
     group.finish();

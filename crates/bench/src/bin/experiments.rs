@@ -27,12 +27,6 @@
 //! `parametric`, `budget`). Table output is bit-for-bit identical for any
 //! `N`; only wall-clock changes.
 //!
-//! `--no-warm-start` disables base+delta warm starting on the pool-routed
-//! experiments: every ILP is solved cold. Every bound and table is
-//! bit-identical either way — only solver effort counters (`lp.ticks`,
-//! `lp.warm.*`) change. CI diffs `counters` against
-//! `counters --no-warm-start` to prove it.
-//!
 //! `--infer[=only|prefer-annot]` runs `ipet-infer` loop-bound inference
 //! on the pool-routed experiments before planning. On the bundled suite
 //! every inferred bound matches (or tightens within) its hand
@@ -51,7 +45,7 @@
 //! Table I benchmark (`ipet-audit`) and exits 3 if any reported bound
 //! fails to certify.
 //!
-//! `--jobs`, `--no-warm-start`, `--infer` and `--audit` are global; `gate`
+//! `--jobs`, `--infer` and `--audit` are global; `gate`
 //! also takes `--write` and `--tol-wall`, `parametric` takes `--check`. Any
 //! other option exits 1 before the experiment runs.
 
@@ -62,15 +56,12 @@ fn main() {
     // positional.
     let mut jobs = 1usize;
     let mut audit = false;
-    let mut warm = true;
     let mut infer: Option<ipet_infer::InferMode> = None;
     let mut rest: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if a == "--audit" {
             audit = true;
-        } else if a == "--no-warm-start" {
-            warm = false;
         } else if a == "--infer" {
             infer = Some(ipet_infer::InferMode::Merge);
         } else if let Some(m) = a.strip_prefix("--infer=") {
@@ -99,7 +90,7 @@ fn main() {
     }
     // The Table I-III data flows through the solve pool, with identical
     // results at any `--jobs` (the pool-level tests pin this down).
-    let pooled = || run_all_pooled_infer(&ipet_core::SolvePool::new(jobs), warm, infer);
+    let pooled = || run_all_pooled_infer(&ipet_core::SolvePool::new(jobs), infer);
     // `experiments csv <dir>` dumps every table as CSV for plotting.
     if which == "csv" {
         let dir = std::path::PathBuf::from(rest.get(1).map(String::as_str).unwrap_or("results"));
@@ -118,24 +109,24 @@ fn main() {
         "ilpstats" => ilpstats(&run_all()),
         "blowup" => blowup(),
         "ablation-split" => ablation(),
-        "sweep" => sweep(jobs, warm),
-        "parametric" => parametric(jobs, warm, &rest[1..]),
+        "sweep" => sweep(jobs),
+        "parametric" => parametric(jobs, &rest[1..]),
         "dsp3210" => dsp3210(),
         "dcache" => dcache(),
         "exhaustive" => exhaustive(),
         "sensitivity" => sensitivity(),
         "stress" => stress(),
         "budget" => budget(jobs),
-        "tables" => tables(jobs, warm, infer),
-        "benchjson" => benchjson(jobs, warm, infer),
-        "counters" => counters(jobs, warm, infer),
-        "gate" => gate_cmd(jobs, warm, infer, &rest[1..]),
+        "tables" => tables(jobs, infer),
+        "benchjson" => benchjson(jobs, infer),
+        "counters" => counters(jobs, infer),
+        "gate" => gate_cmd(jobs, infer, &rest[1..]),
         "all" => {
             // One pool for the whole run: the miss-penalty sweep's point at
             // the default penalty (8) replays the Table II/III solves from
             // the shared cache instead of repeating them.
             let pool = ipet_core::SolvePool::new(jobs);
-            let run = run_all_pooled_infer(&pool, warm, None);
+            let run = run_all_pooled_infer(&pool, None);
             figures();
             println!("{}", fig5_text());
             fig6();
@@ -148,7 +139,7 @@ fn main() {
             ilpstats(&run_all());
             blowup();
             ablation();
-            sweep_pooled(&pool, warm);
+            sweep_pooled(&pool);
             pool_summary(&pool, &run);
             dsp3210();
             dcache();
@@ -166,7 +157,7 @@ fn main() {
     // benchmark's bounds in exact arithmetic and fail loudly (exit 3) if a
     // certificate is rejected.
     if audit {
-        let reports = audit_all_pooled(jobs, warm);
+        let reports = audit_all_pooled(jobs);
         let mut rejected = 0usize;
         for (name, report) in &reports {
             println!(
@@ -191,8 +182,8 @@ fn main() {
     }
 }
 
-/// The options `which` takes beyond the global `--jobs`, `--audit`,
-/// `--no-warm-start` and `--infer`; any other option is an error, so a
+/// The options `which` takes beyond the global `--jobs`, `--audit` and
+/// `--infer`; any other option is an error, so a
 /// misspelt or retired flag never runs silently.
 fn takes(which: &str, opt: &str) -> bool {
     match which {
@@ -209,13 +200,13 @@ const SWEEP_NAMES: [&str; 3] = ["check_data", "fft", "matgen"];
 /// printing only deterministic data: no wall-clock, no per-worker figures.
 /// `tables --jobs 1` and `tables --jobs 8` must produce byte-identical
 /// output (CI diffs them).
-fn tables(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
+fn tables(jobs: usize, infer: Option<ipet_infer::InferMode>) {
     let pool = ipet_core::SolvePool::new(jobs);
-    let run = run_all_pooled_infer(&pool, warm, infer);
+    let run = run_all_pooled_infer(&pool, infer);
     table1(&run.data);
     table23(&run.data, false);
     table23(&run.data, true);
-    let sweep = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+    let sweep = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES);
     print_sweep(&sweep.points);
     let stats = pool.cache_stats();
     println!(
@@ -245,17 +236,12 @@ fn pool_summary(pool: &ipet_core::SolvePool, run: &PooledRun) {
 /// pool with the trace recorder installed, assembling the `ipet-bench-v2`
 /// document: bounds, set counts, cache traffic, tick totals, the full
 /// trace, and the (non-deterministic) timing sections.
-fn collect_bench_doc(
-    jobs: usize,
-    warm: bool,
-    infer: Option<ipet_infer::InferMode>,
-) -> ipet_trace::Json {
+fn collect_bench_doc(jobs: usize, infer: Option<ipet_infer::InferMode>) -> ipet_trace::Json {
     let recorder = ipet_trace::install();
     recorder.reset();
     let pool = ipet_core::SolvePool::new(jobs);
-    let run = run_all_pooled_infer(&pool, warm, infer);
-    let sweep_report =
-        sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm).report;
+    let run = run_all_pooled_infer(&pool, infer);
+    let sweep_report = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES).report;
     // Solve-phase wall only: compile/simulate/planning are serial and
     // identical across `--jobs`, so including them would bury the signal.
     let solve_wall = run.solve_wall + sweep_report.wall;
@@ -266,16 +252,16 @@ fn collect_bench_doc(
 /// one pretty-printed `ipet-bench-v2` JSON document (schema and sections in
 /// [`gate::bench_doc`]). This is the format of the committed
 /// `BENCH_baseline.json`; redirect stdout to refresh it.
-fn benchjson(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
-    print!("{}", collect_bench_doc(jobs, warm, infer).render_pretty());
+fn benchjson(jobs: usize, infer: Option<ipet_infer::InferMode>) {
+    print!("{}", collect_bench_doc(jobs, infer).render_pretty());
 }
 
 /// The deterministic metric lines of the bench document, one `key = value`
 /// per line. Identical for any `--jobs` value — CI diffs `counters --jobs
 /// 1` against `counters --jobs 8` to prove trace counters are
 /// scheduling-independent.
-fn counters(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
-    let doc = collect_bench_doc(jobs, warm, infer);
+fn counters(jobs: usize, infer: Option<ipet_infer::InferMode>) {
+    let doc = collect_bench_doc(jobs, infer);
     let lines = gate::deterministic_lines(&doc).unwrap_or_else(|e| {
         eprintln!("internal error: {e}");
         std::process::exit(1);
@@ -290,7 +276,7 @@ fn counters(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>) {
 /// `--write` regenerates the baseline in place instead of comparing — the
 /// sanctioned way to refresh `BENCH_baseline.json` after an intentional
 /// change (CI's refresh path uses it).
-fn gate_cmd(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>, args: &[String]) {
+fn gate_cmd(jobs: usize, infer: Option<ipet_infer::InferMode>, args: &[String]) {
     let mut baseline_path: Option<&str> = None;
     let mut write = false;
     let mut config = gate::GateConfig::default();
@@ -313,7 +299,7 @@ fn gate_cmd(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>, args:
         std::process::exit(1);
     };
     if write {
-        let doc = collect_bench_doc(jobs, warm, infer).render_pretty();
+        let doc = collect_bench_doc(jobs, infer).render_pretty();
         std::fs::write(path, doc).unwrap_or_else(|e| {
             eprintln!("gate: cannot write {path}: {e}");
             std::process::exit(1);
@@ -329,7 +315,7 @@ fn gate_cmd(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>, args:
         eprintln!("gate: {path} is not valid JSON: {e}");
         std::process::exit(1);
     });
-    let current = collect_bench_doc(jobs, warm, infer);
+    let current = collect_bench_doc(jobs, infer);
     let report = gate::compare(&baseline, &current, &config);
     for note in &report.notes {
         println!("gate: {note}");
@@ -352,8 +338,8 @@ fn gate_cmd(jobs: usize, warm: bool, infer: Option<ipet_infer::InferMode>, args:
 /// The miss-penalty sweep rendered from pooled points (same table as
 /// [`sweep`], but solved through the shared pool), plus each routine's
 /// certified bound formula.
-fn sweep_pooled(pool: &ipet_core::SolvePool, warm: bool) {
-    let s = sweep_miss_penalty_parametric(pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+fn sweep_pooled(pool: &ipet_core::SolvePool) {
+    let s = sweep_miss_penalty_parametric(pool, &SWEEP_PENALTIES, &SWEEP_NAMES);
     print_sweep(&s.points);
     print_regions(&s);
 }
@@ -515,9 +501,9 @@ fn ablation() {
     println!();
 }
 
-fn sweep(jobs: usize, warm: bool) {
+fn sweep(jobs: usize) {
     let pool = ipet_core::SolvePool::new(jobs);
-    print_sweep(&sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm).points);
+    print_sweep(&sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES).points);
 }
 
 /// `experiments parametric [--check]`: the miss-penalty sweep answered by
@@ -526,16 +512,16 @@ fn sweep(jobs: usize, warm: bool) {
 /// with one concrete solve per point and exits 1 unless the two sweeps
 /// are bit-identical (the CI `parametric` job runs this at `--jobs 1`
 /// and `--jobs 8`).
-fn parametric(jobs: usize, warm: bool, args: &[String]) {
+fn parametric(jobs: usize, args: &[String]) {
     let check = args.iter().any(|a| a == "--check");
     let pool = ipet_core::SolvePool::new(jobs);
-    let s = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+    let s = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES);
     print_sweep(&s.points);
     print_regions(&s);
     if check {
         let concrete_pool = ipet_core::SolvePool::new(jobs);
         let (concrete, _) =
-            sweep_miss_penalty_concrete(&concrete_pool, &SWEEP_PENALTIES, &SWEEP_NAMES, warm);
+            sweep_miss_penalty_concrete(&concrete_pool, &SWEEP_PENALTIES, &SWEEP_NAMES);
         let mut failures = 0usize;
         for (got, want) in s.points.iter().zip(&concrete) {
             for ((gn, gw), (wn, ww)) in got.wcet.iter().zip(&want.wcet) {

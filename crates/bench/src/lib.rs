@@ -124,10 +124,7 @@ pub struct PooledRun {
 /// the miss-penalty sweep's point at the default penalty) replays instead
 /// of re-solving.
 ///
-/// `warm` toggles base+delta warm starting
-/// ([`Analyzer::with_warm_start`]); every bound and set report is
-/// bit-identical either way — only solver effort changes. Inference runs
-/// in the serial planning phase, so its `infer.*` trace counters are
+/// Inference runs in the serial planning phase, so its `infer.*` trace counters are
 /// bit-identical for any pool width.
 ///
 /// # Panics
@@ -137,7 +134,6 @@ pub struct PooledRun {
 /// data-dependent loop does fail).
 pub fn run_all_pooled_infer(
     pool: &ipet_core::SolvePool,
-    warm: bool,
     infer: Option<ipet_infer::InferMode>,
 ) -> PooledRun {
     let machine = Machine::i960kb();
@@ -156,7 +152,7 @@ pub fn run_all_pooled_infer(
         .into_iter()
         .map(|b| {
             let program = b.program().unwrap_or_else(|e| panic!("{}: {e}", b.name));
-            let analyzer = Analyzer::new(&program, machine).unwrap().with_warm_start(warm);
+            let analyzer = Analyzer::new(&program, machine).unwrap();
             let mut anns = ipet_core::parse_annotations(&b.annotations(&program))
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             if let Some(mode) = infer {
@@ -218,7 +214,7 @@ pub fn run_all_pooled_infer(
 /// # Panics
 ///
 /// Panics if a benchmark fails to compile, plan or analyse.
-pub fn audit_all_pooled(jobs: usize, warm: bool) -> Vec<(String, ipet_core::AuditReport)> {
+pub fn audit_all_pooled(jobs: usize) -> Vec<(String, ipet_core::AuditReport)> {
     let machine = Machine::i960kb();
     let budget = ipet_core::AnalysisBudget::default();
     let mut names = Vec::new();
@@ -226,7 +222,7 @@ pub fn audit_all_pooled(jobs: usize, warm: bool) -> Vec<(String, ipet_core::Audi
         .into_iter()
         .map(|b| {
             let program = b.program().unwrap_or_else(|e| panic!("{}: {e}", b.name));
-            let analyzer = Analyzer::new(&program, machine).unwrap().with_warm_start(warm);
+            let analyzer = Analyzer::new(&program, machine).unwrap();
             let anns = ipet_core::parse_annotations(&b.annotations(&program))
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             names.push(b.name.to_string());
@@ -609,10 +605,9 @@ mod tests {
     fn parametric_sweep_matches_concrete_and_reuses_regions() {
         let penalties = [0u64, 2, 4, 8, 16, 32];
         let names = ["check_data"];
-        let s =
-            sweep_miss_penalty_parametric(&ipet_core::SolvePool::new(1), &penalties, &names, true);
+        let s = sweep_miss_penalty_parametric(&ipet_core::SolvePool::new(1), &penalties, &names);
         let (concrete, _) =
-            sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), &penalties, &names, true);
+            sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), &penalties, &names);
         for (got, want) in s.points.iter().zip(&concrete) {
             assert_eq!(got.miss_penalty, want.miss_penalty);
             assert_eq!(got.wcet, want.wcet, "mp = {}", got.miss_penalty);
@@ -713,7 +708,6 @@ pub fn sweep_miss_penalty_parametric(
     pool: &ipet_core::SolvePool,
     penalties: &[u64],
     names: &[&str],
-    warm: bool,
 ) -> ParametricSweep {
     let budget = ipet_core::AnalysisBudget::default();
     let mut report = ipet_core::BatchReport::empty();
@@ -725,7 +719,7 @@ pub fn sweep_miss_penalty_parametric(
             .map(|name| {
                 let b = ipet_suite::by_name(name).expect("bundled benchmark");
                 let program = b.program().unwrap();
-                let analyzer = Analyzer::new(&program, machine).unwrap().with_warm_start(warm);
+                let analyzer = Analyzer::new(&program, machine).unwrap();
                 let anns = ipet_core::parse_annotations(&b.annotations(&program)).unwrap();
                 analyzer.plan(&anns, &budget).unwrap()
             })
@@ -785,8 +779,7 @@ pub fn sweep_miss_penalty_parametric(
     // them exactly); the CI `parametric` job covers recorded runs.
     #[cfg(debug_assertions)]
     if !ipet_trace::enabled() {
-        let shadow =
-            sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), penalties, names, warm).0;
+        let shadow = sweep_miss_penalty_concrete(&ipet_core::SolvePool::new(1), penalties, names).0;
         for (got, want) in points.iter().zip(&shadow) {
             assert_eq!(got.miss_penalty, want.miss_penalty);
             assert_eq!(got.wcet, want.wcet, "mp = {}", got.miss_penalty);
@@ -815,7 +808,6 @@ pub fn sweep_miss_penalty_concrete(
     pool: &ipet_core::SolvePool,
     penalties: &[u64],
     names: &[&str],
-    warm: bool,
 ) -> (Vec<SweepPoint>, ipet_core::BatchReport) {
     let budget = ipet_core::AnalysisBudget::default();
     let mut plans = Vec::new();
@@ -824,7 +816,7 @@ pub fn sweep_miss_penalty_concrete(
         for name in names {
             let b = ipet_suite::by_name(name).expect("bundled benchmark");
             let program = b.program().unwrap();
-            let analyzer = Analyzer::new(&program, machine).unwrap().with_warm_start(warm);
+            let analyzer = Analyzer::new(&program, machine).unwrap();
             let anns = ipet_core::parse_annotations(&b.annotations(&program)).unwrap();
             plans.push(analyzer.plan(&anns, &budget).unwrap());
         }
@@ -1174,7 +1166,7 @@ pub fn write_csvs(dir: &std::path::Path, data: &[BenchData]) -> std::io::Result<
     )?;
     let pool = ipet_core::SolvePool::new(1);
     let names = ["check_data", "fft", "matgen"];
-    let sweep = sweep_miss_penalty_parametric(&pool, &[0, 2, 4, 8, 16, 32], &names, true).points;
+    let sweep = sweep_miss_penalty_parametric(&pool, &[0, 2, 4, 8, 16, 32], &names).points;
     w(
         "sweep.csv",
         "miss_penalty,function,wcet",

@@ -31,7 +31,7 @@ fn unknown_options_exit_1_before_the_experiment_runs() {
 
 #[test]
 fn subcommand_and_global_options_are_still_taken() {
-    let (code, stdout, stderr) = experiments(&["fig2", "--jobs", "2", "--no-warm-start"]);
+    let (code, stdout, stderr) = experiments(&["fig2", "--jobs", "2", "--infer"]);
     assert_eq!(code, 0, "{stderr}");
     assert!(!stdout.is_empty());
     let (code, stdout, stderr) = experiments(&["parametric", "--check", "--jobs", "2"]);

@@ -30,6 +30,26 @@
 //! the per-target reports are printed in argument order. A tick deadline
 //! is split evenly over the batch's fresh solves, so the reports are
 //! bit-for-bit identical for any `--jobs` value.
+//!
+//! Reports go to stdout through `outln!` and `out!`: a reader that
+//! stops early (`cinderella cfg piksrt | head -1`) ends the process
+//! quietly with status 141, the status a shell shows for a process that
+//! `SIGPIPE` ended, instead of a panic.
+
+/// `println!` onto stdout that exits quietly when the reader has gone (see
+/// [`write_stdout`]).
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` counterpart of `outln!`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
 
 mod serve;
 
@@ -53,6 +73,20 @@ pub(crate) enum RunStatus {
     Exact,
     Degraded,
     AuditFailed,
+}
+
+/// Writes a report fragment to stdout. A closed pipe exits with status
+/// 141 and no message: the reader asked for no more. Any other write
+/// failure is a hard error (status 1).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("cinderella: stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() -> ExitCode {
@@ -92,8 +126,6 @@ fn usage() -> String {
      \x20         routine's certified WCET bound formula wcet(p) with its\n\
      \x20         validity interval)\n\
      \x20        --jobs N (parallel ILP workers; output identical for any N)\n\
-     \x20        --no-warm-start (solve every ILP cold; bounds are identical,\n\
-     \x20         only solver effort counters change)\n\
      \x20        --trace-json FILE (write the ipet-trace document of the run)\n\
      \x20        --audit (re-certify every bound in exact integer arithmetic)\n\
      store:   --store FILE (crash-safe persistent solve store: certified replays\n\
@@ -225,7 +257,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
     let mut optimize = false;
     let mut shared = false;
     let mut jobs = 1usize;
-    let mut warm = true;
     let mut trace_json: Option<String> = None;
     let mut audit = false;
     let mut faults = SolverFaults::none();
@@ -266,7 +297,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             "--jobs" => {
                 jobs = parse_num("--jobs", it.next())?.max(1) as usize;
             }
-            "--no-warm-start" => warm = false,
             "--trace-json" => {
                 trace_json = Some(it.next().ok_or("--trace-json needs a value")?.to_string())
             }
@@ -321,9 +351,9 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
 
     match cmd.as_deref() {
         Some("list") => {
-            println!("{:<16} {:>5}  description", "name", "lines");
+            outln!("{:<16} {:>5}  description", "name", "lines");
             for b in ipet_suite::all() {
-                println!("{:<16} {:>5}  {}", b.name, b.source_lines(), b.description);
+                outln!("{:<16} {:>5}  {}", b.name, b.source_lines(), b.description);
             }
             Ok(RunStatus::Exact)
         }
@@ -356,20 +386,20 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 sim.seed_global(name, &data).map_err(|e| e.to_string())?;
             }
             let (result, trace) = sim.run_traced(b.args_worst, 100).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "worst-case block trace (first {} of {} block entries):",
                 trace.len(),
                 result.block_counts.values().sum::<u64>()
             );
             for ev in &trace {
-                println!(
+                outln!(
                     "  cycle {:>8}  {}  x{}",
                     ev.cycle,
                     t.program.functions[ev.func.0].name,
                     ev.block.0 + 1
                 );
             }
-            println!("total: {} cycles, {} instructions", result.cycles, result.steps);
+            outln!("total: {} cycles, {} instructions", result.cycles, result.steps);
             Ok(RunStatus::Exact)
         }
         Some("dot") => {
@@ -386,7 +416,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             for i in 0..analyzer.instances().len() {
                 let cfg = analyzer.instances().cfg(InstanceId(i));
                 if seen.insert(cfg.func) {
-                    println!("{}", cfg.to_dot());
+                    outln!("{}", cfg.to_dot());
                 }
             }
             Ok(RunStatus::Exact)
@@ -414,7 +444,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 jobs,
                 machine_name,
                 budget,
-                warm,
                 audit,
                 io_faults,
                 max_inflight,
@@ -472,7 +501,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 mode: if cache_split { CacheMode::FirstIterSplit } else { CacheMode::AllMiss },
                 context: if shared { ContextMode::Shared } else { ContextMode::PerCallSite },
                 infer,
-                warm,
                 budget,
                 audit,
                 dump_structural,
@@ -556,7 +584,7 @@ fn print_cfg(program: &ipet_arch::Program, machine_name: &str) -> Result<(), Str
     let machine = machine_by_name(machine_name)?;
     let analyzer = Analyzer::new(program, machine).map_err(|e| e.to_string())?;
     let instances = analyzer.instances();
-    println!("{}", ipet_arch::disassemble_program(program));
+    outln!("{}", ipet_arch::disassemble_program(program));
 
     let mut seen = std::collections::HashSet::new();
     for i in 0..instances.len() {
@@ -565,8 +593,8 @@ fn print_cfg(program: &ipet_arch::Program, machine_name: &str) -> Result<(), Str
         if !seen.insert(cfg.func) {
             continue;
         }
-        println!("{}", cfg.render());
-        println!("  block costs (cycles):");
+        outln!("{}", cfg.render());
+        outln!("  block costs (cycles):");
         for b in 0..cfg.num_blocks() {
             let c = analyzer.block_cost(cfg.func, ipet_cfg::BlockId(b));
             let blk = &cfg.blocks()[b];
@@ -574,7 +602,7 @@ fn print_cfg(program: &ipet_arch::Program, machine_name: &str) -> Result<(), Str
                 .src_line(blk.start)
                 .map(|l| format!(" line {l}"))
                 .unwrap_or_default();
-            println!(
+            outln!(
                 "    x{:<3} [{:3}..{:3}) best={:<5} worst={:<5} warm={:<5}{line}",
                 b + 1,
                 blk.start,
@@ -584,16 +612,16 @@ fn print_cfg(program: &ipet_arch::Program, machine_name: &str) -> Result<(), Str
                 c.worst_warm
             );
         }
-        println!("{}", structural_text(instances, inst));
+        outln!("{}", structural_text(instances, inst));
     }
 
     let loops = analyzer.loops_needing_bounds();
     if loops.is_empty() {
-        println!("no loops: no bound annotations needed");
+        outln!("no loops: no bound annotations needed");
     } else {
-        println!("loops needing bounds:");
+        outln!("loops needing bounds:");
         for (f, h) in loops {
-            println!("  fn {f} {{ loop x{} in [?, ?]; }}", h.0 + 1);
+            outln!("  fn {f} {{ loop x{} in [?, ?]; }}", h.0 + 1);
         }
     }
     Ok(())
@@ -624,7 +652,7 @@ fn listing(t: &Target) -> Result<(), String> {
     for (n, text) in source.lines().enumerate() {
         let line = n as u32 + 1;
         let mark = marks.get(&line).map(|m| m.join(",")).unwrap_or_default();
-        println!("{mark:>24} | {text}");
+        outln!("{mark:>24} | {text}");
     }
     Ok(())
 }
@@ -750,7 +778,6 @@ struct AnalyzeOptions {
     mode: CacheMode,
     context: ContextMode,
     infer: Option<ipet_infer::InferMode>,
-    warm: bool,
     budget: AnalysisBudget,
     audit: bool,
     dump_structural: bool,
@@ -766,8 +793,7 @@ impl AnalyzeOptions {
     ) -> Result<Analyzer<'p>, String> {
         Ok(Analyzer::new_with_context(program, machine, self.context)
             .map_err(|e| e.to_string())?
-            .with_cache_mode(self.mode)
-            .with_warm_start(self.warm))
+            .with_cache_mode(self.mode))
     }
 }
 
@@ -823,12 +849,12 @@ fn analyze(
         targets.iter().zip(&planned).zip(batch.results)
     {
         if targets.len() > 1 {
-            println!("=== {} ===", t.name);
+            outln!("=== {} ===", t.name);
         }
         if !t.annotations.is_empty() {
-            println!("functionality constraints:\n{}", t.annotations.trim_end());
+            outln!("functionality constraints:\n{}", t.annotations.trim_end());
         }
-        print!("{infer_section}");
+        out!("{infer_section}");
         let (est, report) = match result {
             Ok(done) => done,
             Err(e) => {
@@ -836,10 +862,10 @@ fn analyze(
                 continue;
             }
         };
-        print!("{}", est.render());
+        out!("{}", est.render());
         if options.audit {
-            println!("certificate report:");
-            print!("{}", report.render());
+            outln!("certificate report:");
+            out!("{}", report.render());
             if !report.all_certified() {
                 audit_failed = true;
                 eprintln!(
@@ -871,7 +897,7 @@ fn analyze(
     // targets or a store-backed run has to show. Solved and replayed come
     // from the batch, so store replays count too.
     if targets.len() > 1 || pool.store().is_some() {
-        println!(
+        outln!(
             "pool: {} worker(s), {} solved, {} replayed ({} rejected replays), {} ticks",
             pool.workers(),
             batch.report.misses,
@@ -887,7 +913,7 @@ fn analyze(
         if let Err(e) = store.flush() {
             eprintln!("cinderella: store flush failed ({e}); results were solved cold-safe");
         }
-        println!("{}", store_summary(store));
+        outln!("{}", store_summary(store));
     }
     if !failures.is_empty() {
         return Err(failures.join("; "));
@@ -913,7 +939,7 @@ fn report_extras(
     if options.dump_structural {
         let instances = analyzer.instances();
         for i in 0..instances.len() {
-            println!("{}", structural_text(instances, InstanceId(i)));
+            outln!("{}", structural_text(instances, InstanceId(i)));
         }
     }
     if options.parametric {
@@ -931,10 +957,10 @@ fn report_extras(
             .map_err(|e| e.to_string())?;
         let measured = TimeBound { lower: best.cycles, upper: worst.cycles };
         let calc = analyzer.calculated_bound(&best.block_counts, &worst.block_counts);
-        println!("calculated bound: [{}, {}] cycles", calc.lower, calc.upper);
-        println!("measured bound:   [{}, {}] cycles", measured.lower, measured.upper);
+        outln!("calculated bound: [{}, {}] cycles", calc.lower, calc.upper);
+        outln!("measured bound:   [{}, {}] cycles", measured.lower, measured.upper);
         let (pl, pu) = est.bound.pessimism_against(measured);
-        println!("pessimism vs measured: [{pl:.2}, {pu:.2}]");
+        outln!("pessimism vs measured: [{pl:.2}, {pu:.2}]");
         if !est.bound.encloses(measured) {
             return Err("estimated bound does not enclose the measured bound".into());
         }
@@ -975,25 +1001,25 @@ fn parametric_report(
         Ok(ipet_lp::Probe { values: vec![est.bound.upper as i128], formulas: vec![line] })
     };
     let sweep = ipet_lp::parametric::sweep_grid(&grid, &mut probe)?;
-    println!("parametric WCET vs i-cache miss penalty (base penalty {}):", machine.miss_penalty);
+    outln!("parametric WCET vs i-cache miss penalty (base penalty {}):", machine.miss_penalty);
     for (i, &mp) in grid.iter().enumerate() {
         let how = if sweep.formulas[i].first().copied().flatten().is_some() {
             ""
         } else {
             "  (concrete solve, no certified formula)"
         };
-        println!("  penalty {mp:>3}: wcet {}{how}", sweep.values[i][0]);
+        outln!("  penalty {mp:>3}: wcet {}{how}", sweep.values[i][0]);
     }
     let regions = sweep.regions(0);
     if regions.is_empty() {
-        println!("no certified bound formula (degraded or non-exact analysis)");
+        outln!("no certified bound formula (degraded or non-exact analysis)");
     } else {
-        println!("certified bound formulas (validity on the swept grid):");
+        outln!("certified bound formulas (validity on the swept grid):");
         for (s, e, f) in &regions {
-            println!("  p in [{}, {}]: wcet(p) = {}", grid[*s], grid[*e], f);
+            outln!("  p in [{}, {}]: wcet(p) = {}", grid[*s], grid[*e], f);
         }
     }
-    println!(
+    outln!(
         "parametric: {} grid point(s): {} concrete solve(s), {} formula hit(s), \
          {} region exit(s)",
         grid.len(),
@@ -1003,11 +1029,11 @@ fn parametric_report(
     );
     let model = analyzer.wcet_loop_model_parsed(anns).map_err(|e| e.to_string())?;
     if !model.is_constant() {
-        println!(
+        outln!(
             "loop-bound model (first-order around the annotated bounds, \
              not region-certified):"
         );
-        println!("  wcet = {model}");
+        outln!("  wcet = {model}");
     }
     Ok(())
 }

@@ -38,8 +38,6 @@ pub(crate) struct PlanKey {
     /// The request's extra `annotations` text.
     pub annotations: Option<String>,
     pub infer: Option<InferMode>,
-    /// The daemon's warm-start setting, which the plan records.
-    pub warm: bool,
     /// The effective budget, request deadline included: the plan embeds it.
     pub budget: AnalysisBudget,
 }
@@ -181,7 +179,6 @@ mod tests {
             machine: "i960kb".into(),
             annotations: Some(tag.into()),
             infer: None,
-            warm: true,
             budget: AnalysisBudget::default(),
         }
     }

@@ -74,21 +74,21 @@
 //!
 //! A request the daemon has answered before skips the front end: the plan
 //! memo ([`memo`]) maps the request's plan inputs (target and file bytes,
-//! `entry`, `machine`, `annotations`, `infer`, the warm flag and the
-//! effective budget; not `audit`) to the plan built from them. A plan is
+//! `entry`, `machine`, `annotations`, `infer` and the effective budget;
+//! not `audit`) to the plan built from them. A plan is
 //! admitted only when its batch solved nothing fresh, so one-off edits
 //! never enter. A memo hit runs the same plan through the same pool, so
 //! the answer is byte-identical to a rebuilt one.
 //!
 //! ## Bounded memory
 //!
-//! The shared pool's solve cache and base-snapshot cache are LRU-bounded
-//! (`ipet_core::SOLVE_CACHE_CAPACITY`, `ipet_core::BASE_CACHE_CAPACITY`),
-//! and so is the plan memo, by the problems its plans hold (at most
-//! `SOLVE_CACHE_CAPACITY`). A daemon that serves edits forever holds its
-//! replay working set plus the most recent edits, and its memory stops
-//! growing once the caches are full. The `stats` op's `pool` object
-//! reports `evicted` and `bases_evicted`; its `memo` object reports
+//! The shared pool's solve cache is LRU-bounded
+//! (`ipet_core::SOLVE_CACHE_CAPACITY`), and so is the plan memo, by the
+//! problems its plans hold (at most `SOLVE_CACHE_CAPACITY`). A daemon that
+//! serves edits forever holds its replay working set plus the most recent
+//! edits, and its memory stops growing once the caches are full. The
+//! `stats` op's `pool` object reports `hits`, `misses`, `rejected` and
+//! `evicted`; its `memo` object reports
 //! `hits`, `misses`, `entries` and `evicted`; its `store` object reports
 //! `appends` and `compactions`.
 
@@ -116,7 +116,6 @@ pub(crate) struct ServeConfig {
     pub jobs: usize,
     pub machine_name: String,
     pub budget: AnalysisBudget,
-    pub warm: bool,
     /// Default audit policy; a request's `"audit"` field overrides it.
     pub audit: bool,
     pub io_faults: ipet_core::SolverFaults,
@@ -180,10 +179,6 @@ impl Daemon {
         if let Some(store) = &store {
             pool = pool.with_store(Arc::clone(store));
         }
-        // The stats op reports the solver-effort tallies (`lp.warm.*`)
-        // alongside the pool/store sections; they only accumulate with the
-        // process-global trace recorder installed.
-        ipet_trace::install();
         let admission = Admission::new(cfg.max_inflight, cfg.max_queue);
         Ok(Daemon {
             cfg,
@@ -240,19 +235,6 @@ impl Daemon {
         let c = self.counters.snapshot();
         let cache = self.pool.cache_stats();
         let memo = self.memo.stats();
-        // Warm-start solver tallies since startup, in the recorder's
-        // (deterministic) name order.
-        let solver_json = {
-            let mut kv: Vec<(String, Json)> = Vec::new();
-            if let Some(doc) = ipet_trace::snapshot() {
-                for (name, value) in &doc.counters {
-                    if name.starts_with("lp.warm.") {
-                        kv.push((name.clone(), Json::Num(*value as f64)));
-                    }
-                }
-            }
-            Json::Obj(kv)
-        };
         let store_json = match &self.store {
             None => Json::Null,
             Some(store) => {
@@ -311,7 +293,6 @@ impl Daemon {
                             ("misses".into(), Json::Num(cache.misses as f64)),
                             ("rejected".into(), Json::Num(cache.rejected as f64)),
                             ("evicted".into(), Json::Num(cache.evicted as f64)),
-                            ("bases_evicted".into(), Json::Num(self.pool.bases_evicted() as f64)),
                         ]),
                     ),
                     (
@@ -323,7 +304,6 @@ impl Daemon {
                             ("evicted".into(), Json::Num(memo.evicted as f64)),
                         ]),
                     ),
-                    ("solver".into(), solver_json),
                     ("store".into(), store_json),
                 ]),
             ),
@@ -466,7 +446,6 @@ pub(crate) fn run_request(
         machine: req.get("machine").and_then(Json::as_str).unwrap_or(&cfg.machine_name).to_string(),
         annotations: req.get("annotations").and_then(Json::as_str).map(str::to_string),
         infer,
-        warm: cfg.warm,
         budget,
     };
 
@@ -510,9 +489,7 @@ fn build_plan(
     let machine = machine_by_name(&key.machine)?;
     let t =
         crate::target_from(&key.target, key.file.clone(), key.entry.as_deref(), None, None, false)?;
-    let analyzer = ipet_core::Analyzer::new(&t.program, machine)
-        .map_err(|e| e.to_string())?
-        .with_warm_start(key.warm);
+    let analyzer = ipet_core::Analyzer::new(&t.program, machine).map_err(|e| e.to_string())?;
     let mut annotations = t.annotations.clone();
     if let Some(extra) = &key.annotations {
         annotations.push('\n');

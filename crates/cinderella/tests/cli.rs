@@ -22,6 +22,31 @@ fn list_names_all_benchmarks() {
 }
 
 #[test]
+fn a_reader_that_stops_early_ends_the_cli_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // `cinderella cfg piksrt | head -1`: the reader closes the pipe after
+    // the first line, and the next write must end the process without a
+    // panic. The child may win the race and finish first, so try thrice.
+    for _ in 0..3 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cinderella"))
+            .args(["cfg", "piksrt"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).expect("first line");
+        assert!(first.starts_with(".entry"), "{first}");
+        let mut stderr = String::new();
+        child.stderr.take().unwrap().read_to_string(&mut stderr).expect("stderr");
+        let status = child.wait().expect("child exits");
+        assert_ne!(status.code(), Some(101), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
 fn cfg_prints_structural_constraints() {
     let (ok, stdout, _) = cinderella(&["cfg", "check_data"]);
     assert!(ok);
@@ -401,28 +426,6 @@ fn jobs_flag_output_is_identical_across_worker_counts() {
 }
 
 #[test]
-fn no_warm_start_changes_no_reported_bound() {
-    // One target prints no pool summary, and warm starting is accepted
-    // only when bit-identical to a cold solve, so the whole report must
-    // match byte for byte.
-    let (ok_w, warm, _) = cinderella(&["analyze", "check_data"]);
-    let (ok_c, cold, _) = cinderella(&["analyze", "check_data", "--no-warm-start"]);
-    assert!(ok_w && ok_c);
-    assert_eq!(warm, cold, "--no-warm-start must not change the report");
-
-    // Several targets: everything but the pool summary line must match too
-    // (cold solves spend more pivot ticks, which that line reports).
-    let strip_pool_line = |s: &str| -> String {
-        s.lines().filter(|l| !l.starts_with("pool:")).collect::<Vec<_>>().join("\n")
-    };
-    let (ok_w, warm, _) = cinderella(&["analyze", "check_data", "dhry", "--jobs", "2"]);
-    let (ok_c, cold, _) =
-        cinderella(&["analyze", "check_data", "dhry", "--jobs", "2", "--no-warm-start"]);
-    assert!(ok_w && ok_c);
-    assert_eq!(strip_pool_line(&warm), strip_pool_line(&cold));
-}
-
-#[test]
 fn duplicate_targets_are_served_from_the_solve_cache() {
     let (ok, stdout, stderr) = cinderella(&["analyze", "piksrt", "piksrt", "--jobs", "2"]);
     assert!(ok, "{stderr}");
@@ -719,9 +722,9 @@ fn pool_line_counts_store_replays() {
 }
 
 #[test]
-fn a_run_that_replays_every_job_solves_no_base() {
-    // Warm-start bases are resolved only for jobs the pool must solve, so
-    // a second run over a store that answers everything spends no tick.
+fn a_run_that_replays_every_job_spends_no_tick() {
+    // Only jobs the pool must solve spend ticks, so a second run over a
+    // store that answers everything spends none.
     let dir = store_scratch("no-bases");
     let store = dir.join("solves.store");
     let trace = dir.join("trace.json");
@@ -737,7 +740,6 @@ fn a_run_that_replays_every_job_solves_no_base() {
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     let doc = ipet_trace::TraceDoc::from_json(&ipet_trace::parse_json(&text).expect("JSON"))
         .expect("trace schema");
-    assert_eq!(doc.counters.get("lp.warm.base_solves"), None, "{text}");
     assert_eq!(doc.counters.get("lp.ticks").copied().unwrap_or(0), 0, "{text}");
 }
 

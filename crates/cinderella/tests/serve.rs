@@ -309,6 +309,14 @@ fn a_repeated_request_is_answered_identically_from_the_memo() {
         assert_eq!(daemon.ask(request), first);
         assert_eq!(daemon.memo(), want);
     }
+    // The pool solved the first request's jobs and replayed them twice.
+    let (_, stats) = daemon.ask(r#"{"op": "stats"}"#);
+    let stats = stats.get("stats").expect("stats object");
+    let pool = stats.get("pool").expect("pool stats");
+    let n = |k| pool.get(k).and_then(ipet_trace::Json::as_u64).expect("pool tally");
+    assert!(n("misses") > 0 && n("hits") == 2 * n("misses"), "{pool:?}");
+    assert_eq!(pool.get("bases_evicted"), None, "no base cache is left to report");
+    assert_eq!(stats.get("solver"), None, "no warm-start tallies are left to report");
     daemon.finish();
 }
 

@@ -107,11 +107,11 @@ fn slow_request(id: u64, log2_sets: u64) -> String {
     )
 }
 
-/// Daemon flags for every test that sends a slow request: one worker and
-/// no warm starts, so each constraint set costs a full cold solve on one
-/// core. That is the most wall time per byte of plan a request can buy
-/// (every set's problem is built before the first solve).
-const SLOW_FLAGS: [&str; 3] = ["--jobs", "1", "--no-warm-start"];
+/// Daemon flags for every test that sends a slow request: one worker, so
+/// each constraint set costs a full solve on one core. That is the most
+/// wall time per byte of plan a request can buy (every set's problem is
+/// built before the first solve).
+const SLOW_FLAGS: [&str; 2] = ["--jobs", "1"];
 
 /// Constraint sets per second a [`SLOW_FLAGS`] daemon gets through for
 /// [`slow_request`], planning included, measured once per test binary on
@@ -168,7 +168,6 @@ fn overload_sheds_with_a_typed_response_and_ops_bypass_admission() {
         "0",
         SLOW_FLAGS[0],
         SLOW_FLAGS[1],
-        SLOW_FLAGS[2],
     ]);
     wait_for_socket(&sock);
 
@@ -242,8 +241,7 @@ fn oversized_request_line_is_refused_and_the_connection_survives() {
 
 #[test]
 fn watchdog_timeout_degrades_to_a_safe_bound_and_keeps_serving() {
-    let mut child =
-        spawn_serve(&["--timeout-ms", "500", SLOW_FLAGS[0], SLOW_FLAGS[1], SLOW_FLAGS[2]]);
+    let mut child = spawn_serve(&["--timeout-ms", "500", SLOW_FLAGS[0], SLOW_FLAGS[1]]);
     let mut stdin = child.stdin.take().unwrap();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
 
@@ -273,13 +271,8 @@ fn watchdog_timeout_degrades_to_a_safe_bound_and_keeps_serving() {
 fn client_disconnect_cancels_the_inflight_solve() {
     let dir = scratch("gone");
     let sock = dir.join("serve.sock");
-    let mut child = spawn_serve(&[
-        "--socket",
-        sock.to_str().unwrap(),
-        SLOW_FLAGS[0],
-        SLOW_FLAGS[1],
-        SLOW_FLAGS[2],
-    ]);
+    let mut child =
+        spawn_serve(&["--socket", sock.to_str().unwrap(), SLOW_FLAGS[0], SLOW_FLAGS[1]]);
     wait_for_socket(&sock);
 
     // Start a slow solve, then vanish: the daemon must notice, cancel the
@@ -364,7 +357,6 @@ fn requests_queue_behind_the_inflight_ceiling_and_run_in_turn() {
         "8",
         SLOW_FLAGS[0],
         SLOW_FLAGS[1],
-        SLOW_FLAGS[2],
     ]);
     wait_for_socket(&sock);
 

@@ -38,10 +38,9 @@ impl<'p> Analyzer<'p> {
     /// its disjunct rows as a [`DeltaSet`]. Delta rows that duplicate a
     /// base row, or repeat within the set, are dropped before assembly
     /// (counted under `core.sets.dedup_rows`) — a duplicated row changes
-    /// nothing about the feasible region but would defeat base reuse. Each
-    /// job's `problem` is assembled as `base.compose(delta)`, so cold
-    /// solves and warm-started delta re-optimizations answer the same
-    /// composed problem by construction.
+    /// nothing about the feasible region but would key equal sets apart.
+    /// Each job's `problem` is assembled as `base.compose(delta)`, so its
+    /// cache key continues the base's hash over the delta rows.
     ///
     /// # Errors
     ///
@@ -272,8 +271,7 @@ impl<'p> Analyzer<'p> {
         ipet_trace::counter("core.sets.dedup_rows", dedup_rows);
         ipet_trace::counter("core.jobs.emitted", jobs.len() as u64);
         // Row-shape telemetry for the solver: how much of each composed
-        // problem is shared base (amortized across sets by the warm path)
-        // versus per-set delta. Pure functions of the plan, so the values
+        // problem is shared base versus per-set delta. Pure functions of the plan, so the values
         // are identical at any job count.
         ipet_trace::counter("core.plan.base_rows", base_worst.problem().constraints.len() as u64);
         ipet_trace::counter(
@@ -290,7 +288,6 @@ impl<'p> Analyzer<'p> {
             sets_before_prune: before,
             quality_floor,
             bases: vec![base_worst, base_best],
-            warm_start: self.warm_start,
             unbounded_loops: self.unbounded_loop_labels(&bounded_headers),
             loop_bounds: anns.provenance.clone(),
             vars,

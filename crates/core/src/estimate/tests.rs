@@ -296,7 +296,7 @@ fn time_bound_helpers() {
     assert!((hi - 0.25).abs() < 1e-9);
 }
 
-// -- base+delta decomposition and warm starting --------------------------
+// -- base+delta decomposition ---------------------------------------------
 
 #[test]
 fn invalidation_hash_covers_operands_globals_and_text_addresses() {
@@ -342,8 +342,8 @@ fn job_problems_recompose_from_base_and_delta() {
     assert_eq!(plan.bases().len(), 2);
     assert_eq!(plan.num_sets(), 3);
     for job in plan.jobs() {
-        // The invariant the warm path relies on: the composed problem the
-        // warm path answers IS the job's monolithic problem.
+        // The invariant the cache key relies on: the composed problem IS
+        // the job's monolithic problem.
         assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
         assert!(!job.delta.is_empty());
         // Deltas are small: only the disjunct rows, never the structural
@@ -358,31 +358,22 @@ fn job_problems_recompose_from_base_and_delta() {
 }
 
 #[test]
-fn warm_and_cold_analyses_are_bit_identical() {
+fn audited_pool_runs_match_analyze_and_certify() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
-    let cold_a = a.clone().with_warm_start(false);
     for ann in [
         "fn main { loop x2 in [0, 10]; }",
         "fn main { loop x2 in [0, 10]; (x3 = 1) | (x3 = 3) | (x3 = 5); }",
         "fn main { loop x2 in [0, 10]; (x3 = 0) | (x3 = 5); x3 >= 1; }",
     ] {
-        let warm = a.analyze(ann).unwrap();
-        let cold = cold_a.analyze(ann).unwrap();
-        assert_eq!(warm, cold, "warm vs cold mismatch for {ann}");
-
-        let anns = parse_annotations(ann).unwrap();
-        let audited = |a: &Analyzer<'_>| {
-            let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
-            let budget = SolveBudget::unlimited();
-            SolvePool::new(1).run_plans_audited(&[plan], &budget).results.remove(0).unwrap()
-        };
-        let (warm_est, warm_audit) = audited(&a);
-        let (cold_est, cold_audit) = audited(&cold_a);
-        assert_eq!(warm_est, cold_est);
-        assert!(warm_audit.all_certified());
-        assert_eq!(warm_audit.certified(), cold_audit.certified());
-        assert_eq!(warm_audit.rejected(), cold_audit.rejected());
+        let est = a.analyze(ann).unwrap();
+        let plan = a.plan(&parse_annotations(ann).unwrap(), &AnalysisBudget::unlimited()).unwrap();
+        let budget = SolveBudget::unlimited();
+        let (audited_est, audit) =
+            SolvePool::new(1).run_plans_audited(&[plan], &budget).results.remove(0).unwrap();
+        assert_eq!(audited_est, est, "the audit changed the estimate for {ann}");
+        assert!(audit.all_certified());
+        assert_eq!(audit.rejected(), 0);
     }
 }
 
@@ -408,14 +399,8 @@ fn duplicate_delta_rows_are_deduplicated() {
     for job in plan.jobs() {
         assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
     }
-    // The deduplicated plan still folds to the right answer, warm or cold.
+    // The deduplicated plan still folds both sets.
     let est = a.analyze("fn main { loop x2 in [0, 10]; x3 >= 1; (x3 >= 1) | (x3 = 5); }").unwrap();
-    let cold = a
-        .clone()
-        .with_warm_start(false)
-        .analyze("fn main { loop x2 in [0, 10]; x3 >= 1; (x3 >= 1) | (x3 = 5); }")
-        .unwrap();
-    assert_eq!(est, cold);
     assert_eq!(est.sets.len(), 2);
 }
 

@@ -21,8 +21,8 @@
 //!    The WCET is the max over sets of the maxima; the BCET the min of the
 //!    minima.
 //! 4. [`Analyzer::plan`] turns this into a job graph, and the solve pool
-//!    ([`SolvePool`]) runs it: dedup, a content-addressed cache, warm
-//!    starts, deterministic deadline sharding and any number of workers.
+//!    ([`SolvePool`]) runs it: dedup, a content-addressed cache,
+//!    deterministic deadline sharding and any number of workers.
 //!    [`Analyzer::analyze`] is the one-worker, unbudgeted case.
 //!
 //! ## Example
@@ -81,7 +81,7 @@ pub use ipet_lp::{BoundQuality, BudgetMeter, CancelToken, SolveBudget, SolverFau
 pub use lincon::{set_is_null, LinCon};
 pub use pool::{
     AuditedPlanBatch, BatchReport, CacheOutcome, CacheStats, JobOutcome, PlanBatch, SolveCache,
-    SolvePool, SolveRequest, BASE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY,
+    SolvePool, SolveRequest, SOLVE_CACHE_CAPACITY,
 };
 pub use structural::{flow_spec, structural_constraints, structural_text};
 pub use vars::{VarRef, VarSpace};

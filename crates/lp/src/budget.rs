@@ -188,12 +188,6 @@ impl BudgetMeter {
         BudgetMeter { cancel, ..BudgetMeter::default() }
     }
 
-    /// The cancellation token this meter observes (the default token of a
-    /// plain meter is never cancelled).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Charges `ticks` pivots to the meter (saturating, never wraps).
     pub fn charge_ticks(&self, ticks: u64) {
         // `fetch_update` instead of `fetch_add` so the count saturates at
@@ -609,10 +603,11 @@ mod tests {
 
     #[test]
     fn cancellation_reports_as_an_exhausted_deadline() {
-        let meter = BudgetMeter::new();
+        let token = CancelToken::new();
+        let meter = BudgetMeter::with_cancel(token.clone());
         let unlimited = SolveBudget::unlimited();
         assert!(!meter.deadline_hit(&unlimited));
-        meter.cancel_token().cancel();
+        token.cancel();
         assert!(meter.deadline_hit(&unlimited), "cancel must bite without a deadline");
         assert_eq!(meter.ticks_left(&unlimited), Some(0));
         assert_eq!(meter.ticks_left(&SolveBudget::with_deadline(1000)), Some(0));

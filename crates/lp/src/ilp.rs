@@ -208,9 +208,7 @@ fn corrupt_resolution(resolution: &mut IlpResolution, fault: SolveFault, sense: 
     }
 }
 
-/// The branch & bound proper, without fault corruption or telemetry. Debug
-/// builds also use it as the cold reference that accepted warm starts are
-/// shadow-checked against.
+/// The branch & bound proper, without fault corruption or telemetry.
 pub(crate) fn branch_and_bound(
     problem: &Problem,
     budget: &SolveBudget,
@@ -345,9 +343,9 @@ pub(crate) fn branch_and_bound(
             }
         }
         // Pure ILPs also get a canonical objective value: the claimed
-        // integer round-tripped through f64. The warm-start path emits its
-        // accepted results in exactly this form, so cold and warm solves of
-        // the same problem agree bit for bit, not just within tolerance.
+        // integer round-tripped through f64, the form the exact audit
+        // certifies, so equal problems agree bit for bit, not just within
+        // tolerance.
         let value = if problem.integer.iter().all(|&b| b) {
             match crate::round::round_claimed(value) {
                 Ok(claimed) => claimed as f64,

@@ -15,18 +15,18 @@
 //!   variables, `≤ / ≥ / =` rows and non-negative variables.
 //! * One simplex kernel: a sparse revised simplex (LU factors plus an eta
 //!   file, Dantzig pricing with a Bland anti-cycling fallback) whose
-//!   phase 1 starts from a triangular crash basis. Every solve, cold or
-//!   warm, runs on it and resolves a tied optimum to its canonical
-//!   (lexicographically smallest) point.
-//! * [`solve_lp`] — cold solves of a problem as it stands.
+//!   phase 1 starts from a triangular crash basis. Every solve runs on it
+//!   and resolves a tied optimum to its canonical (lexicographically
+//!   smallest) point.
+//! * [`solve_lp`] — solves of a problem as it stands.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
-//! * [`BaseProblem::solve_base`] — warm-start base snapshots: the base
-//!   solved as it stands on the same kernel; deltas append their rows and
-//!   dual re-optimize from the snapshot.
+//! * [`BaseProblem`] / [`DeltaSet`] — a family of ILPs split into shared
+//!   rows and per-set rows, hashed once per base for cache keys; each set
+//!   is solved on its composed problem.
 //!
 //! Debug builds keep a second, independent kernel — a textbook full-row
-//! tableau with Bland's rule — as the reference that tests and the
-//! warm-start shadow check compare the sparse kernel against.
+//! tableau with Bland's rule — as the reference that tests compare the
+//! sparse kernel against.
 //!
 //! ## Example
 //!
@@ -92,11 +92,7 @@ pub use budget::{
 };
 pub use fingerprint::{fingerprint, same_structure, Fingerprint};
 pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats};
-#[cfg(debug_assertions)]
-pub use incremental::debug_force_warm_mismatch;
-pub use incremental::{
-    solve_delta_warm, warm_eligible, BaseProblem, BaseSolution, CertifyFn, DeltaSet,
-};
+pub use incremental::{BaseProblem, DeltaSet};
 pub use model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
 pub use parametric::{BoundFormula, GridSweep, Probe};
 #[cfg(debug_assertions)]

@@ -39,8 +39,8 @@
 //! general rationals, while our exact layer (`ipet-audit`'s `Rat`) is
 //! deliberately dyadic-only. The chord certificate needs nothing but the
 //! two endpoint optima — values the audit already certifies exactly — and
-//! holds through branch-and-bound and warm starts alike, because it never
-//! looks inside the solver at all.
+//! holds through branch-and-bound alike, because it never looks inside the
+//! solver at all.
 
 /// A one-parameter bound formula `value(p) = constant + slope·p`, the line
 /// traced by one optimal witness as the swept parameter moves.

@@ -4,8 +4,7 @@
 //! Every production solve runs on the sparse revised simplex
 //! ([`crate::sparse`]). This kernel shares none of its machinery: no LU
 //! factors, no eta file, no crash basis, no Dantzig pricing, no stall
-//! switch. Tests and the debug warm-start shadow check compare the two
-//! kernels' canonical optima ([`crate::canonical`]), so the production
+//! switch. Tests compare the two kernels' canonical optima ([`crate::canonical`]), so the production
 //! kernel is never checked only against itself. There are no budgets,
 //! meters or faults: Bland's rule terminates, and release builds do not
 //! compile this module.

@@ -5,10 +5,8 @@
 //! flow equations, so phase 1 pivots only on the rows the crash left to
 //! their artificials. The two-phase revised simplex then
 //! ends with the walk to the canonical optimum ([`crate::canonical`]).
-//! Branch-and-bound nodes, the cold fallback of warm starts and the
-//! relaxation covers of skipped sets all solve here; warm starts
-//! re-optimize a snapshot of the same kernel's solve of their base instead
-//! ([`crate::BaseProblem::solve_base`]).
+//! Every LP solves here: branch-and-bound nodes and the relaxation covers
+//! of skipped sets alike.
 //!
 //! Every priced pivot — phase 1, phase 2 and the canonical walk — is one
 //! tick on the caller's meter (the unpriced drive-out of degenerate
@@ -18,7 +16,7 @@
 
 use crate::budget::{BudgetMeter, LpFault, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
-use crate::model::{Constraint, Problem, Relation};
+use crate::model::Problem;
 use crate::sparse::{SparseEnd, SparseInstance};
 
 /// Feasibility tolerance used throughout the solver.
@@ -51,25 +49,6 @@ pub enum LpOutcome {
     LimitReached,
 }
 
-/// Constraint rows in `<=` form over the first `n` structural variables, for
-/// [`crate::sparse::SparseInstance::append_le_rows`]: `>=` rows are
-/// negated, `=` rows split into a `>=`/`<=` pair.
-pub(crate) fn le_form(rows: &[Constraint], n: usize) -> Vec<(Vec<f64>, f64)> {
-    let mut le_rows = Vec::with_capacity(rows.len());
-    for row in rows {
-        let dense = row.dense(n);
-        match row.relation {
-            Relation::Le => le_rows.push((dense, row.rhs)),
-            Relation::Ge => le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs)),
-            Relation::Eq => {
-                le_rows.push((dense.iter().map(|&c| -c).collect(), -row.rhs));
-                le_rows.push((dense, row.rhs));
-            }
-        }
-    }
-    le_rows
-}
-
 /// Solves the LP relaxation of `problem`.
 ///
 /// Variables are non-negative; rows may be `<=`, `>=` or `=`. The returned
@@ -78,8 +57,8 @@ pub(crate) fn le_form(rows: &[Constraint], n: usize) -> Vec<(Vec<f64>, f64)> {
 ///
 /// When the optimum is tied, the vertex returned is the canonical one: the
 /// lexicographic minimum of the variables, in `VarId` order, over the
-/// optimal face. That point does not depend on the pivot path, so warm
-/// re-optimizations reproduce it. The one exception keeps branch and bound
+/// optimal face. That point does not depend on the pivot path. The one
+/// exception keeps branch and bound
 /// from ever branching more: when the canonical point is fractional in an
 /// integer-typed variable, the vertex the simplex reached first is returned
 /// instead.
@@ -301,7 +280,7 @@ mod tests {
         // unlucky tie-breaking the simplex cycles forever among degenerate
         // bases at the origin. The stall guard must flip to Bland's rule and
         // land on the true optimum 0.05 at (0.04, 0, 1, 0). Regression test
-        // for the anti-cycling guard warm starts rely on.
+        // for the anti-cycling guard.
         let p = build(
             Sense::Maximize,
             &[0.75, -150.0, 0.02, -6.0],

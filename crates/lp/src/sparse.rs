@@ -14,8 +14,7 @@
 //! consecutive degenerate pivots: a stalled run of degenerate pivots is
 //! the precondition for cycling, and Bland's rule provably terminates.
 //! Every loop is also capped by an iteration budget. The kernel solves
-//! cold LPs and warm-start bases as they stand ([`crate::solve_lp_metered`],
-//! [`crate::BaseProblem::solve_base`]), and re-optimizes the bases' deltas.
+//! every LP as it stands ([`crate::solve_lp_metered`]).
 //!
 //! Every start basis is crashed (`SparseInstance::crash`): the
 //! artificials of zero-level rows — the flow-conservation equations — are
@@ -26,9 +25,8 @@
 //! point phase 1 would reach by one degenerate pivot per covered row.
 //!
 //! Results are only ever *reported* after the walk to the canonical
-//! optimum ([`crate::canonical`]), and warm results only when the witness
-//! rounds integral and the exact integer certification passes — so the
-//! start basis and the pivot path decide the work done, not the bound.
+//! optimum ([`crate::canonical`]), so the start basis and the pivot path
+//! decide the work done, not the bound.
 //! Debug builds and tests check the kernel against an independent
 //! full-row tableau (`crate::reference`).
 
@@ -57,15 +55,6 @@ pub(crate) enum SparseEnd {
     Optimal,
     Infeasible,
     Unbounded,
-    IterLimit,
-    Numerical,
-}
-
-/// Terminal state of a dual reoptimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SparseDualEnd {
-    Optimal,
-    Infeasible,
     IterLimit,
     Numerical,
 }
@@ -184,10 +173,6 @@ pub(crate) struct SparseInstance {
     factor: Factor,
     /// Current basic values `B^{-1} b`, indexed by row.
     xb: Vec<f64>,
-    /// Rows whose artificial [`crash`](Self::crash) replaced.
-    crash_rows: u64,
-    /// Pivots the last [`solve_primal`](Self::solve_primal) spent in phase 1.
-    phase1_pivots: u64,
 }
 
 impl SparseInstance {
@@ -288,8 +273,6 @@ impl SparseInstance {
             artificial,
             factor: Factor::default(),
             xb: Vec::new(),
-            crash_rows: 0,
-            phase1_pivots: 0,
         })
     }
 
@@ -353,7 +336,6 @@ impl SparseInstance {
             self.in_basis[j] = true;
             self.basis[r] = j;
             covered[r] = true;
-            self.crash_rows += 1;
             for &(k, _) in row {
                 if !live[k] {
                     continue;
@@ -721,14 +703,10 @@ impl SparseInstance {
     /// runs only while an artificial is basic: after a crash that covered
     /// every artificial row there is nothing for it to drive out.
     pub(crate) fn solve_primal(&mut self, max_iters: u64, pivots: &mut u64) -> SparseEnd {
-        self.phase1_pivots = 0;
         if self.basis.iter().any(|&c| self.artificial[c]) {
             let phase1: Vec<f64> =
                 self.artificial.iter().map(|&a| if a { -1.0 } else { 0.0 }).collect();
-            let before = *pivots;
-            let end = self.optimize(&phase1, max_iters, pivots);
-            self.phase1_pivots = *pivots - before;
-            match end {
+            match self.optimize(&phase1, max_iters, pivots) {
                 SparseEnd::Optimal => {}
                 SparseEnd::Unbounded => return SparseEnd::Numerical,
                 other => return other,
@@ -782,112 +760,6 @@ impl SparseInstance {
         self.optimize(&cost, max_iters, pivots)
     }
 
-    /// Append `<=` rows (already normalized) with fresh basic slacks and
-    /// re-snapshot the factorized basis. Coefficients are dense over the
-    /// structural variables.
-    pub(crate) fn append_le_rows(&mut self, rows: &[(Vec<f64>, f64)]) -> bool {
-        for (k, (coeffs, rhs)) in rows.iter().enumerate() {
-            let row = self.m + k;
-            for (j, &a) in coeffs.iter().enumerate() {
-                if a != 0.0 {
-                    debug_assert!(j < self.n);
-                    self.cols[j].push((row, a));
-                }
-            }
-            let slack = self.cols.len();
-            self.cols.push(vec![(row, 1.0)]);
-            self.cost.push(0.0);
-            self.artificial.push(false);
-            self.banned.push(false);
-            self.in_basis.push(true);
-            self.basis.push(slack);
-            self.b.push(*rhs);
-        }
-        self.m += rows.len();
-        // The enlarged basis is block triangular over the old one; a fresh
-        // factorization re-snapshots it exactly.
-        self.refactorize()
-    }
-
-    /// Dual simplex from a dual-feasible basis (used after appending rows).
-    pub(crate) fn dual_reoptimize(&mut self, max_iters: u64, pivots: &mut u64) -> SparseDualEnd {
-        let cost = self.cost.clone();
-        let mut iters: u64 = 0;
-        let mut stalled: u32 = 0;
-        loop {
-            if iters >= max_iters {
-                return SparseDualEnd::IterLimit;
-            }
-            iters += 1;
-            // Leaving row: most negative basic value; Bland-style smallest
-            // basis index once stalled.
-            let bland = stalled >= STALL_THRESHOLD;
-            let mut leave: Option<usize> = None;
-            for i in 0..self.m {
-                if self.xb[i] < -FEAS_TOL {
-                    match leave {
-                        Some(r) => {
-                            let better = if bland {
-                                self.basis[i] < self.basis[r]
-                            } else {
-                                self.xb[i] < self.xb[r]
-                            };
-                            if better {
-                                leave = Some(i);
-                            }
-                        }
-                        None => leave = Some(i),
-                    }
-                }
-            }
-            let Some(r) = leave else {
-                return SparseDualEnd::Optimal;
-            };
-            let mut unit = vec![0.0f64; self.m];
-            unit[r] = 1.0;
-            let rho = self.btran(&unit);
-            let y = self.btran(&self.basis_cost(&cost));
-            if rho.iter().chain(y.iter()).any(|v| !v.is_finite()) {
-                return SparseDualEnd::Numerical;
-            }
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..self.cols.len() {
-                if self.in_basis[j] || self.banned[j] {
-                    continue;
-                }
-                let alpha = self.col_dot(&rho, j);
-                if alpha < -FEAS_TOL {
-                    let z = self.col_dot(&y, j) - cost[j];
-                    let ratio = z / (-alpha);
-                    match entering {
-                        Some((_, best)) if ratio >= best => {}
-                        _ => entering = Some((j, ratio)),
-                    }
-                }
-            }
-            let Some((e, _)) = entering else {
-                return SparseDualEnd::Infeasible;
-            };
-            let w = self.ftran_col(e);
-            if w.iter().any(|v| !v.is_finite()) || w[r].abs() <= FEAS_TOL {
-                return SparseDualEnd::Numerical;
-            }
-            let theta = self.xb[r] / w[r];
-            if !theta.is_finite() {
-                return SparseDualEnd::Numerical;
-            }
-            if theta.abs() <= FEAS_TOL {
-                stalled += 1;
-            } else {
-                stalled = 0;
-            }
-            if !self.exchange(r, e, &w) {
-                return SparseDualEnd::Numerical;
-            }
-            *pivots += 1;
-        }
-    }
-
     /// Structural variable values of the current basic solution.
     pub(crate) fn extract_x(&self) -> Vec<f64> {
         let mut x = vec![0.0f64; self.n];
@@ -897,16 +769,6 @@ impl SparseInstance {
             }
         }
         x
-    }
-
-    /// Rows the crash covered at build time.
-    pub(crate) fn crash_rows(&self) -> u64 {
-        self.crash_rows
-    }
-
-    /// Pivots the last [`solve_primal`](Self::solve_primal) spent in phase 1.
-    pub(crate) fn phase1_pivots(&self) -> u64 {
-        self.phase1_pivots
     }
 
     /// The generous size-derived iteration cap (Bland's fallback
@@ -1131,44 +993,6 @@ mod tests {
         assert_eq!(end, SparseEnd::Unbounded);
     }
 
-    #[test]
-    fn dual_reoptimize_after_append() {
-        let p = flow_problem();
-        let mut pivots = 0u64;
-        let mut inst = SparseInstance::build(&p).expect("builds");
-        assert_eq!(inst.solve_primal(inst.default_iter_cap(), &mut pivots), SparseEnd::Optimal);
-        // Tighten the loop: x2 <= 6.
-        let mut cut = vec![0.0; 3];
-        cut[1] = 1.0;
-        assert!(inst.append_le_rows(&[(cut, 6.0)]));
-        let mut dual_pivots = 0u64;
-        let end = inst.dual_reoptimize(inst.default_iter_cap(), &mut dual_pivots);
-        assert_eq!(end, SparseDualEnd::Optimal);
-        let x = inst.extract_x();
-        assert!((x[1] - 6.0).abs() < 1e-6, "{x:?}");
-
-        // The reference kernel on the composed problem must agree.
-        let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x1 = b.add_var("x1", true);
-        let x2 = b.add_var("x2", true);
-        let x3 = b.add_var("x3", true);
-        b.objective(x1, 4.0);
-        b.objective(x2, 9.0);
-        b.objective(x3, 2.0);
-        b.constraint(vec![(x1, 1.0)], Relation::Eq, 1.0);
-        b.constraint(vec![(x2, 1.0), (x1, -10.0)], Relation::Le, 0.0);
-        b.constraint(vec![(x3, 1.0), (x1, -1.0)], Relation::Eq, 0.0);
-        b.constraint(vec![(x2, 1.0)], Relation::Le, 6.0);
-        match debug_reference_lp(&b.build()) {
-            LpOutcome::Optimal { x: dx, .. } => {
-                for (a, b) in x.iter().zip(dx.iter()) {
-                    assert!((a - b).abs() < 1e-6, "{x:?} vs {dx:?}");
-                }
-            }
-            other => panic!("the reference disagreed: {other:?}"),
-        }
-    }
-
     // -- crash basis -----------------------------------------------------------
 
     /// The crash rule spelled out naively from the artificial start,
@@ -1275,6 +1099,20 @@ mod tests {
         b.build()
     }
 
+    /// Pivots phase 1 spends from `inst`'s start basis, on a copy: the
+    /// phase [`SparseInstance::solve_primal`] runs while an artificial is
+    /// basic.
+    fn phase1_pivots(inst: &SparseInstance) -> u64 {
+        let mut inst = inst.clone();
+        let mut pivots = 0u64;
+        if inst.basis.iter().any(|&c| inst.artificial[c]) {
+            let phase1: Vec<f64> =
+                inst.artificial.iter().map(|&a| if a { -1.0 } else { 0.0 }).collect();
+            inst.optimize(&phase1, inst.default_iter_cap(), &mut pivots);
+        }
+        pivots
+    }
+
     /// Solves `p` from the crash and from the artificial start, checks
     /// that the crash installs the reference basis at the artificial
     /// start's point, and that both reach the reference kernel's optimum.
@@ -1289,7 +1127,7 @@ mod tests {
         assert_eq!(crashed.xb, start.xb, "the crash moved the start point");
         assert_eq!(crashed.xb, crashed.b);
         let covered = (0..crashed.m).filter(|&i| crashed.basis[i] != start.basis[i]).count();
-        assert_eq!(crashed.crash_rows(), covered as u64);
+        let phase1 = (phase1_pivots(&crashed), phase1_pivots(&start));
         let reference = debug_reference_lp(p);
         for inst in [&mut crashed, &mut start] {
             let mut pivots = 0u64;
@@ -1304,7 +1142,7 @@ mod tests {
                 other => panic!("capped flow problem ended {other:?}"),
             }
         }
-        (crashed.crash_rows(), crashed.phase1_pivots(), start.phase1_pivots())
+        (covered as u64, phase1.0, phase1.1)
     }
 
     #[test]
@@ -1513,11 +1351,6 @@ mod tests {
                 }
                 checked_with_etas += usize::from(!inst.factor.etas.is_empty());
                 assert_solves_match(&inst, &reference, &mut rng);
-            }
-            // Appending rows refactorizes the enlarged basis.
-            let cut: Vec<f64> = (0..n).map(|_| random_value(&mut rng)).collect();
-            if inst.append_le_rows(&[(cut, 5.0)]) {
-                assert_solves_match(&inst, &DenseLu::factor(&inst), &mut rng);
             }
         }
         assert!(refactorizations >= 12, "only {refactorizations} refactorizations exercised");

@@ -7,5 +7,5 @@
 
 pub use ipet_core::{
     AuditedPlanBatch, BatchReport, CacheOutcome, CacheStats, JobOutcome, PlanBatch, SolveCache,
-    SolvePool, SolveRequest, BASE_CACHE_CAPACITY, SOLVE_CACHE_CAPACITY,
+    SolvePool, SolveRequest, SOLVE_CACHE_CAPACITY,
 };
