@@ -48,8 +48,44 @@
 //! `--jobs`, `--infer` and `--audit` are global; `gate`
 //! also takes `--write` and `--tol-wall`, `parametric` takes `--check`. Any
 //! other option exits 1 before the experiment runs.
+//!
+//! When the reader of stdout goes away (`experiments | head`), the run
+//! exits quietly with status 141, the status a shell shows for a process
+//! that `SIGPIPE` ended, instead of a panic.
+
+/// `println!` onto stdout that exits quietly when the reader has gone (see
+/// [`write_stdout`]).
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` counterpart of `outln!`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
 
 use ipet_bench::*;
+
+/// Writes to stdout. A reader that has closed the pipe ends the run with
+/// 141 and no message: the reader asked for no more. Any other write
+/// failure is a hard error (status 1).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("experiments: stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() {
     // The global options may appear anywhere; everything else is
@@ -95,13 +131,13 @@ fn main() {
     if which == "csv" {
         let dir = std::path::PathBuf::from(rest.get(1).map(String::as_str).unwrap_or("results"));
         write_csvs(&dir, &pooled().data).expect("writing CSVs");
-        println!("wrote CSVs to {}", dir.display());
+        outln!("wrote CSVs to {}", dir.display());
         return;
     }
     match which.as_str() {
         "fig1" => fig1(&pooled().data),
         "fig2" | "fig3" | "fig4" => figures(),
-        "fig5" => println!("{}", fig5_text()),
+        "fig5" => outln!("{}", fig5_text()),
         "fig6" => fig6(),
         "table1" => table1(&pooled().data),
         "table2" => table23(&pooled().data, false),
@@ -128,7 +164,7 @@ fn main() {
             let pool = ipet_core::SolvePool::new(jobs);
             let run = run_all_pooled_infer(&pool, None);
             figures();
-            println!("{}", fig5_text());
+            outln!("{}", fig5_text());
             fig6();
             fig1(&run.data);
             table1(&run.data);
@@ -160,7 +196,7 @@ fn main() {
         let reports = audit_all_pooled(jobs);
         let mut rejected = 0usize;
         for (name, report) in &reports {
-            println!(
+            outln!(
                 "audit {name}: {} verdict(s) certified, {} rejected",
                 report.certified(),
                 report.rejected()
@@ -178,7 +214,7 @@ fn main() {
             eprintln!("audit: {rejected} verdict(s) rejected — bounds must not be trusted");
             std::process::exit(3);
         }
-        println!("audit: all {} benchmark(s) certified", reports.len());
+        outln!("audit: all {} benchmark(s) certified", reports.len());
     }
 }
 
@@ -209,7 +245,7 @@ fn tables(jobs: usize, infer: Option<ipet_infer::InferMode>) {
     let sweep = sweep_miss_penalty_parametric(&pool, &SWEEP_PENALTIES, &SWEEP_NAMES);
     print_sweep(&sweep.points);
     let stats = pool.cache_stats();
-    println!(
+    outln!(
         "pool: {} solved, {} replayed, {} rejected replays, {} simplex ticks",
         stats.misses,
         stats.hits,
@@ -220,16 +256,20 @@ fn tables(jobs: usize, infer: Option<ipet_infer::InferMode>) {
 
 fn pool_summary(pool: &ipet_core::SolvePool, run: &PooledRun) {
     let stats = pool.cache_stats();
-    println!("== solve pool: {} worker(s) ==", run.jobs);
-    println!(
+    outln!("== solve pool: {} worker(s) ==", run.jobs);
+    outln!(
         "cache: {} solved, {} replayed, {} rejected replays",
-        stats.misses, stats.hits, stats.rejected
+        stats.misses,
+        stats.hits,
+        stats.rejected
     );
-    println!(
+    outln!(
         "table batch: {} ticks across workers {:?}; solve wall-clock {:.2?}",
-        run.total_ticks, run.worker_ticks, run.solve_wall
+        run.total_ticks,
+        run.worker_ticks,
+        run.solve_wall
     );
-    println!();
+    outln!();
 }
 
 /// Runs the Table I-III batch plus the miss-penalty sweep on one shared
@@ -253,7 +293,7 @@ fn collect_bench_doc(jobs: usize, infer: Option<ipet_infer::InferMode>) -> ipet_
 /// [`gate::bench_doc`]). This is the format of the committed
 /// `BENCH_baseline.json`; redirect stdout to refresh it.
 fn benchjson(jobs: usize, infer: Option<ipet_infer::InferMode>) {
-    print!("{}", collect_bench_doc(jobs, infer).render_pretty());
+    out!("{}", collect_bench_doc(jobs, infer).render_pretty());
 }
 
 /// The deterministic metric lines of the bench document, one `key = value`
@@ -267,7 +307,7 @@ fn counters(jobs: usize, infer: Option<ipet_infer::InferMode>) {
         std::process::exit(1);
     });
     for line in lines {
-        println!("{line}");
+        outln!("{line}");
     }
 }
 
@@ -304,7 +344,7 @@ fn gate_cmd(jobs: usize, infer: Option<ipet_infer::InferMode>, args: &[String]) 
             eprintln!("gate: cannot write {path}: {e}");
             std::process::exit(1);
         });
-        println!("gate: wrote fresh baseline to {path}");
+        outln!("gate: wrote fresh baseline to {path}");
         return;
     }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -318,10 +358,10 @@ fn gate_cmd(jobs: usize, infer: Option<ipet_infer::InferMode>, args: &[String]) 
     let current = collect_bench_doc(jobs, infer);
     let report = gate::compare(&baseline, &current, &config);
     for note in &report.notes {
-        println!("gate: {note}");
+        outln!("gate: {note}");
     }
     if report.passed() {
-        println!("gate: PASS ({path})");
+        outln!("gate: PASS ({path})");
     } else {
         for failure in &report.failures {
             eprintln!("gate: FAIL {failure}");
@@ -347,15 +387,18 @@ fn sweep_pooled(pool: &ipet_core::SolvePool) {
 /// Renders each routine's bound formula with its certified validity
 /// interval on the swept grid, plus the solve/reuse tallies.
 fn print_regions(s: &ParametricSweep) {
-    println!("== parametric: per-routine bound formulas wcet(p) on penalty p ==");
-    println!("{:<16} {:>7} {:>7}   formula", "function", "from", "to");
+    outln!("== parametric: per-routine bound formulas wcet(p) on penalty p ==");
+    outln!("{:<16} {:>7} {:>7}   formula", "function", "from", "to");
     for r in &s.regions {
-        println!(
+        outln!(
             "{:<16} {:>7} {:>7}   wcet(p) = {}",
-            r.name, r.from_penalty, r.to_penalty, r.formula
+            r.name,
+            r.from_penalty,
+            r.to_penalty,
+            r.formula
         );
     }
-    println!(
+    outln!(
         "parametric: {} grid point(s): {} concrete solve(s), {} formula hit(s), \
          {} region exit(s)",
         SWEEP_PENALTIES.len(),
@@ -363,113 +406,125 @@ fn print_regions(s: &ParametricSweep) {
         s.region_hits,
         s.region_exits
     );
-    println!();
+    outln!();
 }
 
 fn print_sweep(points: &[SweepPoint]) {
-    println!("== sensitivity: estimated WCET vs i-cache miss penalty ==");
-    print!("{:<10}", "penalty");
+    outln!("== sensitivity: estimated WCET vs i-cache miss penalty ==");
+    out!("{:<10}", "penalty");
     for n in SWEEP_NAMES {
-        print!(" {n:>16}");
+        out!(" {n:>16}");
     }
-    println!();
+    outln!();
     for p in points {
-        print!("{:<10}", p.miss_penalty);
+        out!("{:<10}", p.miss_penalty);
         for (_, w) in &p.wcet {
-            print!(" {:>16}", group_digits(*w));
+            out!(" {:>16}", group_digits(*w));
         }
-        println!();
+        outln!();
     }
-    println!();
+    outln!();
 }
 
 fn fig1(data: &[BenchData]) {
-    println!("== Fig. 1: estimated bound encloses the actual (measured) bound ==");
-    println!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
+    outln!("== Fig. 1: estimated bound encloses the actual (measured) bound ==");
+    outln!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
     for (name, est, meas, ok) in fig1_rows(data) {
-        println!("{name:<16} {:>24} {:>24}  {}", fmt_bound(est), fmt_bound(meas), ok);
+        outln!("{name:<16} {:>24} {:>24}  {}", fmt_bound(est), fmt_bound(meas), ok);
     }
-    println!();
+    outln!();
 }
 
 fn figures() {
-    println!("== Figs. 2-4: structural constraints extracted from the CFG ==");
+    outln!("== Figs. 2-4: structural constraints extracted from the CFG ==");
     for (title, program) in figure_cfgs() {
-        println!("-- {title} --");
-        println!("{}", ipet_arch::disassemble_program(&program));
-        println!("{}", structural_dump(&program));
+        outln!("-- {title} --");
+        outln!("{}", ipet_arch::disassemble_program(&program));
+        outln!("{}", structural_dump(&program));
     }
 }
 
 fn fig6() {
     let (text, est) = fig6_text();
-    println!("== Fig. 6: caller/callee path relationship (x4 = x6.f1) ==");
-    println!("{text}");
-    println!(
+    outln!("== Fig. 6: caller/callee path relationship (x4 = x6.f1) ==");
+    outln!("{text}");
+    outln!(
         "estimated bound: {}  ({} sets, {} pruned)",
         fmt_bound(est.bound),
         est.sets_total,
         est.sets_pruned
     );
-    println!();
+    outln!();
 }
 
 fn table1(data: &[BenchData]) {
-    println!("== Table I: benchmark set ==");
-    println!(
+    outln!("== Table I: benchmark set ==");
+    outln!(
         "{:<16} {:>11} {:>10} {:>10} {:>12}",
-        "function", "paper-lines", "our-lines", "paper-sets", "our-sets"
+        "function",
+        "paper-lines",
+        "our-lines",
+        "paper-sets",
+        "our-sets"
     );
     for (name, plines, lines, psets, sets, after) in table1_rows(data) {
         let our = if sets == after { format!("{sets}") } else { format!("{sets})-{after}") };
-        println!("{name:<16} {plines:>11} {lines:>10} {psets:>10} {our:>12}");
+        outln!("{name:<16} {plines:>11} {lines:>10} {psets:>10} {our:>12}");
     }
-    println!();
+    outln!();
 }
 
 fn table23(data: &[BenchData], measured: bool) {
     if measured {
-        println!("== Table III: estimated vs measured bound (cycle-level simulation) ==");
+        outln!("== Table III: estimated vs measured bound (cycle-level simulation) ==");
     } else {
-        println!("== Table II: pessimism in path analysis (estimated vs calculated) ==");
+        outln!("== Table II: pessimism in path analysis (estimated vs calculated) ==");
     }
     let reference = if measured { "measured" } else { "calculated" };
-    println!("{:<16} {:>24} {:>24} {:>16}", "function", "estimated", reference, "pessimism");
+    outln!("{:<16} {:>24} {:>24} {:>16}", "function", "estimated", reference, "pessimism");
     for (name, est, refb, (pl, pu)) in table23_rows(data, measured) {
-        println!(
-            "{name:<16} {:>24} {:>24}    [{pl:5.2}, {pu:5.2}]",
-            fmt_bound(est),
-            fmt_bound(refb)
-        );
+        outln!("{name:<16} {:>24} {:>24}    [{pl:5.2}, {pu:5.2}]", fmt_bound(est), fmt_bound(refb));
     }
-    println!();
+    outln!();
 }
 
 fn ilpstats(data: &[BenchData]) {
-    println!("== §III-D: ILP solver behaviour (branch & bound) ==");
-    println!(
+    outln!("== §III-D: ILP solver behaviour (branch & bound) ==");
+    outln!(
         "{:<16} {:>9} {:>7} {:>24} {:>12}",
-        "function", "lp-calls", "nodes", "first-relax-integral", "solve-time"
+        "function",
+        "lp-calls",
+        "nodes",
+        "first-relax-integral",
+        "solve-time"
     );
     let mut all_integral = true;
     for (name, stats, time) in ilp_stat_rows(data) {
         all_integral &= stats.first_relaxation_integral;
-        println!(
+        outln!(
             "{name:<16} {:>9} {:>7} {:>24} {:>9.2?}",
-            stats.lp_calls, stats.nodes, stats.first_relaxation_integral, time
+            stats.lp_calls,
+            stats.nodes,
+            stats.first_relaxation_integral,
+            time
         );
     }
-    println!("=> every first LP relaxation integral: {all_integral} (the paper's observation)\n");
+    outln!("=> every first LP relaxation integral: {all_integral} (the paper's observation)\n");
 }
 
 fn blowup() {
-    println!("== §II: explicit path enumeration vs IPET (k sequential diamonds) ==");
-    println!(
+    outln!("== §II: explicit path enumeration vs IPET (k sequential diamonds) ==");
+    outln!(
         "{:<4} {:>12} {:>10} {:>14} {:>9} {:>14}",
-        "k", "paths", "truncated", "explicit-time", "lp-calls", "implicit-time"
+        "k",
+        "paths",
+        "truncated",
+        "explicit-time",
+        "lp-calls",
+        "implicit-time"
     );
     for r in blowup_rows(&[2, 4, 6, 8, 10, 12, 14, 16, 18, 20], 2_000_000) {
-        println!(
+        outln!(
             "{:<4} {:>12} {:>10} {:>11.2?} {:>9} {:>11.2?}",
             r.k,
             group_digits(r.paths),
@@ -479,18 +534,22 @@ fn blowup() {
             r.implicit_time
         );
     }
-    println!();
+    outln!();
 }
 
 fn ablation() {
-    println!("== §IV ablation: all-miss vs first-iteration cache splitting ==");
-    println!(
+    outln!("== §IV ablation: all-miss vs first-iteration cache splitting ==");
+    outln!(
         "{:<16} {:>12} {:>12} {:>12} {:>10}",
-        "function", "all-miss", "split", "measured", "tightened"
+        "function",
+        "all-miss",
+        "split",
+        "measured",
+        "tightened"
     );
     for (name, base, split, meas) in ablation_split_rows() {
         let gain = 100.0 * (base - split) as f64 / base as f64;
-        println!(
+        outln!(
             "{name:<16} {:>12} {:>12} {:>12} {:>9.1}%",
             group_digits(base),
             group_digits(split),
@@ -498,7 +557,7 @@ fn ablation() {
             gain
         );
     }
-    println!();
+    outln!();
 }
 
 fn sweep(jobs: usize) {
@@ -547,7 +606,7 @@ fn parametric(jobs: usize, args: &[String]) {
             eprintln!("parametric: CHECK FAILED ({failures} failure(s))");
             std::process::exit(1);
         }
-        println!(
+        outln!(
             "parametric: CHECK PASS — formulas match concrete solves on all {} point(s)",
             SWEEP_PENALTIES.len()
         );
@@ -555,51 +614,55 @@ fn parametric(jobs: usize, args: &[String]) {
 }
 
 fn dsp3210() {
-    println!("== §VII: the AT&T DSP3210 port (second machine model) ==");
-    println!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
+    outln!("== §VII: the AT&T DSP3210 port (second machine model) ==");
+    outln!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
     for (name, est, meas, ok) in machine_rows(ipet_hw::Machine::dsp3210()) {
-        println!("{name:<16} {:>24} {:>24}  {ok}", fmt_bound(est), fmt_bound(meas));
+        outln!("{name:<16} {:>24} {:>24}  {ok}", fmt_bound(est), fmt_bound(meas));
         assert!(ok, "{name}: unsound on dsp3210");
     }
-    println!();
+    outln!();
 }
 
 fn stress() {
-    println!("== stress: random programs, inferred bounds, soundness probes ==");
+    outln!("== stress: random programs, inferred bounds, soundness probes ==");
     let rows = stress_rows(25);
     let mut all = true;
     for r in &rows {
         all &= r.sound;
     }
-    println!(
+    outln!(
         "{} random programs, {} total loops, all sound: {all}",
         rows.len(),
         rows.iter().map(|r| r.loops).sum::<usize>()
     );
     for r in rows.iter().take(5) {
-        println!("  seed {:>3}: {} loops, bound {}", r.seed, r.loops, fmt_bound(r.bound));
+        outln!("  seed {:>3}: {} loops, bound {}", r.seed, r.loops, fmt_bound(r.bound));
     }
-    println!();
+    outln!();
 }
 
 fn dcache() {
-    println!("== future work: i960KB fitted with a data cache (hardware-model refinement) ==");
-    println!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
+    outln!("== future work: i960KB fitted with a data cache (hardware-model refinement) ==");
+    outln!("{:<16} {:>24} {:>24}  encloses", "function", "estimated", "measured");
     for (name, est, meas, ok) in machine_rows(ipet_hw::Machine::i960kb_with_dcache()) {
-        println!("{name:<16} {:>24} {:>24}  {ok}", fmt_bound(est), fmt_bound(meas));
+        outln!("{name:<16} {:>24} {:>24}  {ok}", fmt_bound(est), fmt_bound(meas));
         assert!(ok, "{name}: unsound with a data cache");
     }
-    println!();
+    outln!();
 }
 
 fn exhaustive() {
-    println!("== actual bound by exhaustive input sweep (infeasible in general; feasible here) ==");
-    println!(
+    outln!("== actual bound by exhaustive input sweep (infeasible in general; feasible here) ==");
+    outln!(
         "{:<12} {:>8} {:>22} {:>24} {:>10}",
-        "function", "runs", "actual [T_min,T_max]", "estimated [t_min,t_max]", "extremes"
+        "function",
+        "runs",
+        "actual [T_min,T_max]",
+        "estimated [t_min,t_max]",
+        "extremes"
     );
     for r in exhaustive_rows() {
-        println!(
+        outln!(
             "{:<12} {:>8} {:>22} {:>24} {:>10}",
             r.name,
             group_digits(r.runs),
@@ -609,29 +672,34 @@ fn exhaustive() {
         );
         assert!(r.estimated.encloses(r.actual), "{}: actual bound escapes", r.name);
     }
-    println!();
+    outln!();
 }
 
 fn sensitivity() {
-    println!("== WCET sensitivity: cycles gained per extra loop iteration ==");
-    println!("{:<16} {:<22} {:>8} {:>14}", "function", "loop", "bound", "delta-cycles");
+    outln!("== WCET sensitivity: cycles gained per extra loop iteration ==");
+    outln!("{:<16} {:<22} {:>8} {:>14}", "function", "loop", "bound", "delta-cycles");
     for (bench, loop_id, hi, delta) in sensitivity_rows() {
-        println!("{bench:<16} {loop_id:<22} {hi:>8} {delta:>14}");
+        outln!("{bench:<16} {loop_id:<22} {hi:>8} {delta:>14}");
         assert!(delta >= 0, "widening a bound can never shrink the WCET");
     }
-    println!();
+    outln!();
 }
 
 fn budget(jobs: usize) {
-    println!("== budget: bound quality under shrinking tick deadlines ==");
-    println!(
+    outln!("== budget: bound quality under shrinking tick deadlines ==");
+    outln!(
         "{:<12} {:>10} {:>24} {:>8} {:>8} {:>8}  safe",
-        "function", "deadline", "bound", "quality", "skipped", "relaxed"
+        "function",
+        "deadline",
+        "bound",
+        "quality",
+        "skipped",
+        "relaxed"
     );
     let rows = budget_rows(jobs, &[100_000, 1_000, 100, 10, 0], &["check_data", "piksrt", "des"]);
     for r in &rows {
         let deadline = r.deadline_ticks.map(group_digits).unwrap_or_else(|| "unlimited".into());
-        println!(
+        outln!(
             "{:<12} {:>10} {:>24} {:>8} {:>8} {:>8}  {}",
             r.name,
             deadline,
@@ -642,5 +710,5 @@ fn budget(jobs: usize) {
             r.safe
         );
     }
-    println!();
+    outln!();
 }

@@ -1,6 +1,7 @@
-//! The `experiments` binary's option handling: an option the chosen
+//! The `experiments` binary's command line: an option the chosen
 //! experiment does not take is an error, so a misspelt or retired flag
-//! never runs silently.
+//! never runs silently, and a reader that closes stdout ends the run
+//! quietly.
 
 use std::process::Command;
 
@@ -47,4 +48,25 @@ fn subcommand_and_global_options_are_still_taken() {
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("gate: PASS"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // `experiments table1 | head -0`: the reader closes the pipe before
+    // the first line is written, so every write fails with EPIPE. The run
+    // must end with 141 and say nothing, not panic with 101.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("table1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).expect("stderr");
+    let status = child.wait().expect("child exits");
+    assert_eq!(status.code(), Some(141), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

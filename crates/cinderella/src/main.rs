@@ -130,7 +130,6 @@ fn usage() -> String {
      \x20        --audit (re-certify every bound in exact integer arithmetic)\n\
      store:   --store FILE (crash-safe persistent solve store: certified replays\n\
      \x20         across runs; bounds are bit-identical with or without it)\n\
-     \x20        --no-store (pin the default: never touch a store)\n\
      budget:  --deadline TICKS --max-nodes N --max-sets N --no-degrade\n\
      faults:  --inject-corrupt-witness N --inject-corrupt-bound N\n\
      \x20        (corrupt the Nth ILP solve inside each fresh solve of the\n\
@@ -262,7 +261,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
     let mut faults = SolverFaults::none();
     let mut budget = AnalysisBudget::default();
     let mut store_path: Option<String> = None;
-    let mut no_store = false;
     let mut socket: Option<String> = None;
     let mut io_faults = SolverFaults::none();
     let mut max_inflight = 4usize;
@@ -312,7 +310,6 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                     SolverFaults::corrupt_bound_at(parse_num("--inject-corrupt-bound", it.next())?);
             }
             "--store" => store_path = Some(it.next().ok_or("--store needs a value")?.to_string()),
-            "--no-store" => no_store = true,
             "--socket" => socket = Some(it.next().ok_or("--socket needs a value")?.to_string()),
             "--max-inflight" => {
                 max_inflight = parse_num("--max-inflight", it.next())?.max(1) as usize
@@ -439,7 +436,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
                 return Err("--inject-corrupt-* solve faults need `analyze`".into());
             }
             serve::serve(serve::ServeConfig {
-                store_path: if no_store { None } else { store_path },
+                store_path,
                 socket,
                 jobs,
                 machine_name,
@@ -484,7 +481,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             // A store cannot vouch for solves a fault corrupted on purpose.
             let armed = faults.armed();
             let mut pool = SolvePool::with_faults(jobs, faults);
-            if let (Some(path), false) = (&store_path, no_store) {
+            if let Some(path) = &store_path {
                 if armed {
                     return Err(
                         "--store cannot combine with --inject-corrupt-* solve faults".into()

@@ -13,7 +13,7 @@
 //! the replay working set and nothing else.
 //!
 //! **Bound.** Entries are weighed by the problems a plan holds (its jobs
-//! plus its bases), and the total weight stays within
+//! plus its two covers), and the total weight stays within
 //! [`SOLVE_CACHE_CAPACITY`], least recently used out first; a plan heavier
 //! than that is never admitted. Its worst case is therefore the solve
 //! cache's. An eviction costs the next identical request one front-end
@@ -88,9 +88,10 @@ pub(crate) struct PlanMemo {
     evicted: AtomicU64,
 }
 
-/// The problems `plan` holds: what it weighs against the bound.
+/// The problems `plan` holds, its jobs and its two covers: what it weighs
+/// against the bound.
 fn weight(plan: &AnalysisPlan) -> usize {
-    plan.jobs().len() + plan.bases().len()
+    plan.jobs().len() + 2
 }
 
 impl PlanMemo {

@@ -368,11 +368,17 @@ fn budget_flags_reject_garbage_values() {
 }
 
 #[test]
-fn the_retired_solver_flag_is_an_unexpected_argument() {
-    let (code, stdout, stderr) = cinderella_code(&["analyze", "piksrt", "--solver", "dense"]);
-    assert_eq!(code, 1, "{stderr}");
-    assert!(stderr.contains("unexpected argument --solver"), "{stderr}");
-    assert!(stdout.is_empty(), "no analysis may run: {stdout}");
+fn retired_flags_are_unexpected_arguments() {
+    for (args, flag) in [
+        (&["analyze", "piksrt", "--solver", "dense"][..], "--solver"),
+        (&["analyze", "piksrt", "--no-store"], "--no-store"),
+        (&["serve", "--no-store"], "--no-store"),
+    ] {
+        let (code, stdout, stderr) = cinderella_code(args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unexpected argument {flag}")), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} ran anyway: {stdout}");
+    }
 }
 
 #[test]
@@ -698,11 +704,10 @@ fn second_run_replays_from_the_store_byte_identically() {
     // The bounds — and everything else in the report — must be identical.
     assert_eq!(strip_summaries(&cold), strip_summaries(&warm));
 
-    // And identical to a run with the store disabled outright.
-    let (ok, no_store, _) =
-        cinderella(&["analyze", "piksrt", "check_data", "--no-store", "--jobs", "2"]);
+    // And identical to a run without a store.
+    let (ok, storeless, _) = cinderella(&["analyze", "piksrt", "check_data", "--jobs", "2"]);
     assert!(ok);
-    assert_eq!(strip_summaries(&warm), strip_summaries(&no_store));
+    assert_eq!(strip_summaries(&warm), strip_summaries(&storeless));
 }
 
 #[test]
@@ -725,7 +730,7 @@ fn pool_line_counts_store_replays() {
 fn a_run_that_replays_every_job_spends_no_tick() {
     // Only jobs the pool must solve spend ticks, so a second run over a
     // store that answers everything spends none.
-    let dir = store_scratch("no-bases");
+    let dir = store_scratch("full-replay");
     let store = dir.join("solves.store");
     let trace = dir.join("trace.json");
     let mut args =
@@ -747,7 +752,7 @@ fn a_run_that_replays_every_job_spends_no_tick() {
 fn every_io_fault_degrades_to_cold_solves_with_identical_bounds() {
     let dir = store_scratch("faults");
     let baseline = {
-        let (ok, out, stderr) = cinderella(&["analyze", "piksrt", "--no-store", "--jobs", "2"]);
+        let (ok, out, stderr) = cinderella(&["analyze", "piksrt", "--jobs", "2"]);
         assert!(ok, "{stderr}");
         strip_summaries(&out)
     };

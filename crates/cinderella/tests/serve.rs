@@ -103,6 +103,29 @@ fn stdin_protocol_streams_sets_then_done_and_survives_bad_requests() {
 }
 
 #[test]
+fn a_deeply_nested_request_line_is_a_bad_request_not_an_abort() {
+    // 50,000 nested arrays: 100 KB, under the line cap. Parsed without a
+    // depth limit, this line overflowed the stack and killed the daemon.
+    let mut child = spawn_serve(&[]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    writeln!(stdin, "{}{}", "[".repeat(50_000), "]".repeat(50_000)).unwrap();
+    let (sets, err) = read_response(&mut reader);
+    assert!(sets.is_empty());
+    assert_eq!(status_of(&err), 1);
+    let message = err.get("error").and_then(ipet_trace::Json::as_str).expect("error text");
+    assert!(message.starts_with("bad request"), "{message}");
+
+    writeln!(stdin, r#"{{"id": 1, "target": "piksrt"}}"#).unwrap();
+    let (_, done) = read_response(&mut reader);
+    assert_eq!(status_of(&done), 0);
+    assert_eq!(done.get("target").and_then(ipet_trace::Json::as_str), Some("piksrt"));
+
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+#[test]
 fn infer_requests_carry_outcome_counts_and_match_annotated_bounds() {
     let mut child = spawn_serve(&[]);
     let mut stdin = child.stdin.take().unwrap();
@@ -159,7 +182,7 @@ fn sigkill_mid_batch_loses_nothing_acknowledged() {
 
     // Baseline report without any store.
     let base = Command::new(env!("CARGO_BIN_EXE_cinderella"))
-        .args(["analyze", "piksrt", "--no-store"])
+        .args(["analyze", "piksrt"])
         .output()
         .unwrap();
     assert!(base.status.success());

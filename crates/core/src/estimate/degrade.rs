@@ -16,8 +16,8 @@ pub(super) fn to_cycles(value: f64) -> Result<u64, AnalysisError> {
 }
 
 impl AnalysisPlan {
-    /// Covers skipped sets with the base problems' LP relaxations: the
-    /// base's feasible region contains every composed set's, so its
+    /// Covers skipped sets with the cover problems' LP relaxations: a
+    /// cover's feasible region contains every composed set's, so its
     /// max/min bound whatever the skipped sets could attain. One LP per
     /// sense, on a fresh meter and with no deadline: the budget that
     /// skipped the sets is spent, and the simplex kernel's switch to
@@ -31,7 +31,7 @@ impl AnalysisPlan {
     ) -> Result<(), AnalysisError> {
         ipet_trace::counter("core.cover.solves", 2);
         match solve_lp_metered(
-            self.bases[0].problem(),
+            &self.covers[0],
             &SolveBudget::unlimited(),
             &BudgetMeter::new(),
             &mut SolverFaults::none(),
@@ -54,7 +54,7 @@ impl AnalysisPlan {
             LpOutcome::LimitReached => return Err(AnalysisError::BudgetExhausted),
         }
         match solve_lp_metered(
-            self.bases[1].problem(),
+            &self.covers[1],
             &SolveBudget::unlimited(),
             &BudgetMeter::new(),
             &mut SolverFaults::none(),

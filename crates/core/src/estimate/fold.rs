@@ -46,10 +46,8 @@ impl AnalysisPlan {
         self.fold(verdicts, true)
     }
 
-    /// The ILP a given set/sense verdict answered, for re-certification.
-    /// Always the **composed** problem — base rows plus the set's delta
-    /// rows — so certification covers the full recomposition, never the
-    /// base or delta in isolation.
+    /// The ILP a given set/sense verdict answered, for re-certification:
+    /// the job's whole problem, cover rows and disjunct rows alike.
     fn job_problem(&self, set: usize, sense: Sense) -> &Problem {
         &self.jobs[2 * set + (sense == Sense::Minimize) as usize].problem
     }
@@ -286,7 +284,7 @@ impl AnalysisPlan {
         }
 
         // Sets whose jobs exhausted their budget (or were quarantined) are
-        // covered by the base problems' LP relaxations (see `degrade.rs`).
+        // covered by the cover problems' LP relaxations (see `degrade.rs`).
         let sets_skipped = self.num_sets - solved;
         if sets_skipped > 0 {
             quality = quality.combine(BoundQuality::Partial);

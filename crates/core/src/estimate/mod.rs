@@ -5,23 +5,22 @@
 //!
 //! * [`sets`] — annotation resolution: `x`/`d`/`f` references, loop-bound
 //!   equations (the paper's eqs. 14–15), and DNF expansion inputs.
-//! * [`plan`] — job-graph construction: base+delta decomposition, cache
-//!   split, canonical set ordering, ILP assembly.
+//! * [`plan`] — job-graph construction: DNF expansion, cache split,
+//!   canonical set ordering, ILP assembly and job keys.
 //! * [`fold`] — the pure verdict fold that turns solved jobs back into an
 //!   [`Estimate`] (plus exact-arithmetic certification).
 //! * [`degrade`] — budget-exhaustion coverage: the common-constraint cover
 //!   relaxation that bounds skipped sets.
 //!
-//! ## Base+delta decomposition
+//! ## One problem per job
 //!
-//! Every ILP of one analysis shares its structural rows, objective and
-//! bounds; the DNF sets differ only in the disjunct rows they picked. The
-//! plan therefore assembles one shared [`BaseProblem`] per sense
-//! (structural + common functionality + cache-split rows — exactly the
-//! cover relaxation used to bound skipped sets) and one small [`DeltaSet`]
-//! per surviving set. Each job's full problem is `base.compose(delta)`
-//! **by construction**, so each base is hashed once and a job's cache key
-//! continues that hash over its delta rows.
+//! Every surviving constraint set is solved as its own, independent ILP,
+//! once per sense. The plan assembles one cover problem per sense
+//! (structural + common functionality rows, plus the cache-split rows on
+//! the worst-case side) and appends each set's disjunct rows to it, so a
+//! job is its composed problem and the key it was planned with:
+//! `fingerprint(&problem)`, computed once when the plan is built. The
+//! covers stay with the plan, where they bound any set a budget skipped.
 
 use crate::dsl::{parse_annotations, Annotations, LoopProvenance, Stmt};
 use crate::error::AnalysisError;
@@ -30,9 +29,7 @@ use ipet_arch::{FuncId, Program};
 use ipet_audit::FlowSpec;
 use ipet_cfg::{BlockId, InstanceId, Instances};
 use ipet_hw::{block_cost, block_cost_param, BlockCost, Machine, ParamExpr, ParamPoint};
-use ipet_lp::{
-    BaseProblem, BoundQuality, DeltaSet, IlpResolution, IlpStats, Problem, Sense, SolveBudget,
-};
+use ipet_lp::{BoundQuality, Fingerprint, IlpResolution, IlpStats, Problem, Sense, SolveBudget};
 use std::collections::{BTreeMap, HashSet};
 
 mod degrade;
@@ -290,10 +287,6 @@ impl Estimate {
 /// problems are fully assembled (structural + functionality + cache-split
 /// rows), self-contained, and independent of each other, so the pool may
 /// solve, replay and steal them in any order.
-///
-/// Each job also carries its base+delta factorization: `problem` is
-/// exactly `plan.bases()[job.base].compose(&job.delta)`, which is what
-/// keys the job in the pool's caches.
 #[derive(Debug, Clone)]
 pub struct IlpJob {
     /// Index of the constraint set among the surviving (post-prune,
@@ -301,15 +294,13 @@ pub struct IlpJob {
     pub set: usize,
     /// `Maximize` for the WCET side, `Minimize` for the BCET side.
     pub sense: Sense,
-    /// The assembled ILP (base rows followed by the delta rows).
+    /// The assembled ILP: the sense's cover rows followed by the set's
+    /// disjunct rows (deduplicated: rows already in the cover, or repeated
+    /// within the set, are dropped before assembly).
     pub problem: Problem,
-    /// Index into [`AnalysisPlan::bases`] of the shared base this job
-    /// extends (`0` = worst-case base, `1` = best-case base).
-    pub base: usize,
-    /// The disjunct rows this set adds on top of the base (deduplicated:
-    /// rows already present in the base, or repeated within the set, are
-    /// dropped before assembly).
-    pub delta: DeltaSet,
+    /// The job's cache key, `fingerprint(&problem)`, computed once by
+    /// [`Analyzer::plan`].
+    pub key: Fingerprint,
 }
 
 /// Outcome of one [`IlpJob`], fed back to [`AnalysisPlan::complete`].
@@ -369,12 +360,12 @@ pub struct AnalysisPlan {
     num_sets: usize,
     /// `Partial` when the DNF cap dropped disjunctive statements.
     quality_floor: BoundQuality,
-    /// The shared base problems every job extends: `bases[0]` is the
-    /// worst-case base (structural + common functionality + cache-split
-    /// rows), `bases[1]` the best-case base. Each base is simultaneously
-    /// the cover relaxation bounding any set the budget forces the
-    /// executor to skip.
-    bases: Vec<BaseProblem>,
+    /// The cover relaxations of every set, `[worst, best]`: the worst
+    /// cover holds the structural, common functionality and cache-split
+    /// rows, the best cover the structural and common rows. Each job's
+    /// problem extends its sense's cover, so a cover bounds any set the
+    /// budget forces the executor to skip.
+    covers: [Problem; 2],
     /// Loop labels reported if a solve comes back unbounded.
     unbounded_loops: Vec<String>,
     /// Provenance of the loop bounds in force (copied from the
@@ -416,11 +407,14 @@ impl AnalysisPlan {
         self.num_sets
     }
 
-    /// The shared base problems: `bases()[0]` for the worst-case jobs,
-    /// `bases()[1]` for the best-case jobs. `jobs()[i].problem` is exactly
-    /// `bases()[jobs()[i].base].compose(&jobs()[i].delta)`.
-    pub fn bases(&self) -> &[BaseProblem] {
-        &self.bases
+    /// The cover problem of `sense`: the structural and common
+    /// functionality rows (plus the cache-split rows when maximizing) that
+    /// every job of that sense starts with.
+    pub fn cover(&self, sense: Sense) -> &Problem {
+        match sense {
+            Sense::Maximize => &self.covers[0],
+            Sense::Minimize => &self.covers[1],
+        }
     }
 
     /// Stable identity of the analyzed routine family (derived from the

@@ -1,5 +1,5 @@
-//! Plan construction: DNF expansion, base+delta factoring, cache-split
-//! modelling and ILP assembly.
+//! Plan construction: DNF expansion, cache-split modelling, ILP assembly
+//! and job keys.
 
 use super::{AnalysisBudget, AnalysisPlan, Analyzer, CacheMode, IlpJob, VarMeta};
 use crate::dsl::{Annotations, Stmt};
@@ -9,9 +9,7 @@ use crate::structural::{flow_spec, structural_constraints};
 use crate::vars::{VarRef, VarSpace};
 use ipet_cfg::{BlockId, InstanceId, LoopInfo};
 use ipet_hw::ParamExpr;
-use ipet_lp::{
-    BaseProblem, BoundQuality, Constraint, DeltaSet, Problem, ProblemBuilder, Sense, VarId,
-};
+use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, ProblemBuilder, Sense, VarId};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -32,15 +30,17 @@ impl<'p> Analyzer<'p> {
     /// thread count, and hash-map iteration — which is what makes reports
     /// and exit codes reproducible across `--jobs` values.
     ///
-    /// **Base+delta factoring:** the rows shared by every set (structural
-    /// flow, non-disjunctive functionality statements, cache-split rows)
-    /// become one [`BaseProblem`] per sense; each surviving set keeps only
-    /// its disjunct rows as a [`DeltaSet`]. Delta rows that duplicate a
-    /// base row, or repeat within the set, are dropped before assembly
-    /// (counted under `core.sets.dedup_rows`) — a duplicated row changes
-    /// nothing about the feasible region but would key equal sets apart.
-    /// Each job's `problem` is assembled as `base.compose(delta)`, so its
-    /// cache key continues the base's hash over the delta rows.
+    /// **One problem per job:** the rows shared by every set (structural
+    /// flow, non-disjunctive functionality statements and, when
+    /// maximizing, the cache-split rows) form one cover problem per sense;
+    /// each job's problem is its sense's cover followed by the set's
+    /// disjunct rows. Disjunct rows that duplicate a cover row, or repeat
+    /// within the set, are dropped before assembly (counted under
+    /// `core.sets.dedup_rows`) — a duplicated row changes nothing about
+    /// the feasible region but would key equal sets apart. Each job's key
+    /// is `fingerprint(&problem)`, hashed here once (span
+    /// `core.plan.hash`), so the pool and a replay from a cached plan hash
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -113,9 +113,9 @@ impl<'p> Analyzer<'p> {
         }
 
         // Expand the product twice over: the merged rows (for null pruning
-        // and the canonical sort key, exactly as the monolithic assembly
-        // ordered them) and the delta rows (disjunctive statements only —
-        // what the set adds on top of the shared base).
+        // and the canonical sort key, in statement order) and the disjunct
+        // rows (disjunctive statements only — what the set adds on top of
+        // the cover).
         let mut expanded: Vec<(Vec<LinCon>, Vec<LinCon>)> = vec![(Vec::new(), Vec::new())];
         for alts in &statements {
             let disjunctive = alts.len() > 1;
@@ -134,8 +134,8 @@ impl<'p> Analyzer<'p> {
             expanded = next;
         }
 
-        // Null-set pruning, on the full merged rows (a delta can only be
-        // null together with the common rows it combines with).
+        // Null-set pruning, on the full merged rows (disjunct rows can only
+        // be null together with the common rows they combine with).
         let before = expanded.len();
         expanded.retain(|(m, _)| !set_is_null(m));
         let sets_pruned = before - expanded.len();
@@ -160,18 +160,17 @@ impl<'p> Analyzer<'p> {
 
         // Constraints common to *every* set (the non-disjunctive
         // statements): together with the structural and split rows they
-        // form the base problem, which doubles as the cover relaxation
-        // bounding any set the budget forces us to skip.
+        // form the covers.
         let common: Vec<LinCon> =
             statements.iter().filter(|s| s.len() == 1).flat_map(|s| s[0].iter().cloned()).collect();
 
-        // Dedup delta rows against the base and within each set. Rendered
-        // text is the identity: `LinCon`'s display is injective on
+        // Dedup disjunct rows against the common rows and within each set.
+        // Rendered text is the identity: `LinCon`'s display is injective on
         // normalized content, so equal text means a mathematically
         // identical row.
         let common_keys: HashSet<String> = common.iter().map(|c| c.to_string()).collect();
         let mut dedup_rows = 0u64;
-        let deltas: Vec<Vec<LinCon>> = keyed
+        let disjuncts: Vec<Vec<LinCon>> = keyed
             .into_iter()
             .map(|(_, d)| {
                 let mut seen: HashSet<String> = HashSet::new();
@@ -188,44 +187,35 @@ impl<'p> Analyzer<'p> {
             })
             .collect();
 
-        // The two shared bases. Row order: structural, common
-        // functionality, then (worst case only) the split rows — identical
-        // to the monolithic assembly when no statement is disjunctive.
-        let worst = self.assemble(
-            &space,
-            Sense::Maximize,
-            &structural,
-            &common,
-            &split_rows,
-            &split_objective,
-        );
-        let best =
-            self.assemble(&space, Sense::Minimize, &structural, &common, &[], &HashMap::new());
-        // Every hash the plan carries: the two base fingerprints (cache and
-        // base-table keys) and the persistent store's pair.
-        let (base_worst, base_best, (identity_hash, invalidation_hash)) = {
-            let _span = ipet_trace::span("core.plan.hash");
-            (BaseProblem::new(worst), BaseProblem::new(best), self.store_hashes(anns))
-        };
-
-        let mut jobs = Vec::with_capacity(deltas.len() * 2);
-        for (idx, rows) in deltas.iter().enumerate() {
-            let delta = DeltaSet::new(rows.iter().map(|c| lincon_row(&space, c)).collect());
-            jobs.push(IlpJob {
-                set: idx,
-                sense: Sense::Maximize,
-                problem: base_worst.compose(&delta),
-                base: 0,
-                delta: delta.clone(),
-            });
-            jobs.push(IlpJob {
-                set: idx,
-                sense: Sense::Minimize,
-                problem: base_best.compose(&delta),
-                base: 1,
-                delta,
-            });
+        // The two covers. Row order: structural, common functionality,
+        // then (worst case only) the split rows.
+        let covers = [Sense::Maximize, Sense::Minimize].map(|sense| {
+            self.assemble(&space, sense, &structural, &common, &split_rows, &split_objective)
+        });
+        let mut problems = Vec::with_capacity(disjuncts.len() * 2);
+        for (set, rows) in disjuncts.iter().enumerate() {
+            let rows: Vec<Constraint> = rows.iter().map(|c| lincon_row(&space, c)).collect();
+            for cover in &covers {
+                let mut problem = cover.clone();
+                problem.constraints.extend_from_slice(&rows);
+                problems.push((set, problem));
+            }
         }
+        // Every hash the plan carries: each job's cache key and the
+        // persistent store's pair.
+        let (jobs, (identity_hash, invalidation_hash)) = {
+            let _span = ipet_trace::span("core.plan.hash");
+            let jobs: Vec<IlpJob> = problems
+                .into_iter()
+                .map(|(set, problem)| IlpJob {
+                    set,
+                    sense: problem.sense,
+                    key: fingerprint(&problem),
+                    problem,
+                })
+                .collect();
+            (jobs, self.store_hashes(anns))
+        };
 
         // Per-variable metadata. `param_cost` mirrors the worst-case
         // objective coefficient symbolically: where the cache split zeroes
@@ -270,24 +260,24 @@ impl<'p> Analyzer<'p> {
         ipet_trace::counter("core.sets.pruned", sets_pruned as u64);
         ipet_trace::counter("core.sets.dedup_rows", dedup_rows);
         ipet_trace::counter("core.jobs.emitted", jobs.len() as u64);
-        // Row-shape telemetry for the solver: how much of each composed
-        // problem is shared base versus per-set delta. Pure functions of the plan, so the values
-        // are identical at any job count.
-        ipet_trace::counter("core.plan.base_rows", base_worst.problem().constraints.len() as u64);
+        // Row-shape telemetry: the worst cover's rows and the disjunct rows
+        // all sets add to it. Pure functions of the plan, so the values are
+        // identical at any job count.
+        ipet_trace::counter("core.plan.base_rows", covers[0].constraints.len() as u64);
         ipet_trace::counter(
             "core.plan.delta_rows",
-            deltas.iter().map(|d| d.len() as u64).sum::<u64>(),
+            disjuncts.iter().map(|d| d.len() as u64).sum::<u64>(),
         );
         ipet_trace::gauge_max("core.sets.peak", sets_total as u64);
         Ok(AnalysisPlan {
-            num_sets: deltas.len(),
+            num_sets: disjuncts.len(),
             jobs,
             budget: *budget,
             sets_total,
             sets_pruned,
             sets_before_prune: before,
             quality_floor,
-            bases: vec![base_worst, base_best],
+            covers,
             unbounded_loops: self.unbounded_loop_labels(&bounded_headers),
             loop_bounds: anns.provenance.clone(),
             vars,
@@ -335,7 +325,7 @@ impl<'p> Analyzer<'p> {
     /// Builds the split rows and split objective coefficients for
     /// [`CacheMode::FirstIterSplit`] (empty under [`CacheMode::AllMiss`]).
     /// The third return value carries the same objective coefficients as
-    /// exact parametric forms, so delta/split rows keep their symbolic
+    /// exact parametric forms, so split rows keep their symbolic
     /// objective terms alongside the concrete ones.
     #[allow(clippy::type_complexity)]
     pub(super) fn build_split(
@@ -418,6 +408,9 @@ impl<'p> Analyzer<'p> {
         self.machine().icache.range_is_conflict_free(start, end)
     }
 
+    /// Assembles one problem of `sense` over `space`: the structural rows,
+    /// then the functionality rows, then — when maximizing — the split rows,
+    /// under the split objective. Minimizing ignores both split arguments.
     pub(super) fn assemble(
         &self,
         space: &VarSpace,
@@ -481,7 +474,7 @@ impl<'p> Analyzer<'p> {
     }
 }
 
-/// Converts a resolved [`LinCon`] into a solver row over the base
+/// Converts a resolved [`LinCon`] into a solver row over the cover
 /// problem's variable ids (positional: `VarSpace` id order is the
 /// assembled problem's variable order).
 fn lincon_row(space: &VarSpace, c: &LinCon) -> Constraint {

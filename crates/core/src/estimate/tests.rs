@@ -296,7 +296,7 @@ fn time_bound_helpers() {
     assert!((hi - 0.25).abs() < 1e-9);
 }
 
-// -- base+delta decomposition ---------------------------------------------
+// -- plan hashes, covers and job problems ---------------------------------
 
 #[test]
 fn invalidation_hash_covers_operands_globals_and_text_addresses() {
@@ -332,28 +332,34 @@ fn invalidation_hash_covers_operands_globals_and_text_addresses() {
     }
 }
 
+/// The rows `job` adds to its sense's cover, after checking that its
+/// problem starts with the cover and is keyed by its own fingerprint.
+fn extra_rows(plan: &AnalysisPlan, job: &IlpJob) -> usize {
+    let cover = plan.cover(job.sense);
+    let n = cover.constraints.len();
+    assert_eq!(job.problem.constraints[..n], cover.constraints[..]);
+    assert_eq!((&job.problem.objective, &job.problem.integer), (&cover.objective, &cover.integer));
+    assert_eq!(job.key, ipet_lp::fingerprint(&job.problem));
+    job.problem.constraints.len() - n
+}
+
 #[test]
-fn job_problems_recompose_from_base_and_delta() {
+fn job_problems_extend_their_covers() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
     let anns = parse_annotations("fn main { loop x2 in [0, 10]; (x3 = 1) | (x3 = 3) | (x3 = 5); }")
         .unwrap();
     let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
-    assert_eq!(plan.bases().len(), 2);
     assert_eq!(plan.num_sets(), 3);
     for job in plan.jobs() {
-        // The invariant the cache key relies on: the composed problem IS
-        // the job's monolithic problem.
-        assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
-        assert!(!job.delta.is_empty());
-        // Deltas are small: only the disjunct rows, never the structural
-        // or common ones.
-        assert!(job.delta.rows.len() < job.problem.constraints.len());
+        // Each set adds only its disjunct row, never the structural or
+        // common ones.
+        assert_eq!(extra_rows(&plan, job), 1);
     }
-    // Max jobs extend base 0, min jobs base 1.
+    // Jobs alternate max/min, and each sense has its own cover.
     for (i, job) in plan.jobs().iter().enumerate() {
-        assert_eq!(job.base, i % 2);
         assert_eq!(job.sense, if i % 2 == 0 { Sense::Maximize } else { Sense::Minimize });
+        assert_eq!(plan.cover(job.sense).sense, job.sense);
     }
 }
 
@@ -381,31 +387,28 @@ fn audited_pool_runs_match_analyze_and_certify() {
 fn duplicate_delta_rows_are_deduplicated() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
-    // The first disjunct repeats the common row `x3 >= 1` verbatim: its
-    // delta must dedup to empty (the composed problem IS the base), while
+    // The first disjunct repeats the common row `x3 >= 1` verbatim: it
+    // must dedup away (the set's problem IS the cover), while
     // the second disjunct keeps its one genuine row.
     let anns = parse_annotations("fn main { loop x2 in [0, 10]; x3 >= 1; (x3 >= 1) | (x3 = 5); }")
         .unwrap();
     let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
     assert_eq!(plan.num_sets(), 2);
-    let mut delta_sizes: Vec<usize> = plan
+    let mut extra: Vec<usize> = plan
         .jobs()
         .iter()
         .filter(|j| j.sense == Sense::Maximize)
-        .map(|j| j.delta.rows.len())
+        .map(|j| extra_rows(&plan, j))
         .collect();
-    delta_sizes.sort_unstable();
-    assert_eq!(delta_sizes, vec![0, 1]);
-    for job in plan.jobs() {
-        assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
-    }
+    extra.sort_unstable();
+    assert_eq!(extra, vec![0, 1]);
     // The deduplicated plan still folds both sets.
     let est = a.analyze("fn main { loop x2 in [0, 10]; x3 >= 1; (x3 >= 1) | (x3 = 5); }").unwrap();
     assert_eq!(est.sets.len(), 2);
 }
 
 #[test]
-fn single_set_plans_have_empty_deltas() {
+fn single_set_plans_are_their_covers() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
     let anns = parse_annotations("fn main { loop x2 in [0, 10]; }").unwrap();
@@ -413,11 +416,9 @@ fn single_set_plans_have_empty_deltas() {
     assert_eq!(plan.num_sets(), 1);
     for job in plan.jobs() {
         // No disjunctions → every row is common → the set's problem is the
-        // base itself.
-        assert!(job.delta.is_empty());
-        assert_eq!(job.problem, plan.bases()[job.base].compose(&job.delta));
-        let base = &plan.bases()[job.base];
-        assert_eq!(base.key(&job.delta), base.fingerprint());
+        // cover itself.
+        assert_eq!(extra_rows(&plan, job), 0);
+        assert_eq!(&job.problem, plan.cover(job.sense));
     }
 }
 

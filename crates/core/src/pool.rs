@@ -167,11 +167,11 @@ impl From<AuditedPlanBatch> for PlanBatch {
 /// One unit of batch work: the composed problem to answer and its cache
 /// key.
 struct PoolJob<'a> {
-    /// The full `base ∘ delta` problem — what the answer must be correct
-    /// for, and what solves, retries and cache validation run against.
+    /// The job's composed problem — what the answer must be correct for,
+    /// and what solves, retries and cache validation run against.
     problem: &'a Problem,
-    /// Cache key: the fingerprint of `problem`, continued from its base's
-    /// hash state ([`ipet_lp::BaseProblem::key`]).
+    /// Cache key: the job's planned `fingerprint(problem)`
+    /// ([`crate::IlpJob::key`]).
     key: Fingerprint,
     /// `(identity, invalidation)` hashes of the originating plan, which
     /// scope the persistent store's replays.
@@ -280,8 +280,7 @@ impl SolvePool {
                 store.note_context(ctx.0, ctx.1);
             }
             for job in plan.jobs() {
-                let key = plan.bases()[job.base].key(&job.delta);
-                jobs.push(PoolJob { problem: &job.problem, key, ctx });
+                jobs.push(PoolJob { problem: &job.problem, key: job.key, ctx });
             }
         }
         jobs
@@ -483,7 +482,7 @@ impl SolvePool {
 
     /// Runs every job of every plan through the pool as one batch and folds
     /// the verdicts back per plan. Every job solves its composed problem;
-    /// the cache is keyed on it ([`ipet_lp::BaseProblem::key`]).
+    /// the cache is keyed on the job's planned key ([`crate::IlpJob::key`]).
     ///
     /// Jobs are concatenated in plan order (each plan's jobs in their
     /// canonical order), so the batch — and with it the dedup grouping, the

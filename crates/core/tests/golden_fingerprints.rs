@@ -1,10 +1,9 @@
 //! Pins the content fingerprints of every suite ILP: each routine's two
-//! base fingerprints and each job's composed-problem fingerprint (which is
-//! also the job's cache key, continued from its base), under the bundled
-//! annotations and under `--infer` (merge).
+//! cover fingerprints (the `base0`/`base1` lines: worst, then best) and
+//! each job's problem fingerprint (which is also the job's cache key),
+//! under the bundled annotations and under `--infer` (merge).
 //!
-//! The solve cache, the pool's base table and the persistent store all key
-//! on these values, so a change to row normalization or to the hash that
+//! The solve cache and the persistent store key on these values, so a change to row normalization or to the hash that
 //! moved any of them would silently re-key every cache. Regenerate the
 //! table only together with a deliberate key change: run with
 //! `GOLDEN_PRINT=1 cargo test -p ipet-core --test golden_fingerprints --
@@ -12,7 +11,7 @@
 
 use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
 use ipet_hw::Machine;
-use ipet_lp::fingerprint;
+use ipet_lp::{fingerprint, Sense};
 
 /// One line per value: `<routine> <mode> <what> <fingerprint>`.
 fn listing(infer: bool) -> String {
@@ -35,13 +34,13 @@ fn listing(infer: bool) -> String {
             .annotations;
         }
         let plan = analyzer.plan(&anns, &budget).expect("plan");
-        for (b, base) in plan.bases().iter().enumerate() {
-            out += &format!("{} {mode} base{b} {}\n", bench.name, base.fingerprint());
+        for (b, sense) in [Sense::Maximize, Sense::Minimize].into_iter().enumerate() {
+            let key = fingerprint(plan.cover(sense));
+            out += &format!("{} {mode} base{b} {key}\n", bench.name);
         }
         for (j, job) in plan.jobs().iter().enumerate() {
-            let key = fingerprint(&job.problem);
-            assert_eq!(plan.bases()[job.base].key(&job.delta), key, "{} job{j}", bench.name);
-            out += &format!("{} {mode} job{j} {key}\n", bench.name);
+            assert_eq!(job.key, fingerprint(&job.problem), "{} job{j}", bench.name);
+            out += &format!("{} {mode} job{j} {}\n", bench.name, job.key);
         }
     }
     out

@@ -46,7 +46,7 @@ fn suite_cold_lps_reach_the_reference_kernels_canonical_optimum() {
             compared += 1;
         }
     }
-    // 36 when written: two bases plus one job per extra set per routine.
+    // 36 when written: two jobs per routine plus two per extra set.
     assert!(compared >= 36, "only {compared} cold solves compared");
     // 36 when written: one factorization per solve.
     assert!(checked >= 30, "only {checked} sparse factorizations checked");

@@ -177,12 +177,6 @@ fn changed_annotations_invalidate_stale_entries() {
     assert!(store.stats().invalidated > 0, "stale entries must be dropped");
 }
 
-/// The pool's cache key of a job. The control run below fails if the
-/// pool ever keys jobs otherwise.
-fn job_key(plan: &AnalysisPlan, job: &ipet_core::IlpJob) -> ipet_lp::Fingerprint {
-    plan.bases()[job.base].key(&job.delta)
-}
-
 #[test]
 fn entries_under_another_content_hash_retire_and_re_solve_cold() {
     // A store written by a build whose content hash differs (the hash once
@@ -200,14 +194,7 @@ fn entries_under_another_content_hash_retire_and_re_solve_cold() {
             for job in plan.jobs() {
                 let o = outcomes.next().expect("one outcome per job");
                 let ctx = (plan.identity_hash(), plan.invalidation_hash() ^ skew);
-                store.insert(
-                    job_key(plan, job),
-                    ctx.0,
-                    ctx.1,
-                    &job.problem,
-                    &o.resolution,
-                    o.stats,
-                );
+                store.insert(job.key, ctx.0, ctx.1, &job.problem, &o.resolution, o.stats);
             }
         }
         assert!(!store.is_empty());

@@ -24,7 +24,10 @@
 //!   paper's figures).
 //!
 //! There are no pointers, no recursion and no dynamic allocation — the
-//! decidability restrictions the paper adopts (§II).
+//! decidability restrictions the paper adopts (§II). Nesting is bounded
+//! too: statement bodies, parentheses and expression-tree height together
+//! stay within [`MAX_NESTING`] levels, so no source can exhaust the stack
+//! of the parser or of a later pass.
 //!
 //! ## Example
 //!
@@ -49,7 +52,7 @@ pub use ast::{BinOp, Expr, ExprKind, FuncDecl, Item, Module, Stmt, UnOp};
 pub use codegen::compile_module;
 pub use lexer::CompileError;
 pub use opt::{optimize_function, optimize_program, OptLevel};
-pub use parser::parse_module;
+pub use parser::{parse_module, MAX_NESTING};
 
 use ipet_arch::Program;
 

@@ -10,15 +10,27 @@ use crate::lexer::{lex, CompileError, Tok};
 /// Returns a [`CompileError`] with the offending line.
 pub fn parse_module(src: &str) -> Result<Module, CompileError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, consts: Vec::new() };
+    let mut p = Parser { toks, pos: 0, consts: Vec::new(), depth: 0 };
     p.module()
 }
+
+/// The deepest nesting a source may have: the statement bodies a point
+/// sits in, plus the parentheses, unary operators, calls and indexes open
+/// around it, plus the height of the expression tree it builds. Every
+/// binary operator adds one to that height, so a flat chain `1+1+…+1`
+/// counts as deep as its length. The parser and every later pass recurse
+/// along that nesting; past the limit the parser returns a
+/// [`CompileError`] instead of exhausting the stack.
+pub const MAX_NESTING: usize = 100;
 
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     /// Constants seen so far, for folding array sizes and initializers.
     consts: Vec<(String, i64)>,
+    /// Nesting levels open around the current position (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -44,6 +56,38 @@ impl Parser {
         CompileError::new(self.line(), msg.into())
     }
 
+    /// Opens one nesting level; [`Parser::leave`] closes it. An error
+    /// aborts the whole parse, so only the success paths close levels.
+    fn enter(&mut self) -> Result<(), CompileError> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Fails when a tree of `height` built at the current depth would
+    /// pass [`MAX_NESTING`].
+    fn check_depth(&self, height: usize) -> Result<(), CompileError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.err(format!("nested more than {MAX_NESTING} levels deep")));
+        }
+        Ok(())
+    }
+
+    /// An expression node of `height` levels, checked against the limit.
+    fn node(
+        &self,
+        kind: ExprKind,
+        line: usize,
+        height: usize,
+    ) -> Result<(Expr, usize), CompileError> {
+        self.check_depth(height)?;
+        Ok((Expr { kind, line }, height))
+    }
+
     fn expect(&mut self, want: Tok) -> Result<(), CompileError> {
         match self.bump() {
             Some(t) if t == want => Ok(()),
@@ -64,19 +108,27 @@ impl Parser {
         self.consts.iter().rev().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// A compile-time integer: literal, named constant, or unary minus.
+    /// A compile-time integer: literal or named constant, under any number
+    /// of unary minuses.
     fn const_int(&mut self) -> Result<i64, CompileError> {
-        match self.bump() {
-            Some(Tok::Num(n)) => Ok(n),
-            Some(Tok::Minus) => Ok(-self.const_int()?),
+        let mut negate = false;
+        while self.peek() == Some(&Tok::Minus) {
+            self.bump();
+            negate = !negate;
+        }
+        let value = match self.bump() {
+            Some(Tok::Num(n)) => n,
             Some(Tok::Ident(name)) => self
                 .const_value(&name)
-                .ok_or_else(|| self.err(format!("`{name}` is not a known constant"))),
-            other => Err(self.err(format!(
-                "expected a constant integer, found `{}`",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "end of file".into())
-            ))),
-        }
+                .ok_or_else(|| self.err(format!("`{name}` is not a known constant")))?,
+            other => {
+                return Err(self.err(format!(
+                    "expected a constant integer, found `{}`",
+                    other.map(|t| t.to_string()).unwrap_or_else(|| "end of file".into())
+                )))
+            }
+        };
+        Ok(if negate { -value } else { value })
     }
 
     fn module(&mut self) -> Result<Module, CompileError> {
@@ -186,12 +238,13 @@ impl Parser {
     }
 
     /// A statement or a `{ ... }` block flattened into statements.
+    /// One nesting level deeper than the statement that owns it.
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, CompileError> {
-        if self.peek() == Some(&Tok::LBrace) {
-            self.block()
-        } else {
-            Ok(vec![self.stmt()?])
-        }
+        self.enter()?;
+        let body =
+            if self.peek() == Some(&Tok::LBrace) { self.block()? } else { vec![self.stmt()?] };
+        self.leave();
+        Ok(body)
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
@@ -333,7 +386,8 @@ impl Parser {
                     };
                     self.bump();
                     self.bump();
-                    let rhs = self.expr()?;
+                    let (rhs, height) = self.binary(0)?;
+                    self.check_depth(1 + height)?;
                     return Ok(desugar(op, &name, rhs, line));
                 }
                 Tok::PlusPlus | Tok::MinusMinus => {
@@ -393,14 +447,16 @@ impl Parser {
         Ok(Stmt::ExprStmt { expr, line })
     }
 
-    // Expression parsing: precedence climbing.
+    // Expression parsing: precedence climbing. Each step returns the
+    // expression with its tree height (a leaf is 1), checked against
+    // `MAX_NESTING` whenever a node is built.
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.binary(0)
+        Ok(self.binary(0)?.0)
     }
 
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
-        let mut lhs = self.unary()?;
+    fn binary(&mut self, min_prec: u8) -> Result<(Expr, usize), CompileError> {
+        let (mut lhs, mut height) = self.unary()?;
         loop {
             let (op, prec) = match self.peek() {
                 Some(Tok::PipePipe) => (BinOp::LOr, 1),
@@ -428,35 +484,42 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
-            let rhs = self.binary(prec + 1)?;
-            lhs = Expr { kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), line };
+            let (rhs, rhs_height) = self.binary(prec + 1)?;
+            let kind = ExprKind::Binary(op, Box::new(lhs), Box::new(rhs));
+            (lhs, height) = self.node(kind, line, 1 + height.max(rhs_height))?;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, CompileError> {
+    fn unary(&mut self) -> Result<(Expr, usize), CompileError> {
         let line = self.line();
-        match self.peek() {
-            Some(Tok::Minus) => {
-                self.bump();
-                let inner = self.unary()?;
-                Ok(Expr { kind: ExprKind::Unary(UnOp::Neg, Box::new(inner)), line })
-            }
-            Some(Tok::Not) => {
-                self.bump();
-                let inner = self.unary()?;
-                Ok(Expr { kind: ExprKind::Unary(UnOp::Not, Box::new(inner)), line })
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            Some(Tok::Minus) => UnOp::Neg,
+            Some(Tok::Not) => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.bump();
+        self.enter()?;
+        let (inner, height) = self.unary()?;
+        self.leave();
+        self.node(ExprKind::Unary(op, Box::new(inner)), line, 1 + height)
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
+    /// A full expression one nesting level down (inside parentheses, an
+    /// argument list or an index), with its height.
+    fn nested_expr(&mut self) -> Result<(Expr, usize), CompileError> {
+        self.enter()?;
+        let inner = self.binary(0)?;
+        self.leave();
+        Ok(inner)
+    }
+
+    fn primary(&mut self) -> Result<(Expr, usize), CompileError> {
         let line = self.line();
         match self.bump() {
-            Some(Tok::Num(n)) => Ok(Expr { kind: ExprKind::Num(n), line }),
+            Some(Tok::Num(n)) => Ok((Expr { kind: ExprKind::Num(n), line }, 1)),
             Some(Tok::LParen) => {
-                let inner = self.expr()?;
+                let inner = self.nested_expr()?;
                 self.expect(Tok::RParen)?;
                 Ok(inner)
             }
@@ -464,9 +527,12 @@ impl Parser {
                 Some(Tok::LParen) => {
                     self.bump();
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if self.peek() != Some(&Tok::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, h) = self.nested_expr()?;
+                            args.push(arg);
+                            height = height.max(h);
                             if self.peek() == Some(&Tok::Comma) {
                                 self.bump();
                             } else {
@@ -475,15 +541,15 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen)?;
-                    Ok(Expr { kind: ExprKind::Call(name, args), line })
+                    self.node(ExprKind::Call(name, args), line, 1 + height)
                 }
                 Some(Tok::LBracket) => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let (idx, height) = self.nested_expr()?;
                     self.expect(Tok::RBracket)?;
-                    Ok(Expr { kind: ExprKind::Index(name, Box::new(idx)), line })
+                    self.node(ExprKind::Index(name, Box::new(idx)), line, 1 + height)
                 }
-                _ => Ok(Expr { kind: ExprKind::Var(name), line }),
+                _ => Ok((Expr { kind: ExprKind::Var(name), line }, 1)),
             },
             other => Err(CompileError::new(
                 line,
@@ -597,6 +663,36 @@ mod tests {
         assert!(err.message.contains("four parameters"));
         let err = parse_module("int a[2] = {1,2,3};").unwrap_err();
         assert!(err.message.contains("initializers"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_line_numbered_error() {
+        let wrap =
+            |body: String| format!("int main() {{\n  int x;\n  x = 1;\n{body}\n  return x;\n}}");
+        let n = 30_000;
+        let parens = format!("  x = {}1{};", "(".repeat(n), ")".repeat(n));
+        let chain = format!("  x = 1{};", "+1".repeat(n - 1));
+        let ifs = format!("{}x = 2;{}", "if (x) { ".repeat(n / 3), "}".repeat(n / 3));
+        let minus = format!("  x = {}1;", "- ".repeat(n));
+        for (shape, body) in [("parens", parens), ("chain", chain), ("ifs", ifs), ("minus", minus)]
+        {
+            let err = parse_module(&wrap(body)).unwrap_err();
+            assert_eq!(err.line, 4, "{shape}: {err}");
+            assert!(err.message.contains("nested more than"), "{shape}: {err}");
+        }
+        // A constant's minus signs are folded in a loop, not recursion.
+        let src = format!("const C = {}7;\nint main() {{ return C; }}", "- ".repeat(n));
+        assert!(parse_module(&src).is_ok());
+    }
+
+    #[test]
+    fn compound_assignment_counts_its_operator() {
+        // `x += e` builds `x + e`: one level more than `e` alone.
+        let src = |terms: usize| {
+            format!("int main() {{ int x; x += 1{}; return x; }}", "+1".repeat(terms - 1))
+        };
+        assert!(parse_module(&src(MAX_NESTING - 1)).is_ok());
+        assert!(parse_module(&src(MAX_NESTING)).is_err());
     }
 
     #[test]

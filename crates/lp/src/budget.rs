@@ -116,8 +116,8 @@ impl Default for SolveBudget {
 /// second control path: a [`BudgetMeter`] carrying a cancelled token
 /// reports its deadline as hit ([`BudgetMeter::deadline_hit`]) and its
 /// remaining ticks as zero, so every solver loop that already honors tick
-/// deadlines — branch-and-bound node expansion, LP entry, the pool's base
-/// solves — observes the cancellation at its next budget check and
+/// deadlines — branch-and-bound node expansion and LP entry — observes
+/// the cancellation at its next budget check and
 /// degrades exactly as it would on exhaustion: to a certified-safe
 /// relaxed/partial bound, never a panic, a wedged worker or an unsafe
 /// answer.

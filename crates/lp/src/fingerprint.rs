@@ -8,8 +8,8 @@
 //! The key is **positional**: a witness is a vector of counts indexed by
 //! variable, so it only answers a problem with the same variables at the
 //! same indices, and every consumer of the key (in-batch dedup, the solve
-//! cache, the base table, the persistent store) gates on [`same_structure`]
-//! anyway. The fingerprint is one pass over the problem, in this order:
+//! cache, the persistent store) gates on [`same_structure`] anyway. The
+//! fingerprint is one pass over the problem, in this order:
 //!
 //! * the sense and the variable count;
 //! * the integrality flags;
@@ -21,11 +21,6 @@
 //!
 //! Debug names never affect the key. Equal keys therefore coincide with
 //! [`same_structure`], up to a 128-bit hash collision.
-//!
-//! The row count closes the hash rather than opening it so the state after
-//! a base problem's rows can be continued over further rows: a shared
-//! base keeps that state, and the key of `base + delta` costs only the
-//! delta's terms (see `BaseProblem::key`).
 //!
 //! A key is an *index*, not a proof of equality: cache correctness never
 //! rests on it alone. Every replay is gated by [`same_structure`] and, for a
@@ -84,61 +79,6 @@ fn sense_tag(s: Sense) -> u64 {
     }
 }
 
-/// The running state of a [`fingerprint`]: two 64-bit lanes fed the same
-/// word stream from different seeds, plus the rows hashed so far.
-#[derive(Debug, Clone)]
-pub(crate) struct ProblemHasher {
-    hi: u64,
-    lo: u64,
-    rows: u64,
-}
-
-impl ProblemHasher {
-    /// A hasher fed everything of `problem` but its rows: the sense, the
-    /// variable count, the integrality flags and the objective.
-    pub(crate) fn new(problem: &Problem) -> ProblemHasher {
-        let mut h = ProblemHasher { hi: 0x0f0f_1111_2222_3333, lo: 0x7777_8888_9999_aaaa, rows: 0 };
-        h.word(sense_tag(problem.sense));
-        h.word(problem.num_vars() as u64);
-        for &flag in &problem.integer {
-            h.word(u64::from(flag));
-        }
-        for &c in &problem.objective {
-            h.word(coeff_bits(c));
-        }
-        h
-    }
-
-    fn word(&mut self, w: u64) {
-        let m = mix(w);
-        self.hi = mix(self.hi ^ m);
-        self.lo = mix(self.lo ^ m.rotate_left(32));
-    }
-
-    /// Feeds `rows` in order, each normalized.
-    pub(crate) fn rows(&mut self, rows: &[Constraint]) {
-        for con in rows {
-            self.word(relation_tag(con.relation));
-            self.word(coeff_bits(con.rhs));
-            // Merged exactly as `normalize_row` merges: no zero survives.
-            let terms = con.merged_terms();
-            self.word(terms.len() as u64);
-            for (v, c) in terms {
-                self.word(v as u64);
-                self.word(c.to_bits());
-            }
-        }
-        self.rows += rows.len() as u64;
-    }
-
-    /// The fingerprint of everything fed so far, closed by the row count.
-    pub(crate) fn finish(&self) -> Fingerprint {
-        let mut h = self.clone();
-        h.word(self.rows);
-        Fingerprint((u128::from(h.hi) << 64) | u128::from(h.lo))
-    }
-}
-
 /// One normalized row: summed, zero-dropped, sorted sparse terms.
 #[derive(PartialEq)]
 struct NormRow {
@@ -162,9 +102,34 @@ fn normalize_row(con: &Constraint) -> NormRow {
 /// order, every effective coefficient, every relation and right-hand side,
 /// and the integrality flags.
 pub fn fingerprint(problem: &Problem) -> Fingerprint {
-    let mut h = ProblemHasher::new(problem);
-    h.rows(&problem.constraints);
-    h.finish()
+    // Two 64-bit lanes fed the same word stream from different seeds.
+    let (mut hi, mut lo) = (0x0f0f_1111_2222_3333u64, 0x7777_8888_9999_aaaau64);
+    let mut word = |w: u64| {
+        let m = mix(w);
+        hi = mix(hi ^ m);
+        lo = mix(lo ^ m.rotate_left(32));
+    };
+    word(sense_tag(problem.sense));
+    word(problem.num_vars() as u64);
+    for &flag in &problem.integer {
+        word(u64::from(flag));
+    }
+    for &c in &problem.objective {
+        word(coeff_bits(c));
+    }
+    for con in &problem.constraints {
+        word(relation_tag(con.relation));
+        word(coeff_bits(con.rhs));
+        // Merged exactly as `normalize_row` merges: no zero survives.
+        let terms = con.merged_terms();
+        word(terms.len() as u64);
+        for (v, c) in terms {
+            word(v as u64);
+            word(c.to_bits());
+        }
+    }
+    word(problem.constraints.len() as u64);
+    Fingerprint((u128::from(hi) << 64) | u128::from(lo))
 }
 
 /// Exact structural equality of two problems: same sense, same normalized
@@ -288,18 +253,6 @@ mod tests {
         let q = b.build();
         assert_ne!(fingerprint(&p), fingerprint(&q));
         assert!(!same_structure(&p, &q));
-    }
-
-    #[test]
-    fn a_continued_hash_is_the_hash_of_the_whole() {
-        // Hashing the rows in two runs gives the one-pass key, and a
-        // moved row boundary does not: the row count closes the hash.
-        let p = toy(Sense::Maximize);
-        let mut h = ProblemHasher::new(&p);
-        h.rows(&p.constraints[..1]);
-        assert_ne!(h.finish(), fingerprint(&p));
-        h.rows(&p.constraints[1..]);
-        assert_eq!(h.finish(), fingerprint(&p));
     }
 
     /// A crafted near-collision: both problems have the same variable set,

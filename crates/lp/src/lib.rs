@@ -20,9 +20,8 @@
 //!   smallest) point.
 //! * [`solve_lp`] — solves of a problem as it stands.
 //! * [`solve_ilp`] — depth-first branch & bound on fractional variables.
-//! * [`BaseProblem`] / [`DeltaSet`] — a family of ILPs split into shared
-//!   rows and per-set rows, hashed once per base for cache keys; each set
-//!   is solved on its composed problem.
+//! * [`fingerprint`] / [`same_structure`] — the content key a problem is
+//!   cached under, and the exact equality that gates every replay.
 //!
 //! Debug builds keep a second, independent kernel — a textbook full-row
 //! tableau with Bland's rule — as the reference that tests compare the
@@ -77,7 +76,6 @@ mod budget;
 mod canonical;
 mod fingerprint;
 mod ilp;
-mod incremental;
 mod model;
 pub mod parametric;
 #[cfg(any(test, debug_assertions))]
@@ -92,7 +90,6 @@ pub use budget::{
 };
 pub use fingerprint::{fingerprint, same_structure, Fingerprint};
 pub use ilp::{solve_ilp, solve_ilp_budgeted, IlpOutcome, IlpResolution, IlpStats};
-pub use incremental::{BaseProblem, DeltaSet};
 pub use model::{Constraint, Problem, ProblemBuilder, Relation, Sense, VarId};
 pub use parametric::{BoundFormula, GridSweep, Probe};
 #[cfg(debug_assertions)]

@@ -1395,7 +1395,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_elimination_matches_the_dense_reference_on_seeded_bases() {
+    fn sparse_elimination_matches_the_dense_reference_on_seeded_basis_matrices() {
         let mut rng = StdRng::seed_from_u64(0x5eed_0016);
         let (mut accepted, mut declined, mut swapped) = ([0u32; 4], [0u32; 4], 0u32);
         for trial in 0..2000 {

@@ -4,8 +4,8 @@
 //! it is the lexicographically smallest optimal point.
 
 use ipet_lp::{
-    solve_ilp_budgeted, solve_lp, BaseProblem, BudgetMeter, Constraint, DeltaSet, IlpResolution,
-    LpOutcome, Problem, ProblemBuilder, Relation, Sense, SolveBudget, SolverFaults, VarId,
+    solve_ilp_budgeted, solve_lp, BudgetMeter, Constraint, IlpResolution, LpOutcome, Problem,
+    ProblemBuilder, Relation, Sense, SolveBudget, SolverFaults, VarId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,8 +19,8 @@ fn row(terms: Vec<(usize, f64)>, relation: Relation, rhs: f64) -> Constraint {
 
 /// A pure ILP over 3–5 boxed variables whose objective is tied: an
 /// equal-cost pair of arms sharing one count, a duplicated column, or both;
-/// plus a delta of one or two rows.
-fn tied_case(rng: &mut StdRng) -> (Problem, DeltaSet) {
+/// plus one or two extra two-variable rows at the end.
+fn tied_case(rng: &mut StdRng) -> Problem {
     let n = rng.gen_range(3usize..=5);
     let mut b =
         ProblemBuilder::new(if rng.gen_bool(0.7) { Sense::Maximize } else { Sense::Minimize });
@@ -64,17 +64,15 @@ fn tied_case(rng: &mut StdRng) -> (Problem, DeltaSet) {
     for (v, &c) in vars.iter().zip(&obj) {
         b.objective(*v, c);
     }
+    for _ in 0..rng.gen_range(1usize..=2) {
+        let (v, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        let rel = if rng.gen_bool(0.7) { Relation::Le } else { Relation::Ge };
+        rows.push(row(vec![(v, 1.0), (w, 1.0)], rel, rng.gen_range(1i64..=4) as f64));
+    }
     for r in rows {
         b.constraint(r.terms, r.relation, r.rhs);
     }
-    let delta = (0..rng.gen_range(1usize..=2))
-        .map(|_| {
-            let (v, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            let rel = if rng.gen_bool(0.7) { Relation::Le } else { Relation::Ge };
-            row(vec![(v, 1.0), (w, 1.0)], rel, rng.gen_range(1i64..=4) as f64)
-        })
-        .collect();
-    (b.build(), DeltaSet::new(delta))
+    b.build()
 }
 
 /// The lexicographically smallest optimal point of the integer box
@@ -108,9 +106,7 @@ fn tied_optima_are_one_canonical_point() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
     let mut brute = 0;
     for case in 0..250 {
-        let (base, delta) = tied_case(&mut rng);
-        let base = BaseProblem::new(base);
-        let full = base.compose(&delta);
+        let full = tied_case(&mut rng);
         let (cold, _) = solve_ilp_budgeted(
             &full,
             &SolveBudget::unlimited(),

@@ -1,13 +1,11 @@
 //! Property tests for the content-addressed problem fingerprint: the key the
 //! solve pool caches under must coincide with structural equality (the
 //! positional `same_structure`, which forgives term noise but not a
-//! variable or row permutation), must be continuable from a base problem
-//! over its delta rows, and must separate problems that differ
+//! variable or row permutation), and must separate problems that differ
 //! semantically.
 
 use ipet_lp::{
-    fingerprint, same_structure, BaseProblem, Constraint, DeltaSet, Problem, ProblemBuilder,
-    Relation, Sense, VarId,
+    fingerprint, same_structure, Constraint, Problem, ProblemBuilder, Relation, Sense, VarId,
 };
 use proptest::prelude::*;
 
@@ -103,28 +101,6 @@ fn noisy(p: &Problem) -> Problem {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// A base's key of a delta is the fingerprint of the composed problem,
-    /// for random bases and random delta rows (zero coefficients included,
-    /// so rows that need merging are covered too).
-    #[test]
-    fn base_keys_are_composed_fingerprints((p, rows) in arb_problem().prop_flat_map(|p| {
-        let n = p.num_vars();
-        let row = (prop::collection::vec(-3i32..=3, n), arb_relation(), -10i32..=10);
-        (Just(p), prop::collection::vec(row, 0..4))
-    })) {
-        let delta = DeltaSet::new(
-            rows.into_iter()
-                .map(|(coeffs, relation, rhs)| Constraint {
-                    terms: coeffs.iter().enumerate().map(|(v, &c)| (VarId(v), c as f64)).collect(),
-                    relation,
-                    rhs: rhs as f64,
-                })
-                .collect(),
-        );
-        let base = BaseProblem::new(p);
-        prop_assert_eq!(base.key(&delta), fingerprint(&base.compose(&delta)));
-    }
 
     /// Keys coincide with structural equality: a noisy copy of a problem
     /// is the same problem and shares its key, and a copy with its
