@@ -290,7 +290,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             "--parametric" => parametric = true,
             "--deadline" => budget.solve.deadline_ticks = Some(parse_num("--deadline", it.next())?),
             "--max-nodes" => budget.solve.max_nodes = parse_num("--max-nodes", it.next())? as usize,
-            "--max-sets" => budget.solve.max_sets = parse_num("--max-sets", it.next())? as usize,
+            "--max-sets" => budget.max_sets = parse_num("--max-sets", it.next())? as usize,
             "--no-degrade" => budget.degrade = false,
             "--jobs" => {
                 jobs = parse_num("--jobs", it.next())?.max(1) as usize;

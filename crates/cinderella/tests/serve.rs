@@ -103,24 +103,36 @@ fn stdin_protocol_streams_sets_then_done_and_survives_bad_requests() {
 }
 
 #[test]
-fn a_deeply_nested_request_line_is_a_bad_request_not_an_abort() {
-    // 50,000 nested arrays: 100 KB, under the line cap. Parsed without a
-    // depth limit, this line overflowed the stack and killed the daemon.
+fn deeply_nested_request_lines_get_an_error_not_an_abort() {
+    // Each line is about 100 KB, under the line cap: 50,000 nested JSON
+    // arrays, and 50,000 nested groups in a request's annotation text.
+    // Parsed without a depth limit, either overflowed the stack and killed
+    // the daemon. Each gets a status-1 line, and the daemon answers on.
+    let deep_annotation =
+        format!("fn check_data {{ {}x1 = 0{}; }}", "(".repeat(50_000), ")".repeat(50_000));
+    let cases = [
+        (format!("{}{}", "[".repeat(50_000), "]".repeat(50_000)), "bad request"),
+        (
+            format!(r#"{{"id": 1, "target": "check_data", "annotations": "{deep_annotation}"}}"#),
+            "nested more than 100",
+        ),
+    ];
     let mut child = spawn_serve(&[]);
     let mut stdin = child.stdin.take().unwrap();
     let mut reader = BufReader::new(child.stdout.take().unwrap());
-    writeln!(stdin, "{}{}", "[".repeat(50_000), "]".repeat(50_000)).unwrap();
-    let (sets, err) = read_response(&mut reader);
-    assert!(sets.is_empty());
-    assert_eq!(status_of(&err), 1);
-    let message = err.get("error").and_then(ipet_trace::Json::as_str).expect("error text");
-    assert!(message.starts_with("bad request"), "{message}");
+    for (line, expected) in &cases {
+        writeln!(stdin, "{line}").unwrap();
+        let (sets, err) = read_response(&mut reader);
+        assert!(sets.is_empty());
+        assert_eq!(status_of(&err), 1);
+        let message = err.get("error").and_then(ipet_trace::Json::as_str).expect("error text");
+        assert!(message.contains(expected), "{message}");
 
-    writeln!(stdin, r#"{{"id": 1, "target": "piksrt"}}"#).unwrap();
-    let (_, done) = read_response(&mut reader);
-    assert_eq!(status_of(&done), 0);
-    assert_eq!(done.get("target").and_then(ipet_trace::Json::as_str), Some("piksrt"));
-
+        writeln!(stdin, r#"{{"id": 2, "target": "piksrt"}}"#).unwrap();
+        let (_, done) = read_response(&mut reader);
+        assert_eq!(status_of(&done), 0);
+        assert_eq!(done.get("target").and_then(ipet_trace::Json::as_str), Some("piksrt"));
+    }
     drop(stdin);
     assert_eq!(child.wait().unwrap().code(), Some(0));
 }

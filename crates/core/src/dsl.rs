@@ -23,10 +23,20 @@
 //! the loop headed at block `H` — for a top-tested (`while`/`for`) loop
 //! that equals the iteration count; for a bottom-tested (`do`/`while`)
 //! loop it is the iteration count minus one.
+//!
+//! Parenthesised groups nest at most [`MAX_GROUP_DEPTH`] deep, so no
+//! annotation text can exhaust the stack of the parser or of the passes
+//! that walk the parsed tree. A statement's constraint-set count
+//! ([`OrExpr::set_count`]) is known from the tree alone, so the planner
+//! can refuse a DNF blow-up before it expands anything.
 
 use crate::error::AnalysisError;
 use ipet_lp::Relation;
 use std::fmt;
+
+/// How deep parenthesised groups may nest in one annotation statement.
+/// Deeper text is a line-numbered [`AnalysisError::Parse`].
+pub const MAX_GROUP_DEPTH: usize = 100;
 
 /// What namespace a [`Ref`] lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,6 +103,32 @@ pub struct AndExpr(pub Vec<Atom>);
 pub struct OrExpr(pub Vec<AndExpr>);
 
 impl OrExpr {
+    /// How many conjunctive sets [`OrExpr::to_dnf`] would return, counted
+    /// without building them; saturates at `usize::MAX`.
+    pub(crate) fn set_count(&self) -> usize {
+        self.0.iter().fold(0usize, |sum, and| {
+            let product = and.0.iter().fold(1usize, |product, atom| match atom {
+                Atom::Rel(..) => product,
+                Atom::Group(or) => product.saturating_mul(or.set_count()),
+            });
+            sum.saturating_add(product)
+        })
+    }
+
+    /// The relational atoms, in written order, without expanding anything.
+    pub(crate) fn atoms(&self) -> Vec<(&LinExpr, Relation, &LinExpr)> {
+        let mut out = Vec::new();
+        for and in &self.0 {
+            for atom in &and.0 {
+                match atom {
+                    Atom::Rel(l, r, rr) => out.push((l, *r, rr)),
+                    Atom::Group(or) => out.extend(or.atoms()),
+                }
+            }
+        }
+        out
+    }
+
     /// Expands to disjunctive normal form: a list of conjunctive sets of
     /// relational atoms. The paper's "set of constraint sets".
     pub fn to_dnf(&self) -> Vec<Vec<(LinExpr, Relation, LinExpr)>> {
@@ -455,6 +491,9 @@ fn classify_ident(word: &str) -> Tok {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Parenthesised groups open at the cursor (at most
+    /// [`MAX_GROUP_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -571,8 +610,15 @@ impl Parser {
 
     fn parse_atom(&mut self) -> Result<Atom, AnalysisError> {
         if self.peek() == Some(&Tok::LParen) {
+            if self.depth == MAX_GROUP_DEPTH {
+                return Err(
+                    self.err(format!("parentheses nested more than {MAX_GROUP_DEPTH} levels deep"))
+                );
+            }
             self.bump();
+            self.depth += 1;
             let inner = self.parse_or()?;
+            self.depth -= 1;
             self.expect(Tok::RParen)?;
             return Ok(Atom::Group(inner));
         }
@@ -685,7 +731,7 @@ impl Parser {
 /// Returns [`AnalysisError::Parse`] with the offending line.
 pub fn parse_annotations(src: &str) -> Result<Annotations, AnalysisError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.parse_file()
+    Parser { toks, pos: 0, depth: 0 }.parse_file()
 }
 
 #[cfg(test)]
@@ -836,6 +882,56 @@ mod tests {
         let anns = parse_annotations("fn f { }").unwrap();
         assert!(anns.for_function("f").is_empty());
         assert!(anns.for_function("other").is_empty());
+    }
+
+    /// `x1 = 0` inside `depth` parenthesised groups.
+    fn nested_group(depth: usize) -> String {
+        format!("{}x1 = 0{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    /// One function whose statement, on line 2, is [`nested_group`].
+    fn nested(depth: usize) -> String {
+        format!("fn f {{\n{}; }}", nested_group(depth))
+    }
+
+    #[test]
+    fn group_nesting_is_limited() {
+        let anns = parse_annotations(&nested(MAX_GROUP_DEPTH)).expect("at the limit");
+        let Stmt::Cons(or) = &anns.functions[0].1[0] else { panic!("expected constraint") };
+        assert_eq!((or.set_count(), or.to_dnf().len(), or.atoms().len()), (1, 1, 1));
+        for depth in [MAX_GROUP_DEPTH + 1, 50_000] {
+            match parse_annotations(&nested(depth)) {
+                Err(AnalysisError::Parse { line: 2, message }) => {
+                    assert!(message.contains("nested more than 100"), "{message}")
+                }
+                other => panic!("depth {depth}: {other:?}"),
+            }
+        }
+        // Siblings do not add up: depth is what is open at once.
+        let wide = format!("fn f {{ {}; }}", vec![nested_group(MAX_GROUP_DEPTH); 3].join(" & "));
+        assert!(parse_annotations(&wide).is_ok());
+    }
+
+    #[test]
+    fn set_count_matches_the_dnf_and_saturates() {
+        for (src, sets) in [
+            ("x1 = 0", 1),
+            ("x1 = 0 | x1 = 1", 2),
+            ("(x1 = 0 | x1 = 1) & (x2 = 0 | x2 = 1 | x2 = 2)", 6),
+            ("((x1 = 0 | x1 = 1) & (x2 = 0 | x2 = 1)) | x3 = 0", 5),
+            ("(x3 = 0 & x5 = 1) | (x3 = 1 & x5 = 0)", 2),
+        ] {
+            let anns = parse_annotations(&format!("fn f {{ {src}; }}")).unwrap();
+            let Stmt::Cons(or) = &anns.functions[0].1[0] else { panic!("{src}") };
+            assert_eq!(or.set_count(), sets, "{src}");
+            assert_eq!(or.to_dnf().len(), sets, "{src}");
+        }
+        // 2^70 sets in one statement: counted, never expanded.
+        let src = format!("fn f {{ {}; }}", vec!["(x1 >= 0 | x2 >= 0)"; 70].join(" & "));
+        let anns = parse_annotations(&src).unwrap();
+        let Stmt::Cons(or) = &anns.functions[0].1[0] else { panic!("expected constraint") };
+        assert_eq!(or.set_count(), usize::MAX);
+        assert_eq!(or.atoms().len(), 140);
     }
 
     #[test]

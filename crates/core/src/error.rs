@@ -25,6 +25,9 @@ pub enum AnalysisError {
     AllSetsInfeasible { total: usize },
     /// The ILP solver gave up (node limit).
     SolverLimit,
+    /// DNF expansion would give more constraint sets than the cap allows
+    /// and degradation is disabled. `sets` saturates at `usize::MAX`.
+    TooManySets { sets: usize, cap: usize },
     /// The solver met NaN/non-finite arithmetic it could not recover from.
     Numerical,
     /// The solve budget ran out before any safe bound could be proven
@@ -62,6 +65,14 @@ impl fmt::Display for AnalysisError {
                 write!(f, "all {total} functionality constraint sets are infeasible")
             }
             AnalysisError::SolverLimit => write!(f, "ILP solver hit its node limit"),
+            AnalysisError::TooManySets { sets, cap } => {
+                let at_least = if *sets == usize::MAX { "at least " } else { "" };
+                write!(
+                    f,
+                    "the annotations give {at_least}{sets} constraint sets, over the cap of \
+                     {cap}; raise the set cap or allow degradation"
+                )
+            }
             AnalysisError::Numerical => {
                 write!(f, "solver failed numerically (non-finite arithmetic in the model)")
             }

@@ -95,7 +95,6 @@ impl AnalysisPlan {
         audit: bool,
     ) -> Result<(Estimate, AuditReport), AnalysisError> {
         assert_eq!(verdicts.len(), self.jobs.len(), "one verdict per job");
-        let budget = &self.budget;
         let mut quality = self.quality_floor;
         let mut reports: Vec<SetReport> = Vec::new();
         let mut degraded_sets: Vec<usize> = Vec::new();
@@ -131,7 +130,7 @@ impl AnalysisPlan {
                     Some(v)
                 }
                 IlpResolution::Relaxed { bound, incumbent } => {
-                    if !budget.degrade {
+                    if !self.degrade {
                         return Err(AnalysisError::SolverLimit);
                     }
                     // The relaxation value safely over-covers this set's
@@ -177,7 +176,7 @@ impl AnalysisPlan {
                 }
                 IlpResolution::Numerical => return Err(AnalysisError::Numerical),
                 IlpResolution::Exhausted => {
-                    if !budget.degrade {
+                    if !self.degrade {
                         return Err(AnalysisError::BudgetExhausted);
                     }
                     set_skipped = true;
@@ -203,7 +202,7 @@ impl AnalysisPlan {
                     Some(v)
                 }
                 IlpResolution::Relaxed { bound, incumbent } => {
-                    if !budget.degrade {
+                    if !self.degrade {
                         return Err(AnalysisError::SolverLimit);
                     }
                     // The relaxation value safely under-covers this set's
@@ -245,7 +244,7 @@ impl AnalysisPlan {
                     return Err(AnalysisError::Numerical)
                 }
                 IlpResolution::Exhausted => {
-                    if !budget.degrade {
+                    if !self.degrade {
                         return Err(AnalysisError::BudgetExhausted);
                     }
                     set_skipped = true;

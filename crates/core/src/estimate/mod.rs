@@ -22,7 +22,7 @@
 //! `fingerprint(&problem)`, computed once when the plan is built. The
 //! covers stay with the plan, where they bound any set a budget skipped.
 
-use crate::dsl::{parse_annotations, Annotations, LoopProvenance, Stmt};
+use crate::dsl::{parse_annotations, Annotations, LoopProvenance, Ref, Stmt};
 use crate::error::AnalysisError;
 use crate::pool::{SolvePool, SolveRequest};
 use ipet_arch::{FuncId, Program};
@@ -41,15 +41,19 @@ mod tests;
 
 /// Resource budget and degradation policy for one analysis run.
 ///
-/// The [`SolveBudget`] goes to the [`SolvePool`] that runs the plan: a
-/// tick deadline `d` is split over the batch's `n` fresh solves, `d / n`
-/// each (the first `d mod n` get one more), so every job's budget, and with
-/// it the bound, is the same at any worker count.
+/// [`Analyzer::plan`] reads the set cap and the policy; the
+/// [`SolveBudget`] goes to the [`SolvePool`] that runs the plan: a tick
+/// deadline `d` is split over the batch's `n` fresh solves, `d / n` each
+/// (the first `d mod n` get one more), so every job's budget, and with it
+/// the bound, is the same at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalysisBudget {
-    /// Solver resource limits (tick deadline, LP iterations, B&B nodes,
-    /// DNF set cap).
+    /// Solver resource limits (tick deadline, B&B nodes).
     pub solve: SolveBudget,
+    /// Cap on DNF constraint sets per analysis. Past it, the disjunctive
+    /// statements are dropped (degradation on) or the plan fails
+    /// ([`AnalysisError::TooManySets`]).
+    pub max_sets: usize,
     /// When `true` (the default), budget exhaustion degrades to a safe but
     /// looser bound tagged [`BoundQuality::Relaxed`] /
     /// [`BoundQuality::Partial`]; when `false` it becomes a hard
@@ -58,9 +62,16 @@ pub struct AnalysisBudget {
 }
 
 impl AnalysisBudget {
+    /// The DNF set cap used when no explicit budget is given.
+    pub const DEFAULT_MAX_SETS: usize = 65_536;
+
     /// The default policy: effectively unlimited budget, degradation on.
     pub fn unlimited() -> AnalysisBudget {
-        AnalysisBudget { solve: SolveBudget::unlimited(), degrade: true }
+        AnalysisBudget {
+            solve: SolveBudget::unlimited(),
+            max_sets: AnalysisBudget::DEFAULT_MAX_SETS,
+            degrade: true,
+        }
     }
 }
 
@@ -350,7 +361,9 @@ struct VarMeta {
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
     jobs: Vec<IlpJob>,
-    budget: AnalysisBudget,
+    /// The budget's degradation policy ([`AnalysisBudget::degrade`]),
+    /// which the fold applies to exhausted and relaxed solves.
+    degrade: bool,
     /// Cartesian-product set count before the cap and pruning (Table I).
     sets_total: usize,
     sets_pruned: usize,
@@ -395,11 +408,6 @@ impl AnalysisPlan {
     /// The ILP jobs, in canonical order (see [`IlpJob`]).
     pub fn jobs(&self) -> &[IlpJob] {
         &self.jobs
-    }
-
-    /// The budget the plan was built under.
-    pub fn budget(&self) -> &AnalysisBudget {
-        &self.budget
     }
 
     /// Number of surviving constraint sets (`jobs().len() / 2`).
@@ -610,26 +618,10 @@ impl<'p> Analyzer<'p> {
         annotations: &str,
     ) -> Result<Vec<(String, usize, i64, i64)>, AnalysisError> {
         let anns = parse_annotations(annotations)?;
-        let base = self.analyze_parsed(&anns)?;
         let mut out = Vec::new();
-        for (fi, (func, stmts)) in anns.functions.iter().enumerate() {
-            for (si, stmt) in stmts.iter().enumerate() {
-                let Stmt::Loop { hi, .. } = stmt else {
-                    continue;
-                };
-                let mut widened = anns.clone();
-                if let Stmt::Loop { hi: h, .. } = &mut widened.functions[fi].1[si] {
-                    *h += 1;
-                }
-                let wider = self.analyze_parsed(&widened)?;
-                out.push((
-                    func.clone(),
-                    si,
-                    *hi,
-                    wider.bound.upper as i64 - base.bound.upper as i64,
-                ));
-            }
-        }
+        self.loop_bound_deltas(&anns, |func, si, _, hi, delta| {
+            out.push((func.to_string(), si, hi, delta as i64));
+        })?;
         Ok(out)
     }
 
@@ -661,8 +653,27 @@ impl<'p> Analyzer<'p> {
     ///
     /// See [`AnalysisError`].
     pub fn wcet_loop_model_parsed(&self, anns: &Annotations) -> Result<ParamExpr, AnalysisError> {
-        let base = self.analyze_parsed(anns)?;
-        let mut model = ParamExpr::constant(base.bound.upper as i128);
+        let mut model = ParamExpr::default();
+        let base = self.loop_bound_deltas(anns, |func, _, header, hi, slope| {
+            let symbol = format!("bound.{func}.x{}", header.index);
+            // base + slope·(b − hi), rearranged into constant + slope·b.
+            model = model.add(&ParamExpr::term(&symbol, slope)).add_const(-(slope * hi as i128));
+        })?;
+        Ok(model.add_const(base as i128))
+    }
+
+    /// The finite differences behind [`Analyzer::wcet_sensitivity`] and
+    /// [`Analyzer::wcet_loop_model`]: calls `each(function, statement
+    /// index, header, hi, delta)` for every `loop` statement, in file
+    /// order, where `delta` is the WCET gained when its `hi` grows by one
+    /// (the analysis run again with that one bound widened). Returns the
+    /// base WCET.
+    fn loop_bound_deltas(
+        &self,
+        anns: &Annotations,
+        mut each: impl FnMut(&str, usize, &Ref, i64, i128),
+    ) -> Result<u64, AnalysisError> {
+        let base = self.analyze_parsed(anns)?.bound.upper;
         for (fi, (func, stmts)) in anns.functions.iter().enumerate() {
             for (si, stmt) in stmts.iter().enumerate() {
                 let Stmt::Loop { header, hi, .. } = stmt else {
@@ -672,15 +683,11 @@ impl<'p> Analyzer<'p> {
                 if let Stmt::Loop { hi: h, .. } = &mut widened.functions[fi].1[si] {
                     *h += 1;
                 }
-                let wider = self.analyze_parsed(&widened)?;
-                let slope = wider.bound.upper as i128 - base.bound.upper as i128;
-                let symbol = format!("bound.{func}.x{}", header.index);
-                // base + slope·(b − hi), rearranged into constant + slope·b.
-                model =
-                    model.add(&ParamExpr::term(&symbol, slope)).add_const(-(slope * *hi as i128));
+                let wider = self.analyze_parsed(&widened)?.bound.upper;
+                each(func, si, header, *hi, wider as i128 - base as i128);
             }
         }
-        Ok(model)
+        Ok(base)
     }
 
     /// Runs the full analysis with annotation source text.

@@ -63,9 +63,28 @@ impl<'p> Analyzer<'p> {
 
         let mut space = VarSpace::new(&self.instances);
 
+        // Cartesian product across statements = the paper's "set of
+        // constraint sets" ("the size of the constraint sets is doubled
+        // every time a functionality constraint with | is added"), counted
+        // from the parsed trees before anything is expanded. A statement
+        // counts once per instance of its function.
+        let sets_total = (0..self.instances.len())
+            .flat_map(|i| anns.for_function(&self.instances.cfg(InstanceId(i)).func_name))
+            .fold(1usize, |total, stmt| match stmt {
+                Stmt::Loop { .. } => total,
+                Stmt::Cons(or) => total.saturating_mul(or.set_count()),
+            });
+        // DNF blow-up past the cap: drop the disjunctive statements and
+        // keep only the conjunctive ones. Every real constraint set implies
+        // the kept rows, so the single surviving set is a relaxation of all
+        // of them — safe for both WCET (feasible region grows, max grows)
+        // and BCET (min shrinks).
+        let over_cap = sets_total > budget.max_sets;
+
         // Resolve annotations per instance into statement-level
         // disjunctions. Each entry is a non-empty list of alternative
-        // conjunctive constraint lists.
+        // conjunctive constraint lists. A dropped statement is still
+        // resolved atom by atom, so a bad reference stays an error.
         let mut statements: Vec<Vec<Vec<LinCon>>> = Vec::new();
         let mut bounded_headers: HashSet<(InstanceId, BlockId)> = HashSet::new();
 
@@ -78,6 +97,11 @@ impl<'p> Analyzer<'p> {
                         let cons =
                             self.resolve_loop(inst, header, *lo, *hi, &mut bounded_headers)?;
                         statements.push(vec![cons]);
+                    }
+                    Stmt::Cons(or) if over_cap && or.set_count() > 1 => {
+                        for (lhs, rel, rhs) in or.atoms() {
+                            self.resolve_rel(inst, lhs, rel, rhs)?;
+                        }
                     }
                     Stmt::Cons(or) => {
                         let mut alts = Vec::new();
@@ -94,21 +118,11 @@ impl<'p> Analyzer<'p> {
             }
         }
 
-        // Cartesian product across statements = the paper's "set of
-        // constraint sets" ("the size of the constraint sets is doubled
-        // every time a functionality constraint with | is added").
-        let sets_total: usize = statements.iter().map(|s| s.len()).product::<usize>().max(1);
         let mut quality_floor = BoundQuality::Exact;
-        if sets_total > budget.solve.max_sets {
+        if over_cap {
             if !budget.degrade {
-                return Err(AnalysisError::SolverLimit);
+                return Err(AnalysisError::TooManySets { sets: sets_total, cap: budget.max_sets });
             }
-            // DNF blow-up past the cap: drop the disjunctive statements and
-            // keep only the conjunctive ones. Every real constraint set
-            // implies the kept rows, so the single surviving set is a
-            // relaxation of all of them — safe for both WCET (feasible
-            // region grows, max grows) and BCET (min shrinks).
-            statements.retain(|s| s.len() == 1);
             quality_floor = BoundQuality::Partial;
         }
 
@@ -272,7 +286,7 @@ impl<'p> Analyzer<'p> {
         Ok(AnalysisPlan {
             num_sets: disjuncts.len(),
             jobs,
-            budget: *budget,
+            degrade: budget.degrade,
             sets_total,
             sets_pruned,
             sets_before_prune: before,

@@ -546,7 +546,7 @@ fn dnf_cap_drops_disjunctions_and_reports_partial() {
     assert_eq!(exact.sets_total, 2);
 
     let mut budget = AnalysisBudget::unlimited();
-    budget.solve.max_sets = 1; // 2 sets blow the cap
+    budget.max_sets = 1; // 2 sets blow the cap
     let partial = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(partial.quality, BoundQuality::Partial);
     // Dropping the disjunction relaxes the model in both senses.
@@ -554,7 +554,68 @@ fn dnf_cap_drops_disjunctions_and_reports_partial() {
 
     budget.degrade = false;
     match analyze_under(&a, ann, &budget) {
-        Err(AnalysisError::SolverLimit) => {}
+        Err(e @ AnalysisError::TooManySets { sets: 2, cap: 1 }) => {
+            assert!(e.to_string().contains("2 constraint sets, over the cap of 1"), "{e}")
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+/// The set count is taken from the parsed statements before any is
+/// expanded, so neither a product that overflows `usize` nor one huge
+/// statement is ever built.
+#[test]
+fn set_counts_saturate_and_blow_ups_are_never_expanded() {
+    let p = while_loop_program(10);
+    let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
+    let exact = a.analyze("fn main { loop x2 in [0, 10]; }").unwrap();
+    let statements =
+        format!("fn main {{ loop x2 in [0, 10]; {} }}", "x1 >= 0 | x3 >= 0; ".repeat(64));
+    let product = format!(
+        "fn main {{ loop x2 in [0, 10]; {}; }}",
+        vec!["(x1 >= 0 | x3 >= 0)"; 40].join(" & ")
+    );
+    for (ann, sets) in [(&statements, usize::MAX), (&product, 1 << 40)] {
+        let est = a.analyze(ann).unwrap();
+        assert_eq!((est.sets_total, est.quality), (sets, BoundQuality::Partial));
+        assert!(est.bound.encloses(exact.bound));
+        let mut budget = AnalysisBudget::unlimited();
+        budget.degrade = false;
+        match analyze_under(&a, ann, &budget) {
+            Err(AnalysisError::TooManySets { sets: s, cap }) => {
+                assert_eq!((s, cap), (sets, AnalysisBudget::DEFAULT_MAX_SETS))
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    // 16 sets sit at a cap of 16 and are all planned; a cap of 15 drops
+    // the disjunctions.
+    let at_cap = format!("fn main {{ loop x2 in [0, 10]; {} }}", "x1 >= 0 | x3 >= 0; ".repeat(4));
+    let mut budget = AnalysisBudget::unlimited();
+    budget.max_sets = 16;
+    let plan = a.plan(&parse_annotations(&at_cap).unwrap(), &budget).unwrap();
+    assert_eq!(plan.num_sets(), 16);
+    budget.max_sets = 15;
+    let plan = a.plan(&parse_annotations(&at_cap).unwrap(), &budget).unwrap();
+    assert_eq!(plan.num_sets(), 1);
+}
+
+#[test]
+fn a_dropped_statement_still_resolves_its_references() {
+    let p = while_loop_program(10);
+    let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
+    let mut budget = AnalysisBudget::unlimited();
+    budget.max_sets = 1;
+    let ann = "fn main { loop x2 in [0, 10]; x3 = 0 | (x1 = 1 & x99 = 0); }";
+    match analyze_under(&a, ann, &budget) {
+        Err(AnalysisError::BadReference { reference, .. }) => assert_eq!(reference, "x99"),
+        other => panic!("{other:?}"),
+    }
+    // With several bad references, a dropped statement reports the first
+    // one as written (x99), not the first one of its DNF expansion (x98).
+    let ann = "fn main { loop x2 in [0, 10]; (x1 = 0 | x99 = 0) & x98 = 0; }";
+    match analyze_under(&a, ann, &budget) {
+        Err(AnalysisError::BadReference { reference, .. }) => assert_eq!(reference, "x99"),
         other => panic!("{other:?}"),
     }
 }
@@ -604,7 +665,7 @@ fn degraded_analysis_reports_no_formula() {
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
     let ann = "fn main { loop x2 in [0, 10]; (x3 = 0) | (x3 = 5); }";
     let mut budget = AnalysisBudget::unlimited();
-    budget.solve.max_sets = 1;
+    budget.max_sets = 1;
     let partial = analyze_under(&a, ann, &budget).unwrap();
     assert_eq!(partial.quality, BoundQuality::Partial);
     assert!(partial.wcet_formula.is_none(), "non-exact bounds must not claim a formula");

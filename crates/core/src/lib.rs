@@ -62,7 +62,7 @@ mod vars;
 
 pub use dsl::{
     parse_annotations, Annotations, BoundSource, LinExpr, LoopProvenance, OrExpr, Ref, RefKind,
-    Stmt,
+    Stmt, MAX_GROUP_DEPTH,
 };
 pub use error::AnalysisError;
 pub use estimate::{

@@ -18,10 +18,9 @@
 //! * **Bounded memory**: the solve cache is LRU-bounded
 //!   ([`SOLVE_CACHE_CAPACITY`]), so a long-lived pool (a serve daemon)
 //!   stops growing once it is full.
-//! * **Crash isolation**: an injected solver panic is caught, retried once
-//!   on a fresh thread, and on a second panic quarantined as an exhausted
-//!   job that degrades the affected bound to `Partial` (`pool.panic.*`
-//!   counters tell the story).
+//! * **Crash isolation**: a solve that panics is caught and quarantined as
+//!   an exhausted job, which degrades the affected bound to `Partial`
+//!   (counted under `pool.panic.quarantined`).
 //!
 //! A pool can also be backed by a persistent, crash-safe store
 //! ([`SolvePool::with_store`], see `ipet-store`): after an in-memory miss
@@ -168,7 +167,7 @@ impl From<AuditedPlanBatch> for PlanBatch {
 /// key.
 struct PoolJob<'a> {
     /// The job's composed problem — what the answer must be correct for,
-    /// and what solves, retries and cache validation run against.
+    /// and what solves and cache validation run against.
     problem: &'a Problem,
     /// Cache key: the job's planned `fingerprint(problem)`
     /// ([`crate::IlpJob::key`]).
@@ -200,21 +199,21 @@ struct PoolJob<'a> {
 ///   regardless of completion order), so work stealing cannot reorder
 ///   anything observable.
 /// * **Panic isolation** — each representative solve runs under
-///   `catch_unwind`. A panicking solve is retried once on a fresh worker
-///   thread (with transient injected panics disarmed); a second panic
-///   quarantines the job as [`IlpResolution::Exhausted`], which the plan
-///   folds into a `Partial`-quality covered bound instead of crashing the
-///   batch. Because dedup and sharding precede dispatch, the caught /
-///   retried / quarantined outcome of every job is the same at any worker
-///   count. Debug builds re-raise any panic that is not an injected one,
-///   so a failed debug oracle fails its test instead of being retried
-///   away.
+///   `catch_unwind`, once. A solve that panics is quarantined as
+///   [`IlpResolution::Exhausted`], which the plan folds into a
+///   `Partial`-quality covered bound instead of crashing the batch. A
+///   retry could not help: a solve is a pure function of its problem, its
+///   deadline shard and its fault template, so it would panic again.
+///   Because dedup and sharding precede dispatch, which jobs are
+///   quarantined is the same at any worker count. Debug builds re-raise
+///   any panic that is not an injected one, so a failed debug oracle fails
+///   its test instead of being quarantined away.
 pub struct SolvePool {
     workers: usize,
     cache: SolveCache,
     /// Fault template for test harnesses: re-armed (cloned) for each
-    /// representative solve, so e.g. `panic_at(0)` panics every
-    /// representative's first attempt deterministically.
+    /// representative solve, so e.g. `panic_at(0)` panics, and so
+    /// quarantines, every representative deterministically.
     faults: SolverFaults,
     /// Optional persistent second replay tier ([`ipet_store::Store`]):
     /// probed after an in-memory miss, fed by every fresh `Exact` solve.
@@ -349,9 +348,8 @@ impl SolvePool {
         //    solves to whichever worker frees up first; each solve runs
         //    under its own sharded budget, a fresh meter and a re-armed
         //    fault clone, isolated by `catch_unwind`, and each worker
-        //    tallies the ticks it spent. A solve that panics is retried
-        //    once on a fresh thread (transient injected panics disarmed); a
-        //    second panic quarantines the job as `Exhausted`.
+        //    tallies the ticks it spent. A solve that panics is quarantined
+        //    as `Exhausted`.
         // Per-representative slot: (resolution, stats, cancelled), where
         // `cancelled` marks a solve that ended under a cancelled token.
         let slots: Mutex<Vec<Option<(IlpResolution, IlpStats, bool)>>> =
@@ -382,26 +380,8 @@ impl SolvePool {
                     Ok(solved) => solved,
                     Err(payload) => {
                         reraise_unless_injected(payload);
-                        ipet_trace::counter("pool.panic.caught", 1);
-                        let mut retry_faults = faults_template.clone();
-                        retry_faults.disarm_panic();
-                        match retry_on_fresh_worker(
-                            jobs[rep].problem,
-                            job_budget,
-                            retry_faults,
-                            (*cancel).clone(),
-                        ) {
-                            Some((res, stats, ticks)) => {
-                                ipet_trace::counter("pool.panic.retried", 1);
-                                ipet_trace::counter("pool.worker.ticks", ticks);
-                                my_ticks = my_ticks.saturating_add(ticks);
-                                (res, stats)
-                            }
-                            None => {
-                                ipet_trace::counter("pool.panic.quarantined", 1);
-                                (IlpResolution::Exhausted, IlpStats::default())
-                            }
-                        }
+                        ipet_trace::counter("pool.panic.quarantined", 1);
+                        (IlpResolution::Exhausted, IlpStats::default())
                     }
                 };
                 // A solve that ran while the token was cancelled may
@@ -524,38 +504,11 @@ impl SolvePool {
 
 /// Panic isolation exists for the panics [`SolverFaults`] injects. In
 /// debug builds any other panic (a failed debug oracle such as the sparse-LU
-/// reference check) is re-raised here, so a
-/// retry cannot hide it; release builds retry and quarantine every panic.
+/// reference check) is re-raised here, so quarantine cannot hide it;
+/// release builds quarantine every panic.
 fn reraise_unless_injected(payload: Box<dyn Any + Send>) {
     if cfg!(debug_assertions) && !is_injected_panic(payload.as_ref()) {
         resume_unwind(payload);
-    }
-}
-
-/// Runs the retry attempt of a panicked solve on a dedicated fresh thread,
-/// so whatever state the first panic left on the original worker's stack
-/// cannot contaminate it. Returns `None` when the retry panics too.
-fn retry_on_fresh_worker(
-    problem: &Problem,
-    budget: SolveBudget,
-    mut faults: SolverFaults,
-    cancel: CancelToken,
-) -> Option<(IlpResolution, IlpStats, u64)> {
-    let problem = problem.clone();
-    let handle = std::thread::Builder::new()
-        .name("ipet-pool-retry".into())
-        .spawn(move || {
-            let meter = BudgetMeter::with_cancel(cancel);
-            let (res, stats) = solve_ilp_budgeted(&problem, &budget, &meter, &mut faults);
-            (res, stats, meter.ticks())
-        })
-        .expect("spawn retry worker");
-    match handle.join() {
-        Ok(done) => Some(done),
-        Err(payload) => {
-            reraise_unless_injected(payload);
-            None
-        }
     }
 }
 
@@ -598,25 +551,17 @@ mod tests {
         // the caller in debug builds.
         let own = catch_unwind(|| reraise_unless_injected(Box::new("a debug oracle failed")));
         assert_eq!(own.is_err(), cfg!(debug_assertions));
-        // The injected panic is isolated in every build...
+        // The injected panic is isolated in every build.
         let mut problem = ipet_lp::ProblemBuilder::new(ipet_lp::Sense::Maximize);
         let x = problem.add_var("x", true);
         problem.objective(x, 1.0);
         problem.constraint(vec![(x, 1.0)], ipet_lp::Relation::Le, 3.0);
         let problem = problem.build();
         let injected = catch_unwind(|| {
-            let faults = &mut SolverFaults::panic_always_at(0);
+            let faults = &mut SolverFaults::panic_at(0);
             solve_ilp_budgeted(&problem, &SolveBudget::unlimited(), &BudgetMeter::new(), faults)
         })
         .expect_err("the fault panics");
         assert!(catch_unwind(AssertUnwindSafe(|| reraise_unless_injected(injected))).is_ok());
-        // ...so a sticky one is retried, then quarantined as before.
-        let retried = retry_on_fresh_worker(
-            &problem,
-            SolveBudget::unlimited(),
-            SolverFaults::panic_always_at(0),
-            CancelToken::new(),
-        );
-        assert!(retried.is_none(), "a panicking retry quarantines the job");
     }
 }

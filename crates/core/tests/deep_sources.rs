@@ -2,6 +2,10 @@
 //! on a default-stack spawned thread in a debug build — `cinderella serve`
 //! compiles `.mc` targets off its main thread — and one level more is a
 //! line-numbered compile error rather than a stack overflow.
+//!
+//! The parser keeps each compound statement in its own function, so the
+//! frame repeated per nested statement stays small: in a debug build the
+//! at-limit nested `if`s parse in about 420 KiB of stack.
 
 use ipet_core::{parse_annotations, Analyzer};
 use ipet_hw::Machine;
@@ -50,4 +54,16 @@ fn one_level_past_the_limit_is_a_line_numbered_error() {
         assert_eq!(err.line, 4, "{shape}: {err}");
         assert!(err.message.contains("nested more than"), "{shape}: {err}");
     }
+}
+
+#[test]
+fn nested_statements_at_the_limit_parse_on_a_512_kib_stack() {
+    let [_, _, (_, ifs)] = shapes(MAX_NESTING);
+    let parsed = std::thread::Builder::new()
+        .stack_size(512 * 1024)
+        .spawn(move || parse_module(&ifs).map(|m| m.items.len()))
+        .expect("spawn")
+        .join()
+        .expect("the parse panicked");
+    assert_eq!(parsed, Ok(1));
 }

@@ -1,10 +1,8 @@
 //! Crash isolation: a panicking solver worker never takes the batch down.
 //!
-//! A transient injected panic is caught, retried once on a fresh thread,
-//! and the batch result is bit-identical to an unfaulted run. A sticky
-//! panic (one that fires on the retry too) quarantines the job as
-//! exhausted, degrading the affected bound to `Partial` quality instead of
-//! crashing — and does so identically at any worker count.
+//! An injected panic is caught and quarantines its job as exhausted,
+//! degrading the affected bound to `Partial` quality instead of crashing —
+//! and does so identically at any worker count.
 
 use ipet_core::{
     parse_annotations, AnalysisBudget, AnalysisPlan, Analyzer, BoundQuality, SolvePool,
@@ -41,57 +39,54 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
 }
 
 #[test]
-fn transient_panic_is_retried_and_changes_nothing() {
+fn a_panic_quarantines_and_degrades_instead_of_crashing() {
     let budget = AnalysisBudget::default();
     let plans = plans_for(BENCHES, &budget);
-    let clean = SolvePool::new(3).run_plans(&plans, &budget.solve);
-    // `panic_at(0)` with a per-representative template: every
-    // representative's *first* attempt panics, every retry succeeds.
-    let faulted = quietly(|| {
-        SolvePool::with_faults(3, SolverFaults::panic_at(0)).run_plans(&plans, &budget.solve)
-    });
-
-    for ((a, b), name) in clean.estimates.iter().zip(&faulted.estimates).zip(BENCHES) {
-        let (a, b) = (a.as_ref().expect("clean"), b.as_ref().expect("faulted"));
-        assert_eq!(a, b, "{name}: retried run must be bit-identical to the clean run");
-        assert_eq!(b.quality, BoundQuality::Exact, "{name}");
-    }
-    assert_eq!(clean.report.hits, faulted.report.hits);
-    assert_eq!(clean.report.misses, faulted.report.misses);
-}
-
-#[test]
-fn sticky_panic_quarantines_and_degrades_instead_of_crashing() {
-    let budget = AnalysisBudget::default();
-    let plans = plans_for(BENCHES, &budget);
-    // Sticky: the retry panics too, so every representative is quarantined
-    // and every set is covered by the common-constraint relaxation.
+    // Every representative panics, so every one is quarantined and every
+    // set is covered by the common-constraint relaxation.
     let batch = quietly(|| {
-        SolvePool::with_faults(2, SolverFaults::panic_always_at(0)).run_plans(&plans, &budget.solve)
+        SolvePool::with_faults(2, SolverFaults::panic_at(0)).run_plans(&plans, &budget.solve)
     });
-    for (est, name) in batch.estimates.iter().zip(BENCHES) {
+    let clean = SolvePool::new(2).run_plans(&plans, &budget.solve);
+    for ((est, clean), name) in batch.estimates.iter().zip(&clean.estimates).zip(BENCHES) {
         let est = est.as_ref().expect("degraded, not crashed");
         assert_eq!(est.quality, BoundQuality::Partial, "{name}");
-        assert!(est.bound.lower <= est.bound.upper, "{name}");
+        assert!(est.bound.encloses(clean.as_ref().expect("clean").bound), "{name}");
     }
 }
 
+/// Each representative solve is attempted once: `panic_at(0)` quarantines
+/// every one of them exactly once, at 1 and at 8 workers alike, and the
+/// degraded bounds agree.
 #[test]
-fn quarantine_outcome_is_identical_at_any_worker_count() {
+fn each_representative_is_quarantined_once_at_any_worker_count() {
     let budget = AnalysisBudget::default();
     let plans = plans_for(BENCHES, &budget);
+    let recorder = ipet_trace::install();
     let runs: Vec<_> = [1usize, 8]
         .iter()
         .map(|&w| {
             quietly(|| {
-                SolvePool::with_faults(w, SolverFaults::panic_always_at(0))
-                    .run_plans(&plans, &budget.solve)
+                recorder.reset();
+                let batch = SolvePool::with_faults(w, SolverFaults::panic_at(0))
+                    .run_plans(&plans, &budget.solve);
+                let doc = ipet_trace::snapshot().expect("recorder installed");
+                let quarantined = doc.counters.get("pool.panic.quarantined").copied();
+                (batch, quarantined)
             })
         })
         .collect();
-    let a: Vec<_> = runs[0].estimates.iter().map(|e| e.as_ref().expect("ok")).collect();
-    let b: Vec<_> = runs[1].estimates.iter().map(|e| e.as_ref().expect("ok")).collect();
+    for (batch, quarantined) in &runs {
+        assert!(batch.report.misses > 0);
+        assert_eq!(*quarantined, Some(batch.report.misses), "one quarantine per representative");
+        for est in &batch.estimates {
+            assert_eq!(est.as_ref().expect("degraded").quality, BoundQuality::Partial);
+        }
+    }
+    let a: Vec<_> = runs[0].0.estimates.iter().map(|e| e.as_ref().expect("ok")).collect();
+    let b: Vec<_> = runs[1].0.estimates.iter().map(|e| e.as_ref().expect("ok")).collect();
     assert_eq!(a, b, "quarantine must be deterministic across --jobs 1 and --jobs 8");
+    assert_eq!(runs[0].0.report.misses, runs[1].0.report.misses);
 }
 
 #[test]
@@ -99,14 +94,14 @@ fn quarantined_results_are_not_cached() {
     let budget = AnalysisBudget::default();
     let plans = plans_for(&["piksrt"], &budget);
     let pool = quietly(|| {
-        let pool = SolvePool::with_faults(2, SolverFaults::panic_always_at(0));
+        let pool = SolvePool::with_faults(2, SolverFaults::panic_at(0));
         let crashed = pool.run_plans(&plans, &budget.solve);
         assert_eq!(crashed.estimates[0].as_ref().expect("degraded").quality, BoundQuality::Partial);
         pool
     });
     // The quarantined `Exhausted` markers must not have been inserted: a
     // second batch on the same pool probes the cache and must miss (and
-    // then crash-degrade again under the sticky fault — it must NOT replay
+    // then crash-degrade again under the same fault — it must NOT replay
     // its way back to a phantom Exact result).
     let again = quietly(|| pool.run_plans(&plans, &budget.solve));
     assert_eq!(again.report.hits, 0, "no quarantined entry may be replayed");

@@ -247,80 +247,18 @@ impl Parser {
         Ok(body)
     }
 
+    /// One statement. Only the dispatch lives here: each compound
+    /// statement parses in its own function, so the frame that the
+    /// recursion through nested bodies repeats stays small.
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         match self.peek() {
-            Some(Tok::Int) => {
-                self.bump();
-                let name = self.ident()?;
-                let init = if self.peek() == Some(&Tok::Assign) {
-                    self.bump();
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Decl { name, init, line })
-            }
-            Some(Tok::If) => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let then_branch = self.stmt_or_block()?;
-                let else_branch = if self.peek() == Some(&Tok::Else) {
-                    self.bump();
-                    self.stmt_or_block()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If { cond, then_branch, else_branch, line })
-            }
-            Some(Tok::While) => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let body = self.stmt_or_block()?;
-                Ok(Stmt::While { cond, body, line })
-            }
-            Some(Tok::Do) => {
-                self.bump();
-                let body = self.stmt_or_block()?;
-                self.expect(Tok::While)?;
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, line })
-            }
-            Some(Tok::For) => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let init = if self.peek() == Some(&Tok::Semi) {
-                    self.bump();
-                    None
-                } else {
-                    let s = self.simple_stmt()?; // consumes the `;`
-                    Some(Box::new(s))
-                };
-                let cond = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
-                self.expect(Tok::Semi)?;
-                let step = if self.peek() == Some(&Tok::RParen) {
-                    None
-                } else {
-                    Some(Box::new(self.assign_like()?))
-                };
-                self.expect(Tok::RParen)?;
-                let body = self.stmt_or_block()?;
-                Ok(Stmt::For { init, cond, step, body, line })
-            }
-            Some(Tok::Return) => {
-                self.bump();
-                let value = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Return { value, line })
-            }
+            Some(Tok::Int) => self.decl_stmt(line),
+            Some(Tok::If) => self.if_stmt(line),
+            Some(Tok::While) => self.while_stmt(line),
+            Some(Tok::Do) => self.do_while_stmt(line),
+            Some(Tok::For) => self.for_stmt(line),
+            Some(Tok::Return) => self.return_stmt(line),
             Some(Tok::Break) => {
                 self.bump();
                 self.expect(Tok::Semi)?;
@@ -333,6 +271,85 @@ impl Parser {
             }
             _ => self.simple_stmt(),
         }
+    }
+
+    fn decl_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        let name = self.ident()?;
+        let init = if self.peek() == Some(&Tok::Assign) {
+            self.bump();
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::Decl { name, init, line })
+    }
+
+    /// `( expr )`, the condition of `if`, `while` and `do`.
+    fn condition(&mut self) -> Result<Expr, CompileError> {
+        self.expect(Tok::LParen)?;
+        let cond = self.expr()?;
+        self.expect(Tok::RParen)?;
+        Ok(cond)
+    }
+
+    fn if_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        let cond = self.condition()?;
+        let then_branch = self.stmt_or_block()?;
+        let else_branch = if self.peek() == Some(&Tok::Else) {
+            self.bump();
+            self.stmt_or_block()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If { cond, then_branch, else_branch, line })
+    }
+
+    fn while_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        let cond = self.condition()?;
+        let body = self.stmt_or_block()?;
+        Ok(Stmt::While { cond, body, line })
+    }
+
+    fn do_while_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        let body = self.stmt_or_block()?;
+        self.expect(Tok::While)?;
+        let cond = self.condition()?;
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::DoWhile { body, cond, line })
+    }
+
+    fn for_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let init = if self.peek() == Some(&Tok::Semi) {
+            self.bump();
+            None
+        } else {
+            let s = self.simple_stmt()?; // consumes the `;`
+            Some(Box::new(s))
+        };
+        let cond = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
+        self.expect(Tok::Semi)?;
+        let step = if self.peek() == Some(&Tok::RParen) {
+            None
+        } else {
+            Some(Box::new(self.assign_like()?))
+        };
+        self.expect(Tok::RParen)?;
+        let body = self.stmt_or_block()?;
+        Ok(Stmt::For { init, cond, step, body, line })
+    }
+
+    fn return_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
+        self.bump();
+        let value = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::Return { value, line })
     }
 
     /// Assignment / declaration-free statement ending in `;`.

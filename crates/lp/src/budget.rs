@@ -3,7 +3,7 @@
 //!
 //! The analyzer must never hang and never abort: every solver entry point
 //! accepts a [`SolveBudget`] describing how much work it may do, charges its
-//! actual work to a shared [`BudgetMeter`], and degrades to a *safe but
+//! pivots to the solve's own [`BudgetMeter`], and degrades to a *safe but
 //! looser* bound (tagged with a [`BoundQuality`]) when the budget runs out.
 //! [`SolverFaults`] lets tests force each exhaustion path at an exact,
 //! reproducible call index, so the whole degradation cascade is testable
@@ -14,8 +14,9 @@
 //! a deadline expressed in ticks yields the same answer on every run and in
 //! every environment, which a literal clock would not.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How trustworthy a reported bound is.
@@ -59,9 +60,9 @@ impl fmt::Display for BoundQuality {
     }
 }
 
-/// Resource limits for a solve pipeline run.
+/// Resource limits for one ILP solve, or for a batch of them.
 ///
-/// A solver entry point charges its work to the [`BudgetMeter`] it is
+/// A solver entry point charges its pivots to the [`BudgetMeter`] it is
 /// given and stops at `deadline_ticks`. The solve pool (`ipet-core`)
 /// splits a batch's deadline `d` over the batch's `n` fresh solves: `d / n`
 /// ticks each, the first `d mod n` getting one more, each on its own
@@ -73,20 +74,13 @@ pub struct SolveBudget {
     /// pool shards it over a batch as above. This is the deterministic
     /// stand-in for wall-clock time.
     pub deadline_ticks: Option<u64>,
-    /// Cap on iterations of a single LP solve; `None` uses the solver's own
-    /// size-derived budget.
-    pub max_lp_iters: Option<usize>,
     /// Cap on branch-and-bound nodes per ILP solve.
     pub max_nodes: usize,
-    /// Cap on DNF constraint sets per analysis (enforced by `ipet-core`).
-    pub max_sets: usize,
 }
 
 impl SolveBudget {
     /// The maximum node count used when no explicit budget is given.
     pub const DEFAULT_MAX_NODES: usize = 200_000;
-    /// The maximum DNF set count used when no explicit budget is given.
-    pub const DEFAULT_MAX_SETS: usize = 65_536;
 
     /// An effectively unlimited budget (the defaults).
     pub fn unlimited() -> SolveBudget {
@@ -101,12 +95,7 @@ impl SolveBudget {
 
 impl Default for SolveBudget {
     fn default() -> SolveBudget {
-        SolveBudget {
-            deadline_ticks: None,
-            max_lp_iters: None,
-            max_nodes: SolveBudget::DEFAULT_MAX_NODES,
-            max_sets: SolveBudget::DEFAULT_MAX_SETS,
-        }
+        SolveBudget { deadline_ticks: None, max_nodes: SolveBudget::DEFAULT_MAX_NODES }
     }
 }
 
@@ -151,22 +140,19 @@ impl CancelToken {
     }
 }
 
-/// Accumulated solver work, shared across all solves of one pipeline run.
+/// The ticks one solve has spent, and the token that can cancel it.
 ///
-/// The meter is `Send + Sync`: counters are atomics, so several workers can
-/// charge one meter concurrently and a shared deadline holds globally.
-/// Workers check `deadline_hit` *before* charging, so a worker can overshoot
-/// a deadline by at most the one charge it had already committed to — with
-/// `w` workers the pool as a whole never over-spends by more than one charge
-/// per worker.
+/// Each solve gets a meter of its own: the solve pool (`ipet-core`) makes
+/// a fresh one per representative solve, on the worker thread that runs
+/// it, under that solve's deadline shard, and reads its ticks back once
+/// the solve returns. The tick count is a plain [`Cell`], so a meter is
+/// not `Sync` and cannot be shared between threads. Only the cancellation
+/// token is shared, so that one cancel reaches every solve of a batch. LP calls and branch-and-bound nodes are counted in the
+/// solve's [`IlpStats`](crate::IlpStats), not here.
 #[derive(Debug, Default)]
 pub struct BudgetMeter {
     /// Ticks consumed (one tick = one simplex pivot).
-    ticks: AtomicU64,
-    /// LP relaxations solved.
-    lp_calls: AtomicU64,
-    /// Branch-and-bound nodes expanded.
-    nodes: AtomicU64,
+    ticks: Cell<u64>,
     /// Cooperative cancellation: when cancelled, the meter reports its
     /// deadline as hit regardless of ticks spent, so every deadline-aware
     /// solver loop degrades as if the budget were exhausted.
@@ -190,44 +176,12 @@ impl BudgetMeter {
 
     /// Charges `ticks` pivots to the meter (saturating, never wraps).
     pub fn charge_ticks(&self, ticks: u64) {
-        // `fetch_update` instead of `fetch_add` so the count saturates at
-        // `u64::MAX` rather than wrapping back below a deadline.
-        let _ = self
-            .ticks
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| Some(t.saturating_add(ticks)));
-    }
-
-    /// Records one LP relaxation solved.
-    pub fn add_lp_call(&self) {
-        self.lp_calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one branch-and-bound node expanded.
-    pub fn add_node(&self) {
-        self.nodes.fetch_add(1, Ordering::Relaxed);
+        self.ticks.set(self.ticks.get().saturating_add(ticks));
     }
 
     /// Ticks consumed so far (one tick = one simplex pivot).
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// LP relaxations solved so far.
-    pub fn lp_calls(&self) -> u64 {
-        self.lp_calls.load(Ordering::Relaxed)
-    }
-
-    /// Branch-and-bound nodes expanded so far.
-    pub fn nodes(&self) -> u64 {
-        self.nodes.load(Ordering::Relaxed)
-    }
-
-    /// Folds another meter's consumption into this one (used when a pool
-    /// aggregates per-worker meters into a batch total).
-    pub fn absorb(&self, other: &BudgetMeter) {
-        self.charge_ticks(other.ticks());
-        self.lp_calls.fetch_add(other.lp_calls(), Ordering::Relaxed);
-        self.nodes.fetch_add(other.nodes(), Ordering::Relaxed);
+        self.ticks.get()
     }
 
     /// Ticks still available under `budget`, or `None` when no deadline is
@@ -248,14 +202,6 @@ impl BudgetMeter {
     }
 }
 
-impl Clone for BudgetMeter {
-    fn clone(&self) -> BudgetMeter {
-        let m = BudgetMeter::with_cancel(self.cancel.clone());
-        m.absorb(self);
-        m
-    }
-}
-
 /// Deterministic fault injection for the solver stack.
 ///
 /// Each `force_*_at` field names a zero-based call index at which the
@@ -267,9 +213,8 @@ impl Clone for BudgetMeter {
 ///   reports `Infeasible`;
 /// * [`numerical_at`](SolverFaults::numerical_at) — the N-th LP call
 ///   reports `Numerical` (as if pivoting had met a NaN);
-/// * [`panic_at`](SolverFaults::panic_at) /
-///   [`panic_always_at`](SolverFaults::panic_always_at) — the N-th whole ILP
-///   solve panics on entry (transient vs. sticky across a retry);
+/// * [`panic_at`](SolverFaults::panic_at) — the N-th whole ILP solve
+///   panics on entry;
 /// * [`corrupt_witness_at`](SolverFaults::corrupt_witness_at) /
 ///   [`corrupt_bound_at`](SolverFaults::corrupt_bound_at) — the N-th ILP
 ///   solve silently returns a corrupted witness vector or claimed bound, so
@@ -301,7 +246,6 @@ pub struct SolverFaults {
     force_infeasible_at: Option<u64>,
     force_numerical_at: Option<u64>,
     force_panic_at: Option<u64>,
-    panic_sticky: bool,
     force_corrupt_witness_at: Option<u64>,
     force_corrupt_bound_at: Option<u64>,
     force_fail_write_at: Option<u64>,
@@ -336,20 +280,11 @@ impl SolverFaults {
         SolverFaults { force_numerical_at: Some(index), ..SolverFaults::default() }
     }
 
-    /// Forces the `index`-th ILP solve to panic on entry, *transiently*: a
-    /// retry harness (like the pool's fresh-worker retry) is expected to
-    /// [`disarm_panic`](SolverFaults::disarm_panic) before retrying, so the
-    /// retry succeeds. Use [`panic_always_at`](SolverFaults::panic_always_at)
-    /// for a panic that survives retries.
+    /// Forces the `index`-th ILP solve to panic on entry. The solve pool
+    /// quarantines a solve that panics, so its set is covered by the
+    /// common-constraint relaxation and the bound degrades to `Partial`.
     pub fn panic_at(index: u64) -> SolverFaults {
         SolverFaults { force_panic_at: Some(index), ..SolverFaults::default() }
-    }
-
-    /// Forces the `index`-th ILP solve to panic on entry, *stickily*: the
-    /// fault stays armed across [`disarm_panic`](SolverFaults::disarm_panic),
-    /// modelling a deterministic crash that a retry cannot outrun.
-    pub fn panic_always_at(index: u64) -> SolverFaults {
-        SolverFaults { force_panic_at: Some(index), panic_sticky: true, ..SolverFaults::default() }
     }
 
     /// Forces the `index`-th ILP solve to return a silently corrupted
@@ -392,17 +327,10 @@ impl SolverFaults {
         SolverFaults { force_fail_open: true, ..SolverFaults::default() }
     }
 
-    /// Disarms a transient panic fault before a retry; sticky panics
-    /// ([`panic_always_at`](SolverFaults::panic_always_at)) stay armed.
-    pub fn disarm_panic(&mut self) {
-        if !self.panic_sticky {
-            self.force_panic_at = None;
-        }
-    }
-
-    /// True when any *solver* fault is armed (used to skip bookkeeping on
-    /// the default value in hot paths, and to route faulted solves down the
-    /// cold path). IO faults are excluded — see [`io_armed`](Self::io_armed).
+    /// True when any *solver* fault is armed. `solve_ilp_budgeted` checks
+    /// it to skip the per-solve fault bookkeeping on the default value, and
+    /// `cinderella` to refuse solve faults where they cannot apply. IO
+    /// faults are excluded — see [`io_armed`](Self::io_armed).
     pub fn armed(&self) -> bool {
         self.force_limit_at.is_some()
             || self.force_infeasible_at.is_some()
@@ -560,48 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn meter_is_shareable_and_absorbs() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<BudgetMeter>();
-
-        let a = BudgetMeter::new();
-        a.charge_ticks(3);
-        a.add_lp_call();
-        a.add_node();
-        let b = a.clone();
-        b.absorb(&a);
-        assert_eq!((b.ticks(), b.lp_calls(), b.nodes()), (6, 2, 2));
-        assert_eq!((a.ticks(), a.lp_calls(), a.nodes()), (3, 1, 1));
-    }
-
-    /// Two workers sharing one meter under a common deadline: each worker
-    /// checks `deadline_hit` before committing a one-tick charge, so the
-    /// pool can overshoot the deadline by at most one tick per worker.
-    #[test]
-    fn shared_meter_overshoots_at_most_one_tick_per_worker() {
-        const DEADLINE: u64 = 1_000;
-        const WORKERS: u64 = 2;
-        let budget = SolveBudget::with_deadline(DEADLINE);
-        let meter = BudgetMeter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..WORKERS {
-                scope.spawn(|| loop {
-                    if meter.deadline_hit(&budget) {
-                        break;
-                    }
-                    meter.charge_ticks(1);
-                });
-            }
-        });
-        assert!(meter.ticks() >= DEADLINE, "workers stopped early: {} ticks", meter.ticks());
-        assert!(
-            meter.ticks() <= DEADLINE + WORKERS,
-            "over-spent by more than one tick per worker: {} ticks",
-            meter.ticks()
-        );
-    }
-
-    #[test]
     fn cancellation_reports_as_an_exhausted_deadline() {
         let token = CancelToken::new();
         let meter = BudgetMeter::with_cancel(token.clone());
@@ -614,16 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_tokens_are_shared_across_clones_and_meters() {
+    fn one_cancel_token_reaches_every_meter_built_on_it() {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
         let a = BudgetMeter::with_cancel(token.clone());
-        let b = a.clone(); // clones share the token
-        let c = BudgetMeter::with_cancel(token.clone());
+        let b = BudgetMeter::with_cancel(token.clone());
         token.cancel();
         token.cancel(); // idempotent
         let budget = SolveBudget::unlimited();
-        assert!(a.deadline_hit(&budget) && b.deadline_hit(&budget) && c.deadline_hit(&budget));
+        assert!(a.deadline_hit(&budget) && b.deadline_hit(&budget));
         // A meter with its own default token is unaffected.
         assert!(!BudgetMeter::new().deadline_hit(&budget));
     }
@@ -693,16 +578,5 @@ mod tests {
         assert!(!none.io_armed() && !none.open_fault());
         assert_eq!(none.write_fault(), None);
         assert!(!none.record_fault());
-    }
-
-    #[test]
-    fn transient_panics_disarm_but_sticky_panics_stay() {
-        let mut transient = SolverFaults::panic_at(0);
-        transient.disarm_panic();
-        assert_eq!(transient.solve_fault(), None, "transient panic must disarm before a retry");
-
-        let mut sticky = SolverFaults::panic_always_at(0);
-        sticky.disarm_panic();
-        assert_eq!(sticky.solve_fault(), Some(SolveFault::Panic), "sticky panic survives disarm");
     }
 }

@@ -127,9 +127,10 @@ pub fn solve_ilp(problem: &Problem) -> (IlpOutcome, IlpStats) {
 ///
 /// Branching adds `x <= floor(v)` / `x >= ceil(v)` bound rows on the most
 /// fractional integer variable; nodes are pruned against the incumbent.
-/// Work is charged to `meter` (shared across solves: the deadline in
-/// `budget.deadline_ticks` caps the *sum* of work metered through it), and
-/// `faults` can force any exhaustion path at a chosen call index.
+/// Pivots are charged to `meter`, the solve's own, and the search stops
+/// once the meter has spent `budget.deadline_ticks` (or its cancellation
+/// token fires). `faults` can force any exhaustion path at a chosen call
+/// index.
 ///
 /// On budget exhaustion the search stops and reports
 /// [`IlpResolution::Relaxed`] whose `bound` is the tightest safe outer
@@ -252,7 +253,6 @@ pub(crate) fn branch_and_bound(
         }
         let Node { extra, parent_bound } = stack.pop().expect("stack checked non-empty");
         stats.nodes += 1;
-        meter.add_node();
 
         let mut sub = problem.clone();
         for &(var, rel, rhs) in &extra {

@@ -53,10 +53,10 @@
 //!
 //! ## Budgets and graceful degradation
 //!
-//! The budget-aware entry points never hang and never guess: work is
-//! charged to a [`BudgetMeter`] in deterministic *ticks* (one tick = one
-//! simplex pivot), a [`SolveBudget`] caps ticks, LP iterations,
-//! branch-and-bound nodes and DNF sets, and [`solve_ilp_budgeted`] degrades
+//! The budget-aware entry points never hang and never guess: each solve
+//! charges its pivots to its own [`BudgetMeter`] in deterministic *ticks*
+//! (one tick = one simplex pivot), a [`SolveBudget`] caps ticks and
+//! branch-and-bound nodes, and [`solve_ilp_budgeted`] degrades
 //! to a safe LP-relaxation bound ([`IlpResolution::Relaxed`]) instead of
 //! erroring when a budget runs out. [`SolverFaults`] injects each
 //! exhaustion path deterministically for testing, and [`BoundQuality`] is

@@ -11,8 +11,8 @@
 //! Every priced pivot — phase 1, phase 2 and the canonical walk — is one
 //! tick on the caller's meter (the unpriced drive-out of degenerate
 //! artificials after phase 1 is not), and a per-call iteration cap (the
-//! kernel's size cap, tightened by `max_lp_iters` and the ticks left
-//! before the deadline) stops a solve that would run past its budget.
+//! kernel's size cap, tightened by the ticks left before the deadline)
+//! stops a solve that would run past its budget.
 
 use crate::budget::{BudgetMeter, LpFault, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
@@ -71,8 +71,8 @@ pub fn solve_lp(problem: &Problem) -> LpOutcome {
     )
 }
 
-/// Solves the LP relaxation under `budget`, charging pivots and the call
-/// itself to `meter` and honouring injected `faults`.
+/// Solves the LP relaxation under `budget`, charging its pivots to `meter`
+/// and honouring injected `faults`.
 ///
 /// Differences from the unmetered [`solve_lp`]:
 /// * returns [`LpOutcome::LimitReached`] when the tick deadline or the
@@ -86,7 +86,6 @@ pub fn solve_lp_metered(
     meter: &BudgetMeter,
     faults: &mut SolverFaults,
 ) -> LpOutcome {
-    meter.add_lp_call();
     if let Some(fault) = faults.lp_fault() {
         return match fault {
             LpFault::Infeasible => LpOutcome::Infeasible,
@@ -104,12 +103,8 @@ pub fn solve_lp_metered(
     };
 
     // Per-call iteration cap: the solver's own generous size-derived stop,
-    // tightened by any explicit per-LP cap and by the ticks left before the
-    // deadline.
+    // tightened by the ticks left before the deadline.
     let mut max_iters = inst.default_iter_cap();
-    if let Some(cap) = budget.max_lp_iters {
-        max_iters = max_iters.min(u64::try_from(cap).unwrap_or(u64::MAX));
-    }
     if let Some(left) = meter.ticks_left(budget) {
         if left == 0 {
             return LpOutcome::LimitReached;
@@ -342,7 +337,7 @@ mod tests {
         let meter = BudgetMeter::new();
         let out = solve_lp_metered(&p, &budget, &meter, &mut SolverFaults::none());
         assert_eq!(out, LpOutcome::LimitReached);
-        assert_eq!(meter.lp_calls(), 1);
+        assert_eq!(meter.ticks(), 0);
         // With budget to spare the same problem solves and charges pivots.
         let budget = SolveBudget::with_deadline(10_000);
         let meter = BudgetMeter::new();
@@ -362,9 +357,12 @@ mod tests {
                 (&[3.0, 2.0], Relation::Le, 18.0),
             ],
         );
-        let budget = SolveBudget { max_lp_iters: Some(1), ..SolveBudget::unlimited() };
-        let out = solve_lp_metered(&p, &budget, &BudgetMeter::new(), &mut SolverFaults::none());
+        // One tick left caps the call at one pivot, too few to finish.
+        let budget = SolveBudget::with_deadline(1);
+        let meter = BudgetMeter::new();
+        let out = solve_lp_metered(&p, &budget, &meter, &mut SolverFaults::none());
         assert_eq!(out, LpOutcome::LimitReached);
+        assert_eq!(meter.ticks(), 1);
     }
 
     #[test]
