@@ -3,9 +3,12 @@
 //! steps around the simplex: planning, content fingerprinting and the
 //! worst-case cover's LP solve — to show where the milliseconds go (the paper's
 //! "insignificant" claim covers only the ILP; this bench covers the
-//! substrates).
+//! substrates). `plan_scale` plans one large synthetic program, from the
+//! top of the 250–750 instruction band the `scale` workload draws from, so
+//! the plan cost of a program many times dhry's size shows too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ipet_bench::synth::{generate, SynthConfig};
 use ipet_cfg::Instances;
 use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
 use ipet_hw::{block_cost, Machine};
@@ -53,6 +56,29 @@ fn bench_stages(c: &mut Criterion) {
     let budget = AnalysisBudget::default();
     group.bench_function("plan", |bench| {
         bench.iter(|| black_box(analyzer.plan(black_box(&anns), &budget).unwrap().jobs().len()))
+    });
+
+    // The first generated program (the `scale` workload's generator shape,
+    // seeds counting up from 0) of 700 to 749 instructions, annotated by
+    // loop-bound inference alone.
+    let synth = (0..)
+        .map(|seed| generate(seed, SynthConfig { max_depth: 4, ..SynthConfig::default() }))
+        .find(|s| {
+            let instrs: usize = s.program.functions.iter().map(|f| f.instrs.len()).sum();
+            (700..750).contains(&instrs)
+        })
+        .expect("the generator reaches the top of the band");
+    let large = Analyzer::new(&synth.program, machine).unwrap();
+    let inferred = ipet_infer::infer_and_merge(
+        Some(&synth.module),
+        &large,
+        &Default::default(),
+        ipet_infer::InferMode::Only,
+    )
+    .unwrap()
+    .annotations;
+    group.bench_function("plan_scale", |bench| {
+        bench.iter(|| black_box(large.plan(black_box(&inferred), &budget).unwrap().jobs().len()))
     });
 
     let plan = analyzer.plan(&anns, &budget).unwrap();

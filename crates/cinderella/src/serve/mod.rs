@@ -490,12 +490,14 @@ fn build_plan(
     let t =
         crate::target_from(&key.target, key.file.clone(), key.entry.as_deref(), None, None, false)?;
     let analyzer = ipet_core::Analyzer::new(&t.program, machine).map_err(|e| e.to_string())?;
-    let mut annotations = t.annotations.clone();
+    let mut anns = ipet_core::parse_annotations(&t.annotations).map_err(|e| e.to_string())?;
     if let Some(extra) = &key.annotations {
-        annotations.push('\n');
-        annotations.push_str(extra);
+        // Parsed on its own, so an error names a line of the request's
+        // text; its `fn` items follow the target's, as if appended.
+        let extra =
+            ipet_core::parse_annotations(extra).map_err(|e| format!("request annotations: {e}"))?;
+        anns.functions.extend(extra.functions);
     }
-    let mut anns = ipet_core::parse_annotations(&annotations).map_err(|e| e.to_string())?;
     let mut infer_counts = None;
     if let Some(mode) = key.infer {
         let outcome = ipet_infer::infer_and_merge(t.module.as_ref(), &analyzer, &anns, mode)

@@ -116,6 +116,13 @@ fn deeply_nested_request_lines_get_an_error_not_an_abort() {
             format!(r#"{{"id": 1, "target": "check_data", "annotations": "{deep_annotation}"}}"#),
             "nested more than 100",
         ),
+        // An annotation error names the line within the request's own
+        // text, not within the target's annotations it is appended to.
+        (
+            r#"{"id": 1, "target": "check_data", "annotations": "fn check_data {\n  x1 <= ;\n}"}"#
+                .to_string(),
+            "request annotations: annotation parse error at line 2:",
+        ),
     ];
     let mut child = spawn_serve(&[]);
     let mut stdin = child.stdin.take().unwrap();

@@ -311,7 +311,7 @@ impl AnalysisPlan {
                 if m.is_block {
                     let v = xr.get(id).copied().unwrap_or(0);
                     if v != 0 {
-                        out.insert(m.label.clone(), v);
+                        out.insert(self.names[id].clone(), v);
                     }
                 }
             }
@@ -321,13 +321,16 @@ impl AnalysisPlan {
         // Attribute the WCET objective to instances: block variables carry
         // their worst-cold cost unless the cache split moved the cost onto
         // the cold/warm virtual variables.
-        let mut contributions: BTreeMap<String, u64> = BTreeMap::new();
+        let mut per_instance = vec![0u64; self.instance_labels.len()];
         for (id, m) in self.vars.iter().enumerate() {
             let value = worst_rounded.get(id).copied().unwrap_or(0) as u64;
-            if value == 0 || m.contrib_cost == 0 {
-                continue;
+            per_instance[m.instance.0] += value * m.contrib_cost;
+        }
+        let mut contributions: BTreeMap<String, u64> = BTreeMap::new();
+        for (label, &cycles) in self.instance_labels.iter().zip(&per_instance) {
+            if cycles != 0 {
+                *contributions.entry(label.clone()).or_insert(0) += cycles;
             }
-            *contributions.entry(m.instance_label.clone()).or_insert(0) += value * m.contrib_cost;
         }
 
         // The symbolic WCET formula: the worst witness's counts times the

@@ -31,6 +31,7 @@ use ipet_cfg::{BlockId, InstanceId, Instances};
 use ipet_hw::{block_cost, block_cost_param, BlockCost, Machine, ParamExpr, ParamPoint};
 use ipet_lp::{BoundQuality, Fingerprint, IlpResolution, IlpStats, Problem, Sense, SolveBudget};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 mod degrade;
 mod fold;
@@ -325,15 +326,16 @@ pub enum JobVerdict {
 }
 
 /// Per-variable metadata an [`AnalysisPlan`] keeps so the verdict fold can
-/// rebuild counts and contribution attribution without the analyzer.
+/// rebuild counts and contribution attribution without the analyzer. A
+/// variable's position in [`AnalysisPlan::vars`] is its index into the
+/// plan's name table.
 #[derive(Debug, Clone)]
 struct VarMeta {
-    /// Display label (`x<k>@<instance>`).
-    label: String,
     /// True for basic-block count variables (the ones reported in counts).
     is_block: bool,
-    /// Label of the owning CFG instance (empty for edge variables).
-    instance_label: String,
+    /// The owning CFG instance: an index into
+    /// [`AnalysisPlan::instance_labels`].
+    instance: InstanceId,
     /// Worst-case cycles this variable contributes per unit count
     /// (0 for edges and for block variables whose cost the cache split
     /// moved onto virtual cold/warm variables).
@@ -385,6 +387,11 @@ pub struct AnalysisPlan {
     /// annotations; empty unless the inference pass filled it in).
     loop_bounds: Vec<LoopProvenance>,
     vars: Vec<VarMeta>,
+    /// Every variable's label (`x<k>@<instance>`) in id order: the one
+    /// table both covers and every job's problem share.
+    names: Arc<[String]>,
+    /// Label of each CFG instance, indexed by [`VarMeta::instance`].
+    instance_labels: Vec<String>,
     /// The analyzed machine's point in parameter space: where every
     /// [`VarMeta::param_cost`] evaluates back to its concrete coefficient.
     /// The fold uses it to prove [`Estimate::wcet_formula`] reproduces the

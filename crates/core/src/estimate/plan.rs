@@ -9,9 +9,28 @@ use crate::structural::{flow_spec, structural_constraints};
 use crate::vars::{VarRef, VarSpace};
 use ipet_cfg::{BlockId, InstanceId, LoopInfo};
 use ipet_hw::ParamExpr;
-use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, ProblemBuilder, Sense, VarId};
-use std::collections::{HashMap, HashSet};
+use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, Sense, VarId};
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// The first-iteration cache split of one plan (empty under
+/// [`CacheMode::AllMiss`]): its rows, and the worst-case objective
+/// coefficients it sets.
+#[derive(Debug, Default)]
+pub(super) struct Split {
+    rows: Vec<LinCon>,
+    /// Indexed by variable id: the concrete and parametric worst-case
+    /// coefficient the split sets, or `None` where a block keeps its own
+    /// cost. Ends at the last split variable.
+    cost: Vec<Option<(u64, ParamExpr)>>,
+}
+
+impl Split {
+    fn cost(&self, id: VarId) -> Option<&(u64, ParamExpr)> {
+        self.cost.get(id.0).and_then(Option::as_ref)
+    }
+}
 
 impl<'p> Analyzer<'p> {
     /// Builds the analysis **job graph**: resolves annotations, expands the
@@ -170,7 +189,10 @@ impl<'p> Analyzer<'p> {
 
         // Shared structural rows and (for the worst case) split rows.
         let structural = structural_constraints(&self.instances);
-        let (split_rows, split_objective, split_param) = self.build_split(&mut space);
+        let split = self.build_split(&mut space);
+        // Every variable's label, written once and shared by both covers,
+        // every job and the fold.
+        let names = space.names();
 
         // Constraints common to *every* set (the non-disjunctive
         // statements): together with the structural and split rows they
@@ -203,9 +225,8 @@ impl<'p> Analyzer<'p> {
 
         // The two covers. Row order: structural, common functionality,
         // then (worst case only) the split rows.
-        let covers = [Sense::Maximize, Sense::Minimize].map(|sense| {
-            self.assemble(&space, sense, &structural, &common, &split_rows, &split_objective)
-        });
+        let covers = [Sense::Maximize, Sense::Minimize]
+            .map(|sense| self.assemble(&space, &names, sense, &structural, &common, &split));
         let mut problems = Vec::with_capacity(disjuncts.len() * 2);
         for (set, rows) in disjuncts.iter().enumerate() {
             let rows: Vec<Constraint> = rows.iter().map(|c| lincon_row(&space, c)).collect();
@@ -240,33 +261,24 @@ impl<'p> Analyzer<'p> {
         let vars: Vec<VarMeta> = space
             .iter()
             .map(|(id, r)| {
-                let (is_block, instance_label, contrib_cost, param_cost) = match r {
+                let (is_block, instance, (contrib_cost, param_cost)) = match r {
                     VarRef::Block(inst, blk) => {
                         let func = self.instances.cfg(inst).func;
-                        let (cost, param) = match split_objective.get(&r) {
-                            Some(&c) => (c as u64, ParamExpr::default()),
+                        let cost = match split.cost(id) {
+                            Some(c) => c.clone(),
                             None => (
                                 self.costs[func.0][blk.0].worst_cold,
                                 self.param_costs[func.0][blk.0].worst_cold.clone(),
                             ),
                         };
-                        (true, self.instances.instances[inst.0].label.clone(), cost, param)
+                        (true, inst, cost)
                     }
-                    VarRef::SplitCold(inst, _) | VarRef::SplitWarm(inst, _) => (
-                        false,
-                        self.instances.instances[inst.0].label.clone(),
-                        split_objective.get(&r).copied().unwrap_or(0.0) as u64,
-                        split_param.get(&r).cloned().unwrap_or_default(),
-                    ),
-                    VarRef::Edge(_, _) => (false, String::new(), 0, ParamExpr::default()),
+                    VarRef::SplitCold(inst, _) | VarRef::SplitWarm(inst, _) => {
+                        (false, inst, split.cost(id).cloned().unwrap_or_default())
+                    }
+                    VarRef::Edge(inst, _) => (false, inst, (0, ParamExpr::default())),
                 };
-                VarMeta {
-                    label: space.label(id).to_string(),
-                    is_block,
-                    instance_label,
-                    contrib_cost,
-                    param_cost,
-                }
+                VarMeta { is_block, instance, contrib_cost, param_cost }
             })
             .collect();
 
@@ -295,6 +307,8 @@ impl<'p> Analyzer<'p> {
             unbounded_loops: self.unbounded_loop_labels(&bounded_headers),
             loop_bounds: anns.provenance.clone(),
             vars,
+            names,
+            instance_labels: self.instances.instances.iter().map(|i| i.label.clone()).collect(),
             param_point: self.machine().param_point(),
             flow: flow_spec(&self.instances, &space),
             identity_hash,
@@ -337,30 +351,27 @@ impl<'p> Analyzer<'p> {
     // -- ILP assembly --------------------------------------------------------
 
     /// Builds the split rows and split objective coefficients for
-    /// [`CacheMode::FirstIterSplit`] (empty under [`CacheMode::AllMiss`]).
-    /// The third return value carries the same objective coefficients as
-    /// exact parametric forms, so split rows keep their symbolic
+    /// [`CacheMode::FirstIterSplit`] (empty under [`CacheMode::AllMiss`]),
+    /// interning the split variables into `space`. Each coefficient comes
+    /// with its exact parametric form, so split rows keep their symbolic
     /// objective terms alongside the concrete ones.
-    #[allow(clippy::type_complexity)]
-    pub(super) fn build_split(
-        &self,
-        space: &mut VarSpace,
-    ) -> (Vec<LinCon>, HashMap<VarRef, f64>, HashMap<VarRef, ParamExpr>) {
-        let mut rows = Vec::new();
-        let mut obj: HashMap<VarRef, f64> = HashMap::new();
-        let mut param: HashMap<VarRef, ParamExpr> = HashMap::new();
+    ///
+    /// Loop blocks are visited in instance then [`BlockId`] order, so the
+    /// split variables' ids and the rows — and with them every job key —
+    /// are the same on every run.
+    pub(super) fn build_split(&self, space: &mut VarSpace) -> Split {
         if self.cache_mode != CacheMode::FirstIterSplit {
-            return (rows, obj, param);
+            return Split::default();
         }
+        let mut rows = Vec::new();
+        let mut costs: Vec<(VarId, u64, ParamExpr)> = Vec::new();
         for i in 0..self.instances.len() {
             let inst = InstanceId(i);
             let cfg = self.instances.cfg(inst);
             let func = cfg.func;
-            let function = &self.program().functions[func.0];
-            let loops = cfg.loops();
             // Innermost qualifying loop per block.
-            let mut chosen: HashMap<BlockId, &LoopInfo> = HashMap::new();
-            for l in loops {
+            let mut chosen: BTreeMap<BlockId, &LoopInfo> = BTreeMap::new();
+            for l in cfg.loops() {
                 if !self.loop_qualifies(func, l) {
                     continue;
                 }
@@ -373,17 +384,13 @@ impl<'p> Analyzer<'p> {
                     }
                 }
             }
-            let label = self.instances.instances[i].label.clone();
             for (&b, l) in &chosen {
                 let cost = self.costs[func.0][b.0];
                 if cost.worst_cold == cost.worst_warm {
                     continue; // nothing to gain
                 }
-                let _ = function; // block addresses were used in qualify()
                 let cold = VarRef::SplitCold(inst, b);
                 let warm = VarRef::SplitWarm(inst, b);
-                space.intern(cold, &label);
-                space.intern(warm, &label);
                 let x = VarRef::Block(inst, b);
                 rows.push(LinCon::eq(vec![(cold, 1.0), (warm, 1.0), (x, -1.0)], 0.0));
                 let mut cap = vec![(cold, 1.0)];
@@ -391,15 +398,17 @@ impl<'p> Analyzer<'p> {
                     cap.push((VarRef::Edge(inst, *e), -1.0));
                 }
                 rows.push(LinCon::le(cap, 0.0));
-                obj.insert(cold, cost.worst_cold as f64);
-                obj.insert(warm, cost.worst_warm as f64);
-                obj.insert(x, 0.0);
                 let pcost = &self.param_costs[func.0][b.0];
-                param.insert(cold, pcost.worst_cold.clone());
-                param.insert(warm, pcost.worst_warm.clone());
+                costs.push((space.intern(cold), cost.worst_cold, pcost.worst_cold.clone()));
+                costs.push((space.intern(warm), cost.worst_warm, pcost.worst_warm.clone()));
+                costs.push((space.intern(x), 0, ParamExpr::default()));
             }
         }
-        (rows, obj, param)
+        let mut cost = vec![None; space.len()];
+        for (id, c, param) in costs {
+            cost[id.0] = Some((c, param));
+        }
+        Split { rows, cost }
     }
 
     /// A loop qualifies for warm-iteration costing when its body contains
@@ -422,75 +431,61 @@ impl<'p> Analyzer<'p> {
         self.machine().icache.range_is_conflict_free(start, end)
     }
 
-    /// Assembles one problem of `sense` over `space`: the structural rows,
-    /// then the functionality rows, then — when maximizing — the split rows,
-    /// under the split objective. Minimizing ignores both split arguments.
+    /// Assembles one problem of `sense` over `space`, named by `names`
+    /// (shared, not copied): the structural rows, then the functionality
+    /// rows, then — when maximizing — the split rows, under the split
+    /// objective. Minimizing ignores the split.
     pub(super) fn assemble(
         &self,
         space: &VarSpace,
+        names: &Arc<[String]>,
         sense: Sense,
         structural: &[LinCon],
         functionality: &[LinCon],
-        split_rows: &[LinCon],
-        split_objective: &HashMap<VarRef, f64>,
+        split: &Split,
     ) -> Problem {
-        let mut b = ProblemBuilder::new(sense);
-        let mut ids: Vec<VarId> = Vec::with_capacity(space.len());
-        for (id, r) in space.iter() {
-            let vid = b.add_var(space.label(id).to_string(), true);
-            debug_assert_eq!(vid.0, id.0);
-            ids.push(vid);
-            // Objective: block costs (possibly overridden by the split).
-            let coeff = match (sense, r) {
-                (Sense::Maximize, VarRef::Block(inst, blk)) => {
-                    let func = self.instances.cfg(inst).func;
-                    match split_objective.get(&r) {
-                        Some(&c) => c, // 0.0 when split vars carry the cost
-                        None => self.costs[func.0][blk.0].worst_cold as f64,
+        let objective = space
+            .iter()
+            .map(|(id, r)| match (sense, r) {
+                // Block costs, possibly overridden by the split (0 when
+                // the split variables carry the cost).
+                (Sense::Maximize, VarRef::Block(inst, blk)) => match split.cost(id) {
+                    Some(&(c, _)) => c as f64,
+                    None => {
+                        let func = self.instances.cfg(inst).func;
+                        self.costs[func.0][blk.0].worst_cold as f64
                     }
-                }
+                },
                 (Sense::Maximize, VarRef::SplitCold(_, _) | VarRef::SplitWarm(_, _)) => {
-                    split_objective.get(&r).copied().unwrap_or(0.0)
+                    split.cost(id).map_or(0.0, |&(c, _)| c as f64)
                 }
                 (Sense::Minimize, VarRef::Block(inst, blk)) => {
                     let func = self.instances.cfg(inst).func;
                     self.costs[func.0][blk.0].best as f64
                 }
                 _ => 0.0,
-            };
-            if coeff != 0.0 {
-                b.objective(vid, coeff);
-            }
+            })
+            .collect();
+        let split_rows = if sense == Sense::Maximize { &split.rows[..] } else { &[] };
+        let constraints = structural
+            .iter()
+            .chain(functionality)
+            .chain(split_rows)
+            .map(|c| lincon_row(space, c))
+            .collect();
+        Problem {
+            sense,
+            objective,
+            constraints,
+            integer: vec![true; space.len()],
+            names: Arc::clone(names),
         }
-        let add = |b: &mut ProblemBuilder, c: &LinCon| {
-            let terms: Vec<(VarId, f64)> = c
-                .terms
-                .iter()
-                .map(|&(r, coef)| {
-                    let id = space.id(r).expect("constraint variable interned");
-                    (ids[id.0], coef)
-                })
-                .collect();
-            b.constraint(terms, c.relation, c.rhs);
-        };
-        for c in structural {
-            add(&mut b, c);
-        }
-        for c in functionality {
-            add(&mut b, c);
-        }
-        if sense == Sense::Maximize {
-            for c in split_rows {
-                add(&mut b, c);
-            }
-        }
-        b.build()
     }
 }
 
-/// Converts a resolved [`LinCon`] into a solver row over the cover
-/// problem's variable ids (positional: `VarSpace` id order is the
-/// assembled problem's variable order).
+/// Converts a resolved [`LinCon`] into a solver row over the space's
+/// variable ids (`VarSpace` id order is the assembled problem's variable
+/// order).
 fn lincon_row(space: &VarSpace, c: &LinCon) -> Constraint {
     Constraint {
         terms: c

@@ -1,9 +1,9 @@
+use super::plan::Split;
 use super::*;
 use crate::structural::structural_constraints;
 use crate::vars::VarSpace;
 use ipet_arch::{AluOp, AsmBuilder, Cond, Program, Reg};
 use ipet_lp::SolverFaults;
-use std::collections::HashMap;
 
 /// `ann` planned under `budget` and run on a one-worker pool.
 fn analyze_under(
@@ -280,7 +280,9 @@ fn loop_bounded_structural_ilp_has_an_integral_first_relaxation() {
             &mut HashSet::new(),
         )
         .unwrap();
-    let with_bound = a.assemble(&space, Sense::Maximize, &structural, &bound, &[], &HashMap::new());
+    let split = Split::default();
+    let with_bound =
+        a.assemble(&space, &space.names(), Sense::Maximize, &structural, &bound, &split);
     let (_, stats) = ipet_lp::solve_ilp(&with_bound);
     assert!(stats.first_relaxation_integral);
 }
@@ -360,6 +362,23 @@ fn job_problems_extend_their_covers() {
     for (i, job) in plan.jobs().iter().enumerate() {
         assert_eq!(job.sense, if i % 2 == 0 { Sense::Maximize } else { Sense::Minimize });
         assert_eq!(plan.cover(job.sense).sense, job.sense);
+    }
+}
+
+#[test]
+fn covers_jobs_and_fold_share_one_name_table() {
+    let p = while_loop_program(10);
+    for mode in [CacheMode::AllMiss, CacheMode::FirstIterSplit] {
+        let a = Analyzer::new(&p, Machine::i960kb()).unwrap().with_cache_mode(mode);
+        let anns =
+            parse_annotations("fn main { loop x2 in [0, 10]; (x3 = 1) | (x3 = 3); }").unwrap();
+        let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
+        assert_eq!(plan.names.len(), plan.vars.len());
+        assert!(Arc::ptr_eq(&plan.names, &plan.covers[0].names), "{mode:?}");
+        assert!(Arc::ptr_eq(&plan.names, &plan.covers[1].names), "{mode:?}");
+        for job in plan.jobs() {
+            assert!(Arc::ptr_eq(&plan.names, &job.problem.names), "{mode:?}");
+        }
     }
 }
 

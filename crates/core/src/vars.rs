@@ -5,7 +5,8 @@
 use ipet_cfg::{BlockId, EdgeId, InstanceId, Instances};
 use ipet_lp::VarId;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// A symbolic reference to one ILP variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,11 +33,25 @@ impl fmt::Display for VarRef {
 }
 
 /// Bidirectional mapping between [`VarRef`]s and dense LP variable ids.
+///
+/// Ids are laid out per instance, in instance order: the instance's block
+/// variables, then its edge variables. The split variables follow every
+/// instance, in interning order. A block or edge id is therefore arithmetic
+/// on its instance's `(first id, blocks, edges)` entry; only the few split
+/// variables go through a map.
 #[derive(Debug, Clone, Default)]
 pub struct VarSpace {
-    by_ref: HashMap<VarRef, VarId>,
-    refs: Vec<VarRef>,
-    labels: Vec<String>,
+    /// Per instance: the id of its first block variable, its block count
+    /// and its edge count.
+    ranges: Vec<(usize, usize, usize)>,
+    /// Label of each instance, the `@…` suffix of its variables' labels.
+    instance_labels: Vec<String>,
+    /// Number of block and edge variables: the id of the first split
+    /// variable.
+    dense: usize,
+    /// Split variables in interning order.
+    splits: Vec<VarRef>,
+    split_ids: HashMap<VarRef, VarId>,
 }
 
 impl VarSpace {
@@ -44,65 +59,109 @@ impl VarSpace {
     /// instance (split variables are interned on demand).
     pub fn new(instances: &Instances) -> VarSpace {
         let mut space = VarSpace::default();
-        for (i, _inst) in instances.instances.iter().enumerate() {
-            let inst = InstanceId(i);
-            let cfg = instances.cfg(inst);
-            for b in 0..cfg.num_blocks() {
-                space.intern(VarRef::Block(inst, BlockId(b)), &instances.instances[i].label);
-            }
-            for e in 0..cfg.num_edges() {
-                space.intern(VarRef::Edge(inst, EdgeId(e)), &instances.instances[i].label);
-            }
+        for (i, inst) in instances.instances.iter().enumerate() {
+            let cfg = instances.cfg(InstanceId(i));
+            let (blocks, edges) = (cfg.num_blocks(), cfg.num_edges());
+            space.ranges.push((space.dense, blocks, edges));
+            space.instance_labels.push(inst.label.clone());
+            space.dense += blocks + edges;
         }
         space
     }
 
-    /// Interns a reference, returning its dense id.
-    pub fn intern(&mut self, r: VarRef, instance_label: &str) -> VarId {
-        if let Some(&id) = self.by_ref.get(&r) {
+    /// Interns a split variable, returning its dense id. Block and edge
+    /// variables are all present from [`VarSpace::new`]; interning one
+    /// returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block or edge variable outside the covered instances.
+    pub fn intern(&mut self, r: VarRef) -> VarId {
+        if let Some(id) = self.id(r) {
             return id;
         }
-        let id = VarId(self.refs.len());
-        self.by_ref.insert(r, id);
-        self.refs.push(r);
-        let short = match r {
-            VarRef::Block(_, b) => format!("x{}", b.0 + 1),
-            VarRef::Edge(_, e) => format!("d{}", e.0 + 1),
-            VarRef::SplitCold(_, b) => format!("xc{}", b.0 + 1),
-            VarRef::SplitWarm(_, b) => format!("xw{}", b.0 + 1),
-        };
-        self.labels.push(format!("{short}@{instance_label}"));
+        assert!(
+            matches!(r, VarRef::SplitCold(..) | VarRef::SplitWarm(..)),
+            "{r} is outside the variable space"
+        );
+        let id = VarId(self.dense + self.splits.len());
+        self.split_ids.insert(r, id);
+        self.splits.push(r);
         id
     }
 
-    /// Looks up an already-interned reference.
+    /// Looks up an already-interned reference: `None` for a block or edge
+    /// outside its instance, and for a split variable never interned.
     pub fn id(&self, r: VarRef) -> Option<VarId> {
-        self.by_ref.get(&r).copied()
+        let range = |inst: InstanceId| self.ranges.get(inst.0).copied();
+        match r {
+            VarRef::Block(inst, b) => range(inst)
+                .filter(|&(_, blocks, _)| b.0 < blocks)
+                .map(|(first, ..)| VarId(first + b.0)),
+            VarRef::Edge(inst, e) => range(inst)
+                .filter(|&(_, _, edges)| e.0 < edges)
+                .map(|(first, blocks, _)| VarId(first + blocks + e.0)),
+            VarRef::SplitCold(..) | VarRef::SplitWarm(..) => self.split_ids.get(&r).copied(),
+        }
     }
 
     /// The reference behind a dense id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is not in the space.
     pub fn var_ref(&self, id: VarId) -> VarRef {
-        self.refs[id.0]
+        if id.0 >= self.dense {
+            return self.splits[id.0 - self.dense];
+        }
+        let i = self.ranges.partition_point(|&(first, ..)| first <= id.0) - 1;
+        let (first, blocks, _) = self.ranges[i];
+        let offset = id.0 - first;
+        if offset < blocks {
+            VarRef::Block(InstanceId(i), BlockId(offset))
+        } else {
+            VarRef::Edge(InstanceId(i), EdgeId(offset - blocks))
+        }
     }
 
-    /// Human-readable label of a variable (`x3@main/f1:check_data`).
-    pub fn label(&self, id: VarId) -> &str {
-        &self.labels[id.0]
+    /// Every variable's human-readable label (`x3@main/f1:check_data`) in
+    /// id order, each written once: the name table an assembled problem
+    /// shares ([`ipet_lp::Problem::names`]).
+    pub fn names(&self) -> Arc<[String]> {
+        self.iter().map(|(_, r)| self.label(r)).collect()
+    }
+
+    fn label(&self, r: VarRef) -> String {
+        let (kind, index, inst) = match r {
+            VarRef::Block(i, b) => ("x", b.0, i),
+            VarRef::Edge(i, e) => ("d", e.0, i),
+            VarRef::SplitCold(i, b) => ("xc", b.0, i),
+            VarRef::SplitWarm(i, b) => ("xw", b.0, i),
+        };
+        let instance = &self.instance_labels[inst.0];
+        let mut label = String::with_capacity(kind.len() + 6 + instance.len());
+        let _ = write!(label, "{kind}{}@{instance}", index + 1);
+        label
     }
 
     /// Number of interned variables.
     pub fn len(&self) -> usize {
-        self.refs.len()
+        self.dense + self.splits.len()
     }
 
     /// True when no variable has been interned.
     pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(VarId, VarRef)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, VarRef)> + '_ {
-        self.refs.iter().enumerate().map(|(i, &r)| (VarId(i), r))
+        let dense = self.ranges.iter().enumerate().flat_map(|(i, &(_, blocks, edges))| {
+            let inst = InstanceId(i);
+            let blocks = (0..blocks).map(move |b| VarRef::Block(inst, BlockId(b)));
+            blocks.chain((0..edges).map(move |e| VarRef::Edge(inst, EdgeId(e))))
+        });
+        dense.chain(self.splits.iter().copied()).enumerate().map(|(i, r)| (VarId(i), r))
     }
 }
 
@@ -141,29 +200,80 @@ mod tests {
     fn intern_is_idempotent() {
         let inst = two_func_instances();
         let mut space = VarSpace::new(&inst);
-        let r = VarRef::Block(InstanceId(0), BlockId(0));
-        let a = space.intern(r, "main");
-        let b = space.intern(r, "main");
+        let block = VarRef::Block(InstanceId(0), BlockId(0));
+        assert_eq!(space.intern(block), space.id(block).unwrap());
+        let cold = VarRef::SplitCold(InstanceId(0), BlockId(0));
+        let a = space.intern(cold);
+        let b = space.intern(cold);
         assert_eq!(a, b);
-        assert_eq!(space.id(r), Some(a));
+        assert_eq!(space.id(cold), Some(a));
+        assert_eq!(space.len(), a.0 + 1);
+    }
+
+    #[test]
+    fn dense_ids_round_trip_in_instance_block_edge_split_order() {
+        let inst = two_func_instances();
+        let mut space = VarSpace::new(&inst);
+        let warm = space.intern(VarRef::SplitWarm(InstanceId(1), BlockId(0)));
+        let cold = space.intern(VarRef::SplitCold(InstanceId(0), BlockId(0)));
+        let mut expected = Vec::new();
+        for i in 0..inst.len() {
+            let cfg = inst.cfg(InstanceId(i));
+            expected
+                .extend((0..cfg.num_blocks()).map(|b| VarRef::Block(InstanceId(i), BlockId(b))));
+            expected.extend((0..cfg.num_edges()).map(|e| VarRef::Edge(InstanceId(i), EdgeId(e))));
+        }
+        assert_eq!((warm.0, cold.0), (expected.len(), expected.len() + 1));
+        expected.push(VarRef::SplitWarm(InstanceId(1), BlockId(0)));
+        expected.push(VarRef::SplitCold(InstanceId(0), BlockId(0)));
+        let refs: Vec<VarRef> = space.iter().map(|(_, r)| r).collect();
+        assert_eq!(refs, expected);
+        for (id, r) in space.iter() {
+            assert_eq!(space.id(r), Some(id));
+            assert_eq!(space.var_ref(id), r);
+        }
+    }
+
+    #[test]
+    fn id_is_none_outside_the_space() {
+        let inst = two_func_instances();
+        let space = VarSpace::new(&inst);
+        let root = InstanceId(0);
+        let cfg = inst.cfg(root);
+        assert_eq!(space.id(VarRef::Block(root, BlockId(cfg.num_blocks()))), None);
+        assert_eq!(space.id(VarRef::Edge(root, EdgeId(cfg.num_edges()))), None);
+        assert_eq!(space.id(VarRef::Block(InstanceId(inst.len()), BlockId(0))), None);
+        assert_eq!(space.id(VarRef::Edge(InstanceId(inst.len()), EdgeId(0))), None);
+        assert_eq!(space.id(VarRef::SplitCold(root, BlockId(0))), None);
+        assert_eq!(space.id(VarRef::SplitWarm(root, BlockId(0))), None);
     }
 
     #[test]
     fn labels_carry_instance_context() {
         let inst = two_func_instances();
         let space = VarSpace::new(&inst);
-        let labels: Vec<&str> = (0..space.len()).map(|i| space.label(VarId(i))).collect();
+        let labels = space.names();
         assert!(labels.iter().any(|l| l.starts_with("x1@main")));
         assert!(labels.iter().any(|l| l.contains("f1:leaf")));
     }
 
     #[test]
-    fn roundtrip_id_to_ref() {
+    fn labels_keep_their_x_d_xc_xw_forms() {
         let inst = two_func_instances();
-        let space = VarSpace::new(&inst);
+        let mut space = VarSpace::new(&inst);
+        space.intern(VarRef::SplitCold(InstanceId(1), BlockId(0)));
+        space.intern(VarRef::SplitWarm(InstanceId(1), BlockId(0)));
+        let names = space.names();
+        assert_eq!(names.len(), space.len());
         for (id, r) in space.iter() {
-            assert_eq!(space.id(r), Some(id));
-            assert_eq!(space.var_ref(id), r);
+            let label = |i: InstanceId| &inst.instances[i.0].label;
+            let expected = match r {
+                VarRef::Block(i, b) => format!("x{}@{}", b.0 + 1, label(i)),
+                VarRef::Edge(i, e) => format!("d{}@{}", e.0 + 1, label(i)),
+                VarRef::SplitCold(i, b) => format!("xc{}@{}", b.0 + 1, label(i)),
+                VarRef::SplitWarm(i, b) => format!("xw{}@{}", b.0 + 1, label(i)),
+            };
+            assert_eq!(names[id.0], expected);
         }
     }
 

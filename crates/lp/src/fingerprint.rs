@@ -188,7 +188,7 @@ mod tests {
     fn stable_across_calls_and_name_changes() {
         let p = toy(Sense::Maximize);
         let mut q = toy(Sense::Maximize);
-        q.names = vec!["a".into(), "b".into()];
+        q.names = vec!["a".into(), "b".into()].into();
         assert_eq!(fingerprint(&p), fingerprint(&q));
         assert!(same_structure(&p, &q));
     }

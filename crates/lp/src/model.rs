@@ -1,6 +1,7 @@
 //! LP/ILP problem model.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,8 +92,10 @@ pub struct Problem {
     pub constraints: Vec<Constraint>,
     /// Per-variable integrality flags.
     pub integer: Vec<bool>,
-    /// Per-variable debug names.
-    pub names: Vec<String>,
+    /// Per-variable debug names. Shared, not copied, between problems
+    /// over one variable space: the planner's covers and every job built
+    /// from them hold the same table.
+    pub names: Arc<[String]>,
 }
 
 impl Problem {
@@ -142,8 +145,7 @@ impl Problem {
         })
     }
 
-    /// Renders the model in an LP-file-like text format (for debugging and
-    /// the `cinderella --dump-ilp` flag).
+    /// Renders the model in an LP-file-like text format, for debugging.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -247,7 +249,7 @@ impl ProblemBuilder {
             objective: self.objective,
             constraints: self.constraints,
             integer: self.integer,
-            names: self.names,
+            names: self.names.into(),
         }
     }
 }

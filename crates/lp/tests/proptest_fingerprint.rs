@@ -62,7 +62,7 @@ fn permute(p: &Problem, perm: &[usize]) -> Problem {
             rhs: c.rhs,
         })
         .collect();
-    Problem { sense: p.sense, objective, constraints, integer, names }
+    Problem { sense: p.sense, objective, constraints, integer, names: names.into() }
 }
 
 /// Derives a permutation of `0..n` from random ranks (argsort with index

@@ -947,7 +947,7 @@ fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
     for &i in &p.integer {
         out.push(i as u8);
     }
-    for name in &p.names {
+    for name in p.names.iter() {
         put_str(out, name);
     }
     put_u64(out, p.constraints.len() as u64);
@@ -1076,10 +1076,7 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
             _ => return None,
         });
     }
-    let mut names = Vec::with_capacity(nvars);
-    for _ in 0..nvars {
-        names.push(c.str()?);
-    }
+    let names = (0..nvars).map(|_| c.str()).collect::<Option<_>>()?;
     let ncons = c.len()?;
     let mut constraints = Vec::with_capacity(ncons);
     for _ in 0..ncons {
