@@ -32,6 +32,10 @@ pub enum CallGraphError {
     Recursion(Vec<String>),
     /// Instance expansion exceeded the safety cap.
     TooManyInstances(usize),
+    /// The instances' call-string labels together exceeded this many
+    /// bytes. Each label holds its whole call string, so a deep call
+    /// chain grows them quadratically.
+    LabelsTooLong(usize),
 }
 
 impl fmt::Display for CallGraphError {
@@ -43,6 +47,11 @@ impl fmt::Display for CallGraphError {
             CallGraphError::TooManyInstances(n) => {
                 write!(f, "call-site expansion produced more than {n} instances")
             }
+            CallGraphError::LabelsTooLong(n) => write!(
+                f,
+                "call-site expansion produced more than {n} bytes of call-string labels \
+                 (the call chains are too deep); try --shared, one instance per function"
+            ),
         }
     }
 }
@@ -190,6 +199,11 @@ impl Instances {
     /// Default safety cap on the number of expanded instances.
     pub const MAX_INSTANCES: usize = 100_000;
 
+    /// Cap on the total bytes of the expanded instances' labels. A chain
+    /// of `n` functions, each calling the next, has labels of `O(n²)`
+    /// bytes, and every ILP variable's name repeats its instance's label.
+    pub const MAX_LABEL_BYTES: usize = 4 << 20;
+
     /// Expands `program` from `entry`.
     ///
     /// # Errors
@@ -198,6 +212,8 @@ impl Instances {
     ///   reachable from `entry`.
     /// * [`CallGraphError::TooManyInstances`] if expansion exceeds
     ///   [`Instances::MAX_INSTANCES`].
+    /// * [`CallGraphError::LabelsTooLong`] if the labels exceed
+    ///   [`Instances::MAX_LABEL_BYTES`] in total.
     pub fn expand(program: &Program, entry: FuncId) -> Result<Instances, CallGraphError> {
         let _span = ipet_trace::span("cfg.expand");
         let cg = CallGraph::build(program);
@@ -211,6 +227,7 @@ impl Instances {
             parent: None,
             label: program.functions[entry.0].name.clone(),
         }];
+        let mut label_bytes = instances[0].label.len();
         let mut work = vec![InstanceId(0)];
         while let Some(inst) = work.pop() {
             let func = instances[inst.0].func;
@@ -222,6 +239,10 @@ impl Instances {
                     site + 1,
                     program.functions[callee.0].name
                 );
+                label_bytes += label.len();
+                if label_bytes > Self::MAX_LABEL_BYTES {
+                    return Err(CallGraphError::LabelsTooLong(Self::MAX_LABEL_BYTES));
+                }
                 instances.push(Instance { func: callee, parent: Some((inst, site)), label });
                 if instances.len() > Self::MAX_INSTANCES {
                     return Err(CallGraphError::TooManyInstances(Self::MAX_INSTANCES));

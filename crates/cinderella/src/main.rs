@@ -198,16 +198,15 @@ pub(crate) fn target_from(
         Some(src) if name.ends_with(".mc") => {
             let entry = entry.unwrap_or("main");
             let level = if optimize { ipet_lang::OptLevel::O1 } else { ipet_lang::OptLevel::O0 };
-            let program =
-                ipet_lang::compile_with(&src, entry, level).map_err(|e| format!("{name}: {e}"))?;
+            let (module, program) = ipet_lang::compile_parsed(&src, entry, level)
+                .map_err(|e| format!("{name}: {e}"))?;
             let annotations = read_annotations(String::new())?;
-            let module = ipet_lang::parse_module(&src).ok();
             Ok(Target {
                 name: name.to_string(),
                 program,
                 annotations,
                 source: Some(src),
-                module,
+                module: Some(module),
                 bench: None,
             })
         }
@@ -226,15 +225,16 @@ pub(crate) fn target_from(
         None => {
             let bench = ipet_suite::by_name(name)
                 .ok_or_else(|| format!("no benchmark named {name}; try `cinderella list`"))?;
-            let program = bench.program().map_err(|e| format!("{name}: {e}"))?;
+            let (module, program) =
+                ipet_lang::compile_parsed(bench.source, bench.entry, ipet_lang::OptLevel::O0)
+                    .map_err(|e| format!("{name}: {e}"))?;
             let annotations = read_annotations(bench.annotations(&program))?;
-            let module = ipet_lang::parse_module(bench.source).ok();
             Ok(Target {
                 name: name.to_string(),
                 program,
                 annotations,
                 source: Some(bench.source.to_string()),
-                module,
+                module: Some(module),
                 bench: Some(bench),
             })
         }

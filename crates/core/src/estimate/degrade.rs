@@ -1,6 +1,7 @@
 //! Budget-exhaustion coverage: the common-constraint cover relaxation that
 //! safely bounds constraint sets the executor never solved.
 
+use super::fold::Side;
 use super::AnalysisPlan;
 use crate::error::AnalysisError;
 use ipet_lp::{solve_lp_metered, BudgetMeter, LpOutcome, SolveBudget, SolverFaults};
@@ -23,48 +24,31 @@ impl AnalysisPlan {
     /// skipped the sets is spent, and the simplex kernel's switch to
     /// Bland's rule after a stall terminates.
     ///
-    /// Widens `worst_bound` / `best_bound` in place.
+    /// Widens each side's bound in place.
     pub(super) fn cover_skipped_sets(
         &self,
-        worst_bound: &mut Option<u64>,
-        best_bound: &mut Option<u64>,
+        worst: &mut Side,
+        best: &mut Side,
     ) -> Result<(), AnalysisError> {
         ipet_trace::counter("core.cover.solves", 2);
+        self.cover_bound(worst)?;
+        self.cover_bound(best)
+    }
+
+    /// Widens `side` by its sense's cover relaxation, rounded outward.
+    fn cover_bound(&self, side: &mut Side) -> Result<(), AnalysisError> {
         match solve_lp_metered(
-            &self.covers[0],
+            self.cover(side.sense),
             &SolveBudget::unlimited(),
             &BudgetMeter::new(),
             &mut SolverFaults::none(),
         ) {
-            LpOutcome::Optimal { value, .. } => {
-                // The relaxed maximum safely over-covers every skipped
-                // set; ceil keeps it safe in integer cycles.
-                let v = to_cycles(value.ceil())?;
-                *worst_bound = Some(worst_bound.map_or(v, |b| b.max(v)));
-            }
+            LpOutcome::Optimal { value, .. } => side.widen(to_cycles(side.round_out(value))?),
             // An infeasible cover means every skipped set is infeasible
             // too; they contribute nothing to the bound.
             LpOutcome::Infeasible => {}
-            LpOutcome::Unbounded => {
-                return Err(AnalysisError::Unbounded {
-                    unbounded_loops: self.unbounded_loops.clone(),
-                })
-            }
+            LpOutcome::Unbounded => return Err(self.unbounded(side.sense)),
             LpOutcome::Numerical => return Err(AnalysisError::Numerical),
-            LpOutcome::LimitReached => return Err(AnalysisError::BudgetExhausted),
-        }
-        match solve_lp_metered(
-            &self.covers[1],
-            &SolveBudget::unlimited(),
-            &BudgetMeter::new(),
-            &mut SolverFaults::none(),
-        ) {
-            LpOutcome::Optimal { value, .. } => {
-                let v = to_cycles(value.floor())?;
-                *best_bound = Some(best_bound.map_or(v, |b| b.min(v)));
-            }
-            LpOutcome::Infeasible => {}
-            LpOutcome::Unbounded | LpOutcome::Numerical => return Err(AnalysisError::Numerical),
             LpOutcome::LimitReached => return Err(AnalysisError::BudgetExhausted),
         }
         Ok(())

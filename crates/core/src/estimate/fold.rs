@@ -4,10 +4,11 @@
 use super::degrade::to_cycles;
 use super::{AnalysisPlan, Estimate, JobVerdict, SetReport, TimeBound};
 use crate::error::AnalysisError;
+use crate::vars::VarRef;
 use ipet_audit::{
     certify_witness, AuditReport, CertFailure, CertVerdict, ClaimKind, SetCertificate,
 };
-use ipet_hw::ParamExpr;
+use ipet_hw::{ParamExpr, P_DMISS, P_MISS};
 use ipet_lp::{round_witness, BoundQuality, IlpResolution, Problem, Sense};
 use std::collections::BTreeMap;
 
@@ -87,6 +88,93 @@ impl AnalysisPlan {
         Ok(cert.objective.max(0) as u64)
     }
 
+    /// Folds one job of `set` into `side`, its sense's running bound and
+    /// witness. Returns `None` when the job exhausted its budget, so the
+    /// set is covered whole; otherwise the set's bound in this sense
+    /// (`None` when infeasible) and the job's certificate (meaningful only
+    /// when `audit` is set). A relaxed bound is rounded outward and
+    /// degrades `quality`.
+    fn fold_job(
+        &self,
+        set: usize,
+        res: &IlpResolution,
+        side: &mut Side,
+        audit: bool,
+        quality: &mut BoundQuality,
+    ) -> Result<Option<(Option<u64>, CertVerdict)>, AnalysisError> {
+        let (value, cert) = match res {
+            IlpResolution::Exact { x, value } => {
+                let v = to_cycles(*value)?;
+                let cert = if audit {
+                    self.audit_exact(set, side.sense, x, v)
+                } else {
+                    CertVerdict::Covered
+                };
+                side.offer(v, x);
+                (Some(v), cert)
+            }
+            IlpResolution::Relaxed { bound, incumbent } => {
+                if !self.degrade {
+                    return Err(AnalysisError::SolverLimit);
+                }
+                // The relaxation value safely covers this set's true
+                // optimum; rounding outward keeps it safe in integer
+                // cycles.
+                let v = to_cycles(side.round_out(*bound))?;
+                *quality = quality.combine(BoundQuality::Relaxed);
+                let mut witnessed = None;
+                let mut rejection = None;
+                if let Some((x, _)) = incumbent {
+                    // An incumbent is only a witness once it passes exact
+                    // re-certification; infeasible incumbents are dropped,
+                    // not reported.
+                    match self.certify_incumbent(set, side.sense, x, v) {
+                        Ok(w) => {
+                            ipet_trace::counter("audit.incumbent.accepted", 1);
+                            witnessed = Some(w);
+                            side.offer(w, x);
+                        }
+                        Err(failure) => {
+                            ipet_trace::counter("audit.incumbent.dropped", 1);
+                            rejection = Some(failure);
+                        }
+                    }
+                }
+                let cert = match rejection {
+                    Some(failure) => CertVerdict::Rejected(failure),
+                    None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
+                };
+                (Some(v), cert)
+            }
+            IlpResolution::Infeasible => (None, CertVerdict::Infeasible),
+            IlpResolution::Unbounded => return Err(self.unbounded(side.sense)),
+            IlpResolution::Numerical => return Err(AnalysisError::Numerical),
+            IlpResolution::Exhausted => {
+                if !self.degrade {
+                    return Err(AnalysisError::BudgetExhausted);
+                }
+                return Ok(None);
+            }
+        };
+        if let Some(v) = value {
+            side.widen(v);
+        }
+        Ok(Some((value, cert)))
+    }
+
+    /// The error of an unbounded solve of `sense`. Maximizing, a loop
+    /// lacks a bound; minimizing a non-negative objective cannot be
+    /// unbounded, so a solver verdict to the contrary is numerical
+    /// breakdown.
+    pub(super) fn unbounded(&self, sense: Sense) -> AnalysisError {
+        match sense {
+            Sense::Maximize => {
+                AnalysisError::Unbounded { unbounded_loops: self.unbounded_loops.clone() }
+            }
+            Sense::Minimize => AnalysisError::Numerical,
+        }
+    }
+
     /// [`complete`](AnalysisPlan::complete), plus the certificate report
     /// when `audit` is set (an empty one otherwise).
     pub(crate) fn fold(
@@ -98,175 +186,35 @@ impl AnalysisPlan {
         let mut quality = self.quality_floor;
         let mut reports: Vec<SetReport> = Vec::new();
         let mut degraded_sets: Vec<usize> = Vec::new();
-        // Degraded bounds have no witness vector, so the running bound and
-        // the best *witnessed* solution (for counts/contributions) are
-        // tracked separately.
-        let mut worst_bound: Option<u64> = None;
-        let mut worst_witness: Option<(u64, Vec<f64>)> = None;
-        let mut best_bound: Option<u64> = None;
-        let mut best_witness: Option<(u64, Vec<f64>)> = None;
-        let mut solved = 0usize;
-
+        let mut worst = Side::new(Sense::Maximize);
+        let mut best = Side::new(Sense::Minimize);
         let mut certificates: Vec<SetCertificate> = Vec::new();
 
         for set in 0..self.num_sets {
             let JobVerdict::Solved(w_res, w_stats) = &verdicts[2 * set];
             let JobVerdict::Solved(b_res, b_stats) = &verdicts[2 * set + 1];
             let mut set_quality = BoundQuality::Exact;
-            let mut set_skipped = false;
-            // Covered = exhausted/quarantined, replaced per arm below.
-            let mut wcet_cert = CertVerdict::Covered;
-            let mut bcet_cert = CertVerdict::Covered;
-
-            let wcet = match w_res {
-                IlpResolution::Exact { x, value } => {
-                    let v = to_cycles(*value)?;
-                    if audit {
-                        wcet_cert = self.audit_exact(set, Sense::Maximize, x, v);
-                    }
-                    if worst_witness.as_ref().map(|(b, _)| v > *b).unwrap_or(true) {
-                        worst_witness = Some((v, x.clone()));
-                    }
-                    Some(v)
-                }
-                IlpResolution::Relaxed { bound, incumbent } => {
-                    if !self.degrade {
-                        return Err(AnalysisError::SolverLimit);
-                    }
-                    // The relaxation value safely over-covers this set's
-                    // true maximum; ceil keeps it safe in integer cycles.
-                    let v = to_cycles(bound.ceil())?;
-                    set_quality = set_quality.combine(BoundQuality::Relaxed);
-                    let mut witnessed = None;
-                    let mut rejection = None;
-                    if let Some((x, _)) = incumbent {
-                        // An incumbent is only a witness once it passes
-                        // exact re-certification; infeasible incumbents are
-                        // dropped, not reported.
-                        match self.certify_incumbent(set, Sense::Maximize, x, v) {
-                            Ok(w) => {
-                                ipet_trace::counter("audit.incumbent.accepted", 1);
-                                witnessed = Some(w);
-                                if worst_witness.as_ref().map(|(b, _)| w > *b).unwrap_or(true) {
-                                    worst_witness = Some((w, x.clone()));
-                                }
-                            }
-                            Err(failure) => {
-                                ipet_trace::counter("audit.incumbent.dropped", 1);
-                                rejection = Some(failure);
-                            }
-                        }
-                    }
-                    if audit {
-                        wcet_cert = match rejection {
-                            Some(failure) => CertVerdict::Rejected(failure),
-                            None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
-                        };
-                    }
-                    Some(v)
-                }
-                IlpResolution::Infeasible => {
-                    wcet_cert = CertVerdict::Infeasible;
-                    None
-                }
-                IlpResolution::Unbounded => {
-                    return Err(AnalysisError::Unbounded {
-                        unbounded_loops: self.unbounded_loops.clone(),
-                    })
-                }
-                IlpResolution::Numerical => return Err(AnalysisError::Numerical),
-                IlpResolution::Exhausted => {
-                    if !self.degrade {
-                        return Err(AnalysisError::BudgetExhausted);
-                    }
-                    set_skipped = true;
-                    None
-                }
-            };
-            if let Some(v) = wcet {
-                worst_bound = Some(worst_bound.map_or(v, |b| b.max(v)));
-            }
-
             // The BCET side only counts when the WCET side was attempted:
-            // a set whose WCET job exhausted is covered whole.
-            let bcet = match b_res {
-                _ if set_skipped => None,
-                IlpResolution::Exact { x, value } => {
-                    let v = to_cycles(*value)?;
-                    if audit {
-                        bcet_cert = self.audit_exact(set, Sense::Minimize, x, v);
-                    }
-                    if best_witness.as_ref().map(|(b, _)| v < *b).unwrap_or(true) {
-                        best_witness = Some((v, x.clone()));
-                    }
-                    Some(v)
-                }
-                IlpResolution::Relaxed { bound, incumbent } => {
-                    if !self.degrade {
-                        return Err(AnalysisError::SolverLimit);
-                    }
-                    // The relaxation value safely under-covers this set's
-                    // true minimum; floor keeps it safe in integer cycles.
-                    let v = to_cycles(bound.floor())?;
-                    set_quality = set_quality.combine(BoundQuality::Relaxed);
-                    let mut witnessed = None;
-                    let mut rejection = None;
-                    if let Some((x, _)) = incumbent {
-                        match self.certify_incumbent(set, Sense::Minimize, x, v) {
-                            Ok(w) => {
-                                ipet_trace::counter("audit.incumbent.accepted", 1);
-                                witnessed = Some(w);
-                                if best_witness.as_ref().map(|(b, _)| w < *b).unwrap_or(true) {
-                                    best_witness = Some((w, x.clone()));
-                                }
-                            }
-                            Err(failure) => {
-                                ipet_trace::counter("audit.incumbent.dropped", 1);
-                                rejection = Some(failure);
-                            }
-                        }
-                    }
-                    if audit {
-                        bcet_cert = match rejection {
-                            Some(failure) => CertVerdict::Rejected(failure),
-                            None => CertVerdict::CertifiedRelaxed { bound: v, witnessed },
-                        };
-                    }
-                    Some(v)
-                }
-                IlpResolution::Infeasible => {
-                    bcet_cert = CertVerdict::Infeasible;
-                    None
-                }
-                // Minimizing a non-negative objective cannot be unbounded;
-                // a solver verdict to the contrary is numerical breakdown.
-                IlpResolution::Unbounded | IlpResolution::Numerical => {
-                    return Err(AnalysisError::Numerical)
-                }
-                IlpResolution::Exhausted => {
-                    if !self.degrade {
-                        return Err(AnalysisError::BudgetExhausted);
-                    }
-                    set_skipped = true;
-                    None
-                }
+            // a set whose WCET job exhausted is covered whole, and a
+            // covered set has no certificate, even for an arm that solved.
+            let folded = match self.fold_job(set, w_res, &mut worst, audit, &mut set_quality)? {
+                Some(wcet) => self
+                    .fold_job(set, b_res, &mut best, audit, &mut set_quality)?
+                    .map(|bcet| (wcet, bcet)),
+                None => None,
             };
-            if let Some(v) = bcet {
-                best_bound = Some(best_bound.map_or(v, |b| b.min(v)));
-            }
-
-            if audit {
-                // A set covered by the common-constraint relaxation has no
-                // certificate at all — even for an arm that solved first.
-                if set_skipped {
-                    wcet_cert = CertVerdict::Covered;
-                    bcet_cert = CertVerdict::Covered;
+            let Some(((wcet, wcet_cert), (bcet, bcet_cert))) = folded else {
+                if audit {
+                    certificates.push(SetCertificate {
+                        set,
+                        wcet: CertVerdict::Covered,
+                        bcet: CertVerdict::Covered,
+                    });
                 }
-                certificates.push(SetCertificate { set, wcet: wcet_cert, bcet: bcet_cert });
-            }
-
-            if set_skipped {
                 continue;
+            };
+            if audit {
+                certificates.push(SetCertificate { set, wcet: wcet_cert, bcet: bcet_cert });
             }
             if set_quality != BoundQuality::Exact {
                 degraded_sets.push(reports.len());
@@ -279,26 +227,25 @@ impl AnalysisPlan {
                 bcet_stats: *b_stats,
                 quality: set_quality,
             });
-            solved += 1;
         }
 
         // Sets whose jobs exhausted their budget (or were quarantined) are
         // covered by the cover problems' LP relaxations (see `degrade.rs`).
+        let solved = reports.len();
         let sets_skipped = self.num_sets - solved;
         if sets_skipped > 0 {
             quality = quality.combine(BoundQuality::Partial);
-            self.cover_skipped_sets(&mut worst_bound, &mut best_bound)?;
+            self.cover_skipped_sets(&mut worst, &mut best)?;
         }
         if !degraded_sets.is_empty() {
             quality = quality.combine(BoundQuality::Relaxed);
         }
 
-        let upper = worst_bound
-            .ok_or(AnalysisError::AllSetsInfeasible { total: self.sets_before_prune })?;
-        let lower =
-            best_bound.ok_or(AnalysisError::AllSetsInfeasible { total: self.sets_before_prune })?;
-        let worst_x = worst_witness.map(|(_, x)| x).unwrap_or_default();
-        let best_x = best_witness.map(|(_, x)| x).unwrap_or_default();
+        let all_infeasible = AnalysisError::AllSetsInfeasible { total: self.sets_before_prune };
+        let upper = worst.bound.ok_or_else(|| all_infeasible.clone())?;
+        let lower = best.bound.ok_or(all_infeasible)?;
+        let worst_x = worst.witness.map(|(_, x)| x).unwrap_or_default();
+        let best_x = best.witness.map(|(_, x)| x).unwrap_or_default();
 
         // The one sanctioned f64→count conversion: witnesses that refuse to
         // round to integer counts are numerical garbage, not reportable.
@@ -307,12 +254,9 @@ impl AnalysisPlan {
 
         let counts = |xr: &[i64]| -> BTreeMap<String, i64> {
             let mut out = BTreeMap::new();
-            for (id, m) in self.vars.iter().enumerate() {
-                if m.is_block {
-                    let v = xr.get(id).copied().unwrap_or(0);
-                    if v != 0 {
-                        out.insert(self.names[id].clone(), v);
-                    }
+            for ((id, r), &v) in self.space.iter().zip(xr) {
+                if matches!(r, VarRef::Block(..)) && v != 0 {
+                    out.insert(self.names[id.0].clone(), v);
                 }
             }
             out
@@ -321,39 +265,42 @@ impl AnalysisPlan {
         // Attribute the WCET objective to instances: block variables carry
         // their worst-cold cost unless the cache split moved the cost onto
         // the cold/warm virtual variables.
-        let mut per_instance = vec![0u64; self.instance_labels.len()];
-        for (id, m) in self.vars.iter().enumerate() {
-            let value = worst_rounded.get(id).copied().unwrap_or(0) as u64;
-            per_instance[m.instance.0] += value * m.contrib_cost;
+        let labels = self.space.instance_labels();
+        let mut per_instance = vec![0u64; labels.len()];
+        for (((_, r), cost), &count) in self.space.iter().zip(&self.worst).zip(&worst_rounded) {
+            per_instance[r.instance().0] += count as u64 * cost.at(&self.machine);
         }
         let mut contributions: BTreeMap<String, u64> = BTreeMap::new();
-        for (label, &cycles) in self.instance_labels.iter().zip(&per_instance) {
+        for (label, &cycles) in labels.iter().zip(&per_instance) {
             if cycles != 0 {
                 *contributions.entry(label.clone()).or_insert(0) += cycles;
             }
         }
 
         // The symbolic WCET formula: the worst witness's counts times the
-        // parametric objective coefficients, an exact linear form over the
+        // worst-case objective coefficients, an exact linear form over the
         // named cache penalties. Reported only when the analysis is Exact
         // *and* the formula provably reproduces the concrete bound at the
         // machine's own parameter point — evaluating elsewhere is then a
         // certified-region question (`ipet_lp::parametric`, DESIGN.md §16),
         // never a guess here.
         let wcet_formula = if quality == BoundQuality::Exact {
-            let mut formula = ParamExpr::default();
-            for (id, m) in self.vars.iter().enumerate() {
-                let count = worst_rounded.get(id).copied().unwrap_or(0);
-                if count != 0 {
-                    formula = formula.add(&m.param_cost.scale(count as i128));
-                }
+            let (mut constant, mut lines, mut loads) = (0i128, 0i128, 0i128);
+            for (cost, &count) in self.worst.iter().zip(&worst_rounded) {
+                let count = i128::from(count);
+                constant += count * i128::from(cost.constant);
+                lines += count * i128::from(cost.lines);
+                loads += count * i128::from(cost.loads);
             }
+            let formula = ParamExpr::constant(constant)
+                .add(&ParamExpr::term(P_MISS, lines))
+                .add(&ParamExpr::term(P_DMISS, loads));
             // The replay check is a release-mode guard, not an assert: a
             // witness/bound mismatch here is reachable by design through
             // fault injection (`SolverFaults`), where the audit — not this
             // fold — is the layer that must flag it. The formula is simply
             // withheld.
-            (formula.eval(&self.param_point) == Some(upper as i128)).then_some(formula)
+            (formula.eval(&self.machine.param_point()) == Some(upper as i128)).then_some(formula)
         } else {
             None
         };
@@ -386,5 +333,50 @@ impl AnalysisPlan {
             },
             report,
         ))
+    }
+}
+
+/// The running bound and best witnessed solution of one sense. Degraded
+/// bounds have no witness vector, so the two are tracked separately.
+pub(super) struct Side {
+    pub(super) sense: Sense,
+    bound: Option<u64>,
+    witness: Option<(u64, Vec<f64>)>,
+}
+
+impl Side {
+    fn new(sense: Sense) -> Side {
+        Side { sense, bound: None, witness: None }
+    }
+
+    /// Rounds a relaxed bound outward to whole cycles: up when
+    /// maximizing, down when minimizing.
+    pub(super) fn round_out(&self, value: f64) -> f64 {
+        match self.sense {
+            Sense::Maximize => value.ceil(),
+            Sense::Minimize => value.floor(),
+        }
+    }
+
+    /// Widens the running bound to cover `v`.
+    pub(super) fn widen(&mut self, v: u64) {
+        self.bound = Some(match (self.bound, self.sense) {
+            (None, _) => v,
+            (Some(b), Sense::Maximize) => b.max(v),
+            (Some(b), Sense::Minimize) => b.min(v),
+        });
+    }
+
+    /// Keeps `x`, of objective `v`, as the witness when it beats the
+    /// current one in this side's sense.
+    fn offer(&mut self, v: u64, x: &[f64]) {
+        let beats = match (&self.witness, self.sense) {
+            (None, _) => true,
+            (Some((b, _)), Sense::Maximize) => v > *b,
+            (Some((b, _)), Sense::Minimize) => v < *b,
+        };
+        if beats {
+            self.witness = Some((v, x.to_vec()));
+        }
     }
 }

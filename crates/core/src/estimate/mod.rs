@@ -25,10 +25,11 @@
 use crate::dsl::{parse_annotations, Annotations, LoopProvenance, Ref, Stmt};
 use crate::error::AnalysisError;
 use crate::pool::{SolvePool, SolveRequest};
+use crate::vars::VarSpace;
 use ipet_arch::{FuncId, Program};
 use ipet_audit::FlowSpec;
 use ipet_cfg::{BlockId, InstanceId, Instances};
-use ipet_hw::{block_cost, block_cost_param, BlockCost, Machine, ParamExpr, ParamPoint};
+use ipet_hw::{block_cycles, BlockCost, Cycles, Machine, ParamExpr};
 use ipet_lp::{BoundQuality, Fingerprint, IlpResolution, IlpStats, Problem, Sense, SolveBudget};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -202,7 +203,7 @@ pub struct Estimate {
     /// only appears when non-empty, keeping annotation-only output stable.
     pub loop_bounds: Vec<LoopProvenance>,
     /// The symbolic WCET formula: the worst-case witness's execution counts
-    /// multiplied by the *parametric* per-variable costs, an exact integer
+    /// multiplied by the per-variable worst-case costs, an exact integer
     /// linear form over the named cache penalties
     /// ([`ipet_hw::P_MISS`], [`ipet_hw::P_DMISS`]).
     ///
@@ -325,29 +326,6 @@ pub enum JobVerdict {
     Solved(IlpResolution, IlpStats),
 }
 
-/// Per-variable metadata an [`AnalysisPlan`] keeps so the verdict fold can
-/// rebuild counts and contribution attribution without the analyzer. A
-/// variable's position in [`AnalysisPlan::vars`] is its index into the
-/// plan's name table.
-#[derive(Debug, Clone)]
-struct VarMeta {
-    /// True for basic-block count variables (the ones reported in counts).
-    is_block: bool,
-    /// The owning CFG instance: an index into
-    /// [`AnalysisPlan::instance_labels`].
-    instance: InstanceId,
-    /// Worst-case cycles this variable contributes per unit count
-    /// (0 for edges and for block variables whose cost the cache split
-    /// moved onto virtual cold/warm variables).
-    contrib_cost: u64,
-    /// The parametric counterpart of `contrib_cost`: the same worst-case
-    /// objective coefficient as an exact linear form over the named cache
-    /// penalties. Evaluating it at the plan's parameter point reproduces
-    /// `contrib_cost` exactly; the verdict fold sums `count · param_cost`
-    /// over the worst-case witness to build [`Estimate::wcet_formula`].
-    param_cost: ParamExpr,
-}
-
 /// The job graph of one analysis: every ILP to solve plus everything needed
 /// to fold the verdicts back into an [`Estimate`].
 ///
@@ -386,17 +364,19 @@ pub struct AnalysisPlan {
     /// Provenance of the loop bounds in force (copied from the
     /// annotations; empty unless the inference pass filled it in).
     loop_bounds: Vec<LoopProvenance>,
-    vars: Vec<VarMeta>,
+    /// The plan's variables: which are blocks, and which instance owns
+    /// each.
+    space: VarSpace,
     /// Every variable's label (`x<k>@<instance>`) in id order: the one
     /// table both covers and every job's problem share.
     names: Arc<[String]>,
-    /// Label of each CFG instance, indexed by [`VarMeta::instance`].
-    instance_labels: Vec<String>,
-    /// The analyzed machine's point in parameter space: where every
-    /// [`VarMeta::param_cost`] evaluates back to its concrete coefficient.
-    /// The fold uses it to prove [`Estimate::wcet_formula`] reproduces the
-    /// concrete bound before reporting the formula at all.
-    param_point: ParamPoint,
+    /// The worst-case objective in id order, affine in the cache
+    /// penalties: a block's cold cost or the cache split's override, and
+    /// zero for edges. The worst cover's objective is this evaluated at
+    /// `machine`.
+    worst: Vec<Cycles>,
+    /// The analyzed machine, where the fold evaluates `worst`.
+    machine: Machine,
     /// CFG flow structure for the auditor's independent flow replay, built
     /// from the CFG topology rather than the assembled constraint matrix.
     flow: FlowSpec,
@@ -452,13 +432,6 @@ impl AnalysisPlan {
     pub fn loop_bounds(&self) -> &[LoopProvenance] {
         &self.loop_bounds
     }
-
-    /// The analyzed machine's point in parameter space — the concrete
-    /// penalty values at which every parametric objective coefficient
-    /// evaluates back to the concrete one.
-    pub fn param_point(&self) -> &ParamPoint {
-        &self.param_point
-    }
 }
 
 /// The IPET analyzer for one program on one machine.
@@ -469,13 +442,8 @@ pub struct Analyzer<'p> {
     program: &'p Program,
     machine: Machine,
     instances: Instances,
-    /// `costs[func][block]`
-    costs: Vec<Vec<BlockCost>>,
-    /// `param_costs[func][block]`: the same cost bounds as exact linear
-    /// forms over the named cache penalties, computed once alongside the
-    /// concrete costs (invariant: evaluating at the machine's own
-    /// [`Machine::param_point`] reproduces `costs` bit for bit).
-    param_costs: Vec<Vec<BlockCost<ParamExpr>>>,
+    /// `costs[func][block]`, affine in the cache penalties.
+    costs: Vec<Vec<BlockCost<Cycles>>>,
     cache_mode: CacheMode,
 }
 
@@ -511,29 +479,11 @@ impl<'p> Analyzer<'p> {
             .map(|(f, cfg)| {
                 cfg.blocks()
                     .iter()
-                    .map(|b| block_cost(&machine, &program.functions[f], b))
+                    .map(|b| block_cycles(&machine, &program.functions[f], b))
                     .collect()
             })
             .collect();
-        let param_costs = instances
-            .cfgs
-            .iter()
-            .enumerate()
-            .map(|(f, cfg)| {
-                cfg.blocks()
-                    .iter()
-                    .map(|b| block_cost_param(&machine, &program.functions[f], b))
-                    .collect()
-            })
-            .collect();
-        Ok(Analyzer {
-            program,
-            machine,
-            instances,
-            costs,
-            param_costs,
-            cache_mode: CacheMode::AllMiss,
-        })
+        Ok(Analyzer { program, machine, instances, costs, cache_mode: CacheMode::AllMiss })
     }
 
     /// Selects the cache treatment for the worst-case objective.
@@ -567,13 +517,7 @@ impl<'p> Analyzer<'p> {
 
     /// Cost bounds of one basic block.
     pub fn block_cost(&self, func: FuncId, block: BlockId) -> BlockCost {
-        self.costs[func.0][block.0]
-    }
-
-    /// Parametric cost bounds of one basic block: the same model with the
-    /// cache penalties left symbolic.
-    pub fn block_cost_param(&self, func: FuncId, block: BlockId) -> &BlockCost<ParamExpr> {
-        &self.param_costs[func.0][block.0]
+        self.costs[func.0][block.0].at(&self.machine)
     }
 
     /// The loops the user must bound, as `(function, header block)` pairs —
@@ -602,9 +546,9 @@ impl<'p> Analyzer<'p> {
         best_counts: &BTreeMap<(FuncId, BlockId), u64>,
         worst_counts: &BTreeMap<(FuncId, BlockId), u64>,
     ) -> TimeBound {
-        let lower = best_counts.iter().map(|(&(f, b), &c)| c * self.costs[f.0][b.0].best).sum();
+        let lower = best_counts.iter().map(|(&(f, b), &c)| c * self.block_cost(f, b).best).sum();
         let upper =
-            worst_counts.iter().map(|(&(f, b), &c)| c * self.costs[f.0][b.0].worst_cold).sum();
+            worst_counts.iter().map(|(&(f, b), &c)| c * self.block_cost(f, b).worst_cold).sum();
         TimeBound { lower, upper }
     }
 

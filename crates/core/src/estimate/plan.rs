@@ -1,14 +1,14 @@
 //! Plan construction: DNF expansion, cache-split modelling, ILP assembly
 //! and job keys.
 
-use super::{AnalysisBudget, AnalysisPlan, Analyzer, CacheMode, IlpJob, VarMeta};
+use super::{AnalysisBudget, AnalysisPlan, Analyzer, CacheMode, IlpJob};
 use crate::dsl::{Annotations, Stmt};
 use crate::error::AnalysisError;
 use crate::lincon::{set_is_null, LinCon};
 use crate::structural::{flow_spec, structural_constraints};
 use crate::vars::{VarRef, VarSpace};
 use ipet_cfg::{BlockId, InstanceId, LoopInfo};
-use ipet_hw::ParamExpr;
+use ipet_hw::Cycles;
 use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, Sense, VarId};
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -20,16 +20,10 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub(super) struct Split {
     rows: Vec<LinCon>,
-    /// Indexed by variable id: the concrete and parametric worst-case
-    /// coefficient the split sets, or `None` where a block keeps its own
-    /// cost. Ends at the last split variable.
-    cost: Vec<Option<(u64, ParamExpr)>>,
-}
-
-impl Split {
-    fn cost(&self, id: VarId) -> Option<&(u64, ParamExpr)> {
-        self.cost.get(id.0).and_then(Option::as_ref)
-    }
+    /// The worst-case coefficient of each variable the split prices: a
+    /// split variable's cold or warm cost, and zero for the block whose
+    /// cost they carry.
+    cost: Vec<(VarId, Cycles)>,
 }
 
 impl<'p> Analyzer<'p> {
@@ -190,6 +184,7 @@ impl<'p> Analyzer<'p> {
         // Shared structural rows and (for the worst case) split rows.
         let structural = structural_constraints(&self.instances);
         let split = self.build_split(&mut space);
+        let worst = self.objective(&space, Sense::Maximize, &split);
         // Every variable's label, written once and shared by both covers,
         // every job and the fold.
         let names = space.names();
@@ -225,8 +220,17 @@ impl<'p> Analyzer<'p> {
 
         // The two covers. Row order: structural, common functionality,
         // then (worst case only) the split rows.
-        let covers = [Sense::Maximize, Sense::Minimize]
-            .map(|sense| self.assemble(&space, &names, sense, &structural, &common, &split));
+        let best = self.objective(&space, Sense::Minimize, &split);
+        let covers = [
+            self.assemble(
+                &space,
+                &names,
+                Sense::Maximize,
+                &worst,
+                &[&structural, &common, &split.rows],
+            ),
+            self.assemble(&space, &names, Sense::Minimize, &best, &[&structural, &common]),
+        ];
         let mut problems = Vec::with_capacity(disjuncts.len() * 2);
         for (set, rows) in disjuncts.iter().enumerate() {
             let rows: Vec<Constraint> = rows.iter().map(|c| lincon_row(&space, c)).collect();
@@ -252,36 +256,6 @@ impl<'p> Analyzer<'p> {
             (jobs, self.store_hashes(anns))
         };
 
-        // Per-variable metadata. `param_cost` mirrors the worst-case
-        // objective coefficient symbolically: where the cache split zeroes
-        // a block's concrete cost and moves it onto the cold/warm virtual
-        // variables, the parametric coefficient moves with it, so
-        // `Σ count·param_cost` over any witness equals the objective as an
-        // exact linear form in the penalties.
-        let vars: Vec<VarMeta> = space
-            .iter()
-            .map(|(id, r)| {
-                let (is_block, instance, (contrib_cost, param_cost)) = match r {
-                    VarRef::Block(inst, blk) => {
-                        let func = self.instances.cfg(inst).func;
-                        let cost = match split.cost(id) {
-                            Some(c) => c.clone(),
-                            None => (
-                                self.costs[func.0][blk.0].worst_cold,
-                                self.param_costs[func.0][blk.0].worst_cold.clone(),
-                            ),
-                        };
-                        (true, inst, cost)
-                    }
-                    VarRef::SplitCold(inst, _) | VarRef::SplitWarm(inst, _) => {
-                        (false, inst, split.cost(id).cloned().unwrap_or_default())
-                    }
-                    VarRef::Edge(inst, _) => (false, inst, (0, ParamExpr::default())),
-                };
-                VarMeta { is_block, instance, contrib_cost, param_cost }
-            })
-            .collect();
-
         ipet_trace::counter("core.sets.expanded", sets_total as u64);
         ipet_trace::counter("core.sets.pruned", sets_pruned as u64);
         ipet_trace::counter("core.sets.dedup_rows", dedup_rows);
@@ -306,11 +280,11 @@ impl<'p> Analyzer<'p> {
             covers,
             unbounded_loops: self.unbounded_loop_labels(&bounded_headers),
             loop_bounds: anns.provenance.clone(),
-            vars,
-            names,
-            instance_labels: self.instances.instances.iter().map(|i| i.label.clone()).collect(),
-            param_point: self.machine().param_point(),
             flow: flow_spec(&self.instances, &space),
+            space,
+            names,
+            worst,
+            machine: *self.machine(),
             identity_hash,
             invalidation_hash,
         })
@@ -352,9 +326,7 @@ impl<'p> Analyzer<'p> {
 
     /// Builds the split rows and split objective coefficients for
     /// [`CacheMode::FirstIterSplit`] (empty under [`CacheMode::AllMiss`]),
-    /// interning the split variables into `space`. Each coefficient comes
-    /// with its exact parametric form, so split rows keep their symbolic
-    /// objective terms alongside the concrete ones.
+    /// interning the split variables into `space`.
     ///
     /// Loop blocks are visited in instance then [`BlockId`] order, so the
     /// split variables' ids and the rows — and with them every job key —
@@ -364,7 +336,7 @@ impl<'p> Analyzer<'p> {
             return Split::default();
         }
         let mut rows = Vec::new();
-        let mut costs: Vec<(VarId, u64, ParamExpr)> = Vec::new();
+        let mut cost = Vec::new();
         for i in 0..self.instances.len() {
             let inst = InstanceId(i);
             let cfg = self.instances.cfg(inst);
@@ -385,8 +357,8 @@ impl<'p> Analyzer<'p> {
                 }
             }
             for (&b, l) in &chosen {
-                let cost = self.costs[func.0][b.0];
-                if cost.worst_cold == cost.worst_warm {
+                let block = self.costs[func.0][b.0];
+                if block.worst_cold.at(self.machine()) == block.worst_warm.at(self.machine()) {
                     continue; // nothing to gain
                 }
                 let cold = VarRef::SplitCold(inst, b);
@@ -398,17 +370,38 @@ impl<'p> Analyzer<'p> {
                     cap.push((VarRef::Edge(inst, *e), -1.0));
                 }
                 rows.push(LinCon::le(cap, 0.0));
-                let pcost = &self.param_costs[func.0][b.0];
-                costs.push((space.intern(cold), cost.worst_cold, pcost.worst_cold.clone()));
-                costs.push((space.intern(warm), cost.worst_warm, pcost.worst_warm.clone()));
-                costs.push((space.intern(x), 0, ParamExpr::default()));
+                cost.push((space.intern(cold), block.worst_cold));
+                cost.push((space.intern(warm), block.worst_warm));
+                cost.push((space.intern(x), Cycles::default()));
             }
         }
-        let mut cost = vec![None; space.len()];
-        for (id, c, param) in costs {
-            cost[id.0] = Some((c, param));
-        }
         Split { rows, cost }
+    }
+
+    /// The objective of `sense` over `space` in id order, affine in the
+    /// cache penalties: each block's cold cost when maximizing, overridden
+    /// where `split` prices a variable, or its best cost when minimizing;
+    /// zero for edges.
+    pub(super) fn objective(&self, space: &VarSpace, sense: Sense, split: &Split) -> Vec<Cycles> {
+        let mut costs: Vec<Cycles> = space
+            .iter()
+            .map(|(_, r)| match r {
+                VarRef::Block(inst, blk) => {
+                    let cost = &self.costs[self.instances.cfg(inst).func.0][blk.0];
+                    match sense {
+                        Sense::Maximize => cost.worst_cold,
+                        Sense::Minimize => cost.best,
+                    }
+                }
+                _ => Cycles::default(),
+            })
+            .collect();
+        if sense == Sense::Maximize {
+            for &(id, c) in &split.cost {
+                costs[id.0] = c;
+            }
+        }
+        costs
     }
 
     /// A loop qualifies for warm-iteration costing when its body contains
@@ -432,47 +425,19 @@ impl<'p> Analyzer<'p> {
     }
 
     /// Assembles one problem of `sense` over `space`, named by `names`
-    /// (shared, not copied): the structural rows, then the functionality
-    /// rows, then — when maximizing — the split rows, under the split
-    /// objective. Minimizing ignores the split.
+    /// (shared, not copied): `objective` (see [`Analyzer::objective`])
+    /// evaluated at the machine, and the rows of each group in order.
     pub(super) fn assemble(
         &self,
         space: &VarSpace,
         names: &Arc<[String]>,
         sense: Sense,
-        structural: &[LinCon],
-        functionality: &[LinCon],
-        split: &Split,
+        objective: &[Cycles],
+        rows: &[&[LinCon]],
     ) -> Problem {
-        let objective = space
-            .iter()
-            .map(|(id, r)| match (sense, r) {
-                // Block costs, possibly overridden by the split (0 when
-                // the split variables carry the cost).
-                (Sense::Maximize, VarRef::Block(inst, blk)) => match split.cost(id) {
-                    Some(&(c, _)) => c as f64,
-                    None => {
-                        let func = self.instances.cfg(inst).func;
-                        self.costs[func.0][blk.0].worst_cold as f64
-                    }
-                },
-                (Sense::Maximize, VarRef::SplitCold(_, _) | VarRef::SplitWarm(_, _)) => {
-                    split.cost(id).map_or(0.0, |&(c, _)| c as f64)
-                }
-                (Sense::Minimize, VarRef::Block(inst, blk)) => {
-                    let func = self.instances.cfg(inst).func;
-                    self.costs[func.0][blk.0].best as f64
-                }
-                _ => 0.0,
-            })
-            .collect();
-        let split_rows = if sense == Sense::Maximize { &split.rows[..] } else { &[] };
-        let constraints = structural
-            .iter()
-            .chain(functionality)
-            .chain(split_rows)
-            .map(|c| lincon_row(space, c))
-            .collect();
+        let objective = objective.iter().map(|c| c.at(self.machine()) as f64).collect();
+        let constraints =
+            rows.iter().flat_map(|group| group.iter()).map(|c| lincon_row(space, c)).collect();
         Problem {
             sense,
             objective,

@@ -280,9 +280,9 @@ fn loop_bounded_structural_ilp_has_an_integral_first_relaxation() {
             &mut HashSet::new(),
         )
         .unwrap();
-    let split = Split::default();
+    let worst = a.objective(&space, Sense::Maximize, &Split::default());
     let with_bound =
-        a.assemble(&space, &space.names(), Sense::Maximize, &structural, &bound, &split);
+        a.assemble(&space, &space.names(), Sense::Maximize, &worst, &[&structural, &bound]);
     let (_, stats) = ipet_lp::solve_ilp(&with_bound);
     assert!(stats.first_relaxation_integral);
 }
@@ -373,7 +373,8 @@ fn covers_jobs_and_fold_share_one_name_table() {
         let anns =
             parse_annotations("fn main { loop x2 in [0, 10]; (x3 = 1) | (x3 = 3); }").unwrap();
         let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
-        assert_eq!(plan.names.len(), plan.vars.len());
+        assert_eq!(plan.names.len(), plan.space.len());
+        assert_eq!(plan.worst.len(), plan.space.len());
         assert!(Arc::ptr_eq(&plan.names, &plan.covers[0].names), "{mode:?}");
         assert!(Arc::ptr_eq(&plan.names, &plan.covers[1].names), "{mode:?}");
         for job in plan.jobs() {
@@ -676,6 +677,25 @@ fn wcet_formula_survives_cache_split_objective() {
     let am = all_miss.analyze("fn main { loop x2 in [50, 50]; }").unwrap();
     let am_formula = am.wcet_formula.as_ref().unwrap();
     assert!(formula.coeff(ipet_hw::P_MISS) < am_formula.coeff(ipet_hw::P_MISS));
+}
+
+#[test]
+fn dcache_formula_charges_loads_and_reproduces_the_bound() {
+    let bench = ipet_suite::by_name("check_data").unwrap();
+    let p = bench.program().unwrap();
+    let ann = bench.annotations(&p);
+    let machine = Machine::i960kb_with_dcache();
+    let mut miss_slopes = Vec::new();
+    for mode in [CacheMode::AllMiss, CacheMode::FirstIterSplit] {
+        let a = Analyzer::new(&p, machine).unwrap().with_cache_mode(mode);
+        let est = a.analyze(&ann).unwrap();
+        let formula = est.wcet_formula.as_ref().expect("exact analysis yields a formula");
+        assert!(formula.coeff(ipet_hw::P_DMISS) > 0, "{mode:?}: {formula}");
+        assert_eq!(formula.eval(&machine.param_point()), Some(est.bound.upper as i128), "{mode:?}");
+        miss_slopes.push(formula.coeff(ipet_hw::P_MISS));
+    }
+    // The split moves later iterations onto warm costs.
+    assert!(miss_slopes[1] < miss_slopes[0], "{miss_slopes:?}");
 }
 
 #[test]

@@ -359,7 +359,6 @@ impl SolvePool {
         let t0 = std::time::Instant::now();
         let faults_template = &self.faults;
         let work = |w: usize| {
-            let _worker = ipet_trace::set_worker(w as u64);
             let mut my_ticks = 0u64;
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -21,6 +21,18 @@ pub enum VarRef {
     SplitWarm(InstanceId, BlockId),
 }
 
+impl VarRef {
+    /// The CFG instance that owns the variable.
+    pub fn instance(self) -> InstanceId {
+        match self {
+            VarRef::Block(i, _)
+            | VarRef::Edge(i, _)
+            | VarRef::SplitCold(i, _)
+            | VarRef::SplitWarm(i, _) => i,
+        }
+    }
+}
+
 impl fmt::Display for VarRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -142,6 +154,11 @@ impl VarSpace {
         let mut label = String::with_capacity(kind.len() + 6 + instance.len());
         let _ = write!(label, "{kind}{}@{instance}", index + 1);
         label
+    }
+
+    /// The label of each instance, indexed by [`InstanceId`].
+    pub fn instance_labels(&self) -> &[String] {
+        &self.instance_labels
     }
 
     /// Number of interned variables.

@@ -1,17 +1,14 @@
 //! Constant per-basic-block cost bounds (the paper's `c_i`).
 
 use crate::machine::Machine;
-use crate::param::{ParamExpr, P_DMISS, P_MISS};
 use ipet_arch::{Function, Instr};
 use ipet_cfg::BasicBlock;
 
 /// Cost bounds of one basic block.
 ///
-/// The concrete pipeline uses `BlockCost<u64>` (cycles); the parametric
-/// pipeline uses `BlockCost<ParamExpr>` (exact linear forms over named
-/// penalties), produced by [`block_cost_param`], with the invariant that
-/// evaluating the form at the machine's own parameter point reproduces the
-/// concrete cost bit for bit.
+/// The concrete pipeline uses `BlockCost<u64>` (cycles). [`block_cycles`]
+/// gives the same bounds as `BlockCost<Cycles>`, affine in the cache
+/// penalties; [`block_cost`] is that value evaluated at the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BlockCost<T = u64> {
     /// Best case: all i-cache hits, conditional branch falls through.
@@ -21,6 +18,39 @@ pub struct BlockCost<T = u64> {
     /// Worst case with a warm cache: all hits, but branch still taken.
     /// Used for non-first loop iterations by the cache-splitting ablation.
     pub worst_warm: T,
+}
+
+impl BlockCost<Cycles> {
+    /// The bounds in cycles on `machine`.
+    pub fn at(&self, machine: &Machine) -> BlockCost {
+        BlockCost {
+            best: self.best.at(machine),
+            worst_cold: self.worst_cold.at(machine),
+            worst_warm: self.worst_warm.at(machine),
+        }
+    }
+}
+
+/// A cycle count affine in the two cache penalties:
+/// `constant + lines·miss_penalty + loads·dmiss_penalty`. The coefficients
+/// are those of [`P_MISS`](crate::P_MISS) and [`P_DMISS`](crate::P_DMISS)
+/// in a symbolic bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Cycles {
+    /// Cycles that no penalty scales.
+    pub constant: u64,
+    /// I-cache line fills, each charged [`Machine::miss_penalty`].
+    pub lines: u64,
+    /// Loads that may miss the d-cache, each charged
+    /// [`Machine::dmiss_penalty`].
+    pub loads: u64,
+}
+
+impl Cycles {
+    /// The count on `machine`.
+    pub fn at(&self, machine: &Machine) -> u64 {
+        self.constant + self.lines * machine.miss_penalty + self.loads * machine.dmiss_penalty
+    }
 }
 
 /// Cycles of a single instruction given its predecessor in the block
@@ -38,48 +68,28 @@ pub fn instr_cycles(machine: &Machine, prev: Option<Instr>, instr: Instr) -> u64
     cycles
 }
 
-/// Computes the cost bounds of `block` within `function`.
+/// Computes the cost bounds of `block` within `function`: the bounds of
+/// [`block_cycles`] evaluated at `machine`.
+///
+/// The function must already be laid out (its `base_addr` assigned) so the
+/// block's byte range maps onto cache lines.
+pub fn block_cost(machine: &Machine, function: &Function, block: &BasicBlock) -> BlockCost {
+    block_cycles(machine, function, block).at(machine)
+}
+
+/// Computes the cost bounds of `block` within `function`, affine in the
+/// cache penalties.
 ///
 /// Mirrors the paper's model: per-instruction effective times from the
 /// "hardware manual" ([`Machine`]), adjacency effects within the block
 /// (load-use interlock), all-hit best case, per-line-miss worst case, and
 /// a taken-branch penalty on the worst case when the block ends in a
-/// conditional branch.
-///
-/// The function must already be laid out (its `base_addr` assigned) so the
-/// block's byte range maps onto cache lines.
-pub fn block_cost(machine: &Machine, function: &Function, block: &BasicBlock) -> BlockCost {
-    let (base, branch, loads, lines) = block_cost_parts(machine, function, block);
-    let worst = base + branch + loads * machine.dmiss_penalty;
-    BlockCost { best: base, worst_cold: worst + lines * machine.miss_penalty, worst_warm: worst }
-}
-
-/// The parametric counterpart of [`block_cost`]: the same cost model with
-/// the cache penalties left symbolic. The worst cases become exact linear
-/// forms over [`P_MISS`] (i-cache line fills) and, when the machine has a
-/// data cache, [`P_DMISS`] (per-load d-cache misses); the best case stays
-/// constant. Evaluating every field at [`Machine::param_point`] reproduces
-/// [`block_cost`] exactly.
-pub fn block_cost_param(
+/// conditional branch. The best case is constant.
+pub fn block_cycles(
     machine: &Machine,
     function: &Function,
     block: &BasicBlock,
-) -> BlockCost<ParamExpr> {
-    let (base, branch, loads, lines) = block_cost_parts(machine, function, block);
-    let worst_warm =
-        ParamExpr::constant((base + branch) as i128).add(&ParamExpr::term(P_DMISS, loads as i128));
-    let worst_cold = worst_warm.add(&ParamExpr::term(P_MISS, lines as i128));
-    BlockCost { best: ParamExpr::constant(base as i128), worst_cold, worst_warm }
-}
-
-/// The penalty-independent pieces of the block cost model: base cycles,
-/// taken-branch penalty, d-cache-chargeable load count (0 without a data
-/// cache), and i-cache lines spanned.
-fn block_cost_parts(
-    machine: &Machine,
-    function: &Function,
-    block: &BasicBlock,
-) -> (u64, u64, u64, u64) {
+) -> BlockCost<Cycles> {
     let mut base = 0u64;
     let mut prev: Option<Instr> = None;
     for idx in block.start..block.end {
@@ -109,7 +119,12 @@ fn block_cost_parts(
     let end_addr = function.instr_addr(block.end - 1) + ipet_arch::INSTR_BYTES;
     let lines = machine.icache.lines_in_range(start_addr, end_addr) as u64;
 
-    (base, branch, loads, lines)
+    let worst_warm = Cycles { constant: base + branch, lines: 0, loads };
+    BlockCost {
+        best: Cycles { constant: base, ..Cycles::default() },
+        worst_cold: Cycles { lines, ..worst_warm },
+        worst_warm,
+    }
 }
 
 #[cfg(test)]
@@ -246,9 +261,8 @@ mod tests {
 }
 
 #[cfg(test)]
-mod param_tests {
+mod cycles_tests {
     use super::*;
-    use crate::param::{P_DMISS, P_MISS};
     use ipet_arch::{AluOp, AsmBuilder, Cond, FuncId, Program, Reg};
     use ipet_cfg::Cfg;
 
@@ -264,86 +278,51 @@ mod param_tests {
         Program::new(vec![b.finish().unwrap()], vec![], FuncId(0)).unwrap()
     }
 
-    fn assert_param_matches_concrete(m: &Machine) {
-        let p = looped_program();
-        let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let point = m.param_point();
-        for blk in cfg.blocks() {
-            let concrete = block_cost(m, &p.functions[0], blk);
-            let form = block_cost_param(m, &p.functions[0], blk);
-            assert_eq!(form.best.eval_u64(&point), Some(concrete.best));
-            assert_eq!(form.worst_warm.eval_u64(&point), Some(concrete.worst_warm));
-            assert_eq!(form.worst_cold.eval_u64(&point), Some(concrete.worst_cold));
-        }
-    }
-
     #[test]
-    fn formula_evaluates_to_concrete_cost_on_every_machine() {
-        assert_param_matches_concrete(&Machine::i960kb());
-        assert_param_matches_concrete(&Machine::i960kb_with_dcache());
-        assert_param_matches_concrete(&Machine::dsp3210());
-    }
-
-    #[test]
-    fn miss_coefficient_counts_cache_lines() {
+    fn line_coefficient_counts_cache_lines() {
         let m = Machine::i960kb();
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
         for blk in cfg.blocks() {
             let concrete = block_cost(&m, &p.functions[0], blk);
-            let form = block_cost_param(&m, &p.functions[0], blk);
+            let form = block_cycles(&m, &p.functions[0], blk);
             // Slope of worst_cold in the miss penalty = lines spanned.
             let lines = (concrete.worst_cold - concrete.worst_warm) / m.miss_penalty;
-            assert_eq!(form.worst_cold.coeff(P_MISS), lines as i128);
-            // Without a d-cache no load is chargeable to P_DMISS.
-            assert_eq!(form.worst_cold.coeff(P_DMISS), 0);
-            assert!(form.best.is_constant());
+            assert_eq!(form.worst_cold.lines, lines);
+            assert_eq!(form.worst_warm.lines, 0);
+            // Without a d-cache no load is chargeable to the d-cache.
+            assert_eq!(form.worst_cold.loads, 0);
+            assert_eq!(form.best, Cycles { constant: concrete.best, lines: 0, loads: 0 });
         }
     }
 
     #[test]
-    fn zero_miss_penalty_formula_constant_equals_concrete_cost() {
-        // Degenerate sweep edge: with miss_penalty = 0 (and no d-cache) the
-        // symbolic penalty terms contribute nothing, so the formula's
-        // constant term must equal the concrete cost.
-        let m = Machine { miss_penalty: 0, ..Machine::i960kb() };
-        let p = looped_program();
-        let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        for blk in cfg.blocks() {
-            let concrete = block_cost(&m, &p.functions[0], blk);
-            let form = block_cost_param(&m, &p.functions[0], blk);
-            assert_eq!(concrete.worst_cold, concrete.worst_warm);
-            assert_eq!(form.worst_cold.constant_part(), concrete.worst_warm as i128);
-            assert_eq!(form.best.constant_part(), concrete.best as i128);
-        }
-        assert_param_matches_concrete(&m);
-    }
-
-    #[test]
-    fn zero_dmiss_penalty_formula_constant_equals_concrete_cost() {
-        // Same edge for the data cache: dmiss_penalty = 0 makes loads free
-        // to miss, so worst_warm collapses onto its constant term.
+    fn zero_penalties_leave_the_constant() {
+        // Degenerate sweep edge: with both penalties 0 every bound is its
+        // constant term.
         let m = Machine { dmiss_penalty: 0, miss_penalty: 0, ..Machine::i960kb_with_dcache() };
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
         for blk in cfg.blocks() {
             let concrete = block_cost(&m, &p.functions[0], blk);
-            let form = block_cost_param(&m, &p.functions[0], blk);
-            assert_eq!(form.worst_warm.constant_part(), concrete.worst_warm as i128);
-            assert_eq!(form.worst_cold.constant_part(), concrete.worst_cold as i128);
+            let form = block_cycles(&m, &p.functions[0], blk);
+            assert_eq!(concrete.worst_cold, concrete.worst_warm);
+            assert_eq!(form.worst_cold.constant, concrete.worst_cold);
+            assert_eq!(form.worst_warm.constant, concrete.worst_warm);
+            assert_eq!(form.best.constant, concrete.best);
         }
-        assert_param_matches_concrete(&m);
     }
 
     #[test]
-    fn dcache_machine_charges_loads_to_dmiss_symbol() {
+    fn dcache_machine_charges_loads_to_the_dmiss_penalty() {
         let m = Machine::i960kb_with_dcache();
         let p = looped_program();
         let cfg = Cfg::build(FuncId(0), &p.functions[0]);
-        let form = block_cost_param(&m, &p.functions[0], &cfg.blocks()[0]);
+        let form = block_cycles(&m, &p.functions[0], &cfg.blocks()[0]);
         // The entry block has exactly one load.
-        assert_eq!(form.worst_warm.coeff(P_DMISS), 1);
-        assert_eq!(form.worst_cold.coeff(P_DMISS), 1);
+        assert_eq!(form.worst_warm.loads, 1);
+        assert_eq!(form.worst_cold.loads, 1);
+        assert_eq!(form.best.loads, 0);
     }
 }
 

@@ -48,6 +48,6 @@ mod machine;
 mod param;
 
 pub use cache::CacheGeom;
-pub use cost::{block_cost, block_cost_param, instr_cycles, BlockCost};
+pub use cost::{block_cost, block_cycles, instr_cycles, BlockCost, Cycles};
 pub use machine::Machine;
 pub use param::{ParamExpr, ParamPoint, P_DMISS, P_MISS};

@@ -123,8 +123,9 @@ impl Machine {
     }
 
     /// This machine's point in parameter space: the concrete values of the
-    /// symbolic penalties used by [`crate::block_cost_param`]. Evaluating a
-    /// parametric cost at this point reproduces the concrete cost exactly.
+    /// symbolic penalties [`crate::P_MISS`] and [`crate::P_DMISS`].
+    /// Evaluating a symbolic bound at this point gives its cycles on this
+    /// machine.
     pub fn param_point(&self) -> crate::ParamPoint {
         let mut point = crate::ParamPoint::new();
         point.insert(crate::P_MISS.to_string(), self.miss_penalty as i128);

@@ -48,11 +48,6 @@ impl ParamExpr {
         ParamExpr { constant: 0, terms }
     }
 
-    /// The constant part `c0` (the form's value when every parameter is 0).
-    pub fn constant_part(&self) -> i128 {
-        self.constant
-    }
-
     /// The coefficient of `name` (0 when absent).
     pub fn coeff(&self, name: &str) -> i128 {
         self.terms.get(name).copied().unwrap_or(0)
@@ -61,16 +56,6 @@ impl ParamExpr {
     /// True when the form has no parameter terms.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// The parameter names with non-zero coefficients, in canonical order.
-    pub fn params(&self) -> impl Iterator<Item = &str> {
-        self.terms.keys().map(|s| s.as_str())
-    }
-
-    /// Iterates `(name, coeff)` pairs in canonical order.
-    pub fn iter_terms(&self) -> impl Iterator<Item = (&str, i128)> {
-        self.terms.iter().map(|(n, &c)| (n.as_str(), c))
     }
 
     /// `self + other`, exactly.
@@ -94,19 +79,6 @@ impl ParamExpr {
         out
     }
 
-    /// `k · self`, exactly.
-    pub fn scale(&self, k: i128) -> ParamExpr {
-        if k == 0 {
-            return ParamExpr::default();
-        }
-        let mut out = self.clone();
-        out.constant *= k;
-        for coeff in out.terms.values_mut() {
-            *coeff *= k;
-        }
-        out
-    }
-
     /// Evaluates the form at `point`, exactly. Returns `None` when a
     /// parameter with a non-zero coefficient is missing from `point` or the
     /// exact arithmetic overflows `i128` — refuse, never guess.
@@ -117,11 +89,6 @@ impl ParamExpr {
             acc = acc.checked_add(coeff.checked_mul(value)?)?;
         }
         Some(acc)
-    }
-
-    /// Evaluates at `point` and converts to a non-negative cycle count.
-    pub fn eval_u64(&self, point: &ParamPoint) -> Option<u64> {
-        u64::try_from(self.eval(point)?).ok()
     }
 
     /// Specializes the form to the single varying parameter `varying`:
@@ -171,14 +138,12 @@ mod tests {
         let e = ParamExpr::constant(42);
         assert!(e.is_constant());
         assert_eq!(e.eval(&ParamPoint::new()), Some(42));
-        assert_eq!(e.eval_u64(&ParamPoint::new()), Some(42));
     }
 
     #[test]
     fn linear_form_evaluates_exactly() {
         let e = ParamExpr::constant(10).add(&ParamExpr::term(P_MISS, 3));
         assert_eq!(e.coeff(P_MISS), 3);
-        assert_eq!(e.constant_part(), 10);
         assert_eq!(e.eval(&point(&[(P_MISS, 8)])), Some(34));
         assert_eq!(e.eval(&point(&[(P_MISS, 0)])), Some(10));
     }
@@ -201,23 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn scale_distributes() {
-        let e = ParamExpr::constant(2).add(&ParamExpr::term(P_MISS, 5)).scale(3);
-        assert_eq!(e.constant_part(), 6);
-        assert_eq!(e.coeff(P_MISS), 15);
-        assert_eq!(ParamExpr::term(P_MISS, 5).scale(0), ParamExpr::default());
-    }
-
-    #[test]
     fn eval_overflow_is_refused() {
         let e = ParamExpr::term(P_MISS, i128::MAX);
         assert_eq!(e.eval(&point(&[(P_MISS, 2)])), None);
-    }
-
-    #[test]
-    fn negative_value_is_not_a_cycle_count() {
-        let e = ParamExpr::term(P_MISS, -1);
-        assert_eq!(e.eval_u64(&point(&[(P_MISS, 1)])), None);
     }
 
     #[test]

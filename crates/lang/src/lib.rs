@@ -73,6 +73,21 @@ pub fn compile(source: &str, entry: &str) -> Result<Program, CompileError> {
 ///
 /// See [`compile`].
 pub fn compile_with(source: &str, entry: &str, level: OptLevel) -> Result<Program, CompileError> {
+    compile_parsed(source, entry, level).map(|(_, program)| program)
+}
+
+/// Compiles like [`compile_with`] and also returns the parsed [`Module`],
+/// for callers that read the syntax tree as well (loop-bound inference),
+/// so the source is parsed once.
+///
+/// # Errors
+///
+/// See [`compile`].
+pub fn compile_parsed(
+    source: &str,
+    entry: &str,
+    level: OptLevel,
+) -> Result<(Module, Program), CompileError> {
     ipet_trace::counter("lang.compile.calls", 1);
     let module = {
         let _span = ipet_trace::span("lang.parse");
@@ -88,5 +103,5 @@ pub fn compile_with(source: &str, entry: &str, level: OptLevel) -> Result<Progra
     ipet_trace::counter("lang.functions", program.functions.len() as u64);
     let instrs: usize = program.functions.iter().map(|f| f.instrs.len()).sum();
     ipet_trace::counter("lang.instructions", instrs as u64);
-    Ok(program)
+    Ok((module, program))
 }

@@ -32,9 +32,8 @@
 //! addition and gauges by `max`, both associative and commutative. The
 //! pipeline keeps its side of the bargain by deduping and sharding
 //! deterministically, so `TraceDoc::deterministic_view()` is bit-identical
-//! for any `--jobs` value. Wall-clock fields (`wall_ns`) and the per-worker
-//! breakdown (`workers`) are scheduling-dependent and excluded from that
-//! view.
+//! for any `--jobs` value. Wall-clock fields (`wall_ns`) are
+//! scheduling-dependent and excluded from that view.
 
 pub mod json;
 mod recorder;
@@ -42,17 +41,12 @@ mod recorder;
 pub use json::{parse as parse_json, Json, ParseError};
 pub use recorder::{merge_counters, CounterMap, Recorder, SpanStat, TraceDoc, TRACE_SCHEMA};
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-
-thread_local! {
-    static WORKER: Cell<Option<u64>> = const { Cell::new(None) };
-}
 
 /// Installs the process-global recorder and returns it. Idempotent: later
 /// calls return the already-installed recorder. Installation cannot be
@@ -83,36 +77,11 @@ pub fn snapshot() -> Option<TraceDoc> {
     recorder().map(Recorder::snapshot)
 }
 
-/// Tags the current thread as pool worker `id`; counters recorded on this
-/// thread are additionally tallied per worker. Returns a guard restoring
-/// the previous tag on drop, so nested batches keep their attribution.
-pub fn set_worker(id: u64) -> WorkerGuard {
-    let prev = WORKER.with(|w| w.replace(Some(id)));
-    WorkerGuard { prev }
-}
-
-/// Restores the previous worker tag on drop. See [`set_worker`].
-#[must_use]
-pub struct WorkerGuard {
-    prev: Option<u64>,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        WORKER.with(|w| w.set(self.prev));
-    }
-}
-
-/// The current thread's worker tag, if inside [`set_worker`].
-pub fn worker() -> Option<u64> {
-    WORKER.with(Cell::get)
-}
-
 /// Adds `delta` to the named counter. No-op unless installed.
 #[inline]
 pub fn counter(name: &str, delta: u64) {
     if let Some(r) = recorder() {
-        r.add_counter(name, delta, worker());
+        r.add_counter(name, delta);
     }
 }
 

@@ -10,11 +10,6 @@
 //! * **spans** — named durations aggregated into `{count, wall_ns}`. The
 //!   `count` side is deterministic; `wall_ns` is wall-clock and is excluded
 //!   from determinism comparisons and gate invariants.
-//!
-//! Counters recorded while a worker context is set (see
-//! [`set_worker`](crate::set_worker)) are *additionally* tallied under that
-//! worker id, giving a per-worker breakdown that is scheduling-dependent by
-//! nature and therefore lives in its own section of the document.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -58,7 +53,6 @@ struct Inner {
     counters: CounterMap,
     gauges: BTreeMap<String, u64>,
     spans: BTreeMap<String, SpanStat>,
-    workers: BTreeMap<u64, CounterMap>,
 }
 
 /// A thread-safe metric aggregator.
@@ -77,16 +71,11 @@ impl Recorder {
         Self::default()
     }
 
-    /// Adds `delta` to the named counter (saturating). When `worker` is
-    /// set, the delta is also tallied under that worker id.
-    pub fn add_counter(&self, name: &str, delta: u64, worker: Option<u64>) {
+    /// Adds `delta` to the named counter (saturating).
+    pub fn add_counter(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().unwrap();
         let slot = value_for(&mut inner.counters, name);
         *slot = slot.saturating_add(delta);
-        if let Some(w) = worker {
-            let per = value_for(inner.workers.entry(w).or_default(), name);
-            *per = per.saturating_add(delta);
-        }
     }
 
     /// Raises the named gauge to `value` if it is below it.
@@ -111,7 +100,6 @@ impl Recorder {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
             spans: inner.spans.clone(),
-            workers: inner.workers.clone(),
         }
     }
 
@@ -136,8 +124,6 @@ pub struct TraceDoc {
     pub gauges: BTreeMap<String, u64>,
     /// Span aggregates; `count` deterministic, `wall_ns` not.
     pub spans: BTreeMap<String, SpanStat>,
-    /// Per-worker counter breakdown. Scheduling-dependent.
-    pub workers: BTreeMap<u64, CounterMap>,
 }
 
 impl TraceDoc {
@@ -168,16 +154,12 @@ impl TraceDoc {
                         .collect(),
                 ),
             ),
-            (
-                "workers".to_string(),
-                Json::Obj(
-                    self.workers.iter().map(|(w, m)| (w.to_string(), counter_obj(m))).collect(),
-                ),
-            ),
         ])
     }
 
-    /// Reconstructs a document from its JSON form.
+    /// Reconstructs a document from its JSON form. Other keys, such as
+    /// the per-worker `workers` section that older documents carry, are
+    /// ignored.
     ///
     /// # Errors
     ///
@@ -207,18 +189,10 @@ impl TraceDoc {
                 s.get("wall_ns").and_then(Json::as_u64).ok_or_else(|| bad("bad span wall_ns"))?;
             spans.insert(name.clone(), SpanStat { count, wall_ns });
         }
-        let mut workers = BTreeMap::new();
-        for (id, m) in
-            value.get("workers").and_then(Json::as_obj).ok_or_else(|| bad("missing workers"))?
-        {
-            let id: u64 = id.parse().map_err(|_| bad("non-numeric worker id"))?;
-            workers.insert(id, counter_map(Some(m), "bad worker counters")?);
-        }
         Ok(TraceDoc {
             counters: counter_map(value.get("counters"), "missing counters")?,
             gauges: counter_map(value.get("gauges"), "missing gauges")?,
             spans,
-            workers,
         })
     }
 
@@ -233,8 +207,7 @@ impl TraceDoc {
 
     /// The deterministic view: flat `key = value` pairs covering counters,
     /// gauges and span *counts* — everything that must be bit-identical
-    /// across worker counts. Wall-clock fields and the per-worker
-    /// breakdown are deliberately absent.
+    /// across worker counts. Wall-clock fields are deliberately absent.
     pub fn deterministic_view(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         for (k, v) in &self.counters {
@@ -257,8 +230,8 @@ mod tests {
     #[test]
     fn recorder_aggregates_all_metric_kinds() {
         let r = Recorder::new();
-        r.add_counter("a", 2, None);
-        r.add_counter("a", 3, Some(1));
+        r.add_counter("a", 2);
+        r.add_counter("a", 3);
         r.gauge_max("g", 5);
         r.gauge_max("g", 4);
         r.add_span("s", 100);
@@ -267,13 +240,12 @@ mod tests {
         assert_eq!(doc.counters["a"], 5);
         assert_eq!(doc.gauges["g"], 5);
         assert_eq!(doc.spans["s"], SpanStat { count: 2, wall_ns: 150 });
-        assert_eq!(doc.workers[&1]["a"], 3);
     }
 
     #[test]
     fn reset_clears_everything() {
         let r = Recorder::new();
-        r.add_counter("a", 1, Some(0));
+        r.add_counter("a", 1);
         r.gauge_max("g", 1);
         r.add_span("s", 1);
         r.reset();
@@ -283,8 +255,8 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_document() {
         let r = Recorder::new();
-        r.add_counter("lp.ilp.solves", 56, Some(0));
-        r.add_counter("pool.cache.hits", 28, Some(3));
+        r.add_counter("lp.ilp.solves", 56);
+        r.add_counter("pool.cache.hits", 28);
         r.gauge_max("lp.problem.vars.peak", 141);
         r.add_span("pool.solve_batch", 1_234_567);
         let doc = r.snapshot();
@@ -293,9 +265,19 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_view_excludes_wall_clock_and_workers() {
+    fn a_document_with_a_workers_section_still_parses() {
+        let doc = TraceDoc::parse(
+            r#"{"schema": "ipet-trace-v1", "counters": {"c": 1}, "gauges": {}, "spans": {},
+                "workers": {"0": {"c": 1}}}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.counters["c"], 1);
+    }
+
+    #[test]
+    fn deterministic_view_excludes_wall_clock() {
         let r = Recorder::new();
-        r.add_counter("c", 1, Some(7));
+        r.add_counter("c", 1);
         r.add_span("s", 999);
         let view = r.snapshot().deterministic_view();
         assert_eq!(view, vec![("counter.c".to_string(), 1), ("span.s.count".to_string(), 1)]);

@@ -5,8 +5,6 @@
 //!
 //! Values stay below 2^50 so sums fit JSON's exact-integer range (2^53).
 
-use std::collections::BTreeMap;
-
 use ipet_trace::{merge_counters, CounterMap, Recorder, SpanStat, TraceDoc};
 use proptest::prelude::*;
 
@@ -64,16 +62,15 @@ proptest! {
         prop_assert_eq!(&forward, &reversed);
     }
 
-    /// A recorder fed per-worker batches in any order snapshots the same
-    /// counter totals (the live, locked version of the merge property).
+    /// A recorder fed batches in any order snapshots the same counter
+    /// totals (the live, locked version of the merge property).
     #[test]
     fn recorder_totals_ignore_feed_order(maps in prop::collection::vec(counter_map(), 1..5)) {
         let feed = |order: &mut dyn Iterator<Item = &CounterMap>| {
             let r = Recorder::new();
-            for (w, m) in order.enumerate() {
-                let _g = ipet_trace::set_worker(w as u64);
+            for m in order {
                 for (k, v) in m {
-                    r.add_counter(k, *v, ipet_trace::worker());
+                    r.add_counter(k, *v);
                 }
             }
             r.snapshot().counters
@@ -88,7 +85,6 @@ proptest! {
         counters in counter_map(),
         gauges in counter_map(),
         spans in prop::collection::vec((0u8..8, 0u64..MAX_VAL, 0u64..MAX_VAL), 0..8),
-        workers in prop::collection::vec((0u64..16, counter_map()), 0..4),
     ) {
         let doc = TraceDoc {
             counters,
@@ -97,7 +93,6 @@ proptest! {
                 .into_iter()
                 .map(|(k, count, wall_ns)| (format!("span.{k}"), SpanStat { count, wall_ns }))
                 .collect(),
-            workers: workers.into_iter().collect::<BTreeMap<_, _>>(),
         };
         prop_assert_eq!(TraceDoc::parse(&doc.to_json().render()).unwrap(), doc.clone());
         prop_assert_eq!(TraceDoc::parse(&doc.to_json().render_pretty()).unwrap(), doc);
