@@ -30,8 +30,8 @@
 //!   (`d_entry = 1`, in-flow = out-flow per block, call-site coupling)
 //!   via a [`FlowSpec`] built from the CFG topology, independently of the
 //!   constraint matrix the solver saw;
-//! * **(d) cache replays** — the solve cache and the persistent store pass
-//!   every replay through [`replay_gate`]: the cached problem must equal the
+//! * **(d) cache replays** — the solve pool's replay tier (`ipet-store`)
+//!   passes every replay through [`replay_gate`]: the cached problem must equal the
 //!   new one, and a cached witness must certify against it exactly.
 //!
 //! Any failed check is an explicit [`CertFailure`]; even internal overflow
@@ -276,7 +276,7 @@ pub enum Replay {
     Rejected,
 }
 
-/// The replay gate of the solve cache and the persistent store (check (d)):
+/// The replay gate of the solve pool's replay tier (check (d)):
 /// the `cached` problem must equal `problem` row for row
 /// ([`same_structure`]), and a cached `Exact` answer — `exact` is its
 /// witness and objective value — must round to integer counts, satisfy

@@ -119,7 +119,7 @@ pub struct PooledRun {
 /// (`ipet-infer`) when `infer` is set. Estimates, set reports and cache
 /// hit/miss counts are bit-for-bit identical for any worker count (and
 /// identical to [`run_all`]'s); only wall-clock changes. Passing one pool
-/// to several experiments lets them share its solve cache: a later batch
+/// to several experiments lets them share its replay tier: a later batch
 /// that re-analyzes a benchmark under an overlapping configuration (e.g.
 /// the miss-penalty sweep's point at the default penalty) replays instead
 /// of re-solving.
@@ -151,13 +151,16 @@ pub fn run_all_pooled_infer(
     let prepared: Vec<Prepared> = ipet_suite::all()
         .into_iter()
         .map(|b| {
-            let program = b.program().unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            // Compiled as `Benchmark::program` does, keeping the syntax
+            // tree for inference: the source is parsed once.
+            let (module, program) =
+                ipet_lang::compile_parsed(b.source, b.entry, ipet_lang::OptLevel::O0)
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             let analyzer = Analyzer::new(&program, machine).unwrap();
             let mut anns = ipet_core::parse_annotations(&b.annotations(&program))
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             if let Some(mode) = infer {
-                let module = ipet_lang::parse_module(b.source).ok();
-                let outcome = ipet_infer::infer_and_merge(module.as_ref(), &analyzer, &anns, mode)
+                let outcome = ipet_infer::infer_and_merge(Some(&module), &analyzer, &anns, mode)
                     .unwrap_or_else(|e| panic!("{}: {e}", b.name));
                 anns = outcome.annotations;
             }

@@ -3,9 +3,10 @@
 //! write → reopen → replay cycle is bit-identical to a cold solve, and
 //! arbitrary damage to the file (truncation, bit flips) quarantines
 //! records and falls back to cold solving — it never alters a bound. And
-//! for arbitrary interleavings of inserts, context changes, flushes and
-//! kills, reopening the journal yields exactly the entry set of the last
-//! flush, every entry replaying bit-identically.
+//! for arbitrary interleavings of inserts, flushes and kills, reopening
+//! the journal yields exactly the entry set of the last flush (there are
+//! fewer distinct entries than the store's capacity), every entry
+//! replaying bit-identically.
 
 use ipet_bench::synth;
 use ipet_core::{
@@ -65,38 +66,27 @@ fn solved_entries(plan: &AnalysisPlan, budget: &AnalysisBudget) -> Vec<(Problem,
     out
 }
 
-/// One step of a journal history. Identities and invalidation hashes come
-/// from small ranges so that contexts collide with inserted entries.
+/// One step of a journal history.
 #[derive(Debug, Clone)]
 enum Op {
-    Insert {
-        entry: usize,
-        identity: u128,
-        invalidation: u128,
-    },
-    Context {
-        identity: u128,
-        invalidation: u128,
-    },
+    Insert(usize),
     Flush,
     /// Drop the store without flushing, as SIGKILL would, and reopen.
     Kill,
 }
 
-/// Decodes a generated `(kind, entry, identity, invalidation)` tuple:
-/// inserts 4 in 9, contexts and flushes 2 in 9 each, kills 1 in 9.
-fn op((kind, entry, identity, invalidation): (u8, usize, u64, u64)) -> Op {
-    let (identity, invalidation) = (u128::from(identity), u128::from(invalidation));
+/// Decodes a generated `(kind, entry)` pair: inserts 4 in 7, flushes 2 in
+/// 7, kills 1 in 7.
+fn op((kind, entry): (u8, usize)) -> Op {
     match kind {
-        0..=3 => Op::Insert { entry, identity, invalidation },
-        4 | 5 => Op::Context { identity, invalidation },
-        6 | 7 => Op::Flush,
+        0..=3 => Op::Insert(entry),
+        4 | 5 => Op::Flush,
         _ => Op::Kill,
     }
 }
 
-/// The store's entry set, modelled: `(entry, identity, invalidation)`.
-type Model = Vec<(usize, u128, u128)>;
+/// The store's entry set, modelled: indices into the entries.
+type Model = Vec<usize>;
 
 /// Reopens `path` and checks it holds exactly `flushed`: the count, a
 /// bit-identical replay of every member, and no replay of anything else.
@@ -109,18 +99,12 @@ fn check_reopened(
     assert_eq!(store.stats().quarantined, 0);
     assert_eq!(store.len(), flushed.len(), "reopen must yield the last flushed set");
     for (e, (problem, res)) in entries.iter().enumerate() {
-        let key = ipet_lp::fingerprint(problem);
-        for identity in 1..3u128 {
-            for invalidation in 1..4u128 {
-                let replay = store.probe(key, identity, invalidation, problem);
-                if flushed.contains(&(e, identity, invalidation)) {
-                    let (got, _) = replay
-                        .unwrap_or_else(|| panic!("entry {e} ({identity}, {invalidation}) lost"));
-                    assert_eq!(format!("{got:?}"), format!("{res:?}"), "replay not bit-identical");
-                } else {
-                    assert!(replay.is_none(), "entry {e} ({identity}, {invalidation}) resurrected");
-                }
-            }
+        let replay = store.probe(ipet_lp::fingerprint(problem), problem);
+        if flushed.contains(&e) {
+            let (got, _) = replay.unwrap_or_else(|| panic!("entry {e} lost"));
+            assert_eq!(format!("{got:?}"), format!("{res:?}"), "replay not bit-identical");
+        } else {
+            assert!(replay.is_none(), "entry {e} resurrected");
         }
     }
     store
@@ -129,12 +113,12 @@ fn check_reopened(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random histories of inserts, context changes, flushes and kills:
-    /// every reopen yields exactly the entry set of the last flush.
+    /// Random histories of inserts, flushes and kills: every reopen yields
+    /// exactly the entry set of the last flush.
     #[test]
     fn journal_reopens_to_the_last_flushed_entry_set(
         seed in 0u64..500,
-        ops in prop::collection::vec((0u8..9, 0usize..64, 1u64..3, 1u64..4), 1..48),
+        ops in prop::collection::vec((0u8..7, 0usize..64), 1..48),
     ) {
         let dir = scratch("journal");
         let path = dir.join("solves.store");
@@ -146,18 +130,13 @@ proptest! {
         let mut flushed: Model = Vec::new();
         for step in ops.into_iter().map(op) {
             match step {
-                Op::Insert { entry, identity, invalidation } => {
+                Op::Insert(entry) => {
                     let e = entry % entries.len();
                     let (problem, res) = &entries[e];
-                    let key = ipet_lp::fingerprint(problem);
-                    store.insert(key, identity, invalidation, problem, res, IlpStats::default());
-                    if !live.contains(&(e, identity, invalidation)) {
-                        live.push((e, identity, invalidation));
+                    store.insert(ipet_lp::fingerprint(problem), problem, res, IlpStats::default());
+                    if !live.contains(&e) {
+                        live.push(e);
                     }
-                }
-                Op::Context { identity, invalidation } => {
-                    store.note_context(identity, invalidation);
-                    live.retain(|&(_, id, inv)| id != identity || inv == invalidation);
                 }
                 Op::Flush => {
                     store.flush().expect("flush");

@@ -50,7 +50,7 @@ impl fmt::Display for CallGraphError {
             CallGraphError::LabelsTooLong(n) => write!(
                 f,
                 "call-site expansion produced more than {n} bytes of call-string labels \
-                 (the call chains are too deep); try --shared, one instance per function"
+                 (the call chains are too deep)"
             ),
         }
     }

@@ -26,7 +26,7 @@
 //!
 //! `analyze` accepts **multiple targets** in one invocation and a
 //! `--jobs N` worker count: all targets' ILPs are batched through one
-//! work-stealing solve pool with its content-addressed solve cache, and
+//! work-stealing solve pool with its content-addressed replay tier, and
 //! the per-target reports are printed in argument order. A tick deadline
 //! is split evenly over the batch's fresh solves, so the reports are
 //! bit-for-bit identical for any `--jobs` value.
@@ -53,10 +53,10 @@ macro_rules! out {
 
 mod serve;
 
-use ipet_cfg::InstanceId;
+use ipet_cfg::{CallGraphError, InstanceId};
 use ipet_core::{
-    structural_text, AnalysisBudget, Analyzer, AuditReport, CacheMode, ContextMode, Estimate,
-    SolvePool, SolveRequest, SolverFaults, TimeBound,
+    structural_text, AnalysisBudget, AnalysisError, Analyzer, AuditReport, CacheMode, ContextMode,
+    Estimate, SolvePool, SolveRequest, SolverFaults, TimeBound,
 };
 use ipet_hw::Machine;
 use ipet_sim::measure;
@@ -481,13 +481,16 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             // A store cannot vouch for solves a fault corrupted on purpose.
             let armed = faults.armed();
             let mut pool = SolvePool::with_faults(jobs, faults);
+            let mut store = None;
             if let Some(path) = &store_path {
                 if armed {
                     return Err(
                         "--store cannot combine with --inject-corrupt-* solve faults".into()
                     );
                 }
-                pool = pool.with_store(Arc::new(Store::open_with_faults(path, io_faults)));
+                let opened = Arc::new(Store::open_with_faults(path, io_faults));
+                pool = pool.with_store(Arc::clone(&opened));
+                store = Some(opened);
             } else if io_faults.io_armed() {
                 return Err("--inject-fail-write/--inject-torn-write/\
                      --inject-corrupt-record/--inject-fail-open require --store"
@@ -506,7 +509,14 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
             };
             let mut certificates: Vec<(String, AuditReport)> = Vec::new();
             let mut provenances: Vec<(String, Vec<ipet_core::LoopProvenance>)> = Vec::new();
-            let status = analyze(&loaded, &options, &pool, &mut certificates, &mut provenances);
+            let status = analyze(
+                &loaded,
+                &options,
+                &pool,
+                store.as_deref(),
+                &mut certificates,
+                &mut provenances,
+            );
             // Write the trace even for degraded runs — the document is most
             // interesting exactly when budgets bit. With `--audit` the
             // trace document is embedded in an `ipet-audit-v1` wrapper that
@@ -550,14 +560,13 @@ pub(crate) fn store_summary(store: &Store) -> String {
     let s = store.stats();
     format!(
         "store: mode={} loaded={} quarantined={} hits={} misses={} rejected={} \
-         invalidated={} flushes={} appends={} compactions={} write_failed={}",
+         flushes={} appends={} compactions={} write_failed={}",
         store.mode().label(),
         s.loaded,
         s.quarantined,
         s.hits,
         s.misses,
         s.rejected,
-        s.invalidated,
         s.flushes,
         s.appends,
         s.compactions,
@@ -789,7 +798,14 @@ impl AnalyzeOptions {
         machine: Machine,
     ) -> Result<Analyzer<'p>, String> {
         Ok(Analyzer::new_with_context(program, machine, self.context)
-            .map_err(|e| e.to_string())?
+            .map_err(|e| match e {
+                // The one remedy a command line has and a serve request
+                // lacks: one instance per function.
+                AnalysisError::CallGraph(CallGraphError::LabelsTooLong(_)) => {
+                    format!("{e}; try --shared, one instance per function")
+                }
+                e => e.to_string(),
+            })?
             .with_cache_mode(self.mode))
     }
 }
@@ -806,6 +822,7 @@ fn analyze(
     targets: &[Target],
     options: &AnalyzeOptions,
     pool: &SolvePool,
+    store: Option<&Store>,
     certificates: &mut Vec<(String, AuditReport)>,
     provenances: &mut Vec<(String, Vec<ipet_core::LoopProvenance>)>,
 ) -> Result<RunStatus, String> {
@@ -893,7 +910,7 @@ fn analyze(
     // The summary reports cache traffic, which only a batch of several
     // targets or a store-backed run has to show. Solved and replayed come
     // from the batch, so store replays count too.
-    if targets.len() > 1 || pool.store().is_some() {
+    if targets.len() > 1 || store.is_some() {
         outln!(
             "pool: {} worker(s), {} solved, {} replayed ({} rejected replays), {} ticks",
             pool.workers(),
@@ -903,7 +920,7 @@ fn analyze(
             batch.report.total_ticks
         );
     }
-    if let Some(store) = pool.store() {
+    if let Some(store) = store {
         // Flush before reporting so the summary reflects what actually
         // reached disk. A failed flush degrades, it never fails the run:
         // every bound above was already computed and certified.

@@ -15,8 +15,8 @@
 //! **Bound.** Entries are weighed by the problems a plan holds (its jobs
 //! plus its two covers), and the total weight stays within
 //! [`SOLVE_CACHE_CAPACITY`], least recently used out first; a plan heavier
-//! than that is never admitted. Its worst case is therefore the solve
-//! cache's. An eviction costs the next identical request one front-end
+//! than that is never admitted. Its worst case is therefore the replay
+//! tier's. An eviction costs the next identical request one front-end
 //! pass, never an answer: a rebuilt plan is the evicted one bit for bit.
 
 use ipet_core::{AnalysisBudget, AnalysisPlan, SOLVE_CACHE_CAPACITY};

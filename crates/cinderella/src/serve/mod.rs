@@ -56,8 +56,8 @@
 //! response lines are written, so acknowledgment implies durability — and
 //! flushes are serialized across connections by the store itself. The
 //! store is an append-only journal: a flush that has something to write
-//! appends the request's new records (its fresh solves, and tombstones
-//! for entries its plan retired) with one `fdatasync`, and only an
+//! appends the request's new records (its fresh `Exact` solves) with one
+//! `fdatasync`, and only an
 //! occasional compaction rewrites the file atomically. A replay that added
 //! nothing finds the store clean, waits for any flush in flight, and
 //! returns without writing. Injected write faults (`--inject-fail-write
@@ -82,7 +82,8 @@
 //!
 //! ## Bounded memory
 //!
-//! The shared pool's solve cache is LRU-bounded
+//! The shared pool's replay tier (the store, when `--store` backs it) is
+//! LRU-bounded
 //! (`ipet_core::SOLVE_CACHE_CAPACITY`), and so is the plan memo, by the
 //! problems its plans hold (at most `SOLVE_CACHE_CAPACITY`). A daemon that
 //! serves edits forever holds its replay working set plus the most recent
@@ -246,7 +247,6 @@ impl Daemon {
                     ("hits".into(), Json::Num(s.hits as f64)),
                     ("misses".into(), Json::Num(s.misses as f64)),
                     ("rejected".into(), Json::Num(s.rejected as f64)),
-                    ("invalidated".into(), Json::Num(s.invalidated as f64)),
                     ("flushes".into(), Json::Num(s.flushes as f64)),
                     ("appends".into(), Json::Num(s.appends as f64)),
                     ("compactions".into(), Json::Num(s.compactions as f64)),

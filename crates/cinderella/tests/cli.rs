@@ -91,6 +91,27 @@ fn unknown_benchmark_fails_cleanly() {
     assert!(stderr.contains("no benchmark named"));
 }
 
+/// The label cap's error: `analyze` adds the one remedy a command line
+/// has.
+#[test]
+fn an_over_cap_call_chain_suggests_shared() {
+    let names: Vec<String> = (0..260).map(|i| format!("f{i}_{}", "x".repeat(200))).collect();
+    let mut src = String::new();
+    for (i, name) in names.iter().enumerate() {
+        let body = names.get(i + 1).map_or("1".to_string(), |next| format!("{next}()"));
+        src.push_str(&format!("int {name}() {{ return {body}; }}\n"));
+    }
+    src.push_str(&format!("int main() {{ return {}(); }}\n", names[0]));
+    let dir = std::env::temp_dir().join(format!("cinderella-cli-chain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("calls.mc");
+    std::fs::write(&path, src).unwrap();
+    let (ok, _, stderr) = cinderella(&["analyze", path.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("call-string labels") && stderr.contains("try --shared"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compiles_and_analyzes_a_source_file() {
     let dir = std::env::temp_dir().join("cinderella-cli-test");

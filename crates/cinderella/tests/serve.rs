@@ -59,6 +59,39 @@ fn store_line(s: &str) -> String {
     s.lines().find(|l| l.starts_with("store:")).expect("store summary line").to_string()
 }
 
+/// A serve request has no shared-context field, so the answer to a call
+/// chain past the label cap states the error and suggests no flag.
+#[test]
+fn an_over_cap_call_chain_answers_status_1_without_naming_a_flag() {
+    // 260 functions of 200-character names: about 7 MB of call-string
+    // labels, past the 4 MiB cap.
+    let names: Vec<String> = (0..260).map(|i| format!("f{i}_{}", "x".repeat(200))).collect();
+    let mut src = String::new();
+    for (i, name) in names.iter().enumerate() {
+        let body = names.get(i + 1).map_or("1".to_string(), |next| format!("{next}()"));
+        src.push_str(&format!("int {name}() {{ return {body}; }}\n"));
+    }
+    src.push_str(&format!("int main() {{ return {}(); }}\n", names[0]));
+    let path = scratch("chain").join("calls.mc");
+    std::fs::write(&path, src).unwrap();
+
+    let mut child = spawn_serve(&[]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    let request = ipet_trace::Json::Obj(vec![
+        ("id".into(), ipet_trace::Json::Num(1.0)),
+        ("target".into(), ipet_trace::Json::Str(path.display().to_string())),
+    ]);
+    writeln!(stdin, "{}", request.render()).unwrap();
+    let (_, done) = read_response(&mut reader);
+    assert_eq!(status_of(&done), 1);
+    let error = done.get("error").and_then(ipet_trace::Json::as_str).expect("an error message");
+    assert!(error.contains("call-string labels"), "{error}");
+    assert!(!error.contains("--"), "the answer names a flag: {error}");
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+}
+
 #[test]
 fn stdin_protocol_streams_sets_then_done_and_survives_bad_requests() {
     let mut child = spawn_serve(&[]);

@@ -380,15 +380,6 @@ pub struct AnalysisPlan {
     /// CFG flow structure for the auditor's independent flow replay, built
     /// from the CFG topology rather than the assembled constraint matrix.
     flow: FlowSpec,
-    /// Stable identity of the analyzed routine family (entry + function
-    /// names): what a persistent store keys its invalidation records on.
-    identity_hash: u128,
-    /// Content hash of everything a cached solve depends on (instruction
-    /// stream, machine timing model, cache/context configuration,
-    /// annotations). Two plans with equal identity but different content
-    /// hashes mean "the routine was edited": stored results for the old
-    /// content are stale and must be invalidated.
-    invalidation_hash: u128,
 }
 
 impl AnalysisPlan {
@@ -410,21 +401,6 @@ impl AnalysisPlan {
             Sense::Maximize => &self.covers[0],
             Sense::Minimize => &self.covers[1],
         }
-    }
-
-    /// Stable identity of the analyzed routine family (derived from the
-    /// entry and function names). Persistent stores key their
-    /// function-level invalidation records on this.
-    pub fn identity_hash(&self) -> u128 {
-        self.identity_hash
-    }
-
-    /// Content hash over the instruction stream, machine model,
-    /// cache/context configuration and annotations. A changed hash under an
-    /// unchanged [`identity_hash`](Self::identity_hash) means the routine
-    /// was edited and its stored solves are stale.
-    pub fn invalidation_hash(&self) -> u128 {
-        self.invalidation_hash
     }
 
     /// Provenance rows for the loop bounds this plan enforces (empty

@@ -11,7 +11,6 @@ use ipet_cfg::{BlockId, InstanceId, LoopInfo};
 use ipet_hw::Cycles;
 use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, Sense, VarId};
 use std::collections::{BTreeMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The first-iteration cache split of one plan (empty under
@@ -240,11 +239,10 @@ impl<'p> Analyzer<'p> {
                 problems.push((set, problem));
             }
         }
-        // Every hash the plan carries: each job's cache key and the
-        // persistent store's pair.
-        let (jobs, (identity_hash, invalidation_hash)) = {
+        // The job fingerprints: each job's cache key.
+        let jobs: Vec<IlpJob> = {
             let _span = ipet_trace::span("core.plan.hash");
-            let jobs: Vec<IlpJob> = problems
+            problems
                 .into_iter()
                 .map(|(set, problem)| IlpJob {
                     set,
@@ -252,8 +250,7 @@ impl<'p> Analyzer<'p> {
                     key: fingerprint(&problem),
                     problem,
                 })
-                .collect();
-            (jobs, self.store_hashes(anns))
+                .collect()
         };
 
         ipet_trace::counter("core.sets.expanded", sets_total as u64);
@@ -285,41 +282,7 @@ impl<'p> Analyzer<'p> {
             names,
             worst,
             machine: *self.machine(),
-            identity_hash,
-            invalidation_hash,
         })
-    }
-
-    /// The persistent store's function-level invalidation pair: a stable
-    /// routine identity (entry + function names — survives edits) and a
-    /// content hash over everything a cached solve depends on (the
-    /// program's fields — entry, globals, and each function's frame, text
-    /// address and instruction encodings — the machine timing model, the
-    /// cache/context configuration and the annotations — changes whenever
-    /// the routine is edited in any way that could move a bound).
-    fn store_hashes(&self, anns: &Annotations) -> (u128, u128) {
-        let program = self.program();
-        let mut identity = fold_str(STORE_HASH_SEED, "ipet-plan-identity");
-        identity = fold_str(identity, &program.functions[program.entry.0].name);
-        for f in &program.functions {
-            identity = fold_str(identity, &f.name);
-        }
-        let mut content = StoreHasher(fold_str(STORE_HASH_SEED, "ipet-plan-content"));
-        program.entry.0.hash(&mut content);
-        program.globals.len().hash(&mut content);
-        for g in &program.globals {
-            (&g.name, g.addr, g.words, &g.init).hash(&mut content);
-        }
-        program.functions.len().hash(&mut content);
-        for f in &program.functions {
-            (&f.name, f.frame_words, f.num_params, f.base_addr, &f.instrs).hash(&mut content);
-        }
-        let mut content = content.0;
-        content = fold_str(content, &format!("{:?}", self.machine));
-        content = fold_str(content, &format!("{:?}", self.cache_mode));
-        content = fold_str(content, &format!("{}", self.instances.len()));
-        content = fold_str(content, &format!("{anns:?}"));
-        (identity, content)
     }
 
     // -- ILP assembly --------------------------------------------------------
@@ -464,79 +427,4 @@ fn lincon_row(space: &VarSpace, c: &LinCon) -> Constraint {
         relation: c.relation,
         rhs: c.rhs,
     }
-}
-
-/// Seed of the store-hash fold (an arbitrary odd constant; only stability
-/// within one store schema version matters).
-const STORE_HASH_SEED: u128 = 0x1BE7_0000_5704_E000_0000_0000_0000_0001;
-
-/// splitmix64 finalizer: the same diffusion primitive `ipet-lp`'s
-/// fingerprinting uses.
-fn store_mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A 128-bit store hash as a [`Hasher`]: every integer a program's
-/// fields write is one word, and a byte string is its length followed by
-/// its bytes in 8-byte words, each folded through two independently-seeded
-/// splitmix lanes.
-/// Unlike std's `DefaultHasher` its output is fixed by this code, so it
-/// is stable within a store schema. Not cryptographic — collisions only
-/// cost an unnecessary invalidation or a doomed probe that the replay gate
-/// rejects anyway.
-struct StoreHasher(u128);
-
-impl StoreHasher {
-    fn word(&mut self, x: u64) {
-        let h = self.0;
-        let lo = store_mix64((h as u64) ^ x);
-        let hi = store_mix64(((h >> 64) as u64) ^ x.rotate_left(32) ^ 0xA076_1D64_78BD_642F);
-        self.0 = ((hi as u128) << 64) | (lo as u128);
-    }
-}
-
-impl Hasher for StoreHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // The length first, so "ab" + "c" and "a" + "bc" differ.
-        self.word(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.word(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.word(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.word(x as u64);
-    }
-
-    fn write_i32(&mut self, x: i32) {
-        self.word(x as u32 as u64);
-    }
-
-    fn write_isize(&mut self, x: isize) {
-        self.word(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 as u64
-    }
-}
-
-/// Folds a string into a 128-bit store hash (see [`StoreHasher`]).
-fn fold_str(h: u128, s: &str) -> u128 {
-    let mut hasher = StoreHasher(h);
-    hasher.write(s.as_bytes());
-    hasher.0
 }

@@ -300,40 +300,6 @@ fn time_bound_helpers() {
 
 // -- plan hashes, covers and job problems ---------------------------------
 
-#[test]
-fn invalidation_hash_covers_operands_globals_and_text_addresses() {
-    let mut program = while_loop_program(10);
-    program.globals.push(ipet_arch::Global {
-        name: "g".into(),
-        addr: 0,
-        words: 2,
-        init: vec![1, 2],
-    });
-    let anns = parse_annotations("fn main { loop x2 in [0, 10]; }").unwrap();
-    let hashes = |p: &Program| {
-        let plan = Analyzer::new(p, Machine::i960kb())
-            .unwrap()
-            .plan(&anns, &AnalysisBudget::default())
-            .unwrap();
-        (plan.identity_hash(), plan.invalidation_hash())
-    };
-    let (identity, content) = hashes(&program);
-    assert_eq!(hashes(&program), (identity, content), "re-planning reproduces the pair");
-    assert_eq!(hashes(&program.clone()), (identity, content));
-
-    let mut operand = program.clone();
-    operand.functions[0].instrs[0] = ipet_arch::Instr::Ldc { dst: Reg::T0, imm: 1 };
-    let mut init = program.clone();
-    init.globals[0].init[1] = 3;
-    let mut addr = program.clone();
-    addr.functions[0].base_addr += ipet_arch::INSTR_BYTES;
-    for (what, edited) in [("operand", operand), ("global init", init), ("base_addr", addr)] {
-        let (edited_identity, edited_content) = hashes(&edited);
-        assert_eq!(edited_identity, identity, "an edit to the {what} keeps the identity");
-        assert_ne!(edited_content, content, "an edit to the {what} must invalidate");
-    }
-}
-
 /// The rows `job` adds to its sense's cover, after checking that its
 /// problem starts with the cover and is keyed by its own fingerprint.
 fn extra_rows(plan: &AnalysisPlan, job: &IlpJob) -> usize {

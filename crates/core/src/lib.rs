@@ -80,8 +80,8 @@ pub use ipet_hw::{ParamExpr, ParamPoint, P_DMISS, P_MISS};
 pub use ipet_lp::{BoundQuality, BudgetMeter, CancelToken, SolveBudget, SolverFaults};
 pub use lincon::{set_is_null, LinCon};
 pub use pool::{
-    AuditedPlanBatch, BatchReport, CacheOutcome, CacheStats, JobOutcome, PlanBatch, SolveCache,
-    SolvePool, SolveRequest, SOLVE_CACHE_CAPACITY,
+    AuditedPlanBatch, BatchReport, CacheOutcome, CacheStats, JobOutcome, PlanBatch, SolvePool,
+    SolveRequest, SOLVE_CACHE_CAPACITY,
 };
 pub use structural::{flow_spec, structural_constraints, structural_text};
 pub use vars::{VarRef, VarSpace};

@@ -13,38 +13,59 @@
 //!   hit/miss counts are bit-for-bit identical for any worker count, with
 //!   or without a tick deadline (see [`SolvePool`]).
 //! * **Sound caching**: a replay needs structural equality and an exact
-//!   re-certification of the cached witness (the `cache` module docs); a
-//!   cache defect can cost time, never an unsound bound.
-//! * **Bounded memory**: the solve cache is LRU-bounded
+//!   re-certification of the cached witness (see `ipet-store`); a cache
+//!   defect can cost time, never an unsound bound.
+//! * **Bounded memory**: the replay tier is LRU-bounded
 //!   ([`SOLVE_CACHE_CAPACITY`]), so a long-lived pool (a serve daemon)
 //!   stops growing once it is full.
 //! * **Crash isolation**: a solve that panics is caught and quarantined as
 //!   an exhausted job, which degrades the affected bound to `Partial`
 //!   (counted under `pool.panic.quarantined`).
 //!
-//! A pool can also be backed by a persistent, crash-safe store
-//! ([`SolvePool::with_store`], see `ipet-store`): after an in-memory miss
-//! the store is probed under the same structural and exact-certification
-//! gates, and every fresh `Exact` solve is fed back for future processes
-//! to replay. The store changes where answers come from, never what they
-//! are.
+//! A pool's one replay tier is an [`ipet_store::Store`], content-addressed
+//! by the problem alone: in memory by default, or a persistent,
+//! crash-safe file swapped in with [`SolvePool::with_store`], whose
+//! `Exact` entries later processes replay. The tier changes where answers
+//! come from, never what they are.
 
-mod cache;
+pub use ipet_store::SOLVE_CACHE_CAPACITY;
 
-pub use cache::{CacheOutcome, CacheStats, SolveCache, SOLVE_CACHE_CAPACITY};
-
-use crate::{AnalysisError, AnalysisPlan, Estimate, JobVerdict};
+use crate::{AnalysisError, AnalysisPlan, Estimate, IlpJob, JobVerdict};
 use ipet_audit::AuditReport;
 use ipet_lp::{
     is_injected_panic, same_structure, solve_ilp_budgeted, BudgetMeter, CancelToken, Fingerprint,
-    IlpResolution, IlpStats, Problem, SolveBudget, SolverFaults,
+    IlpResolution, IlpStats, SolveBudget, SolverFaults,
 };
 use ipet_store::Store;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// How a job's answer was obtained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheOutcome {
+    /// Solved fresh.
+    Miss,
+    /// Replayed from the replay tier (cross-batch) or from a structurally
+    /// identical job solved earlier in the same batch.
+    Hit,
+}
+
+/// Cumulative statistics of a pool's replay traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Jobs answered by replay.
+    pub hits: u64,
+    /// Jobs solved fresh (outside a cancelled batch).
+    pub misses: u64,
+    /// Probes that found the problem stored but no witness of it that
+    /// certifies.
+    pub rejected: u64,
+    /// Entries dropped to stay within capacity (least recently used first).
+    pub evicted: u64,
+}
 
 /// What one [`SolvePool::run`] asks of the pool. Fault injection is the
 /// pool's own template ([`SolvePool::with_faults`]), so it does not appear
@@ -163,21 +184,7 @@ impl From<AuditedPlanBatch> for PlanBatch {
     }
 }
 
-/// One unit of batch work: the composed problem to answer and its cache
-/// key.
-struct PoolJob<'a> {
-    /// The job's composed problem — what the answer must be correct for,
-    /// and what solves and cache validation run against.
-    problem: &'a Problem,
-    /// Cache key: the job's planned `fingerprint(problem)`
-    /// ([`crate::IlpJob::key`]).
-    key: Fingerprint,
-    /// `(identity, invalidation)` hashes of the originating plan, which
-    /// scope the persistent store's replays.
-    ctx: (u128, u128),
-}
-
-/// A work-stealing ILP solve pool with a content-addressed solve cache.
+/// A work-stealing ILP solve pool with a content-addressed replay tier.
 ///
 /// ## Determinism
 ///
@@ -210,23 +217,25 @@ struct PoolJob<'a> {
 ///   its test instead of being quarantined away.
 pub struct SolvePool {
     workers: usize,
-    cache: SolveCache,
     /// Fault template for test harnesses: re-armed (cloned) for each
     /// representative solve, so e.g. `panic_at(0)` panics, and so
     /// quarantines, every representative deterministically.
     faults: SolverFaults,
-    /// Optional persistent second replay tier ([`ipet_store::Store`]):
-    /// probed after an in-memory miss, fed by every fresh `Exact` solve.
-    /// Its replays pass the same structural + exact-certification gates
-    /// as the in-memory cache, so attaching a store can never change an
-    /// answer — only where it came from.
-    store: Option<Arc<Store>>,
+    /// The replay tier: probed once per group representative, fed once
+    /// per fresh solve. Its replays pass the structural and
+    /// exact-certification gate, so swapping in a persistent store can
+    /// never change an answer — only where it came from.
+    store: Arc<Store>,
+    /// Jobs answered by replay, across every batch.
+    hits: AtomicU64,
+    /// Jobs solved fresh outside a cancelled batch, across every batch.
+    misses: AtomicU64,
 }
 
 impl SolvePool {
     /// A pool with `workers` workers (clamped to at least 1) and an empty
-    /// cache. One worker solves on the calling thread; more run as scoped
-    /// threads.
+    /// in-memory replay tier. One worker solves on the calling thread; more
+    /// run as scoped threads.
     pub fn new(workers: usize) -> SolvePool {
         SolvePool::with_faults(workers, SolverFaults::none())
     }
@@ -235,20 +244,22 @@ impl SolvePool {
     /// per representative solve). Test-only in spirit: production callers
     /// use [`SolvePool::new`].
     pub fn with_faults(workers: usize, faults: SolverFaults) -> SolvePool {
-        SolvePool { workers: workers.max(1), cache: SolveCache::new(), faults, store: None }
+        SolvePool {
+            workers: workers.max(1),
+            faults,
+            store: Arc::new(Store::in_memory()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 
-    /// Attaches a persistent store as a second replay tier. The pool only
-    /// probes and feeds it; opening, flushing and lifetime stay with the
-    /// caller (who typically shares the same `Arc` with a serve loop).
+    /// Swaps in `store` (typically a persistent one) as the replay tier.
+    /// The pool only probes and feeds it; opening, flushing and lifetime
+    /// stay with the caller (who typically shares the same `Arc` with a
+    /// serve loop).
     pub fn with_store(mut self, store: Arc<Store>) -> SolvePool {
-        self.store = Some(store);
+        self.store = store;
         self
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&Arc<Store>> {
-        self.store.as_ref()
     }
 
     /// The configured worker count.
@@ -256,41 +267,30 @@ impl SolvePool {
         self.workers
     }
 
-    /// Cumulative cache statistics across every batch this pool ran.
+    /// Cumulative replay statistics across every batch this pool ran (the
+    /// rejections and evictions are its tier's).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let tier = self.store.stats();
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            rejected: tier.rejected,
+            evicted: tier.evicted,
+        }
     }
 
-    /// Solve-cache entries held now, at most
+    /// Replay-tier entries held now, at most
     /// [`SOLVE_CACHE_CAPACITY`](crate::SOLVE_CACHE_CAPACITY).
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Builds the batch's job list: every job of every plan, in plan order,
-    /// keyed by its composed problem.
-    fn prepare_jobs<'a>(&self, plans: &'a [AnalysisPlan]) -> Vec<PoolJob<'a>> {
-        let mut jobs: Vec<PoolJob<'a>> = Vec::new();
-        for plan in plans {
-            let ctx = (plan.identity_hash(), plan.invalidation_hash());
-            if let Some(store) = &self.store {
-                // Retire persisted entries whose inputs have changed before
-                // any of this plan's probes can see them.
-                store.note_context(ctx.0, ctx.1);
-            }
-            for job in plan.jobs() {
-                jobs.push(PoolJob { problem: &job.problem, key: job.key, ctx });
-            }
-        }
-        jobs
+        self.store.len()
     }
 
     /// The batch executor behind the plan drivers: dedups, probes the
-    /// cache, shards the deadline, dispatches to the workers and fans the
-    /// answers back out in submission order.
+    /// replay tier, shards the deadline, dispatches to the workers and
+    /// fans the answers back out in submission order.
     fn solve_jobs(
         &self,
-        jobs: &[PoolJob<'_>],
+        jobs: &[&IlpJob],
         budget: &SolveBudget,
         cancel: &CancelToken,
     ) -> BatchReport {
@@ -306,7 +306,8 @@ impl SolvePool {
         let mut group_by_key: HashMap<Fingerprint, usize> = HashMap::new();
         for (j, job) in jobs.iter().enumerate() {
             let first = *group_by_key.entry(job.key).or_insert(groups.len());
-            if first < groups.len() && same_structure(jobs[groups[first][0]].problem, job.problem) {
+            if first < groups.len() && same_structure(&jobs[groups[first][0]].problem, &job.problem)
+            {
                 groups[first].push(j);
                 group_of[j] = first;
             } else {
@@ -315,24 +316,19 @@ impl SolvePool {
             }
         }
 
-        // 2. Cross-batch probes per group representative: the in-memory
-        //    cache, then the persistent store, which runs the same replay
-        //    gate, so a hit there is as trustworthy as an in-memory one.
-        let rejected_by_cache = self.cache.stats().rejected;
+        // 2. One replay-tier probe per group representative.
+        let rejected_before = self.store.stats().rejected;
         let mut answers: Vec<Option<(IlpResolution, IlpStats)>> = Vec::with_capacity(groups.len());
         let mut to_solve: Vec<usize> = Vec::new(); // indices into `groups`
         for (g, members) in groups.iter().enumerate() {
-            let job = &jobs[members[0]];
-            let answer = self.cache.probe(job.key, job.problem).or_else(|| {
-                let (identity, invalidation) = job.ctx;
-                self.store.as_ref()?.probe(job.key, identity, invalidation, job.problem)
-            });
+            let job = jobs[members[0]];
+            let answer = self.store.probe(job.key, &job.problem);
             if answer.is_none() {
                 to_solve.push(g);
             }
             answers.push(answer);
         }
-        ipet_trace::counter("pool.cache.rejected", self.cache.stats().rejected - rejected_by_cache);
+        ipet_trace::counter("pool.cache.rejected", self.store.stats().rejected - rejected_before);
 
         ipet_trace::counter("pool.dedup.replays", (jobs.len() - groups.len()) as u64);
         ipet_trace::counter("pool.groups.solved", to_solve.len() as u64);
@@ -370,7 +366,7 @@ impl SolvePool {
                 let meter = BudgetMeter::with_cancel((*cancel).clone());
                 let mut faults = faults_template.clone();
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    solve_ilp_budgeted(jobs[rep].problem, &job_budget, &meter, &mut faults)
+                    solve_ilp_budgeted(&jobs[rep].problem, &job_budget, &meter, &mut faults)
                 }));
                 ipet_trace::counter("pool.worker.jobs", 1);
                 ipet_trace::counter("pool.worker.ticks", meter.ticks());
@@ -416,30 +412,25 @@ impl SolvePool {
         let solved = slots.into_inner().expect("slot lock");
         let worker_ticks = tallies.into_inner().expect("tick lock");
 
-        // 5. Install the fresh solves (cache misses) and splice them into
-        //    the per-group answers. Solves that ended under a cancelled
-        //    token are *not* cached: they describe this run's
-        //    cancellation, not the problem, and must not be replayed into
-        //    future batches. The cache keeps no budget-degraded result
-        //    (a quarantined job is one), the store only `Exact` ones.
+        // 5. Install the fresh solves (the misses) in the replay tier and
+        //    splice them into the per-group answers. Solves that ended
+        //    under a cancelled token are *not* kept: they describe this
+        //    run's cancellation, not the problem, and must not be replayed
+        //    into future batches. The tier keeps no budget-degraded result
+        //    (a quarantined job is one), and persists only `Exact` ones.
         for (i, g) in to_solve.iter().enumerate() {
-            let job = &jobs[groups[*g][0]];
+            let job = jobs[groups[*g][0]];
             let (res, stats, cancelled) = solved[i].clone().expect("every representative solved");
             if !cancelled {
-                self.cache.insert(job.key, job.problem, &res, stats);
-                if let Some(store) = &self.store {
-                    let (identity, invalidation) = job.ctx;
-                    store.insert(job.key, identity, invalidation, job.problem, &res, stats);
-                }
+                self.store.insert(job.key, &job.problem, &res, stats);
+                self.misses.fetch_add(1, Ordering::Relaxed);
             }
             answers[*g] = Some((res, stats));
         }
 
         // 6. Fan the group answers back out to every member. The fresh
         //    representatives are the batch's misses; everything else is a
-        //    replay. Within-batch replays (jobs beyond each group's
-        //    representative: `jobs - groups`) weren't seen by probe(), so
-        //    count them into the cache stats here.
+        //    replay.
         let fresh: HashSet<usize> = to_solve.iter().map(|g| groups[*g][0]).collect();
         let outcomes: Vec<JobOutcome> = (0..jobs.len())
             .map(|j| {
@@ -451,7 +442,7 @@ impl SolvePool {
             .collect();
         let misses = fresh.len() as u64;
         let hits = jobs.len() as u64 - misses;
-        self.cache.count_batch_hits((jobs.len() - groups.len()) as u64);
+        self.hits.fetch_add(hits, Ordering::Relaxed);
         ipet_trace::counter("pool.cache.hits", hits);
         ipet_trace::counter("pool.cache.misses", misses);
 
@@ -469,7 +460,7 @@ impl SolvePool {
     /// and the request, independent of the worker count.
     pub fn run(&self, plans: &[AnalysisPlan], request: &SolveRequest) -> AuditedPlanBatch {
         let SolveRequest { budget, cancel, audit } = request;
-        let jobs = self.prepare_jobs(plans);
+        let jobs: Vec<&IlpJob> = plans.iter().flat_map(AnalysisPlan::jobs).collect();
         let report = self.solve_jobs(&jobs, budget, cancel);
         let mut outcomes = report.outcomes.iter();
         let results = plans

@@ -3,7 +3,7 @@
 //! each job's problem fingerprint (which is also the job's cache key),
 //! under the bundled annotations and under `--infer` (merge).
 //!
-//! The solve cache and the persistent store key on these values, so a change to row normalization or to the hash that
+//! The solve pool's replay tier and its store files key on these values, so a change to row normalization or to the hash that
 //! moved any of them would silently re-key every cache. Regenerate the
 //! table only together with a deliberate key change: run with
 //! `GOLDEN_PRINT=1 cargo test -p ipet-core --test golden_fingerprints --

@@ -6,29 +6,33 @@
 //! solved cold). The edited routine rotates through a seeded permutation
 //! every 13 sessions.
 //!
-//! The pool's solve cache is LRU-bounded. The soak checks that after many
-//! times the cache capacity's worth of edits, the cache sits exactly at
-//! capacity, every replay still hits (the working set never falls out),
-//! every edit misses as often as it does on a fresh pool, every bound is
-//! the reference bound, and the process's resident memory stops growing
-//! once the cache is full.
+//! The pool's replay tier is a `ReadWrite` store in a temporary directory,
+//! flushed after every request as the daemon does, and LRU-bounded. The
+//! soak checks that after many times the capacity's worth of edits, the
+//! tier holds exactly its capacity, its journal stays within twice its
+//! live bytes plus the compaction floor, every replay still hits (the
+//! working set never falls out), every edit misses as often as it does on
+//! a fresh pool, every bound is the reference bound, and the process's
+//! resident memory stops growing once the tier is full.
 //!
 //! Release builds run 10 × 520 sessions, ten times the session at which
 //! the serve benchmark reads the daemon's peak memory (`cargo test
 //! --release -p ipet-pool --test soak`, about 7 s); debug builds run the
-//! first 520, which already fill the cache several times over.
+//! first 520, which already fill the tier several times over.
 
 use ipet_core::{
     parse_annotations, AnalysisBudget, AnalysisPlan, Analyzer, SolvePool, TimeBound,
     SOLVE_CACHE_CAPACITY,
 };
 use ipet_hw::Machine;
+use ipet_store::{Store, StoreMode, COMPACT_FLOOR_BYTES, STORE_MAGIC};
 use ipet_suite::Benchmark;
+use std::sync::Arc;
 
 /// Sessions the soak runs.
 const SESSIONS: u64 = if cfg!(debug_assertions) { 520 } else { 10 * 520 };
 
-/// Edit constants start here, so every edit is new to the caches.
+/// Edit constants start here, so every edit is new to the tier.
 const EDIT_BASE: u64 = 1_000_000;
 
 /// A splitmix64 stream: the session script only needs to be seeded and
@@ -112,7 +116,13 @@ fn serve_style_edit_sessions_stay_at_capacity_with_zero_replay_misses() {
         .collect();
 
     // Primed like a daemon's set-up: one plain pass over the suite.
-    let pool = SolvePool::new(1);
+    let dir = std::env::temp_dir().join(format!("ipet-soak-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("soak.store");
+    let store = Arc::new(Store::open(&path));
+    assert_eq!(store.mode(), StoreMode::ReadWrite);
+    let pool = SolvePool::new(1).with_store(Arc::clone(&store));
     for r in &routines {
         pool.run_plans(std::slice::from_ref(&r.plain), &solve);
     }
@@ -140,18 +150,28 @@ fn serve_style_edit_sessions_stay_at_capacity_with_zero_replay_misses() {
             assert_eq!(batch.report.misses, want_misses, "session {s}, {}", r.bench.name);
             let bound = batch.estimates[0].as_ref().expect("estimate").bound;
             assert_eq!(bound, r.bound, "session {s}, {}", r.bench.name);
+            store.flush().expect("flush");
         }
+        let (live, file) = store.journal_bytes();
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), file);
+        assert!(
+            file <= STORE_MAGIC.len() as u64 + 2 * live + COMPACT_FLOOR_BYTES,
+            "session {s}: {file} journal bytes for {live} live"
+        );
         if s == SESSIONS / 2 {
             rss_at_half = rss_kib();
         }
     }
     assert_eq!(pool.cache_len(), SOLVE_CACHE_CAPACITY);
     assert!(pool.cache_stats().evicted > 0);
-    // Flat after warm-up: the cache was full well before the halfway
+    assert!(store.stats().compactions > 1, "evictions fed compactions");
+    // Flat after warm-up: the tier was full well before the halfway
     // point, so the second half may only add allocator noise.
     if let (Some(half), Some(end)) = (rss_at_half, rss_kib()) {
         assert!(end <= half + half / 10, "resident memory grew from {half} KiB to {end} KiB");
     }
+    drop((pool, store));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -172,7 +192,7 @@ fn an_evicted_entry_re_solves_to_the_identical_bound_and_witness() {
     assert!(first.report.misses > 0);
 
     // Edits of another routine push every entry of the first out of the
-    // cache: it is the least recently used throughout.
+    // tier: it is the least recently used throughout.
     let mut k = 0;
     while pool.cache_stats().evicted < first.report.misses {
         let edit = plan(&b, &check, None, Some(EDIT_BASE + k));

@@ -1,9 +1,10 @@
 //! Persistent-store tier on real benchmarks: a second *process* (modeled
-//! here as a second pool with a fresh in-memory cache) replays certified
-//! solves from disk bit-identically, and any damage to the file degrades
-//! to cold solves with the same bounds.
+//! here as a second pool over a reopened store) replays certified solves
+//! from disk bit-identically, entries are keyed by their problem alone,
+//! and any damage to the file degrades to cold solves with the same
+//! bounds.
 
-use ipet_core::{parse_annotations, AnalysisBudget, AnalysisPlan, Analyzer, SolvePool};
+use ipet_core::{parse_annotations, AnalysisBudget, AnalysisPlan, Analyzer, PlanBatch, SolvePool};
 use ipet_hw::Machine;
 use ipet_store::{Store, StoreMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,8 +55,8 @@ fn second_process_replays_from_disk_bit_identically() {
     };
     assert!(path.exists());
 
-    // "Process" 2: fresh pool, fresh in-memory cache — every answer must
-    // come from the store, and must equal the cold run exactly.
+    // "Process" 2: fresh pool over the reopened store — every answer must
+    // come from the disk, and must equal the cold run exactly.
     let store = Arc::new(Store::open(&path));
     assert!(store.stats().loaded > 0, "entries persisted");
     assert_eq!(store.stats().quarantined, 0);
@@ -141,114 +142,105 @@ fn a_v1_store_file_is_quarantined_and_the_pool_re_solves_canonically() {
     }
 }
 
-#[test]
-fn changed_annotations_invalidate_stale_entries() {
-    let dir = scratch("invalidate");
-    let path = dir.join("solves.store");
-    let budget = AnalysisBudget::default();
-
+/// piksrt under its own annotations, or with its loop bound lowered.
+fn piksrt_plan(edited: bool, budget: &AnalysisBudget) -> AnalysisPlan {
     let bench = ipet_suite::by_name("piksrt").expect("bundled benchmark");
     let program = bench.program().expect("compiles");
     let analyzer = Analyzer::new(&program, Machine::i960kb()).expect("analyzer");
-    let anns_a = parse_annotations(&bench.annotations(&program)).expect("annotations");
-
-    {
-        let store = Arc::new(Store::open(&path));
-        let pool = SolvePool::new(1).with_store(Arc::clone(&store));
-        let plan = analyzer.plan(&anns_a, &budget).expect("plan");
-        let _ = pool.run_plans(std::slice::from_ref(&plan), &budget.solve);
-        store.flush().expect("flush");
-        assert!(!store.is_empty());
+    let mut text = bench.annotations(&program);
+    if edited {
+        assert!(text.contains("[0, 9]"), "test premise: the loop bound is [0, 9]");
+        text = text.replace("[0, 9]", "[0, 7]");
     }
-
-    // Same program, different loop bound: the invalidation hash changes,
-    // so the persisted entries must be dropped, not replayed or kept.
-    let text = bench.annotations(&program).replace("[0, 9]", "[0, 7]");
-    let anns_b = parse_annotations(&text).expect("modified annotations");
-    assert_ne!(anns_a, anns_b, "test premise: annotations changed");
-    let store = Arc::new(Store::open(&path));
-    let loaded = store.stats().loaded;
-    assert!(loaded > 0);
-    let pool = SolvePool::new(1).with_store(Arc::clone(&store));
-    let plan = analyzer.plan(&anns_b, &budget).expect("plan");
-    let batch = pool.run_plans(std::slice::from_ref(&plan), &budget.solve);
-    assert!(batch.estimates[0].is_ok());
-    assert_eq!(store.stats().hits, 0, "stale entries must not replay");
-    assert!(store.stats().invalidated > 0, "stale entries must be dropped");
+    analyzer.plan(&parse_annotations(&text).expect("annotations"), budget).expect("plan")
 }
 
-#[test]
-fn entries_under_another_content_hash_retire_and_re_solve_cold() {
-    // A store written by a build whose content hash differs (the hash once
-    // covered the program's disassembly, not its fields): same routine
-    // identity, same keys and problems, another invalidation hash. Such
-    // entries must retire on first contact, never replay, and cost one
-    // cold solve per job.
+/// One "process": opens the store at `path`, runs `plan` on it, flushes.
+fn run_in_process(
+    path: &std::path::Path,
+    plan: &AnalysisPlan,
+) -> (PlanBatch, ipet_store::StoreStats) {
     let budget = AnalysisBudget::default();
-    let plans = plans_for(BENCHES, &budget);
-    let fresh = SolvePool::new(2).run_plans(&plans, &budget.solve);
-    let seeded = |skew: u128| {
-        let store = Arc::new(Store::in_memory());
-        let mut outcomes = fresh.report.outcomes.iter();
-        for plan in &plans {
-            for job in plan.jobs() {
-                let o = outcomes.next().expect("one outcome per job");
-                let ctx = (plan.identity_hash(), plan.invalidation_hash() ^ skew);
-                store.insert(job.key, ctx.0, ctx.1, &job.problem, &o.resolution, o.stats);
-            }
-        }
-        assert!(!store.is_empty());
-        store
-    };
-
-    // Control: under the current hash the seeded entries replay.
-    let current = seeded(0);
-    SolvePool::new(2).with_store(Arc::clone(&current)).run_plans(&plans, &budget.solve);
-    assert!(current.stats().hits > 0, "seeded keys must match the pool's");
-    assert_eq!(current.stats().invalidated, 0);
-
-    let stale = seeded(1);
-    let seeded_entries = stale.len() as u64;
-    let batch = SolvePool::new(2).with_store(Arc::clone(&stale)).run_plans(&plans, &budget.solve);
-    assert_eq!(stale.stats().hits, 0, "an entry under another content hash must not replay");
-    assert_eq!(stale.stats().invalidated, seeded_entries, "every stale entry retires");
-    assert_eq!(batch.report.misses, fresh.report.misses, "every job is solved again");
-    for ((a, b), name) in fresh.estimates.iter().zip(&batch.estimates).zip(BENCHES) {
-        let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
-        assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
-    }
+    let store = Arc::new(Store::open(path));
+    assert_eq!(store.mode(), StoreMode::ReadWrite);
+    let pool = SolvePool::new(1).with_store(Arc::clone(&store));
+    let batch = pool.run_plans(std::slice::from_ref(plan), &budget.solve);
+    store.flush().expect("flush");
+    (batch, store.stats())
 }
 
-/// A store written by the whole-file format that preceded the journal
-/// (`cinderella analyze check_data piksrt --store`): the header, then
-/// sorted solve records. It must load as it is, replay, and grow by
-/// appends without being rewritten.
 #[test]
-fn a_store_in_the_whole_file_format_replays_and_grows_by_appends() {
+fn a_changed_loop_bound_misses() {
+    let dir = scratch("edit");
+    let path = dir.join("solves.store");
+    let budget = AnalysisBudget::default();
+    let (plain, edited) = (piksrt_plan(false, &budget), piksrt_plan(true, &budget));
+    let (first, _) = run_in_process(&path, &plain);
+    assert!(first.report.misses > 0);
+
+    // The edit changes every problem, so nothing stored answers it.
+    let fresh = SolvePool::new(1).run_plans(std::slice::from_ref(&edited), &budget.solve);
+    let (batch, stats) = run_in_process(&path, &edited);
+    assert_eq!(stats.hits, 0, "no stored problem is the edited one");
+    assert_eq!(batch.report.misses, fresh.report.misses, "every job is solved cold");
+    assert_eq!(
+        batch.estimates[0].as_ref().expect("ok"),
+        fresh.estimates[0].as_ref().expect("ok"),
+        "the edit is answered as by a store-less pool"
+    );
+}
+
+#[test]
+fn returning_to_the_old_loop_bound_replays() {
+    let dir = scratch("revert");
+    let path = dir.join("solves.store");
+    let budget = AnalysisBudget::default();
+    let (plain, edited) = (piksrt_plan(false, &budget), piksrt_plan(true, &budget));
+    let (first, _) = run_in_process(&path, &plain);
+    let (_, after_edit) = run_in_process(&path, &edited);
+    assert_eq!(after_edit.loaded, first.report.misses, "the edit's process loaded the first");
+
+    // Both bounds' entries live side by side: reverting replays.
+    let (again, stats) = run_in_process(&path, &plain);
+    assert_eq!(stats.loaded, first.report.misses + after_edit.misses);
+    assert_eq!((again.report.misses, again.report.total_ticks), (0, 0), "every job replays");
+    assert_eq!(stats.flushes, 0, "a replay writes nothing");
+    assert_eq!(
+        again.estimates[0].as_ref().expect("ok"),
+        first.estimates[0].as_ref().expect("ok"),
+        "the replay is the first run's bound"
+    );
+}
+
+/// A store written in the version-2 format (`cinderella analyze check_data
+/// piksrt --store` before records lost their program scope): it opens as
+/// one quarantined, empty store, never replays, and the first flush
+/// replaces it with a version-3 file.
+#[test]
+fn a_v2_store_file_is_quarantined_once_and_repaired() {
     let fixture = include_bytes!("data/check_data-piksrt.v2.store");
     let dir = scratch("v2fixture");
     let path = dir.join("solves.store");
     std::fs::write(&path, fixture).expect("copy fixture");
     let budget = AnalysisBudget::default();
+    let plans = plans_for(&["check_data", "piksrt"], &budget);
+    let fresh = SolvePool::new(1).run_plans(&plans, &budget.solve);
+    {
+        let store = Arc::new(Store::open(&path));
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (0, 1));
+        let pool = SolvePool::new(1).with_store(Arc::clone(&store));
+        let batch = pool.run_plans(&plans, &budget.solve);
+        assert_eq!(store.stats().hits, 0, "nothing replays from a v2 file");
+        assert_eq!(batch.report.misses, fresh.report.misses, "every job is solved again");
+        store.flush().expect("repairing flush");
+        assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
+    }
     let store = Arc::new(Store::open(&path));
     assert_eq!((store.stats().loaded, store.stats().quarantined), (6, 0));
-
     let pool = SolvePool::new(1).with_store(Arc::clone(&store));
-    let replay = pool.run_plans(&plans_for(&["check_data", "piksrt"], &budget), &budget.solve);
-    assert_eq!(replay.report.misses, 0, "every answer comes from the fixture");
-    assert_eq!(store.stats().hits, 6);
-    store.flush().expect("clean flush");
-    assert_eq!(store.stats().flushes, 0, "replays leave the file alone");
-
-    let fresh = pool.run_plans(&plans_for(&["dhry"], &budget), &budget.solve);
-    assert!(fresh.report.misses > 0);
-    store.flush().expect("append");
-    assert_eq!((store.stats().appends, store.stats().compactions), (1, 0));
-    let grown = std::fs::read(&path).expect("read");
-    assert_eq!(&grown[..fixture.len()], &fixture[..], "the old image is kept byte for byte");
-    let total = store.len() as u64;
-    drop(pool);
-    drop(store);
-    let reopened = Store::open(&path);
-    assert_eq!((reopened.stats().loaded, reopened.stats().quarantined), (total, 0));
+    let replay = pool.run_plans(&plans, &budget.solve);
+    assert_eq!(replay.report.misses, 0, "every answer comes from the repaired file");
+    for (a, b) in fresh.estimates.iter().zip(&replay.estimates) {
+        assert_eq!(a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+    }
 }

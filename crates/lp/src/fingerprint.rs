@@ -134,7 +134,7 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
 
 /// Exact structural equality of two problems: same sense, same normalized
 /// rows in the same order, same objective and integrality flags — debug
-/// names are ignored. This is the strict gate the solve cache uses before
+/// names are ignored. This is the strict gate the replay tier uses before
 /// replaying verdicts (like `Infeasible`) that a witness point cannot
 /// re-validate.
 pub fn same_structure(a: &Problem, b: &Problem) -> bool {

@@ -68,7 +68,7 @@
 //!
 //! [`round_witness`] / [`round_claimed`] are the single sanctioned path from
 //! f64 solver output to integer execution counts, under one tolerance
-//! ([`WITNESS_TOL`]). The estimator, the pool's solve cache, and the
+//! ([`WITNESS_TOL`]). The estimator, the pool's replay tier, and the
 //! `ipet-audit` certifier all round here, so "is this witness integral?"
 //! has exactly one answer everywhere.
 

@@ -1,53 +1,93 @@
 //! # ipet-store
 //!
-//! A crash-safe, disk-backed store of solved ILPs, keyed on the same
-//! problem fingerprints the in-memory solve cache uses. It lets a
-//! second `cinderella analyze` of the same program — or a long-running
-//! `cinderella serve` daemon — replay certified solves across *process*
+//! The solve pool's replay tier: a bounded, content-addressed map from ILP
+//! problems to their solves, optionally backed by a crash-safe journal on
+//! disk. Every `SolvePool` owns one, in memory ([`Store::in_memory`]);
+//! `cinderella analyze --store` and `cinderella serve --store` open one on
+//! a file ([`Store::open`]) instead, so a second process — or a
+//! long-running daemon — replays certified solves across *process*
 //! boundaries, not just across batches within one process.
+//!
+//! ## Content addressing
+//!
+//! An entry is a problem, its resolution and the statistics of the solve
+//! that produced it, filed under the problem's [`Fingerprint`]. The key is
+//! only the index: a replay passes [`ipet_audit::replay_gate`] —
+//! structural equality with the probe problem ([`ipet_lp::same_structure`]),
+//! then exact-arithmetic re-certification of the stored witness. The
+//! problem is all an answer depends on, so nothing else scopes an entry: a
+//! changed loop bound changes the problem and misses, and going back to
+//! the old bound replays the old entry. A witness that fails
+//! re-certification (`audit.cache.rejected`) costs a fresh solve, which
+//! then replaces the entry; a flipped bit anywhere can cost a cold solve,
+//! never a wrong bound.
+//!
+//! Every resolution is kept except the budget-degraded ones (`Relaxed`,
+//! `Exhausted`): they reflect the budget they ran under, which the key
+//! does not cover. Only `Exact` resolutions reach the disk — nothing else
+//! carries a witness that another process can re-certify.
+//!
+//! ## Bounded: LRU by last use
+//!
+//! A store holds at most [`SOLVE_CACHE_CAPACITY`] entries. An insert
+//! beyond it evicts the entry whose last insert or hit is oldest
+//! (`pool.cache.evicted`). Eviction can cost a re-solve, never an answer:
+//! every replay is re-certified, and optima are canonical, so a re-solve
+//! returns the evicted answer bit for bit. The pool probes and inserts
+//! serially in its batch driver, so which entry goes is as deterministic
+//! as the hit and miss counts. An evicted entry's record stays in the
+//! journal as dead bytes until the next compaction.
+//!
+//! ## File format (version 3)
+//!
+//! The file is the 16-byte [`STORE_MAGIC`] header followed by records
+//! `[u32 len][u32 crc32][payload]` (little-endian; the CRC covers the
+//! payload). A payload is one solved problem: its sense, objective,
+//! integrality flags, variable names, constraint rows, then the witness,
+//! the objective value and the solve statistics. It holds no key: opening
+//! re-derives each record's key from its own problem
+//! ([`ipet_lp::fingerprint`]), so nothing read from disk picks a bucket.
+//!
+//! File order is use order. An append adds records in insert order, and a
+//! compaction writes the live entries least recently used first. Opening
+//! inserts the records in file order through the same LRU, a record
+//! replacing any earlier one of the same problem, so a reopened store
+//! holds exactly the entry set of its last good flush (when that set fits
+//! the capacity) in the recency order of its last compaction followed by
+//! the inserts since. Replays are not journaled, so a reopened store ranks
+//! an entry that only replayed since the last compaction by its place in
+//! that compaction: once more than the capacity's worth of records were
+//! appended after it, such entries yield to the newer ones on open.
 //!
 //! ## Trust model: the disk is hostile
 //!
-//! Nothing read back from disk is believed. Every record carries a length
-//! and a CRC32 checksum; records that fail framing, checksum, version or
-//! decode checks are **quarantined** (counted, skipped) rather than trusted
-//! or repaired. A record that decodes cleanly is still only an *index
-//! entry*: its bucket key is re-derived from its own problem
-//! ([`ipet_lp::fingerprint`]), never read from the record, so a file
-//! written under an older key scheme re-keys itself on open; and a replay
-//! passes the same gate as the in-memory cache's
-//! ([`ipet_audit::replay_gate`]: structural equality with the probe
-//! problem, then exact-arithmetic re-certification of the cached witness).
-//! A flipped bit anywhere can therefore cost a cold solve, never a wrong
-//! bound.
+//! Nothing read back from disk is believed. Records that fail framing,
+//! checksum, version or decode checks are **quarantined** (counted,
+//! skipped) rather than trusted or repaired, and a record that decodes
+//! cleanly still replays only through the gate above. A file under any
+//! other header — an older version included — is one quarantined unit:
+//! the store opens empty and its first writing flush replaces the file.
 //!
 //! ## Crash safety: an append-only journal
 //!
-//! The file is the magic header followed by checksummed records, applied
-//! in file order on open: a *solve* record inserts an entry (with
-//! [`Store::insert`]'s dedup), and a *context* record — a tombstone,
-//! written when [`Store::note_context`] actually drops entries — drops the
-//! named program's entries under any other invalidation hash. Reopening
-//! therefore yields exactly the entry set of the last good flush.
+//! A writing [`Store::flush`] appends the records inserted since the last
+//! good flush (those still live) and `fdatasync`s once. A crash mid-append
+//! leaves a torn tail that the next open's checksums catch and quarantine.
+//! Appends are what keep a flush O(edit): on a disk mounted with
+//! `discard`, replacing a file (rename-over or truncate-and-rewrite) costs
+//! ~50 ms where an append plus `fdatasync` costs ~0.06 ms.
 //!
-//! A writing [`Store::flush`] appends only the records added since the
-//! last good flush, sorted by payload bytes (tombstones first), in one
-//! write followed by one `fdatasync`. A crash mid-append leaves a torn
-//! tail that the next open's checksums catch and quarantine. Appends are
-//! what keep a flush O(edit): on a disk mounted with `discard`, replacing
-//! a file (rename-over or truncate-and-rewrite) costs ~50 ms where an
-//! append plus `fdatasync` costs ~0.06 ms.
-//!
-//! **Compaction** rewrites the sorted live image to `<path>.tmp`, fsyncs
-//! it, renames it over `<path>` and fsyncs the directory, so readers see
-//! either the old complete file or the new one. It runs on the first
-//! writing flush when the file is absent or its open scan quarantined
-//! anything (nothing is ever appended after a torn or unframed tail),
-//! after any failed, torn or corrupted write, and when dead bytes
-//! (superseded, dropped or tombstone records) exceed
+//! **Compaction** writes the live records to `<path>.tmp`, fsyncs it,
+//! renames it over `<path>` and fsyncs the directory, so readers see
+//! either the old complete file or the new one. It encodes one record at a
+//! time through one reused buffer, outside the entry lock, from a snapshot
+//! of shared entries, so it never builds the image in memory. It runs on
+//! the first writing flush when the file is absent or its open scan
+//! quarantined anything (nothing is ever appended after a torn or unframed
+//! tail), after any failed, torn or corrupted write, and when dead bytes
+//! (records of evicted or replaced entries) exceed
 //! `max(live bytes, COMPACT_FLOOR_BYTES)` — which keeps the file within
-//! twice the live bytes plus the floor. A compacted file's bytes are a
-//! pure function of the entry set.
+//! twice the live bytes plus the floor.
 //!
 //! A flush writes only when the store is *dirty*: records are waiting, or
 //! a compaction is due. A failed or damaged write schedules a compaction,
@@ -62,56 +102,55 @@
 //! open fault fires — the store degrades to [`StoreMode::ReadOnly`] or
 //! [`StoreMode::InMemory`] and keeps serving probes from whatever it could
 //! load. Analysis results are identical in every mode; only persistence
-//! and replay opportunities differ.
-//!
-//! ## Invalidation
-//!
-//! Each entry is tagged with the analyzer's *identity* hash (which program
-//! is this?) and *invalidation* hash (source text, machine model, cache
-//! configuration, annotations). [`Store::note_context`] drops entries whose
-//! identity matches but whose invalidation hash does not — a changed input
-//! silently retires its stale entries instead of relying on fingerprint
-//! luck to miss them.
+//! and replay opportunities differ. Only a [`StoreMode::ReadWrite`] store
+//! encodes or queues anything for the disk.
 
 use ipet_audit::{replay_gate, Replay};
 use ipet_lp::{
     fingerprint, same_structure, Fingerprint, IlpResolution, IlpStats, IoFault, Problem, Relation,
     Sense, SolverFaults,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Magic + version header; changing the record format — or what a
 /// record's witness means — bumps the version and quarantines every older
-/// file wholesale. Version 2: the witness of a tied optimum is the
-/// canonical one (the lexicographic minimum over the optimal face); a
+/// file wholesale. Version 3: a record is the problem and its solve alone,
+/// with no key and no program scope. Version 2 added the canonical witness
+/// of a tied optimum (the lexicographic minimum over the optimal face); a
 /// version-1 file may hold another optimal witness, which would certify
 /// and replay, making an answer depend on store history.
-pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v2\0\0\0";
+pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v3\0\0\0";
+
+/// Entries a [`Store`] keeps. Sized from measured entry sizes (about
+/// 13 KB on average over serve-style suite edits): a `--infer` pass over
+/// the 13 suite routines leaves 45 entries, the largest in-repo batch
+/// run, and an edit adds 2.6 on average, so a serve daemon keeps its
+/// replay working set plus roughly the last 180 edits, in about 7 MB.
+pub const SOLVE_CACHE_CAPACITY: usize = 512;
 
 /// Upper bound on a single record's payload length; anything larger is
 /// treated as lost framing (the rest of the file is quarantined).
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
-/// Record payload tags. A context record's tag sorts before a solve
-/// record's, so an append's tombstones precede its inserts (see
-/// [`Store::flush`]).
-const TAG_CONTEXT: u8 = 0;
-const TAG_SOLVE: u8 = 1;
-
 /// Dead bytes a journal may carry before a flush compacts it, when that
-/// is more than its live bytes. Sized for `cinderella serve`'s edit loop,
-/// where every edit's records die at the next replay: an edit session
-/// appends about 20 KB, so a compaction (~50 ms on a `discard` mount)
-/// comes once per ~200 sessions, well under 1 % of writing flushes.
+/// is more than its live bytes. Sized for `cinderella serve`'s edit loop:
+/// an edit session appends about 20 KB, and once the store is full each
+/// new record's entry evicts an old one, so a compaction (~50 ms on a
+/// `discard` mount) comes once per ~200 sessions, well under 1 % of
+/// writing flushes.
 pub const COMPACT_FLOOR_BYTES: u64 = 4 << 20;
 
 /// Bytes of a record's frame: `[u32 len][u32 crc]`.
 const FRAME_BYTES: u64 = 8;
+
+/// Buffer of the writer a flush streams its records through: an edit's
+/// append fits in one write.
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
 
 /// How the store is operating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +161,8 @@ pub enum StoreMode {
     /// Another live process holds the lock: replays are served from the
     /// loaded snapshot, inserts stay in memory, flushes are no-ops.
     ReadOnly,
-    /// The file could not be opened (missing directory, injected open
-    /// fault): behaves like a fresh in-process cache, nothing persists.
+    /// No file: a pool's own tier, or a file that could not be opened
+    /// (missing directory, injected open fault). Nothing persists.
     InMemory,
 }
 
@@ -141,7 +180,7 @@ impl StoreMode {
 /// Cumulative store statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
-    /// Records decoded and accepted at open.
+    /// Entries the open scan left live.
     pub loaded: u64,
     /// Records (or whole files) refused at open: bad header, bad framing,
     /// checksum mismatch, or decode failure.
@@ -150,11 +189,11 @@ pub struct StoreStats {
     pub hits: u64,
     /// Probes that found no usable entry.
     pub misses: u64,
-    /// Probes that found the problem stored but its witness failed exact
-    /// re-certification.
+    /// Probes that found the problem stored but no witness of it that
+    /// certifies.
     pub rejected: u64,
-    /// Entries dropped because their invalidation hash went stale.
-    pub invalidated: u64,
+    /// Entries dropped to stay within capacity (least recently used first).
+    pub evicted: u64,
     /// Successful flushes to disk (appends plus compactions).
     pub flushes: u64,
     /// Successful flushes that appended to the journal.
@@ -171,118 +210,125 @@ pub struct StoreStats {
     pub lock_stale: u64,
 }
 
-struct StoreEntry {
+/// One solved problem. Immutable once made, so a flush can encode a
+/// snapshot of shared entries outside the entry lock.
+struct Entry {
     key: u128,
-    identity: u128,
-    invalidation: u128,
     problem: Problem,
-    x: Vec<f64>,
-    value: f64,
+    resolution: IlpResolution,
     stats: IlpStats,
-    /// Insertion sequence number: names the entry in `Inner::pending`.
-    seq: u64,
-    /// Framed size of the entry's solve record.
+    /// Framed size of the entry's record; 0 for an entry never written.
     bytes: u64,
 }
 
-/// A record waiting for the next writing flush.
-enum Pending {
-    /// A solve record; appended only if entry `(key, seq)` is still live.
-    Solve { key: u128, seq: u64, payload: Vec<u8> },
-    /// A context tombstone.
-    Context(Vec<u8>),
+struct Slot {
+    entry: Arc<Entry>,
+    /// Recency stamp: the key of this slot in `Inner::recency`.
+    stamp: u64,
 }
 
 struct Inner {
-    entries: HashMap<u128, Vec<StoreEntry>>,
-    faults: SolverFaults,
-    /// Records added since the last good flush, oldest first.
-    pending: Vec<Pending>,
+    buckets: HashMap<u128, Vec<Slot>>,
+    /// Stamp → bucket key. Stamps are unique and increase with every
+    /// insert and hit, so the first entry is the least recently used.
+    recency: BTreeMap<u64, u128>,
+    next_stamp: u64,
+    /// Entries inserted since the last good flush, oldest first; appended
+    /// only if still live.
+    pending: Vec<Arc<Entry>>,
     /// The next writing flush must rewrite the whole file.
     compact: bool,
-    next_seq: u64,
     /// Length of the file as the last good flush (or the open scan) left it.
     file_bytes: u64,
-    /// Framed bytes of the live entries' solve records.
+    /// Framed bytes of the live entries' records.
     live_bytes: u64,
 }
 
+/// Takes the next recency stamp and records that it belongs to `key`.
+fn take_stamp(recency: &mut BTreeMap<u64, u128>, next_stamp: &mut u64, key: u128) -> u64 {
+    let stamp = *next_stamp;
+    *next_stamp += 1;
+    recency.insert(stamp, key);
+    stamp
+}
+
 impl Inner {
-    fn live_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+    fn is_live(&self, entry: &Arc<Entry>) -> bool {
+        self.buckets.get(&entry.key).is_some_and(|b| b.iter().any(|s| Arc::ptr_eq(&s.entry, entry)))
     }
 
-    fn is_live(&self, key: u128, seq: u64) -> bool {
-        self.entries.get(&key).is_some_and(|b| b.iter().any(|e| e.seq == seq))
+    /// Removes the slot stamped `stamp` from bucket `key`.
+    fn remove(&mut self, key: u128, stamp: u64) {
+        let bucket = self.buckets.get_mut(&key).expect("recency names a live bucket");
+        let i = bucket.iter().position(|s| s.stamp == stamp).expect("stamp names a slot");
+        let slot = bucket.swap_remove(i);
+        if bucket.is_empty() {
+            self.buckets.remove(&key);
+        }
+        self.recency.remove(&stamp);
+        self.live_bytes -= slot.entry.bytes;
     }
 
-    /// Adds `entry` unless a duplicate is live. Returns whether it was added.
-    fn add(&mut self, entry: StoreEntry) -> bool {
-        let bucket = self.entries.entry(entry.key).or_default();
-        let duplicate = bucket.iter().any(|e| {
-            e.identity == entry.identity
-                && e.invalidation == entry.invalidation
-                && same_structure(&e.problem, &entry.problem)
+    /// Adds `entry` as the most recently used, replacing a live entry of
+    /// the same problem and evicting the least recently used one beyond
+    /// `capacity`. Returns whether an entry was evicted.
+    fn add(&mut self, entry: Arc<Entry>, capacity: usize) -> bool {
+        let key = entry.key;
+        let same = self.buckets.get(&key).and_then(|b| {
+            b.iter().find(|s| same_structure(&s.entry.problem, &entry.problem)).map(|s| s.stamp)
         });
-        if duplicate {
-            return false;
+        if let Some(stamp) = same {
+            self.remove(key, stamp);
         }
+        let evicted = self.recency.len() >= capacity;
+        if let Some((&stamp, &oldest)) = self.recency.first_key_value().filter(|_| evicted) {
+            self.remove(oldest, stamp);
+        }
+        let stamp = take_stamp(&mut self.recency, &mut self.next_stamp, key);
         self.live_bytes += entry.bytes;
-        bucket.push(entry);
-        true
+        self.buckets.entry(key).or_default().push(Slot { entry, stamp });
+        evicted
     }
 
-    /// Drops the entries of program `identity` under any invalidation hash
-    /// but `invalidation`; returns how many went.
-    fn drop_stale(&mut self, identity: u128, invalidation: u128) -> u64 {
-        let mut dropped = 0u64;
-        let mut freed = 0u64;
-        for bucket in self.entries.values_mut() {
-            bucket.retain(|e| {
-                let stale = e.identity == identity && e.invalidation != invalidation;
-                if stale {
-                    dropped += 1;
-                    freed += e.bytes;
-                }
-                !stale
-            });
-        }
-        if dropped > 0 {
-            self.entries.retain(|_, b| !b.is_empty());
-            self.live_bytes -= freed;
-        }
-        dropped
-    }
-
-    /// Every live entry's solve record, sorted: the compacted image.
-    fn live_image(&self) -> Vec<Vec<u8>> {
-        let mut payloads: Vec<Vec<u8>> =
-            self.entries.values().flat_map(|b| b.iter().map(encode_entry)).collect();
-        payloads.sort_unstable();
-        payloads
+    /// The live entries that have a record, least recently used first:
+    /// the compacted file's order.
+    fn by_recency(&self) -> Vec<Arc<Entry>> {
+        self.recency
+            .iter()
+            .map(|(stamp, key)| {
+                &self.buckets[key].iter().find(|s| s.stamp == *stamp).expect("slot").entry
+            })
+            .filter(|e| e.bytes > 0)
+            .cloned()
+            .collect()
     }
 }
 
-/// A thread-safe persistent solve store. See the crate docs for the trust
-/// and crash-safety model.
+/// A thread-safe, LRU-bounded solve store. See the crate docs for the
+/// replay, trust and crash-safety model.
 pub struct Store {
     path: Option<PathBuf>,
     lock_path: Option<PathBuf>,
     mode: StoreMode,
+    /// Opened on a path, in whatever mode: its probes count under
+    /// `store.*` in the trace. A pool's own in-memory tier reports through
+    /// the pool's `pool.cache.*` counters alone.
+    opened: bool,
+    capacity: usize,
     inner: Mutex<Inner>,
     /// Serializes whole flushes (snapshot + append or rewrite) across
-    /// threads. `inner` alone is not enough: two concurrent flushes could
-    /// take different snapshots and write them in the *opposite* order —
-    /// an older image renamed over a newer one, or appends whose tombstones
-    /// and inserts land out of order — losing entries whose acknowledgment
-    /// already implied durability.
-    flush_lock: Mutex<()>,
+    /// threads, and holds the IO-fault template the flushes consume.
+    /// `inner` alone is not enough: two concurrent flushes could take
+    /// different snapshots and write them in the *opposite* order — an
+    /// older image renamed over a newer one — losing entries whose
+    /// acknowledgment already implied durability.
+    flush_lock: Mutex<SolverFaults>,
     loaded: AtomicU64,
     quarantined: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
-    invalidated: AtomicU64,
+    evicted: AtomicU64,
     flushes: AtomicU64,
     appends: AtomicU64,
     compactions: AtomicU64,
@@ -301,12 +347,17 @@ impl Store {
 
     /// [`Store::open`] with deterministic IO-fault injection (testing).
     pub fn open_with_faults(path: impl AsRef<Path>, faults: SolverFaults) -> Store {
-        let path = path.as_ref().to_path_buf();
+        Store::open_capped(path.as_ref(), faults, SOLVE_CACHE_CAPACITY)
+    }
+
+    /// [`Store::open_with_faults`] with room for `capacity` entries.
+    fn open_capped(path: &Path, faults: SolverFaults, capacity: usize) -> Store {
+        let path = path.to_path_buf();
         let mut store = Store::blank(faults);
-        if store.inner.get_mut().expect("store lock").faults.open_fault() {
-            store.open_failed.fetch_add(1, Ordering::Relaxed);
-            ipet_trace::counter("store.open_failed", 1);
-            store.mode = StoreMode::InMemory;
+        store.opened = true;
+        store.capacity = capacity;
+        if store.flush_lock.get_mut().expect("flush lock").open_fault() {
+            store.count(&store.open_failed, "store.open_failed", 1);
             return store;
         }
         let lock_path = lock_path_for(&path);
@@ -315,19 +366,15 @@ impl Store {
                 store.mode = StoreMode::ReadWrite;
                 store.lock_path = Some(lock_path);
                 if broke_stale {
-                    store.lock_stale.fetch_add(1, Ordering::Relaxed);
-                    ipet_trace::counter("store.lock_stale", 1);
+                    store.count(&store.lock_stale, "store.lock_stale", 1);
                 }
             }
             LockOutcome::Busy => {
                 store.mode = StoreMode::ReadOnly;
-                store.lock_busy.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.lock_busy", 1);
+                store.count(&store.lock_busy, "store.lock_busy", 1);
             }
             LockOutcome::Unavailable => {
-                store.open_failed.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.open_failed", 1);
-                store.mode = StoreMode::InMemory;
+                store.count(&store.open_failed, "store.open_failed", 1);
                 return store;
             }
         }
@@ -339,16 +386,23 @@ impl Store {
             Err(_) => {
                 // Lock taken but the file itself is unreadable: keep the
                 // mode (a later flush may still succeed) with no entries.
-                store.quarantined.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.quarantined", 1);
+                store.count(&store.quarantined, "store.quarantined", 1);
             }
         }
         store
     }
 
-    /// A store that never touches disk ([`StoreMode::InMemory`]).
+    /// A store that never touches disk ([`StoreMode::InMemory`]): the tier
+    /// a solve pool starts with.
     pub fn in_memory() -> Store {
         Store::blank(SolverFaults::default())
+    }
+
+    /// This store with room for only `capacity` entries.
+    #[cfg(test)]
+    fn capped(mut self, capacity: usize) -> Store {
+        self.capacity = capacity;
+        self
     }
 
     fn blank(faults: SolverFaults) -> Store {
@@ -356,22 +410,24 @@ impl Store {
             path: None,
             lock_path: None,
             mode: StoreMode::InMemory,
+            opened: false,
+            capacity: SOLVE_CACHE_CAPACITY,
             inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                faults,
+                buckets: HashMap::new(),
+                recency: BTreeMap::new(),
+                next_stamp: 0,
                 pending: Vec::new(),
                 compact: true,
-                next_seq: 0,
                 file_bytes: 0,
                 live_bytes: 0,
             }),
-            flush_lock: Mutex::new(()),
+            flush_lock: Mutex::new(faults),
             loaded: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
@@ -379,6 +435,15 @@ impl Store {
             open_failed: AtomicU64::new(0),
             lock_busy: AtomicU64::new(0),
             lock_stale: AtomicU64::new(0),
+        }
+    }
+
+    /// Adds `n` to `stat` and to the trace counter `name` (the latter only
+    /// for an opened store, see [`Store::in_memory`]).
+    fn count(&self, stat: &AtomicU64, name: &str, n: u64) {
+        stat.fetch_add(n, Ordering::Relaxed);
+        if self.opened && n > 0 {
+            ipet_trace::counter(name, n);
         }
     }
 
@@ -394,26 +459,27 @@ impl Store {
 
     /// Cumulative statistics over the store's lifetime.
     pub fn stats(&self) -> StoreStats {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
         StoreStats {
-            loaded: self.loaded.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            write_failed: self.write_failed.load(Ordering::Relaxed),
-            open_failed: self.open_failed.load(Ordering::Relaxed),
-            lock_busy: self.lock_busy.load(Ordering::Relaxed),
-            lock_stale: self.lock_stale.load(Ordering::Relaxed),
+            loaded: get(&self.loaded),
+            quarantined: get(&self.quarantined),
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            rejected: get(&self.rejected),
+            evicted: get(&self.evicted),
+            flushes: get(&self.flushes),
+            appends: get(&self.appends),
+            compactions: get(&self.compactions),
+            write_failed: get(&self.write_failed),
+            open_failed: get(&self.open_failed),
+            lock_busy: get(&self.lock_busy),
+            lock_stale: get(&self.lock_stale),
         }
     }
 
-    /// Number of live entries.
+    /// Number of live entries, at most [`SOLVE_CACHE_CAPACITY`].
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("store lock").live_count()
+        self.inner.lock().expect("store lock").recency.len()
     }
 
     /// True when the store holds no entries.
@@ -424,128 +490,120 @@ impl Store {
     /// `(live, file)`: the framed bytes of the live entries' records, and
     /// the length of the file as the last good flush left it. Their gap
     /// (less the header) is the journal's dead weight.
-    #[cfg(test)]
-    fn journal_bytes(&self) -> (u64, u64) {
+    pub fn journal_bytes(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("store lock");
         (inner.live_bytes, inner.file_bytes)
     }
 
-    /// Declares the current analysis context: entries for the same program
-    /// identity whose invalidation hash no longer matches are dropped (the
-    /// input they were computed from has changed), and a tombstone is
-    /// queued so the drop reaches disk.
-    pub fn note_context(&self, identity: u128, invalidation: u128) {
-        let mut inner = self.inner.lock().expect("store lock");
-        let dropped = inner.drop_stale(identity, invalidation);
-        if dropped > 0 {
-            inner.pending.push(Pending::Context(encode_context(identity, invalidation)));
-            self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-            ipet_trace::counter("store.invalidated", dropped);
-        }
-    }
-
-    /// Looks up a certified replay for `problem` under the given context,
-    /// through the in-memory cache's replay gate. Anything less is a miss.
-    pub fn probe(
-        &self,
-        key: Fingerprint,
-        identity: u128,
-        invalidation: u128,
-        problem: &Problem,
-    ) -> Option<(IlpResolution, IlpStats)> {
-        let inner = self.inner.lock().expect("store lock");
+    /// Looks up a certified replay for `problem` through the replay gate
+    /// (see the crate docs). A hit makes the entry the most recently used;
+    /// anything less is a miss.
+    pub fn probe(&self, key: Fingerprint, problem: &Problem) -> Option<(IlpResolution, IlpStats)> {
         let mut rejected = false;
-        let bucket = inner.entries.get(&key.0).map_or(&[][..], Vec::as_slice);
-        for entry in bucket {
-            if entry.identity != identity || entry.invalidation != invalidation {
-                continue;
+        let hit = {
+            let mut guard = self.inner.lock().expect("store lock");
+            let Inner { buckets, recency, next_stamp, .. } = &mut *guard;
+            let slot = buckets.get_mut(&key.0).and_then(|bucket| {
+                bucket.iter_mut().find(|slot| {
+                    let witness = match &slot.entry.resolution {
+                        IlpResolution::Exact { x, value } => Some((x.as_slice(), *value)),
+                        _ => None,
+                    };
+                    match replay_gate(&slot.entry.problem, problem, witness) {
+                        Replay::Foreign => false,
+                        Replay::Rejected => {
+                            ipet_trace::counter("audit.cache.rejected", 1);
+                            rejected = true;
+                            false
+                        }
+                        Replay::Certified => {
+                            if witness.is_some() {
+                                ipet_trace::counter("audit.cache.recertified", 1);
+                            }
+                            true
+                        }
+                    }
+                })
+            });
+            slot.map(|slot| {
+                recency.remove(&slot.stamp);
+                slot.stamp = take_stamp(recency, next_stamp, key.0);
+                Arc::clone(&slot.entry)
+            })
+        };
+        match hit {
+            Some(entry) => {
+                self.count(&self.hits, "store.hits", 1);
+                Some((entry.resolution.clone(), entry.stats))
             }
-            match replay_gate(&entry.problem, problem, Some((&entry.x, entry.value))) {
-                Replay::Foreign => {}
-                Replay::Rejected => rejected = true,
-                Replay::Certified => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    ipet_trace::counter("store.hits", 1);
-                    let resolution =
-                        IlpResolution::Exact { x: entry.x.clone(), value: entry.value };
-                    return Some((resolution, entry.stats));
-                }
+            None => {
+                self.count(&self.rejected, "store.rejected", u64::from(rejected));
+                self.count(&self.misses, "store.misses", 1);
+                None
             }
         }
-        if rejected {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            ipet_trace::counter("store.rejected", 1);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        ipet_trace::counter("store.misses", 1);
-        None
     }
 
-    /// Records a fresh solve. Only [`IlpResolution::Exact`] results are
-    /// kept — nothing else carries a witness that can be re-certified on
-    /// replay, so nothing else is worth persisting.
+    /// Keeps a fresh solve as the most recently used entry, replacing any
+    /// entry of the same problem and evicting the least recently used one
+    /// when the store is full. A budget-degraded result (`Relaxed`,
+    /// `Exhausted`) is not kept: it reflects the budget it ran under,
+    /// which the key does not cover, so replaying it could degrade an
+    /// answer another budget would give exactly. A [`StoreMode::ReadWrite`]
+    /// store queues an `Exact` entry for the next flush.
     pub fn insert(
         &self,
         key: Fingerprint,
-        identity: u128,
-        invalidation: u128,
         problem: &Problem,
         resolution: &IlpResolution,
         stats: IlpStats,
     ) {
-        let IlpResolution::Exact { x, value } = resolution else {
-            return;
+        let bytes = match resolution {
+            IlpResolution::Relaxed { .. } | IlpResolution::Exhausted => return,
+            IlpResolution::Exact { x, .. } if self.mode == StoreMode::ReadWrite => {
+                FRAME_BYTES + payload_len(problem, x)
+            }
+            _ => 0,
         };
-        let mut inner = self.inner.lock().expect("store lock");
-        let seq = inner.next_seq;
-        let mut entry = StoreEntry {
+        let entry = Arc::new(Entry {
             key: key.0,
-            identity,
-            invalidation,
             problem: problem.clone(),
-            x: x.clone(),
-            value: *value,
+            resolution: resolution.clone(),
             stats,
-            seq,
-            bytes: 0,
-        };
-        let payload = encode_entry(&entry);
-        entry.bytes = FRAME_BYTES + payload.len() as u64;
-        if inner.add(entry) {
-            inner.next_seq += 1;
-            inner.pending.push(Pending::Solve { key: key.0, seq, payload });
+            bytes,
+        });
+        let mut inner = self.inner.lock().expect("store lock");
+        if bytes > 0 {
+            inner.pending.push(Arc::clone(&entry));
+        }
+        if inner.add(entry, self.capacity) {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            ipet_trace::counter("pool.cache.evicted", 1);
         }
     }
 
     /// Makes everything inserted so far durable. No-op outside
     /// [`StoreMode::ReadWrite`], and writes nothing when the store is clean
-    /// (see the crate docs). A writing flush appends the waiting records —
-    /// solve records of entries still live, and tombstones — sorted by
-    /// payload bytes in one write plus `fdatasync`, or compacts (atomic
-    /// whole-file rewrite) when one is due. Injected IO faults fire here —
-    /// the N-th *writing* flush — and are reported as errors (fail) or
-    /// silently persisted damage (torn / corrupt) for recovery tests; each
-    /// schedules a compaction.
-    ///
-    /// The sort puts an append's tombstones before its solve records. That
-    /// is sound: tombstones commute with each other (two for one program
-    /// under different hashes drop all of its entries, in either order),
-    /// every appended solve record names an entry live *now*, so no
-    /// tombstone in the batch was meant to drop it, and the entries from
-    /// earlier flushes see the same tombstones in any order.
+    /// (see the crate docs). A writing flush appends the records of the
+    /// entries inserted since the last good flush that are still live, in
+    /// insert order, plus one `fdatasync`, or compacts (atomic whole-file
+    /// rewrite, least recently used first) when one is due. Injected IO
+    /// faults fire here — the N-th *writing* flush — and are reported as
+    /// errors (fail) or silently persisted damage (torn / corrupt) for
+    /// recovery tests; each schedules a compaction.
     ///
     /// Concurrent flushes are serialized end to end (`flush_lock`): each
     /// snapshot reaches disk in the order it was taken, so a flush that
     /// returned `Ok` can never be undone by an older snapshot. The clean
     /// check happens under the same lock, so a clean flush returns only
-    /// after any in-flight write has finished. Inserts stay concurrent —
-    /// only the snapshot step briefly holds the entry lock.
+    /// after any in-flight write has finished. Probes and inserts stay
+    /// concurrent — only the snapshot step briefly holds the entry lock.
     pub fn flush(&self) -> Result<(), String> {
         if self.mode != StoreMode::ReadWrite {
             return Ok(());
         }
-        let path = self.path.clone().expect("ReadWrite store has a path");
-        let _serialize = self.flush_lock.lock().expect("flush lock");
+        let path = self.path.as_deref().expect("ReadWrite store has a path");
+        let mut faults = self.flush_lock.lock().expect("flush lock");
         let mut inner = self.inner.lock().expect("store lock");
         if inner.pending.is_empty() && !inner.compact {
             return Ok(());
@@ -554,88 +612,62 @@ impl Store {
         // for the next flush, and any failure or damage schedules a
         // compaction, which rewrites everything live.
         let pending = std::mem::take(&mut inner.pending);
-        let mut records: Vec<Vec<u8>> = pending
-            .into_iter()
-            .filter_map(|p| match p {
-                Pending::Solve { key, seq, payload } => inner.is_live(key, seq).then_some(payload),
-                Pending::Context(payload) => Some(payload),
-            })
-            .collect();
-        records.sort_unstable();
-        let appended: u64 = records.iter().map(|r| FRAME_BYTES + r.len() as u64).sum();
+        let mut records: Vec<Arc<Entry>> =
+            pending.into_iter().filter(|e| inner.is_live(e)).collect();
+        let appended: u64 = records.iter().map(|e| e.bytes).sum();
         let header = STORE_MAGIC.len() as u64;
         let dead = (inner.file_bytes + appended).saturating_sub(header + inner.live_bytes);
         let compact = inner.compact || dead > inner.live_bytes.max(COMPACT_FLOOR_BYTES);
         inner.compact = false;
         if compact {
-            records = inner.live_image();
-        }
-        let fault = inner.faults.write_fault();
-        if matches!(fault, Some(IoFault::FailWrite)) {
-            inner.compact = true;
-            self.write_failed.fetch_add(1, Ordering::Relaxed);
-            ipet_trace::counter("store.write_failed", 1);
-            return Err(format!("{}: injected write fault", path.display()));
-        }
-        let mut bytes = Vec::with_capacity(256);
-        if compact {
-            bytes.extend_from_slice(STORE_MAGIC);
-        }
-        let mut last_record_start = None;
-        for mut payload in records {
-            last_record_start = Some(bytes.len());
-            if inner.faults.record_fault() {
-                inner.compact = true;
-                // Flip one payload bit *after* the checksum is computed so
-                // the damage is latent until the next open.
-                let crc = crc32(&payload);
-                let mid = payload.len() / 2;
-                payload[mid] ^= 0x40;
-                push_record_with_crc(&mut bytes, &payload, crc);
-            } else {
-                push_record(&mut bytes, &payload);
-            }
-        }
-        if matches!(fault, Some(IoFault::TornWrite)) {
-            // Persist only a prefix: the final record is cut mid-payload,
-            // exactly what a crash between write() calls can leave behind.
-            inner.compact = true;
-            if let Some(start) = last_record_start {
-                let torn = start + (bytes.len() - start) / 2;
-                bytes.truncate(torn.max(start + 1));
-            }
+            records = inner.by_recency();
         }
         let file_bytes = inner.file_bytes;
         drop(inner);
-        let written = if compact {
-            write_atomic(&path, &bytes).map(|()| bytes.len() as u64)
+        let fault = faults.write_fault();
+        let written = if fault == Some(IoFault::FailWrite) {
+            Err(std::io::Error::other("injected write fault"))
         } else {
-            append_synced(&path, &bytes, file_bytes).map(|()| file_bytes + bytes.len() as u64)
+            let torn = fault == Some(IoFault::TornWrite);
+            let mut damaged = torn;
+            let mut fill = |out: &mut BufWriter<fs::File>| {
+                let (n, corrupted) = write_records(out, &records, torn, &mut faults)?;
+                damaged |= corrupted;
+                Ok(n)
+            };
+            let written = if compact {
+                write_atomic(path, |out| {
+                    out.write_all(STORE_MAGIC)?;
+                    fill(out).map(|n| header + n)
+                })
+            } else {
+                append_synced(path, file_bytes, |out| fill(out).map(|n| file_bytes + n))
+            };
+            if damaged {
+                self.inner.lock().expect("store lock").compact = true;
+            }
+            written
         };
         match written {
             Ok(len) => {
                 self.inner.lock().expect("store lock").file_bytes = len;
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.flushes", 1);
-                let (count, name) = if compact {
-                    (&self.compactions, "store.compactions")
+                self.count(&self.flushes, "store.flushes", 1);
+                if compact {
+                    self.count(&self.compactions, "store.compactions", 1);
                 } else {
-                    (&self.appends, "store.appends")
-                };
-                count.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter(name, 1);
+                    self.count(&self.appends, "store.appends", 1);
+                }
                 Ok(())
             }
             Err(e) => {
                 self.inner.lock().expect("store lock").compact = true;
-                self.write_failed.fetch_add(1, Ordering::Relaxed);
-                ipet_trace::counter("store.write_failed", 1);
+                self.count(&self.write_failed, "store.write_failed", 1);
                 Err(format!("{}: {e}", path.display()))
             }
         }
     }
 
-    /// Scans `bytes` as a store file, applying good records in file order
+    /// Scans `bytes` as a store file, inserting good records in file order
     /// and quarantining bad ones. Never errors: worst case is an empty
     /// store. A scan that quarantined anything leaves a compaction due, so
     /// nothing is ever appended after damage.
@@ -646,8 +678,7 @@ impl Store {
             // Wrong magic or version: the whole file is one quarantined
             // unit — guessing at record boundaries of an unknown format
             // would be worse than starting cold.
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            ipet_trace::counter("store.quarantined", 1);
+            self.count(&self.quarantined, "store.quarantined", 1);
             return;
         }
         let mut pos = STORE_MAGIC.len();
@@ -671,39 +702,18 @@ impl Store {
                 break;
             };
             pos += 8 + len;
-            if crc32(payload) != crc {
-                quarantined += 1;
-                continue;
-            }
-            match payload[0] {
-                TAG_SOLVE => match decode_entry(payload) {
-                    Some(mut entry) => {
-                        entry.seq = inner.next_seq;
-                        inner.next_seq += 1;
-                        inner.add(entry);
-                    }
-                    None => quarantined += 1,
-                },
-                TAG_CONTEXT => match decode_context(payload) {
-                    Some((identity, invalidation)) => {
-                        inner.drop_stale(identity, invalidation);
-                    }
-                    None => quarantined += 1,
-                },
-                _ => quarantined += 1,
+            match decode_entry(payload).filter(|_| crc32(payload) == crc) {
+                Some(entry) => {
+                    inner.add(Arc::new(entry), self.capacity);
+                }
+                None => quarantined += 1,
             }
         }
         inner.file_bytes = bytes.len() as u64;
         inner.compact = quarantined > 0;
-        let loaded = inner.live_count() as u64;
-        self.loaded.fetch_add(loaded, Ordering::Relaxed);
-        if loaded > 0 {
-            ipet_trace::counter("store.loaded", loaded);
-        }
-        self.quarantined.fetch_add(quarantined, Ordering::Relaxed);
-        if quarantined > 0 {
-            ipet_trace::counter("store.quarantined", quarantined);
-        }
+        let loaded = inner.recency.len() as u64;
+        self.count(&self.loaded, "store.loaded", loaded);
+        self.count(&self.quarantined, "store.quarantined", quarantined);
     }
 }
 
@@ -804,14 +814,52 @@ fn take_lock(lock: &Path) -> LockOutcome {
 // File writes: atomic replacement (compaction) and synced appends
 // ---------------------------------------------------------------------------
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Writes `entries` as framed records through one reused buffer. Returns
+/// the bytes written and whether an injected record fault corrupted one.
+/// A torn write (`torn`) persists only half of the last record, exactly
+/// what a crash between `write()` calls can leave behind.
+fn write_records(
+    out: &mut impl Write,
+    entries: &[Arc<Entry>],
+    torn: bool,
+    faults: &mut SolverFaults,
+) -> std::io::Result<(u64, bool)> {
+    let mut buf = Vec::new();
+    let (mut written, mut corrupted) = (0u64, false);
+    for (i, entry) in entries.iter().enumerate() {
+        buf.clear();
+        buf.extend_from_slice(&[0; FRAME_BYTES as usize]);
+        encode_entry(&mut buf, entry);
+        let payload = &mut buf[FRAME_BYTES as usize..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        if faults.record_fault() {
+            // Flip one payload bit *after* the checksum is computed so the
+            // damage is latent until the next open.
+            corrupted = true;
+            payload[payload.len() / 2] ^= 0x40;
+        }
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        buf[4..8].copy_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(buf.len() as u64, entry.bytes, "payload_len matches the encoding");
+        let end = if torn && i + 1 == entries.len() { (buf.len() / 2).max(1) } else { buf.len() };
+        out.write_all(&buf[..end])?;
+        written += end as u64;
+    }
+    Ok((written, corrupted))
+}
+
+/// Writes a new file through `fill` (which returns the file's length) to
+/// `<path>.tmp`, fsyncs it and renames it over `path`.
+fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<fs::File>) -> std::io::Result<u64>,
+) -> std::io::Result<u64> {
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
+    let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, fs::File::create(&tmp)?);
+    let len = fill(&mut out)?;
+    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     fs::rename(&tmp, path)?;
     // Persist the rename itself: fsync the containing directory so the
     // new directory entry survives a power cut.
@@ -820,22 +868,29 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
             let _ = d.sync_all();
         }
     }
-    Ok(())
+    Ok(len)
 }
 
-/// Appends `bytes` to the journal at `path` and `fdatasync`s it. The file
-/// must still be `expected_len` long: anything else means the append
-/// position is unknown, which fails the flush (and so compacts next).
-fn append_synced(path: &Path, bytes: &[u8], expected_len: u64) -> std::io::Result<()> {
-    let mut f = fs::OpenOptions::new().append(true).open(path)?;
+/// Appends to the journal at `path` through `fill` (which returns the new
+/// length) and `fdatasync`s it. The file must still be `expected_len`
+/// long: anything else means the append position is unknown, which fails
+/// the flush (and so compacts next).
+fn append_synced(
+    path: &Path,
+    expected_len: u64,
+    fill: impl FnOnce(&mut BufWriter<fs::File>) -> std::io::Result<u64>,
+) -> std::io::Result<u64> {
+    let f = fs::OpenOptions::new().append(true).open(path)?;
     let len = f.metadata()?.len();
     if len != expected_len {
         return Err(std::io::Error::other(format!(
             "journal is {len} bytes, expected {expected_len}"
         )));
     }
-    f.write_all(bytes)?;
-    f.sync_data()
+    let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, f);
+    let len = fill(&mut out)?;
+    out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
+    Ok(len)
 }
 
 // ---------------------------------------------------------------------------
@@ -873,21 +928,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Record codec
 // ---------------------------------------------------------------------------
 
-fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
-    push_record_with_crc(out, payload, crc32(payload));
-}
-
-fn push_record_with_crc(out: &mut Vec<u8>, payload: &[u8], crc: u32) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -900,39 +941,31 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn encode_entry(e: &StoreEntry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.push(TAG_SOLVE);
-    put_u128(&mut out, e.key);
-    put_u128(&mut out, e.identity);
-    put_u128(&mut out, e.invalidation);
-    encode_problem(&mut out, &e.problem);
-    put_u64(&mut out, e.x.len() as u64);
-    for &v in &e.x {
-        put_f64(&mut out, v);
+/// Appends the payload of `e`'s record to `out`. Only `Exact` entries
+/// have a record.
+fn encode_entry(out: &mut Vec<u8>, e: &Entry) {
+    let IlpResolution::Exact { x, value } = &e.resolution else {
+        unreachable!("only Exact entries are written");
+    };
+    encode_problem(out, &e.problem);
+    put_u64(out, x.len() as u64);
+    for &v in x {
+        put_f64(out, v);
     }
-    put_f64(&mut out, e.value);
-    put_u64(&mut out, e.stats.lp_calls as u64);
-    put_u64(&mut out, e.stats.nodes as u64);
+    put_f64(out, *value);
+    put_u64(out, e.stats.lp_calls as u64);
+    put_u64(out, e.stats.nodes as u64);
     out.push(e.stats.first_relaxation_integral as u8);
-    out
 }
 
-fn encode_context(identity: u128, invalidation: u128) -> Vec<u8> {
-    let mut out = Vec::with_capacity(33);
-    out.push(TAG_CONTEXT);
-    put_u128(&mut out, identity);
-    put_u128(&mut out, invalidation);
-    out
-}
-
-fn decode_context(payload: &[u8]) -> Option<(u128, u128)> {
-    let mut c = Cursor { buf: payload, pos: 0 };
-    if c.u8()? != TAG_CONTEXT {
-        return None;
-    }
-    let context = (c.u128()?, c.u128()?);
-    c.done().then_some(context)
+/// Length of the payload [`encode_entry`] writes for `problem` and its
+/// witness `x`, computed without encoding.
+fn payload_len(problem: &Problem, x: &[f64]) -> u64 {
+    let n = problem.objective.len() as u64;
+    let names: u64 = problem.names.iter().map(|s| 8 + s.len() as u64).sum();
+    let rows: u64 = problem.constraints.iter().map(|c| 17 + 16 * c.terms.len() as u64).sum();
+    let problem_len = 1 + 8 + 9 * n + names + 8 + rows;
+    problem_len + 8 + 8 * x.len() as u64 + 8 + 17
 }
 
 fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
@@ -986,10 +1019,6 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
-    }
-
     fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
     }
@@ -1014,16 +1043,8 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_entry(payload: &[u8]) -> Option<StoreEntry> {
+fn decode_entry(payload: &[u8]) -> Option<Entry> {
     let mut c = Cursor { buf: payload, pos: 0 };
-    if c.u8()? != TAG_SOLVE {
-        return None;
-    }
-    // The stored key is not trusted: the bucket key is re-derived from the
-    // record's own problem below.
-    let _stored_key = c.u128()?;
-    let identity = c.u128()?;
-    let invalidation = c.u128()?;
     let problem = decode_problem(&mut c)?;
     let xn = c.len()?;
     let mut x = Vec::with_capacity(xn);
@@ -1038,21 +1059,14 @@ fn decode_entry(payload: &[u8]) -> Option<StoreEntry> {
         1 => true,
         _ => return None,
     };
-    if !c.done() {
+    if !c.done() || x.len() != problem.num_vars() {
         return None;
     }
-    if x.len() != problem.num_vars() {
-        return None;
-    }
-    Some(StoreEntry {
+    Some(Entry {
         key: fingerprint(&problem).0,
-        identity,
-        invalidation,
         problem,
-        x,
-        value,
+        resolution: IlpResolution::Exact { x, value },
         stats: IlpStats { lp_calls, nodes, first_relaxation_integral: first },
-        seq: 0,
         bytes: FRAME_BYTES + payload.len() as u64,
     })
 }
@@ -1118,6 +1132,11 @@ mod tests {
         dir
     }
 
+    /// [`Store::open`] with room for only `capacity` entries.
+    fn open_capped(path: &Path, capacity: usize) -> Store {
+        Store::open_capped(path, SolverFaults::default(), capacity)
+    }
+
     fn toy() -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var("x", true);
@@ -1133,8 +1152,26 @@ mod tests {
         IlpResolution::Exact { x: vec![2.0, 2.0], value: 10.0 }
     }
 
+    /// `max x st x <= rhs`, solved: `x = rhs`.
+    fn line(rhs: f64) -> (Problem, IlpResolution) {
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x = b.add_var("x", true);
+        b.objective(x, 1.0);
+        b.constraint(vec![(x, 1.0)], Relation::Le, rhs);
+        (b.build(), IlpResolution::Exact { x: vec![rhs], value: rhs })
+    }
+
     fn key_of(p: &Problem) -> Fingerprint {
         ipet_lp::fingerprint(p)
+    }
+
+    /// Inserts `p` solved as `res` under its own key.
+    fn put(store: &Store, p: &Problem, res: &IlpResolution) {
+        store.insert(key_of(p), p, res, IlpStats::default());
+    }
+
+    fn hits(store: &Store, p: &Problem) -> bool {
+        store.probe(key_of(p), p).is_some()
     }
 
     /// The inode behind `path`: a rename-over replaces it.
@@ -1149,99 +1186,145 @@ mod tests {
         let dir = scratch("roundtrip");
         let path = dir.join("s.store");
         let p = toy();
-        let key = key_of(&p);
         {
             let store = Store::open(&path);
             assert_eq!(store.mode(), StoreMode::ReadWrite);
-            store.insert(key, 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &p, &toy_exact());
             store.flush().expect("flush");
         }
         let store = Store::open(&path);
         assert_eq!(store.stats().loaded, 1);
         assert_eq!(store.stats().quarantined, 0);
-        let (res, _) = store.probe(key, 1, 2, &p).expect("replay");
+        let (res, _) = store.probe(key_of(&p), &p).expect("replay");
         assert_eq!(res, toy_exact());
         assert_eq!(store.stats().hits, 1);
     }
 
     #[test]
-    fn wrong_context_is_not_replayed() {
-        let dir = scratch("ctx");
-        let path = dir.join("s.store");
-        let p = toy();
-        let key = key_of(&p);
-        let store = Store::open(&path);
-        store.insert(key, 1, 2, &p, &toy_exact(), IlpStats::default());
-        // Same identity, different invalidation hash: the source changed.
-        assert!(store.probe(key, 1, 3, &p).is_none());
-        // Different identity entirely: another program.
-        assert!(store.probe(key, 9, 2, &p).is_none());
-        assert_eq!(store.stats().hits, 0);
+    fn a_changed_problem_misses_and_the_old_one_still_replays() {
+        let store = Store::in_memory();
+        let (old, old_res) = line(9.0);
+        let (edited, _) = line(7.0);
+        put(&store, &old, &old_res);
+        assert!(!hits(&store, &edited), "another problem is another key");
+        assert!(store.probe(key_of(&old), &edited).is_none(), "and fails the gate under any key");
+        assert!(hits(&store, &old), "going back replays");
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.rejected), (1, 2, 0));
     }
 
     #[test]
-    fn note_context_drops_stale_entries() {
-        let dir = scratch("invalidate");
-        let path = dir.join("s.store");
-        let p = toy();
-        let key = key_of(&p);
-        let store = Store::open(&path);
-        store.insert(key, 1, 2, &p, &toy_exact(), IlpStats::default());
-        store.note_context(1, 2);
-        assert_eq!(store.len(), 1, "matching context keeps the entry");
-        store.note_context(1, 99);
-        assert_eq!(store.len(), 0, "changed invalidation hash drops it");
-        assert_eq!(store.stats().invalidated, 1);
+    fn a_full_store_evicts_the_least_recently_used_entry() {
+        let store = Store::in_memory().capped(2);
+        let (a, ra) = line(1.0);
+        let (b, rb) = line(2.0);
+        let (c, rc) = line(3.0);
+        put(&store, &a, &ra);
+        put(&store, &b, &rb);
+        // A hit makes `a` the most recently used, so `c` evicts `b`.
+        assert!(hits(&store, &a));
+        put(&store, &c, &rc);
+        assert_eq!((store.len(), store.stats().evicted), (2, 1));
+        assert!(!hits(&store, &b));
+        assert!(hits(&store, &a));
+        assert!(hits(&store, &c));
     }
 
     #[test]
-    fn corrupt_witness_on_disk_costs_a_solve_never_a_bound() {
-        let dir = scratch("badwitness");
-        let path = dir.join("s.store");
+    fn permuted_entry_is_a_plain_miss() {
+        // Same problem with variables swapped: a witness indexed by the
+        // other variable order must not transfer, and nothing was rejected
+        // — the permuted twin is simply another problem.
+        let store = Store::in_memory();
         let p = toy();
-        let key = key_of(&p);
-        let store = Store::open(&path);
-        // Witness violates x <= 2; it decodes fine but must not certify.
-        let bad = IlpResolution::Exact { x: vec![4.0, 0.0], value: 12.0 };
-        store.insert(key, 1, 2, &p, &bad, IlpStats::default());
-        assert!(store.probe(key, 1, 2, &p).is_none());
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let y = b.add_var("y", true);
+        let x = b.add_var("x", true);
+        b.objective(x, 3.0);
+        b.objective(y, 2.0);
+        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
+        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        let q = b.build();
+        put(&store, &p, &toy_exact());
+        assert!(!hits(&store, &q));
+        // Even under the entry's own key (a forced collision) the gate
+        // passes it over without a rejection.
+        assert!(store.probe(key_of(&p), &q).is_none());
+        assert_eq!(store.stats().rejected, 0);
+    }
+
+    #[test]
+    fn a_corrupt_witness_costs_a_solve_never_a_bound() {
+        let store = Store::in_memory();
+        let p = toy();
+        // Witness violates x <= 2; it must not certify.
+        put(&store, &p, &IlpResolution::Exact { x: vec![4.0, 0.0], value: 12.0 });
+        assert!(!hits(&store, &p));
         assert_eq!(store.stats().rejected, 1);
+        // The fresh solve replaces the entry, which then replays.
+        put(&store, &p, &toy_exact());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.probe(key_of(&p), &p).map(|(res, _)| res), Some(toy_exact()));
     }
 
     #[test]
-    fn a_record_under_a_foreign_key_re_keys_on_open() {
-        // A file written under another key scheme: the record's key is not
-        // its problem's fingerprint. Opening re-derives it, so the record
-        // replays under the current key.
+    fn a_reopened_store_keys_each_record_by_its_own_problem() {
+        // An entry filed under a key that is not its problem's fingerprint:
+        // the file holds no key, so the reopened record replays under the
+        // derived one.
         let dir = scratch("rekey");
         let path = dir.join("s.store");
         let p = toy();
         {
             let store = Store::open(&path);
-            store.insert(Fingerprint(7), 1, 2, &p, &toy_exact(), IlpStats::default());
+            store.insert(Fingerprint(7), &p, &toy_exact(), IlpStats::default());
+            assert!(store.probe(Fingerprint(7), &p).is_some());
             store.flush().expect("flush");
         }
         let store = Store::open(&path);
         assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0));
-        let (res, _) = store.probe(key_of(&p), 1, 2, &p).expect("replay under the derived key");
-        assert_eq!(res, toy_exact());
-        assert!(store.probe(Fingerprint(7), 1, 2, &p).is_none());
+        assert!(hits(&store, &p), "replays under the derived key");
+        assert!(store.probe(Fingerprint(7), &p).is_none());
     }
 
     #[test]
-    fn non_exact_resolutions_are_not_persisted() {
+    fn degraded_results_are_not_kept_and_only_exact_ones_are_written() {
         let dir = scratch("nonexact");
-        let store = Store::open(dir.join("s.store"));
+        let path = dir.join("s.store");
         let p = toy();
-        store.insert(
-            key_of(&p),
-            1,
-            2,
-            &p,
-            &IlpResolution::Relaxed { bound: 11.0, incumbent: None },
-            IlpStats::default(),
-        );
-        assert!(store.is_empty());
+        {
+            let store = Store::open(&path);
+            for degraded in
+                [IlpResolution::Exhausted, IlpResolution::Relaxed { bound: 12.0, incumbent: None }]
+            {
+                put(&store, &p, &degraded);
+                assert!(store.is_empty());
+            }
+            put(&store, &p, &IlpResolution::Infeasible);
+            assert!(hits(&store, &p), "a verdict without a witness replays in memory");
+            store.flush().expect("flush");
+        }
+        assert_eq!(Store::open(&path).stats().loaded, 0, "but is never written");
+    }
+
+    #[test]
+    fn in_memory_and_read_only_stores_queue_nothing_for_the_disk() {
+        let dir = scratch("noqueue");
+        let path = dir.join("s.store");
+        let holder = Store::open(&path);
+        let read_only = Store::open(&path);
+        assert_eq!(read_only.mode(), StoreMode::ReadOnly);
+        for store in [&Store::in_memory(), &read_only] {
+            for i in 0..1000 {
+                let (p, res) = line(f64::from(i));
+                put(store, &p, &res);
+            }
+            let inner = store.inner.lock().expect("store lock");
+            assert!(inner.pending.is_empty(), "{:?} store queued records", store.mode());
+            assert_eq!(inner.live_bytes, 0, "{:?} store sized records", store.mode());
+            assert_eq!(inner.recency.len(), SOLVE_CACHE_CAPACITY);
+        }
+        drop(holder);
     }
 
     #[test]
@@ -1249,10 +1332,9 @@ mod tests {
         let dir = scratch("bitflip");
         let path = dir.join("s.store");
         let p = toy();
-        let key = key_of(&p);
         {
             let store = Store::open(&path);
-            store.insert(key, 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &p, &toy_exact());
             store.flush().expect("flush");
         }
         let mut bytes = fs::read(&path).expect("read back");
@@ -1262,32 +1344,18 @@ mod tests {
         let store = Store::open(&path);
         assert_eq!(store.stats().loaded, 0);
         assert_eq!(store.stats().quarantined, 1);
-        assert!(store.probe(key, 1, 2, &p).is_none());
+        assert!(!hits(&store, &p));
     }
 
     #[test]
     fn truncated_file_quarantines_only_the_tail() {
         let dir = scratch("truncate");
         let path = dir.join("s.store");
-        let p = toy();
-        let q = {
-            let mut b = ProblemBuilder::new(Sense::Minimize);
-            let x = b.add_var("x", true);
-            b.objective(x, 1.0);
-            b.constraint(vec![(x, 1.0)], Relation::Ge, 3.0);
-            b.build()
-        };
+        let (q, qres) = line(3.0);
         {
             let store = Store::open(&path);
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-            store.insert(
-                key_of(&q),
-                1,
-                2,
-                &q,
-                &IlpResolution::Exact { x: vec![3.0], value: 3.0 },
-                IlpStats::default(),
-            );
+            put(&store, &toy(), &toy_exact());
+            put(&store, &q, &qres);
             store.flush().expect("flush");
         }
         let bytes = fs::read(&path).expect("read back");
@@ -1321,17 +1389,16 @@ mod tests {
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, 4.0);
         let p = b.build();
-        let key = key_of(&p);
         let stale = IlpResolution::Exact { x: vec![4.0, 1.0], value: 5.0 };
         let dir = scratch("v1");
         let path = dir.join("s.store");
         {
             let store = Store::open(&path);
-            store.insert(key, 1, 2, &p, &stale, IlpStats::default());
+            put(&store, &p, &stale);
             store.flush().expect("flush");
         }
         // Under the current header the stale witness would replay.
-        let replayed = Store::open(&path).probe(key, 1, 2, &p).map(|(res, _)| res);
+        let replayed = Store::open(&path).probe(key_of(&p), &p).map(|(res, _)| res);
         assert_eq!(replayed, Some(stale));
 
         let mut bytes = fs::read(&path).expect("read");
@@ -1340,7 +1407,7 @@ mod tests {
         let store = Store::open(&path);
         assert_eq!(store.stats().loaded, 0);
         assert_eq!(store.stats().quarantined, 1, "one quarantine for the whole file");
-        assert!(store.probe(key, 1, 2, &p).is_none());
+        assert!(!hits(&store, &p));
         let (solved, _) = ipet_lp::solve_ilp_budgeted(
             &p,
             &ipet_lp::SolveBudget::unlimited(),
@@ -1348,6 +1415,44 @@ mod tests {
             &mut SolverFaults::none(),
         );
         assert_eq!(solved, IlpResolution::Exact { x: vec![0.0, 5.0], value: 5.0 });
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_v2_file_opens_empty_and_the_next_flush_replaces_it() {
+        // A version-2 image: the v2 header, then records that carry a tag,
+        // a key and a program scope before the problem. None may load.
+        let dir = scratch("v2");
+        let path = dir.join("s.store");
+        let p = toy();
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&[0xAB; 48]);
+        let entry = Entry {
+            key: 0,
+            problem: p.clone(),
+            resolution: toy_exact(),
+            stats: IlpStats::default(),
+            bytes: 0,
+        };
+        encode_entry(&mut payload, &entry);
+        let mut image = b"ipet-store-v2\0\0\0".to_vec();
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&crc32(&payload).to_le_bytes());
+        image.extend_from_slice(&payload);
+        fs::write(&path, &image).expect("write v2 image");
+        let ino = inode(&path);
+        {
+            let store = Store::open(&path);
+            assert_eq!((store.stats().loaded, store.stats().quarantined), (0, 1));
+            assert!(!hits(&store, &p));
+            put(&store, &p, &toy_exact());
+            store.flush().expect("repairing flush");
+            assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
+        }
+        assert_ne!(inode(&path), ino, "the v2 file was replaced");
+        let store = Store::open(&path);
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0));
+        assert!(hits(&store, &p));
     }
 
     #[test]
@@ -1361,7 +1466,8 @@ mod tests {
         assert_eq!(second.stats().lock_busy, 1);
         // Read-only stores still cache in memory; flush is a no-op.
         let p = toy();
-        second.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        put(&second, &p, &toy_exact());
+        assert!(hits(&second, &p));
         second.flush().expect("no-op flush");
         assert!(!path.exists(), "read-only store must not write the file");
         drop(first);
@@ -1437,14 +1543,8 @@ mod tests {
                 let store = &store;
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        let mut b = ProblemBuilder::new(Sense::Maximize);
-                        let x = b.add_var("x", true);
-                        b.objective(x, 1.0);
-                        let rhs = (t * per_thread + i) as f64;
-                        b.constraint(vec![(x, 1.0)], Relation::Le, rhs);
-                        let p = b.build();
-                        let res = IlpResolution::Exact { x: vec![rhs], value: rhs };
-                        store.insert(key_of(&p), 7, 7, &p, &res, IlpStats::default());
+                        let (p, res) = line((t * per_thread + i) as f64);
+                        put(store, &p, &res);
                         store.flush().expect("flush");
                     }
                 });
@@ -1470,8 +1570,8 @@ mod tests {
         assert_eq!(store.mode(), StoreMode::InMemory);
         assert_eq!(store.stats().open_failed, 1);
         let p = toy();
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-        assert!(store.probe(key_of(&p), 1, 2, &p).is_some(), "still caches");
+        put(&store, &p, &toy_exact());
+        assert!(hits(&store, &p), "still caches");
         store.flush().expect("no-op flush");
     }
 
@@ -1488,8 +1588,7 @@ mod tests {
         let dir = scratch("writefault");
         let path = dir.join("s.store");
         let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(0));
-        let p = toy();
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        put(&store, &toy(), &toy_exact());
         assert!(store.flush().is_err());
         assert_eq!(store.stats().write_failed, 1);
         assert!(!path.exists(), "failed flush must not leave bytes behind");
@@ -1505,27 +1604,26 @@ mod tests {
         let path = dir.join("s.store");
         let store = Store::open(&path);
         let p = toy();
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        put(&store, &p, &toy_exact());
         store.flush().expect("first flush");
         let bytes = fs::read(&path).expect("read");
         let ino = inode(&path);
         assert_eq!(store.stats().flushes, 1);
 
-        // Nothing changed: no rewrite, not even of identical bytes.
+        // Nothing changed — a replay only moves the entry in the LRU: no
+        // rewrite, not even of identical bytes.
         store.flush().expect("clean flush");
-        store.note_context(1, 2);
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-        store.flush().expect("still clean after a no-op context and a duplicate");
+        assert!(hits(&store, &p));
+        store.flush().expect("still clean after a replay");
         assert_eq!(store.stats().flushes, 1);
         assert_eq!(inode(&path), ino, "a clean flush must not replace the file");
         assert_eq!(fs::read(&path).expect("read"), bytes);
 
-        // An invalidating context change makes it dirty again.
-        store.note_context(1, 3);
+        // A new entry makes it dirty again.
+        let (q, qres) = line(3.0);
+        put(&store, &q, &qres);
         store.flush().expect("dirty flush");
         assert_eq!(store.stats().flushes, 2);
-        drop(store);
-        assert_eq!(Store::open(&path).stats().loaded, 0, "the drop reached disk");
     }
 
     #[test]
@@ -1547,20 +1645,12 @@ mod tests {
     fn failed_write_leaves_the_store_dirty() {
         let dir = scratch("failrepair");
         let path = dir.join("s.store");
-        let p = toy();
-        let q = {
-            let mut b = ProblemBuilder::new(Sense::Minimize);
-            let x = b.add_var("x", true);
-            b.objective(x, 1.0);
-            b.constraint(vec![(x, 1.0)], Relation::Ge, 3.0);
-            b.build()
-        };
+        let (q, qres) = line(3.0);
         {
             let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &toy(), &toy_exact());
             store.flush().expect("writing flush 0");
-            let qres = IlpResolution::Exact { x: vec![3.0], value: 3.0 };
-            store.insert(key_of(&q), 1, 2, &q, &qres, IlpStats::default());
+            put(&store, &q, &qres);
             assert!(store.flush().is_err(), "writing flush 1 fails");
             // No new insert: the retry must still write.
             store.flush().expect("retry");
@@ -1574,10 +1664,9 @@ mod tests {
     fn torn_write_is_repaired_by_the_next_flush() {
         let dir = scratch("tornrepair");
         let path = dir.join("s.store");
-        let p = toy();
         {
             let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(0));
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &toy(), &toy_exact());
             store.flush().expect("torn flush still renames");
             store.flush().expect("repairing flush");
             assert_eq!(store.stats().flushes, 2);
@@ -1594,23 +1683,22 @@ mod tests {
         let p = toy();
         {
             let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(0));
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &p, &toy_exact());
             store.flush().expect("torn flush still renames");
         }
         let store = Store::open(&path);
         assert_eq!(store.stats().loaded, 0);
         assert_eq!(store.stats().quarantined, 1);
-        assert!(store.probe(key_of(&p), 1, 2, &p).is_none());
+        assert!(!hits(&store, &p));
     }
 
     #[test]
     fn corrupt_record_fault_is_latent_until_reopen() {
         let dir = scratch("corruptrec");
         let path = dir.join("s.store");
-        let p = toy();
         {
             let store = Store::open_with_faults(&path, SolverFaults::corrupt_record_at(0));
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &toy(), &toy_exact());
             store.flush().expect("flush succeeds; damage is silent");
         }
         let store = Store::open(&path);
@@ -1619,51 +1707,52 @@ mod tests {
     }
 
     #[test]
-    fn flush_bytes_are_deterministic() {
-        let dir = scratch("determinism");
-        let p = toy();
-        let q = {
-            let mut b = ProblemBuilder::new(Sense::Minimize);
-            let x = b.add_var("x", true);
-            b.objective(x, 1.0);
-            b.constraint(vec![(x, 1.0)], Relation::Ge, 3.0);
-            b.build()
-        };
-        let qres = IlpResolution::Exact { x: vec![3.0], value: 3.0 };
-        let path_a = dir.join("a.store");
-        let path_b = dir.join("b.store");
+    fn a_compaction_writes_least_recently_used_first_and_a_reopen_keeps_that_order() {
+        let dir = scratch("recency");
+        let path = dir.join("s.store");
+        let [(a, ra), (b, rb), (c, rc), (d, rd)] = [1.0, 2.0, 3.0, 4.0].map(line);
         {
-            let a = Store::open(&path_a);
-            a.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-            a.insert(key_of(&q), 1, 2, &q, &qres, IlpStats::default());
-            a.flush().expect("flush a");
+            let store = open_capped(&path, 3);
+            put(&store, &a, &ra);
+            put(&store, &b, &rb);
+            put(&store, &c, &rc);
+            assert!(hits(&store, &a), "a is now the most recently used");
+            store.flush().expect("the first flush compacts");
+            assert_eq!(store.stats().compactions, 1);
         }
-        {
-            let b = Store::open(&path_b);
-            // Opposite insertion order must yield identical bytes.
-            b.insert(key_of(&q), 1, 2, &q, &qres, IlpStats::default());
-            b.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-            b.flush().expect("flush b");
-        }
-        assert_eq!(
-            fs::read(&path_a).expect("a"),
-            fs::read(&path_b).expect("b"),
-            "store bytes must be order-independent"
-        );
+        // The file lists b, c, a.
+        let bytes = fs::read(&path).expect("read");
+        let first = STORE_MAGIC.len() + FRAME_BYTES as usize;
+        let len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
+        let first = decode_entry(&bytes[first..first + len]).expect("record");
+        assert!(same_structure(&first.problem, &b), "the least recently used entry comes first");
+        let store = open_capped(&path, 3);
+        assert_eq!(store.stats().loaded, 3);
+        put(&store, &d, &rd);
+        assert!(!hits(&store, &b), "b was still the least recently used");
+        assert!(hits(&store, &c) && hits(&store, &a) && hits(&store, &d));
     }
 
     #[test]
-    fn duplicate_insert_is_coalesced() {
+    fn a_duplicate_insert_replaces_the_entry() {
         let dir = scratch("dup");
-        let store = Store::open(dir.join("s.store"));
+        let path = dir.join("s.store");
         let p = toy();
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-        assert_eq!(store.len(), 1);
+        {
+            let store = Store::open(&path);
+            put(&store, &p, &toy_exact());
+            store.flush().expect("flush");
+            put(&store, &p, &toy_exact());
+            assert_eq!(store.len(), 1);
+            store.flush().expect("append");
+            let (live, file) = store.journal_bytes();
+            assert_eq!(file, STORE_MAGIC.len() as u64 + 2 * live, "the old record is dead");
+        }
+        assert_eq!(Store::open(&path).stats().loaded, 1);
     }
 
-    /// A problem of `n` variables whose solve record is several KB, so
-    /// journal sizes reach the compaction floor in a test's run.
+    /// A problem of `n` variables whose record is several KB, so journal
+    /// sizes reach the compaction floor in a test's run.
     fn wide(n: usize, rhs: f64) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), true)).collect();
@@ -1685,11 +1774,11 @@ mod tests {
         let path = dir.join("s.store");
         let (p, q) = (toy(), wide(4, 3.0));
         let store = Store::open(&path);
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        put(&store, &p, &toy_exact());
         store.flush().expect("first flush creates the file");
         let before = fs::read(&path).expect("read");
         let ino = inode(&path);
-        store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+        put(&store, &q, &zeros(&q));
         store.flush().expect("append");
         let after = fs::read(&path).expect("read");
         assert_eq!(inode(&path), ino, "an append must not replace the file");
@@ -1702,83 +1791,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(unix)]
-    fn a_v2_image_loads_unchanged_and_grows_by_appends() {
-        // The version-2 whole-file image: the header, then sorted solve
-        // records and nothing else.
-        let dir = scratch("v2image");
-        let path = dir.join("s.store");
-        let (p, q, r) = (toy(), wide(3, 2.0), wide(5, 2.0));
-        let mut payloads: Vec<Vec<u8>> = [(&p, toy_exact()), (&q, zeros(&q))]
-            .into_iter()
-            .map(|(prob, res)| {
-                let IlpResolution::Exact { x, value } = res else { unreachable!() };
-                let e = StoreEntry {
-                    key: key_of(prob).0,
-                    identity: 1,
-                    invalidation: 2,
-                    problem: prob.clone(),
-                    x,
-                    value,
-                    stats: IlpStats::default(),
-                    seq: 0,
-                    bytes: 0,
-                };
-                encode_entry(&e)
-            })
-            .collect();
-        payloads.sort();
-        let mut image = STORE_MAGIC.to_vec();
-        for payload in &payloads {
-            push_record(&mut image, payload);
-        }
-        fs::write(&path, &image).expect("write v2 image");
-        let ino = inode(&path);
-
-        let store = Store::open(&path);
-        assert_eq!((store.stats().loaded, store.stats().quarantined), (2, 0));
-        assert!(store.probe(key_of(&p), 1, 2, &p).is_some(), "its entries replay");
-        store.flush().expect("clean flush");
-        assert_eq!(store.stats().flushes, 0, "a clean image is not rewritten");
-        store.insert(key_of(&r), 1, 2, &r, &zeros(&r), IlpStats::default());
-        store.flush().expect("append");
-        assert_eq!((store.stats().appends, store.stats().compactions), (1, 0));
-        assert_eq!(inode(&path), ino);
-        let grown = fs::read(&path).expect("read");
-        assert_eq!(&grown[..image.len()], &image[..], "the v2 image is left as it was");
-        drop(store);
-        assert_eq!(Store::open(&path).stats().loaded, 3);
-    }
-
-    #[test]
-    fn tombstones_replay_in_file_order() {
-        let dir = scratch("tombstones");
-        let path = dir.join("s.store");
-        let (p, q) = (toy(), wide(3, 2.0));
-        {
-            let store = Store::open(&path);
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
-            store.insert(key_of(&q), 5, 6, &q, &zeros(&q), IlpStats::default());
-            store.flush().expect("flush");
-            // Drop p, then re-insert it under the new hash in the same
-            // append, and q under the old one (a request still running on
-            // the previous input): the tombstone must take neither.
-            store.note_context(1, 3);
-            store.insert(key_of(&p), 1, 3, &p, &toy_exact(), IlpStats::default());
-            store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
-            store.flush().expect("append");
-            assert_eq!(store.stats().appends, 1);
-        }
-        let store = Store::open(&path);
-        assert_eq!(store.stats().loaded, 3);
-        assert!(store.probe(key_of(&q), 1, 2, &q).is_some(), "inserted after the tombstone");
-        assert_eq!(store.stats().invalidated, 0, "a replayed tombstone is not a new invalidation");
-        assert!(store.probe(key_of(&p), 1, 2, &p).is_none(), "the dropped entry stays dropped");
-        assert!(store.probe(key_of(&p), 1, 3, &p).is_some());
-        assert!(store.probe(key_of(&q), 5, 6, &q).is_some(), "other programs are untouched");
-    }
-
-    #[test]
     fn a_torn_append_is_quarantined_on_reopen_and_the_next_flush_compacts() {
         let dir = scratch("tornappend");
         let path = dir.join("s.store");
@@ -1786,9 +1798,9 @@ mod tests {
         {
             // Writing flush 0 creates the file; flush 1, an append, tears.
             let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(1));
-            store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+            put(&store, &p, &toy_exact());
             store.flush().expect("flush 0");
-            store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+            put(&store, &q, &zeros(&q));
             store.flush().expect("a torn append still reports success");
             assert_eq!(store.stats().appends, 1);
         }
@@ -1810,9 +1822,9 @@ mod tests {
         let path = dir.join("s.store");
         let (p, q) = (toy(), wide(4, 3.0));
         let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
-        store.insert(key_of(&p), 1, 2, &p, &toy_exact(), IlpStats::default());
+        put(&store, &p, &toy_exact());
         store.flush().expect("flush 0");
-        store.insert(key_of(&q), 1, 2, &q, &zeros(&q), IlpStats::default());
+        put(&store, &q, &zeros(&q));
         assert!(store.flush().is_err());
         store.flush().expect("retry");
         assert_eq!((store.stats().compactions, store.stats().appends), (2, 0));
@@ -1821,27 +1833,26 @@ mod tests {
     }
 
     #[test]
-    fn the_journal_stays_within_twice_live_plus_the_floor_over_1000_edit_cycles() {
-        // A serve daemon's edit loop: each cycle an edit retires the
-        // program's entries and adds its own, then a replay of the
-        // unedited program retires the edit's. A few programs stay live.
+    fn evictions_keep_the_journal_within_twice_live_plus_the_floor_over_1000_edit_cycles() {
+        // A serve daemon's edit loop on a full store: each cycle replays a
+        // few routines, which keeps them recent, and an edit adds two
+        // entries whose inserts evict the oldest edits' entries.
         let dir = scratch("bounded");
         let path = dir.join("s.store");
-        let store = Store::open(&path);
-        for id in 10..14u128 {
-            let p = wide(8 + id as usize, 1.0);
-            store.insert(key_of(&p), id, 0, &p, &zeros(&p), IlpStats::default());
+        let store = open_capped(&path, 16);
+        let kept: Vec<Problem> = (10..14).map(|n| wide(n, 1.0)).collect();
+        for p in &kept {
+            put(&store, p, &zeros(p));
         }
-        let edit = wide(200, 9.0);
+        let edit = wide(200, 5000.0);
         let header = STORE_MAGIC.len() as u64;
-        for cycle in 0..1000u128 {
-            store.note_context(1, 1000 + cycle);
-            let e = wide(200, cycle as f64);
-            store.insert(key_of(&e), 1, 1000 + cycle, &e, &zeros(&e), IlpStats::default());
-            store.insert(key_of(&edit), 1, 1000 + cycle, &edit, &zeros(&edit), IlpStats::default());
+        for cycle in 0..1000 {
+            assert!(kept.iter().all(|p| hits(&store, p)), "cycle {cycle}: a replay missed");
+            let e = wide(200, f64::from(cycle));
+            put(&store, &e, &zeros(&e));
+            put(&store, &edit, &zeros(&edit));
             store.flush().expect("edit flush");
-            store.note_context(1, 0);
-            store.flush().expect("replay flush");
+            assert_eq!(store.len(), (6 + cycle as usize).min(16));
             let (live, file) = store.journal_bytes();
             assert_eq!(fs::metadata(&path).expect("stat").len(), file);
             assert!(
@@ -1850,6 +1861,7 @@ mod tests {
             );
         }
         let s = store.stats();
+        assert_eq!(s.evicted, 1000 - 11, "one eviction per cycle once full");
         assert!(s.compactions > 1, "the cycles outgrew the floor");
         assert!(
             s.compactions * 20 < s.flushes,
@@ -1857,9 +1869,13 @@ mod tests {
             s.compactions,
             s.flushes
         );
-        let live = store.len();
         drop(store);
-        assert_eq!(Store::open(&path).stats().loaded, live as u64);
+        let reopened = open_capped(&path, 16);
+        assert_eq!(reopened.stats().loaded, 16);
+        // Replays are not journaled: the routines kept recent by replays
+        // since the last compaction yield to the newer records.
+        let newest = wide(200, 999.0);
+        assert!(hits(&reopened, &newest) && hits(&reopened, &edit), "the newest records load");
     }
 
     #[test]

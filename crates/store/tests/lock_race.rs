@@ -86,7 +86,7 @@ fn two_racers_exactly_one_wins_read_write_after_sigkilled_holder() {
             let seed = Store::open(&path);
             let p = toy();
             let res = IlpResolution::Exact { x: vec![3.0], value: 3.0 };
-            seed.insert(fingerprint(&p), 1, 1, &p, &res, IlpStats::default());
+            seed.insert(fingerprint(&p), &p, &res, IlpStats::default());
             seed.flush().expect("seed flush");
         }
         let lock = {
