@@ -507,8 +507,8 @@ mod tests {
     /// max 3x + 2y st x + y <= 4, x <= 2 — optimum x=2, y=2, value 10.
     fn toy() -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);

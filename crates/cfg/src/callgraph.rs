@@ -201,7 +201,7 @@ impl Instances {
 
     /// Cap on the total bytes of the expanded instances' labels. A chain
     /// of `n` functions, each calling the next, has labels of `O(n²)`
-    /// bytes, and every ILP variable's name repeats its instance's label.
+    /// bytes.
     pub const MAX_LABEL_BYTES: usize = 4 << 20;
 
     /// Expands `program` from `entry`.

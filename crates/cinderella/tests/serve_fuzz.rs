@@ -7,7 +7,9 @@
 //! `done` line with a status of 0 to 3, never the line of an isolated
 //! panic; a well-typed request for a bundled target must get the bound an
 //! in-process analysis gets; and afterwards `stats` answers and `shutdown`
-//! exits 0.
+//! exits 0. A second daemon, started with `--store`, answers generated
+//! source files: a deep call chain, control flow nested just under the
+//! parser's limit, and annotations with many disjunctions.
 
 use ipet_core::{AnalysisBudget, Analyzer, MAX_GROUP_DEPTH};
 use ipet_trace::json::MAX_DEPTH;
@@ -16,6 +18,7 @@ use rand::prelude::*;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SEED: u64 = 0x5E4E_F022;
 const LINES: usize = 320;
@@ -328,4 +331,133 @@ fn every_generated_line_gets_one_done_line_and_the_daemon_survives() {
     assert_eq!(ack.get("shutdown"), Some(&Json::Bool(true)));
     drop(stdin);
     assert_eq!(child.wait().unwrap().code(), Some(0));
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("cinderella-serve-fuzz-{}-{tag}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    dir
+}
+
+/// `main` calls `f0`, each `f<i>` calls the next, and the last returns a
+/// constant.
+fn call_chain(depth: usize) -> String {
+    let mut src = String::new();
+    for i in 0..depth {
+        let body = if i + 1 < depth { format!("f{}()", i + 1) } else { "1".to_string() };
+        src.push_str(&format!("int f{i}() {{ return {body}; }}\n"));
+    }
+    src + "int main() { return f0(); }\n"
+}
+
+/// `main` with `depth` nested `if` statements.
+fn nested_ifs(depth: usize) -> String {
+    format!(
+        "int main(int a) {{ int x; x = a; {}x = 2;{} return x; }}\n",
+        "if (x) { ".repeat(depth),
+        " }".repeat(depth)
+    )
+}
+
+/// The deepest `nested_ifs` the parser accepts: one more level is refused.
+fn deepest_ifs() -> usize {
+    let parses = |depth| ipet_lang::parse_module(&nested_ifs(depth)).is_ok();
+    let depth = (1..=ipet_lang::MAX_NESTING).rev().find(|&d| parses(d)).expect("some depth parses");
+    assert!(!parses(depth + 1), "the limit lies between {depth} and {}", depth + 1);
+    depth
+}
+
+/// A diamond in a loop, and `disjunctions` statements of two alternatives
+/// that hold on every path, so no set is null and every set plans.
+fn disjunctive(disjunctions: usize) -> (String, String) {
+    let src = "int main(int a) { int i; int s; s = 0; \
+               for (i = 0; i < 4; i = i + 1) { if (a) { s = s + 1; } else { s = s - 1; } } \
+               return s; }\n";
+    let mut ann = String::from("fn main { loop x2 in [0, 4]; ");
+    for k in 0..disjunctions {
+        ann.push_str(&format!("(x{} >= 0) | (x1 >= {}); ", 3 + k % 3, k % 2));
+    }
+    (src.to_string(), ann + "}")
+}
+
+#[test]
+fn generated_sources_get_answers_from_a_daemon_with_a_store() {
+    let dir = scratch("generated");
+    let store = dir.join("serve.store");
+    let cap_bits = AnalysisBudget::DEFAULT_MAX_SETS.trailing_zeros() as usize;
+    let ifs = deepest_ifs();
+    let (loop_src, few) = disjunctive(6);
+    let (_, many) = disjunctive(cap_bits + 2);
+    let mut paths = Vec::new();
+    for (name, src) in [("chain", call_chain(300)), ("ifs", nested_ifs(ifs)), ("loop", loop_src)] {
+        let path = dir.join(format!("{name}.mc"));
+        std::fs::write(&path, src).expect("write a generated source");
+        paths.push(path.display().to_string());
+    }
+    // (name, source, annotations, status): 2^6 sets solve exactly; past
+    // the set cap the disjunctions are dropped and the bound is partial.
+    let requests = [
+        ("chain", &paths[0], None, 0),
+        ("ifs", &paths[1], None, 0),
+        ("disjunctions", &paths[2], Some(few), 0),
+        ("over-cap", &paths[2], Some(many), 2),
+    ];
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cinderella"))
+        .arg("serve")
+        .arg("--store")
+        .arg(&store)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve spawns");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    // Twice over: the second round answers the same from the store.
+    let mut first: HashMap<&str, Json> = HashMap::new();
+    for (id, (name, path, ann, status)) in
+        requests.iter().cycle().take(2 * requests.len()).enumerate()
+    {
+        let mut fields = vec![
+            ("id".into(), Json::Num(id as f64)),
+            ("target".into(), Json::Str(path.to_string())),
+        ];
+        if let Some(ann) = ann {
+            fields.push(("annotations".into(), Json::Str(ann.clone())));
+        }
+        let text = Json::Obj(fields).render();
+        writeln!(stdin, "{text}").expect("daemon reads");
+        let done = read_done(&mut reader, &text);
+        let got = done.get("status").and_then(Json::as_u64);
+        assert!(matches!(got, Some(0..=2)), "{name}: status {got:?}: {done:?}");
+        assert_eq!(got, Some(*status), "{name}: {done:?}");
+        let sets = done.get("sets_total").and_then(Json::as_u64).unwrap_or(0);
+        match *name {
+            "disjunctions" => assert_eq!(sets, 64),
+            "over-cap" => assert!(sets > AnalysisBudget::DEFAULT_MAX_SETS as u64, "{sets}"),
+            _ => {}
+        }
+        let bound = done.get("bound").cloned().expect("a bound");
+        if let Some(before) = first.insert(name, bound.clone()) {
+            assert_eq!(before, bound, "{name}: the replayed bound differs");
+        }
+    }
+
+    writeln!(stdin, r#"{{"op": "stats"}}"#).unwrap();
+    let stats = read_done(&mut reader, "stats");
+    let stats = stats.get("stats").expect("stats");
+    let hits = stats.get("pool").and_then(|p| p.get("hits")).and_then(Json::as_u64);
+    assert!(hits.is_some_and(|h| h > 0), "the second round replays: {stats:?}");
+    writeln!(stdin, r#"{{"op": "shutdown"}}"#).unwrap();
+    let ack = read_done(&mut reader, "shutdown");
+    assert_eq!(ack.get("shutdown"), Some(&Json::Bool(true)));
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+    assert!(store.exists(), "the daemon wrote its store");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -249,18 +249,20 @@ impl AnalysisPlan {
 
         // The one sanctioned f64→count conversion: witnesses that refuse to
         // round to integer counts are numerical garbage, not reportable.
+        // Only the worst witness's counts are reported, but a best witness
+        // that does not round fails the analysis all the same.
         let worst_rounded = round_witness(&worst_x).map_err(|_| AnalysisError::Numerical)?;
-        let best_rounded = round_witness(&best_x).map_err(|_| AnalysisError::Numerical)?;
+        round_witness(&best_x).map_err(|_| AnalysisError::Numerical)?;
 
-        let counts = |xr: &[i64]| -> BTreeMap<String, i64> {
-            let mut out = BTreeMap::new();
-            for ((id, r), &v) in self.space.iter().zip(xr) {
-                if matches!(r, VarRef::Block(..)) && v != 0 {
-                    out.insert(self.names[id.0].clone(), v);
-                }
-            }
-            out
-        };
+        // The reported block counts: a label is written for each nonzero
+        // block count, and for nothing else.
+        let wcet_counts: BTreeMap<String, i64> = self
+            .space
+            .iter()
+            .zip(&worst_rounded)
+            .filter(|&((_, r), &v)| matches!(r, VarRef::Block(..)) && v != 0)
+            .map(|((_, r), &v)| (self.space.label(r), v))
+            .collect();
 
         // Attribute the WCET objective to instances: block variables carry
         // their worst-cold cost unless the cache split moved the cost onto
@@ -322,8 +324,7 @@ impl AnalysisPlan {
                 sets_total: self.sets_total,
                 sets_pruned: self.sets_pruned,
                 sets: reports,
-                wcet_counts: counts(&worst_rounded),
-                bcet_counts: counts(&best_rounded),
+                wcet_counts,
                 wcet_contributions: contributions,
                 quality,
                 sets_skipped,

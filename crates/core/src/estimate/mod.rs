@@ -32,7 +32,6 @@ use ipet_cfg::{BlockId, InstanceId, Instances};
 use ipet_hw::{block_cycles, BlockCost, Cycles, Machine, ParamExpr};
 use ipet_lp::{BoundQuality, Fingerprint, IlpResolution, IlpStats, Problem, Sense, SolveBudget};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 mod degrade;
 mod fold;
@@ -181,8 +180,6 @@ pub struct Estimate {
     /// Basic-block counts of the worst-case solution, labelled
     /// `x<k>@<instance>` (only non-zero entries).
     pub wcet_counts: BTreeMap<String, i64>,
-    /// Basic-block counts of the best-case solution.
-    pub bcet_counts: BTreeMap<String, i64>,
     /// Cycles each CFG instance contributes to the WCET (instance label →
     /// cycles), summing to `bound.upper` for an [`BoundQuality::Exact`]
     /// analysis. For a degraded analysis the breakdown reflects the best
@@ -296,17 +293,13 @@ impl Estimate {
 ///
 /// Jobs are emitted by [`Analyzer::plan`] in the canonical order
 /// `set 0 × Maximize, set 0 × Minimize, set 1 × Maximize, ...` — job `i`
-/// belongs to set `i / 2` with sense `Maximize` when `i` is even. The
-/// problems are fully assembled (structural + functionality + cache-split
-/// rows), self-contained, and independent of each other, so the pool may
-/// solve, replay and steal them in any order.
+/// belongs to the `i / 2`-th surviving (post-prune, canonically ordered)
+/// set, and its sense is `problem.sense`: `Maximize` (the WCET side) when
+/// `i` is even. The problems are fully assembled (structural +
+/// functionality + cache-split rows), self-contained, and independent of
+/// each other, so the pool may solve, replay and steal them in any order.
 #[derive(Debug, Clone)]
 pub struct IlpJob {
-    /// Index of the constraint set among the surviving (post-prune,
-    /// canonically ordered) sets.
-    pub set: usize,
-    /// `Maximize` for the WCET side, `Minimize` for the BCET side.
-    pub sense: Sense,
     /// The assembled ILP: the sense's cover rows followed by the set's
     /// disjunct rows (deduplicated: rows already in the cover, or repeated
     /// within the set, are dropped before assembly).
@@ -364,12 +357,9 @@ pub struct AnalysisPlan {
     /// Provenance of the loop bounds in force (copied from the
     /// annotations; empty unless the inference pass filled it in).
     loop_bounds: Vec<LoopProvenance>,
-    /// The plan's variables: which are blocks, and which instance owns
-    /// each.
+    /// The plan's variables: which are blocks, which instance owns each,
+    /// and the labels the fold writes for the reported block counts.
     space: VarSpace,
-    /// Every variable's label (`x<k>@<instance>`) in id order: the one
-    /// table both covers and every job's problem share.
-    names: Arc<[String]>,
     /// The worst-case objective in id order, affine in the cache
     /// penalties: a block's cold cost or the cache split's override, and
     /// zero for edges. The worst cover's objective is this evaluated at

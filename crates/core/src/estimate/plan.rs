@@ -11,7 +11,6 @@ use ipet_cfg::{BlockId, InstanceId, LoopInfo};
 use ipet_hw::Cycles;
 use ipet_lp::{fingerprint, BoundQuality, Constraint, Problem, Sense, VarId};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
 
 /// The first-iteration cache split of one plan (empty under
 /// [`CacheMode::AllMiss`]): its rows, and the worst-case objective
@@ -184,9 +183,6 @@ impl<'p> Analyzer<'p> {
         let structural = structural_constraints(&self.instances);
         let split = self.build_split(&mut space);
         let worst = self.objective(&space, Sense::Maximize, &split);
-        // Every variable's label, written once and shared by both covers,
-        // every job and the fold.
-        let names = space.names();
 
         // Constraints common to *every* set (the non-disjunctive
         // statements): together with the structural and split rows they
@@ -221,22 +217,16 @@ impl<'p> Analyzer<'p> {
         // then (worst case only) the split rows.
         let best = self.objective(&space, Sense::Minimize, &split);
         let covers = [
-            self.assemble(
-                &space,
-                &names,
-                Sense::Maximize,
-                &worst,
-                &[&structural, &common, &split.rows],
-            ),
-            self.assemble(&space, &names, Sense::Minimize, &best, &[&structural, &common]),
+            self.assemble(&space, Sense::Maximize, &worst, &[&structural, &common, &split.rows]),
+            self.assemble(&space, Sense::Minimize, &best, &[&structural, &common]),
         ];
         let mut problems = Vec::with_capacity(disjuncts.len() * 2);
-        for (set, rows) in disjuncts.iter().enumerate() {
+        for rows in &disjuncts {
             let rows: Vec<Constraint> = rows.iter().map(|c| lincon_row(&space, c)).collect();
             for cover in &covers {
                 let mut problem = cover.clone();
                 problem.constraints.extend_from_slice(&rows);
-                problems.push((set, problem));
+                problems.push(problem);
             }
         }
         // The job fingerprints: each job's cache key.
@@ -244,12 +234,7 @@ impl<'p> Analyzer<'p> {
             let _span = ipet_trace::span("core.plan.hash");
             problems
                 .into_iter()
-                .map(|(set, problem)| IlpJob {
-                    set,
-                    sense: problem.sense,
-                    key: fingerprint(&problem),
-                    problem,
-                })
+                .map(|problem| IlpJob { key: fingerprint(&problem), problem })
                 .collect()
         };
 
@@ -279,7 +264,6 @@ impl<'p> Analyzer<'p> {
             loop_bounds: anns.provenance.clone(),
             flow: flow_spec(&self.instances, &space),
             space,
-            names,
             worst,
             machine: *self.machine(),
         })
@@ -387,13 +371,12 @@ impl<'p> Analyzer<'p> {
         self.machine().icache.range_is_conflict_free(start, end)
     }
 
-    /// Assembles one problem of `sense` over `space`, named by `names`
-    /// (shared, not copied): `objective` (see [`Analyzer::objective`])
-    /// evaluated at the machine, and the rows of each group in order.
+    /// Assembles one problem of `sense` over `space`: `objective` (see
+    /// [`Analyzer::objective`]) evaluated at the machine, and the rows of
+    /// each group in order.
     pub(super) fn assemble(
         &self,
         space: &VarSpace,
-        names: &Arc<[String]>,
         sense: Sense,
         objective: &[Cycles],
         rows: &[&[LinCon]],
@@ -401,13 +384,7 @@ impl<'p> Analyzer<'p> {
         let objective = objective.iter().map(|c| c.at(self.machine()) as f64).collect();
         let constraints =
             rows.iter().flat_map(|group| group.iter()).map(|c| lincon_row(space, c)).collect();
-        Problem {
-            sense,
-            objective,
-            constraints,
-            integer: vec![true; space.len()],
-            names: Arc::clone(names),
-        }
+        Problem { sense, objective, constraints, integer: vec![true; space.len()] }
     }
 }
 

@@ -1,7 +1,7 @@
 use super::plan::Split;
 use super::*;
 use crate::structural::structural_constraints;
-use crate::vars::VarSpace;
+use crate::vars::{VarRef, VarSpace};
 use ipet_arch::{AluOp, AsmBuilder, Cond, Program, Reg};
 use ipet_lp::SolverFaults;
 
@@ -281,8 +281,7 @@ fn loop_bounded_structural_ilp_has_an_integral_first_relaxation() {
         )
         .unwrap();
     let worst = a.objective(&space, Sense::Maximize, &Split::default());
-    let with_bound =
-        a.assemble(&space, &space.names(), Sense::Maximize, &worst, &[&structural, &bound]);
+    let with_bound = a.assemble(&space, Sense::Maximize, &worst, &[&structural, &bound]);
     let (_, stats) = ipet_lp::solve_ilp(&with_bound);
     assert!(stats.first_relaxation_integral);
 }
@@ -303,7 +302,7 @@ fn time_bound_helpers() {
 /// The rows `job` adds to its sense's cover, after checking that its
 /// problem starts with the cover and is keyed by its own fingerprint.
 fn extra_rows(plan: &AnalysisPlan, job: &IlpJob) -> usize {
-    let cover = plan.cover(job.sense);
+    let cover = plan.cover(job.problem.sense);
     let n = cover.constraints.len();
     assert_eq!(job.problem.constraints[..n], cover.constraints[..]);
     assert_eq!((&job.problem.objective, &job.problem.integer), (&cover.objective, &cover.integer));
@@ -326,25 +325,29 @@ fn job_problems_extend_their_covers() {
     }
     // Jobs alternate max/min, and each sense has its own cover.
     for (i, job) in plan.jobs().iter().enumerate() {
-        assert_eq!(job.sense, if i % 2 == 0 { Sense::Maximize } else { Sense::Minimize });
-        assert_eq!(plan.cover(job.sense).sense, job.sense);
+        assert_eq!(job.problem.sense, if i % 2 == 0 { Sense::Maximize } else { Sense::Minimize });
+        assert_eq!(plan.cover(job.problem.sense).sense, job.problem.sense);
     }
 }
 
 #[test]
-fn covers_jobs_and_fold_share_one_name_table() {
+fn reported_block_counts_are_labelled_by_the_space() {
     let p = while_loop_program(10);
     for mode in [CacheMode::AllMiss, CacheMode::FirstIterSplit] {
         let a = Analyzer::new(&p, Machine::i960kb()).unwrap().with_cache_mode(mode);
         let anns =
             parse_annotations("fn main { loop x2 in [0, 10]; (x3 = 1) | (x3 = 3); }").unwrap();
         let plan = a.plan(&anns, &AnalysisBudget::unlimited()).unwrap();
-        assert_eq!(plan.names.len(), plan.space.len());
         assert_eq!(plan.worst.len(), plan.space.len());
-        assert!(Arc::ptr_eq(&plan.names, &plan.covers[0].names), "{mode:?}");
-        assert!(Arc::ptr_eq(&plan.names, &plan.covers[1].names), "{mode:?}");
-        for job in plan.jobs() {
-            assert!(Arc::ptr_eq(&plan.names, &job.problem.names), "{mode:?}");
+        for cover in &plan.covers {
+            assert_eq!(cover.num_vars(), plan.space.len(), "{mode:?}");
+        }
+        let est = a.analyze_parsed(&anns).unwrap();
+        assert!(!est.wcet_counts.is_empty(), "{mode:?}");
+        for (label, &count) in &est.wcet_counts {
+            assert_ne!(count, 0, "{label}");
+            let var = plan.space.iter().map(|(_, r)| r).find(|&r| plan.space.label(r) == *label);
+            assert!(matches!(var, Some(VarRef::Block(..))), "{label} is a block of the space");
         }
     }
 }
@@ -383,7 +386,7 @@ fn duplicate_delta_rows_are_deduplicated() {
     let mut extra: Vec<usize> = plan
         .jobs()
         .iter()
-        .filter(|j| j.sense == Sense::Maximize)
+        .filter(|j| j.problem.sense == Sense::Maximize)
         .map(|j| extra_rows(&plan, j))
         .collect();
     extra.sort_unstable();
@@ -404,7 +407,7 @@ fn single_set_plans_are_their_covers() {
         // No disjunctions → every row is common → the set's problem is the
         // cover itself.
         assert_eq!(extra_rows(&plan, job), 0);
-        assert_eq!(&job.problem, plan.cover(job.sense));
+        assert_eq!(&job.problem, plan.cover(job.problem.sense));
     }
 }
 

@@ -543,7 +543,7 @@ mod tests {
         assert_eq!(own.is_err(), cfg!(debug_assertions));
         // The injected panic is isolated in every build.
         let mut problem = ipet_lp::ProblemBuilder::new(ipet_lp::Sense::Maximize);
-        let x = problem.add_var("x", true);
+        let x = problem.add_var(true);
         problem.objective(x, 1.0);
         problem.constraint(vec![(x, 1.0)], ipet_lp::Relation::Le, 3.0);
         let problem = problem.build();

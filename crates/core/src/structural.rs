@@ -18,6 +18,19 @@ use ipet_cfg::{BlockId, EdgeId, InstanceId, Instances};
 
 /// Derives all structural constraints of an instance-expanded program.
 pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
+    // Shared formulation: the f-edges targeting each function, in
+    // instance then call-site order, gathered in one pass.
+    let mut f_edges: Vec<Vec<VarRef>> = Vec::new();
+    if instances.shared {
+        f_edges.resize(instances.cfgs.len(), Vec::new());
+        for (g, ginst) in instances.instances.iter().enumerate() {
+            let gcfg = &instances.cfgs[ginst.func.0];
+            for (site, _, _, callee) in gcfg.call_sites() {
+                let (f_edge, _) = gcfg.call_edge(site).expect("site enumerated from CFG");
+                f_edges[callee.0].push(VarRef::Edge(InstanceId(g), f_edge));
+            }
+        }
+    }
     let mut out = Vec::new();
     for i in 0..instances.len() {
         let inst = InstanceId(i);
@@ -50,16 +63,7 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
                 // of every f-edge in the program that targets it.
                 let me = instances.instances[i].func;
                 let mut terms = vec![(VarRef::Edge(inst, EdgeId(0)), 1.0)];
-                for (g, ginst) in instances.instances.iter().enumerate() {
-                    let gcfg = &instances.cfgs[ginst.func.0];
-                    for (site, _, _, callee) in gcfg.call_sites() {
-                        if callee == me {
-                            let (f_edge, _) =
-                                gcfg.call_edge(site).expect("site enumerated from CFG");
-                            terms.push((VarRef::Edge(InstanceId(g), f_edge), -1.0));
-                        }
-                    }
-                }
+                terms.extend(f_edges[me.0].iter().map(|&f| (f, -1.0)));
                 out.push(LinCon::eq(terms, 0.0));
             }
             continue;
@@ -93,11 +97,25 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
 ///
 /// This walks the CFG topology (`in_edges`/`out_edges`/call sites) directly,
 /// not the constraint rows of [`structural_constraints`], so a bug in the
-/// matrix assembly cannot hide from the replay.
+/// matrix assembly cannot hide from the replay. It gathers the shared
+/// formulation's callers itself, for the same reason.
 pub fn flow_spec(instances: &Instances, space: &VarSpace) -> FlowSpec {
     let var = |r: VarRef| -> usize {
         space.id(r).expect("flow spec built from the same instances as the var space").0
     };
+    // Shared formulation: the f-edge variables calling each function, in
+    // instance then call-site order, gathered in one pass.
+    let mut callers: Vec<Vec<usize>> = Vec::new();
+    if instances.shared {
+        callers.resize(instances.cfgs.len(), Vec::new());
+        for (g, ginst) in instances.instances.iter().enumerate() {
+            let gcfg = &instances.cfgs[ginst.func.0];
+            for (site, _, _, callee) in gcfg.call_sites() {
+                let (f_edge, _) = gcfg.call_edge(site).expect("site enumerated from CFG");
+                callers[callee.0].push(var(VarRef::Edge(InstanceId(g), f_edge)));
+            }
+        }
+    }
     let mut spec = FlowSpec::default();
     for i in 0..instances.len() {
         let inst = InstanceId(i);
@@ -117,18 +135,7 @@ pub fn flow_spec(instances: &Instances, space: &VarSpace) -> FlowSpec {
                 spec.entry_edge = entry;
             } else {
                 let me = instances.instances[i].func;
-                let mut callers = Vec::new();
-                for (g, ginst) in instances.instances.iter().enumerate() {
-                    let gcfg = &instances.cfgs[ginst.func.0];
-                    for (site, _, _, callee) in gcfg.call_sites() {
-                        if callee == me {
-                            let (f_edge, _) =
-                                gcfg.call_edge(site).expect("site enumerated from CFG");
-                            callers.push(var(VarRef::Edge(InstanceId(g), f_edge)));
-                        }
-                    }
-                }
-                spec.couplings.push((entry, callers));
+                spec.couplings.push((entry, callers[me.0].clone()));
             }
             continue;
         }

@@ -6,7 +6,6 @@ use ipet_cfg::{BlockId, EdgeId, InstanceId, Instances};
 use ipet_lp::VarId;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 /// A symbolic reference to one ILP variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,14 +135,15 @@ impl VarSpace {
         }
     }
 
-    /// Every variable's human-readable label (`x3@main/f1:check_data`) in
-    /// id order, each written once: the name table an assembled problem
-    /// shares ([`ipet_lp::Problem::names`]).
-    pub fn names(&self) -> Arc<[String]> {
-        self.iter().map(|(_, r)| self.label(r)).collect()
-    }
-
-    fn label(&self, r: VarRef) -> String {
+    /// The human-readable label of `r` (`x3@main/f1:check_data`): its
+    /// kind, its 1-based block or edge number and its instance's label.
+    /// Written only where a report prints it; an assembled problem names
+    /// no variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r`'s instance is outside the space.
+    pub(crate) fn label(&self, r: VarRef) -> String {
         let (kind, index, inst) = match r {
             VarRef::Block(i, b) => ("x", b.0, i),
             VarRef::Edge(i, e) => ("d", e.0, i),
@@ -269,7 +269,7 @@ mod tests {
     fn labels_carry_instance_context() {
         let inst = two_func_instances();
         let space = VarSpace::new(&inst);
-        let labels = space.names();
+        let labels: Vec<String> = space.iter().map(|(_, r)| space.label(r)).collect();
         assert!(labels.iter().any(|l| l.starts_with("x1@main")));
         assert!(labels.iter().any(|l| l.contains("f1:leaf")));
     }
@@ -280,9 +280,7 @@ mod tests {
         let mut space = VarSpace::new(&inst);
         space.intern(VarRef::SplitCold(InstanceId(1), BlockId(0)));
         space.intern(VarRef::SplitWarm(InstanceId(1), BlockId(0)));
-        let names = space.names();
-        assert_eq!(names.len(), space.len());
-        for (id, r) in space.iter() {
+        for (_, r) in space.iter() {
             let label = |i: InstanceId| &inst.instances[i.0].label;
             let expected = match r {
                 VarRef::Block(i, b) => format!("x{}@{}", b.0 + 1, label(i)),
@@ -290,7 +288,7 @@ mod tests {
                 VarRef::SplitCold(i, b) => format!("xc{}@{}", b.0 + 1, label(i)),
                 VarRef::SplitWarm(i, b) => format!("xw{}@{}", b.0 + 1, label(i)),
             };
-            assert_eq!(names[id.0], expected);
+            assert_eq!(space.label(r), expected);
         }
     }
 

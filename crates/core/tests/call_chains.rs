@@ -2,11 +2,14 @@
 //! string, so a chain of functions, each calling the next, has labels of
 //! quadratic total size. `Instances::expand` caps that total at
 //! `Instances::MAX_LABEL_BYTES`: a chain right at the cap analyzes, and
-//! one byte more is an error.
+//! one byte more is an error. No label reaches the solve layer, so a
+//! chain's store file does not grow with its function names.
 
 use ipet_cfg::{CallGraphError, Instances};
-use ipet_core::{AnalysisError, Analyzer};
+use ipet_core::{AnalysisBudget, AnalysisError, Analyzer, Annotations, SolvePool};
 use ipet_hw::Machine;
+use ipet_store::{Store, StoreMode};
+use std::sync::Arc;
 
 /// `main` calls `names[0]`, each function calls the next, and the last
 /// returns a constant.
@@ -75,4 +78,44 @@ fn a_deep_chain_fails_fast_with_a_factual_error() {
     // The remedy is the caller's to name: `cinderella analyze` suggests
     // `--shared`, a serve request has no such field.
     assert!(!err.to_string().contains("--"), "{err}");
+}
+
+/// The length of the store file a pool writes for `chain(names)`.
+fn store_bytes(names: &[String], dir: &std::path::Path) -> u64 {
+    let program = ipet_lang::compile(&chain(names), "main").expect("the chain compiles");
+    let analyzer = Analyzer::new(&program, Machine::i960kb()).expect("analyzer");
+    let budget = AnalysisBudget::default();
+    let plan = analyzer.plan(&Annotations::default(), &budget).expect("plan");
+    let path = dir.join("chain.store");
+    let store = Arc::new(Store::open(&path));
+    assert_eq!(store.mode(), StoreMode::ReadWrite);
+    let batch = SolvePool::new(1)
+        .with_store(Arc::clone(&store))
+        .run_plans(std::slice::from_ref(&plan), &budget.solve);
+    assert!(batch.estimates[0].is_ok());
+    assert!(batch.report.misses > 0, "the first run solves fresh");
+    store.flush().expect("flush");
+    std::fs::metadata(&path).expect("the store file").len()
+}
+
+#[test]
+fn a_store_file_does_not_grow_with_function_names() {
+    // The same 40-deep chain under 2-character and 200-character names.
+    let short: Vec<String> =
+        (0..40).map(|i| format!("{}{}", char::from(b'a' + i / 10), i % 10)).collect();
+    let long: Vec<String> = short.iter().map(|n| format!("{n}{}", "x".repeat(198))).collect();
+    assert!(short.iter().all(|n| n.len() == 2) && long.iter().all(|n| n.len() == 200));
+    let dir = std::env::temp_dir().join(format!("ipet-chain-store-{}", std::process::id()));
+    let bytes: Vec<u64> = [("short", &short), ("long", &long)]
+        .iter()
+        .map(|(tag, names)| {
+            let dir = dir.join(tag);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("mkdir scratch");
+            store_bytes(names, &dir)
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(bytes[0] > ipet_store::STORE_MAGIC.len() as u64, "records were written");
+    assert_eq!(bytes[0], bytes[1], "a record's size follows the problem, not the names");
 }

@@ -111,34 +111,50 @@ fn corrupted_store_degrades_to_cold_solves_with_identical_bounds() {
     assert!(store2.stats().loaded > 0);
 }
 
+/// The same records under an older header are one quarantined unit: the
+/// version-1 header (a file written before witnesses of tied optima were
+/// canonical) and the version-3 header (records that named every
+/// variable). Nothing replays, every job is solved again, and the next
+/// writing flush replaces the file under the current header.
 #[test]
-fn a_v1_store_file_is_quarantined_and_the_pool_re_solves_canonically() {
-    let dir = scratch("v1");
-    let path = dir.join("solves.store");
+fn an_older_store_header_is_quarantined_and_the_pool_re_solves_canonically() {
     let budget = AnalysisBudget::default();
     let plans = plans_for(BENCHES, &budget);
     let fresh = SolvePool::new(2).run_plans(&plans, &budget.solve);
-    {
-        let store = Arc::new(Store::open(&path));
-        SolvePool::new(2).with_store(Arc::clone(&store)).run_plans(&plans, &budget.solve);
-        store.flush().expect("flush");
-    }
-    // The same records under the version-1 header: a file written before
-    // witnesses of tied optima were canonical.
-    let mut bytes = std::fs::read(&path).expect("read store");
-    bytes[..ipet_store::STORE_MAGIC.len()].copy_from_slice(b"ipet-store-v1\0\0\0");
-    std::fs::write(&path, &bytes).expect("write v1 header");
+    for header in [b"ipet-store-v1\0\0\0", b"ipet-store-v3\0\0\0"] {
+        let dir = scratch("older");
+        let path = dir.join("solves.store");
+        {
+            let store = Arc::new(Store::open(&path));
+            SolvePool::new(2).with_store(Arc::clone(&store)).run_plans(&plans, &budget.solve);
+            store.flush().expect("flush");
+        }
+        let mut bytes = std::fs::read(&path).expect("read store");
+        bytes[..ipet_store::STORE_MAGIC.len()].copy_from_slice(header);
+        std::fs::write(&path, &bytes).expect("write the older header");
 
-    let store = Arc::new(Store::open(&path));
-    assert_eq!(store.stats().loaded, 0);
-    assert_eq!(store.stats().quarantined, 1, "the whole file is one quarantine");
-    let pool = SolvePool::new(2).with_store(Arc::clone(&store));
-    let resolved = pool.run_plans(&plans, &budget.solve);
-    assert_eq!(store.stats().hits, 0, "nothing replays from a v1 file");
-    assert_eq!(resolved.report.misses, fresh.report.misses, "every job is solved again");
-    for ((a, b), name) in fresh.estimates.iter().zip(&resolved.estimates).zip(BENCHES) {
-        let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
-        assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
+        let version = String::from_utf8_lossy(&header[..13]);
+        {
+            let store = Arc::new(Store::open(&path));
+            assert_eq!(store.stats().loaded, 0, "{version}");
+            assert_eq!(store.stats().quarantined, 1, "{version}: the whole file is one quarantine");
+            let pool = SolvePool::new(2).with_store(Arc::clone(&store));
+            let resolved = pool.run_plans(&plans, &budget.solve);
+            assert_eq!(store.stats().hits, 0, "{version}: nothing replays");
+            assert_eq!(resolved.report.misses, fresh.report.misses, "every job is solved again");
+            for ((a, b), name) in fresh.estimates.iter().zip(&resolved.estimates).zip(BENCHES) {
+                let (a, b) = (a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+                assert_eq!(a, b, "{name}: the re-solve differs from a storeless run");
+            }
+            store.flush().expect("repairing flush");
+            assert_eq!((store.stats().compactions, store.stats().appends), (1, 0), "{version}");
+        }
+        let bytes = std::fs::read(&path).expect("read the repaired store");
+        assert_eq!(&bytes[..ipet_store::STORE_MAGIC.len()], ipet_store::STORE_MAGIC);
+        assert_eq!(&bytes[..13], b"ipet-store-v4");
+        let store = Store::open(&path);
+        assert_eq!(store.stats().quarantined, 0, "{version}: the rewrite is clean");
+        assert!(store.stats().loaded > 0);
     }
 }
 
@@ -215,7 +231,7 @@ fn returning_to_the_old_loop_bound_replays() {
 /// A store written in the version-2 format (`cinderella analyze check_data
 /// piksrt --store` before records lost their program scope): it opens as
 /// one quarantined, empty store, never replays, and the first flush
-/// replaces it with a version-3 file.
+/// replaces it with a file in the current format.
 #[test]
 fn a_v2_store_file_is_quarantined_once_and_repaired() {
     let fixture = include_bytes!("data/check_data-piksrt.v2.store");

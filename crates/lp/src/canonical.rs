@@ -181,8 +181,8 @@ mod tests {
 
     fn problem(sense: Sense, obj: &[f64], rows: Vec<Constraint>) -> Problem {
         let mut b = ProblemBuilder::new(sense);
-        for (i, &c) in obj.iter().enumerate() {
-            let v = b.add_var(format!("v{i}"), false);
+        for &c in obj {
+            let v = b.add_var(false);
             b.objective(v, c);
         }
         let mut p = b.build();

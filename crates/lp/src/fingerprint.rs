@@ -19,8 +19,8 @@
 //!   variable, `-0.0` folded to `0.0`;
 //! * last, the row count.
 //!
-//! Debug names never affect the key. Equal keys therefore coincide with
-//! [`same_structure`], up to a 128-bit hash collision.
+//! Equal keys therefore coincide with [`same_structure`], up to a 128-bit
+//! hash collision.
 //!
 //! A key is an *index*, not a proof of equality: cache correctness never
 //! rests on it alone. Every replay is gated by [`same_structure`] and, for a
@@ -97,10 +97,10 @@ fn normalize_row(con: &Constraint) -> NormRow {
 
 /// Computes the content fingerprint of `problem` (see the module docs).
 ///
-/// Insensitive to repeated and zero terms, term order within a row, `-0.0`
-/// and debug names; sensitive to the sense, the variable order, the row
-/// order, every effective coefficient, every relation and right-hand side,
-/// and the integrality flags.
+/// Insensitive to repeated and zero terms, term order within a row and
+/// `-0.0`; sensitive to the sense, the variable order, the row order,
+/// every effective coefficient, every relation and right-hand side, and
+/// the integrality flags.
 pub fn fingerprint(problem: &Problem) -> Fingerprint {
     // Two 64-bit lanes fed the same word stream from different seeds.
     let (mut hi, mut lo) = (0x0f0f_1111_2222_3333u64, 0x7777_8888_9999_aaaau64);
@@ -133,10 +133,9 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
 }
 
 /// Exact structural equality of two problems: same sense, same normalized
-/// rows in the same order, same objective and integrality flags — debug
-/// names are ignored. This is the strict gate the replay tier uses before
-/// replaying verdicts (like `Infeasible`) that a witness point cannot
-/// re-validate.
+/// rows in the same order, same objective and integrality flags. This is
+/// the strict gate the replay tier uses before replaying verdicts (like
+/// `Infeasible`) that a witness point cannot re-validate.
 pub fn same_structure(a: &Problem, b: &Problem) -> bool {
     if a.sense != b.sense
         || a.num_vars() != b.num_vars()
@@ -175,8 +174,8 @@ mod tests {
 
     fn toy(sense: Sense) -> Problem {
         let mut b = ProblemBuilder::new(sense);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -185,10 +184,9 @@ mod tests {
     }
 
     #[test]
-    fn stable_across_calls_and_name_changes() {
+    fn stable_across_calls() {
         let p = toy(Sense::Maximize);
-        let mut q = toy(Sense::Maximize);
-        q.names = vec!["a".into(), "b".into()].into();
+        let q = toy(Sense::Maximize);
         assert_eq!(fingerprint(&p), fingerprint(&q));
         assert!(same_structure(&p, &q));
     }
@@ -244,8 +242,8 @@ mod tests {
         // witness of one is not a witness of the other.
         let p = toy(Sense::Maximize);
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let y = b.add_var("y", true);
-        let x = b.add_var("x", true);
+        let y = b.add_var(true);
+        let x = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(y, 1.0), (x, 1.0)], Relation::Le, 4.0);
@@ -264,8 +262,8 @@ mod tests {
     fn near_collision_pair_separates() {
         let build = |rows: [[f64; 2]; 2]| {
             let mut b = ProblemBuilder::new(Sense::Maximize);
-            let x = b.add_var("x", true);
-            let y = b.add_var("y", true);
+            let x = b.add_var(true);
+            let y = b.add_var(true);
             b.objective(x, 1.0);
             b.objective(y, 1.0);
             for r in rows {

@@ -400,7 +400,7 @@ mod tests {
 
     fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let vars: Vec<_> = (0..values.len()).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        let vars: Vec<_> = (0..values.len()).map(|_| b.add_var(true)).collect();
         for (i, &v) in values.iter().enumerate() {
             b.objective(vars[i], v);
             b.constraint(vec![(vars[i], 1.0)], Relation::Le, 1.0);
@@ -432,8 +432,8 @@ mod tests {
     fn integral_relaxation_short_circuits() {
         // Network-flow-like: totally unimodular, first LP already integral.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 2.0);
         b.objective(y, 1.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, 3.0);
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn infeasible_ilp() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
+        let x = b.add_var(true);
         b.objective(x, 1.0);
         // 0.4 <= x <= 0.6 has no integer point.
         b.constraint(vec![(x, 1.0)], Relation::Ge, 0.4);
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn unbounded_ilp() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
+        let x = b.add_var(true);
         b.objective(x, 1.0);
         let (out, _) = solve_ilp(&b.build());
         assert_eq!(out, IlpOutcome::Unbounded);
@@ -470,8 +470,8 @@ mod tests {
     fn minimize_ilp() {
         // min 3x + 2y st x + y >= 3, integer -> x=0,y=3 cost 6.
         let mut b = ProblemBuilder::new(Sense::Minimize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 3.0);
@@ -486,7 +486,7 @@ mod tests {
     fn fractional_optimum_forces_rounding_down() {
         // max x st 2x <= 5, x integer -> 2.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
+        let x = b.add_var(true);
         b.objective(x, 1.0);
         b.constraint(vec![(x, 1.0), (x, 1.0)], Relation::Le, 5.0);
         let (out, stats) = solve_ilp(&b.build());
@@ -623,8 +623,8 @@ mod tests {
     fn mixed_integrality() {
         // y continuous: max x + y st x + 2y <= 3.5, x <= 1.2; x int.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", false);
+        let x = b.add_var(true);
+        let y = b.add_var(false);
         b.objective(x, 1.0);
         b.objective(y, 1.0);
         b.constraint(vec![(x, 1.0), (y, 2.0)], Relation::Le, 3.5);

@@ -11,8 +11,10 @@
 //!
 //! ## Components
 //!
-//! * [`Problem`] / [`ProblemBuilder`] — LP/ILP model with named
-//!   variables, `≤ / ≥ / =` rows and non-negative variables.
+//! * [`Problem`] / [`ProblemBuilder`] — LP/ILP model of numbers only:
+//!   non-negative variables known by index ([`VarId`]), an objective,
+//!   `≤ / ≥ / =` rows and integrality flags. A variable has no name here;
+//!   a caller that prints one keeps its own labels.
 //! * One simplex kernel: a sparse revised simplex (LU factors plus an eta
 //!   file, Dantzig pricing with a Bland anti-cycling fallback) whose
 //!   phase 1 starts from a triangular crash basis. Every solve runs on it
@@ -34,8 +36,8 @@
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4,  x <= 2,  x,y integer >= 0
 //! let mut b = ProblemBuilder::new(Sense::Maximize);
-//! let x = b.add_var("x", true);
-//! let y = b.add_var("y", true);
+//! let x = b.add_var(true);
+//! let y = b.add_var(true);
 //! b.objective(x, 3.0);
 //! b.objective(y, 2.0);
 //! b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);

@@ -1,7 +1,6 @@
 //! LP/ILP problem model.
 
 use std::fmt;
-use std::sync::Arc;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,6 +81,11 @@ impl Constraint {
 }
 
 /// A complete LP/ILP: all variables are implicitly `>= 0`.
+///
+/// Numbers only: a variable is its index ([`VarId`]), and nothing here
+/// names it. The solver, the content key ([`crate::fingerprint`]) and the
+/// store read the sense, objective, rows and integrality flags, so a
+/// caller that reports variables keeps its own labels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Optimization direction.
@@ -92,10 +96,6 @@ pub struct Problem {
     pub constraints: Vec<Constraint>,
     /// Per-variable integrality flags.
     pub integer: Vec<bool>,
-    /// Per-variable debug names. Shared, not copied, between problems
-    /// over one variable space: the planner's covers and every job built
-    /// from them hold the same table.
-    pub names: Arc<[String]>,
 }
 
 impl Problem {
@@ -144,46 +144,6 @@ impl Problem {
             }
         })
     }
-
-    /// Renders the model in an LP-file-like text format, for debugging.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let dir = match self.sense {
-            Sense::Maximize => "maximize",
-            Sense::Minimize => "minimize",
-        };
-        let _ = write!(out, "{dir} ");
-        let mut first = true;
-        for (i, &c) in self.objective.iter().enumerate() {
-            if c != 0.0 {
-                if !first {
-                    let _ = write!(out, " + ");
-                }
-                let _ = write!(out, "{c}*{}", self.names[i]);
-                first = false;
-            }
-        }
-        if first {
-            let _ = write!(out, "0");
-        }
-        let _ = writeln!(out);
-        for con in &self.constraints {
-            let mut firstt = true;
-            for &(v, c) in &con.terms {
-                if !firstt {
-                    let _ = write!(out, " + ");
-                }
-                let _ = write!(out, "{c}*{}", self.names[v.0]);
-                firstt = false;
-            }
-            if firstt {
-                let _ = write!(out, "0");
-            }
-            let _ = writeln!(out, " {} {}", con.relation, con.rhs);
-        }
-        out
-    }
 }
 
 /// Incremental builder for [`Problem`].
@@ -193,7 +153,6 @@ pub struct ProblemBuilder {
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
     integer: Vec<bool>,
-    names: Vec<String>,
 }
 
 impl ProblemBuilder {
@@ -204,15 +163,13 @@ impl ProblemBuilder {
             objective: Vec::new(),
             constraints: Vec::new(),
             integer: Vec::new(),
-            names: Vec::new(),
         }
     }
 
     /// Adds a variable (objective coefficient 0) and returns its id.
-    pub fn add_var(&mut self, name: impl Into<String>, integer: bool) -> VarId {
+    pub fn add_var(&mut self, integer: bool) -> VarId {
         self.objective.push(0.0);
         self.integer.push(integer);
-        self.names.push(name.into());
         VarId(self.objective.len() - 1)
     }
 
@@ -249,7 +206,6 @@ impl ProblemBuilder {
             objective: self.objective,
             constraints: self.constraints,
             integer: self.integer,
-            names: self.names.into(),
         }
     }
 }
@@ -260,8 +216,8 @@ mod tests {
 
     fn tiny() -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", false);
+        let x = b.add_var(true);
+        let y = b.add_var(false);
         b.objective(x, 1.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
@@ -349,14 +305,5 @@ mod tests {
         let mut bad_rhs = p;
         bad_rhs.constraints[1].rhs = f64::NEG_INFINITY;
         assert!(bad_rhs.has_non_finite());
-    }
-
-    #[test]
-    fn render_is_readable() {
-        let p = tiny();
-        let text = p.render();
-        assert!(text.starts_with("maximize 1*x + 2*y"));
-        assert!(text.contains("1*x + 1*y <= 3"));
-        assert!(text.contains("1*x >= 1"));
     }
 }

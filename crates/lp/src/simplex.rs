@@ -154,7 +154,7 @@ mod tests {
 
     fn build(sense: Sense, obj: &[f64], rows: &[(&[f64], Relation, f64)]) -> Problem {
         let mut b = ProblemBuilder::new(sense);
-        let vars: Vec<_> = (0..obj.len()).map(|i| b.add_var(format!("v{i}"), false)).collect();
+        let vars: Vec<_> = (0..obj.len()).map(|_| b.add_var(false)).collect();
         for (i, &c) in obj.iter().enumerate() {
             b.objective(vars[i], c);
         }

@@ -933,9 +933,9 @@ mod tests {
     fn flow_problem() -> Problem {
         // Small IPET-shaped program: entry fixed, a loop bounded by 10.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x1 = b.add_var("x1", true);
-        let x2 = b.add_var("x2", true);
-        let x3 = b.add_var("x3", true);
+        let x1 = b.add_var(true);
+        let x2 = b.add_var(true);
+        let x3 = b.add_var(true);
         b.objective(x1, 4.0);
         b.objective(x2, 9.0);
         b.objective(x3, 2.0);
@@ -968,7 +968,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
+        let x = b.add_var(true);
         b.objective(x, 1.0);
         b.constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
@@ -982,8 +982,8 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 1.0);
         b.constraint(vec![(x, 1.0), (y, -1.0)], Relation::Le, 1.0);
         let p = b.build();
@@ -1055,7 +1055,7 @@ mod tests {
             }
         }
         let mut b = ProblemBuilder::new(sense);
-        let x: Vec<_> = (0..edges.len()).map(|e| b.add_var(format!("d{e}"), true)).collect();
+        let x: Vec<_> = (0..edges.len()).map(|_| b.add_var(true)).collect();
         for &v in &x {
             b.objective(v, rng.gen_range(0i64..=9) as f64);
             b.constraint(vec![(v, 1.0)], Relation::Le, 50.0);
@@ -1178,7 +1178,7 @@ mod tests {
         // A repeated row: covering the first retires both columns, so the
         // twin keeps its artificial and phase 1 cannot drive it out.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x: Vec<_> = (0..3).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        let x: Vec<_> = (0..3).map(|_| b.add_var(true)).collect();
         b.objective(x[0], 1.0);
         b.objective(x[2], 2.0);
         b.constraint(vec![(x[0], 1.0), (x[1], -1.0)], Relation::Eq, 0.0);
@@ -1304,7 +1304,7 @@ mod tests {
     /// right-hand sides over a few structural variables.
     fn random_problem(rng: &mut StdRng, n: usize, m: usize) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        let vars: Vec<_> = (0..n).map(|_| b.add_var(false)).collect();
         for &v in &vars {
             b.objective(v, rng.gen_range(1i64..=9) as f64);
         }
@@ -1365,7 +1365,7 @@ mod tests {
         let m = rng.gen_range(1usize..=14);
         let n = m + rng.gen_range(0usize..=4);
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        let x: Vec<_> = (0..n).map(|_| b.add_var(false)).collect();
         let density = rng.gen_range(15u32..60) as f64 / 100.0;
         for _ in 0..m {
             let mut terms = Vec::new();
@@ -1425,7 +1425,7 @@ mod tests {
         // B = [[1, 0, 1e308], [-1, 1, 1e308], [0, 0, 1]]: every pivot is 1,
         // but eliminating row 1 overflows U[1][2] to +inf.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x: Vec<_> = (0..3).map(|i| b.add_var(format!("x{i}"), false)).collect();
+        let x: Vec<_> = (0..3).map(|_| b.add_var(false)).collect();
         b.constraint(vec![(x[0], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
         b.constraint(vec![(x[0], -1.0), (x[1], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
         b.constraint(vec![(x[2], 1.0)], Relation::Eq, 1.0);
@@ -1446,7 +1446,7 @@ mod tests {
         // A chain long enough to force several refactorizations.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let n = 40;
-        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
         for (i, &v) in vars.iter().enumerate() {
             b.objective(v, 1.0 + (i % 7) as f64);
             b.constraint(vec![(v, 1.0)], Relation::Le, (3 + (i % 5)) as f64);

@@ -24,7 +24,7 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
         let rowvec = prop::collection::vec(row, rows);
         (obj, rowvec).prop_map(move |(obj, rowvec)| {
             let mut b = ProblemBuilder::new(Sense::Maximize);
-            let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("v{i}"), true)).collect();
+            let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
             for (i, &c) in obj.iter().enumerate() {
                 b.objective(vars[i], c as f64);
             }
@@ -146,7 +146,7 @@ proptest! {
     ) {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let n = p.num_vars();
-        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("v{i}"), true)).collect();
+        let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
         b.objective(vars[which % n], poison);
         b.constraint(vec![(vars[0], 1.0)], Relation::Le, 3.0);
         let poisoned = b.build();

@@ -24,7 +24,7 @@ fn tied_case(rng: &mut StdRng) -> Problem {
     let n = rng.gen_range(3usize..=5);
     let mut b =
         ProblemBuilder::new(if rng.gen_bool(0.7) { Sense::Maximize } else { Sense::Minimize });
-    let vars: Vec<VarId> = (0..n).map(|i| b.add_var(format!("x{i}"), true)).collect();
+    let vars: Vec<VarId> = (0..n).map(|_| b.add_var(true)).collect();
     let mut obj: Vec<f64> = (0..n).map(|_| rng.gen_range(0i64..=5) as f64).collect();
     let mut rows = Vec::new();
     let family = rng.gen_range(0..3);

@@ -26,7 +26,7 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
         (obj, flags, rowvec).prop_map(move |(obj, flags, rowvec)| {
             let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
             let mut b = ProblemBuilder::new(sense);
-            let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("v{i}"), flags[i])).collect();
+            let vars: Vec<_> = flags.iter().map(|&f| b.add_var(f)).collect();
             for (i, &c) in obj.iter().enumerate() {
                 b.objective(vars[i], c as f64);
             }
@@ -42,16 +42,14 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
 
 /// Applies a variable permutation `perm` (new index of old variable `v` is
 /// `perm[v]`) to every part of the problem: the same model with its
-/// variables renamed.
+/// variables renumbered.
 fn permute(p: &Problem, perm: &[usize]) -> Problem {
     let n = p.num_vars();
     let mut objective = vec![0.0; n];
     let mut integer = vec![false; n];
-    let mut names = vec![String::new(); n];
     for v in 0..n {
         objective[perm[v]] = p.objective[v];
         integer[perm[v]] = p.integer[v];
-        names[perm[v]] = p.names[v].clone();
     }
     let constraints = p
         .constraints
@@ -62,7 +60,7 @@ fn permute(p: &Problem, perm: &[usize]) -> Problem {
             rhs: c.rhs,
         })
         .collect();
-    Problem { sense: p.sense, objective, constraints, integer, names: names.into() }
+    Problem { sense: p.sense, objective, constraints, integer }
 }
 
 /// Derives a permutation of `0..n` from random ranks (argsort with index
@@ -78,8 +76,8 @@ fn perm_from_ranks(ranks: &[u64], n: usize) -> Vec<usize> {
 }
 
 /// The same problem written differently: each row's terms reversed, split
-/// in halves around a zero term, `-0.0` for zero objective coefficients,
-/// and new names.
+/// in halves around a zero term, and `-0.0` for zero objective
+/// coefficients.
 fn noisy(p: &Problem) -> Problem {
     let mut q = p.clone();
     for con in &mut q.constraints {
@@ -95,7 +93,6 @@ fn noisy(p: &Problem) -> Problem {
             *c = -0.0;
         }
     }
-    q.names = (0..q.num_vars()).map(|v| format!("w{v}")).collect();
     q
 }
 

@@ -22,7 +22,7 @@ fn arb_problem() -> impl Strategy<Value = (Problem, u32)> {
         let rowvec = prop::collection::vec(row, rows);
         (obj, rowvec).prop_map(move |(obj, rowvec)| {
             let mut b = ProblemBuilder::new(Sense::Maximize);
-            let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("v{i}"), true)).collect();
+            let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
             for (i, &c) in obj.iter().enumerate() {
                 b.objective(vars[i], c as f64);
             }

@@ -38,14 +38,20 @@
 //! as the hit and miss counts. An evicted entry's record stays in the
 //! journal as dead bytes until the next compaction.
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! The file is the 16-byte [`STORE_MAGIC`] header followed by records
 //! `[u32 len][u32 crc32][payload]` (little-endian; the CRC covers the
-//! payload). A payload is one solved problem: its sense, objective,
-//! integrality flags, variable names, constraint rows, then the witness,
-//! the objective value and the solve statistics. It holds no key: opening
-//! re-derives each record's key from its own problem
+//! payload). A payload is one solved problem, numbers only: its sense
+//! (`u8`), variable count `n` (`u64`), `n` objective coefficients (`f64`),
+//! `n` integrality flags (`u8`), row count (`u64`) and each row as
+//! relation (`u8`), right-hand side (`f64`), term count (`u64`) and terms
+//! (`u64` variable, `f64` coefficient); then the witness (`u64` length,
+//! `f64` values), the objective value (`f64`) and the solve statistics
+//! (`u64` LP calls, `u64` nodes, `u8` first-relaxation flag). No variable
+//! is named, so a record's size follows the problem's shape, not the
+//! length of the labels a report would give its variables. A record holds
+//! no key: opening re-derives each record's key from its own problem
 //! ([`ipet_lp::fingerprint`]), so nothing read from disk picks a bucket.
 //!
 //! File order is use order. An append adds records in insert order, and a
@@ -119,12 +125,13 @@ use std::sync::{Arc, Mutex};
 
 /// Magic + version header; changing the record format — or what a
 /// record's witness means — bumps the version and quarantines every older
-/// file wholesale. Version 3: a record is the problem and its solve alone,
-/// with no key and no program scope. Version 2 added the canonical witness
+/// file wholesale. Version 4: a problem is numbers only, with no variable
+/// names. Version 3 made a record the problem and its solve alone, with
+/// no key and no program scope. Version 2 added the canonical witness
 /// of a tied optimum (the lexicographic minimum over the optimal face); a
 /// version-1 file may hold another optimal witness, which would certify
 /// and replay, making an answer depend on store history.
-pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v3\0\0\0";
+pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v4\0\0\0";
 
 /// Entries a [`Store`] keeps. Sized from measured entry sizes (about
 /// 13 KB on average over serve-style suite edits): a `--infer` pass over
@@ -936,11 +943,6 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Appends the payload of `e`'s record to `out`. Only `Exact` entries
 /// have a record.
 fn encode_entry(out: &mut Vec<u8>, e: &Entry) {
@@ -962,9 +964,8 @@ fn encode_entry(out: &mut Vec<u8>, e: &Entry) {
 /// witness `x`, computed without encoding.
 fn payload_len(problem: &Problem, x: &[f64]) -> u64 {
     let n = problem.objective.len() as u64;
-    let names: u64 = problem.names.iter().map(|s| 8 + s.len() as u64).sum();
     let rows: u64 = problem.constraints.iter().map(|c| 17 + 16 * c.terms.len() as u64).sum();
-    let problem_len = 1 + 8 + 9 * n + names + 8 + rows;
+    let problem_len = 1 + 8 + 9 * n + 8 + rows;
     problem_len + 8 + 8 * x.len() as u64 + 8 + 17
 }
 
@@ -979,9 +980,6 @@ fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
     }
     for &i in &p.integer {
         out.push(i as u8);
-    }
-    for name in p.names.iter() {
-        put_str(out, name);
     }
     put_u64(out, p.constraints.len() as u64);
     for con in &p.constraints {
@@ -1031,11 +1029,6 @@ impl<'a> Cursor<'a> {
             return None;
         }
         Some(n)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
     fn done(&self) -> bool {
@@ -1090,7 +1083,6 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
             _ => return None,
         });
     }
-    let names = (0..nvars).map(|_| c.str()).collect::<Option<_>>()?;
     let ncons = c.len()?;
     let mut constraints = Vec::with_capacity(ncons);
     for _ in 0..ncons {
@@ -1112,7 +1104,7 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
         }
         constraints.push(ipet_lp::Constraint { terms, relation, rhs });
     }
-    Some(Problem { sense, objective, constraints, integer, names })
+    Some(Problem { sense, objective, constraints, integer })
 }
 
 #[cfg(test)]
@@ -1139,8 +1131,8 @@ mod tests {
 
     fn toy() -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -1155,7 +1147,7 @@ mod tests {
     /// `max x st x <= rhs`, solved: `x = rhs`.
     fn line(rhs: f64) -> (Problem, IlpResolution) {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
+        let x = b.add_var(true);
         b.objective(x, 1.0);
         b.constraint(vec![(x, 1.0)], Relation::Le, rhs);
         (b.build(), IlpResolution::Exact { x: vec![rhs], value: rhs })
@@ -1238,8 +1230,8 @@ mod tests {
         let store = Store::in_memory();
         let p = toy();
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let y = b.add_var("y", true);
-        let x = b.add_var("x", true);
+        let y = b.add_var(true);
+        let x = b.add_var(true);
         b.objective(x, 3.0);
         b.objective(y, 2.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
@@ -1382,8 +1374,8 @@ mod tests {
         // (4, 1) is optimal, and (0, 5) is the canonical witness. A file
         // written before canonical optima may hold (4, 1), which certifies.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var("x", true);
-        let y = b.add_var("y", true);
+        let x = b.add_var(true);
+        let y = b.add_var(true);
         b.objective(x, 1.0);
         b.objective(y, 1.0);
         b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
@@ -1419,14 +1411,12 @@ mod tests {
 
     #[test]
     #[cfg(unix)]
-    fn a_v2_file_opens_empty_and_the_next_flush_replaces_it() {
-        // A version-2 image: the v2 header, then records that carry a tag,
-        // a key and a program scope before the problem. None may load.
-        let dir = scratch("v2");
-        let path = dir.join("s.store");
+    fn older_files_open_empty_and_the_next_flush_replaces_them() {
+        // A version-2 record carries a tag, a key and a program scope
+        // before the problem. The version-3 image holds a record that
+        // would decode under the current format: the header alone refuses
+        // it. None may load.
         let p = toy();
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&[0xAB; 48]);
         let entry = Entry {
             key: 0,
             problem: p.clone(),
@@ -1434,25 +1424,32 @@ mod tests {
             stats: IlpStats::default(),
             bytes: 0,
         };
-        encode_entry(&mut payload, &entry);
-        let mut image = b"ipet-store-v2\0\0\0".to_vec();
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        image.extend_from_slice(&crc32(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
-        fs::write(&path, &image).expect("write v2 image");
-        let ino = inode(&path);
-        {
+        let v2_prefix = [[1u8].as_slice(), &[0xAB; 48]].concat();
+        for (version, prefix) in [("v2", v2_prefix), ("v3", Vec::new())] {
+            let dir = scratch(version);
+            let path = dir.join("s.store");
+            let mut payload = prefix;
+            encode_entry(&mut payload, &entry);
+            let mut image = format!("ipet-store-{version}\0\0\0").into_bytes();
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(&crc32(&payload).to_le_bytes());
+            image.extend_from_slice(&payload);
+            fs::write(&path, &image).expect("write an older image");
+            let ino = inode(&path);
+            {
+                let store = Store::open(&path);
+                assert_eq!((store.stats().loaded, store.stats().quarantined), (0, 1), "{version}");
+                assert!(!hits(&store, &p));
+                put(&store, &p, &toy_exact());
+                store.flush().expect("repairing flush");
+                assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
+            }
+            assert_ne!(inode(&path), ino, "the {version} file was replaced");
+            assert_eq!(&fs::read(&path).expect("read")[..STORE_MAGIC.len()], STORE_MAGIC);
             let store = Store::open(&path);
-            assert_eq!((store.stats().loaded, store.stats().quarantined), (0, 1));
-            assert!(!hits(&store, &p));
-            put(&store, &p, &toy_exact());
-            store.flush().expect("repairing flush");
-            assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
+            assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0), "{version}");
+            assert!(hits(&store, &p));
         }
-        assert_ne!(inode(&path), ino, "the v2 file was replaced");
-        let store = Store::open(&path);
-        assert_eq!((store.stats().loaded, store.stats().quarantined), (1, 0));
-        assert!(hits(&store, &p));
     }
 
     #[test]
@@ -1755,7 +1752,7 @@ mod tests {
     /// sizes reach the compaction floor in a test's run.
     fn wide(n: usize, rhs: f64) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| b.add_var(format!("x{i}"), true)).collect();
+        let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
         for (i, &v) in vars.iter().enumerate() {
             b.objective(v, 1.0);
             b.constraint(vec![(v, 1.0), (vars[(i + 1) % n], 1.0)], Relation::Le, rhs);

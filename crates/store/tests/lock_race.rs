@@ -26,7 +26,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn toy() -> ipet_lp::Problem {
     let mut b = ProblemBuilder::new(Sense::Maximize);
-    let x = b.add_var("x", true);
+    let x = b.add_var(true);
     b.objective(x, 1.0);
     b.constraint(vec![(x, 1.0)], Relation::Le, 3.0);
     b.build()
