@@ -232,7 +232,7 @@ impl Instances {
         while let Some(inst) = work.pop() {
             let func = instances[inst.0].func;
             let sites = cfgs[func.0].call_sites();
-            for (site, _block, _instr, callee) in sites {
+            for &(site, _block, _instr, callee) in sites {
                 let label = format!(
                     "{}/f{}:{}",
                     instances[inst.0].label,
@@ -298,8 +298,8 @@ impl Instances {
     pub fn call_sites(&self, inst: InstanceId) -> Vec<CallSite> {
         self.cfg(inst)
             .call_sites()
-            .into_iter()
-            .map(|(site, block, instr, callee)| CallSite { site, block, instr, callee })
+            .iter()
+            .map(|&(site, block, instr, callee)| CallSite { site, block, instr, callee })
             .collect()
     }
 

@@ -131,6 +131,11 @@ pub struct Cfg {
     succs: Csr<BlockId>,
     dom: Dominators,
     loops: Vec<LoopInfo>,
+    /// `(site, block, instruction, callee)` of every call, in instruction
+    /// order.
+    call_sites: Vec<(usize, BlockId, usize, FuncId)>,
+    /// The `f`-edge of each call site.
+    call_edges: Vec<Option<EdgeId>>,
 }
 
 impl Cfg {
@@ -260,6 +265,21 @@ impl Cfg {
         let succs = Csr::group(nb, ends().filter_map(|(_, f, t)| Some((f?.0, t?))).collect());
         let dom = Dominators::compute(BlockId(0), &preds);
         let loops = loops::detect(&edges, &dom, &preds, &in_edges);
+        // Blocks are in instruction order and a call ends its block, so the
+        // sites come out in instruction order; each block's first `f`-edge
+        // is its site's.
+        let mut call_edge_of = vec![None; nb];
+        for (i, e) in edges.iter().enumerate() {
+            if let (Some(from), EdgeKind::Call(_)) = (e.from, e.kind) {
+                call_edge_of[from.0].get_or_insert(EdgeId(i));
+            }
+        }
+        let calls =
+            blocks.iter().enumerate().filter_map(|(b, block)| Some((BlockId(b), block.call?)));
+        let (call_sites, call_edges) = calls
+            .enumerate()
+            .map(|(site, (b, (instr, callee)))| ((site, b, instr, callee), call_edge_of[b.0]))
+            .unzip();
         Cfg {
             func,
             func_name: function.name.clone(),
@@ -271,6 +291,8 @@ impl Cfg {
             succs,
             dom,
             loops,
+            call_sites,
+            call_edges,
         }
     }
 
@@ -347,26 +369,24 @@ impl Cfg {
     /// `(site index within function, block, instruction index, callee)`.
     ///
     /// Site indices are what the constraint DSL's `f1`, `f2`, … refer to.
-    pub fn call_sites(&self) -> Vec<(usize, BlockId, usize, FuncId)> {
-        let mut sites: Vec<(BlockId, usize, FuncId)> = Vec::new();
-        for (bi, b) in self.blocks.iter().enumerate() {
-            if let Some((instr, callee)) = b.call {
-                sites.push((BlockId(bi), instr, callee));
-            }
-        }
-        sites.sort_by_key(|&(_, instr, _)| instr);
-        sites.into_iter().enumerate().map(|(i, (b, instr, callee))| (i, b, instr, callee)).collect()
+    /// Computed once, by [`Cfg::build`].
+    pub fn call_sites(&self) -> &[(usize, BlockId, usize, FuncId)] {
+        &self.call_sites
     }
 
     /// The `f`-edge leaving the block of call-site `site`, paired with its
     /// callee: `(edge, callee)`. Sites are indexed as in
     /// [`Cfg::call_sites`].
     pub fn call_edge(&self, site: usize) -> Option<(EdgeId, FuncId)> {
-        let (_, block, _, callee) = self.call_sites().into_iter().nth(site)?;
-        self.edges
-            .iter()
-            .position(|e| e.from == Some(block) && matches!(e.kind, EdgeKind::Call(_)))
-            .map(|i| (EdgeId(i), callee))
+        Some((self.call_edges.get(site).copied()??, self.call_sites[site].3))
+    }
+
+    /// The call site whose `f`-edge is `edge`, if it is one.
+    pub fn site_of_edge(&self, edge: EdgeId) -> Option<usize> {
+        let from = self.edges.get(edge.0)?.from?;
+        // Sites are in block order, one per call block.
+        let site = self.call_sites.binary_search_by_key(&from, |&(_, b, _, _)| b).ok()?;
+        (self.call_edges[site] == Some(edge)).then_some(site)
     }
 
     /// Renders the CFG in Graphviz DOT syntax: blocks as nodes labelled by
@@ -392,15 +412,9 @@ impl Cfg {
                 None => "sink".to_string(),
             };
             let label = match e.kind {
-                EdgeKind::Call(_) => {
-                    let site = self
-                        .call_sites()
-                        .iter()
-                        .position(|&(s, _, _, _)| self.call_edge(s).map(|(ce, _)| ce.0) == Some(i))
-                        .map(|s| format!("f{}", s + 1))
-                        .unwrap_or_else(|| format!("d{}", i + 1));
-                    site
-                }
+                EdgeKind::Call(_) => self
+                    .site_of_edge(EdgeId(i))
+                    .map_or_else(|| format!("d{}", i + 1), |s| format!("f{}", s + 1)),
                 _ => format!("d{}", i + 1),
             };
             let style = if matches!(e.kind, EdgeKind::Call(_)) { ", style=dashed" } else { "" };

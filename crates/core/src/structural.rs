@@ -25,7 +25,7 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
         f_edges.resize(instances.cfgs.len(), Vec::new());
         for (g, ginst) in instances.instances.iter().enumerate() {
             let gcfg = &instances.cfgs[ginst.func.0];
-            for (site, _, _, callee) in gcfg.call_sites() {
+            for &(site, _, _, callee) in gcfg.call_sites() {
                 let (f_edge, _) = gcfg.call_edge(site).expect("site enumerated from CFG");
                 f_edges[callee.0].push(VarRef::Edge(InstanceId(g), f_edge));
             }
@@ -110,7 +110,7 @@ pub fn flow_spec(instances: &Instances, space: &VarSpace) -> FlowSpec {
         callers.resize(instances.cfgs.len(), Vec::new());
         for (g, ginst) in instances.instances.iter().enumerate() {
             let gcfg = &instances.cfgs[ginst.func.0];
-            for (site, _, _, callee) in gcfg.call_sites() {
+            for &(site, _, _, callee) in gcfg.call_sites() {
                 let (f_edge, _) = gcfg.call_edge(site).expect("site enumerated from CFG");
                 callers[callee.0].push(var(VarRef::Edge(InstanceId(g), f_edge)));
             }
@@ -163,12 +163,7 @@ pub fn structural_text(instances: &Instances, inst: InstanceId) -> String {
     let edge_name = |e: EdgeId| -> String {
         // f-edges print as f<site>, others as d<index>.
         if let ipet_cfg::EdgeKind::Call(_) = cfg.edges()[e.0].kind {
-            let site = cfg
-                .call_sites()
-                .iter()
-                .position(|&(s, _, _, _)| cfg.call_edge(s).map(|(ce, _)| ce) == Some(e))
-                .unwrap_or(0);
-            format!("f{}", site + 1)
+            format!("f{}", cfg.site_of_edge(e).unwrap_or(0) + 1)
         } else {
             format!("d{}", e.0 + 1)
         }
@@ -186,7 +181,7 @@ pub fn structural_text(instances: &Instances, inst: InstanceId) -> String {
             let mut parts = Vec::new();
             for ginst in &instances.instances {
                 let gcfg = &instances.cfgs[ginst.func.0];
-                for (site, _, _, callee) in gcfg.call_sites() {
+                for &(site, _, _, callee) in gcfg.call_sites() {
                     if callee == me {
                         parts.push(format!("f{} of {}", site + 1, ginst.label));
                     }

@@ -1,8 +1,8 @@
 //! Branch & bound over the LP relaxation.
 
 use crate::budget::{BudgetMeter, SolveBudget, SolveFault, SolverFaults};
-use crate::model::{Problem, Relation, Sense, VarId};
-use crate::simplex::{solve_lp_metered, LpOutcome, INT_TOL};
+use crate::model::{Problem, Relation, Sense};
+use crate::simplex::{solve_lp_bounded, LpOutcome, INT_TOL};
 
 /// Result of an ILP solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,6 +230,8 @@ pub(crate) fn branch_and_bound(
 
     // A node is a list of extra bound rows plus its parent's LP relaxation
     // value — the bound that still covers the node if it is never solved.
+    // The rows are appended after the problem's own, in order, when the
+    // node's LP is built; the problem itself is never copied.
     // The root has no parent bound: if the search dies before the root LP
     // completes there is nothing safe to report.
     struct Node {
@@ -254,17 +256,9 @@ pub(crate) fn branch_and_bound(
         let Node { extra, parent_bound } = stack.pop().expect("stack checked non-empty");
         stats.nodes += 1;
 
-        let mut sub = problem.clone();
-        for &(var, rel, rhs) in &extra {
-            sub.constraints.push(crate::model::Constraint {
-                terms: vec![(VarId(var), 1.0)],
-                relation: rel,
-                rhs,
-            });
-        }
         stats.lp_calls += 1;
         let at_root = extra.is_empty();
-        match solve_lp_metered(&sub, budget, meter, faults) {
+        match solve_lp_bounded(problem, &extra, budget, meter, faults) {
             LpOutcome::Infeasible => continue,
             LpOutcome::Unbounded => {
                 // A bounded root cannot become unbounded by adding rows;

@@ -61,23 +61,43 @@ impl Constraint {
     }
 
     /// The nonzeros of [`Constraint::dense`] as `(variable, coefficient)`
-    /// pairs sorted by variable, in O(terms log terms) rather than O(vars).
-    /// Repeats sum in term order starting from `0.0`, exactly as the dense
-    /// form accumulates them, so every value is bit-identical to its dense
-    /// entry; exact zeros (and with them `-0.0`) are dropped.
+    /// pairs sorted by variable (see [`merge_terms`]).
     pub(crate) fn merged_terms(&self) -> Vec<(usize, f64)> {
-        let mut terms: Vec<(usize, f64)> = self.terms.iter().map(|&(v, c)| (v.0, c)).collect();
-        // Stable, so repeats keep their term order.
-        terms.sort_by_key(|&(v, _)| v);
-        let mut merged = Vec::with_capacity(terms.len());
-        for run in terms.chunk_by(|a, b| a.0 == b.0) {
-            let sum = run.iter().fold(0.0, |acc, &(_, c)| acc + c);
-            if sum != 0.0 {
-                merged.push((run[0].0, sum));
-            }
-        }
+        let mut merged = Vec::with_capacity(self.terms.len());
+        merge_terms(&self.terms, &mut merged);
         merged
     }
+}
+
+/// Writes the nonzeros of the dense row `terms` sum to into `out` (cleared
+/// first) as `(variable, coefficient)` pairs sorted by variable, in
+/// O(terms log terms) rather than O(vars) and without allocating once `out`
+/// has room. Repeats sum in term order starting from `0.0`, exactly as the
+/// dense form accumulates them, so every value is bit-identical to its
+/// dense entry; exact zeros (and with them `-0.0`) are dropped. Terms
+/// already strictly ascending by variable, as most rows are, skip the sort.
+pub(crate) fn merge_terms(terms: &[(VarId, f64)], out: &mut Vec<(usize, f64)>) {
+    out.clear();
+    out.extend(terms.iter().map(|&(v, c)| (v.0, c)));
+    if !terms.windows(2).all(|t| t[0].0 < t[1].0) {
+        // Stable, so repeats keep their term order.
+        out.sort_by_key(|&(v, _)| v);
+    }
+    // Sum each run of one variable in place.
+    let (mut kept, mut i) = (0, 0);
+    while i < out.len() {
+        let v = out[i].0;
+        let mut sum = 0.0;
+        while i < out.len() && out[i].0 == v {
+            sum += out[i].1;
+            i += 1;
+        }
+        if sum != 0.0 {
+            out[kept] = (v, sum);
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
 }
 
 /// A complete LP/ILP: all variables are implicitly `>= 0`.
@@ -290,6 +310,21 @@ mod tests {
             c.merged_terms().into_iter().map(|(j, v)| (j, v.to_bits())).collect();
         assert_eq!(got, want);
         assert_eq!(got.len(), 1, "only x3 survives; x4's 1.0 is absorbed: {got:?}");
+    }
+
+    #[test]
+    fn ascending_terms_skip_the_sort_and_keep_the_dense_bits() {
+        // Strictly ascending, with a lone -0.0 and a zero to drop.
+        let c = Constraint {
+            terms: vec![(VarId(0), 0.5), (VarId(1), -0.0), (VarId(2), 0.0), (VarId(4), -3.0)],
+            relation: Relation::Eq,
+            rhs: 0.0,
+        };
+        let dense = c.dense(5);
+        let mut out = vec![(9, 9.0)];
+        merge_terms(&c.terms, &mut out);
+        let got: Vec<(usize, u64)> = out.iter().map(|&(j, v)| (j, v.to_bits())).collect();
+        assert_eq!(got, vec![(0, dense[0].to_bits()), (4, dense[4].to_bits())]);
     }
 
     #[test]

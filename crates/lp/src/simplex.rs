@@ -1,7 +1,8 @@
 //! Cold LP solves: the entry points every cold consumer shares.
 //!
 //! [`solve_lp_metered`] builds the sparse standard form of the problem as
-//! it stands ([`crate::sparse`]): its crash basis covers the zero-level
+//! it stands ([`crate::sparse`]), plus a branch-and-bound node's bound
+//! rows when it has them: its crash basis covers the zero-level
 //! flow equations, so phase 1 pivots only on the rows the crash left to
 //! their artificials. The two-phase revised simplex then
 //! ends with the walk to the canonical optimum ([`crate::canonical`]).
@@ -17,7 +18,7 @@
 use crate::budget::{BudgetMeter, LpFault, SolveBudget, SolverFaults};
 use crate::canonical::{canonicalize, LexEnd};
 use crate::model::Problem;
-use crate::sparse::{SparseEnd, SparseInstance};
+use crate::sparse::{BoundRow, SparseEnd, SparseInstance};
 
 /// Feasibility tolerance used throughout the solver.
 pub const FEAS_TOL: f64 = 1e-7;
@@ -86,19 +87,28 @@ pub fn solve_lp_metered(
     meter: &BudgetMeter,
     faults: &mut SolverFaults,
 ) -> LpOutcome {
+    solve_lp_bounded(problem, &[], budget, meter, faults)
+}
+
+/// [`solve_lp_metered`] of `problem` with the bound rows `bounds` appended
+/// after its rows, in order: the LP of a branch-and-bound node, solved
+/// without copying the problem.
+pub(crate) fn solve_lp_bounded(
+    problem: &Problem,
+    bounds: &[BoundRow],
+    budget: &SolveBudget,
+    meter: &BudgetMeter,
+    faults: &mut SolverFaults,
+) -> LpOutcome {
     if let Some(fault) = faults.lp_fault() {
         return match fault {
             LpFault::Infeasible => LpOutcome::Infeasible,
             LpFault::Numerical => LpOutcome::Numerical,
         };
     }
-    if problem.has_non_finite() {
-        return LpOutcome::Numerical;
-    }
-
-    // Non-finite data was rejected above, so only a factorization that
-    // overflows declines the crash basis.
-    let Some(mut inst) = SparseInstance::build(problem) else {
+    // Declined for non-finite data, or a crash basis whose factorization
+    // overflows.
+    let Some(mut inst) = SparseInstance::build(problem, bounds) else {
         return LpOutcome::Numerical;
     };
 
@@ -384,6 +394,49 @@ mod tests {
             solve_lp_metered(&p, &budget, &BudgetMeter::new(), &mut faults),
             LpOutcome::Numerical
         );
+    }
+
+    #[test]
+    fn bound_rows_solve_as_rows_appended_to_a_copy() {
+        use crate::model::{Constraint, VarId};
+        let p = build(
+            Sense::Maximize,
+            &[10.0, 6.0, 4.0],
+            &[
+                (&[5.0, 4.0, 3.0], Relation::Le, 7.0),
+                (&[1.0, 0.0, 0.0], Relation::Le, 1.0),
+                (&[0.0, 1.0, 0.0], Relation::Le, 1.0),
+                (&[0.0, 0.0, 1.0], Relation::Le, 1.0),
+            ],
+        );
+        let nodes: [&[BoundRow]; 4] = [
+            &[],
+            &[(1, Relation::Le, 0.0)],
+            &[(1, Relation::Ge, 1.0)],
+            &[(1, Relation::Ge, 1.0), (0, Relation::Le, 0.0), (2, Relation::Ge, 1.0)],
+        ];
+        let budget = SolveBudget::unlimited();
+        for bounds in nodes {
+            let mut copy = p.clone();
+            copy.constraints.extend(bounds.iter().map(|&(v, relation, rhs)| Constraint {
+                terms: vec![(VarId(v), 1.0)],
+                relation,
+                rhs,
+            }));
+            let (m1, m2) = (BudgetMeter::new(), BudgetMeter::new());
+            let faults = &mut SolverFaults::none();
+            let got = solve_lp_bounded(&p, bounds, &budget, &m1, faults);
+            let want = solve_lp_metered(&copy, &budget, &m2, faults);
+            let bits = |o: &LpOutcome| match o {
+                LpOutcome::Optimal { x, value } => {
+                    Some((x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), value.to_bits()))
+                }
+                _ => None,
+            };
+            assert_eq!(got, want, "bounds {bounds:?}");
+            assert_eq!(bits(&got), bits(&want), "bounds {bounds:?}");
+            assert_eq!(m1.ticks(), m2.ticks(), "bounds {bounds:?}");
+        }
     }
 
     #[test]
