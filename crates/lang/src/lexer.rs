@@ -1,4 +1,8 @@
-//! Mini-C lexer.
+//! Mini-C lexer: a byte scan whose tokens borrow the source.
+//!
+//! A name is a `&str` slice of the source and a number is parsed from
+//! one, so tokens are `Copy` and lexing allocates only the token vector;
+//! names are allocated later, and only into the syntax tree.
 
 use std::fmt;
 
@@ -25,9 +29,10 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+/// Token kinds. A name borrows its text from the source, so tokens are
+/// `Copy` and lexing allocates nothing but the token vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tok<'src> {
     // keywords
     Int,
     Const,
@@ -40,7 +45,7 @@ pub(crate) enum Tok {
     Break,
     Continue,
     // literals / names
-    Ident(String),
+    Ident(&'src str),
     Num(i64),
     // punctuation
     LParen,
@@ -80,7 +85,7 @@ pub(crate) enum Tok {
     Not,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             Tok::Int => "int",
@@ -135,33 +140,42 @@ impl fmt::Display for Tok {
 }
 
 /// Tokenizes mini-C source; comments are `//` and `/* ... */`.
-pub(crate) fn lex(src: &str) -> Result<Vec<(Tok, usize)>, CompileError> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut out = Vec::new();
+///
+/// The scan runs over bytes: every token and comment delimiter is ASCII,
+/// and no byte of a multi-byte UTF-8 character is, so a non-ASCII
+/// character can only sit inside a comment or be an error, which reports
+/// the whole character.
+pub(crate) fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, CompileError> {
+    let bytes = src.as_bytes();
+    // Mini-C spends well over two bytes per token (the suite 2.8 to 4.3),
+    // so this capacity almost always holds every token.
+    let mut out = Vec::with_capacity(src.len() / 2 + 1);
     let mut line = 1usize;
     let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
+    while let Some(&b) = bytes.get(i) {
+        let (tok, len) = match (b, bytes.get(i + 1)) {
+            (b'\n', _) => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+            (b' ' | b'\t' | b'\r', _) => {
+                i += 1;
+                continue;
             }
-            '/' if chars.get(i + 1) == Some(&'*') => {
+            (b'/', Some(b'/')) => {
+                i += run(&bytes[i..], |&c| c != b'\n');
+                continue;
+            }
+            (b'/', Some(b'*')) => {
                 i += 2;
                 loop {
-                    match (chars.get(i), chars.get(i + 1)) {
-                        (Some('*'), Some('/')) => {
+                    match (bytes.get(i), bytes.get(i + 1)) {
+                        (Some(b'*'), Some(b'/')) => {
                             i += 2;
                             break;
                         }
-                        (Some('\n'), _) => {
+                        (Some(b'\n'), _) => {
                             line += 1;
                             i += 1;
                         }
@@ -171,175 +185,53 @@ pub(crate) fn lex(src: &str) -> Result<Vec<(Tok, usize)>, CompileError> {
                         }
                     }
                 }
+                continue;
             }
-            '(' => {
-                out.push((Tok::LParen, line));
-                i += 1;
-            }
-            ')' => {
-                out.push((Tok::RParen, line));
-                i += 1;
-            }
-            '{' => {
-                out.push((Tok::LBrace, line));
-                i += 1;
-            }
-            '}' => {
-                out.push((Tok::RBrace, line));
-                i += 1;
-            }
-            '[' => {
-                out.push((Tok::LBracket, line));
-                i += 1;
-            }
-            ']' => {
-                out.push((Tok::RBracket, line));
-                i += 1;
-            }
-            ';' => {
-                out.push((Tok::Semi, line));
-                i += 1;
-            }
-            ',' => {
-                out.push((Tok::Comma, line));
-                i += 1;
-            }
-            '+' => match chars.get(i + 1) {
-                Some('=') => {
-                    out.push((Tok::PlusEq, line));
-                    i += 2;
-                }
-                Some('+') => {
-                    out.push((Tok::PlusPlus, line));
-                    i += 2;
-                }
-                _ => {
-                    out.push((Tok::Plus, line));
-                    i += 1;
-                }
-            },
-            '-' => match chars.get(i + 1) {
-                Some('=') => {
-                    out.push((Tok::MinusEq, line));
-                    i += 2;
-                }
-                Some('-') => {
-                    out.push((Tok::MinusMinus, line));
-                    i += 2;
-                }
-                _ => {
-                    out.push((Tok::Minus, line));
-                    i += 1;
-                }
-            },
-            '*' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push((Tok::StarEq, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Star, line));
-                    i += 1;
-                }
-            }
-            '/' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push((Tok::SlashEq, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Slash, line));
-                    i += 1;
-                }
-            }
-            '%' => {
-                out.push((Tok::Percent, line));
-                i += 1;
-            }
-            '^' => {
-                out.push((Tok::Caret, line));
-                i += 1;
-            }
-            '&' => {
-                if chars.get(i + 1) == Some(&'&') {
-                    out.push((Tok::AmpAmp, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Amp, line));
-                    i += 1;
-                }
-            }
-            '|' => {
-                if chars.get(i + 1) == Some(&'|') {
-                    out.push((Tok::PipePipe, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Pipe, line));
-                    i += 1;
-                }
-            }
-            '<' => match chars.get(i + 1) {
-                Some('=') => {
-                    out.push((Tok::Le, line));
-                    i += 2;
-                }
-                Some('<') => {
-                    out.push((Tok::Shl, line));
-                    i += 2;
-                }
-                _ => {
-                    out.push((Tok::Lt, line));
-                    i += 1;
-                }
-            },
-            '>' => match chars.get(i + 1) {
-                Some('=') => {
-                    out.push((Tok::Ge, line));
-                    i += 2;
-                }
-                Some('>') => {
-                    out.push((Tok::Shr, line));
-                    i += 2;
-                }
-                _ => {
-                    out.push((Tok::Gt, line));
-                    i += 1;
-                }
-            },
-            '=' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push((Tok::EqEq, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Assign, line));
-                    i += 1;
-                }
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push((Tok::Ne, line));
-                    i += 2;
-                } else {
-                    out.push((Tok::Not, line));
-                    i += 1;
-                }
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
+            (b'(', _) => (Tok::LParen, 1),
+            (b')', _) => (Tok::RParen, 1),
+            (b'{', _) => (Tok::LBrace, 1),
+            (b'}', _) => (Tok::RBrace, 1),
+            (b'[', _) => (Tok::LBracket, 1),
+            (b']', _) => (Tok::RBracket, 1),
+            (b';', _) => (Tok::Semi, 1),
+            (b',', _) => (Tok::Comma, 1),
+            (b'+', Some(b'=')) => (Tok::PlusEq, 2),
+            (b'+', Some(b'+')) => (Tok::PlusPlus, 2),
+            (b'+', _) => (Tok::Plus, 1),
+            (b'-', Some(b'=')) => (Tok::MinusEq, 2),
+            (b'-', Some(b'-')) => (Tok::MinusMinus, 2),
+            (b'-', _) => (Tok::Minus, 1),
+            (b'*', Some(b'=')) => (Tok::StarEq, 2),
+            (b'*', _) => (Tok::Star, 1),
+            (b'/', Some(b'=')) => (Tok::SlashEq, 2),
+            (b'/', _) => (Tok::Slash, 1),
+            (b'%', _) => (Tok::Percent, 1),
+            (b'^', _) => (Tok::Caret, 1),
+            (b'&', Some(b'&')) => (Tok::AmpAmp, 2),
+            (b'&', _) => (Tok::Amp, 1),
+            (b'|', Some(b'|')) => (Tok::PipePipe, 2),
+            (b'|', _) => (Tok::Pipe, 1),
+            (b'<', Some(b'=')) => (Tok::Le, 2),
+            (b'<', Some(b'<')) => (Tok::Shl, 2),
+            (b'<', _) => (Tok::Lt, 1),
+            (b'>', Some(b'=')) => (Tok::Ge, 2),
+            (b'>', Some(b'>')) => (Tok::Shr, 2),
+            (b'>', _) => (Tok::Gt, 1),
+            (b'=', Some(b'=')) => (Tok::EqEq, 2),
+            (b'=', _) => (Tok::Assign, 1),
+            (b'!', Some(b'=')) => (Tok::Ne, 2),
+            (b'!', _) => (Tok::Not, 1),
+            (b'0'..=b'9', _) => {
+                let text = &src[i..i + run(&bytes[i..], u8::is_ascii_digit)];
                 let n: i64 = text
                     .parse()
                     .map_err(|_| CompileError::new(line, format!("bad integer {text}")))?;
-                out.push((Tok::Num(n), line));
+                (Tok::Num(n), text.len())
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                let word: String = chars[start..i].iter().collect();
-                let tok = match word.as_str() {
+            (c, _) if c.is_ascii_alphabetic() || c == b'_' => {
+                let word =
+                    &src[i..i + run(&bytes[i..], |&c| c.is_ascii_alphanumeric() || c == b'_')];
+                let tok = match word {
                     "int" => Tok::Int,
                     "const" => Tok::Const,
                     "if" => Tok::If,
@@ -352,21 +244,30 @@ pub(crate) fn lex(src: &str) -> Result<Vec<(Tok, usize)>, CompileError> {
                     "continue" => Tok::Continue,
                     _ => Tok::Ident(word),
                 };
-                out.push((tok, line));
+                (tok, word.len())
             }
-            other => {
-                return Err(CompileError::new(line, format!("unexpected character {other:?}")))
+            _ => {
+                let other = src[i..].chars().next().expect("a token starts on a char boundary");
+                return Err(CompileError::new(line, format!("unexpected character {other:?}")));
             }
-        }
+        };
+        out.push((tok, line));
+        i += len;
     }
     Ok(out)
+}
+
+/// The length of the longest prefix of `bytes` whose bytes all satisfy
+/// `keep`.
+fn run(bytes: &[u8], keep: impl Fn(&u8) -> bool) -> usize {
+    bytes.iter().position(|c| !keep(c)).unwrap_or(bytes.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|(t, _)| t).collect()
     }
 
@@ -374,7 +275,7 @@ mod tests {
     fn keywords_and_idents() {
         assert_eq!(
             toks("int x while whilex"),
-            vec![Tok::Int, Tok::Ident("x".into()), Tok::While, Tok::Ident("whilex".into())]
+            vec![Tok::Int, Tok::Ident("x"), Tok::While, Tok::Ident("whilex")]
         );
     }
 
@@ -424,5 +325,59 @@ mod tests {
         let err = lex("a $ b").unwrap_err();
         assert!(err.message.contains('$'));
         assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn multi_byte_characters_in_comments_lex_cleanly() {
+        let tokens = lex("a // é 日本\n/* ¿\n¡ ü */ b /* ∑ */ c\nd").unwrap();
+        let lines: Vec<_> = tokens.iter().map(|&(t, line)| (t, line)).collect();
+        assert_eq!(
+            lines,
+            vec![
+                (Tok::Ident("a"), 1),
+                (Tok::Ident("b"), 3),
+                (Tok::Ident("c"), 3),
+                (Tok::Ident("d"), 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn multi_byte_character_outside_a_comment_is_reported_whole() {
+        assert_eq!(
+            lex("int a;\n/* é */ int é;").unwrap_err(),
+            CompileError::new(2, "unexpected character 'é'")
+        );
+        assert_eq!(lex("x\n\n日").unwrap_err(), CompileError::new(3, "unexpected character '日'"));
+        assert_eq!(lex("/* é").unwrap_err(), CompileError::new(1, "unterminated block comment"));
+    }
+
+    #[test]
+    fn integer_overflow_keeps_its_message() {
+        assert_eq!(toks("9223372036854775807"), vec![Tok::Num(i64::MAX)]);
+        assert_eq!(
+            lex("x\n9223372036854775808").unwrap_err(),
+            CompileError::new(2, "bad integer 9223372036854775808")
+        );
+        assert_eq!(
+            lex("12345678901234567890").unwrap_err(),
+            CompileError::new(1, "bad integer 12345678901234567890")
+        );
+    }
+
+    #[test]
+    fn keyword_prefixes_are_identifiers() {
+        assert_eq!(
+            toks("whilex int_ int if_ do2 continue_ while"),
+            vec![
+                Tok::Ident("whilex"),
+                Tok::Ident("int_"),
+                Tok::Int,
+                Tok::Ident("if_"),
+                Tok::Ident("do2"),
+                Tok::Ident("continue_"),
+                Tok::While
+            ]
+        );
     }
 }

@@ -29,6 +29,13 @@
 //! stay within [`MAX_NESTING`] levels, so no source can exhaust the stack
 //! of the parser or of a later pass.
 //!
+//! ## Front end cost
+//!
+//! The lexer scans the source's bytes and its tokens borrow the source:
+//! a name is a `&str` slice and a number is parsed from one, so lexing
+//! allocates only the token vector. The parser peeks and consumes tokens
+//! by copy and allocates a `String` only for a name the syntax tree keeps.
+//!
 //! ## Example
 //!
 //! ```

@@ -23,31 +23,33 @@ pub fn parse_module(src: &str) -> Result<Module, CompileError> {
 /// [`CompileError`] instead of exhausting the stack.
 pub const MAX_NESTING: usize = 100;
 
-struct Parser {
-    toks: Vec<(Tok, usize)>,
+/// Peeks and consumes tokens by copy: a name is allocated only where the
+/// syntax tree keeps it.
+struct Parser<'src> {
+    toks: Vec<(Tok<'src>, usize)>,
     pos: usize,
     /// Constants seen so far, for folding array sizes and initializers.
-    consts: Vec<(String, i64)>,
+    consts: Vec<(&'src str, i64)>,
     /// Nesting levels open around the current position (see
     /// [`MAX_NESTING`]).
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Option<Tok<'src>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|(t, _)| t)
+    fn peek2(&self) -> Option<Tok<'src>> {
+        self.toks.get(self.pos + 1).map(|&(t, _)| t)
     }
 
     fn line(&self) -> usize {
         self.toks.get(self.pos.min(self.toks.len().saturating_sub(1))).map(|(_, l)| *l).unwrap_or(0)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn bump(&mut self) -> Option<Tok<'src>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -88,7 +90,7 @@ impl Parser {
         Ok((Expr { kind, line }, height))
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), CompileError> {
+    fn expect(&mut self, want: Tok<'src>) -> Result<(), CompileError> {
         match self.bump() {
             Some(t) if t == want => Ok(()),
             Some(t) => Err(self.err(format!("expected `{want}`, found `{t}`"))),
@@ -96,7 +98,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
+    fn ident(&mut self) -> Result<&'src str, CompileError> {
         match self.bump() {
             Some(Tok::Ident(s)) => Ok(s),
             Some(t) => Err(self.err(format!("expected identifier, found `{t}`"))),
@@ -105,21 +107,21 @@ impl Parser {
     }
 
     fn const_value(&self, name: &str) -> Option<i64> {
-        self.consts.iter().rev().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.consts.iter().rev().find(|&&(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// A compile-time integer: literal or named constant, under any number
     /// of unary minuses.
     fn const_int(&mut self) -> Result<i64, CompileError> {
         let mut negate = false;
-        while self.peek() == Some(&Tok::Minus) {
+        while self.peek() == Some(Tok::Minus) {
             self.bump();
             negate = !negate;
         }
         let value = match self.bump() {
             Some(Tok::Num(n)) => n,
             Some(Tok::Ident(name)) => self
-                .const_value(&name)
+                .const_value(name)
                 .ok_or_else(|| self.err(format!("`{name}` is not a known constant")))?,
             other => {
                 return Err(self.err(format!(
@@ -142,13 +144,13 @@ impl Parser {
                     self.expect(Tok::Assign)?;
                     let value = self.const_int()?;
                     self.expect(Tok::Semi)?;
-                    self.consts.push((name.clone(), value));
-                    items.push(Item::Const { name, value, line });
+                    self.consts.push((name, value));
+                    items.push(Item::Const { name: name.to_string(), value, line });
                 }
                 Some(Tok::Int) => {
                     let line = self.line();
                     self.bump();
-                    let name = self.ident()?;
+                    let name = self.ident()?.to_string();
                     match self.peek() {
                         Some(Tok::LParen) => {
                             items.push(Item::Func(self.func_rest(name, line)?));
@@ -161,13 +163,13 @@ impl Parser {
                             }
                             self.expect(Tok::RBracket)?;
                             let mut init = Vec::new();
-                            if self.peek() == Some(&Tok::Assign) {
+                            if self.peek() == Some(Tok::Assign) {
                                 self.bump();
                                 self.expect(Tok::LBrace)?;
-                                if self.peek() != Some(&Tok::RBrace) {
+                                if self.peek() != Some(Tok::RBrace) {
                                     loop {
                                         init.push(self.const_int()?);
-                                        if self.peek() == Some(&Tok::Comma) {
+                                        if self.peek() == Some(Tok::Comma) {
                                             self.bump();
                                         } else {
                                             break;
@@ -184,7 +186,7 @@ impl Parser {
                         }
                         _ => {
                             let mut init = 0i64;
-                            if self.peek() == Some(&Tok::Assign) {
+                            if self.peek() == Some(Tok::Assign) {
                                 self.bump();
                                 init = self.const_int()?;
                             }
@@ -205,11 +207,11 @@ impl Parser {
     fn func_rest(&mut self, name: String, line: usize) -> Result<FuncDecl, CompileError> {
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != Some(&Tok::RParen) {
+        if self.peek() != Some(Tok::RParen) {
             loop {
                 self.expect(Tok::Int)?;
-                params.push(self.ident()?);
-                if self.peek() == Some(&Tok::Comma) {
+                params.push(self.ident()?.to_string());
+                if self.peek() == Some(Tok::Comma) {
                     self.bump();
                 } else {
                     break;
@@ -227,7 +229,7 @@ impl Parser {
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
+        while self.peek() != Some(Tok::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unterminated block"));
             }
@@ -242,7 +244,7 @@ impl Parser {
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, CompileError> {
         self.enter()?;
         let body =
-            if self.peek() == Some(&Tok::LBrace) { self.block()? } else { vec![self.stmt()?] };
+            if self.peek() == Some(Tok::LBrace) { self.block()? } else { vec![self.stmt()?] };
         self.leave();
         Ok(body)
     }
@@ -275,8 +277,8 @@ impl Parser {
 
     fn decl_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
         self.bump();
-        let name = self.ident()?;
-        let init = if self.peek() == Some(&Tok::Assign) {
+        let name = self.ident()?.to_string();
+        let init = if self.peek() == Some(Tok::Assign) {
             self.bump();
             Some(self.expr()?)
         } else {
@@ -298,7 +300,7 @@ impl Parser {
         self.bump();
         let cond = self.condition()?;
         let then_branch = self.stmt_or_block()?;
-        let else_branch = if self.peek() == Some(&Tok::Else) {
+        let else_branch = if self.peek() == Some(Tok::Else) {
             self.bump();
             self.stmt_or_block()?
         } else {
@@ -326,16 +328,16 @@ impl Parser {
     fn for_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
         self.bump();
         self.expect(Tok::LParen)?;
-        let init = if self.peek() == Some(&Tok::Semi) {
+        let init = if self.peek() == Some(Tok::Semi) {
             self.bump();
             None
         } else {
             let s = self.simple_stmt()?; // consumes the `;`
             Some(Box::new(s))
         };
-        let cond = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
+        let cond = if self.peek() == Some(Tok::Semi) { None } else { Some(self.expr()?) };
         self.expect(Tok::Semi)?;
-        let step = if self.peek() == Some(&Tok::RParen) {
+        let step = if self.peek() == Some(Tok::RParen) {
             None
         } else {
             Some(Box::new(self.assign_like()?))
@@ -347,18 +349,18 @@ impl Parser {
 
     fn return_stmt(&mut self, line: usize) -> Result<Stmt, CompileError> {
         self.bump();
-        let value = if self.peek() == Some(&Tok::Semi) { None } else { Some(self.expr()?) };
+        let value = if self.peek() == Some(Tok::Semi) { None } else { Some(self.expr()?) };
         self.expect(Tok::Semi)?;
         Ok(Stmt::Return { value, line })
     }
 
     /// Assignment / declaration-free statement ending in `;`.
     fn simple_stmt(&mut self) -> Result<Stmt, CompileError> {
-        if self.peek() == Some(&Tok::Int) {
+        if self.peek() == Some(Tok::Int) {
             // allow `for (int i = 0; ...)`
             let line = self.line();
             self.bump();
-            let name = self.ident()?;
+            let name = self.ident()?.to_string();
             self.expect(Tok::Assign)?;
             let init = Some(self.expr()?);
             self.expect(Tok::Semi)?;
@@ -374,7 +376,7 @@ impl Parser {
     fn assign_like(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         // Lookahead: IDENT `=` / IDENT `[` ... `]` `=` are assignments.
-        if let (Some(Tok::Ident(name)), Some(next)) = (self.peek().cloned(), self.peek2()) {
+        if let (Some(Tok::Ident(name)), Some(next)) = (self.peek(), self.peek2()) {
             let desugar = |op: BinOp, name: &str, rhs: Expr, line: usize| Stmt::Assign {
                 name: name.to_string(),
                 value: Expr {
@@ -392,7 +394,7 @@ impl Parser {
                     self.bump();
                     self.bump();
                     let value = self.expr()?;
-                    return Ok(Stmt::Assign { name, value, line });
+                    return Ok(Stmt::Assign { name: name.to_string(), value, line });
                 }
                 Tok::PlusEq | Tok::MinusEq | Tok::StarEq | Tok::SlashEq => {
                     let op = match next {
@@ -405,13 +407,13 @@ impl Parser {
                     self.bump();
                     let (rhs, height) = self.binary(0)?;
                     self.check_depth(1 + height)?;
-                    return Ok(desugar(op, &name, rhs, line));
+                    return Ok(desugar(op, name, rhs, line));
                 }
                 Tok::PlusPlus | Tok::MinusMinus => {
-                    let op = if *next == Tok::PlusPlus { BinOp::Add } else { BinOp::Sub };
+                    let op = if next == Tok::PlusPlus { BinOp::Add } else { BinOp::Sub };
                     self.bump();
                     self.bump();
-                    return Ok(desugar(op, &name, Expr { kind: ExprKind::Num(1), line }, line));
+                    return Ok(desugar(op, name, Expr { kind: ExprKind::Num(1), line }, line));
                 }
                 Tok::LBracket => {
                     // Could be `a[i] = v` or the expression `a[i]` — scan
@@ -430,11 +432,12 @@ impl Parser {
                         }
                         scan += 1;
                     }
-                    if self.toks.get(scan).map(|(t, _)| t) == Some(&Tok::Assign) {
+                    if self.toks.get(scan).map(|&(t, _)| t) == Some(Tok::Assign) {
                         let index = self.expr()?;
                         self.expect(Tok::RBracket)?;
                         self.expect(Tok::Assign)?;
                         let value = self.expr()?;
+                        let name = name.to_string();
                         return Ok(Stmt::AssignIndex { name, index, value, line });
                     }
                     self.pos = save;
@@ -444,15 +447,15 @@ impl Parser {
         }
         // Prefix increment/decrement as a statement: ++i; / --i;
         if matches!(self.peek(), Some(Tok::PlusPlus) | Some(Tok::MinusMinus)) {
-            let op = if self.peek() == Some(&Tok::PlusPlus) { BinOp::Add } else { BinOp::Sub };
+            let op = if self.peek() == Some(Tok::PlusPlus) { BinOp::Add } else { BinOp::Sub };
             self.bump();
             let name = self.ident()?;
             return Ok(Stmt::Assign {
-                name: name.clone(),
+                name: name.to_string(),
                 value: Expr {
                     kind: ExprKind::Binary(
                         op,
-                        Box::new(Expr { kind: ExprKind::Var(name), line }),
+                        Box::new(Expr { kind: ExprKind::Var(name.to_string()), line }),
                         Box::new(Expr { kind: ExprKind::Num(1), line }),
                     ),
                     line,
@@ -545,12 +548,12 @@ impl Parser {
                     self.bump();
                     let mut args = Vec::new();
                     let mut height = 0;
-                    if self.peek() != Some(&Tok::RParen) {
+                    if self.peek() != Some(Tok::RParen) {
                         loop {
                             let (arg, h) = self.nested_expr()?;
                             args.push(arg);
                             height = height.max(h);
-                            if self.peek() == Some(&Tok::Comma) {
+                            if self.peek() == Some(Tok::Comma) {
                                 self.bump();
                             } else {
                                 break;
@@ -558,15 +561,16 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen)?;
-                    self.node(ExprKind::Call(name, args), line, 1 + height)
+                    self.node(ExprKind::Call(name.to_string(), args), line, 1 + height)
                 }
                 Some(Tok::LBracket) => {
                     self.bump();
                     let (idx, height) = self.nested_expr()?;
                     self.expect(Tok::RBracket)?;
-                    self.node(ExprKind::Index(name, Box::new(idx)), line, 1 + height)
+                    let kind = ExprKind::Index(name.to_string(), Box::new(idx));
+                    self.node(kind, line, 1 + height)
                 }
-                _ => Ok((Expr { kind: ExprKind::Var(name), line }, 1)),
+                _ => Ok((Expr { kind: ExprKind::Var(name.to_string()), line }, 1)),
             },
             other => Err(CompileError::new(
                 line,
