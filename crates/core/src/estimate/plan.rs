@@ -96,7 +96,7 @@ impl<'p> Analyzer<'p> {
         // disjunctions. Each entry is a non-empty list of alternative
         // conjunctive constraint lists. A dropped statement is still
         // resolved atom by atom, so a bad reference stays an error.
-        let mut statements: Vec<Vec<Vec<LinCon>>> = Vec::new();
+        let mut statements: Vec<Vec<Vec<Keyed>>> = Vec::new();
         let mut bounded_headers: HashSet<(InstanceId, BlockId)> = HashSet::new();
 
         for i in 0..self.instances.len() {
@@ -107,7 +107,7 @@ impl<'p> Analyzer<'p> {
                     Stmt::Loop { header, lo, hi } => {
                         let cons =
                             self.resolve_loop(inst, header, *lo, *hi, &mut bounded_headers)?;
-                        statements.push(vec![cons]);
+                        statements.push(vec![keyed(cons)]);
                     }
                     Stmt::Cons(or) if over_cap && or.set_count() > 1 => {
                         for (lhs, rel, rhs) in or.atoms() {
@@ -121,7 +121,7 @@ impl<'p> Analyzer<'p> {
                             for (lhs, rel, rhs) in conj {
                                 set.push(self.resolve_rel(inst, &lhs, rel, &rhs)?);
                             }
-                            alts.push(set);
+                            alts.push(keyed(set));
                         }
                         statements.push(alts);
                     }
@@ -141,17 +141,17 @@ impl<'p> Analyzer<'p> {
         // and the canonical sort key, in statement order) and the disjunct
         // rows (disjunctive statements only — what the set adds on top of
         // the cover).
-        let mut expanded: Vec<(Vec<LinCon>, Vec<LinCon>)> = vec![(Vec::new(), Vec::new())];
+        let mut expanded: Vec<(Vec<&Keyed>, Vec<&Keyed>)> = vec![(Vec::new(), Vec::new())];
         for alts in &statements {
             let disjunctive = alts.len() > 1;
             let mut next = Vec::with_capacity(expanded.len() * alts.len());
             for (merged, delta) in &expanded {
                 for alt in alts {
                     let mut m = merged.clone();
-                    m.extend(alt.iter().cloned());
+                    m.extend(alt);
                     let mut d = delta.clone();
                     if disjunctive {
-                        d.extend(alt.iter().cloned());
+                        d.extend(alt);
                     }
                     next.push((m, d));
                 }
@@ -162,7 +162,7 @@ impl<'p> Analyzer<'p> {
         // Null-set pruning, on the full merged rows (disjunct rows can only
         // be null together with the common rows they combine with).
         let before = expanded.len();
-        expanded.retain(|(m, _)| !set_is_null(m));
+        expanded.retain(|(m, _)| !set_is_null(m.iter().map(|r| &r.con)));
         let sets_pruned = before - expanded.len();
         if expanded.is_empty() {
             return Err(AnalysisError::AllSetsInfeasible { total: before });
@@ -173,11 +173,11 @@ impl<'p> Analyzer<'p> {
         // terms (merged, zero-dropped, sorted by variable), so the key is a
         // pure function of constraint content and the resulting job order
         // is reproducible across executors and `--jobs` values.
-        let mut keyed: Vec<(Vec<String>, Vec<LinCon>)> = expanded
+        let mut sorted: Vec<(Vec<&str>, Vec<&Keyed>)> = expanded
             .into_iter()
-            .map(|(m, d)| (m.iter().map(|c| c.to_string()).collect(), d))
+            .map(|(m, d)| (m.iter().map(|r| r.key.as_str()).collect(), d))
             .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
 
         // Shared structural rows and (for the worst case) split rows.
         let structural = structural_constraints(&self.instances);
@@ -187,26 +187,25 @@ impl<'p> Analyzer<'p> {
         // Constraints common to *every* set (the non-disjunctive
         // statements): together with the structural and split rows they
         // form the covers.
-        let common: Vec<LinCon> =
-            statements.iter().filter(|s| s.len() == 1).flat_map(|s| s[0].iter().cloned()).collect();
+        let common_rows = || statements.iter().filter(|s| s.len() == 1).flat_map(|s| &s[0]);
+        let common: Vec<LinCon> = common_rows().map(|r| r.con.clone()).collect();
 
         // Dedup disjunct rows against the common rows and within each set.
         // Rendered text is the identity: `LinCon`'s display is injective on
         // normalized content, so equal text means a mathematically
         // identical row.
-        let common_keys: HashSet<String> = common.iter().map(|c| c.to_string()).collect();
+        let common_keys: HashSet<&str> = common_rows().map(|r| r.key.as_str()).collect();
         let mut dedup_rows = 0u64;
-        let disjuncts: Vec<Vec<LinCon>> = keyed
+        let disjuncts: Vec<Vec<&LinCon>> = sorted
             .into_iter()
             .map(|(_, d)| {
-                let mut seen: HashSet<String> = HashSet::new();
+                let mut seen: HashSet<&str> = HashSet::new();
                 let mut kept = Vec::with_capacity(d.len());
-                for c in d {
-                    let key = c.to_string();
-                    if common_keys.contains(&key) || !seen.insert(key) {
+                for r in d {
+                    if common_keys.contains(r.key.as_str()) || !seen.insert(&r.key) {
                         dedup_rows += 1;
                     } else {
-                        kept.push(c);
+                        kept.push(&r.con);
                     }
                 }
                 kept
@@ -386,6 +385,18 @@ impl<'p> Analyzer<'p> {
             rows.iter().flat_map(|group| group.iter()).map(|c| lincon_row(space, c)).collect();
         Problem { sense, objective, constraints, integer: vec![true; space.len()] }
     }
+}
+
+/// A resolved constraint and its canonical text (`LinCon`'s display),
+/// rendered once per plan: the set sort keys and the disjunct dedup
+/// borrow it.
+struct Keyed {
+    con: LinCon,
+    key: String,
+}
+
+fn keyed(cons: Vec<LinCon>) -> Vec<Keyed> {
+    cons.into_iter().map(|con| Keyed { key: con.to_string(), con }).collect()
 }
 
 /// Converts a resolved [`LinCon`] into a solver row over the space's

@@ -91,7 +91,7 @@ impl fmt::Display for LinCon {
 /// null. Multi-variable rows are ignored, so this is a sound but incomplete
 /// test — exactly what the paper describes ("these trivial null sets, if
 /// detected, will be pruned").
-pub fn set_is_null(set: &[LinCon]) -> bool {
+pub fn set_is_null<'a>(set: impl IntoIterator<Item = &'a LinCon>) -> bool {
     let mut lo: HashMap<VarRef, f64> = HashMap::new();
     let mut hi: HashMap<VarRef, f64> = HashMap::new();
     for con in set {
