@@ -1,13 +1,16 @@
 //! Times each stage of the toolchain separately on the largest routine —
 //! compile, CFG + instance expansion, block costing, simulation, and the
 //! steps around the simplex: planning, content fingerprinting and the
-//! worst-case cover's LP solve — to show where the milliseconds go (the paper's
-//! "insignificant" claim covers only the ILP; this bench covers the
+//! worst-case cover's LP solve, and the exact certification of the
+//! worst-case job's witness by the audited fold (`certify`) and by the
+//! replay tier (`replay_gate`) — to show where the milliseconds go (the
+//! paper's "insignificant" claim covers only the ILP; this bench covers the
 //! substrates). `plan_scale` plans one large synthetic program, from the
 //! top of the 250–750 instruction band the `scale` workload draws from, so
 //! the plan cost of a program many times dhry's size shows too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ipet_audit::{certify_witness, replay_gate, ClaimKind};
 use ipet_bench::synth::{generate, SynthConfig};
 use ipet_cfg::Instances;
 use ipet_core::{parse_annotations, AnalysisBudget, Analyzer};
@@ -89,6 +92,29 @@ fn bench_stages(c: &mut Criterion) {
 
     group.bench_function("cover_lp", |bench| {
         bench.iter(|| black_box(ipet_lp::solve_lp(black_box(cover))))
+    });
+
+    // The worst-case job (the maximize job with the largest optimum) and
+    // its witness, checked as the audited fold and the replay tier check it.
+    let (worst, x, value) = plan
+        .jobs()
+        .iter()
+        .filter(|job| job.problem.sense == ipet_lp::Sense::Maximize)
+        .filter_map(|job| match ipet_lp::solve_ilp(&job.problem).0 {
+            ipet_lp::IlpOutcome::Optimal { x, value } => Some((&job.problem, x, value)),
+            _ => None,
+        })
+        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .expect("dhry has a worst case");
+    let claimed = ipet_lp::round_claimed(value).unwrap();
+    group.bench_function("certify", |bench| {
+        bench.iter(|| {
+            black_box(certify_witness(black_box(worst), &x, claimed, ClaimKind::Equal).is_ok())
+        })
+    });
+
+    group.bench_function("replay_gate", |bench| {
+        bench.iter(|| black_box(replay_gate(black_box(worst), worst, Some((&x, value)))))
     });
 
     group.finish();
