@@ -96,7 +96,7 @@ pub enum CertFailure {
         /// The claimed outer bound.
         bound: i64,
         /// The exactly witnessed objective value.
-        witnessed: i64,
+        witnessed: i128,
     },
     /// The CFG entry edge does not execute exactly once.
     FlowEntryMismatch {
@@ -263,10 +263,7 @@ pub fn certify_witness(
                 let witnessed = objective.as_int().ok_or_else(|| {
                     CertFailure::ObjectiveMismatch { computed: objective.render(), claimed }
                 })?;
-                return Err(CertFailure::BoundViolatesWitness {
-                    bound: claimed,
-                    witnessed: witnessed as i64,
-                });
+                return Err(CertFailure::BoundViolatesWitness { bound: claimed, witnessed });
             }
         }
     }
@@ -567,6 +564,19 @@ mod tests {
         assert!(certify_witness(&toy(), &[2.0, 2.0], 9, ClaimKind::CoversFromBelow).is_ok());
         let err = certify_witness(&toy(), &[2.0, 2.0], 11, ClaimKind::CoversFromBelow).unwrap_err();
         assert_eq!(err, CertFailure::BoundViolatesWitness { bound: 11, witnessed: 10 });
+    }
+
+    #[test]
+    fn a_witnessed_value_beyond_i64_is_reported_exactly() {
+        // max 2^60·x st x <= 16: witness 16 gives 2^64, which a claimed
+        // outer bound of 1 does not cover.
+        let mut b = ProblemBuilder::new(Sense::Maximize);
+        let x = b.add_var(true);
+        b.objective(x, (1u64 << 60) as f64);
+        b.constraint(vec![(x, 1.0)], Relation::Le, 16.0);
+        let wide = b.build();
+        let err = certify_witness(&wide, &[16.0], 1, ClaimKind::CoversFromAbove).unwrap_err();
+        assert_eq!(err, CertFailure::BoundViolatesWitness { bound: 1, witnessed: 1 << 64 });
     }
 
     #[test]
