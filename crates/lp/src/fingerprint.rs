@@ -219,10 +219,10 @@ mod tests {
         let p = toy(Sense::Maximize);
 
         // Repeated, zero and unsorted terms fold away:
-        // x + y == y + 0.5x + 0.5x + 0y.
+        // x + y == y + 3x - 2x + 0y.
         let mut q = p.clone();
         q.constraints[0] = Constraint {
-            terms: vec![(VarId(1), 1.0), (VarId(0), 0.5), (VarId(0), 0.5), (VarId(1), 0.0)],
+            terms: vec![(VarId(1), 1.0), (VarId(0), 3.0), (VarId(0), -2.0), (VarId(1), 0.0)],
             relation: Relation::Le,
             rhs: 4.0,
         };

@@ -444,9 +444,9 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         b.objective(x, 1.0);
-        // 0.4 <= x <= 0.6 has no integer point.
-        b.constraint(vec![(x, 1.0)], Relation::Ge, 0.4);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 0.6);
+        // 2 <= 5x <= 3 (0.4 <= x <= 0.6) has no integer point.
+        b.constraint(vec![(x, 5.0)], Relation::Ge, 2.0);
+        b.constraint(vec![(x, 5.0)], Relation::Le, 3.0);
         let (out, _) = solve_ilp(&b.build());
         assert_eq!(out, IlpOutcome::Infeasible);
     }
@@ -615,14 +615,15 @@ mod tests {
 
     #[test]
     fn mixed_integrality() {
-        // y continuous: max x + y st x + 2y <= 3.5, x <= 1.2; x int.
+        // y continuous: max x + y st 2x + 4y <= 7, 5x <= 6 (x + 2y <= 3.5,
+        // x <= 1.2); x int.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(false);
         b.objective(x, 1.0);
         b.objective(y, 1.0);
-        b.constraint(vec![(x, 1.0), (y, 2.0)], Relation::Le, 3.5);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 1.2);
+        b.constraint(vec![(x, 2.0), (y, 4.0)], Relation::Le, 7.0);
+        b.constraint(vec![(x, 5.0)], Relation::Le, 6.0);
         let (out, _) = solve_ilp(&b.build());
         match out {
             IlpOutcome::Optimal { x: sol, value } => {

