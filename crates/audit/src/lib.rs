@@ -7,15 +7,13 @@
 //! visible failure. Following the cross-validation discipline of the WCET
 //! literature (Prantl et al.; Bundala & Seshia), this crate re-verifies each
 //! solved constraint set from first principles, using **exact arithmetic
-//! only** — the checker performs zero floating-point operations. Floats
-//! enter in exactly two sanctioned ways:
-//!
-//! 1. the witness vector is rounded to integer counts by
-//!    [`ipet_lp::round_witness`] under the one centralized tolerance
-//!    (floating-point is allowed *there*, in the rounding layer, never here);
-//! 2. every f64 constraint/objective coefficient is decomposed bit-wise into
-//!    its exact dyadic rational `m · 2^e` ([`rat::Rat`]) — a finite f64 *is*
-//!    such a rational, so the conversion loses nothing.
+//! only** — the checker performs zero floating-point operations. A
+//! [`Problem`] is integers (`i64` coefficients and right-hand sides), so
+//! every check is checked `i128` arithmetic, and floats enter in one
+//! sanctioned way: the solver's witness vector (and a cached claim) is
+//! rounded to integer counts by [`ipet_lp::round_witness`] /
+//! [`ipet_lp::round_claimed`] under the one centralized tolerance
+//! (floating-point is allowed *there*, in the rounding layer, never here).
 //!
 //! ## The certificate
 //!
@@ -39,20 +37,18 @@
 //!
 //! ## Cost
 //!
-//! Certification runs at integer speed. Each coefficient is decomposed and
-//! normalized in O(1), and each row (and the dense objective) is summed in
-//! place, term by term, without allocating; the only allocation is the
-//! rounded count vector. Over the 13 suite routines' 36 `--infer` jobs
+//! Certification runs at integer speed: each row (and the dense objective)
+//! is summed in place, term by term, as `i128` products of an `i64`
+//! coefficient and an `i64` count, without allocating; the only allocation
+//! is the rounded count vector. Over the 13 suite routines' 36 `--infer` jobs
 //! (about 9,400 coefficient terms), [`certify_witness`] takes about
 //! 0.14 ms per pass on a 2-vCPU host, release build.
 
 use std::fmt;
 
+use std::cmp::Ordering;
+
 use ipet_lp::{round_claimed, round_witness, same_structure, Problem, Relation, RoundError};
-
-mod rat;
-
-pub use rat::Rat;
 
 /// Why a certificate was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,26 +64,21 @@ pub enum CertFailure {
         /// Entries in the witness.
         got: usize,
     },
-    /// A constraint coefficient or right-hand side is NaN/infinite.
-    NonFiniteCoefficient {
-        /// Constraint row index (`usize::MAX` for the objective).
-        row: usize,
-    },
     /// The rounded witness violates a constraint row exactly.
     ConstraintViolated {
         /// Constraint row index.
         row: usize,
-        /// Exact left-hand side, rendered.
-        lhs: String,
+        /// Exact left-hand side.
+        lhs: i128,
         /// The row's relation.
         relation: Relation,
-        /// Exact right-hand side, rendered.
-        rhs: String,
+        /// The right-hand side.
+        rhs: i64,
     },
     /// The exactly recomputed objective differs from the claimed bound.
     ObjectiveMismatch {
-        /// Exact `Σ c_i·x_i`, rendered.
-        computed: String,
+        /// Exact `Σ c_i·x_i`.
+        computed: i128,
         /// The claimed bound.
         claimed: i64,
     },
@@ -134,9 +125,6 @@ impl fmt::Display for CertFailure {
             CertFailure::BadClaim(e) => write!(f, "claimed bound not integral: {e}"),
             CertFailure::ArityMismatch { expected, got } => {
                 write!(f, "witness has {got} entries, problem has {expected} variables")
-            }
-            CertFailure::NonFiniteCoefficient { row } => {
-                write!(f, "non-finite coefficient in row {row}")
             }
             CertFailure::ConstraintViolated { row, lhs, relation, rhs } => {
                 write!(f, "row {row} violated: {lhs} {relation} {rhs} is false")
@@ -186,21 +174,19 @@ pub struct CertifiedWitness {
     pub objective: i128,
 }
 
-/// Exact sum `Σ coeff · counts[var]` over `(var, coeff)` terms as a dyadic
-/// rational, in term order.
+/// Exact sum `Σ coeff · counts[var]` over `(var, coeff)` terms, in term
+/// order. An `i64` product always fits `i128`; only the sum can overflow.
 fn exact_dot(
-    terms: impl IntoIterator<Item = (usize, f64)>,
+    terms: impl IntoIterator<Item = (usize, i64)>,
     counts: &[i64],
-    row: usize,
-) -> Result<Rat, CertFailure> {
-    let mut sum = Rat::ZERO;
+) -> Result<i128, CertFailure> {
+    let mut sum: i128 = 0;
     for (var, coeff) in terms {
-        let c = Rat::from_f64(coeff).ok_or(CertFailure::NonFiniteCoefficient { row })?;
         let count = *counts
             .get(var)
             .ok_or(CertFailure::ArityMismatch { expected: var + 1, got: counts.len() })?;
-        let term = c.mul_int(count as i128).ok_or(CertFailure::Overflow)?;
-        sum = sum.add_checked(term).ok_or(CertFailure::Overflow)?;
+        let term = i128::from(coeff) * i128::from(count);
+        sum = sum.checked_add(term).ok_or(CertFailure::Overflow)?;
     }
     Ok(sum)
 }
@@ -224,52 +210,37 @@ pub fn certify_witness(
 
     // (a) every structural + functionality row, exactly.
     for (row, con) in problem.constraints.iter().enumerate() {
-        let lhs = exact_dot(con.terms.iter().map(|&(v, c)| (v.0, c)), &counts, row)?;
-        let rhs = Rat::from_f64(con.rhs).ok_or(CertFailure::NonFiniteCoefficient { row })?;
-        let ord = lhs.cmp_exact(rhs).ok_or(CertFailure::Overflow)?;
+        let lhs = exact_dot(con.terms.iter().map(|&(v, c)| (v.0, c)), &counts)?;
+        let ord = lhs.cmp(&i128::from(con.rhs));
         let holds = match con.relation {
-            Relation::Le => ord != std::cmp::Ordering::Greater,
-            Relation::Ge => ord != std::cmp::Ordering::Less,
-            Relation::Eq => ord == std::cmp::Ordering::Equal,
+            Relation::Le => ord != Ordering::Greater,
+            Relation::Ge => ord != Ordering::Less,
+            Relation::Eq => ord == Ordering::Equal,
         };
         if !holds {
             return Err(CertFailure::ConstraintViolated {
                 row,
-                lhs: lhs.render(),
+                lhs,
                 relation: con.relation,
-                rhs: rhs.render(),
+                rhs: con.rhs,
             });
         }
     }
 
     // (b) objective replay, exactly.
-    let objective = exact_dot(problem.objective.iter().copied().enumerate(), &counts, usize::MAX)?;
-    let claim = Rat::from_int(claimed as i128);
-    let ord = objective.cmp_exact(claim).ok_or(CertFailure::Overflow)?;
+    let objective = exact_dot(problem.objective.iter().copied().enumerate(), &counts)?;
+    let ord = objective.cmp(&i128::from(claimed));
     let covered = match kind {
-        ClaimKind::Equal => ord == std::cmp::Ordering::Equal,
-        ClaimKind::CoversFromAbove => ord != std::cmp::Ordering::Greater,
-        ClaimKind::CoversFromBelow => ord != std::cmp::Ordering::Less,
+        ClaimKind::Equal => ord == Ordering::Equal,
+        ClaimKind::CoversFromAbove => ord != Ordering::Greater,
+        ClaimKind::CoversFromBelow => ord != Ordering::Less,
     };
     if !covered {
-        match kind {
-            ClaimKind::Equal => {
-                return Err(CertFailure::ObjectiveMismatch {
-                    computed: objective.render(),
-                    claimed,
-                })
-            }
-            _ => {
-                let witnessed = objective.as_int().ok_or_else(|| {
-                    CertFailure::ObjectiveMismatch { computed: objective.render(), claimed }
-                })?;
-                return Err(CertFailure::BoundViolatesWitness { bound: claimed, witnessed });
-            }
-        }
+        return Err(match kind {
+            ClaimKind::Equal => CertFailure::ObjectiveMismatch { computed: objective, claimed },
+            _ => CertFailure::BoundViolatesWitness { bound: claimed, witnessed: objective },
+        });
     }
-    let objective = objective
-        .as_int()
-        .ok_or(CertFailure::ObjectiveMismatch { computed: objective.render(), claimed })?;
     Ok(CertifiedWitness { counts, objective })
 }
 
@@ -316,14 +287,15 @@ pub fn replay_gate(cached: &Problem, problem: &Problem, exact: Option<(&[f64], f
 /// line is a global minorant, so exact equality of line and optimum at both
 /// endpoints proves the line *is* the optimum everywhere between them.
 ///
-/// The arithmetic is exact dyadic-rational ([`Rat`]); overflow rejects the
-/// certificate (returns `false`) rather than guessing — the caller then
-/// falls back to a concrete solve, so a refused certificate costs time,
-/// never correctness.
+/// The arithmetic is checked `i128`; overflow rejects the certificate
+/// (returns `false`) rather than guessing — the caller then falls back to a
+/// concrete solve, so a refused certificate costs time, never correctness.
 pub fn certify_chord(formula: ipet_lp::BoundFormula, p: u64, value: i128) -> bool {
-    let Some(term) = Rat::from_int(formula.slope).mul_int(p as i128) else { return false };
-    let Some(lhs) = term.add_checked(Rat::from_int(formula.constant)) else { return false };
-    lhs.cmp_exact(Rat::from_int(value)) == Some(std::cmp::Ordering::Equal)
+    formula
+        .slope
+        .checked_mul(i128::from(p))
+        .and_then(|term| term.checked_add(formula.constant))
+        .is_some_and(|line| line == value)
 }
 
 /// One basic block's flow neighborhood, in problem-variable indices.
@@ -519,10 +491,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 4);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         b.build()
     }
 
@@ -572,25 +544,31 @@ mod tests {
         // outer bound of 1 does not cover.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, (1u64 << 60) as f64);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 16.0);
+        b.objective(x, 1 << 60);
+        b.constraint(vec![(x, 1)], Relation::Le, 16);
         let wide = b.build();
         let err = certify_witness(&wide, &[16.0], 1, ClaimKind::CoversFromAbove).unwrap_err();
         assert_eq!(err, CertFailure::BoundViolatesWitness { bound: 1, witnessed: 1 << 64 });
     }
 
     #[test]
-    fn fractional_objective_breaking_a_relaxed_claim_is_a_mismatch() {
-        // max 0.5x st x <= 3: witness x = 3 gives 3/2, which a claimed
-        // outer bound of 1 does not cover. Nothing overflowed, and the
-        // witnessed value is no integer to report.
+    fn an_objective_past_i128_overflows_without_panicking() {
+        // Five terms of i64::MAX · 2^62 sum past i128::MAX (four do not).
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        let x = b.add_var(true);
-        b.objective(x, 0.5);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        let half = b.build();
-        let err = certify_witness(&half, &[3.0], 1, ClaimKind::CoversFromAbove).unwrap_err();
-        assert_eq!(err, CertFailure::ObjectiveMismatch { computed: "3/2^1".into(), claimed: 1 });
+        for _ in 0..5 {
+            let x = b.add_var(true);
+            b.objective(x, i64::MAX);
+        }
+        let wide = b.build();
+        let counts = [(1u64 << 62) as f64; 5];
+        for kind in [ClaimKind::Equal, ClaimKind::CoversFromAbove, ClaimKind::CoversFromBelow] {
+            assert_eq!(certify_witness(&wide, &counts, 0, kind), Err(CertFailure::Overflow));
+        }
+        let mut four = wide.clone();
+        four.objective[4] = 0;
+        let err = certify_witness(&four, &counts, 0, ClaimKind::Equal).unwrap_err();
+        let computed = 4 * i128::from(i64::MAX) * (1 << 62);
+        assert_eq!(err, CertFailure::ObjectiveMismatch { computed, claimed: 0 });
     }
 
     #[test]

@@ -636,7 +636,10 @@ impl<'src> Parser<'src> {
                     let r = self.parse_ref()?;
                     expr.terms.push((sign * n, r));
                 } else {
-                    expr.constant += sign * n;
+                    expr.constant = expr.constant.checked_add(sign * n).ok_or_else(|| {
+                        let op = if sign < 0 { '-' } else { '+' };
+                        self.err(format!("constant {} {op} {n} out of range", expr.constant))
+                    })?;
                 }
                 Ok(())
             }
@@ -931,6 +934,25 @@ mod tests {
         );
         // An index too large for `usize` leaves the word an identifier.
         assert_eq!(lex("x99999999999999999999").unwrap()[0].0, Tok::Ident("x99999999999999999999"));
+    }
+
+    #[test]
+    fn constants_that_sum_past_i64_are_errors() {
+        assert_eq!(
+            parse_error("fn main { x1 <= 9223372036854775807 + 1; }"),
+            (1, "constant 9223372036854775807 + 1 out of range".to_string())
+        );
+        assert_eq!(
+            parse_error("fn main {\n x1 + 5 - 9223372036854775807 - 9223372036854775807 >= 0; }"),
+            (2, "constant -9223372036854775802 - 9223372036854775807 out of range".to_string())
+        );
+        // The extremes themselves, and sums that come back into range
+        // only after leaving it, are refused or kept exactly.
+        let anns = parse_annotations("fn main { x1 <= 9223372036854775807 - 1 + 1; }").unwrap();
+        let (_, stmt) = &anns.functions[0];
+        assert!(format!("{stmt:?}").contains("constant: 9223372036854775807"), "{stmt:?}");
+        assert!(parse_annotations("fn main { x1 >= -9223372036854775807 - 1; }").is_ok());
+        assert!(parse_annotations("fn main { x1 >= -9223372036854775807 - 2; }").is_err());
     }
 
     #[test]

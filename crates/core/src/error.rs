@@ -18,6 +18,10 @@ pub enum AnalysisError {
     NotALoopHeader { func: String, block: String },
     /// A loop bound interval is empty or negative.
     BadLoopBound { func: String, lo: i64, hi: i64 },
+    /// An integer of the ILP — an annotation's constant or summed
+    /// coefficient, or a block's cost — is out of the `i64` range. Names
+    /// the value.
+    Overflow(String),
     /// The WCET ILP is unbounded — some loop lacks a bound annotation.
     /// Lists `function(block)` headers that have no bound.
     Unbounded { unbounded_loops: Vec<String> },
@@ -53,6 +57,9 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::BadLoopBound { func, lo, hi } => {
                 write!(f, "loop bound [{lo}, {hi}] in fn {func} is not a valid interval")
+            }
+            AnalysisError::Overflow(what) => {
+                write!(f, "{what} is out of the 64-bit integer range")
             }
             AnalysisError::Unbounded { unbounded_loops } => {
                 writeln!(f, "WCET is unbounded; add loop bounds for:")?;

@@ -216,8 +216,8 @@ impl<'p> Analyzer<'p> {
         // then (worst case only) the split rows.
         let best = self.objective(&space, Sense::Minimize, &split);
         let covers = [
-            self.assemble(&space, Sense::Maximize, &worst, &[&structural, &common, &split.rows]),
-            self.assemble(&space, Sense::Minimize, &best, &[&structural, &common]),
+            self.assemble(&space, Sense::Maximize, &worst, &[&structural, &common, &split.rows])?,
+            self.assemble(&space, Sense::Minimize, &best, &[&structural, &common])?,
         ];
         let mut problems = Vec::with_capacity(disjuncts.len() * 2);
         for rows in &disjuncts {
@@ -310,12 +310,12 @@ impl<'p> Analyzer<'p> {
                 let cold = VarRef::SplitCold(inst, b);
                 let warm = VarRef::SplitWarm(inst, b);
                 let x = VarRef::Block(inst, b);
-                rows.push(LinCon::eq(vec![(cold, 1.0), (warm, 1.0), (x, -1.0)], 0.0));
-                let mut cap = vec![(cold, 1.0)];
+                rows.push(LinCon::eq(vec![(cold, 1), (warm, 1), (x, -1)], 0));
+                let mut cap = vec![(cold, 1)];
                 for e in &l.entry_edges {
-                    cap.push((VarRef::Edge(inst, *e), -1.0));
+                    cap.push((VarRef::Edge(inst, *e), -1));
                 }
-                rows.push(LinCon::le(cap, 0.0));
+                rows.push(LinCon::le(cap, 0));
                 cost.push((space.intern(cold), block.worst_cold));
                 cost.push((space.intern(warm), block.worst_warm));
                 cost.push((space.intern(x), Cycles::default()));
@@ -373,17 +373,29 @@ impl<'p> Analyzer<'p> {
     /// Assembles one problem of `sense` over `space`: `objective` (see
     /// [`Analyzer::objective`]) evaluated at the machine, and the rows of
     /// each group in order.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Overflow`] for a cost past `i64`.
     pub(super) fn assemble(
         &self,
         space: &VarSpace,
         sense: Sense,
         objective: &[Cycles],
         rows: &[&[LinCon]],
-    ) -> Problem {
-        let objective = objective.iter().map(|c| c.at(self.machine()) as f64).collect();
+    ) -> Result<Problem, AnalysisError> {
+        let objective = objective
+            .iter()
+            .zip(space.iter())
+            .map(|(c, (_, var))| {
+                let cycles = c.at(self.machine());
+                i64::try_from(cycles)
+                    .map_err(|_| AnalysisError::Overflow(format!("the cost of {var}, {cycles}")))
+            })
+            .collect::<Result<_, _>>()?;
         let constraints =
             rows.iter().flat_map(|group| group.iter()).map(|c| lincon_row(space, c)).collect();
-        Problem { sense, objective, constraints, integer: vec![true; space.len()] }
+        Ok(Problem { sense, objective, constraints, integer: vec![true; space.len()] })
     }
 }
 

@@ -67,18 +67,15 @@ impl<'p> Analyzer<'p> {
         }
     }
 
-    pub(super) fn resolve_linexpr(
-        &self,
-        inst: InstanceId,
-        e: &LinExpr,
-    ) -> Result<(Vec<(VarRef, f64)>, f64), AnalysisError> {
-        let mut terms = Vec::with_capacity(e.terms.len());
-        for (c, r) in &e.terms {
-            terms.push((self.resolve_ref(inst, r)?, *c as f64));
-        }
-        Ok((terms, e.constant as f64))
-    }
-
+    /// Resolves `lhs rel rhs` into one row `Σ terms rel constant`: the
+    /// right side's terms move left and the left side's constant right,
+    /// in checked arithmetic, and the row's summed coefficients must fit
+    /// in `i64` too.
+    ///
+    /// # Errors
+    ///
+    /// A bad reference, or [`AnalysisError::Overflow`] for a negation,
+    /// difference or sum past `i64`.
     pub(super) fn resolve_rel(
         &self,
         inst: InstanceId,
@@ -86,12 +83,32 @@ impl<'p> Analyzer<'p> {
         rel: Relation,
         rhs: &LinExpr,
     ) -> Result<LinCon, AnalysisError> {
-        let (mut terms, lconst) = self.resolve_linexpr(inst, lhs)?;
-        let (rterms, rconst) = self.resolve_linexpr(inst, rhs)?;
-        for (v, c) in rterms {
-            terms.push((v, -c));
+        let func = &self.instances.cfg(inst).func_name;
+        let overflow = |what: &str| AnalysisError::Overflow(format!("{what} in fn {func}"));
+        let mut terms = Vec::with_capacity(lhs.terms.len() + rhs.terms.len());
+        for (c, r) in &lhs.terms {
+            terms.push((self.resolve_ref(inst, r)?, *c));
         }
-        Ok(LinCon { terms, relation: rel, rhs: rconst - lconst })
+        for (c, r) in &rhs.terms {
+            let v = self.resolve_ref(inst, r)?;
+            let c = c.checked_neg().ok_or_else(|| overflow(&format!("the coefficient of {r}")))?;
+            terms.push((v, c));
+        }
+        let constant = rhs
+            .constant
+            .checked_sub(lhs.constant)
+            .ok_or_else(|| overflow("the difference of a constraint's constants"))?;
+        let con = LinCon { terms, relation: rel, rhs: constant };
+        // Only coefficients whose magnitudes sum past `i64` can sum past it
+        // per variable.
+        let magnitude: u128 = con.terms.iter().map(|&(_, c)| u128::from(c.unsigned_abs())).sum();
+        if magnitude > i64::MAX as u128 {
+            con.normalized_terms().map_err(|e| match e {
+                AnalysisError::Overflow(what) => overflow(&what),
+                e => e,
+            })?;
+        }
+        Ok(con)
     }
 
     pub(super) fn resolve_loop(
@@ -127,18 +144,17 @@ impl<'p> Analyzer<'p> {
         // independent of how the compiler shaped the header — bounds the
         // *iterations per entry*: with E = Σ d over entry edges and
         // B = Σ d over back edges,  lo·E <= B <= hi·E.
-        let back_terms = |scale: f64| -> Vec<(VarRef, f64)> {
-            let mut t: Vec<(VarRef, f64)> =
-                lp.back_edges.iter().map(|e| (VarRef::Edge(target, *e), 1.0)).collect();
+        // `0 <= lo <= hi` was checked above, so neither negation can
+        // overflow.
+        let back_terms = |scale: i64| -> Vec<(VarRef, i64)> {
+            let mut t: Vec<(VarRef, i64)> =
+                lp.back_edges.iter().map(|e| (VarRef::Edge(target, *e), 1)).collect();
             for e in &lp.entry_edges {
                 t.push((VarRef::Edge(target, *e), scale));
             }
             t
         };
-        Ok(vec![
-            LinCon::ge(back_terms(-(lo as f64)), 0.0),
-            LinCon::le(back_terms(-(hi as f64)), 0.0),
-        ])
+        Ok(vec![LinCon::ge(back_terms(-lo), 0), LinCon::le(back_terms(-hi), 0)])
     }
 
     pub(super) fn unbounded_loop_labels(

@@ -141,6 +141,29 @@ fn bad_references_rejected() {
 }
 
 #[test]
+fn annotation_integers_past_i64_are_errors() {
+    let p = while_loop_program(10);
+    let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
+    let max = i64::MAX;
+    for (ann, what) in [
+        // Repeated terms whose coefficients sum past i64, on one side or
+        // moved across.
+        (format!("{max} x3 + {max} x3 <= 5"), "the summed coefficient of x3@i0"),
+        (format!("{max} x3 <= -{max} x3"), "the summed coefficient of x3@i0"),
+        // Constants whose difference leaves i64.
+        (format!("x3 + {max} <= -{max}"), "the difference of a constraint's constants"),
+    ] {
+        match a.analyze(&format!("fn main {{ loop x2 in [0, 10]; {ann}; }}")) {
+            Err(AnalysisError::Overflow(got)) => assert_eq!(got, format!("{what} in fn main")),
+            other => panic!("{ann}: {other:?}"),
+        }
+    }
+    // At the edge of the range, nothing overflows.
+    let est = a.analyze(&format!("fn main {{ loop x2 in [0, 10]; {max} x3 - {max} x3 <= 5; }}"));
+    assert!(est.is_ok(), "{est:?}");
+}
+
+#[test]
 fn first_relaxation_is_integral_for_flow_problems() {
     let p = while_loop_program(10);
     let a = Analyzer::new(&p, Machine::i960kb()).unwrap();
@@ -281,7 +304,7 @@ fn loop_bounded_structural_ilp_has_an_integral_first_relaxation() {
         )
         .unwrap();
     let worst = a.objective(&space, Sense::Maximize, &Split::default());
-    let with_bound = a.assemble(&space, Sense::Maximize, &worst, &[&structural, &bound]);
+    let with_bound = a.assemble(&space, Sense::Maximize, &worst, &[&structural, &bound]).unwrap();
     let (_, stats) = ipet_lp::solve_ilp(&with_bound);
     assert!(stats.first_relaxation_integral);
 }

@@ -1,47 +1,67 @@
 //! Linear constraints over symbolic [`VarRef`]s, plus the null-set test
 //! used to prune constraint sets before they reach the ILP solver.
 
+use crate::error::AnalysisError;
 use crate::vars::VarRef;
 use ipet_lp::Relation;
 use std::collections::HashMap;
 use std::fmt;
 
 /// One linear constraint `Σ coeff·var <relation> rhs` over symbolic
-/// variables.
-#[derive(Debug, Clone, PartialEq)]
+/// variables, with integer coefficients and right-hand side.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinCon {
     /// Sparse terms; coefficients for repeated variables are summed.
-    pub terms: Vec<(VarRef, f64)>,
+    pub terms: Vec<(VarRef, i64)>,
     /// Relation of the row.
     pub relation: Relation,
     /// Right-hand-side constant.
-    pub rhs: f64,
+    pub rhs: i64,
 }
 
 impl LinCon {
     /// `Σ terms = rhs`
-    pub fn eq(terms: Vec<(VarRef, f64)>, rhs: f64) -> LinCon {
+    pub fn eq(terms: Vec<(VarRef, i64)>, rhs: i64) -> LinCon {
         LinCon { terms, relation: Relation::Eq, rhs }
     }
 
     /// `Σ terms <= rhs`
-    pub fn le(terms: Vec<(VarRef, f64)>, rhs: f64) -> LinCon {
+    pub fn le(terms: Vec<(VarRef, i64)>, rhs: i64) -> LinCon {
         LinCon { terms, relation: Relation::Le, rhs }
     }
 
     /// `Σ terms >= rhs`
-    pub fn ge(terms: Vec<(VarRef, f64)>, rhs: f64) -> LinCon {
+    pub fn ge(terms: Vec<(VarRef, i64)>, rhs: i64) -> LinCon {
         LinCon { terms, relation: Relation::Ge, rhs }
     }
 
     /// Sums repeated variables, returning `(var, coeff)` pairs with
-    /// non-zero coefficients.
-    pub fn normalized_terms(&self) -> Vec<(VarRef, f64)> {
-        let mut acc: HashMap<VarRef, f64> = HashMap::new();
+    /// non-zero coefficients, sorted by variable.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Overflow`] when a variable's summed coefficient
+    /// does not fit in `i64`.
+    pub fn normalized_terms(&self) -> Result<Vec<(VarRef, i64)>, AnalysisError> {
+        self.merged()
+            .into_iter()
+            .map(|(v, c)| {
+                let c = i64::try_from(c).map_err(|_| {
+                    AnalysisError::Overflow(format!("the summed coefficient of {v}"))
+                })?;
+                Ok((v, c))
+            })
+            .collect()
+    }
+
+    /// The exact sums of [`LinCon::normalized_terms`], which `i128` always
+    /// holds.
+    fn merged(&self) -> Vec<(VarRef, i128)> {
+        let mut acc: HashMap<VarRef, i128> = HashMap::new();
         for &(v, c) in &self.terms {
-            *acc.entry(v).or_insert(0.0) += c;
+            *acc.entry(v).or_insert(0) += i128::from(c);
         }
-        let mut out: Vec<(VarRef, f64)> = acc.into_iter().filter(|&(_, c)| c != 0.0).collect();
+        let mut out: Vec<(VarRef, i128)> = acc.into_iter().filter(|&(_, c)| c != 0).collect();
         out.sort_by_key(|&(v, _)| v);
         out
     }
@@ -50,24 +70,20 @@ impl LinCon {
 impl fmt::Display for LinCon {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in self.normalized_terms() {
+        for (v, c) in self.merged() {
             if first {
-                if c == 1.0 {
+                if c == 1 {
                     write!(f, "{v}")?;
                 } else {
                     write!(f, "{c}*{v}")?;
                 }
                 first = false;
-            } else if c < 0.0 {
-                if c == -1.0 {
-                    write!(f, " - {v}")?;
-                } else {
-                    write!(f, " - {}*{v}", -c)?;
-                }
-            } else if c == 1.0 {
-                write!(f, " + {v}")?;
             } else {
-                write!(f, " + {c}*{v}")?;
+                let sign = if c < 0 { '-' } else { '+' };
+                match c.unsigned_abs() {
+                    1 => write!(f, " {sign} {v}")?,
+                    m => write!(f, " {sign} {m}*{v}")?,
+                }
             }
         }
         if first {
@@ -95,14 +111,13 @@ pub fn set_is_null<'a>(set: impl IntoIterator<Item = &'a LinCon>) -> bool {
     let mut lo: HashMap<VarRef, f64> = HashMap::new();
     let mut hi: HashMap<VarRef, f64> = HashMap::new();
     for con in set {
-        let terms = con.normalized_terms();
-        if terms.len() != 1 {
+        let terms = con.merged();
+        let [(v, a)] = terms[..] else {
             continue;
-        }
-        let (v, a) = terms[0];
+        };
         // a*x REL rhs  ->  x REL' rhs/a (flip when a < 0)
-        let bound = con.rhs / a;
-        let rel = if a < 0.0 {
+        let bound = con.rhs as f64 / a as f64;
+        let rel = if a < 0 {
             match con.relation {
                 Relation::Le => Relation::Ge,
                 Relation::Ge => Relation::Le,
@@ -152,54 +167,63 @@ mod tests {
 
     #[test]
     fn normalization_merges_terms() {
-        let c = LinCon::eq(vec![(x(0), 1.0), (x(0), 2.0), (x(1), -1.0), (x(1), 1.0)], 0.0);
-        assert_eq!(c.normalized_terms(), vec![(x(0), 3.0)]);
+        let c = LinCon::eq(vec![(x(0), 1), (x(0), 2), (x(1), -1), (x(1), 1)], 0);
+        assert_eq!(c.normalized_terms(), Ok(vec![(x(0), 3)]));
+    }
+
+    #[test]
+    fn a_sum_past_i64_is_an_error_and_renders_exactly() {
+        let c = LinCon::le(vec![(x(0), i64::MAX), (x(0), 1), (x(1), -1), (x(1), -1)], 0);
+        assert!(matches!(c.normalized_terms(), Err(AnalysisError::Overflow(_))));
+        assert_eq!(c.to_string(), "9223372036854775808*x1@i0 - 2*x2@i0 <= 0");
+        let c = LinCon::le(vec![(x(0), i64::MIN), (x(1), i64::MIN)], 0);
+        assert_eq!(c.to_string(), "-9223372036854775808*x1@i0 - 9223372036854775808*x2@i0 <= 0");
     }
 
     #[test]
     fn display_renders_signs() {
-        let c = LinCon::le(vec![(x(0), 1.0), (x(1), -2.0)], 3.0);
+        let c = LinCon::le(vec![(x(0), 1), (x(1), -2)], 3);
         let s = c.to_string();
         assert!(s.contains("x1@i0"), "{s}");
         assert!(s.contains("- 2*x2@i0"), "{s}");
         assert!(s.ends_with("<= 3"), "{s}");
-        let empty = LinCon::eq(vec![], 1.0);
+        let empty = LinCon::eq(vec![], 1);
         assert_eq!(empty.to_string(), "0 = 1");
     }
 
     #[test]
     fn papers_null_example() {
         // x >= 1  &  x = 0  is null.
-        let set = vec![LinCon::ge(vec![(x(0), 1.0)], 1.0), LinCon::eq(vec![(x(0), 1.0)], 0.0)];
+        let set = vec![LinCon::ge(vec![(x(0), 1)], 1), LinCon::eq(vec![(x(0), 1)], 0)];
         assert!(set_is_null(&set));
     }
 
     #[test]
     fn conflicting_equalities_are_null() {
-        let set = vec![LinCon::eq(vec![(x(0), 1.0)], 1.0), LinCon::eq(vec![(x(0), 1.0)], 2.0)];
+        let set = vec![LinCon::eq(vec![(x(0), 1)], 1), LinCon::eq(vec![(x(0), 1)], 2)];
         assert!(set_is_null(&set));
     }
 
     #[test]
     fn negative_upper_bound_is_null() {
         // x <= -1 with x >= 0 implicit.
-        let set = vec![LinCon::le(vec![(x(0), 1.0)], -1.0)];
+        let set = vec![LinCon::le(vec![(x(0), 1)], -1)];
         assert!(set_is_null(&set));
     }
 
     #[test]
     fn negative_coefficient_flips_relation() {
         // -x <= -2  ->  x >= 2; with x = 1 -> null.
-        let set = vec![LinCon::le(vec![(x(0), -1.0)], -2.0), LinCon::eq(vec![(x(0), 1.0)], 1.0)];
+        let set = vec![LinCon::le(vec![(x(0), -1)], -2), LinCon::eq(vec![(x(0), 1)], 1)];
         assert!(set_is_null(&set));
     }
 
     #[test]
     fn consistent_set_is_not_null() {
         let set = vec![
-            LinCon::ge(vec![(x(0), 1.0)], 1.0),
-            LinCon::le(vec![(x(0), 1.0)], 10.0),
-            LinCon::eq(vec![(x(1), 1.0)], 4.0),
+            LinCon::ge(vec![(x(0), 1)], 1),
+            LinCon::le(vec![(x(0), 1)], 10),
+            LinCon::eq(vec![(x(1), 1)], 4),
         ];
         assert!(!set_is_null(&set));
     }
@@ -208,7 +232,7 @@ mod tests {
     fn multi_variable_rows_do_not_prune() {
         // x0 + x1 <= -5 is infeasible with non-negativity but involves two
         // variables, so the trivial test keeps it (the ILP will reject it).
-        let set = vec![LinCon::le(vec![(x(0), 1.0), (x(1), 1.0)], -5.0)];
+        let set = vec![LinCon::le(vec![(x(0), 1), (x(1), 1)], -5)];
         assert!(!set_is_null(&set));
     }
 }

@@ -544,8 +544,8 @@ mod tests {
         // The injected panic is isolated in every build.
         let mut problem = ipet_lp::ProblemBuilder::new(ipet_lp::Sense::Maximize);
         let x = problem.add_var(true);
-        problem.objective(x, 1.0);
-        problem.constraint(vec![(x, 1.0)], ipet_lp::Relation::Le, 3.0);
+        problem.objective(x, 1);
+        problem.constraint(vec![(x, 1)], ipet_lp::Relation::Le, 3);
         let problem = problem.build();
         let injected = catch_unwind(|| {
             let faults = &mut SolverFaults::panic_at(0);

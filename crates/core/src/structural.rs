@@ -40,38 +40,38 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
         for b in 0..cfg.num_blocks() {
             let block = BlockId(b);
             let x = VarRef::Block(inst, block);
-            let mut in_terms = vec![(x, 1.0)];
+            let mut in_terms = vec![(x, 1)];
             for &e in cfg.in_edges(block) {
-                in_terms.push((VarRef::Edge(inst, e), -1.0));
+                in_terms.push((VarRef::Edge(inst, e), -1));
             }
-            out.push(LinCon::eq(in_terms, 0.0));
+            out.push(LinCon::eq(in_terms, 0));
 
-            let mut out_terms = vec![(x, 1.0)];
+            let mut out_terms = vec![(x, 1)];
             for &e in cfg.out_edges(block) {
-                out_terms.push((VarRef::Edge(inst, e), -1.0));
+                out_terms.push((VarRef::Edge(inst, e), -1));
             }
-            out.push(LinCon::eq(out_terms, 0.0));
+            out.push(LinCon::eq(out_terms, 0));
         }
 
         // Entry condition.
         if instances.shared {
             if i == 0 {
                 // The analysed routine runs once (paper eq. 13).
-                out.push(LinCon::eq(vec![(VarRef::Edge(inst, EdgeId(0)), 1.0)], 1.0));
+                out.push(LinCon::eq(vec![(VarRef::Edge(inst, EdgeId(0)), 1)], 1));
             } else {
                 // The paper's eq. (12): the callee's entry flow is the sum
                 // of every f-edge in the program that targets it.
                 let me = instances.instances[i].func;
-                let mut terms = vec![(VarRef::Edge(inst, EdgeId(0)), 1.0)];
-                terms.extend(f_edges[me.0].iter().map(|&f| (f, -1.0)));
-                out.push(LinCon::eq(terms, 0.0));
+                let mut terms = vec![(VarRef::Edge(inst, EdgeId(0)), 1)];
+                terms.extend(f_edges[me.0].iter().map(|&f| (f, -1)));
+                out.push(LinCon::eq(terms, 0));
             }
             continue;
         }
         match instances.instances[i].parent {
             None => {
                 // d1 = 1 — the analysed routine runs once (paper eq. 13).
-                out.push(LinCon::eq(vec![(VarRef::Edge(inst, EdgeId(0)), 1.0)], 1.0));
+                out.push(LinCon::eq(vec![(VarRef::Edge(inst, EdgeId(0)), 1)], 1));
             }
             Some((parent, site)) => {
                 // Callee entry flow equals the caller's f-edge flow.
@@ -80,11 +80,8 @@ pub fn structural_constraints(instances: &Instances) -> Vec<LinCon> {
                     .call_edge(site)
                     .expect("instance expansion only follows real call sites");
                 out.push(LinCon::eq(
-                    vec![
-                        (VarRef::Edge(inst, EdgeId(0)), 1.0),
-                        (VarRef::Edge(parent, f_edge), -1.0),
-                    ],
-                    0.0,
+                    vec![(VarRef::Edge(inst, EdgeId(0)), 1), (VarRef::Edge(parent, f_edge), -1)],
+                    0,
                 ));
             }
         }
@@ -229,7 +226,7 @@ mod tests {
         let cons = structural_constraints(&inst);
         assert_eq!(cons.len(), 9);
         // Exactly one constraint with a constant rhs of 1 (the source).
-        let sources: Vec<_> = cons.iter().filter(|c| c.rhs == 1.0).collect();
+        let sources: Vec<_> = cons.iter().filter(|c| c.rhs == 1).collect();
         assert_eq!(sources.len(), 1);
         assert_eq!(sources[0].relation, Relation::Eq);
     }
@@ -239,9 +236,9 @@ mod tests {
         let p = ite_program();
         let inst = Instances::expand(&p, FuncId(0)).unwrap();
         for c in structural_constraints(&inst) {
-            if c.rhs == 0.0 {
+            if c.rhs == 0 {
                 // one +1 block term, rest -1 edge terms
-                let pos: Vec<_> = c.terms.iter().filter(|&&(_, v)| v > 0.0).collect();
+                let pos: Vec<_> = c.terms.iter().filter(|&&(_, v)| v > 0).collect();
                 assert_eq!(pos.len(), 1);
                 assert!(
                     matches!(pos[0].0, VarRef::Block(_, _))
@@ -271,7 +268,7 @@ mod tests {
         let couplings: Vec<_> = cons
             .iter()
             .filter(|c| {
-                c.rhs == 0.0
+                c.rhs == 0
                     && c.terms.len() == 2
                     && c.terms.iter().all(|(v, _)| matches!(v, VarRef::Edge(_, _)))
             })

@@ -156,15 +156,15 @@ fn plan_fan(calls: usize, context: ContextMode) -> (usize, f64) {
         })
         .collect();
     // `g`'s entry rows by instance: `d1(g) - f-edge(s) ... = 0`.
-    let entries: HashMap<InstanceId, Vec<(VarRef, f64)>> = structural_constraints(instances)
+    let entries: HashMap<InstanceId, Vec<(VarRef, i64)>> = structural_constraints(instances)
         .into_iter()
         .filter_map(|row| match row.terms.first() {
             Some(&(VarRef::Edge(inst, EdgeId(0)), _)) if inst != main => Some((inst, row.terms)),
             _ => None,
         })
         .collect();
-    let entry = |inst: InstanceId| (VarRef::Edge(inst, EdgeId(0)), 1.0);
-    let f_edge = |site: usize| (VarRef::Edge(main, f_edges[site]), -1.0);
+    let entry = |inst: InstanceId| (VarRef::Edge(inst, EdgeId(0)), 1);
+    let f_edge = |site: usize| (VarRef::Edge(main, f_edges[site]), -1);
     match context {
         ContextMode::PerCallSite => {
             assert_eq!(entries.len(), calls);

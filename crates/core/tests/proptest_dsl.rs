@@ -24,12 +24,47 @@ proptest! {
                 Just(","), Just("&"), Just("|"), Just("="), Just("<="),
                 Just(">="), Just("+"), Just("-"), Just("*"), Just("."),
                 Just("x1"), Just("d2"), Just("f1"), Just("main"), Just("7"),
+                Just("9223372036854775807"),
             ],
             0..40,
         )
     ) {
         let src = toks.join(" ");
         let _ = parse_annotations(&src);
+    }
+
+    /// A sum of constants, extremes included, parses to its exact value
+    /// while every partial sum fits in `i64`, and to an error otherwise:
+    /// it never panics and never wraps.
+    #[test]
+    fn constant_sums_are_exact_or_refused(
+        terms in prop::collection::vec(
+            (any::<bool>(), prop_oneof![
+                Just(0i64), Just(1), Just(i64::MAX - 1), Just(i64::MAX), 0i64..1000,
+            ]),
+            1..6,
+        )
+    ) {
+        let mut src = String::from("fn main { x1 <= ");
+        let mut exact: Option<i64> = Some(0);
+        for (i, &(minus, n)) in terms.iter().enumerate() {
+            if minus {
+                src += " - ";
+            } else if i > 0 {
+                src += " + ";
+            }
+            src += &n.to_string();
+            exact = exact.and_then(|c| if minus { c.checked_sub(n) } else { c.checked_add(n) });
+        }
+        src += "; }";
+        match (parse_annotations(&src), exact) {
+            (Ok(anns), Some(c)) => {
+                let text = format!("{:?}", anns.functions[0].1);
+                prop_assert!(text.contains(&format!("constant: {c} ")), "{src}: {text}");
+            }
+            (Err(e), None) => prop_assert!(e.to_string().contains("out of range"), "{src}: {e}"),
+            (got, want) => prop_assert!(false, "{src}: {got:?}, want {want:?}"),
+        }
     }
 
     /// The IDL parser and its lowering never panic.

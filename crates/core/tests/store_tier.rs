@@ -151,7 +151,7 @@ fn an_older_store_header_is_quarantined_and_the_pool_re_solves_canonically() {
         }
         let bytes = std::fs::read(&path).expect("read the repaired store");
         assert_eq!(&bytes[..ipet_store::STORE_MAGIC.len()], ipet_store::STORE_MAGIC);
-        assert_eq!(&bytes[..13], b"ipet-store-v4");
+        assert_eq!(&bytes[..13], b"ipet-store-v5");
         let store = Store::open(&path);
         assert_eq!(store.stats().quarantined, 0, "{version}: the rewrite is clean");
         assert!(store.stats().loaded > 0);
@@ -228,35 +228,46 @@ fn returning_to_the_old_loop_bound_replays() {
     );
 }
 
-/// A store written in the version-2 format (`cinderella analyze check_data
-/// piksrt --store` before records lost their program scope): it opens as
-/// one quarantined, empty store, never replays, and the first flush
-/// replaces it with a file in the current format.
+/// Store files written by `cinderella analyze check_data piksrt --store` in
+/// two older formats: version 2 (before records lost their program scope)
+/// and version 4 (`f64` coefficients). Each opens as one quarantined,
+/// empty store and never replays; every job is solved again, the first
+/// flush rewrites the file in the current format, and a reopen replays
+/// everything.
 #[test]
 fn a_v2_store_file_is_quarantined_once_and_repaired() {
-    let fixture = include_bytes!("data/check_data-piksrt.v2.store");
-    let dir = scratch("v2fixture");
-    let path = dir.join("solves.store");
-    std::fs::write(&path, fixture).expect("copy fixture");
+    let fixtures: [(&str, &[u8]); 2] = [
+        ("v2", include_bytes!("data/check_data-piksrt.v2.store")),
+        ("v4", include_bytes!("data/check_data-piksrt.v4.store")),
+    ];
     let budget = AnalysisBudget::default();
     let plans = plans_for(&["check_data", "piksrt"], &budget);
     let fresh = SolvePool::new(1).run_plans(&plans, &budget.solve);
-    {
+    for (version, fixture) in fixtures {
+        let dir = scratch(&format!("{version}fixture"));
+        let path = dir.join("solves.store");
+        std::fs::write(&path, fixture).expect("copy fixture");
+        {
+            let store = Arc::new(Store::open(&path));
+            let stats = store.stats();
+            assert_eq!((stats.loaded, stats.quarantined), (0, 1), "{version}");
+            let pool = SolvePool::new(1).with_store(Arc::clone(&store));
+            let batch = pool.run_plans(&plans, &budget.solve);
+            assert_eq!(store.stats().hits, 0, "nothing replays from a {version} file");
+            assert_eq!(batch.report.misses, fresh.report.misses, "{version}: every job re-solves");
+            store.flush().expect("repairing flush");
+            let stats = store.stats();
+            assert_eq!((stats.compactions, stats.appends), (1, 0), "{version}");
+        }
+        let bytes = std::fs::read(&path).expect("read the repaired store");
+        assert_eq!(&bytes[..ipet_store::STORE_MAGIC.len()], ipet_store::STORE_MAGIC);
         let store = Arc::new(Store::open(&path));
-        assert_eq!((store.stats().loaded, store.stats().quarantined), (0, 1));
+        assert_eq!((store.stats().loaded, store.stats().quarantined), (6, 0), "{version}");
         let pool = SolvePool::new(1).with_store(Arc::clone(&store));
-        let batch = pool.run_plans(&plans, &budget.solve);
-        assert_eq!(store.stats().hits, 0, "nothing replays from a v2 file");
-        assert_eq!(batch.report.misses, fresh.report.misses, "every job is solved again");
-        store.flush().expect("repairing flush");
-        assert_eq!((store.stats().compactions, store.stats().appends), (1, 0));
-    }
-    let store = Arc::new(Store::open(&path));
-    assert_eq!((store.stats().loaded, store.stats().quarantined), (6, 0));
-    let pool = SolvePool::new(1).with_store(Arc::clone(&store));
-    let replay = pool.run_plans(&plans, &budget.solve);
-    assert_eq!(replay.report.misses, 0, "every answer comes from the repaired file");
-    for (a, b) in fresh.estimates.iter().zip(&replay.estimates) {
-        assert_eq!(a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+        let replay = pool.run_plans(&plans, &budget.solve);
+        assert_eq!(replay.report.misses, 0, "{version}: every answer comes from the repaired file");
+        for (a, b) in fresh.estimates.iter().zip(&replay.estimates) {
+            assert_eq!(a.as_ref().expect("ok"), b.as_ref().expect("ok"));
+        }
     }
 }

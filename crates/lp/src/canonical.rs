@@ -293,11 +293,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn row(terms: &[(usize, f64)], relation: Relation, rhs: f64) -> Constraint {
+    fn row(terms: &[(usize, i64)], relation: Relation, rhs: i64) -> Constraint {
         Constraint { terms: terms.iter().map(|&(v, c)| (VarId(v), c)).collect(), relation, rhs }
     }
 
-    fn problem(sense: Sense, obj: &[f64], rows: Vec<Constraint>) -> Problem {
+    fn problem(sense: Sense, obj: &[i64], rows: Vec<Constraint>) -> Problem {
         let mut b = ProblemBuilder::new(sense);
         for &c in obj {
             let v = b.add_var(false);
@@ -321,12 +321,12 @@ mod tests {
         // and stops at (4, 1); the optimal edge runs to (0, 5).
         let rows = || {
             vec![
-                row(&[(0, 1.0), (1, 1.0)], Relation::Le, 5.0),
-                row(&[(0, 1.0)], Relation::Le, 4.0),
-                row(&[(1, 1.0)], Relation::Le, 6.0),
+                row(&[(0, 1), (1, 1)], Relation::Le, 5),
+                row(&[(0, 1)], Relation::Le, 4),
+                row(&[(1, 1)], Relation::Le, 6),
             ]
         };
-        assert_eq!(lp_x(&problem(Sense::Maximize, &[1.0, 1.0], rows())), vec![0.0, 5.0]);
+        assert_eq!(lp_x(&problem(Sense::Maximize, &[1, 1], rows())), vec![0.0, 5.0]);
         // Listing y first makes y the variable to minimize: (1, 4) in
         // (y, x) order.
         let swapped: Vec<Constraint> = rows()
@@ -338,7 +338,7 @@ mod tests {
                 r
             })
             .collect();
-        assert_eq!(lp_x(&problem(Sense::Maximize, &[1.0, 1.0], swapped)), vec![1.0, 4.0]);
+        assert_eq!(lp_x(&problem(Sense::Maximize, &[1, 1], swapped)), vec![1.0, 4.0]);
     }
 
     #[test]
@@ -346,11 +346,8 @@ mod tests {
         // max x + y st 2x + 2y <= 5, integer-typed: the first vertex
         // (2.5, 0) is fractional, the canonical one (0, 2.5) too, so the
         // first stands; typed continuous, the canonical one wins.
-        let mut p = problem(
-            Sense::Maximize,
-            &[1.0, 1.0],
-            vec![row(&[(0, 2.0), (1, 2.0)], Relation::Le, 5.0)],
-        );
+        let mut p =
+            problem(Sense::Maximize, &[1, 1], vec![row(&[(0, 2), (1, 2)], Relation::Le, 5)]);
         assert_eq!(lp_x(&p), vec![0.0, 2.5]);
         p.integer = vec![true, true];
         assert_eq!(lp_x(&p), vec![2.5, 0.0]);
@@ -360,25 +357,25 @@ mod tests {
     /// sharing one count) plus a duplicated column, inside a box.
     fn tied_problem(rng: &mut StdRng) -> (Problem, Vec<Constraint>) {
         let n = rng.gen_range(4usize..=6);
-        let mut obj: Vec<f64> = (0..n).map(|_| rng.gen_range(-2i64..=6) as f64).collect();
+        let mut obj: Vec<i64> = (0..n).map(|_| rng.gen_range(-2i64..=6)).collect();
         let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
         let mut rows = Vec::new();
         if a != b {
             obj[b] = obj[a];
-            rows.push(row(&[(a, 1.0), (b, 1.0)], Relation::Eq, rng.gen_range(1i64..=4) as f64));
+            rows.push(row(&[(a, 1), (b, 1)], Relation::Eq, rng.gen_range(1i64..=4)));
         }
         for v in 0..n {
-            rows.push(row(&[(v, 1.0)], Relation::Le, rng.gen_range(2i64..=5) as f64));
+            rows.push(row(&[(v, 1)], Relation::Le, rng.gen_range(2i64..=5)));
         }
         for _ in 0..rng.gen_range(1usize..=3) {
             let mut terms = Vec::new();
             for v in 0..n {
                 if rng.gen_bool(0.5) {
-                    terms.push((v, rng.gen_range(1i64..=3) as f64));
+                    terms.push((v, rng.gen_range(1i64..=3)));
                 }
             }
             if !terms.is_empty() {
-                rows.push(row(&terms, Relation::Le, rng.gen_range(3i64..=12) as f64));
+                rows.push(row(&terms, Relation::Le, rng.gen_range(3i64..=12)));
             }
         }
         // Duplicate column `d` into the last variable: same cost, same
@@ -398,7 +395,7 @@ mod tests {
                 let v = rng.gen_range(0..n);
                 let w = rng.gen_range(0..n);
                 let rel = if rng.gen_bool(0.7) { Relation::Le } else { Relation::Ge };
-                row(&[(v, 1.0), (w, 1.0)], rel, rng.gen_range(1i64..=4) as f64)
+                row(&[(v, 1), (w, 1)], rel, rng.gen_range(1i64..=4))
             })
             .collect();
         (problem(sense, &obj, rows), delta)

@@ -16,7 +16,7 @@
 //! * the objective coefficients;
 //! * the rows in order, each normalized as [`same_structure`] normalizes it:
 //!   repeated terms summed, zero coefficients dropped, terms sorted by
-//!   variable, `-0.0` folded to `0.0`;
+//!   variable;
 //! * last, the row count.
 //!
 //! Equal keys therefore coincide with [`same_structure`], up to a 128-bit
@@ -53,15 +53,9 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Canonical bit pattern of a coefficient: `-0.0` folds to `0.0` so the two
-/// encodings of zero hash identically (NaN never reaches here — the solver
-/// rejects non-finite models before caching).
-fn coeff_bits(c: f64) -> u64 {
-    if c == 0.0 {
-        0f64.to_bits()
-    } else {
-        c.to_bits()
-    }
+/// The word a coefficient hashes as: the bits of its `f64` value.
+fn coeff_bits(c: i128) -> u64 {
+    (c as f64).to_bits()
 }
 
 fn relation_tag(r: Relation) -> u64 {
@@ -79,26 +73,19 @@ fn sense_tag(s: Sense) -> u64 {
     }
 }
 
-/// One normalized row: summed, zero-dropped, sorted sparse terms.
-#[derive(PartialEq)]
-struct NormRow {
-    /// `(var, coeff_bits)` sorted by variable index.
-    terms: Vec<(usize, u64)>,
-    relation: Relation,
-    rhs_bits: u64,
-}
-
-/// Normalizes one row in O(terms): repeats summed exactly as the dense form
-/// sums them (see [`Constraint::merged_terms`]).
-fn normalize_row(con: &Constraint) -> NormRow {
-    let terms = con.merged_terms().into_iter().map(|(v, c)| (v, coeff_bits(c))).collect();
-    NormRow { terms, relation: con.relation, rhs_bits: coeff_bits(con.rhs) }
+/// Two rows are the same row: the same relation and right-hand side, and
+/// the same nonzero coefficients once repeats are summed
+/// ([`Constraint::merged_terms`]).
+fn same_row(x: &Constraint, y: &Constraint) -> bool {
+    x.relation == y.relation
+        && x.rhs == y.rhs
+        && (x.terms == y.terms || x.merged_terms() == y.merged_terms())
 }
 
 /// Computes the content fingerprint of `problem` (see the module docs).
 ///
-/// Insensitive to repeated and zero terms, term order within a row and
-/// `-0.0`; sensitive to the sense, the variable order, the row order,
+/// Insensitive to repeated and zero terms and to term order within a row;
+/// sensitive to the sense, the variable order, the row order,
 /// every effective coefficient, every relation and right-hand side, and
 /// the integrality flags.
 pub fn fingerprint(problem: &Problem) -> Fingerprint {
@@ -115,17 +102,17 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
         word(u64::from(flag));
     }
     for &c in &problem.objective {
-        word(coeff_bits(c));
+        word(coeff_bits(c.into()));
     }
     for con in &problem.constraints {
         word(relation_tag(con.relation));
-        word(coeff_bits(con.rhs));
-        // Merged exactly as `normalize_row` merges: no zero survives.
+        word(coeff_bits(con.rhs.into()));
+        // Merged as `same_row` merges: no zero survives.
         let terms = con.merged_terms();
         word(terms.len() as u64);
         for (v, c) in terms {
             word(v as u64);
-            word(c.to_bits());
+            word(coeff_bits(c));
         }
     }
     word(problem.constraints.len() as u64);
@@ -143,28 +130,9 @@ pub fn same_structure(a: &Problem, b: &Problem) -> bool {
     {
         return false;
     }
-    if a.integer != b.integer {
-        return false;
-    }
-    let bits = |xs: &[f64]| xs.iter().map(|&c| coeff_bits(c)).collect::<Vec<_>>();
-    if bits(&a.objective) != bits(&b.objective) {
-        return false;
-    }
-    // Bitwise-identical rows normalize identically; only rows that differ
-    // in how they were written need normalizing.
-    let identical = |x: &Constraint, y: &Constraint| {
-        x.relation == y.relation
-            && x.rhs.to_bits() == y.rhs.to_bits()
-            && x.terms.len() == y.terms.len()
-            && x.terms
-                .iter()
-                .zip(&y.terms)
-                .all(|(s, t)| s.0 == t.0 && s.1.to_bits() == t.1.to_bits())
-    };
-    a.constraints
-        .iter()
-        .zip(&b.constraints)
-        .all(|(x, y)| identical(x, y) || normalize_row(x) == normalize_row(y))
+    a.integer == b.integer
+        && a.objective == b.objective
+        && a.constraints.iter().zip(&b.constraints).all(|(x, y)| same_row(x, y))
 }
 
 #[cfg(test)]
@@ -176,10 +144,10 @@ mod tests {
         let mut b = ProblemBuilder::new(sense);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 4);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         b.build()
     }
 
@@ -197,7 +165,7 @@ mod tests {
         assert_ne!(fingerprint(&p), fingerprint(&toy(Sense::Minimize)));
 
         let mut q = p.clone();
-        q.constraints[0].rhs = 5.0;
+        q.constraints[0].rhs = 5;
         assert_ne!(fingerprint(&p), fingerprint(&q));
         assert!(!same_structure(&p, &q));
 
@@ -206,7 +174,7 @@ mod tests {
         assert_ne!(fingerprint(&p), fingerprint(&q));
 
         let mut q = p.clone();
-        q.objective[1] = 7.0;
+        q.objective[1] = 7;
         assert_ne!(fingerprint(&p), fingerprint(&q));
 
         let mut q = p.clone();
@@ -222,9 +190,9 @@ mod tests {
         // x + y == y + 3x - 2x + 0y.
         let mut q = p.clone();
         q.constraints[0] = Constraint {
-            terms: vec![(VarId(1), 1.0), (VarId(0), 3.0), (VarId(0), -2.0), (VarId(1), 0.0)],
+            terms: vec![(VarId(1), 1), (VarId(0), 3), (VarId(0), -2), (VarId(1), 0)],
             relation: Relation::Le,
-            rhs: 4.0,
+            rhs: 4,
         };
         assert_eq!(fingerprint(&p), fingerprint(&q));
         assert!(same_structure(&p, &q));
@@ -244,10 +212,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let y = b.add_var(true);
         let x = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(y, 1.0), (x, 1.0)], Relation::Le, 4.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(y, 1), (x, 1)], Relation::Le, 4);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         let q = b.build();
         assert_ne!(fingerprint(&p), fingerprint(&q));
         assert!(!same_structure(&p, &q));
@@ -260,29 +228,26 @@ mod tests {
     /// would collide; a hash of each row's terms must not.
     #[test]
     fn near_collision_pair_separates() {
-        let build = |rows: [[f64; 2]; 2]| {
+        let build = |rows: [[i64; 2]; 2]| {
             let mut b = ProblemBuilder::new(Sense::Maximize);
             let x = b.add_var(true);
             let y = b.add_var(true);
-            b.objective(x, 1.0);
-            b.objective(y, 1.0);
+            b.objective(x, 1);
+            b.objective(y, 1);
             for r in rows {
-                b.constraint(vec![(x, r[0]), (y, r[1])], Relation::Le, 3.0);
+                b.constraint(vec![(x, r[0]), (y, r[1])], Relation::Le, 3);
             }
             b.build()
         };
         // {x + 2y <= 3, 2x + y <= 3} vs {x + y <= 3, 2x + 2y <= 3}.
-        let p = build([[1.0, 2.0], [2.0, 1.0]]);
-        let q = build([[1.0, 1.0], [2.0, 2.0]]);
+        let p = build([[1, 2], [2, 1]]);
+        let q = build([[1, 1], [2, 2]]);
         assert_ne!(fingerprint(&p), fingerprint(&q));
         // Sanity: the pair really is a near-collision — flat coefficient
         // multisets agree.
         let flat = |p: &Problem| {
-            let mut all: Vec<u64> = p
-                .constraints
-                .iter()
-                .flat_map(|c| c.terms.iter().map(|&(_, co)| co.to_bits()))
-                .collect();
+            let mut all: Vec<i64> =
+                p.constraints.iter().flat_map(|c| c.terms.iter().map(|&(_, co)| co)).collect();
             all.sort_unstable();
             all
         };

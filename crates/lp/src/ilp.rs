@@ -392,12 +392,12 @@ mod tests {
     use super::*;
     use crate::model::ProblemBuilder;
 
-    fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> Problem {
+    fn knapsack(values: &[i64], weights: &[i64], cap: i64) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let vars: Vec<_> = (0..values.len()).map(|_| b.add_var(true)).collect();
         for (i, &v) in values.iter().enumerate() {
             b.objective(vars[i], v);
-            b.constraint(vec![(vars[i], 1.0)], Relation::Le, 1.0);
+            b.constraint(vec![(vars[i], 1)], Relation::Le, 1);
         }
         let row = weights.iter().enumerate().map(|(i, &w)| (vars[i], w)).collect();
         b.constraint(row, Relation::Le, cap);
@@ -409,7 +409,7 @@ mod tests {
         // values 10,6,4 weights 5,4,3 cap 7 -> best {6,4} = 10? or {10}=10.
         // LP relaxation is fractional (10/5=2 density first: x0=1, then 2/4
         // of item 1 -> 13), so branching must occur.
-        let p = knapsack(&[10.0, 6.0, 4.0], &[5.0, 4.0, 3.0], 7.0);
+        let p = knapsack(&[10, 6, 4], &[5, 4, 3], 7);
         let (out, stats) = solve_ilp(&p);
         match out {
             IlpOutcome::Optimal { value, x } => {
@@ -428,10 +428,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 2.0);
-        b.objective(y, 1.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 3.0);
-        b.constraint(vec![(y, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 2);
+        b.objective(y, 1);
+        b.constraint(vec![(x, 1)], Relation::Le, 3);
+        b.constraint(vec![(y, 1)], Relation::Le, 2);
         let (out, stats) = solve_ilp(&b.build());
         assert!(matches!(out, IlpOutcome::Optimal { .. }));
         assert!(stats.first_relaxation_integral);
@@ -443,10 +443,10 @@ mod tests {
     fn infeasible_ilp() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, 1.0);
+        b.objective(x, 1);
         // 2 <= 5x <= 3 (0.4 <= x <= 0.6) has no integer point.
-        b.constraint(vec![(x, 5.0)], Relation::Ge, 2.0);
-        b.constraint(vec![(x, 5.0)], Relation::Le, 3.0);
+        b.constraint(vec![(x, 5)], Relation::Ge, 2);
+        b.constraint(vec![(x, 5)], Relation::Le, 3);
         let (out, _) = solve_ilp(&b.build());
         assert_eq!(out, IlpOutcome::Infeasible);
     }
@@ -455,7 +455,7 @@ mod tests {
     fn unbounded_ilp() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, 1.0);
+        b.objective(x, 1);
         let (out, _) = solve_ilp(&b.build());
         assert_eq!(out, IlpOutcome::Unbounded);
     }
@@ -466,9 +466,9 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Minimize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 3.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Ge, 3);
         let (out, _) = solve_ilp(&b.build());
         match out {
             IlpOutcome::Optimal { value, .. } => assert_eq!(value.round() as i64, 6),
@@ -481,8 +481,8 @@ mod tests {
         // max x st 2x <= 5, x integer -> 2.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, 1.0);
-        b.constraint(vec![(x, 1.0), (x, 1.0)], Relation::Le, 5.0);
+        b.objective(x, 1);
+        b.constraint(vec![(x, 1), (x, 1)], Relation::Le, 5);
         let (out, stats) = solve_ilp(&b.build());
         match out {
             IlpOutcome::Optimal { value, x } => {
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn budgeted_exact_matches_classic() {
-        let p = knapsack(&[10.0, 6.0, 4.0], &[5.0, 4.0, 3.0], 7.0);
+        let p = knapsack(&[10, 6, 4], &[5, 4, 3], 7);
         let (res, stats) = solve_ilp_budgeted(
             &p,
             &SolveBudget::unlimited(),
@@ -519,7 +519,7 @@ mod tests {
 
     #[test]
     fn node_budget_degrades_to_safe_relaxed_bound() {
-        let p = knapsack(&[9.0, 7.0, 6.0, 5.0, 4.0], &[5.0, 4.0, 3.0, 3.0, 2.0], 9.0);
+        let p = knapsack(&[9, 7, 6, 5, 4], &[5, 4, 3, 3, 2], 9);
         let exact = exact_value(&p);
         for max_nodes in 1..6 {
             let budget = SolveBudget { max_nodes, ..SolveBudget::unlimited() };
@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn zero_node_budget_is_exhausted() {
-        let p = knapsack(&[3.0, 2.0], &[2.0, 1.0], 2.0);
+        let p = knapsack(&[3, 2], &[2, 1], 2);
         let budget = SolveBudget { max_nodes: 0, ..SolveBudget::unlimited() };
         let (res, stats) =
             solve_ilp_budgeted(&p, &budget, &BudgetMeter::new(), &mut SolverFaults::none());
@@ -556,7 +556,7 @@ mod tests {
 
     #[test]
     fn tick_deadline_stops_the_search() {
-        let p = knapsack(&[9.0, 7.0, 6.0, 5.0, 4.0], &[5.0, 4.0, 3.0, 3.0, 2.0], 9.0);
+        let p = knapsack(&[9, 7, 6, 5, 4], &[5, 4, 3, 3, 2], 9);
         let exact = exact_value(&p);
         // A handful of pivots: enough for the root LP, not the whole tree.
         let budget = SolveBudget::with_deadline(12);
@@ -573,7 +573,7 @@ mod tests {
 
     #[test]
     fn injected_node_fault_yields_safe_bound_at_every_index() {
-        let p = knapsack(&[9.0, 7.0, 6.0, 5.0, 4.0], &[5.0, 4.0, 3.0, 3.0, 2.0], 9.0);
+        let p = knapsack(&[9, 7, 6, 5, 4], &[5, 4, 3, 3, 2], 9);
         let exact = exact_value(&p);
         let total_nodes = solve_ilp(&p).1.nodes as u64;
         for at in 0..total_nodes {
@@ -595,7 +595,7 @@ mod tests {
 
     #[test]
     fn injected_numerical_fault_below_root_degrades() {
-        let p = knapsack(&[9.0, 7.0, 6.0, 5.0, 4.0], &[5.0, 4.0, 3.0, 3.0, 2.0], 9.0);
+        let p = knapsack(&[9, 7, 6, 5, 4], &[5, 4, 3, 3, 2], 9);
         let exact = exact_value(&p);
         // LP call 1 is the first child of the root: the subtree is lost but
         // the root relaxation still bounds it.
@@ -620,10 +620,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(false);
-        b.objective(x, 1.0);
-        b.objective(y, 1.0);
-        b.constraint(vec![(x, 2.0), (y, 4.0)], Relation::Le, 7.0);
-        b.constraint(vec![(x, 5.0)], Relation::Le, 6.0);
+        b.objective(x, 1);
+        b.objective(y, 1);
+        b.constraint(vec![(x, 2), (y, 4)], Relation::Le, 7);
+        b.constraint(vec![(x, 5)], Relation::Le, 6);
         let (out, _) = solve_ilp(&b.build());
         match out {
             IlpOutcome::Optimal { x: sol, value } => {

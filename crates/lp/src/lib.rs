@@ -11,10 +11,14 @@
 //!
 //! ## Components
 //!
-//! * [`Problem`] / [`ProblemBuilder`] — LP/ILP model of numbers only:
-//!   non-negative variables known by index ([`VarId`]), an objective,
-//!   `≤ / ≥ / =` rows and integrality flags. A variable has no name here;
-//!   a caller that prints one keeps its own labels.
+//! * [`Problem`] / [`ProblemBuilder`] — LP/ILP model of integers only:
+//!   non-negative variables known by index ([`VarId`]), an `i64` objective,
+//!   `≤ / ≥ / =` rows with `i64` coefficients and right-hand sides, and
+//!   integrality flags. A variable has no name here; a caller that prints
+//!   one keeps its own labels. The simplex kernel converts the integers to
+//!   `f64` as it loads its columns, so a problem needs no check for NaN or
+//!   infinite data, and its fingerprint, its structural equality and its
+//!   exact certification are integer operations.
 //! * One simplex kernel: a sparse revised simplex (LU factors plus an eta
 //!   file, Dantzig pricing with a Bland anti-cycling fallback) whose
 //!   phase 1 starts from a triangular crash basis. Every solve runs on it
@@ -38,10 +42,10 @@
 //! let mut b = ProblemBuilder::new(Sense::Maximize);
 //! let x = b.add_var(true);
 //! let y = b.add_var(true);
-//! b.objective(x, 3.0);
-//! b.objective(y, 2.0);
-//! b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-//! b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+//! b.objective(x, 3);
+//! b.objective(y, 2);
+//! b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 4);
+//! b.constraint(vec![(x, 1)], Relation::Le, 2);
 //! let (outcome, stats) = solve_ilp(&b.build());
 //! match outcome {
 //!     IlpOutcome::Optimal { value, .. } => {

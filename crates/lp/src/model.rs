@@ -36,63 +36,52 @@ impl fmt::Display for Relation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub usize);
 
-/// One linear constraint `Σ coeff·var <relation> rhs`.
+/// One linear constraint `Σ coeff·var <relation> rhs` over integers.
 ///
 /// Coefficients for the same variable may repeat; they are summed when the
 /// problem is solved.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Constraint {
     /// Sparse left-hand side terms.
-    pub terms: Vec<(VarId, f64)>,
+    pub terms: Vec<(VarId, i64)>,
     /// Row relation.
     pub relation: Relation,
     /// Right-hand side constant.
-    pub rhs: f64,
+    pub rhs: i64,
 }
 
 impl Constraint {
-    /// Returns the dense coefficient vector over `n` variables.
-    pub fn dense(&self, n: usize) -> Vec<f64> {
-        let mut row = vec![0.0; n];
-        for &(v, c) in &self.terms {
-            row[v.0] += c;
-        }
-        row
-    }
-
-    /// The nonzeros of [`Constraint::dense`] as `(variable, coefficient)`
-    /// pairs sorted by variable (see [`merge_terms`]).
-    pub(crate) fn merged_terms(&self) -> Vec<(usize, f64)> {
+    /// The row's nonzero coefficients as `(variable, coefficient)` pairs
+    /// sorted by variable (see [`merge_terms`]).
+    pub(crate) fn merged_terms(&self) -> Vec<(usize, i128)> {
         let mut merged = Vec::with_capacity(self.terms.len());
         merge_terms(&self.terms, &mut merged);
         merged
     }
 }
 
-/// Writes the nonzeros of the dense row `terms` sum to into `out` (cleared
-/// first) as `(variable, coefficient)` pairs sorted by variable, in
-/// O(terms log terms) rather than O(vars) and without allocating once `out`
-/// has room. Repeats sum in term order starting from `0.0`, exactly as the
-/// dense form accumulates them, so every value is bit-identical to its
-/// dense entry; exact zeros (and with them `-0.0`) are dropped. Terms
-/// already strictly ascending by variable, as most rows are, skip the sort.
-pub(crate) fn merge_terms(terms: &[(VarId, f64)], out: &mut Vec<(usize, f64)>) {
+/// Writes the nonzeros of the row `terms` sum to into `out` (cleared first)
+/// as `(variable, coefficient)` pairs sorted by variable, in
+/// O(terms log terms) and without allocating once `out` has room. Repeats
+/// sum exactly in `i128`, which no row of fewer than 2^64 terms overflows.
+/// Terms already strictly ascending by variable, as most rows are, skip the
+/// sort.
+pub(crate) fn merge_terms(terms: &[(VarId, i64)], out: &mut Vec<(usize, i128)>) {
     out.clear();
-    out.extend(terms.iter().map(|&(v, c)| (v.0, c)));
+    out.extend(terms.iter().map(|&(v, c)| (v.0, i128::from(c))));
     if !terms.windows(2).all(|t| t[0].0 < t[1].0) {
-        // Stable, so repeats keep their term order.
-        out.sort_by_key(|&(v, _)| v);
+        out.sort_unstable_by_key(|&(v, _)| v);
     }
     // Sum each run of one variable in place.
     let (mut kept, mut i) = (0, 0);
     while i < out.len() {
         let v = out[i].0;
-        let mut sum = 0.0;
+        let mut sum = 0;
         while i < out.len() && out[i].0 == v {
             sum += out[i].1;
             i += 1;
         }
-        if sum != 0.0 {
+        if sum != 0 {
             out[kept] = (v, sum);
             kept += 1;
         }
@@ -100,18 +89,20 @@ pub(crate) fn merge_terms(terms: &[(VarId, f64)], out: &mut Vec<(usize, f64)>) {
     out.truncate(kept);
 }
 
-/// A complete LP/ILP: all variables are implicitly `>= 0`.
+/// A complete ILP over integers: all variables are implicitly `>= 0`.
 ///
 /// Numbers only: a variable is its index ([`VarId`]), and nothing here
 /// names it. The solver, the content key ([`crate::fingerprint`]) and the
 /// store read the sense, objective, rows and integrality flags, so a
-/// caller that reports variables keeps its own labels.
-#[derive(Debug, Clone, PartialEq)]
+/// caller that reports variables keeps its own labels. Every coefficient
+/// and right-hand side is an `i64`; the simplex kernel converts them to
+/// `f64` as it loads its columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Problem {
     /// Optimization direction.
     pub sense: Sense,
     /// Dense objective coefficients (one per variable).
-    pub objective: Vec<f64>,
+    pub objective: Vec<i64>,
     /// Constraint rows.
     pub constraints: Vec<Constraint>,
     /// Per-variable integrality flags.
@@ -131,19 +122,7 @@ impl Problem {
 
     /// The objective value of a point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
-        self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
-    }
-
-    /// True when any objective coefficient, constraint coefficient, or
-    /// right-hand side is NaN or infinite. The simplex solver rejects such
-    /// models up front ([`LpOutcome::Numerical`](crate::LpOutcome)) rather
-    /// than letting NaN poison the pivot selection.
-    pub fn has_non_finite(&self) -> bool {
-        self.objective.iter().any(|c| !c.is_finite())
-            || self
-                .constraints
-                .iter()
-                .any(|con| !con.rhs.is_finite() || con.terms.iter().any(|(_, c)| !c.is_finite()))
+        self.objective.iter().zip(x).map(|(&c, v)| c as f64 * v).sum()
     }
 
     /// Checks a point against every constraint and non-negativity,
@@ -156,11 +135,12 @@ impl Problem {
             return false;
         }
         self.constraints.iter().all(|c| {
-            let lhs: f64 = c.terms.iter().map(|&(v, coef)| coef * x[v.0]).sum();
+            let lhs: f64 = c.terms.iter().map(|&(v, coef)| coef as f64 * x[v.0]).sum();
+            let rhs = c.rhs as f64;
             match c.relation {
-                Relation::Le => lhs <= c.rhs + tol,
-                Relation::Ge => lhs >= c.rhs - tol,
-                Relation::Eq => (lhs - c.rhs).abs() <= tol,
+                Relation::Le => lhs <= rhs + tol,
+                Relation::Ge => lhs >= rhs - tol,
+                Relation::Eq => (lhs - rhs).abs() <= tol,
             }
         })
     }
@@ -170,7 +150,7 @@ impl Problem {
 #[derive(Debug, Clone)]
 pub struct ProblemBuilder {
     sense: Sense,
-    objective: Vec<f64>,
+    objective: Vec<i64>,
     constraints: Vec<Constraint>,
     integer: Vec<bool>,
 }
@@ -188,7 +168,7 @@ impl ProblemBuilder {
 
     /// Adds a variable (objective coefficient 0) and returns its id.
     pub fn add_var(&mut self, integer: bool) -> VarId {
-        self.objective.push(0.0);
+        self.objective.push(0);
         self.integer.push(integer);
         VarId(self.objective.len() - 1)
     }
@@ -198,7 +178,7 @@ impl ProblemBuilder {
     /// # Panics
     ///
     /// Panics if `var` was not created by this builder.
-    pub fn objective(&mut self, var: VarId, coeff: f64) -> &mut Self {
+    pub fn objective(&mut self, var: VarId, coeff: i64) -> &mut Self {
         self.objective[var.0] = coeff;
         self
     }
@@ -206,9 +186,9 @@ impl ProblemBuilder {
     /// Adds a constraint row.
     pub fn constraint(
         &mut self,
-        terms: Vec<(VarId, f64)>,
+        terms: Vec<(VarId, i64)>,
         relation: Relation,
-        rhs: f64,
+        rhs: i64,
     ) -> &mut Self {
         self.constraints.push(Constraint { terms, relation, rhs });
         self
@@ -238,10 +218,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(false);
-        b.objective(x, 1.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
-        b.constraint(vec![(x, 1.0)], Relation::Ge, 1.0);
+        b.objective(x, 1);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 3);
+        b.constraint(vec![(x, 1)], Relation::Ge, 1);
         b.build()
     }
 
@@ -271,74 +251,36 @@ mod tests {
     }
 
     #[test]
-    fn dense_sums_repeated_terms() {
-        let c = Constraint {
-            terms: vec![(VarId(0), 1.0), (VarId(0), 2.0), (VarId(2), -1.0)],
-            relation: Relation::Eq,
-            rhs: 0.0,
-        };
-        assert_eq!(c.dense(3), vec![3.0, 0.0, -1.0]);
-    }
-
-    #[test]
-    fn merged_terms_are_the_dense_nonzeros_bit_for_bit() {
-        // Repeats in scattered order, a cancelling pair, a lone zero, and a
-        // sum whose value depends on the order of its additions.
+    fn merged_terms_sum_repeats_and_drop_zeros() {
+        // Repeats in scattered order, a cancelling pair, a lone zero, and
+        // repeats whose sum leaves `i64`.
         let c = Constraint {
             terms: vec![
-                (VarId(3), 1.0),
-                (VarId(1), 2.0),
-                (VarId(3), 2.0),
-                (VarId(0), 0.0),
-                (VarId(1), -2.0),
-                (VarId(3), 3.0),
-                (VarId(4), 1e16),
-                (VarId(4), 1.0),
-                (VarId(4), -1e16),
+                (VarId(3), 1),
+                (VarId(1), 2),
+                (VarId(3), 2),
+                (VarId(0), 0),
+                (VarId(1), -2),
+                (VarId(3), 3),
+                (VarId(4), i64::MAX),
+                (VarId(4), i64::MAX),
             ],
             relation: Relation::Le,
-            rhs: 1.0,
+            rhs: 10,
         };
-        let dense = c.dense(5);
-        let want: Vec<(usize, u64)> = dense
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(j, &v)| (j, v.to_bits()))
-            .collect();
-        let got: Vec<(usize, u64)> =
-            c.merged_terms().into_iter().map(|(j, v)| (j, v.to_bits())).collect();
-        assert_eq!(got, want);
-        assert_eq!(got.len(), 1, "only x3 survives; x4's 1.0 is absorbed: {got:?}");
+        assert_eq!(c.merged_terms(), vec![(3, 6), (4, 2 * i128::from(i64::MAX))]);
     }
 
     #[test]
-    fn ascending_terms_skip_the_sort_and_keep_the_dense_bits() {
+    fn ascending_terms_skip_the_sort() {
         // Strictly ascending, with two zeros to drop.
         let c = Constraint {
-            terms: vec![(VarId(0), 2.0), (VarId(1), 0.0), (VarId(2), 0.0), (VarId(4), -3.0)],
+            terms: vec![(VarId(0), 2), (VarId(1), 0), (VarId(2), 0), (VarId(4), -3)],
             relation: Relation::Eq,
-            rhs: 0.0,
+            rhs: 0,
         };
-        let dense = c.dense(5);
-        let mut out = vec![(9, 9.0)];
+        let mut out = vec![(9, 9)];
         merge_terms(&c.terms, &mut out);
-        let got: Vec<(usize, u64)> = out.iter().map(|&(j, v)| (j, v.to_bits())).collect();
-        assert_eq!(got, vec![(0, dense[0].to_bits()), (4, dense[4].to_bits())]);
-    }
-
-    #[test]
-    fn non_finite_data_is_detected() {
-        let p = tiny();
-        assert!(!p.has_non_finite());
-        let mut bad_obj = p.clone();
-        bad_obj.objective[0] = f64::NAN;
-        assert!(bad_obj.has_non_finite());
-        let mut bad_coeff = p.clone();
-        bad_coeff.constraints[0].terms[0].1 = f64::INFINITY;
-        assert!(bad_coeff.has_non_finite());
-        let mut bad_rhs = p;
-        bad_rhs.constraints[1].rhs = f64::NEG_INFINITY;
-        assert!(bad_rhs.has_non_finite());
+        assert_eq!(out, vec![(0, 2), (4, -3)]);
     }
 }

@@ -36,8 +36,8 @@
 //!
 //! This replaces the textbook parametric-simplex basis-region approach
 //! (Ballabriga et al.): extracting and inverting the optimal basis needs
-//! general rationals, while our exact layer (`ipet-audit`'s `Rat`) is
-//! deliberately dyadic-only. The chord certificate needs nothing but the
+//! general rationals, while our exact layer (`ipet-audit`) is deliberately
+//! integer-only. The chord certificate needs nothing but the
 //! two endpoint optima — values the audit already certifies exactly — and
 //! holds through branch-and-bound alike, because it never looks inside the
 //! solver at all.

@@ -48,21 +48,26 @@ enum End {
 impl Tableau {
     fn new(problem: &Problem) -> Tableau {
         let n = problem.num_vars();
-        // Rows normalized to a non-negative right-hand side.
+        // Rows converted to `f64` and normalized to a non-negative
+        // right-hand side.
         let rows: Vec<(Vec<f64>, Relation, f64)> = problem
             .constraints
             .iter()
             .map(|con| {
-                let dense = con.dense(n);
-                if con.rhs >= 0.0 {
-                    return (dense, con.relation, con.rhs);
+                let mut dense = vec![0.0; n];
+                for (j, a) in con.merged_terms() {
+                    dense[j] = a as f64;
+                }
+                let rhs = con.rhs as f64;
+                if rhs >= 0.0 {
+                    return (dense, con.relation, rhs);
                 }
                 let rel = match con.relation {
                     Relation::Le => Relation::Ge,
                     Relation::Ge => Relation::Le,
                     Relation::Eq => Relation::Eq,
                 };
-                (dense.iter().map(|&v| -v).collect(), rel, -con.rhs)
+                (dense.iter().map(|&v| -v).collect(), rel, -rhs)
             })
             .collect();
         let first_artificial = n + rows.iter().filter(|r| r.1 != Relation::Eq).count();
@@ -90,7 +95,7 @@ impl Tableau {
         };
         let mut phase2 = vec![0.0; cols];
         for (o, &c) in phase2.iter_mut().zip(&problem.objective) {
-            *o = sign * c;
+            *o = sign * c as f64;
         }
         let phase1: Vec<f64> = (0..cols).map(|j| -f64::from(j >= first_artificial)).collect();
         // The start basis is a unit matrix: `z_j = Σ_i c_B[i]·a[i][j] - c_j`.
@@ -262,9 +267,6 @@ impl LexKernel for Tableau {
 /// [`solve_lp`](crate::solve_lp), the canonical point is returned even
 /// when it is fractional in an integer-typed variable.
 pub fn debug_reference_lp(problem: &Problem) -> LpOutcome {
-    if problem.has_non_finite() {
-        return LpOutcome::Numerical;
-    }
     let mut tab = Tableau::new(problem);
     match tab.phase1() {
         Some(true) => {}

@@ -42,8 +42,8 @@ pub enum LpOutcome {
     Infeasible,
     /// The objective is unbounded over the feasible region.
     Unbounded,
-    /// Pivoting met NaN/non-finite data (or the input model contained
-    /// non-finite coefficients); no conclusion about the model is implied.
+    /// Pivoting met NaN/non-finite arithmetic; no conclusion about the
+    /// model is implied.
     Numerical,
     /// The iteration or tick budget ran out before the solve concluded;
     /// no conclusion about the model is implied.
@@ -79,8 +79,8 @@ pub fn solve_lp(problem: &Problem) -> LpOutcome {
 /// * returns [`LpOutcome::LimitReached`] when the tick deadline or the
 ///   per-call iteration cap runs out mid-solve (never a bogus
 ///   `Infeasible`/`Unbounded`);
-/// * returns [`LpOutcome::Numerical`] for models containing NaN/infinite
-///   data or when pivoting breaks down numerically.
+/// * returns [`LpOutcome::Numerical`] when pivoting breaks down
+///   numerically.
 pub fn solve_lp_metered(
     problem: &Problem,
     budget: &SolveBudget,
@@ -106,8 +106,7 @@ pub(crate) fn solve_lp_bounded(
             LpFault::Numerical => LpOutcome::Numerical,
         };
     }
-    // Declined for non-finite data, or a crash basis whose factorization
-    // overflows.
+    // Declined for a crash basis whose factorization overflows.
     let Some(mut inst) = SparseInstance::build(problem, bounds) else {
         return LpOutcome::Numerical;
     };
@@ -162,7 +161,7 @@ mod tests {
     use super::*;
     use crate::model::{ProblemBuilder, Relation, Sense};
 
-    fn build(sense: Sense, obj: &[f64], rows: &[(&[f64], Relation, f64)]) -> Problem {
+    fn build(sense: Sense, obj: &[i64], rows: &[(&[i64], Relation, i64)]) -> Problem {
         let mut b = ProblemBuilder::new(sense);
         let vars: Vec<_> = (0..obj.len()).map(|_| b.add_var(false)).collect();
         for (i, &c) in obj.iter().enumerate() {
@@ -172,7 +171,7 @@ mod tests {
             let terms = coeffs
                 .iter()
                 .enumerate()
-                .filter(|(_, &c)| c != 0.0)
+                .filter(|(_, &c)| c != 0)
                 .map(|(i, &c)| (vars[i], c))
                 .collect();
             b.constraint(terms, *rel, *rhs);
@@ -196,12 +195,8 @@ mod tests {
         // max 3x+5y st x<=4, 2y<=12, 3x+2y<=18 -> 36 at (2,6)
         let p = build(
             Sense::Maximize,
-            &[3.0, 5.0],
-            &[
-                (&[1.0, 0.0], Relation::Le, 4.0),
-                (&[0.0, 2.0], Relation::Le, 12.0),
-                (&[3.0, 2.0], Relation::Le, 18.0),
-            ],
+            &[3, 5],
+            &[(&[1, 0], Relation::Le, 4), (&[0, 2], Relation::Le, 12), (&[3, 2], Relation::Le, 18)],
         );
         let x = assert_opt(&p, 36.0);
         assert!((x[0] - 2.0).abs() < 1e-6 && (x[1] - 6.0).abs() < 1e-6);
@@ -212,8 +207,8 @@ mod tests {
         // min 2x+3y st x+y>=4, x>=1 -> 8 at (4,0)? cost 2*4=8 vs (1,3): 2+9=11.
         let p = build(
             Sense::Minimize,
-            &[2.0, 3.0],
-            &[(&[1.0, 1.0], Relation::Ge, 4.0), (&[1.0, 0.0], Relation::Ge, 1.0)],
+            &[2, 3],
+            &[(&[1, 1], Relation::Ge, 4), (&[1, 0], Relation::Ge, 1)],
         );
         assert_opt(&p, 8.0);
     }
@@ -223,32 +218,28 @@ mod tests {
         // max x+y st x+y = 5, x <= 2 -> 5.
         let p = build(
             Sense::Maximize,
-            &[1.0, 1.0],
-            &[(&[1.0, 1.0], Relation::Eq, 5.0), (&[1.0, 0.0], Relation::Le, 2.0)],
+            &[1, 1],
+            &[(&[1, 1], Relation::Eq, 5), (&[1, 0], Relation::Le, 2)],
         );
         assert_opt(&p, 5.0);
     }
 
     #[test]
     fn infeasible_detected() {
-        let p = build(
-            Sense::Maximize,
-            &[1.0],
-            &[(&[1.0], Relation::Ge, 5.0), (&[1.0], Relation::Le, 2.0)],
-        );
+        let p = build(Sense::Maximize, &[1], &[(&[1], Relation::Ge, 5), (&[1], Relation::Le, 2)]);
         assert_eq!(solve_lp(&p), LpOutcome::Infeasible);
     }
 
     #[test]
     fn unbounded_detected() {
-        let p = build(Sense::Maximize, &[1.0], &[(&[-1.0], Relation::Le, 1.0)]);
+        let p = build(Sense::Maximize, &[1], &[(&[-1], Relation::Le, 1)]);
         assert_eq!(solve_lp(&p), LpOutcome::Unbounded);
     }
 
     #[test]
     fn minimize_unbounded_below() {
         // min -x with x unconstrained above is unbounded.
-        let p = build(Sense::Minimize, &[-1.0], &[]);
+        let p = build(Sense::Minimize, &[-1], &[]);
         assert_eq!(solve_lp(&p), LpOutcome::Unbounded);
     }
 
@@ -257,8 +248,8 @@ mod tests {
         // x - y <= -2  (i.e. y >= x + 2), max x+y with y <= 5 -> x=3,y=5.
         let p = build(
             Sense::Maximize,
-            &[1.0, 1.0],
-            &[(&[1.0, -1.0], Relation::Le, -2.0), (&[0.0, 1.0], Relation::Le, 5.0)],
+            &[1, 1],
+            &[(&[1, -1], Relation::Le, -2), (&[0, 1], Relation::Le, 5)],
         );
         assert_opt(&p, 8.0);
     }
@@ -268,12 +259,12 @@ mod tests {
         // Klee-Minty-ish degeneracy: several redundant rows through origin.
         let p = build(
             Sense::Maximize,
-            &[1.0, 1.0],
+            &[1, 1],
             &[
-                (&[1.0, 0.0], Relation::Le, 0.0),
-                (&[1.0, 1.0], Relation::Le, 0.0),
-                (&[1.0, 2.0], Relation::Le, 0.0),
-                (&[0.0, 1.0], Relation::Le, 0.0),
+                (&[1, 0], Relation::Le, 0),
+                (&[1, 1], Relation::Le, 0),
+                (&[1, 2], Relation::Le, 0),
+                (&[0, 1], Relation::Le, 0),
             ],
         );
         assert_opt(&p, 0.0);
@@ -289,11 +280,11 @@ mod tests {
         // to integers (the optimum reads 5).
         let p = build(
             Sense::Maximize,
-            &[75.0, -15000.0, 2.0, -600.0],
+            &[75, -15000, 2, -600],
             &[
-                (&[25.0, -6000.0, -4.0, 900.0], Relation::Le, 0.0),
-                (&[50.0, -9000.0, -2.0, 300.0], Relation::Le, 0.0),
-                (&[0.0, 0.0, 1.0, 0.0], Relation::Le, 1.0),
+                (&[25, -6000, -4, 900], Relation::Le, 0),
+                (&[50, -9000, -2, 300], Relation::Le, 0),
+                (&[0, 0, 1, 0], Relation::Le, 1),
             ],
         );
         let x = assert_opt(&p, 5.0);
@@ -305,8 +296,8 @@ mod tests {
         // x + y = 2 stated twice; max x -> 2.
         let p = build(
             Sense::Maximize,
-            &[1.0, 0.0],
-            &[(&[1.0, 1.0], Relation::Eq, 2.0), (&[1.0, 1.0], Relation::Eq, 2.0)],
+            &[1, 0],
+            &[(&[1, 1], Relation::Eq, 2), (&[1, 1], Relation::Eq, 2)],
         );
         assert_opt(&p, 2.0);
     }
@@ -321,27 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn nan_objective_reports_numerical() {
-        let p = build(Sense::Maximize, &[f64::NAN, 1.0], &[(&[1.0, 1.0], Relation::Le, 4.0)]);
-        assert_eq!(solve_lp(&p), LpOutcome::Numerical);
-    }
-
-    #[test]
-    fn infinite_coefficient_reports_numerical() {
-        let p = build(Sense::Minimize, &[1.0], &[(&[f64::INFINITY], Relation::Ge, 2.0)]);
-        assert_eq!(solve_lp(&p), LpOutcome::Numerical);
-    }
-
-    #[test]
     fn deadline_exhaustion_reports_limit() {
         let p = build(
             Sense::Maximize,
-            &[3.0, 5.0],
-            &[
-                (&[1.0, 0.0], Relation::Le, 4.0),
-                (&[0.0, 2.0], Relation::Le, 12.0),
-                (&[3.0, 2.0], Relation::Le, 18.0),
-            ],
+            &[3, 5],
+            &[(&[1, 0], Relation::Le, 4), (&[0, 2], Relation::Le, 12), (&[3, 2], Relation::Le, 18)],
         );
         // Zero ticks left: the solve must refuse immediately, not guess.
         let budget = SolveBudget::with_deadline(0);
@@ -361,12 +336,8 @@ mod tests {
     fn iteration_cap_reports_limit_not_unbounded() {
         let p = build(
             Sense::Maximize,
-            &[3.0, 5.0],
-            &[
-                (&[1.0, 0.0], Relation::Le, 4.0),
-                (&[0.0, 2.0], Relation::Le, 12.0),
-                (&[3.0, 2.0], Relation::Le, 18.0),
-            ],
+            &[3, 5],
+            &[(&[1, 0], Relation::Le, 4), (&[0, 2], Relation::Le, 12), (&[3, 2], Relation::Le, 18)],
         );
         // One tick left caps the call at one pivot, too few to finish.
         let budget = SolveBudget::with_deadline(1);
@@ -378,7 +349,7 @@ mod tests {
 
     #[test]
     fn injected_lp_faults_fire() {
-        let p = build(Sense::Maximize, &[1.0], &[(&[1.0], Relation::Le, 3.0)]);
+        let p = build(Sense::Maximize, &[1], &[(&[1], Relation::Le, 3)]);
         let budget = SolveBudget::unlimited();
 
         let mut faults = SolverFaults::infeasible_at(0);
@@ -402,12 +373,12 @@ mod tests {
         use crate::model::{Constraint, VarId};
         let p = build(
             Sense::Maximize,
-            &[10.0, 6.0, 4.0],
+            &[10, 6, 4],
             &[
-                (&[5.0, 4.0, 3.0], Relation::Le, 7.0),
-                (&[1.0, 0.0, 0.0], Relation::Le, 1.0),
-                (&[0.0, 1.0, 0.0], Relation::Le, 1.0),
-                (&[0.0, 0.0, 1.0], Relation::Le, 1.0),
+                (&[5, 4, 3], Relation::Le, 7),
+                (&[1, 0, 0], Relation::Le, 1),
+                (&[0, 1, 0], Relation::Le, 1),
+                (&[0, 0, 1], Relation::Le, 1),
             ],
         );
         let nodes: [&[BoundRow]; 4] = [
@@ -420,9 +391,9 @@ mod tests {
         for bounds in nodes {
             let mut copy = p.clone();
             copy.constraints.extend(bounds.iter().map(|&(v, relation, rhs)| Constraint {
-                terms: vec![(VarId(v), 1.0)],
+                terms: vec![(VarId(v), 1)],
                 relation,
-                rhs,
+                rhs: rhs as i64,
             }));
             let (m1, m2) = (BudgetMeter::new(), BudgetMeter::new());
             let faults = &mut SolverFaults::none();
@@ -448,13 +419,13 @@ mod tests {
         // Best: route through x2 -> 2+5+1 = 8.
         let p = build(
             Sense::Maximize,
-            &[2.0, 5.0, 3.0, 1.0, 0.0, 0.0],
+            &[2, 5, 3, 1, 0, 0],
             &[
-                (&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], Relation::Eq, 1.0),
-                (&[1.0, 0.0, 0.0, 0.0, -1.0, -1.0], Relation::Eq, 0.0),
-                (&[0.0, 1.0, 0.0, 0.0, -1.0, 0.0], Relation::Eq, 0.0),
-                (&[0.0, 0.0, 1.0, 0.0, 0.0, -1.0], Relation::Eq, 0.0),
-                (&[0.0, 0.0, 0.0, 1.0, -1.0, -1.0], Relation::Eq, 0.0),
+                (&[1, 0, 0, 0, 0, 0], Relation::Eq, 1),
+                (&[1, 0, 0, 0, -1, -1], Relation::Eq, 0),
+                (&[0, 1, 0, 0, -1, 0], Relation::Eq, 0),
+                (&[0, 0, 1, 0, 0, -1], Relation::Eq, 0),
+                (&[0, 0, 0, 1, -1, -1], Relation::Eq, 0),
             ],
         );
         let x = assert_opt(&p, 8.0);

@@ -53,7 +53,7 @@ use std::collections::BinaryHeap;
 use std::ops::Index;
 
 use crate::canonical::LexKernel;
-use crate::model::{merge_terms, Problem, Relation, Sense, VarId};
+use crate::model::{merge_terms, Problem, Relation, Sense};
 use crate::simplex::FEAS_TOL;
 
 /// Rebuild the LU factors after this many eta updates.
@@ -438,39 +438,33 @@ pub(crate) struct SparseInstance {
 impl SparseInstance {
     /// Build the standard form of `problem` with the bound rows `bounds`
     /// appended after its rows, [`crash`](Self::crash) its start basis and
-    /// factorize it. `None` for non-finite data or a basis the
-    /// factorization declines.
+    /// factorize it. `None` for a basis the factorization declines.
     pub(crate) fn build(problem: &Problem, bounds: &[BoundRow]) -> Option<SparseInstance> {
-        let mut inst = SparseInstance::standard_form(problem, bounds)?;
+        let mut inst = SparseInstance::standard_form(problem, bounds);
         inst.crash();
         inst.refactorize().then_some(inst)
     }
 
-    /// The standard form: rows are
+    /// The standard form: the problem's integer rows, converted to `f64`
+    /// here as they are copied into columns, then the bound rows. Rows are
     /// normalized to non-negative right-hand sides, `<=` rows get a basic
     /// slack, `>=` rows a surplus plus basic artificial, `=` rows a basic
-    /// artificial. Not yet factorized. `None` for non-finite data.
-    fn standard_form(problem: &Problem, bounds: &[BoundRow]) -> Option<SparseInstance> {
-        if problem.has_non_finite() || bounds.iter().any(|&(_, _, rhs)| !rhs.is_finite()) {
-            return None;
-        }
+    /// artificial. Not yet factorized.
+    fn standard_form(problem: &Problem, bounds: &[BoundRow]) -> SparseInstance {
         let n = problem.num_vars();
         let m = problem.num_constraints() + bounds.len();
         let mut cost: Vec<f64> = match problem.sense {
-            Sense::Maximize => problem.objective.clone(),
-            Sense::Minimize => problem.objective.iter().map(|c| -c).collect(),
+            Sense::Maximize => problem.objective.iter().map(|&c| c as f64).collect(),
+            Sense::Minimize => problem.objective.iter().map(|&c| -(c as f64)).collect(),
         };
         let mut b = Vec::with_capacity(m);
         let mut basis = Vec::with_capacity(m);
         let mut artificial_rows = Vec::with_capacity(m);
         // `(row, sign)` per slack or surplus column.
         let mut extra_cols: Vec<(usize, f64)> = Vec::with_capacity(m);
-        // Structural entries as `(column, row, value)`, in row order.
-        let terms = problem.constraints.iter().map(|con| con.terms.len());
-        let mut entries: Vec<(usize, usize, f64)> =
-            Vec::with_capacity(terms.clone().sum::<usize>() + bounds.len());
-        let mut merged = Vec::with_capacity(terms.max().unwrap_or(0).max(1));
-        let mut add_row = |terms: &[(VarId, f64)], relation: Relation, rhs: f64| {
+        // Opens row `b.len()` and returns its index and the sign its
+        // coefficients take.
+        let mut add_row = |relation: Relation, rhs: f64| {
             let i = b.len();
             let flip = rhs < 0.0;
             let sign = if flip { -1.0 } else { 1.0 };
@@ -483,8 +477,6 @@ impl SparseInstance {
             } else {
                 relation
             };
-            merge_terms(terms, &mut merged);
-            entries.extend(merged.iter().map(|&(j, a)| (j, i, sign * a)));
             b.push(sign * rhs);
             match rel {
                 Relation::Le => extra_cols.push((i, 1.0)),
@@ -495,12 +487,21 @@ impl SparseInstance {
                 Relation::Eq => artificial_rows.push(i),
             }
             basis.push(NONE); // patched to the slack or artificial below
+            (i, sign)
         };
+        // Structural entries as `(column, row, value)`, in row order.
+        let terms = problem.constraints.iter().map(|con| con.terms.len());
+        let mut entries: Vec<(usize, usize, f64)> =
+            Vec::with_capacity(terms.clone().sum::<usize>() + bounds.len());
+        let mut merged = Vec::with_capacity(terms.max().unwrap_or(0).max(1));
         for con in &problem.constraints {
-            add_row(&con.terms, con.relation, con.rhs);
+            let (i, sign) = add_row(con.relation, con.rhs as f64);
+            merge_terms(&con.terms, &mut merged);
+            entries.extend(merged.iter().map(|&(j, a)| (j, i, sign * a as f64)));
         }
         for &(var, relation, rhs) in bounds {
-            add_row(&[(VarId(var), 1.0)], relation, rhs);
+            let (i, sign) = add_row(relation, rhs);
+            entries.push((var, i, sign));
         }
         // Slack/surplus columns, then artificial columns.
         let slack_base = n;
@@ -528,7 +529,7 @@ impl SparseInstance {
         for (i, &c) in basis.iter().enumerate() {
             row_of[c] = i;
         }
-        Some(SparseInstance {
+        SparseInstance {
             m,
             n,
             cols,
@@ -546,7 +547,7 @@ impl SparseInstance {
                 w: vec![0.0; m],
                 lu: Elimination::default(),
             },
-        })
+        }
     }
 
     fn is_basic(&self, j: usize) -> bool {
@@ -1193,12 +1194,12 @@ mod tests {
         let x1 = b.add_var(true);
         let x2 = b.add_var(true);
         let x3 = b.add_var(true);
-        b.objective(x1, 4.0);
-        b.objective(x2, 9.0);
-        b.objective(x3, 2.0);
-        b.constraint(vec![(x1, 1.0)], Relation::Eq, 1.0);
-        b.constraint(vec![(x2, 1.0), (x1, -10.0)], Relation::Le, 0.0);
-        b.constraint(vec![(x3, 1.0), (x1, -1.0)], Relation::Eq, 0.0);
+        b.objective(x1, 4);
+        b.objective(x2, 9);
+        b.objective(x3, 2);
+        b.constraint(vec![(x1, 1)], Relation::Eq, 1);
+        b.constraint(vec![(x2, 1), (x1, -10)], Relation::Le, 0);
+        b.constraint(vec![(x3, 1), (x1, -1)], Relation::Eq, 0);
         b.build()
     }
 
@@ -1226,9 +1227,9 @@ mod tests {
     fn detects_infeasible() {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, 1.0);
-        b.constraint(vec![(x, 1.0)], Relation::Ge, 5.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 1);
+        b.constraint(vec![(x, 1)], Relation::Ge, 5);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         let p = b.build();
         let mut pivots = 0u64;
         let mut inst = SparseInstance::build(&p, &[]).expect("builds");
@@ -1241,8 +1242,8 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 1.0);
-        b.constraint(vec![(x, 1.0), (y, -1.0)], Relation::Le, 1.0);
+        b.objective(x, 1);
+        b.constraint(vec![(x, 1), (y, -1)], Relation::Le, 1);
         let p = b.build();
         let mut pivots = 0u64;
         let mut inst = SparseInstance::build(&p, &[]).expect("builds");
@@ -1314,33 +1315,33 @@ mod tests {
         let mut b = ProblemBuilder::new(sense);
         let x: Vec<_> = (0..edges.len()).map(|_| b.add_var(true)).collect();
         for &v in &x {
-            b.objective(v, rng.gen_range(0i64..=9) as f64);
-            b.constraint(vec![(v, 1.0)], Relation::Le, 50.0);
+            b.objective(v, rng.gen_range(0i64..=9));
+            b.constraint(vec![(v, 1)], Relation::Le, 50);
         }
-        b.constraint(vec![(x[0], 1.0)], Relation::Eq, 1.0);
+        b.constraint(vec![(x[0], 1)], Relation::Eq, 1);
         for block in 0..blocks {
             let mut terms = Vec::new();
             for (e, &(from, to)) in edges.iter().enumerate() {
                 if to == Some(block) {
-                    terms.push((x[e], 1.0));
+                    terms.push((x[e], 1));
                 }
                 if from == Some(block) {
-                    terms.push((x[e], -1.0));
+                    terms.push((x[e], -1));
                 }
             }
             if rng.gen_bool(0.1) {
-                b.constraint(terms.clone(), Relation::Eq, 0.0);
+                b.constraint(terms.clone(), Relation::Eq, 0);
             }
-            b.constraint(terms, Relation::Eq, 0.0);
+            b.constraint(terms, Relation::Eq, 0);
         }
         for (e, &(from, to)) in edges.iter().enumerate() {
             if let (Some(from), Some(to)) = (from, to) {
                 if from >= to {
                     let k = rng.gen_range(1i64..=10);
-                    b.constraint(vec![(x[e], 1.0), (x[0], -k as f64)], Relation::Le, 0.0);
+                    b.constraint(vec![(x[e], 1), (x[0], -k)], Relation::Le, 0);
                     if rng.gen_bool(0.3) {
-                        let lo = rng.gen_range(1..=k) as f64;
-                        b.constraint(vec![(x[e], 1.0), (x[0], -lo)], Relation::Ge, 0.0);
+                        let lo = rng.gen_range(1..=k);
+                        b.constraint(vec![(x[e], 1), (x[0], -lo)], Relation::Ge, 0);
                     }
                 }
             }
@@ -1348,9 +1349,9 @@ mod tests {
         for _ in 0..rng.gen_range(0..=2) {
             let (p, q) = (rng.gen_range(0..x.len()), rng.gen_range(0..x.len()));
             if p != q {
-                let c = rng.gen_range(1i64..=3) as f64;
+                let c = rng.gen_range(1i64..=3);
                 let rel = if rng.gen_bool(0.7) { Relation::Ge } else { Relation::Eq };
-                b.constraint(vec![(x[p], 1.0), (x[q], -c)], rel, 0.0);
+                b.constraint(vec![(x[p], 1), (x[q], -c)], rel, 0);
             }
         }
         b.build()
@@ -1374,7 +1375,7 @@ mod tests {
     /// Returns `(crashed rows, phase-1 pivots after the crash, phase-1
     /// pivots from the artificial start)`.
     fn check_crash(p: &Problem) -> (u64, u64, u64) {
-        let mut start = SparseInstance::standard_form(p, &[]).expect("finite data");
+        let mut start = SparseInstance::standard_form(p, &[]);
         let want_basis = reference_crash_basis(&start);
         assert!(start.refactorize(), "the artificial basis factors");
         let mut crashed = SparseInstance::build(p, &[]).expect("the crashed basis factors");
@@ -1425,8 +1426,8 @@ mod tests {
         // No columns at all (a problem with no variables, or rows whose
         // terms all cancel): the empty zero-level row keeps its artificial.
         let mut b = ProblemBuilder::new(Sense::Maximize);
-        b.constraint(vec![], Relation::Eq, 0.0);
-        b.constraint(vec![], Relation::Le, 2.0);
+        b.constraint(vec![], Relation::Eq, 0);
+        b.constraint(vec![], Relation::Le, 2);
         let p = b.build();
         assert_eq!(check_crash(&p).0, 0);
 
@@ -1434,11 +1435,11 @@ mod tests {
         // twin keeps its artificial and phase 1 cannot drive it out.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x: Vec<_> = (0..3).map(|_| b.add_var(true)).collect();
-        b.objective(x[0], 1.0);
-        b.objective(x[2], 2.0);
-        b.constraint(vec![(x[0], 1.0), (x[1], -1.0)], Relation::Eq, 0.0);
-        b.constraint(vec![(x[0], 1.0), (x[1], -1.0)], Relation::Eq, 0.0);
-        b.constraint(vec![(x[1], 1.0), (x[2], 1.0)], Relation::Le, 3.0);
+        b.objective(x[0], 1);
+        b.objective(x[2], 2);
+        b.constraint(vec![(x[0], 1), (x[1], -1)], Relation::Eq, 0);
+        b.constraint(vec![(x[0], 1), (x[1], -1)], Relation::Eq, 0);
+        b.constraint(vec![(x[1], 1), (x[2], 1)], Relation::Le, 3);
         let p = b.build();
         assert_eq!(check_crash(&p).0, 1);
         let inst = SparseInstance::build(&p, &[]).expect("builds");
@@ -1568,16 +1569,16 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let vars: Vec<_> = (0..n).map(|_| b.add_var(false)).collect();
         for &v in &vars {
-            b.objective(v, rng.gen_range(1i64..=9) as f64);
+            b.objective(v, rng.gen_range(1i64..=9));
         }
         for _ in 0..m {
             let mut terms = Vec::new();
             for &v in &vars {
                 if rng.gen_bool(0.4) {
-                    terms.push((v, rng.gen_range(1i64..=40) as f64));
+                    terms.push((v, rng.gen_range(1i64..=40)));
                 }
             }
-            b.constraint(terms, Relation::Le, 3.0 * rng.gen_range(1i64..=60) as f64);
+            b.constraint(terms, Relation::Le, 3 * rng.gen_range(1i64..=60));
         }
         b.build()
     }
@@ -1624,7 +1625,8 @@ mod tests {
     /// columns. `kind` picks the entries: 0 = `±1` (magnitude ties
     /// everywhere), 1 = small integers (ties and exact cancellations),
     /// 2 = integers up to 999, 3 = `±1` mixed with `±1e308` (overflowing
-    /// updates).
+    /// updates; no integer problem holds them, so they are written into
+    /// the columns after the build).
     fn random_basis(rng: &mut StdRng, kind: u32) -> SparseInstance {
         let m = rng.gen_range(1usize..=14);
         let n = m + rng.gen_range(0usize..=4);
@@ -1635,21 +1637,29 @@ mod tests {
             let mut terms = Vec::new();
             for &v in &x {
                 if rng.gen_bool(density) {
-                    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    let sign = if rng.gen_bool(0.5) { 1 } else { -1 };
                     let c = match kind {
                         0 => sign,
-                        1 => rng.gen_range(-3i64..=3) as f64,
-                        2 => rng.gen_range(-999i64..=999) as f64,
-                        _ if rng.gen_bool(0.3) => sign * 1e308,
+                        1 => rng.gen_range(-3i64..=3),
+                        2 => rng.gen_range(-999i64..=999),
+                        // Marks an entry that becomes `±1e308`.
+                        _ if rng.gen_bool(0.3) => sign * 2,
                         _ => sign,
                     };
                     terms.push((v, c));
                 }
             }
-            b.constraint(terms, Relation::Eq, 1.0);
+            b.constraint(terms, Relation::Eq, 1);
         }
         let mut inst =
             SparseInstance::build(&b.build(), &[]).expect("the artificial basis factors");
+        if kind == 3 {
+            for (_, a) in &mut inst.cols.entries {
+                if a.abs() == 2.0 {
+                    *a *= 0.5e308;
+                }
+            }
+        }
         let mut cols: Vec<usize> = (0..n).collect();
         for i in 0..m {
             let j = rng.gen_range(i..n);
@@ -1691,10 +1701,13 @@ mod tests {
         // but eliminating row 1 overflows U[1][2] to +inf.
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x: Vec<_> = (0..3).map(|_| b.add_var(false)).collect();
-        b.constraint(vec![(x[0], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
-        b.constraint(vec![(x[0], -1.0), (x[1], 1.0), (x[2], 1e308)], Relation::Eq, 1.0);
-        b.constraint(vec![(x[2], 1.0)], Relation::Eq, 1.0);
+        b.constraint(vec![(x[0], 1), (x[2], 1)], Relation::Eq, 1);
+        b.constraint(vec![(x[0], -1), (x[1], 1), (x[2], 1)], Relation::Eq, 1);
+        b.constraint(vec![(x[2], 1)], Relation::Eq, 1);
         let mut inst = SparseInstance::build(&b.build(), &[]).expect("artificial basis factors");
+        // No integer problem holds 1e308: write it into column 2.
+        let start = inst.cols.start[2];
+        inst.cols.entries[start..start + 2].copy_from_slice(&[(0, 1e308), (1, 1e308)]);
         // Move the structural columns into the basis.
         inst.basis = vec![0, 1, 2];
         for (j, row) in inst.row_of.iter_mut().enumerate() {
@@ -1702,7 +1715,6 @@ mod tests {
         }
         assert!(!inst.refactorize(), "a factor with an infinite entry must be declined");
         // The same basis without the overflow factors fine.
-        let start = inst.cols.start[2];
         inst.cols.entries[start..start + 3].copy_from_slice(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
         assert!(inst.refactorize());
     }
@@ -1714,12 +1726,12 @@ mod tests {
         let n = 40;
         let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
         for (i, &v) in vars.iter().enumerate() {
-            b.objective(v, 1.0 + (i % 7) as f64);
-            b.constraint(vec![(v, 1.0)], Relation::Le, (3 + (i % 5)) as f64);
+            b.objective(v, 1 + (i % 7) as i64);
+            b.constraint(vec![(v, 1)], Relation::Le, (3 + (i % 5)) as i64);
         }
         // Coupling rows to force pivoting through many columns.
         for w in vars.windows(2) {
-            b.constraint(vec![(w[0], 1.0), (w[1], 1.0)], Relation::Le, 6.0);
+            b.constraint(vec![(w[0], 1), (w[1], 1)], Relation::Le, 6);
         }
         let p = b.build();
         let mut pivots = 0u64;

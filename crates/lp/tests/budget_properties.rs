@@ -3,8 +3,8 @@
 //! exact optimum, and the solver must never panic.
 
 use ipet_lp::{
-    solve_ilp, solve_ilp_budgeted, solve_lp, BudgetMeter, IlpOutcome, IlpResolution, LpOutcome,
-    Problem, ProblemBuilder, Relation, Sense, SolveBudget, SolverFaults,
+    solve_ilp, solve_ilp_budgeted, BudgetMeter, IlpOutcome, IlpResolution, Problem, ProblemBuilder,
+    Relation, Sense, SolveBudget, SolverFaults,
 };
 use proptest::prelude::*;
 
@@ -26,20 +26,20 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
             let mut b = ProblemBuilder::new(Sense::Maximize);
             let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
             for (i, &c) in obj.iter().enumerate() {
-                b.objective(vars[i], c as f64);
+                b.objective(vars[i], i64::from(c));
             }
             for &v in &vars {
-                b.constraint(vec![(v, 1.0)], Relation::Le, ub as f64);
+                b.constraint(vec![(v, 1)], Relation::Le, i64::from(ub));
             }
             for (coeffs, rel, rhs) in rowvec {
                 let terms: Vec<_> = coeffs
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c != 0)
-                    .map(|(i, &c)| (vars[i], c as f64))
+                    .map(|(i, &c)| (vars[i], i64::from(c)))
                     .collect();
                 if !terms.is_empty() {
-                    b.constraint(terms, rel, rhs as f64);
+                    b.constraint(terms, rel, i64::from(rhs));
                 }
             }
             b.build()
@@ -132,32 +132,6 @@ proptest! {
         );
         // Any verdict is acceptable — the property is that we got one.
         let _ = res;
-    }
-
-    /// Poisoning one objective coefficient with a non-finite value is
-    /// reported as `Numerical`, never a panic or a garbage bound.
-    #[test]
-    fn non_finite_data_is_rejected_not_propagated(
-        (p, which, poison) in (
-            arb_problem(),
-            0usize..4,
-            prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
-        )
-    ) {
-        let mut b = ProblemBuilder::new(Sense::Maximize);
-        let n = p.num_vars();
-        let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
-        b.objective(vars[which % n], poison);
-        b.constraint(vec![(vars[0], 1.0)], Relation::Le, 3.0);
-        let poisoned = b.build();
-        prop_assert!(matches!(solve_lp(&poisoned), LpOutcome::Numerical));
-        let (res, _) = solve_ilp_budgeted(
-            &poisoned,
-            &SolveBudget::unlimited(),
-            &BudgetMeter::new(),
-            &mut SolverFaults::none(),
-        );
-        prop_assert!(matches!(res, IlpResolution::Numerical));
     }
 
     /// The tick deadline is an actual ceiling: the meter never runs more

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 /// Every variable's box in the generated problems.
 const UB: i64 = 3;
 
-fn row(terms: Vec<(usize, f64)>, relation: Relation, rhs: f64) -> Constraint {
+fn row(terms: Vec<(usize, i64)>, relation: Relation, rhs: i64) -> Constraint {
     Constraint { terms: terms.into_iter().map(|(v, c)| (VarId(v), c)).collect(), relation, rhs }
 }
 
@@ -25,7 +25,7 @@ fn tied_case(rng: &mut StdRng) -> Problem {
     let mut b =
         ProblemBuilder::new(if rng.gen_bool(0.7) { Sense::Maximize } else { Sense::Minimize });
     let vars: Vec<VarId> = (0..n).map(|_| b.add_var(true)).collect();
-    let mut obj: Vec<f64> = (0..n).map(|_| rng.gen_range(0i64..=5) as f64).collect();
+    let mut obj: Vec<i64> = (0..n).map(|_| rng.gen_range(0i64..=5)).collect();
     let mut rows = Vec::new();
     let family = rng.gen_range(0..3);
     if family != 1 {
@@ -33,20 +33,20 @@ fn tied_case(rng: &mut StdRng) -> Problem {
         let a = rng.gen_range(0..n);
         let c = (a + rng.gen_range(1..n)) % n;
         obj[c] = obj[a];
-        rows.push(row(vec![(a, 1.0), (c, 1.0)], Relation::Eq, rng.gen_range(1i64..=UB) as f64));
+        rows.push(row(vec![(a, 1), (c, 1)], Relation::Eq, rng.gen_range(1i64..=UB)));
     }
     for v in 0..n {
-        rows.push(row(vec![(v, 1.0)], Relation::Le, UB as f64));
+        rows.push(row(vec![(v, 1)], Relation::Le, UB));
     }
     for _ in 0..rng.gen_range(0usize..=2) {
         let mut terms = Vec::new();
         for v in 0..n {
             if rng.gen_bool(0.5) {
-                terms.push((v, rng.gen_range(1i64..=2) as f64));
+                terms.push((v, rng.gen_range(1i64..=2)));
             }
         }
         if !terms.is_empty() {
-            rows.push(row(terms, Relation::Le, rng.gen_range(2i64..=6) as f64));
+            rows.push(row(terms, Relation::Le, rng.gen_range(2i64..=6)));
         }
     }
     if family != 0 {
@@ -67,7 +67,7 @@ fn tied_case(rng: &mut StdRng) -> Problem {
     for _ in 0..rng.gen_range(1usize..=2) {
         let (v, w) = (rng.gen_range(0..n), rng.gen_range(0..n));
         let rel = if rng.gen_bool(0.7) { Relation::Le } else { Relation::Ge };
-        rows.push(row(vec![(v, 1.0), (w, 1.0)], rel, rng.gen_range(1i64..=4) as f64));
+        rows.push(row(vec![(v, 1), (w, 1)], rel, rng.gen_range(1i64..=4)));
     }
     for r in rows {
         b.constraint(r.terms, r.relation, r.rhs);

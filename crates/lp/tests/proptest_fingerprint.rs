@@ -28,12 +28,12 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
             let mut b = ProblemBuilder::new(sense);
             let vars: Vec<_> = flags.iter().map(|&f| b.add_var(f)).collect();
             for (i, &c) in obj.iter().enumerate() {
-                b.objective(vars[i], c as f64);
+                b.objective(vars[i], i64::from(c));
             }
             for (coeffs, rel, rhs) in rowvec {
                 let terms: Vec<_> =
-                    coeffs.iter().enumerate().map(|(i, &c)| (vars[i], c as f64)).collect();
-                b.constraint(terms, rel, rhs as f64);
+                    coeffs.iter().enumerate().map(|(i, &c)| (vars[i], i64::from(c))).collect();
+                b.constraint(terms, rel, i64::from(rhs));
             }
             b.build()
         })
@@ -45,7 +45,7 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
 /// variables renumbered.
 fn permute(p: &Problem, perm: &[usize]) -> Problem {
     let n = p.num_vars();
-    let mut objective = vec![0.0; n];
+    let mut objective = vec![0; n];
     let mut integer = vec![false; n];
     for v in 0..n {
         objective[perm[v]] = p.objective[v];
@@ -81,7 +81,7 @@ fn noisy(p: &Problem) -> Problem {
     let mut q = p.clone();
     for con in &mut q.constraints {
         con.terms =
-            con.terms.iter().rev().flat_map(|&(v, c)| [(v, c - 1.0), (v, 0.0), (v, 1.0)]).collect();
+            con.terms.iter().rev().flat_map(|&(v, c)| [(v, c - 1), (v, 0), (v, 1)]).collect();
     }
     q
 }
@@ -118,10 +118,10 @@ proptest! {
     fn term_noise_is_normalized_away((p, which) in (arb_problem(), 0usize..8)) {
         let mut q = p.clone();
         let i = which % q.constraints.len();
-        let noisy: Vec<(VarId, f64)> = q.constraints[i]
+        let noisy: Vec<(VarId, i64)> = q.constraints[i]
             .terms
             .iter()
-            .flat_map(|&(v, c)| vec![(v, c + 3.0), (v, -3.0), (v, 0.0)])
+            .flat_map(|&(v, c)| vec![(v, c + 3), (v, -3), (v, 0)])
             .collect();
         q.constraints[i].terms = noisy;
         prop_assert_eq!(fingerprint(&p), fingerprint(&q));
@@ -137,11 +137,11 @@ proptest! {
         match kind {
             0 => {
                 let i = which % q.constraints.len();
-                q.constraints[i].rhs += 1.0;
+                q.constraints[i].rhs += 1;
             }
             1 => {
                 let v = which % q.num_vars();
-                q.objective[v] += 1.0;
+                q.objective[v] += 1;
             }
             _ => {
                 q.sense = match q.sense {

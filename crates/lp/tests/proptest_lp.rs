@@ -24,21 +24,21 @@ fn arb_problem() -> impl Strategy<Value = (Problem, u32)> {
             let mut b = ProblemBuilder::new(Sense::Maximize);
             let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
             for (i, &c) in obj.iter().enumerate() {
-                b.objective(vars[i], c as f64);
+                b.objective(vars[i], i64::from(c));
             }
             // Box constraints keep everything finite.
             for &v in &vars {
-                b.constraint(vec![(v, 1.0)], Relation::Le, ub as f64);
+                b.constraint(vec![(v, 1)], Relation::Le, i64::from(ub));
             }
             for (coeffs, rel, rhs) in rowvec {
                 let terms: Vec<_> = coeffs
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c != 0)
-                    .map(|(i, &c)| (vars[i], c as f64))
+                    .map(|(i, &c)| (vars[i], i64::from(c)))
                     .collect();
                 if !terms.is_empty() {
-                    b.constraint(terms, rel, rhs as f64);
+                    b.constraint(terms, rel, i64::from(rhs));
                 }
             }
             (b.build(), ub)

@@ -38,16 +38,16 @@
 //! as the hit and miss counts. An evicted entry's record stays in the
 //! journal as dead bytes until the next compaction.
 //!
-//! ## File format (version 4)
+//! ## File format (version 5)
 //!
 //! The file is the 16-byte [`STORE_MAGIC`] header followed by records
 //! `[u32 len][u32 crc32][payload]` (little-endian; the CRC covers the
-//! payload). A payload is one solved problem, numbers only: its sense
-//! (`u8`), variable count `n` (`u64`), `n` objective coefficients (`f64`),
+//! payload). A payload is one solved problem, integers only: its sense
+//! (`u8`), variable count `n` (`u64`), `n` objective coefficients (`i64`),
 //! `n` integrality flags (`u8`), row count (`u64`) and each row as
-//! relation (`u8`), right-hand side (`f64`), term count (`u64`) and terms
-//! (`u64` variable, `f64` coefficient); then the witness (`u64` length,
-//! `f64` values), the objective value (`f64`) and the solve statistics
+//! relation (`u8`), right-hand side (`i64`), term count (`u64`) and terms
+//! (`u64` variable, `i64` coefficient); then the solver's witness (`u64`
+//! length, `f64` values), the objective value (`f64`) and the solve statistics
 //! (`u64` LP calls, `u64` nodes, `u8` first-relaxation flag). No variable
 //! is named, so a record's size follows the problem's shape, not the
 //! length of the labels a report would give its variables. A record holds
@@ -125,13 +125,14 @@ use std::sync::{Arc, Mutex};
 
 /// Magic + version header; changing the record format — or what a
 /// record's witness means — bumps the version and quarantines every older
-/// file wholesale. Version 4: a problem is numbers only, with no variable
-/// names. Version 3 made a record the problem and its solve alone, with
+/// file wholesale. Version 5: a problem's coefficients and right-hand
+/// sides are `i64` words (version 4 wrote them as `f64`). Version 4: a
+/// problem is numbers only, with no variable names. Version 3 made a record the problem and its solve alone, with
 /// no key and no program scope. Version 2 added the canonical witness
 /// of a tied optimum (the lexicographic minimum over the optimal face); a
 /// version-1 file may hold another optimal witness, which would certify
 /// and replay, making an answer depend on store history.
-pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v4\0\0\0";
+pub const STORE_MAGIC: &[u8; 16] = b"ipet-store-v5\0\0\0";
 
 /// Entries a [`Store`] keeps. Sized from measured entry sizes (about
 /// 13 KB on average over serve-style suite edits): a `--infer` pass over
@@ -939,6 +940,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_i64(out: &mut Vec<u8>, v: i64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
@@ -976,7 +981,7 @@ fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
     });
     put_u64(out, p.objective.len() as u64);
     for &c in &p.objective {
-        put_f64(out, c);
+        put_i64(out, c);
     }
     for &i in &p.integer {
         out.push(i as u8);
@@ -988,11 +993,11 @@ fn encode_problem(out: &mut Vec<u8>, p: &Problem) {
             Relation::Ge => 1,
             Relation::Eq => 2,
         });
-        put_f64(out, con.rhs);
+        put_i64(out, con.rhs);
         put_u64(out, con.terms.len() as u64);
         for &(v, c) in &con.terms {
             put_u64(out, v.0 as u64);
-            put_f64(out, c);
+            put_i64(out, c);
         }
     }
 }
@@ -1015,6 +1020,10 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn i64(&mut self) -> Option<i64> {
+        Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
     fn f64(&mut self) -> Option<f64> {
@@ -1073,7 +1082,7 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
     let nvars = c.len()?;
     let mut objective = Vec::with_capacity(nvars);
     for _ in 0..nvars {
-        objective.push(c.f64()?);
+        objective.push(c.i64()?);
     }
     let mut integer = Vec::with_capacity(nvars);
     for _ in 0..nvars {
@@ -1092,7 +1101,7 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
             2 => Relation::Eq,
             _ => return None,
         };
-        let rhs = c.f64()?;
+        let rhs = c.i64()?;
         let nterms = c.len()?;
         let mut terms = Vec::with_capacity(nterms);
         for _ in 0..nterms {
@@ -1100,7 +1109,7 @@ fn decode_problem(c: &mut Cursor<'_>) -> Option<Problem> {
             if v >= nvars {
                 return None;
             }
-            terms.push((ipet_lp::VarId(v), c.f64()?));
+            terms.push((ipet_lp::VarId(v), c.i64()?));
         }
         constraints.push(ipet_lp::Constraint { terms, relation, rhs });
     }
@@ -1133,10 +1142,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 4);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         b.build()
     }
 
@@ -1145,12 +1154,12 @@ mod tests {
     }
 
     /// `max x st x <= rhs`, solved: `x = rhs`.
-    fn line(rhs: f64) -> (Problem, IlpResolution) {
+    fn line(rhs: i64) -> (Problem, IlpResolution) {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
-        b.objective(x, 1.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, rhs);
-        (b.build(), IlpResolution::Exact { x: vec![rhs], value: rhs })
+        b.objective(x, 1);
+        b.constraint(vec![(x, 1)], Relation::Le, rhs);
+        (b.build(), IlpResolution::Exact { x: vec![rhs as f64], value: rhs as f64 })
     }
 
     fn key_of(p: &Problem) -> Fingerprint {
@@ -1195,8 +1204,8 @@ mod tests {
     #[test]
     fn a_changed_problem_misses_and_the_old_one_still_replays() {
         let store = Store::in_memory();
-        let (old, old_res) = line(9.0);
-        let (edited, _) = line(7.0);
+        let (old, old_res) = line(9);
+        let (edited, _) = line(7);
         put(&store, &old, &old_res);
         assert!(!hits(&store, &edited), "another problem is another key");
         assert!(store.probe(key_of(&old), &edited).is_none(), "and fails the gate under any key");
@@ -1208,9 +1217,9 @@ mod tests {
     #[test]
     fn a_full_store_evicts_the_least_recently_used_entry() {
         let store = Store::in_memory().capped(2);
-        let (a, ra) = line(1.0);
-        let (b, rb) = line(2.0);
-        let (c, rc) = line(3.0);
+        let (a, ra) = line(1);
+        let (b, rb) = line(2);
+        let (c, rc) = line(3);
         put(&store, &a, &ra);
         put(&store, &b, &rb);
         // A hit makes `a` the most recently used, so `c` evicts `b`.
@@ -1232,10 +1241,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let y = b.add_var(true);
         let x = b.add_var(true);
-        b.objective(x, 3.0);
-        b.objective(y, 2.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+        b.objective(x, 3);
+        b.objective(y, 2);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 4);
+        b.constraint(vec![(x, 1)], Relation::Le, 2);
         let q = b.build();
         put(&store, &p, &toy_exact());
         assert!(!hits(&store, &q));
@@ -1308,7 +1317,7 @@ mod tests {
         assert_eq!(read_only.mode(), StoreMode::ReadOnly);
         for store in [&Store::in_memory(), &read_only] {
             for i in 0..1000 {
-                let (p, res) = line(f64::from(i));
+                let (p, res) = line(i64::from(i));
                 put(store, &p, &res);
             }
             let inner = store.inner.lock().expect("store lock");
@@ -1343,7 +1352,7 @@ mod tests {
     fn truncated_file_quarantines_only_the_tail() {
         let dir = scratch("truncate");
         let path = dir.join("s.store");
-        let (q, qres) = line(3.0);
+        let (q, qres) = line(3);
         {
             let store = Store::open(&path);
             put(&store, &toy(), &toy_exact());
@@ -1376,10 +1385,10 @@ mod tests {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let x = b.add_var(true);
         let y = b.add_var(true);
-        b.objective(x, 1.0);
-        b.objective(y, 1.0);
-        b.constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
-        b.constraint(vec![(x, 1.0)], Relation::Le, 4.0);
+        b.objective(x, 1);
+        b.objective(y, 1);
+        b.constraint(vec![(x, 1), (y, 1)], Relation::Le, 5);
+        b.constraint(vec![(x, 1)], Relation::Le, 4);
         let p = b.build();
         let stale = IlpResolution::Exact { x: vec![4.0, 1.0], value: 5.0 };
         let dir = scratch("v1");
@@ -1413,9 +1422,10 @@ mod tests {
     #[cfg(unix)]
     fn older_files_open_empty_and_the_next_flush_replaces_them() {
         // A version-2 record carries a tag, a key and a program scope
-        // before the problem. The version-3 image holds a record that
-        // would decode under the current format: the header alone refuses
-        // it. None may load.
+        // before the problem. The version-3 and version-4 images hold a
+        // record that would decode under the current format (version 4
+        // wrote the same words, with `f64` coefficients): the header alone
+        // refuses it. None may load.
         let p = toy();
         let entry = Entry {
             key: 0,
@@ -1425,7 +1435,7 @@ mod tests {
             bytes: 0,
         };
         let v2_prefix = [[1u8].as_slice(), &[0xAB; 48]].concat();
-        for (version, prefix) in [("v2", v2_prefix), ("v3", Vec::new())] {
+        for (version, prefix) in [("v2", v2_prefix), ("v3", Vec::new()), ("v4", Vec::new())] {
             let dir = scratch(version);
             let path = dir.join("s.store");
             let mut payload = prefix;
@@ -1540,7 +1550,7 @@ mod tests {
                 let store = &store;
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        let (p, res) = line((t * per_thread + i) as f64);
+                        let (p, res) = line((t * per_thread + i) as i64);
                         put(store, &p, &res);
                         store.flush().expect("flush");
                     }
@@ -1617,7 +1627,7 @@ mod tests {
         assert_eq!(fs::read(&path).expect("read"), bytes);
 
         // A new entry makes it dirty again.
-        let (q, qres) = line(3.0);
+        let (q, qres) = line(3);
         put(&store, &q, &qres);
         store.flush().expect("dirty flush");
         assert_eq!(store.stats().flushes, 2);
@@ -1642,7 +1652,7 @@ mod tests {
     fn failed_write_leaves_the_store_dirty() {
         let dir = scratch("failrepair");
         let path = dir.join("s.store");
-        let (q, qres) = line(3.0);
+        let (q, qres) = line(3);
         {
             let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
             put(&store, &toy(), &toy_exact());
@@ -1707,7 +1717,7 @@ mod tests {
     fn a_compaction_writes_least_recently_used_first_and_a_reopen_keeps_that_order() {
         let dir = scratch("recency");
         let path = dir.join("s.store");
-        let [(a, ra), (b, rb), (c, rc), (d, rd)] = [1.0, 2.0, 3.0, 4.0].map(line);
+        let [(a, ra), (b, rb), (c, rc), (d, rd)] = [1, 2, 3, 4].map(line);
         {
             let store = open_capped(&path, 3);
             put(&store, &a, &ra);
@@ -1750,12 +1760,12 @@ mod tests {
 
     /// A problem of `n` variables whose record is several KB, so journal
     /// sizes reach the compaction floor in a test's run.
-    fn wide(n: usize, rhs: f64) -> Problem {
+    fn wide(n: usize, rhs: i64) -> Problem {
         let mut b = ProblemBuilder::new(Sense::Maximize);
         let vars: Vec<_> = (0..n).map(|_| b.add_var(true)).collect();
         for (i, &v) in vars.iter().enumerate() {
-            b.objective(v, 1.0);
-            b.constraint(vec![(v, 1.0), (vars[(i + 1) % n], 1.0)], Relation::Le, rhs);
+            b.objective(v, 1);
+            b.constraint(vec![(v, 1), (vars[(i + 1) % n], 1)], Relation::Le, rhs);
         }
         b.build()
     }
@@ -1769,7 +1779,7 @@ mod tests {
     fn writing_flushes_append_without_replacing_the_file() {
         let dir = scratch("append");
         let path = dir.join("s.store");
-        let (p, q) = (toy(), wide(4, 3.0));
+        let (p, q) = (toy(), wide(4, 3));
         let store = Store::open(&path);
         put(&store, &p, &toy_exact());
         store.flush().expect("first flush creates the file");
@@ -1791,7 +1801,7 @@ mod tests {
     fn a_torn_append_is_quarantined_on_reopen_and_the_next_flush_compacts() {
         let dir = scratch("tornappend");
         let path = dir.join("s.store");
-        let (p, q) = (toy(), wide(4, 3.0));
+        let (p, q) = (toy(), wide(4, 3));
         {
             // Writing flush 0 creates the file; flush 1, an append, tears.
             let store = Store::open_with_faults(&path, SolverFaults::torn_write_at(1));
@@ -1817,7 +1827,7 @@ mod tests {
     fn a_failed_append_compacts_on_the_next_flush() {
         let dir = scratch("failappend");
         let path = dir.join("s.store");
-        let (p, q) = (toy(), wide(4, 3.0));
+        let (p, q) = (toy(), wide(4, 3));
         let store = Store::open_with_faults(&path, SolverFaults::fail_write_at(1));
         put(&store, &p, &toy_exact());
         store.flush().expect("flush 0");
@@ -1837,15 +1847,15 @@ mod tests {
         let dir = scratch("bounded");
         let path = dir.join("s.store");
         let store = open_capped(&path, 16);
-        let kept: Vec<Problem> = (10..14).map(|n| wide(n, 1.0)).collect();
+        let kept: Vec<Problem> = (10..14).map(|n| wide(n, 1)).collect();
         for p in &kept {
             put(&store, p, &zeros(p));
         }
-        let edit = wide(200, 5000.0);
+        let edit = wide(200, 5000);
         let header = STORE_MAGIC.len() as u64;
         for cycle in 0..1000 {
             assert!(kept.iter().all(|p| hits(&store, p)), "cycle {cycle}: a replay missed");
-            let e = wide(200, f64::from(cycle));
+            let e = wide(200, cycle as i64);
             put(&store, &e, &zeros(&e));
             put(&store, &edit, &zeros(&edit));
             store.flush().expect("edit flush");
@@ -1871,7 +1881,7 @@ mod tests {
         assert_eq!(reopened.stats().loaded, 16);
         // Replays are not journaled: the routines kept recent by replays
         // since the last compaction yield to the newer records.
-        let newest = wide(200, 999.0);
+        let newest = wide(200, 999);
         assert!(hits(&reopened, &newest) && hits(&reopened, &edit), "the newest records load");
     }
 

@@ -27,8 +27,8 @@ fn scratch(tag: &str) -> PathBuf {
 fn toy() -> ipet_lp::Problem {
     let mut b = ProblemBuilder::new(Sense::Maximize);
     let x = b.add_var(true);
-    b.objective(x, 1.0);
-    b.constraint(vec![(x, 1.0)], Relation::Le, 3.0);
+    b.objective(x, 1);
+    b.constraint(vec![(x, 1)], Relation::Le, 3);
     b.build()
 }
 
