@@ -59,128 +59,128 @@ fn suite_fingerprints_match_the_pinned_keys() {
 }
 
 const GOLDEN: &str = "\
-check_data plain base0 c1726f00aa3857657582ab8eea524922
-check_data plain base1 9de3d7b901c2c206f34f4faf2b1fadc9
-check_data plain job0 0e0920d56b17f633be12660188408624
-check_data plain job1 8aff44fbdc938562f0b0a176179b9a4e
-check_data plain job2 bdb3e50629ce313f1a017117fbebdda8
-check_data plain job3 a86dfa72b766a57611648c90f830d610
-fft plain base0 8bd75fc75110ec4ee2b0b22db61537bc
-fft plain base1 251647eab335d250228ec761dcda988e
-fft plain job0 8bd75fc75110ec4ee2b0b22db61537bc
-fft plain job1 251647eab335d250228ec761dcda988e
-piksrt plain base0 67620fa15a55d6cccaaaa6f451c1c10d
-piksrt plain base1 fc834d3f5930dd6bbe216ef9d75e06c3
-piksrt plain job0 67620fa15a55d6cccaaaa6f451c1c10d
-piksrt plain job1 fc834d3f5930dd6bbe216ef9d75e06c3
-des plain base0 1ba91e53c22e54d73af47ce743abd406
-des plain base1 f13919f5e27e6d68bc21e084d1e61bff
-des plain job0 2be613503bb5e9ba14c1f589d8db2c45
-des plain job1 7a81d615d976681c54b0983cf1f38735
-des plain job2 7cfd8c435e66e70f3d3af9d9af7c1b64
-des plain job3 31456e2a6ed55037a98642b774c1fdb6
-line plain base0 6c08d667b09891e19e5713b5b1291616
-line plain base1 32150811d00b1247f3fba20d320ad18b
-line plain job0 94d411b4c20f3e5cc75efb22824ddea2
-line plain job1 202bad8c071aa3f0d7cabd83e13c896f
-line plain job2 6a8fff264738108abc9ad6e86cc09cf2
-line plain job3 56d02c7cf36da276860495af58d9324e
-circle plain base0 8796c3b22de57bc7535116fe8f131b84
-circle plain base1 4d82108cebdf4e7b65b45d1ecbb67c45
-circle plain job0 8796c3b22de57bc7535116fe8f131b84
-circle plain job1 4d82108cebdf4e7b65b45d1ecbb67c45
-jpeg_fdct_islow plain base0 940fc0875f2dcd03775f2fa4b7e071fc
-jpeg_fdct_islow plain base1 3a255172869a2c1a635941f0c8b9a8da
-jpeg_fdct_islow plain job0 940fc0875f2dcd03775f2fa4b7e071fc
-jpeg_fdct_islow plain job1 3a255172869a2c1a635941f0c8b9a8da
-jpeg_idct_islow plain base0 e9f25d0a50370ba58d536860e0f8a8a4
-jpeg_idct_islow plain base1 f4ea6016e543d934e55725b12fe19998
-jpeg_idct_islow plain job0 e9f25d0a50370ba58d536860e0f8a8a4
-jpeg_idct_islow plain job1 f4ea6016e543d934e55725b12fe19998
-recon plain base0 531f8219e625174389c2893ddedbdbb0
-recon plain base1 7fc372278ecb8c95e857454d31da880e
-recon plain job0 531f8219e625174389c2893ddedbdbb0
-recon plain job1 7fc372278ecb8c95e857454d31da880e
-fullsearch plain base0 8102c9db8f77361d4544ec48a0008eb0
-fullsearch plain base1 ab4a00f40e008070c2f333e75a930ba6
-fullsearch plain job0 8102c9db8f77361d4544ec48a0008eb0
-fullsearch plain job1 ab4a00f40e008070c2f333e75a930ba6
-whetstone plain base0 cfcac319e6664cfec8e3dca898a17af7
-whetstone plain base1 8544a99b36d9cc1e47031582d6863f01
-whetstone plain job0 cfcac319e6664cfec8e3dca898a17af7
-whetstone plain job1 8544a99b36d9cc1e47031582d6863f01
-dhry plain base0 3752d5e913c17d9ef9f7d0b3554ca01f
-dhry plain base1 637c2cf6b74def9ddcbad31a8f0bc891
-dhry plain job0 76bff99cf630996403d8d199f104c6d2
-dhry plain job1 c18a6d5c399effe1436d088bad72af73
-dhry plain job2 51a31b278d1a41ab3fa51deb39d5f247
-dhry plain job3 d3d2b9a35445329ff91a161ac41347ba
-dhry plain job4 51a31b278d1a41ab3fa51deb39d5f247
-dhry plain job5 d3d2b9a35445329ff91a161ac41347ba
-matgen plain base0 423ace0c93e6dc7ea8b00dc16d8cea91
-matgen plain base1 8cd62bc03431d0d985652ac5b2c3c8a1
-matgen plain job0 423ace0c93e6dc7ea8b00dc16d8cea91
-matgen plain job1 8cd62bc03431d0d985652ac5b2c3c8a1
-check_data infer base0 2de117502a232a06b09e208c12934e9c
-check_data infer base1 8d0260cf6e1a894cc697b42f8daf87a3
-check_data infer job0 bed51f282ca3177ab2c23f13e2525f0d
-check_data infer job1 9620f4ac470bc88d3b6e3c5d58630a48
-check_data infer job2 b9e0f64806b9dde1e0eaae5bdd9ff5e5
-check_data infer job3 59e5e54b1179960142d18b32a7e9aa14
-fft infer base0 397e1cc77cd6a992d7927935310e296b
-fft infer base1 cc4314bc6a182ca1e19a0d23837c415a
-fft infer job0 397e1cc77cd6a992d7927935310e296b
-fft infer job1 cc4314bc6a182ca1e19a0d23837c415a
-piksrt infer base0 61fa81bab5f39e7e12b55bb928768bef
-piksrt infer base1 ecab67e11b2b57dcc8f7e9a04204c403
-piksrt infer job0 61fa81bab5f39e7e12b55bb928768bef
-piksrt infer job1 ecab67e11b2b57dcc8f7e9a04204c403
-des infer base0 1ba91e53c22e54d73af47ce743abd406
-des infer base1 f13919f5e27e6d68bc21e084d1e61bff
-des infer job0 2be613503bb5e9ba14c1f589d8db2c45
-des infer job1 7a81d615d976681c54b0983cf1f38735
-des infer job2 7cfd8c435e66e70f3d3af9d9af7c1b64
-des infer job3 31456e2a6ed55037a98642b774c1fdb6
-line infer base0 6c08d667b09891e19e5713b5b1291616
-line infer base1 32150811d00b1247f3fba20d320ad18b
-line infer job0 94d411b4c20f3e5cc75efb22824ddea2
-line infer job1 202bad8c071aa3f0d7cabd83e13c896f
-line infer job2 6a8fff264738108abc9ad6e86cc09cf2
-line infer job3 56d02c7cf36da276860495af58d9324e
-circle infer base0 044e2df72d32409faffee95b113f61d2
-circle infer base1 ad6c2d7216062d7ff00a4998046128bc
-circle infer job0 044e2df72d32409faffee95b113f61d2
-circle infer job1 ad6c2d7216062d7ff00a4998046128bc
-jpeg_fdct_islow infer base0 940fc0875f2dcd03775f2fa4b7e071fc
-jpeg_fdct_islow infer base1 3a255172869a2c1a635941f0c8b9a8da
-jpeg_fdct_islow infer job0 940fc0875f2dcd03775f2fa4b7e071fc
-jpeg_fdct_islow infer job1 3a255172869a2c1a635941f0c8b9a8da
-jpeg_idct_islow infer base0 e9f25d0a50370ba58d536860e0f8a8a4
-jpeg_idct_islow infer base1 f4ea6016e543d934e55725b12fe19998
-jpeg_idct_islow infer job0 e9f25d0a50370ba58d536860e0f8a8a4
-jpeg_idct_islow infer job1 f4ea6016e543d934e55725b12fe19998
-recon infer base0 531f8219e625174389c2893ddedbdbb0
-recon infer base1 7fc372278ecb8c95e857454d31da880e
-recon infer job0 531f8219e625174389c2893ddedbdbb0
-recon infer job1 7fc372278ecb8c95e857454d31da880e
-fullsearch infer base0 8102c9db8f77361d4544ec48a0008eb0
-fullsearch infer base1 ab4a00f40e008070c2f333e75a930ba6
-fullsearch infer job0 8102c9db8f77361d4544ec48a0008eb0
-fullsearch infer job1 ab4a00f40e008070c2f333e75a930ba6
-whetstone infer base0 cfcac319e6664cfec8e3dca898a17af7
-whetstone infer base1 8544a99b36d9cc1e47031582d6863f01
-whetstone infer job0 cfcac319e6664cfec8e3dca898a17af7
-whetstone infer job1 8544a99b36d9cc1e47031582d6863f01
-dhry infer base0 2f429d99eab27d5a9b073e26660e3359
-dhry infer base1 391c373715f0e694ad049c47dc880d2d
-dhry infer job0 9e180ac31a761d694f87b1839833c54f
-dhry infer job1 a29b54b355cd48d7fe0da2611c5ac211
-dhry infer job2 dbb56c718877022a7b2c7f5f03007f95
-dhry infer job3 e64fbe9e46a239515e2ece71d7658902
-dhry infer job4 dbb56c718877022a7b2c7f5f03007f95
-dhry infer job5 e64fbe9e46a239515e2ece71d7658902
-matgen infer base0 423ace0c93e6dc7ea8b00dc16d8cea91
-matgen infer base1 8cd62bc03431d0d985652ac5b2c3c8a1
-matgen infer job0 423ace0c93e6dc7ea8b00dc16d8cea91
-matgen infer job1 8cd62bc03431d0d985652ac5b2c3c8a1
+check_data plain base0 9cb5490d548a6956100944f8913d613d
+check_data plain base1 7d0f1b871f2018d9bb0f87af90e41a15
+check_data plain job0 ad8048c68df77a099a81cd08bc7e547a
+check_data plain job1 544d9cb35c4213c6ab810d9652c0628a
+check_data plain job2 5f17fdaa9b304f959d741e629ce10a64
+check_data plain job3 b9e02778ec62908fc50e7ec68ab064fb
+fft plain base0 223aa8fe4851daff441cb19fb1c74490
+fft plain base1 8d9d3c482cd31f62317338c1c068b3a8
+fft plain job0 223aa8fe4851daff441cb19fb1c74490
+fft plain job1 8d9d3c482cd31f62317338c1c068b3a8
+piksrt plain base0 a40da78b93c687a49171def360909f5e
+piksrt plain base1 5f23ea2c69acef2f13194442ab49b6c8
+piksrt plain job0 a40da78b93c687a49171def360909f5e
+piksrt plain job1 5f23ea2c69acef2f13194442ab49b6c8
+des plain base0 20925138c0966447a9fad68b03cfbb91
+des plain base1 e4157ae2c2fa6ce1a27aa1da353fa980
+des plain job0 130b7700aa60d1fe5f90bc8f17daf6ad
+des plain job1 6ca540198f630ba0060344665167f29d
+des plain job2 f2170bd3f55661e11dd901340e4ec78b
+des plain job3 347c9b6c79b17e8bfe94b6d3c87dc5c8
+line plain base0 d2c814205b04a71ad1b9c33552795f40
+line plain base1 120223905d863829560f219edd242b80
+line plain job0 656705ab03f450a086b082be24ffd7a4
+line plain job1 1825ee67828a95dc92f5822c0168d6fd
+line plain job2 5cfed208b12e99db27f5cc63931aa6fa
+line plain job3 98e241727d5f1fccfb82bffa0f7924e8
+circle plain base0 093bae72718d912e4a295cb7660d93c1
+circle plain base1 1bcc32c753df26156461ec15e66c8bb5
+circle plain job0 093bae72718d912e4a295cb7660d93c1
+circle plain job1 1bcc32c753df26156461ec15e66c8bb5
+jpeg_fdct_islow plain base0 8824b25d70b58497dbd867ad93d039a1
+jpeg_fdct_islow plain base1 503f51b4f29d8656cae3f5607189eb74
+jpeg_fdct_islow plain job0 8824b25d70b58497dbd867ad93d039a1
+jpeg_fdct_islow plain job1 503f51b4f29d8656cae3f5607189eb74
+jpeg_idct_islow plain base0 778bf4757cfa0055d2f1b77294ec4ddc
+jpeg_idct_islow plain base1 a9a8dd8c1f9eaef824e7be2d00e53f41
+jpeg_idct_islow plain job0 778bf4757cfa0055d2f1b77294ec4ddc
+jpeg_idct_islow plain job1 a9a8dd8c1f9eaef824e7be2d00e53f41
+recon plain base0 d6f6843ffd6cf89cc2bd51cf17a908cd
+recon plain base1 7f7ece3525791584a55c4ad12221255f
+recon plain job0 d6f6843ffd6cf89cc2bd51cf17a908cd
+recon plain job1 7f7ece3525791584a55c4ad12221255f
+fullsearch plain base0 a5a6899fcf637a8d189b5373dfdb824d
+fullsearch plain base1 ea41bf8de853857cfd8c61e3091c8d2b
+fullsearch plain job0 a5a6899fcf637a8d189b5373dfdb824d
+fullsearch plain job1 ea41bf8de853857cfd8c61e3091c8d2b
+whetstone plain base0 aae240d191a4f2675a4428aee4204776
+whetstone plain base1 26a2c07c91b10b4e047b9c6f5bcdc5ca
+whetstone plain job0 aae240d191a4f2675a4428aee4204776
+whetstone plain job1 26a2c07c91b10b4e047b9c6f5bcdc5ca
+dhry plain base0 a64925c048e59c1912bc5ed49473b074
+dhry plain base1 a56e08b649cefb913c5d6cbc1fa67575
+dhry plain job0 84bf3a4738d345263e01444b368b9a00
+dhry plain job1 537f7757434261b0996297b32e05a499
+dhry plain job2 a1a1e92648f88e614aecf6916ac0b28d
+dhry plain job3 1e2034cd7c9894d9d73c2a4e0db53200
+dhry plain job4 a1a1e92648f88e614aecf6916ac0b28d
+dhry plain job5 1e2034cd7c9894d9d73c2a4e0db53200
+matgen plain base0 333331a0bb5a2ba76c6a2eb686b8f3c4
+matgen plain base1 dd5323479ba7ab675a7daa81f682f645
+matgen plain job0 333331a0bb5a2ba76c6a2eb686b8f3c4
+matgen plain job1 dd5323479ba7ab675a7daa81f682f645
+check_data infer base0 337cf4fa95f631c55ef9df6fe8bd7574
+check_data infer base1 093a799be564d814c9e382c4fe492755
+check_data infer job0 bd2892b09685e3b452169188274484c6
+check_data infer job1 9a52c5dc136fc2c1e2fd1c4e4f8ee5f7
+check_data infer job2 b96c2b8f5b1051ca484e6a3e4f7c0d34
+check_data infer job3 077ec557a7a881b8caddffb7b25174c4
+fft infer base0 90692be34bf34e41f37f10e3388dae17
+fft infer base1 ed85eaddd1f34780a9b48114edbee42c
+fft infer job0 90692be34bf34e41f37f10e3388dae17
+fft infer job1 ed85eaddd1f34780a9b48114edbee42c
+piksrt infer base0 ada8ec3416d2a8dc39436f4a30bbfdf2
+piksrt infer base1 2aa978eaebe80a3290cf6b7b5fe8bbe1
+piksrt infer job0 ada8ec3416d2a8dc39436f4a30bbfdf2
+piksrt infer job1 2aa978eaebe80a3290cf6b7b5fe8bbe1
+des infer base0 20925138c0966447a9fad68b03cfbb91
+des infer base1 e4157ae2c2fa6ce1a27aa1da353fa980
+des infer job0 130b7700aa60d1fe5f90bc8f17daf6ad
+des infer job1 6ca540198f630ba0060344665167f29d
+des infer job2 f2170bd3f55661e11dd901340e4ec78b
+des infer job3 347c9b6c79b17e8bfe94b6d3c87dc5c8
+line infer base0 d2c814205b04a71ad1b9c33552795f40
+line infer base1 120223905d863829560f219edd242b80
+line infer job0 656705ab03f450a086b082be24ffd7a4
+line infer job1 1825ee67828a95dc92f5822c0168d6fd
+line infer job2 5cfed208b12e99db27f5cc63931aa6fa
+line infer job3 98e241727d5f1fccfb82bffa0f7924e8
+circle infer base0 7fbf6566eb8ddab0164d7cfa4dc7e15e
+circle infer base1 892058b5311218db2b485dc3d58798dd
+circle infer job0 7fbf6566eb8ddab0164d7cfa4dc7e15e
+circle infer job1 892058b5311218db2b485dc3d58798dd
+jpeg_fdct_islow infer base0 8824b25d70b58497dbd867ad93d039a1
+jpeg_fdct_islow infer base1 503f51b4f29d8656cae3f5607189eb74
+jpeg_fdct_islow infer job0 8824b25d70b58497dbd867ad93d039a1
+jpeg_fdct_islow infer job1 503f51b4f29d8656cae3f5607189eb74
+jpeg_idct_islow infer base0 778bf4757cfa0055d2f1b77294ec4ddc
+jpeg_idct_islow infer base1 a9a8dd8c1f9eaef824e7be2d00e53f41
+jpeg_idct_islow infer job0 778bf4757cfa0055d2f1b77294ec4ddc
+jpeg_idct_islow infer job1 a9a8dd8c1f9eaef824e7be2d00e53f41
+recon infer base0 d6f6843ffd6cf89cc2bd51cf17a908cd
+recon infer base1 7f7ece3525791584a55c4ad12221255f
+recon infer job0 d6f6843ffd6cf89cc2bd51cf17a908cd
+recon infer job1 7f7ece3525791584a55c4ad12221255f
+fullsearch infer base0 a5a6899fcf637a8d189b5373dfdb824d
+fullsearch infer base1 ea41bf8de853857cfd8c61e3091c8d2b
+fullsearch infer job0 a5a6899fcf637a8d189b5373dfdb824d
+fullsearch infer job1 ea41bf8de853857cfd8c61e3091c8d2b
+whetstone infer base0 aae240d191a4f2675a4428aee4204776
+whetstone infer base1 26a2c07c91b10b4e047b9c6f5bcdc5ca
+whetstone infer job0 aae240d191a4f2675a4428aee4204776
+whetstone infer job1 26a2c07c91b10b4e047b9c6f5bcdc5ca
+dhry infer base0 a0e099f208a4531beb69751c6750120b
+dhry infer base1 aace7dd24ccccd2510e67ac9f0f336cb
+dhry infer job0 fb442ebad8b21dd068fbf51001c929e7
+dhry infer job1 8507280fa55bb3d3cf37cc583a58ab90
+dhry infer job2 f4dd2b9715441f7916c8891614d9e98c
+dhry infer job3 d7b171cfd87887b46222a73a25b544d7
+dhry infer job4 f4dd2b9715441f7916c8891614d9e98c
+dhry infer job5 d7b171cfd87887b46222a73a25b544d7
+matgen infer base0 333331a0bb5a2ba76c6a2eb686b8f3c4
+matgen infer base1 dd5323479ba7ab675a7daa81f682f645
+matgen infer job0 333331a0bb5a2ba76c6a2eb686b8f3c4
+matgen infer job1 dd5323479ba7ab675a7daa81f682f645
 ";

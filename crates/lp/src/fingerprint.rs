@@ -9,7 +9,9 @@
 //! variable, so it only answers a problem with the same variables at the
 //! same indices, and every consumer of the key (in-batch dedup, the solve
 //! cache, the persistent store) gates on [`same_structure`] anyway. The
-//! fingerprint is one pass over the problem, in this order:
+//! fingerprint is one pass over the problem, one 64-bit word per integer (a
+//! coefficient or right-hand side is its two's-complement `i64`), in this
+//! order:
 //!
 //! * the sense and the variable count;
 //! * the integrality flags;
@@ -51,11 +53,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// The word a coefficient hashes as: the bits of its `f64` value.
-fn coeff_bits(c: i128) -> u64 {
-    (c as f64).to_bits()
 }
 
 fn relation_tag(r: Relation) -> u64 {
@@ -102,17 +99,18 @@ pub fn fingerprint(problem: &Problem) -> Fingerprint {
         word(u64::from(flag));
     }
     for &c in &problem.objective {
-        word(coeff_bits(c.into()));
+        word(c as u64);
     }
     for con in &problem.constraints {
         word(relation_tag(con.relation));
-        word(coeff_bits(con.rhs.into()));
-        // Merged as `same_row` merges: no zero survives.
+        word(con.rhs as u64);
+        // Merged as `same_row` merges: no zero survives. A summed
+        // coefficient past `i64` hashes by its low 64 bits.
         let terms = con.merged_terms();
         word(terms.len() as u64);
         for (v, c) in terms {
             word(v as u64);
-            word(coeff_bits(c));
+            word(c as u64);
         }
     }
     word(problem.constraints.len() as u64);
