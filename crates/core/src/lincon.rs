@@ -107,53 +107,53 @@ impl fmt::Display for LinCon {
 /// null. Multi-variable rows are ignored, so this is a sound but incomplete
 /// test — exactly what the paper describes ("these trivial null sets, if
 /// detected, will be pruned").
+///
+/// The bounds are exact fractions `rhs / a`, compared by
+/// cross-multiplication in `i128`.
 pub fn set_is_null<'a>(set: impl IntoIterator<Item = &'a LinCon>) -> bool {
-    let mut lo: HashMap<VarRef, f64> = HashMap::new();
-    let mut hi: HashMap<VarRef, f64> = HashMap::new();
+    // `(num, den)` with `den > 0`; `|num|, den <= 2^63`, so a product of
+    // two parts fits in `i128`.
+    type Bound = (i128, i128);
+    let below = |x: Bound, y: Bound| x.0 * y.1 < y.0 * x.1;
+    let mut lo: HashMap<VarRef, Bound> = HashMap::new();
+    let mut hi: HashMap<VarRef, Bound> = HashMap::new();
     for con in set {
         let terms = con.merged();
+        // A summed coefficient past `i64` bounds nothing here, which only
+        // makes the test less complete.
         let [(v, a)] = terms[..] else {
             continue;
         };
+        if i64::try_from(a).is_err() {
+            continue;
+        }
         // a*x REL rhs  ->  x REL' rhs/a (flip when a < 0)
-        let bound = con.rhs as f64 / a as f64;
-        let rel = if a < 0 {
-            match con.relation {
+        let rhs = i128::from(con.rhs);
+        let (bound, rel) = if a < 0 {
+            let rel = match con.relation {
                 Relation::Le => Relation::Ge,
                 Relation::Ge => Relation::Le,
                 Relation::Eq => Relation::Eq,
-            }
+            };
+            ((-rhs, -a), rel)
         } else {
-            con.relation
+            ((rhs, a), con.relation)
         };
-        match rel {
-            Relation::Le => {
-                let h = hi.entry(v).or_insert(f64::INFINITY);
-                *h = h.min(bound);
+        if rel != Relation::Ge {
+            let h = hi.entry(v).or_insert(bound);
+            if below(bound, *h) {
+                *h = bound;
             }
-            Relation::Ge => {
-                let l = lo.entry(v).or_insert(0.0);
-                *l = l.max(bound);
-            }
-            Relation::Eq => {
-                let h = hi.entry(v).or_insert(f64::INFINITY);
-                *h = h.min(bound);
-                let l = lo.entry(v).or_insert(0.0);
-                *l = l.max(bound);
+        }
+        if rel != Relation::Le {
+            let l = lo.entry(v).or_insert((0, 1));
+            if below(*l, bound) {
+                *l = bound;
             }
         }
     }
-    for (v, &h) in &hi {
-        let l = lo.get(v).copied().unwrap_or(0.0);
-        if l > h + 1e-9 {
-            return true;
-        }
-        // Non-negativity: an upper bound below zero is already null.
-        if h < -1e-9 {
-            return true;
-        }
-    }
-    false
+    // Non-negativity: an upper bound below zero is already null.
+    hi.iter().any(|(v, &h)| below(h, lo.get(v).copied().unwrap_or((0, 1))) || h.0 < 0)
 }
 
 #[cfg(test)]
@@ -226,6 +226,28 @@ mod tests {
             LinCon::eq(vec![(x(1), 1)], 4),
         ];
         assert!(!set_is_null(&set));
+    }
+
+    #[test]
+    fn bounds_compare_exactly_at_any_magnitude() {
+        // 9x >= 9k and x <= k meet at x = k. In `f64`, 9k / 9 rounds one
+        // step above k, so a tolerance test called the set null.
+        let k = 579_832_826_712_306_748;
+        let set = vec![LinCon::ge(vec![(x(0), 9)], 9 * k), LinCon::le(vec![(x(0), 1)], k)];
+        assert!(!set_is_null(&set));
+        let set = vec![LinCon::ge(vec![(x(0), 9)], 9 * k + 1), LinCon::le(vec![(x(0), 1)], k)];
+        assert!(set_is_null(&set));
+        // Fractional bounds: 2x <= 3 and 3x >= 5 leave [5/3, 3/2], empty.
+        let set = vec![LinCon::le(vec![(x(0), 2)], 3), LinCon::ge(vec![(x(0), 3)], 5)];
+        assert!(set_is_null(&set));
+        let set = vec![LinCon::le(vec![(x(0), 2)], 3), LinCon::ge(vec![(x(0), 3)], 4)];
+        assert!(!set_is_null(&set));
+        // Extreme coefficients neither overflow nor panic.
+        let set = vec![
+            LinCon::le(vec![(x(0), i64::MIN)], i64::MIN),
+            LinCon::le(vec![(x(0), i64::MAX)], i64::MIN),
+        ];
+        assert!(set_is_null(&set));
     }
 
     #[test]
