@@ -946,13 +946,14 @@ mod tests {
             parse_error("fn main {\n x1 + 5 - 9223372036854775807 - 9223372036854775807 >= 0; }"),
             (2, "constant -9223372036854775802 - 9223372036854775807 out of range".to_string())
         );
-        // The extremes themselves, and sums that come back into range
-        // only after leaving it, are refused or kept exactly.
+        // The extremes themselves parse exactly; a sum is refused as soon
+        // as it leaves the range, even if a later term would bring it back.
         let anns = parse_annotations("fn main { x1 <= 9223372036854775807 - 1 + 1; }").unwrap();
         let (_, stmt) = &anns.functions[0];
         assert!(format!("{stmt:?}").contains("constant: 9223372036854775807"), "{stmt:?}");
         assert!(parse_annotations("fn main { x1 >= -9223372036854775807 - 1; }").is_ok());
         assert!(parse_annotations("fn main { x1 >= -9223372036854775807 - 2; }").is_err());
+        assert!(parse_annotations("fn main { x1 <= 9223372036854775807 + 1 - 1; }").is_err());
     }
 
     #[test]
